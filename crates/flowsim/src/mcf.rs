@@ -236,14 +236,15 @@ pub fn try_solve_with_options(
     }
     let m = caps.iter().filter(|&&c| c > 0.0 && c.is_finite()).count() as f64;
 
-    // One oracle for the whole solve: plane graphs and the host-uplink cache
-    // are shared between demand pre-scaling and the phase loop.
-    let oracle = AnyPathOracle::new(net);
+    // One route source for the whole solve: in AnyPath mode the oracle's
+    // plane graphs and host-uplink cache are shared between demand
+    // pre-scaling and the phase loop.
+    let routes = Routes::new(net, mode);
 
     // --- Demand pre-scaling so that OPT λ' is Θ(1). -----------------------
     // Lower bound: route every commodity on a shortest allowed path and
     // scale by the resulting congestion.
-    let seed_routes = shortest_routes_unit(net, commodities, mode, opts.parallelism, &oracle);
+    let seed_routes = shortest_routes_unit(net, commodities, &routes, opts.parallelism);
     let mut seed_load = vec![0.0f64; caps.len()];
     for (c, route) in commodities.iter().zip(&seed_routes) {
         for &l in route {
@@ -272,11 +273,10 @@ pub fn try_solve_with_options(
     Ok(gk_core(
         net,
         commodities,
-        mode,
+        &routes,
         eps,
         opts,
         &caps,
-        &oracle,
         scale,
         length,
         d_sum,
@@ -402,7 +402,7 @@ pub fn try_solve_warm_with_options(
         });
     }
     let m = caps.iter().filter(|&&c| c > 0.0 && c.is_finite()).count() as f64;
-    let oracle = AnyPathOracle::new(net);
+    let routes = Routes::new(net, mode);
 
     // Demand pre-scale: the same shortest-path seeding as the cold solver,
     // run against the *current* topology. The previous λ is tempting but
@@ -413,7 +413,7 @@ pub fn try_solve_warm_with_options(
     // in the cold run, so the warm phase count lands near cold/B; the
     // seeding pass costs one unit-length route per commodity, noise next to
     // the phases it preserves.
-    let seed_routes = shortest_routes_unit(net, commodities, mode, opts.parallelism, &oracle);
+    let seed_routes = shortest_routes_unit(net, commodities, &routes, opts.parallelism);
     let mut seed_load = vec![0.0f64; caps.len()];
     for (c, route) in commodities.iter().zip(&seed_routes) {
         for &l in route {
@@ -494,11 +494,10 @@ pub fn try_solve_warm_with_options(
     Ok(gk_core(
         net,
         commodities,
-        mode,
+        &routes,
         eps,
         opts,
         &caps,
-        &oracle,
         scale,
         length,
         d_sum,
@@ -514,11 +513,10 @@ pub fn try_solve_warm_with_options(
 fn gk_core(
     net: &Network,
     commodities: &[Commodity],
-    mode: &PathMode,
+    routes: &Routes<'_>,
     eps: f64,
     opts: McfOptions,
     caps: &[f64],
-    oracle: &AnyPathOracle,
     scale: f64,
     mut length: Vec<f64>,
     mut d_sum: f64,
@@ -561,9 +559,12 @@ fn gk_core(
 
     // Persistent per-source tree bundles (AnyPath): refreshed in place each
     // phase instead of reallocated, and one route buffer serves every push.
-    let mut phase_trees: Vec<PlaneTrees> = match mode {
-        PathMode::AnyPath => (0..sources.len()).map(|_| oracle.empty_trees()).collect(),
-        PathMode::Explicit(_) => Vec::new(),
+    let (mut phase_trees, n_planes): (Vec<PlaneTrees>, usize) = match routes {
+        Routes::AnyPath(oracle) => (
+            (0..sources.len()).map(|_| oracle.empty_trees()).collect(),
+            oracle.planes.len(),
+        ),
+        Routes::Explicit(_) => (Vec::new(), 0),
     };
     // Per-plane CSR-order weight snapshot, regathered once per phase and
     // shared by every source's Dijkstra. A plane is dirty when one of its
@@ -580,9 +581,9 @@ fn gk_core(
     // whose recorded shortest-path chains traverse no grown link skips its
     // Dijkstra entirely (see `refresh_trees` for why that is exact).
     let mut phase_w: Vec<Vec<f64>> = Vec::new();
-    let mut plane_dirty: Vec<bool> = vec![true; oracle.planes.len()];
+    let mut plane_dirty: Vec<bool> = vec![true; n_planes];
     let n_words = caps.len().div_ceil(64);
-    let mut grown: Vec<Vec<u64>> = vec![vec![0u64; n_words]; oracle.planes.len()];
+    let mut grown: Vec<Vec<u64>> = vec![vec![0u64; n_words]; n_planes];
     let mut route: Vec<LinkId> = Vec::new();
 
     // Late-window primal scoring for warm runs. A short warm run's first
@@ -612,7 +613,7 @@ fn gk_core(
         // the (1-O(eps)) guarantee, and the final congestion rescale keeps
         // the primal feasible regardless). Sequential consumption below
         // keeps serial and parallel runs bit-identical.
-        if matches!(mode, PathMode::AnyPath) {
+        if let Routes::AnyPath(oracle) = routes {
             oracle.edge_weights(&length, &plane_dirty, &mut phase_w);
             opts.parallelism.update_indexed(&mut phase_trees, |i, t| {
                 oracle.refresh_trees(
@@ -648,12 +649,12 @@ fn gk_core(
                     if d_sum >= 1.0 && !complete_last_phase {
                         break 'outer;
                     }
-                    match mode {
-                        PathMode::Explicit(paths) => {
+                    match routes {
+                        Routes::Explicit(paths) => {
                             route.clear();
                             route.extend_from_slice(best_explicit(&paths[i], &length));
                         }
-                        PathMode::AnyPath => {
+                        Routes::AnyPath(oracle) => {
                             let p = oracle.best_route_into(
                                 net,
                                 commodities[i].src,
@@ -747,12 +748,11 @@ fn gk_core(
 fn shortest_routes_unit(
     net: &Network,
     commodities: &[Commodity],
-    mode: &PathMode,
+    routes: &Routes<'_>,
     par: Parallelism,
-    oracle: &AnyPathOracle,
 ) -> Vec<Vec<LinkId>> {
-    match mode {
-        PathMode::Explicit(paths) => paths
+    match routes {
+        Routes::Explicit(paths) => paths
             .iter()
             .map(|cands| {
                 cands
@@ -762,7 +762,7 @@ fn shortest_routes_unit(
                     .clone()
             })
             .collect(),
-        PathMode::AnyPath => {
+        Routes::AnyPath(oracle) => {
             let unit: Vec<f64> = net.links().map(|_| 1.0).collect();
             let mut sources: Vec<u32> = commodities.iter().map(|c| c.src.0).collect();
             sources.sort_unstable();
@@ -941,6 +941,23 @@ pub struct PlaneTrees {
     /// has, there are no recorded chains to test against grown links and the
     /// Dijkstra must run unconditionally.
     valid: Vec<bool>,
+}
+
+/// A solve's route source: the caller's [`PathMode`] with the AnyPath oracle
+/// built. An `Explicit` solve reads neither the plane graphs nor the uplink
+/// cache, so it does not build them.
+enum Routes<'a> {
+    Explicit(&'a [Vec<Vec<LinkId>>]),
+    AnyPath(AnyPathOracle),
+}
+
+impl<'a> Routes<'a> {
+    fn new(net: &Network, mode: &'a PathMode) -> Self {
+        match mode {
+            PathMode::Explicit(paths) => Routes::Explicit(paths),
+            PathMode::AnyPath => Routes::AnyPath(AnyPathOracle::new(net)),
+        }
+    }
 }
 
 struct AnyPathOracle {

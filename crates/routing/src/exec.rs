@@ -7,11 +7,12 @@
 //! regression tests pin down (serial vs parallel route tables and MCF
 //! solutions must match bit-for-bit).
 //!
-//! Thread count under [`Parallelism::Rayon`] follows `RAYON_NUM_THREADS`
-//! (else the machine's available parallelism); `RAYON_NUM_THREADS=1`
-//! degenerates to the serial loop.
-
-use rayon::prelude::*;
+//! [`Parallelism::Rayon`] hands both fan-outs to the one process-wide worker
+//! pool in `vendor/rayon`. Its thread count is `RAYON_NUM_THREADS` (else the
+//! machine's available parallelism), read once per process;
+//! `RAYON_NUM_THREADS=1` degenerates to the serial loop, and so does a
+//! fan-out issued while the pool is busy (from another thread, or nested
+//! inside a job).
 
 /// How a bulk computation fans out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -41,7 +42,7 @@ impl Parallelism {
     {
         match self {
             Parallelism::Serial => (0..n).map(f).collect(),
-            Parallelism::Rayon => (0..n).into_par_iter().map(f).collect(),
+            Parallelism::Rayon => rayon::par_map_index(n, f),
         }
     }
 

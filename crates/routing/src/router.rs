@@ -86,16 +86,10 @@ pub struct Router {
 
 impl Router {
     /// Build a router for `net` (captures the current link up/down state;
-    /// [`Router::refresh`] after failure injection). Plane graph extraction
-    /// fans out across planes.
+    /// [`Router::refresh`] after failure injection).
     pub fn new(net: &Network, algo: RouteAlgo) -> Self {
-        Self::with_parallelism(net, algo, Parallelism::default())
-    }
-
-    /// [`Router::new`] with an explicit execution strategy.
-    pub fn with_parallelism(net: &Network, algo: RouteAlgo, par: Parallelism) -> Self {
         Router {
-            planes: RwLock::new(Arc::new(PlaneGraph::build_all_with(net, par))),
+            planes: RwLock::new(Arc::new(PlaneGraph::build_all(net))),
             algo,
             state: RwLock::new(TableState {
                 table: BTreeMap::new(),
@@ -103,6 +97,13 @@ impl Router {
             }),
             epoch: AtomicU64::new(0),
         }
+    }
+
+    /// [`Router::new`]; the strategy is ignored. Construction only extracts
+    /// the plane graphs, which is too little work to fan out — pass the
+    /// strategy to [`Router::precompute_all_pairs_with`] instead.
+    pub fn with_parallelism(net: &Network, algo: RouteAlgo, _par: Parallelism) -> Self {
+        Self::new(net, algo)
     }
 
     /// The algorithm in use.

@@ -176,27 +176,118 @@ fn serial_and_parallel_mcf_solutions_are_bit_identical() {
 fn serial_and_parallel_anypath_mcf_agree() {
     use pnet::flowsim::mcf::{self, McfOptions, PathMode};
     use pnet::routing::Parallelism;
-    let net = two_plane_spec().build().net;
-    let c = commodity::permutation(&tm::random_permutation(32, 13));
-    let solve = |par: Parallelism| {
-        mcf::solve_with_options(
-            &net,
-            &c,
-            &PathMode::AnyPath,
-            0.1,
-            McfOptions {
-                parallelism: par,
-                ..Default::default()
-            },
-        )
-    };
-    let a = solve(Parallelism::Serial);
-    let b = solve(Parallelism::Rayon);
-    assert_eq!(a.lambda.to_bits(), b.lambda.to_bits());
-    assert_eq!(a.phases, b.phases);
-    for (ra, rb) in a.rates.iter().zip(&b.rates) {
-        assert_eq!(ra.to_bits(), rb.to_bits());
+    // The 16-ToR fabric is the historical case; a phase there has almost no
+    // work to mis-order. At 64 ToRs and 4 planes a phase refreshes 256 trees
+    // of uneven cost, which is what the pool's claimed blocks interleave.
+    let wide = PNetSpec::new(
+        TopologyKind::Jellyfish {
+            n_tors: 64,
+            degree: 8,
+            hosts_per_tor: 1,
+        },
+        NetworkClass::ParallelHomogeneous,
+        4,
+        7,
+    );
+    for (spec, hosts, eps) in [(two_plane_spec(), 32, 0.1), (wide, 64, 0.3)] {
+        let net = spec.build().net;
+        let c = commodity::permutation(&tm::random_permutation(hosts, 13));
+        let solve = |par: Parallelism| {
+            mcf::solve_with_options(
+                &net,
+                &c,
+                &PathMode::AnyPath,
+                eps,
+                McfOptions {
+                    parallelism: par,
+                    ..Default::default()
+                },
+            )
+        };
+        let a = solve(Parallelism::Serial);
+        let b = solve(Parallelism::Rayon);
+        let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+        assert_eq!(a.lambda.to_bits(), b.lambda.to_bits(), "{hosts} hosts");
+        assert_eq!(a.phases, b.phases, "{hosts} hosts");
+        assert_eq!(bits(&a.rates), bits(&b.rates), "{hosts} hosts");
+        assert_eq!(bits(&a.link_flow), bits(&b.link_flow), "{hosts} hosts");
+        assert_eq!(bits(&a.length), bits(&b.length), "{hosts} hosts");
     }
+}
+
+/// 20 000 back-to-back in-place batches of 64 tiny items: the shape of the
+/// GK phase loop, where the pool's workers go from spinning to parked and
+/// back. A lost wake-up hangs here, so the loop runs under a watchdog.
+#[test]
+fn back_to_back_update_batches_match_the_serial_loop() {
+    use pnet::routing::Parallelism;
+    let run = |par: Parallelism| {
+        let mut items: Vec<u64> = (0..64).collect();
+        for round in 0..20_000u64 {
+            par.update_indexed(&mut items, |i, x| {
+                *x = x.wrapping_mul(6364136223846793005) ^ (round + i as u64)
+            });
+        }
+        items
+    };
+    let (tx, rx) = std::sync::mpsc::channel();
+    // pnet-tidy: allow(D2) -- the watchdog needs a thread it can give up on; a scoped one would be joined
+    std::thread::spawn(move || tx.send(run(Parallelism::Rayon)));
+    let parallel = rx
+        .recv_timeout(std::time::Duration::from_secs(120))
+        .expect("20 000 pool batches did not finish: lost wake-up");
+    assert_eq!(parallel, run(Parallelism::Serial));
+}
+
+/// Eight OS threads fan out at once. One of them gets the pool, the others
+/// find it busy and run inline; each must get its own index-ordered result.
+#[test]
+fn concurrent_callers_each_get_their_own_ordered_result() {
+    use pnet::routing::Parallelism;
+    let start = std::sync::Barrier::new(8);
+    std::thread::scope(|s| {
+        for t in 0..8usize {
+            let start = &start;
+            s.spawn(move || {
+                start.wait();
+                for round in 0..200 {
+                    let got = Parallelism::Rayon.map_indexed(97, |i| (t, round, i));
+                    let want: Vec<_> = (0..97).map(|i| (t, round, i)).collect();
+                    assert_eq!(got, want);
+                }
+            });
+        }
+    });
+}
+
+#[test]
+fn nested_fan_out_completes_and_is_correct() {
+    use pnet::routing::Parallelism;
+    let par = Parallelism::Rayon;
+    let got = par.map_indexed(12, |i| par.map_indexed(9, |j| i * 100 + j));
+    let want: Vec<Vec<usize>> = (0..12)
+        .map(|i| (0..9).map(|j| i * 100 + j).collect())
+        .collect();
+    assert_eq!(got, want);
+}
+
+#[test]
+fn a_panicking_job_reaches_the_caller_and_the_pool_survives() {
+    use pnet::routing::Parallelism;
+    // The last index lands on a pool worker whenever there is one.
+    let caught = std::panic::catch_unwind(|| {
+        Parallelism::Rayon.map_indexed(64, |i| {
+            assert!(i != 63, "job failed at index {i}");
+            i
+        })
+    });
+    assert!(
+        caught.is_err(),
+        "the job's panic must surface on the caller"
+    );
+    let mut items = vec![0usize; 64];
+    Parallelism::Rayon.update_indexed(&mut items, |i, x| *x = i * i);
+    assert_eq!(items, (0..64).map(|i| i * i).collect::<Vec<_>>());
 }
 
 #[test]
