@@ -65,11 +65,6 @@ pub fn f3(x: f64) -> String {
     format!("{x:.3}")
 }
 
-/// Format a float as a percentage of a baseline.
-pub fn pct(x: f64, base: f64) -> String {
-    format!("{:.1}%", 100.0 * x / base)
-}
-
 /// Format bytes human-readably (1.5MB etc.).
 pub fn human_bytes(b: u64) -> String {
     if b >= 1_000_000_000 {
@@ -126,11 +121,6 @@ mod tests {
         assert_eq!(human_bytes(100_000), "100kB");
         assert_eq!(human_bytes(30_000_000), "30MB");
         assert_eq!(human_bytes(2_000_000_000), "2GB");
-    }
-
-    #[test]
-    fn pct_formats() {
-        assert_eq!(pct(80.1, 100.0), "80.1%");
     }
 
     #[test]

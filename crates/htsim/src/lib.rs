@@ -48,7 +48,6 @@ pub mod event;
 pub mod metrics;
 pub mod packet;
 pub mod queue;
-pub mod reference;
 pub mod sim;
 pub mod tcp;
 pub mod telemetry;

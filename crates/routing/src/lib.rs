@@ -41,4 +41,4 @@ pub use plane_graph::PlaneGraph;
 pub use repair::{DeltaStats, Fnv};
 pub use router::{RouteAlgo, Router};
 pub use scratch::RouteScratch;
-pub use yen::{ksp, ksp_all_destinations, ksp_destinations, ksp_reference};
+pub use yen::{ksp, ksp_destinations};

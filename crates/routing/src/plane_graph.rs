@@ -104,13 +104,6 @@ impl PlaneGraph {
         net.planes().map(|p| PlaneGraph::build(net, p)).collect()
     }
 
-    /// [`PlaneGraph::build_all`]; the strategy is ignored. One plane builds
-    /// in about 10 µs, less than handing it to another thread costs, so the
-    /// planes are built in a plain loop whatever `_par` says.
-    pub fn build_all_with(net: &Network, _par: crate::exec::Parallelism) -> Vec<PlaneGraph> {
-        Self::build_all(net)
-    }
-
     /// Number of switches in the plane.
     #[inline]
     pub fn n_switches(&self) -> usize {

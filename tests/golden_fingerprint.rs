@@ -1,19 +1,24 @@
-//! Golden output fingerprints for the routing/MCF hot paths.
+//! Golden output fingerprints for the routing/MCF hot paths and the packet
+//! engine.
 //!
 //! The KSP/MCF overhaul (CSR plane graphs, epoch-stamped scratch, Lawler's
-//! optimization) promises *byte-identical* outputs to the straightforward
-//! reference implementations. These tests pin that promise down across
-//! sessions: each hashes a complete all-pairs route table (or a GK solve)
-//! into a single FNV-1a fingerprint and compares it against a committed
-//! constant. Any change to path contents, path order, tie-breaking, or
-//! float operation order in GK shows up as a fingerprint mismatch — if one
+//! optimization) and the packet-engine overhaul (calendar queue, packet
+//! arena) promised *byte-identical* outputs to the straightforward
+//! implementations they replaced. Those implementations are gone; these
+//! constants, minted while they still ran, are what holds the promise now.
+//! Each test hashes a complete all-pairs route table, a GK solve, or every
+//! flow-completion record of a packet run into a single FNV-1a fingerprint
+//! and compares it against a committed constant. Any change to path
+//! contents, path order, tie-breaking, float operation order in GK, or
+//! event dispatch order shows up as a fingerprint mismatch — if one
 //! of these fails after an optimization, the optimization changed observable
 //! behaviour and must be fixed (do not re-pin without understanding why).
 
 use pnet::flowsim::{commodity, mcf};
-use pnet::routing::{Parallelism, RouteAlgo, Router};
+use pnet::htsim::{run_to_completion, CcAlgo, FlowRecord, FlowSpec, SimConfig, Simulator};
+use pnet::routing::{host_route, Parallelism, RouteAlgo, Router};
 use pnet::topology::{
-    assemble_homogeneous, FatTree, Jellyfish, LinkProfile, Network, PlaneId, RackId,
+    assemble_homogeneous, FatTree, HostId, Jellyfish, LinkId, LinkProfile, Network, PlaneId, RackId,
 };
 use pnet::workloads::tm;
 
@@ -90,9 +95,9 @@ fn fat_tree_ksp_table_fingerprint_is_stable() {
 
 #[test]
 fn gk_mcf_lambda_fingerprint_is_stable() {
-    // Same construction as bench_report, scaled down: seeded Jellyfish,
-    // random-permutation commodities, AnyPath oracle at eps = 0.1. lambda and
-    // every per-commodity rate are hashed bit-exactly.
+    // Same construction as the benchmark's `pipeline_cold`, scaled down:
+    // seeded Jellyfish, random-permutation commodities, AnyPath oracle at
+    // eps = 0.1. lambda and every per-commodity rate are hashed bit-exactly.
     let net = assemble_homogeneous(
         &Jellyfish::new(16, 4, 1, 7),
         2,
@@ -156,45 +161,13 @@ fn post_churn_ksp_table_fingerprint_is_stable() {
     );
 }
 
-/// Hash every flow-completion record of a mid-size multi-plane MPTCP run,
-/// sorted by owner tag: start/finish timestamps (picosecond-exact), sizes,
+/// Hash every flow-completion record of a finished packet run, sorted by
+/// owner tag: start/finish timestamps (picosecond-exact), sizes,
 /// retransmit/timeout counts, and subflow counts all contribute. Any change
 /// to event dispatch order anywhere in the packet engine — queue swap, arena
 /// refactor, batching — moves at least one completion time and shows up here.
-fn sim_fct_fingerprint() -> u64 {
-    use pnet::htsim::{run_to_completion, CcAlgo, FlowSpec, SimConfig, Simulator};
-    use pnet::routing::host_route;
-    use pnet::topology::HostId;
-
-    let net = assemble_homogeneous(
-        &Jellyfish::new(16, 4, 2, 7),
-        3,
-        &LinkProfile::paper_default(),
-    );
-    let router = Router::with_parallelism(&net, RouteAlgo::Ksp { k: 2 }, Parallelism::Serial);
-    let mut sim = Simulator::new(&net, SimConfig::default());
-    let pairs = tm::permutation_pairs(32, 9);
-    for (i, &(a, b)) in pairs.iter().enumerate() {
-        let (src, dst) = (HostId(a as u32), HostId(b as u32));
-        let (ra, rb) = (net.rack_of_host(src), net.rack_of_host(dst));
-        // One subflow per plane: a 3-subflow MPTCP connection under LIA.
-        let routes: Vec<_> = (0..3u16)
-            .map(|p| {
-                let path = router.paths_in_plane(PlaneId(p), ra, rb)[0].clone();
-                host_route(&net, src, dst, &path).expect("invariant: permutation pair is routable")
-            })
-            .collect();
-        sim.start_flow(FlowSpec {
-            src,
-            dst,
-            size_bytes: 200_000 + 37_000 * (i as u64 % 5),
-            routes,
-            cc: CcAlgo::Lia,
-            owner_tag: i as u64,
-        });
-    }
-    run_to_completion(&mut sim);
-    let mut recs: Vec<_> = sim.records.iter().collect();
+fn flow_records_fingerprint(records: &[FlowRecord]) -> u64 {
+    let mut recs: Vec<_> = records.iter().collect();
     recs.sort_by_key(|r| r.owner_tag);
     let mut h = Fnv::new();
     h.u64(recs.len() as u64);
@@ -212,13 +185,150 @@ fn sim_fct_fingerprint() -> u64 {
     h.0
 }
 
+/// Start `flows` at time zero on a fresh engine over `net`, take `failed`
+/// (if any) dark before the first event, and run until the queue drains.
+fn run_batch(
+    net: &Network,
+    cfg: SimConfig,
+    flows: Vec<FlowSpec>,
+    failed: Option<LinkId>,
+) -> Vec<FlowRecord> {
+    let mut sim = Simulator::new(net, cfg);
+    for f in flows {
+        sim.start_flow(f);
+    }
+    if let Some(l) = failed {
+        sim.fail_link(l);
+    }
+    run_to_completion(&mut sim);
+    sim.records
+}
+
+/// The host route over `plane`'s first KSP path.
+fn route_in_plane(
+    net: &Network,
+    router: &Router,
+    src: HostId,
+    dst: HostId,
+    plane: u16,
+) -> Vec<LinkId> {
+    let (ra, rb) = (net.rack_of_host(src), net.rack_of_host(dst));
+    let path = router.paths_in_plane(PlaneId(plane), ra, rb)[0].clone();
+    host_route(net, src, dst, &path).expect("invariant: host pair is routable")
+}
+
 #[test]
 fn packet_sim_fct_fingerprint_is_stable() {
+    // A mid-size multi-plane MPTCP run: 32 flows under LIA, one subflow per
+    // plane.
+    let net = assemble_homogeneous(
+        &Jellyfish::new(16, 4, 2, 7),
+        3,
+        &LinkProfile::paper_default(),
+    );
+    let router = Router::with_parallelism(&net, RouteAlgo::Ksp { k: 2 }, Parallelism::Serial);
+    let flows = tm::permutation_pairs(32, 9)
+        .iter()
+        .enumerate()
+        .map(|(i, &(a, b))| {
+            let (src, dst) = (HostId(a as u32), HostId(b as u32));
+            FlowSpec {
+                src,
+                dst,
+                size_bytes: 200_000 + 37_000 * (i as u64 % 5),
+                routes: (0..3)
+                    .map(|p| route_in_plane(&net, &router, src, dst, p))
+                    .collect(),
+                cc: CcAlgo::Lia,
+                owner_tag: i as u64,
+            }
+        })
+        .collect();
+    let records = run_batch(&net, SimConfig::default(), flows, None);
     assert_eq!(
-        sim_fct_fingerprint(),
+        flow_records_fingerprint(&records),
         GOLDEN_SIM_FCT,
         "packet-level event order changed: a 32-flow 3-plane MPTCP run no \
          longer reproduces the pinned flow-completion records"
+    );
+}
+
+/// The fat tree k=4 x2 planes the DCTCP and failover cases run on, with a
+/// one-path-per-plane router.
+fn fat_tree_two_planes() -> (Network, Router) {
+    let net = assemble_homogeneous(&FatTree::three_tier(4), 2, &LinkProfile::paper_default());
+    let router = Router::with_parallelism(&net, RouteAlgo::Ksp { k: 1 }, Parallelism::Serial);
+    (net, router)
+}
+
+#[test]
+fn packet_sim_dctcp_incast_fingerprint_is_stable() {
+    // 14-to-1 DCTCP incast into host 0 from every host outside its rack,
+    // seven single-path senders per plane, marking at K = 20 packets.
+    let (net, router) = fat_tree_two_planes();
+    let flows = (2..16u32)
+        .map(|h| {
+            let (src, dst) = (HostId(h), HostId(0));
+            FlowSpec {
+                src,
+                dst,
+                size_bytes: 400_000 + 60_000 * u64::from(h % 3),
+                routes: vec![route_in_plane(&net, &router, src, dst, (h % 2) as u16)],
+                cc: CcAlgo::Dctcp,
+                owner_tag: u64::from(h),
+            }
+        })
+        .collect();
+    let cfg = SimConfig {
+        ecn_threshold_packets: Some(20),
+        ..SimConfig::default()
+    };
+    let records = run_batch(&net, cfg, flows, None);
+    assert_eq!(
+        flow_records_fingerprint(&records),
+        GOLDEN_SIM_FCT_DCTCP,
+        "ECN marking or the DCTCP window response changed: a 14-to-1 incast \
+         no longer reproduces the pinned flow-completion records"
+    );
+}
+
+#[test]
+fn packet_sim_failover_fingerprint_is_stable() {
+    // Eight 2-subflow LIA flows across the fabric, with the first fabric
+    // link of flow 0's plane-0 subflow dark from the start: that subflow (and
+    // any other routed over the cable) black-holes, backs its RTO off, and is
+    // declared dead; its data is re-injected on the surviving plane.
+    let (net, router) = fat_tree_two_planes();
+    let flows: Vec<FlowSpec> = (0..8u32)
+        .map(|h| {
+            let (src, dst) = (HostId(h), HostId(15 - h));
+            FlowSpec {
+                src,
+                dst,
+                size_bytes: 300_000 + 50_000 * u64::from(h % 3),
+                routes: (0..2)
+                    .map(|p| route_in_plane(&net, &router, src, dst, p))
+                    .collect(),
+                cc: CcAlgo::Lia,
+                owner_tag: u64::from(h),
+            }
+        })
+        .collect();
+    // routes[0] = [host uplink, fabric links.., host downlink].
+    let failed = flows[0].routes[0][1];
+    let records = run_batch(&net, SimConfig::default(), flows, Some(failed));
+    let dead_after = u64::from(SimConfig::default().tcp.dead_after_backoff);
+    assert!(
+        records
+            .iter()
+            .any(|r| r.owner_tag == 0 && r.timeouts >= dead_after),
+        "flow 0 must back its dark subflow off {dead_after} times before giving it up"
+    );
+    assert_eq!(
+        flow_records_fingerprint(&records),
+        GOLDEN_SIM_FCT_FAILOVER,
+        "RTO backoff, subflow death or re-injection changed: the failover \
+         batch no longer reproduces the pinned flow-completion records"
     );
 }
 
@@ -234,3 +344,11 @@ const GOLDEN_GK_LAMBDA: u64 = 2946497110374994333;
 // Pinned by the pre-calendar-queue BinaryHeap engine; the calendar/arena
 // engine must reproduce it bit-for-bit.
 const GOLDEN_SIM_FCT: u64 = 2982833380558106106;
+// Minted at commit 3cb3e90 (PR 12), the last with the frozen BinaryHeap
+// engine (`htsim/src/reference.rs`): it and the production engine produced
+// these records field for field. With marking off the incast hashes to
+// 13059643403910299804 (826 retransmits against 0), with the cable up the
+// failover batch hashes to 6872668805703274398: both cases exercise what
+// they name.
+const GOLDEN_SIM_FCT_DCTCP: u64 = 16224481060384148449;
+const GOLDEN_SIM_FCT_FAILOVER: u64 = 3790533921027936315;
