@@ -101,12 +101,6 @@ impl PathSelector {
         &self.router
     }
 
-    /// Mutable access to the underlying router (e.g. for
-    /// [`Router::refresh`] after failure injection).
-    pub fn router_mut(&mut self) -> &mut Router {
-        &mut self.router
-    }
-
     /// Bulk-precompute the router's all-pairs route table in parallel, so
     /// subsequent [`PathSelector::select`] calls never pay the lazy
     /// per-pair Yen/ECMP cost.

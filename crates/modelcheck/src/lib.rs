@@ -2,8 +2,8 @@
 //! the workspace's lock-free publication protocols.
 //!
 //! The real protocols (`Published::{publish,pin}` in `pnet-planner`, the
-//! router's epoch swap) are small enough to model op-by-op, so instead of
-//! stress tests we *enumerate schedules*: every modeled operation is a
+//! worker pool's batch hand-off in `vendor/rayon`) are small enough to model
+//! op-by-op, so instead of stress tests we *enumerate schedules*: every modeled operation is a
 //! scheduling point, a deterministic scheduler replays one interleaving per
 //! execution, and a DFS over the per-step choice points covers the whole
 //! (preemption-bounded) schedule space. Each execution also maintains

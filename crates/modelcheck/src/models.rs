@@ -7,10 +7,6 @@
 //!   pinning the newest slot. Seeded bugs: Relaxed publication (the CAS
 //!   success ordering drops Release), Relaxed pin (the reader drops
 //!   Acquire), and racing publishers (the writer mutex removed).
-//! * [`check_epoch`] — the router's epoch swap as a seqlock: writers bump
-//!   the epoch to odd, rewrite both plane generations, bump back to even;
-//!   readers validate an even epoch around their reads. Seeded bug: the
-//!   odd "write in progress" bump dropped, exposing torn generation reads.
 //! * [`check_pool`] — the worker pool's batch hand-off from
 //!   `vendor/rayon/src/lib.rs`: the caller writes the job cell and publishes
 //!   it with a Release bump of the batch counter, two workers claim indices
@@ -111,79 +107,6 @@ pub fn check_published(bug: PubBug) -> Result<Stats, Violation> {
                         i + 1
                     ));
                 }
-            }
-            Ok(())
-        },
-    )
-}
-
-/// Seeded-bug selector for the router epoch-swap model.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EpochBug {
-    /// Faithful seqlock: odd epoch marks the write window — must verify.
-    None,
-    /// The writer's "write in progress" bump is dropped, so a reader can
-    /// validate an even epoch across a half-written generation pair.
-    DroppedBump,
-}
-
-/// State of the epoch-swap model: the epoch counter plus the two per-plane
-/// generation stamps a consistent read must see agree.
-pub struct EpochModel {
-    epoch: MAtomic,
-    gen_a: MAtomic,
-    gen_b: MAtomic,
-    lock: MMutex,
-}
-
-/// Model-check the router epoch swap with two swapping writers and one
-/// validating reader under the given seeded bug.
-pub fn check_epoch(bug: EpochBug) -> Result<Stats, Violation> {
-    let writer = move |ctx: &Ctx<'_>, m: &EpochModel| {
-        let g = m.lock.lock(ctx);
-        let e = m.epoch.load(ctx, Ordering::Acquire);
-        if bug != EpochBug::DroppedBump {
-            m.epoch.store(ctx, e + 1, Ordering::Release);
-        }
-        let gen = e / 2 + 1;
-        m.gen_a.store(ctx, gen, Ordering::Release);
-        m.gen_b.store(ctx, gen, Ordering::Release);
-        m.epoch.store(ctx, e + 2, Ordering::Release);
-        g.unlock(ctx);
-    };
-    let reader = |ctx: &Ctx<'_>, m: &EpochModel| {
-        let e1 = m.epoch.load(ctx, Ordering::Acquire);
-        if e1.is_multiple_of(2) {
-            let a = m.gen_a.load(ctx, Ordering::Acquire);
-            let b = m.gen_b.load(ctx, Ordering::Acquire);
-            let e2 = m.epoch.load(ctx, Ordering::Acquire);
-            if e1 == e2 {
-                ctx.check(
-                    a == b,
-                    "torn generation read: plane generations diverge inside a validated epoch window",
-                );
-            }
-        }
-    };
-    explore(
-        &Opts::default(),
-        &|| EpochModel {
-            epoch: MAtomic::new(0),
-            gen_a: MAtomic::new(0),
-            gen_b: MAtomic::new(0),
-            lock: MMutex::new(),
-        },
-        &[&writer, &writer, &reader],
-        &|m| {
-            if m.epoch.peek() % 2 != 0 {
-                return Err(format!("epoch left odd: {}", m.epoch.peek()));
-            }
-            if m.gen_a.peek() != 2 || m.gen_b.peek() != 2 {
-                return Err(format!(
-                    "plane generations out of step: a={} b={}",
-                    m.gen_a.peek(),
-                    m.gen_b.peek()
-                ));
             }
             Ok(())
         },

@@ -15,11 +15,8 @@
 //!   atomic load and keep answering from it even while the writer
 //!   publishes its successor.
 //! * **Publication** — [`Planner::publish_delta`] applies a [`LinkDelta`]
-//!   (cable churn) and appends generation N+1. With
-//!   [`PlannerConfig::track_repair`] the planner also maintains a master
-//!   router incrementally repaired via `Router::apply_delta` and asserts
-//!   its table fingerprint equals the freshly built generation router —
-//!   the delta-equivalence discipline enforced as a service invariant.
+//!   (cable churn) and appends generation N+1 with a fresh lazy router;
+//!   the planner never mutates a router it has published.
 //! * **Memo** ([`Memo`]) — solver results keyed by
 //!   `(topology fingerprint, commodity fingerprint, query tag)`. A hit is
 //!   bitwise identical to the cold solve it replaces; insert races assert
@@ -48,7 +45,7 @@ pub use publish::Published;
 
 use pnet_flowsim::mcf::{McfError, McfOptions};
 use pnet_flowsim::{throughput, Commodity, McfSolution};
-use pnet_routing::{DeltaStats, Fnv, Parallelism, RouteAlgo, Router};
+use pnet_routing::{Fnv, Parallelism, RouteAlgo, Router};
 use pnet_topology::{failures, LinkDelta, LinkId, Network, PlaneId};
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -64,11 +61,6 @@ pub struct PlannerConfig {
     pub eps: f64,
     /// Execution strategy for router builds and solver phases.
     pub parallelism: Parallelism,
-    /// Maintain a master router incrementally repaired with
-    /// `Router::apply_delta` on every publish, cross-checked against the
-    /// fresh generation router by table fingerprint. Costs an all-pairs
-    /// precompute per publish; intended for tests and smoke runs.
-    pub track_repair: bool,
 }
 
 impl Default for PlannerConfig {
@@ -77,7 +69,6 @@ impl Default for PlannerConfig {
             k: 8,
             eps: 0.1,
             parallelism: Parallelism::default(),
-            track_repair: false,
         }
     }
 }
@@ -246,14 +237,6 @@ pub struct PublishStats {
     pub seq: u64,
     /// Topology fingerprint of the new generation.
     pub topology_fp: u64,
-    /// Delta-repair stats of the master router (only with
-    /// [`PlannerConfig::track_repair`]).
-    pub repair: Option<DeltaStats>,
-}
-
-struct Writer {
-    net: Network,
-    master: Option<Router>,
 }
 
 /// The planner service. Cheap to share behind an `Arc`; every query method
@@ -263,7 +246,8 @@ pub struct Planner {
     cfg: PlannerConfig,
     generations: Published<Generation>,
     memo: Memo,
-    writer: Mutex<Writer>,
+    /// The writer's mutable copy of the fabric; the lock serializes publishes.
+    writer: Mutex<Network>,
 }
 
 const QUERY_KSP: u64 = 1;
@@ -286,18 +270,12 @@ impl Planner {
 
     /// A planner over `net`; generation 0 is published immediately.
     pub fn with_config(net: Network, cfg: PlannerConfig) -> Planner {
-        let master = cfg.track_repair.then(|| {
-            let wide = (2 * cfg.k).max(8);
-            let r = Router::with_parallelism(&net, RouteAlgo::Ksp { k: wide }, cfg.parallelism);
-            r.precompute_all_pairs_with(cfg.parallelism);
-            r
-        });
         let gen0 = Generation::build(0, net.clone(), &cfg);
         Planner {
             cfg,
             generations: Published::new(gen0),
             memo: Memo::new(),
-            writer: Mutex::new(Writer { net, master }),
+            writer: Mutex::new(net),
         }
     }
 
@@ -332,51 +310,32 @@ impl Planner {
 
     /// Apply a link delta to the fabric and publish it as a new
     /// generation. Pinned queries against older generations are
-    /// unaffected; new `latest()` calls observe the successor. With
-    /// [`PlannerConfig::track_repair`], the master router is repaired in
-    /// place via `apply_delta` and must land on the identical table
-    /// fingerprint as the fresh generation router.
+    /// unaffected; new `latest()` calls observe the successor.
     pub fn publish_delta(&self, delta: &LinkDelta) -> Result<PublishStats, PlanError> {
-        let mut w = self
+        let mut net = self
             .writer
             .lock()
             .expect("invariant: planner writer lock is never poisoned");
         for &c in delta.down.iter().chain(delta.up.iter()) {
-            if c.index() >= w.net.n_links() {
+            if c.index() >= net.n_links() {
                 return Err(PlanError::UnknownLink { link: c.0 });
             }
         }
         for &c in &delta.down {
-            failures::fail_cable(&mut w.net, c);
+            failures::fail_cable(&mut net, c);
         }
         for &c in &delta.up {
-            failures::restore_cable(&mut w.net, c);
+            failures::restore_cable(&mut net, c);
         }
         let seq = self.generations.len() as u64;
-        let generation = Generation::build(seq, w.net.clone(), &self.cfg);
-        let repair = w.master.as_ref().map(|master| {
-            let stats = master.apply_delta_with(&w.net, delta, self.cfg.parallelism);
-            generation
-                .router
-                .precompute_all_pairs_with(self.cfg.parallelism);
-            assert_eq!(
-                master.table_fingerprint(),
-                generation.router.table_fingerprint(),
-                "delta-repaired master router diverged from a fresh rebuild"
-            );
-            stats
-        });
+        let generation = Generation::build(seq, net.clone(), &self.cfg);
         let topology_fp = generation.topology_fp;
         let idx = self.generations.publish(generation);
         assert_eq!(
             idx as u64, seq,
             "invariant: publishes are serialized by the writer lock"
         );
-        Ok(PublishStats {
-            seq,
-            topology_fp,
-            repair,
-        })
+        Ok(PublishStats { seq, topology_fp })
     }
 
     /// The memoized K-subflow MCF solution for `tm` on `generation` — the

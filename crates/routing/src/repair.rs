@@ -1,21 +1,29 @@
 //! Incremental route repair support: the inverted cable → route-entry index
 //! and delta bookkeeping behind [`crate::Router::apply_delta`].
 //!
-//! The index answers "which cached (plane, src, dst) entries have a path
-//! through this cable?" in one CSR row scan. Entries are *noted* whenever a
-//! path set is committed to the route table; notes append to a staged list
-//! and are compacted into CSR form (counting sort by cable) lazily, at the
-//! start of each delta application. Re-noting an entry bumps its generation,
-//! which invalidates every older posting for that entry — stale postings are
+//! The index answers "which cached route-table slots have a path through
+//! this cable?" in one CSR row scan. Slots are *noted* whenever a path set is
+//! committed to the route table; notes append to a staged list and are
+//! compacted into CSR form (counting sort by cable) lazily, at the start of
+//! each delta application. Every commit bumps the slot's generation, which
+//! invalidates every older posting for that slot — stale postings are
 //! filtered on query and dropped at the next compaction, so the index never
 //! needs a scatter-delete.
 
 use crate::path::Path;
 use crate::plane_graph::PlaneGraph;
-use pnet_topology::{LinkId, PlaneId, RackId};
+use pnet_topology::LinkId;
+use std::sync::Arc;
 
-/// Route-table key: one path set per (plane, source rack, destination rack).
-pub(crate) type RouteKey = (PlaneId, RackId, RackId);
+/// One cell of the router's dense `(plane, src, dst)` route table.
+#[derive(Clone, Default)]
+pub(crate) struct Slot {
+    /// The committed path set, `None` until first computed.
+    pub(crate) paths: Option<Arc<Vec<Path>>>,
+    /// Bumped on every commit; a [`LinkIndex`] posting is live iff it
+    /// carries the slot's current generation.
+    pub(crate) gen: u32,
+}
 
 /// Outcome of one [`crate::Router::apply_delta`] or [`crate::Router::refresh`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,164 +70,84 @@ impl Fnv {
 }
 
 /// Inverted index: fabric cable (duplex pair, even-direction representative)
-/// → cached route-table entries whose committed path set traverses it.
+/// → route-table slots whose committed path set traverses it.
+#[derive(Default)]
 pub(crate) struct LinkIndex {
     /// CSR offsets over cable index (`LinkId.0 >> 1`): compacted postings of
-    /// cable `c` live at `postings[offsets[c]..offsets[c + 1]]`.
+    /// cable `c` live at `postings[offsets[c]..offsets[c + 1]]`. Empty until
+    /// the first compaction.
     offsets: Vec<u32>,
-    /// Compacted postings: `(entry key, generation at noting)`.
-    postings: Vec<(RouteKey, u32)>,
-    /// Postings noted since the last compaction: `(cable index, key, gen)`.
-    staged: Vec<(u32, RouteKey, u32)>,
-    /// Current generation of each noted entry, densely keyed by
-    /// `(plane, src, dst)` (see [`LinkIndex::dense`], grown on demand).
-    /// 0 means never noted; generations start at 1 and skip 0 on wrap.
-    /// Compaction touches every posting, so an O(1) array read here versus
-    /// an ordered-map lookup is the difference between a few milliseconds
-    /// and tens of milliseconds per applied delta at benchmark scale.
-    gen: Vec<u32>,
-    /// Dense-key strides: `racks` per source, `racks²` per plane.
-    racks: usize,
-    /// Exclusive upper bound on cable indices seen.
-    cable_bound: usize,
+    /// Compacted postings: `(slot, generation at noting)`.
+    postings: Vec<(u32, u32)>,
+    /// Postings noted since the last compaction: `(cable index, slot, gen)`.
+    staged: Vec<(u32, u32, u32)>,
 }
 
 impl LinkIndex {
-    pub(crate) fn new() -> LinkIndex {
-        LinkIndex {
-            offsets: vec![0],
-            postings: Vec::new(),
-            staged: Vec::new(),
-            gen: Vec::new(),
-            racks: 0,
-            cable_bound: 0,
-        }
-    }
-
-    /// Forget everything (full-rebuild fallback drops the table too).
-    pub(crate) fn clear(&mut self) {
-        self.offsets = vec![0];
-        self.postings.clear();
-        self.staged.clear();
-        self.gen.clear();
-        self.racks = 0;
-        self.cable_bound = 0;
-    }
-
-    /// Dense generation slot of `key`. Strides grow monotonically with the
-    /// largest rack id seen; growing `racks` remaps previously-issued dense
-    /// keys, so it only happens through [`LinkIndex::note`], which rewrites
-    /// the stored generation under the new layout before use.
-    fn dense(&self, key: RouteKey) -> usize {
-        let (p, s, d) = key;
-        (p.index() * self.racks + s.0 as usize) * self.racks + d.0 as usize
-    }
-
-    /// Current generation of `key` (0 = never noted).
-    fn gen_of(&self, key: RouteKey) -> u32 {
-        let i = self.dense(key);
-        self.gen.get(i).copied().unwrap_or(0)
-    }
-
-    /// Record that `key`'s committed path set is `paths`, superseding any
-    /// previous note for the same key.
-    pub(crate) fn note(&mut self, key: RouteKey, paths: &[Path]) {
-        let (p, s, d) = key;
-        let need_racks = (s.0.max(d.0) as usize + 1).max(self.racks);
-        if need_racks > self.racks {
-            // Re-stride the dense table. Only reachable while new rack ids
-            // keep appearing (first precompute); steady-state notes are O(1).
-            let old: Vec<(RouteKey, u32)> = self
-                .gen
-                .iter()
-                .enumerate()
-                .filter(|&(_, &g)| g > 0)
-                .map(|(i, &g)| {
-                    let d = i % self.racks;
-                    let rest = i / self.racks;
-                    (
-                        (
-                            PlaneId((rest / self.racks) as u16),
-                            RackId((rest % self.racks) as u32),
-                            RackId(d as u32),
-                        ),
-                        g,
-                    )
-                })
-                .collect();
-            self.racks = need_racks;
-            self.gen.clear();
-            for (k, g) in old {
-                let i = self.dense(k);
-                if i >= self.gen.len() {
-                    self.gen.resize(i + 1, 0);
-                }
-                self.gen[i] = g;
-            }
-        }
-        let i = (p.index() * self.racks + s.0 as usize) * self.racks + d.0 as usize;
-        if i >= self.gen.len() {
-            self.gen.resize(i + 1, 0);
-        }
-        let g = match self.gen[i].wrapping_add(1) {
-            0 => 1,
-            g => g,
-        };
-        self.gen[i] = g;
+    /// Record that `slot` was just committed with `paths` at generation
+    /// `gen`, superseding every posting of an older generation.
+    pub(crate) fn note(&mut self, slot: u32, gen: u32, paths: &[Path]) {
         let mut cables: Vec<u32> = paths
             .iter()
             .flat_map(|p| p.links.iter().map(|l| l.0 >> 1))
             .collect();
         cables.sort_unstable();
         cables.dedup();
-        for c in cables {
-            self.cable_bound = self.cable_bound.max(c as usize + 1);
-            self.staged.push((c, key, g));
-        }
+        self.staged
+            .extend(cables.into_iter().map(|c| (c, slot, gen)));
+    }
+
+    /// Room for the notes of a bulk commit of `sets`, in one step (an upper
+    /// bound: every link counted). Grown by doubling, the list leaves its old
+    /// half behind as a hole — 5.5 MB of peak RSS on a 64-ToR all-pairs fill.
+    pub(crate) fn reserve(&mut self, sets: &[Vec<Path>]) {
+        let links = sets.iter().flatten().map(|p| p.links.len()).sum();
+        self.staged.reserve(links);
     }
 
     /// Fold staged postings into the CSR rows, dropping stale generations.
-    pub(crate) fn compact(&mut self) {
+    pub(crate) fn compact(&mut self, slots: &[Slot]) {
         if self.staged.is_empty() {
             return;
         }
         // Survivors of the old rows first (in row order), then the staged
         // notes (in noting order): a stable counting sort by cable.
-        let mut merged: Vec<(u32, RouteKey, u32)> = Vec::new();
-        for c in 0..self.offsets.len() - 1 {
-            for &(key, g) in &self.postings[self.offsets[c] as usize..self.offsets[c + 1] as usize]
-            {
-                if self.gen_of(key) == g {
-                    merged.push((c as u32, key, g));
+        let live = |slot: u32, g: u32| slots[slot as usize].gen == g;
+        let mut merged: Vec<(u32, u32, u32)> = Vec::new();
+        for (c, row) in self.offsets.windows(2).enumerate() {
+            for &(slot, g) in &self.postings[row[0] as usize..row[1] as usize] {
+                if live(slot, g) {
+                    merged.push((c as u32, slot, g));
                 }
             }
         }
         let staged = std::mem::take(&mut self.staged);
-        merged.extend(
-            staged
-                .into_iter()
-                .filter(|&(_, key, g)| self.gen_of(key) == g),
-        );
-        let mut counts = vec![0u32; self.cable_bound + 1];
+        merged.extend(staged.into_iter().filter(|&(_, slot, g)| live(slot, g)));
+        let n_cables = merged.iter().map(|&(c, _, _)| c as usize + 1).max();
+        let mut counts = vec![0u32; n_cables.unwrap_or(0) + 1];
         for &(c, _, _) in &merged {
             counts[c as usize + 1] += 1;
         }
         for i in 1..counts.len() {
             counts[i] += counts[i - 1];
         }
-        let mut postings = vec![((PlaneId(0), RackId(0), RackId(0)), 0u32); merged.len()];
+        let mut postings = vec![(0u32, 0u32); merged.len()];
         let mut cursor = counts.clone();
-        for (c, key, g) in merged {
-            postings[cursor[c as usize] as usize] = (key, g);
+        for (c, slot, g) in merged {
+            postings[cursor[c as usize] as usize] = (slot, g);
             cursor[c as usize] += 1;
         }
         self.offsets = counts;
         self.postings = postings;
     }
 
-    /// Cached entries whose committed path set traverses `cable`. Call
+    /// Slots whose committed path set traverses `cable`. Call
     /// [`LinkIndex::compact`] first; staged postings are not consulted.
-    pub(crate) fn entries_for(&self, cable: LinkId) -> impl Iterator<Item = RouteKey> + '_ {
+    pub(crate) fn entries_for<'a>(
+        &'a self,
+        cable: LinkId,
+        slots: &'a [Slot],
+    ) -> impl Iterator<Item = usize> + 'a {
         let c = (cable.0 >> 1) as usize;
         let row = if c + 1 < self.offsets.len() {
             &self.postings[self.offsets[c] as usize..self.offsets[c + 1] as usize]
@@ -227,8 +155,8 @@ impl LinkIndex {
             &[]
         };
         row.iter()
-            .filter(|&&(key, g)| self.gen_of(key) == g)
-            .map(|&(key, _)| key)
+            .filter(|&&(slot, g)| slots[slot as usize].gen == g)
+            .map(|&(slot, _)| slot as usize)
     }
 }
 
@@ -254,10 +182,7 @@ pub(crate) fn bfs_hop_dists(pg: &PlaneGraph, src: usize) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn key(p: u16, s: u32, d: u32) -> RouteKey {
-        (PlaneId(p), RackId(s), RackId(d))
-    }
+    use pnet_topology::PlaneId;
 
     fn path(plane: u16, links: &[u32]) -> Path {
         Path {
@@ -266,39 +191,49 @@ mod tests {
         }
     }
 
+    /// What the router's commit does: bump the slot's generation, note it.
+    fn commit(idx: &mut LinkIndex, slots: &mut [Slot], slot: u32, paths: &[Path]) {
+        slots[slot as usize].gen += 1;
+        idx.note(slot, slots[slot as usize].gen, paths);
+    }
+
     #[test]
     fn index_round_trip_and_dedup() {
-        let mut idx = LinkIndex::new();
+        let (mut idx, mut slots) = (LinkIndex::default(), vec![Slot::default(); 3]);
         // Two paths sharing cable 2 (links 4 and 5): one posting, not two.
-        idx.note(key(0, 0, 1), &[path(0, &[0, 4]), path(0, &[5, 8])]);
-        idx.note(key(0, 0, 2), &[path(0, &[8])]);
-        idx.compact();
-        let hits: Vec<_> = idx.entries_for(LinkId(4)).collect();
-        assert_eq!(hits, vec![key(0, 0, 1)]);
-        let hits: Vec<_> = idx.entries_for(LinkId(5)).collect();
-        assert_eq!(hits, vec![key(0, 0, 1)], "both directions hit one cable");
-        let hits: Vec<_> = idx.entries_for(LinkId(8)).collect();
-        assert_eq!(hits, vec![key(0, 0, 1), key(0, 0, 2)]);
+        commit(
+            &mut idx,
+            &mut slots,
+            1,
+            &[path(0, &[0, 4]), path(0, &[5, 8])],
+        );
+        commit(&mut idx, &mut slots, 2, &[path(0, &[8])]);
+        idx.compact(&slots);
+        let hits = |l: u32| idx.entries_for(LinkId(l), &slots).collect::<Vec<_>>();
+        assert_eq!(hits(4), vec![1]);
+        assert_eq!(hits(5), vec![1], "both directions hit one cable");
+        assert_eq!(hits(8), vec![1, 2]);
     }
 
     #[test]
     fn renoting_invalidates_old_postings() {
-        let mut idx = LinkIndex::new();
-        idx.note(key(0, 0, 1), &[path(0, &[4])]);
-        idx.compact();
+        let (mut idx, mut slots) = (LinkIndex::default(), vec![Slot::default(); 2]);
+        commit(&mut idx, &mut slots, 1, &[path(0, &[4])]);
+        idx.compact(&slots);
         // Entry recomputed: its paths no longer touch cable 2.
-        idx.note(key(0, 0, 1), &[path(0, &[6])]);
-        assert_eq!(idx.entries_for(LinkId(4)).count(), 0, "stale posting read");
-        idx.compact();
-        assert_eq!(idx.entries_for(LinkId(4)).count(), 0);
-        assert_eq!(idx.entries_for(LinkId(6)).count(), 1);
+        commit(&mut idx, &mut slots, 1, &[path(0, &[6])]);
+        let count = |idx: &LinkIndex, l: u32| idx.entries_for(LinkId(l), &slots).count();
+        assert_eq!(count(&idx, 4), 0, "stale posting read");
+        idx.compact(&slots);
+        assert_eq!(count(&idx, 4), 0);
+        assert_eq!(count(&idx, 6), 1);
     }
 
     #[test]
     fn query_out_of_range_cable_is_empty() {
-        let mut idx = LinkIndex::new();
-        idx.note(key(0, 0, 1), &[path(0, &[0])]);
-        idx.compact();
-        assert_eq!(idx.entries_for(LinkId(1 << 20)).count(), 0);
+        let (mut idx, mut slots) = (LinkIndex::default(), vec![Slot::default(); 2]);
+        commit(&mut idx, &mut slots, 1, &[path(0, &[0])]);
+        idx.compact(&slots);
+        assert_eq!(idx.entries_for(LinkId(1 << 20), &slots).count(), 0);
     }
 }

@@ -10,11 +10,10 @@
 //!   multipath substrate for MPTCP.
 //!
 //! Path computation is a pure function of the plane-graph snapshot, so the
-//! route table is filled either lazily behind an `RwLock` (concurrent
-//! readers, `&self` throughout) or in bulk by [`Router::precompute`], which
-//! fans the per-(plane, src, dst) Yen/ECMP computations across threads and
-//! commits results in deterministic index order. Serial and parallel
-//! precomputation produce identical tables — see `tests/determinism.rs`.
+//! route table is filled either lazily, one entry per missed lookup, or in
+//! bulk by [`Router::precompute_with`], which fans per-(plane, src) Yen/ECMP
+//! batches across threads. Serial and parallel precomputation produce
+//! identical tables — see `tests/determinism.rs`.
 //!
 //! Cross-plane queries ([`Router::k_best_across_planes`]) merge the
 //! per-plane path sets shortest-first — this is how a P-Net host builds its
@@ -26,22 +25,27 @@
 //! repairs exactly the cached entries a link delta can affect, and
 //! [`Router::refresh`] diffs the network against the current snapshot to
 //! synthesize that delta (falling back to a full rebuild only when the
-//! change is not expressible as a link delta). Every applied change bumps
-//! the router *epoch*; the plane-graph snapshot is swapped atomically, so
-//! concurrent lazy lookups either see the old consistent snapshot or the
-//! new one, never a mix (they re-run if the epoch moved under them).
+//! change is not expressible as a link delta).
+//!
+//! The plane-graph snapshot, the dense `(plane, src, dst)` table and the
+//! cable index sit behind one `RwLock`; every method takes `&self`. A hit
+//! indexes under the read lock. A fill clones the snapshot `Arc` under the
+//! read lock, computes outside it, and commits under the write lock only if
+//! the router still holds that very snapshot (`Arc::ptr_eq`), else starts
+//! over. `apply_delta` and `refresh` hold the write lock from snapshot swap
+//! to last repaired commit: they serialize against each other, and no
+//! reader ever sees a half-repaired table.
 
 use crate::bfs;
 use crate::exec::Parallelism;
 use crate::path::{sort_paths, Path};
 use crate::plane_graph::PlaneGraph;
 pub use crate::repair::DeltaStats;
-use crate::repair::{bfs_hop_dists, Fnv, LinkIndex, RouteKey};
+use crate::repair::{bfs_hop_dists, Fnv, LinkIndex, Slot};
 use crate::yen;
-use pnet_topology::{LinkDelta, Network, PlaneId, RackId};
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use pnet_topology::{LinkDelta, LinkId, Network, PlaneId, RackId};
+use std::collections::BTreeSet;
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Which path computation the router serves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,26 +66,82 @@ impl RouteAlgo {
     }
 }
 
-/// Route table plus its inverted cable → entry index, kept consistent under
-/// one lock: every commit notes the entry's cables in the same critical
-/// section that inserts the paths.
-struct TableState {
-    table: BTreeMap<RouteKey, Arc<Vec<Path>>>,
+/// Table position of `(plane, src, dst)` among `racks` racks. This and
+/// [`key_of`] are the only places that know the table layout.
+fn slot_of(racks: usize, plane: PlaneId, src: RackId, dst: RackId) -> usize {
+    assert!(
+        src.index() < racks && dst.index() < racks,
+        "rack pair ({src}, {dst}) outside a {racks}-rack fabric"
+    );
+    (plane.index() * racks + src.index()) * racks + dst.index()
+}
+
+/// Inverse of [`slot_of`].
+fn key_of(racks: usize, slot: usize) -> (PlaneId, RackId, RackId) {
+    let (plane, src, dst) = (slot / racks / racks, slot / racks % racks, slot % racks);
+    (
+        PlaneId(plane as u16),
+        RackId(src as u32),
+        RackId(dst as u32),
+    )
+}
+
+/// The cable (duplex pair, even-direction representative) a link belongs to.
+fn cable_of(link: LinkId) -> LinkId {
+    LinkId(link.0 & !1)
+}
+
+/// Everything a lookup, a fill or a repair touches, under one lock: the
+/// plane-graph snapshot, the dense route table computed from it, and the
+/// inverted cable → slot index over the table's committed path sets.
+struct State {
+    planes: Arc<Vec<PlaneGraph>>,
+    /// Racks per plane; the table holds `planes · racks²` slots.
+    racks: usize,
+    slots: Vec<Slot>,
+    /// Slots holding a path set.
+    entries: usize,
     index: LinkIndex,
+    /// 0 at construction, +1 per applied delta/refresh.
+    epoch: u64,
+}
+
+impl State {
+    /// An empty table over a fresh extraction of every plane of `net`.
+    fn build(net: &Network, epoch: u64) -> State {
+        let planes = PlaneGraph::build_all(net);
+        let racks = planes.first().map_or(0, |pg| pg.n_racks());
+        let n_slots = planes.len() * racks * racks;
+        assert!(n_slots <= u32::MAX as usize, "slot ids are u32");
+        State {
+            planes: Arc::new(planes),
+            racks,
+            slots: vec![Slot::default(); n_slots],
+            entries: 0,
+            index: LinkIndex::default(),
+            epoch,
+        }
+    }
+
+    /// Store `paths` in `slot` (overwriting) and index its cables.
+    fn commit(&mut self, slot: usize, paths: Vec<Path>) -> Arc<Vec<Path>> {
+        let arc = Arc::new(paths);
+        let cell = &mut self.slots[slot];
+        cell.gen = cell.gen.wrapping_add(1);
+        self.index.note(slot as u32, cell.gen, &arc);
+        if cell.paths.replace(Arc::clone(&arc)).is_none() {
+            self.entries += 1;
+        }
+        arc
+    }
 }
 
 /// Path provider over all planes of one network. All lookups take `&self`;
 /// the router is `Sync` and can be shared across threads (e.g. behind an
 /// `Arc`) once built.
 pub struct Router {
-    planes: RwLock<Arc<Vec<PlaneGraph>>>,
     algo: RouteAlgo,
-    state: RwLock<TableState>,
-    /// Bumped once per applied topology change. Lazy computations snapshot
-    /// the epoch before computing and re-run if it moved by commit time, so
-    /// a stale path set computed against a pre-delta snapshot can never
-    /// land in a post-delta table.
-    epoch: AtomicU64,
+    state: RwLock<State>,
 }
 
 impl Router {
@@ -89,13 +149,8 @@ impl Router {
     /// [`Router::refresh`] after failure injection).
     pub fn new(net: &Network, algo: RouteAlgo) -> Self {
         Router {
-            planes: RwLock::new(Arc::new(PlaneGraph::build_all(net))),
             algo,
-            state: RwLock::new(TableState {
-                table: BTreeMap::new(),
-                index: LinkIndex::new(),
-            }),
-            epoch: AtomicU64::new(0),
+            state: RwLock::new(State::build(net, 0)),
         }
     }
 
@@ -106,6 +161,18 @@ impl Router {
         Self::new(net, algo)
     }
 
+    fn read(&self) -> RwLockReadGuard<'_, State> {
+        self.state
+            .read()
+            .expect("invariant: router lock is never poisoned")
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, State> {
+        self.state
+            .write()
+            .expect("invariant: router lock is never poisoned")
+    }
+
     /// The algorithm in use.
     pub fn algo(&self) -> RouteAlgo {
         self.algo
@@ -113,38 +180,29 @@ impl Router {
 
     /// Number of planes.
     pub fn n_planes(&self) -> usize {
-        self.plane_graphs().len()
+        self.read().planes.len()
     }
 
     /// Racks served by the network.
     pub fn n_racks(&self) -> usize {
-        self.plane_graphs().first().map_or(0, |pg| pg.n_racks())
+        self.read().racks
     }
 
     /// The current plane-graph snapshot (e.g. for custom analyses). The
     /// returned `Arc` stays internally consistent even if a delta swaps the
     /// router to a newer snapshot concurrently.
     pub fn plane_graphs(&self) -> Arc<Vec<PlaneGraph>> {
-        Arc::clone(
-            &self
-                .planes
-                .read()
-                .expect("invariant: plane-snapshot lock is never poisoned"),
-        )
+        Arc::clone(&self.read().planes)
     }
 
     /// The current epoch: 0 at construction, +1 per applied delta/refresh.
     pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
+        self.read().epoch
     }
 
     /// Route-table entries currently materialized.
     pub fn cached_entries(&self) -> usize {
-        self.state
-            .read()
-            .expect("invariant: route-table lock is never poisoned")
-            .table
-            .len()
+        self.read().entries
     }
 
     /// FNV-1a fingerprint of the materialized route table, in canonical
@@ -153,13 +211,12 @@ impl Router {
     /// same entries materialized fingerprint equal iff their tables are
     /// byte-identical — the equivalence check for incremental repair.
     pub fn table_fingerprint(&self) -> u64 {
-        let st = self
-            .state
-            .read()
-            .expect("invariant: route-table lock is never poisoned");
+        let st = self.read();
         let mut h = Fnv::new();
-        h.u64(st.table.len() as u64);
-        for (&(p, s, d), paths) in &st.table {
+        h.u64(st.entries as u64);
+        for (i, cell) in st.slots.iter().enumerate() {
+            let Some(paths) = &cell.paths else { continue };
+            let (p, s, d) = key_of(st.racks, i);
             h.u64(u64::from(p.0));
             h.u64(u64::from(s.0));
             h.u64(u64::from(d.0));
@@ -176,14 +233,7 @@ impl Router {
     }
 
     /// Pure per-key path computation (the function the table memoizes).
-    fn compute(
-        planes: &[PlaneGraph],
-        algo: RouteAlgo,
-        plane: PlaneId,
-        src: RackId,
-        dst: RackId,
-    ) -> Vec<Path> {
-        let pg = &planes[plane.index()];
+    fn compute(pg: &PlaneGraph, algo: RouteAlgo, src: RackId, dst: RackId) -> Vec<Path> {
         let mut paths = match algo {
             RouteAlgo::Ecmp { cap } => bfs::all_shortest_paths(pg, src, dst, cap),
             RouteAlgo::Ksp { k } => yen::ksp(pg, src, dst, k),
@@ -192,17 +242,15 @@ impl Router {
         paths
     }
 
-    /// Batched per-(plane, src) computation: identical per-destination output
+    /// Batched per-source computation: identical per-destination output
     /// to [`Router::compute`], but the first shortest-path BFS (KSP) or the
     /// whole distance field (ECMP) is shared across the destination list.
     fn compute_batch(
-        planes: &[PlaneGraph],
+        pg: &PlaneGraph,
         algo: RouteAlgo,
-        plane: PlaneId,
         src: RackId,
         dsts: &[RackId],
     ) -> Vec<Vec<Path>> {
-        let pg = &planes[plane.index()];
         let mut per_dst = match algo {
             RouteAlgo::Ecmp { cap } => bfs::ecmp_destinations(pg, src, dsts, cap),
             RouteAlgo::Ksp { k } => yen::ksp_destinations(pg, src, dsts, k),
@@ -213,110 +261,94 @@ impl Router {
         per_dst
     }
 
+    /// Path sets of `slots`, in the same order. `slots` must be ascending:
+    /// that puts the slots of one (plane, src) next to each other, and each
+    /// such run is one batched computation sharing the source-side BFS work
+    /// across its destinations. Runs fan out across threads; per-destination
+    /// results are identical to per-key `compute`.
+    fn fill(
+        &self,
+        planes: &[PlaneGraph],
+        racks: usize,
+        slots: &[usize],
+        par: Parallelism,
+    ) -> Vec<Vec<Path>> {
+        let keys: Vec<_> = slots.iter().map(|&slot| key_of(racks, slot)).collect();
+        let runs: Vec<_> = keys.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)).collect();
+        let computed = par.map_indexed(runs.len(), |i| {
+            let (plane, src, _) = runs[i][0];
+            let dsts: Vec<RackId> = runs[i].iter().map(|key| key.2).collect();
+            Self::compute_batch(&planes[plane.index()], self.algo, src, &dsts)
+        });
+        computed.into_iter().flatten().collect()
+    }
+
     /// Path set between two racks within one plane (memoized, shared).
     pub fn paths_in_plane(&self, plane: PlaneId, src: RackId, dst: RackId) -> Arc<Vec<Path>> {
-        let key = (plane, src, dst);
-        if let Some(p) = self
-            .state
-            .read()
-            .expect("invariant: route-table lock is never poisoned")
-            .table
-            .get(&key)
-        {
-            return Arc::clone(p);
-        }
         loop {
-            let epoch = self.epoch();
-            let planes = self.plane_graphs();
-            let paths = Self::compute(&planes, self.algo, plane, src, dst);
-            let mut st = self
-                .state
-                .write()
-                .expect("invariant: route-table lock is never poisoned");
-            if self.epoch() != epoch {
+            let planes = {
+                let st = self.read();
+                if let Some(p) = &st.slots[slot_of(st.racks, plane, src, dst)].paths {
+                    return Arc::clone(p);
+                }
+                Arc::clone(&st.planes)
+            };
+            let paths = Self::compute(&planes[plane.index()], self.algo, src, dst);
+            let mut st = self.write();
+            if !Arc::ptr_eq(&st.planes, &planes) {
                 continue; // a delta landed mid-compute; redo on the new snapshot
             }
+            let slot = slot_of(st.racks, plane, src, dst);
             // First writer wins so repeat lookups keep returning the same Arc.
-            if let Some(p) = st.table.get(&key) {
+            if let Some(p) = &st.slots[slot].paths {
                 return Arc::clone(p);
             }
-            let arc = Arc::new(paths);
-            st.index.note(key, &arc);
-            st.table.insert(key, Arc::clone(&arc));
-            return arc;
+            return st.commit(slot, paths);
         }
     }
 
     /// Bulk-fill the route table for every (plane, src, dst) combination of
     /// the given rack pairs, fanning the independent Yen/ECMP computations
-    /// across threads. Results are committed in deterministic index order;
-    /// the resulting table is identical to serially computing each entry.
-    pub fn precompute(&self, pairs: &[(RackId, RackId)]) {
-        self.precompute_with(pairs, Parallelism::default());
-    }
-
-    /// [`Router::precompute`] with an explicit execution strategy.
+    /// across threads. The resulting table is identical to serially
+    /// computing each entry.
     pub fn precompute_with(&self, pairs: &[(RackId, RackId)], par: Parallelism) {
         loop {
-            let epoch = self.epoch();
-            let planes = self.plane_graphs();
-            let n_planes = planes.len();
-            // Skip keys that are already materialized (precompute after lazy
-            // use must not replace Arcs callers may have compared by
-            // pointer), then group the remainder by (plane, src): one
-            // batched computation per group shares the source-side BFS work
-            // across destinations.
-            let mut groups: Vec<((PlaneId, RackId), Vec<RackId>)> = Vec::new();
-            {
-                let st = self
-                    .state
-                    .read()
-                    .expect("invariant: route-table lock is never poisoned");
-                let mut group_of: BTreeMap<(PlaneId, RackId), usize> = BTreeMap::new();
-                let mut seen: BTreeSet<RouteKey> = BTreeSet::new();
+            // Skip slots that are already materialized: precompute after
+            // lazy use must not replace Arcs callers may have compared by
+            // pointer.
+            let (planes, racks, mut todo) = {
+                let st = self.read();
+                let mut todo: Vec<usize> = Vec::new();
                 for &(src, dst) in pairs {
-                    for p in 0..n_planes {
-                        let key = (PlaneId(p as u16), src, dst);
-                        if st.table.contains_key(&key) || !seen.insert(key) {
-                            continue;
+                    for p in 0..st.planes.len() {
+                        let slot = slot_of(st.racks, PlaneId(p as u16), src, dst);
+                        if st.slots[slot].paths.is_none() {
+                            todo.push(slot);
                         }
-                        let g = *group_of.entry((key.0, src)).or_insert_with(|| {
-                            groups.push(((key.0, src), Vec::new()));
-                            groups.len() - 1
-                        });
-                        groups[g].1.push(dst);
                     }
                 }
-            }
-            // Fan out per group; per-destination results are identical to
-            // per-key `compute`, and commit order does not affect the table.
-            let computed: Vec<Vec<Vec<Path>>> = par.map_indexed(groups.len(), |i| {
-                let ((plane, src), dsts) = &groups[i];
-                Self::compute_batch(&planes, self.algo, *plane, *src, dsts)
-            });
-            let mut st = self
-                .state
-                .write()
-                .expect("invariant: route-table lock is never poisoned");
-            if self.epoch() != epoch {
+                (Arc::clone(&st.planes), st.racks, todo)
+            };
+            todo.sort_unstable();
+            todo.dedup();
+            let computed = self.fill(&planes, racks, &todo, par);
+            let mut st = self.write();
+            if !Arc::ptr_eq(&st.planes, &planes) {
                 continue; // results are stale against the new snapshot
             }
-            for (((plane, src), dsts), per_dst) in groups.into_iter().zip(computed) {
-                for (dst, paths) in dsts.into_iter().zip(per_dst) {
-                    let key = (plane, src, dst);
-                    if !st.table.contains_key(&key) {
-                        let arc = Arc::new(paths);
-                        st.index.note(key, &arc);
-                        st.table.insert(key, arc);
-                    }
+            st.index.reserve(&computed);
+            for (slot, paths) in todo.into_iter().zip(computed) {
+                if st.slots[slot].paths.is_none() {
+                    st.commit(slot, paths);
                 }
             }
             return;
         }
     }
 
-    /// [`Router::precompute`] over all ordered rack pairs (src != dst) —
-    /// the all-pairs route tables every experiment sweep starts from.
+    /// [`Router::precompute_with`] over all ordered rack pairs (src != dst)
+    /// with the default strategy — the all-pairs route tables every
+    /// experiment sweep starts from.
     pub fn precompute_all_pairs(&self) {
         self.precompute_all_pairs_with(Parallelism::default());
     }
@@ -340,47 +372,28 @@ impl Router {
     /// truncated prefix spreads over as many planes as possible — which is
     /// what an MPTCP path manager wants from its subflow set.
     pub fn k_best_across_planes(&self, src: RackId, dst: RackId, k: usize) -> Vec<Path> {
-        let n_planes = self.n_planes();
-        let mut all: Vec<Path> = Vec::new();
-        for plane in 0..n_planes {
-            let paths = self.paths_in_plane(PlaneId(plane as u16), src, dst);
-            all.extend(paths.iter().cloned());
-        }
-        sort_paths(&mut all);
-        // Re-order each equal-length tier: round-robin over planes.
-        let mut out: Vec<Path> = Vec::with_capacity(all.len());
-        let mut start = 0;
-        while start < all.len() {
-            let len = all[start].links.len();
-            let mut end = start + 1;
-            while end < all.len() && all[end].links.len() == len {
-                end += 1;
-            }
-            // The tier is sorted by (plane, links); split per plane
-            // preserving order, then interleave.
-            let tier: Vec<Path> = all[start..end].to_vec();
-            let mut per_plane: Vec<Vec<Path>> = vec![Vec::new(); n_planes];
-            for p in tier {
-                per_plane[p.plane.index()].push(p);
-            }
-            let mut idx = 0;
-            loop {
-                let mut any = false;
-                for plane_paths in &per_plane {
-                    if idx < plane_paths.len() {
-                        out.push(plane_paths[idx].clone());
-                        any = true;
-                    }
+        let per_plane: Vec<Arc<Vec<Path>>> = (0..self.n_planes())
+            .map(|plane| self.paths_in_plane(PlaneId(plane as u16), src, dst))
+            .collect();
+        // Each plane's set is already shortest-first, so the interleaved
+        // order is the sort by (length, rank within the plane's run of that
+        // length, plane); the path's position in its set rides along.
+        let mut ranked: Vec<(usize, usize, usize, usize)> = Vec::new();
+        for (plane, paths) in per_plane.iter().enumerate() {
+            let mut run_start = 0;
+            for (i, path) in paths.iter().enumerate() {
+                if path.links.len() != paths[run_start].links.len() {
+                    run_start = i;
                 }
-                if !any {
-                    break;
-                }
-                idx += 1;
+                ranked.push((path.links.len(), i - run_start, plane, i));
             }
-            start = end;
         }
-        out.truncate(k);
-        out
+        ranked.sort_unstable();
+        ranked.truncate(k);
+        ranked
+            .into_iter()
+            .map(|(_, _, plane, i)| per_plane[plane][i].clone())
+            .collect()
     }
 
     /// The plane offering the shortest path between two racks (the paper's
@@ -418,136 +431,79 @@ impl Router {
     /// Every other entry keeps its exact `Arc` — byte- and pointer-
     /// identical. Recomputation reuses the batched Yen/ECMP machinery, so
     /// the repaired table equals a from-scratch rebuild of the new topology
-    /// (see `tests/props.rs`). Bumps the epoch once.
+    /// (see `tests/props.rs`). Bumps the epoch once. The write lock is held
+    /// throughout, so concurrent deltas apply one after the other.
     pub fn apply_delta(&self, net: &Network, delta: &LinkDelta) -> DeltaStats {
-        self.apply_delta_with(net, delta, Parallelism::default())
+        self.repair(&mut self.write(), net, delta)
     }
 
-    /// [`Router::apply_delta`] with an explicit execution strategy for the
-    /// recomputation fan-out.
-    pub fn apply_delta_with(
-        &self,
-        net: &Network,
-        delta: &LinkDelta,
-        par: Parallelism,
-    ) -> DeltaStats {
-        let canon = |cables: &[pnet_topology::LinkId]| -> Vec<pnet_topology::LinkId> {
-            let mut v: Vec<pnet_topology::LinkId> = cables
-                .iter()
-                .map(|l| pnet_topology::LinkId(l.0 & !1))
-                .collect();
-            v.sort_unstable();
-            v.dedup();
-            v
-        };
-        let down = canon(&delta.down);
-        let up = canon(&delta.up);
+    /// [`Router::apply_delta`] on the locked state.
+    fn repair(&self, st: &mut State, net: &Network, delta: &LinkDelta) -> DeltaStats {
+        let down: BTreeSet<LinkId> = delta.down.iter().map(|&l| cable_of(l)).collect();
+        let up: BTreeSet<LinkId> = delta.up.iter().map(|&l| cable_of(l)).collect();
 
-        // Swap in a snapshot with the touched planes re-extracted, then bump
-        // the epoch: readers that grab the epoch before the bump cannot have
-        // seen the new snapshot (swap happens first), so their commit check
-        // catches them.
-        let old_planes = self.plane_graphs();
+        // Swap in a snapshot with the touched planes re-extracted. Fills that
+        // computed against the old one no longer pass their `ptr_eq` check.
         let touched: BTreeSet<PlaneId> =
             down.iter().chain(&up).map(|&c| net.link(c).plane).collect();
-        let mut rebuilt: Vec<PlaneGraph> = (*old_planes).clone();
+        let mut rebuilt: Vec<PlaneGraph> = (*st.planes).clone();
         for &p in &touched {
             rebuilt[p.index()] = PlaneGraph::build(net, p);
         }
-        let new_planes = Arc::new(rebuilt);
-        *self
-            .planes
-            .write()
-            .expect("invariant: plane-snapshot lock is never poisoned") = Arc::clone(&new_planes);
-        self.epoch.fetch_add(1, Ordering::AcqRel);
+        st.planes = Arc::new(rebuilt);
+        st.epoch += 1;
 
-        // Affected entries. Down cables: inverted-index rows. Up cables: the
+        // Affected slots. Down cables: inverted-index rows. Up cables: the
         // BFS lower bound over every cached entry of the cable's plane.
-        let mut affected: BTreeSet<RouteKey> = BTreeSet::new();
-        let cached_total;
-        {
-            let mut st = self
-                .state
-                .write()
-                .expect("invariant: route-table lock is never poisoned");
-            cached_total = st.table.len();
-            st.index.compact();
-            for &c in &down {
-                affected.extend(st.index.entries_for(c));
-            }
-            for &c in &up {
-                let link = net.link(c);
-                let plane = link.plane;
-                let pg = &new_planes[plane.index()];
-                let (Some(du), Some(dv)) = (pg.dense(link.src), pg.dense(link.dst)) else {
-                    continue; // host attachment cable: rack-level routing unaffected
+        st.index.compact(&st.slots);
+        let mut affected: Vec<usize> = Vec::new();
+        for &c in &down {
+            affected.extend(st.index.entries_for(c, &st.slots));
+        }
+        let limit = self.algo.per_plane_limit();
+        for &c in &up {
+            let link = net.link(c);
+            let pg = &st.planes[link.plane.index()];
+            let (Some(du), Some(dv)) = (pg.dense(link.src), pg.dense(link.dst)) else {
+                continue; // host attachment cable: rack-level routing unaffected
+            };
+            let dist_u = bfs_hop_dists(pg, du);
+            let dist_v = bfs_hop_dists(pg, dv);
+            let racks = st.racks as u32;
+            for (s, d) in (0..racks).flat_map(|s| (0..racks).map(move |d| (s, d))) {
+                let slot = slot_of(st.racks, link.plane, RackId(s), RackId(d));
+                let Some(paths) = &st.slots[slot].paths else {
+                    continue;
                 };
-                let dist_u = bfs_hop_dists(pg, du);
-                let dist_v = bfs_hop_dists(pg, dv);
-                let limit = self.algo.per_plane_limit();
-                let lo = (plane, RackId(0), RackId(0));
-                let hi = (plane, RackId(u32::MAX), RackId(u32::MAX));
-                for (&key, paths) in st.table.range(lo..=hi) {
-                    let (_, s, d) = key;
-                    let (ts, td) = (pg.tor(s), pg.tor(d));
-                    let via = |a: &[u32], b: &[u32]| -> u64 {
-                        if a[ts] == u32::MAX || b[td] == u32::MAX {
-                            u64::MAX
-                        } else {
-                            u64::from(a[ts]) + 1 + u64::from(b[td])
-                        }
-                    };
-                    let lb = via(&dist_u, &dist_v).min(via(&dist_v, &dist_u));
-                    let threshold = match self.algo {
-                        _ if paths.len() < limit => u64::MAX,
-                        RouteAlgo::Ksp { .. } => {
-                            paths.last().map_or(u64::MAX, |p| p.links.len() as u64)
-                        }
-                        RouteAlgo::Ecmp { .. } => {
-                            paths.first().map_or(u64::MAX, |p| p.links.len() as u64)
-                        }
-                    };
-                    if lb <= threshold {
-                        affected.insert(key);
-                    }
+                let (ts, td) = (pg.tor(RackId(s)), pg.tor(RackId(d)));
+                // An unreachable end is `u32::MAX` hops away: longer than any path.
+                let via = |a: &[u32], b: &[u32]| u64::from(a[ts]) + 1 + u64::from(b[td]);
+                let lb = via(&dist_u, &dist_v).min(via(&dist_v, &dist_u));
+                // The kept path a new one must beat or tie: KSP's longest,
+                // ECMP's (all equal) first. A set below its limit takes any.
+                let bar = match self.algo {
+                    RouteAlgo::Ksp { .. } => paths.last(),
+                    RouteAlgo::Ecmp { .. } => paths.first(),
+                };
+                let full = paths.len() >= limit;
+                if bar.is_none_or(|p| !full || lb <= p.links.len() as u64) {
+                    affected.push(slot);
                 }
             }
         }
+        affected.sort_unstable();
+        affected.dedup();
 
-        // Recompute the affected entries against the new snapshot, grouped
-        // by (plane, src) exactly like precompute, and overwrite.
-        let mut groups: Vec<((PlaneId, RackId), Vec<RackId>)> = Vec::new();
-        let mut group_of: BTreeMap<(PlaneId, RackId), usize> = BTreeMap::new();
-        for &(plane, src, dst) in &affected {
-            let g = *group_of.entry((plane, src)).or_insert_with(|| {
-                groups.push(((plane, src), Vec::new()));
-                groups.len() - 1
-            });
-            groups[g].1.push(dst);
-        }
-        let computed: Vec<Vec<Vec<Path>>> = par.map_indexed(groups.len(), |i| {
-            let ((plane, src), dsts) = &groups[i];
-            Self::compute_batch(&new_planes, self.algo, *plane, *src, dsts)
-        });
-        {
-            let mut st = self
-                .state
-                .write()
-                .expect("invariant: route-table lock is never poisoned");
-            for (((plane, src), dsts), per_dst) in groups.into_iter().zip(computed) {
-                for (dst, paths) in dsts.into_iter().zip(per_dst) {
-                    let key = (plane, src, dst);
-                    let arc = Arc::new(paths);
-                    st.index.note(key, &arc);
-                    st.table.insert(key, arc);
-                }
-            }
+        // Recompute the affected slots against the new snapshot and overwrite.
+        let computed = self.fill(&st.planes, st.racks, &affected, Parallelism::default());
+        for (&slot, paths) in affected.iter().zip(computed) {
+            st.commit(slot, paths);
         }
         DeltaStats {
-            epoch: self.epoch(),
+            epoch: st.epoch,
             planes_rebuilt: touched.len(),
             entries_repaired: affected.len(),
-            entries_reused: cached_total - affected.len(),
+            entries_reused: st.entries - affected.len(),
             full_rebuild: false,
         }
     }
@@ -562,48 +518,39 @@ impl Router {
     /// switch roster changed, i.e. the router was handed a structurally
     /// different network) it falls back to the historical behaviour: drop
     /// the whole table and re-extract every plane graph. The returned
-    /// [`DeltaStats`] says which route was taken (`full_rebuild`).
+    /// [`DeltaStats`] says which route was taken (`full_rebuild`). Like
+    /// `apply_delta`, holds the write lock from the diff to the last commit.
     pub fn refresh(&self, net: &Network) -> DeltaStats {
-        if let Some(delta) = self.diff_links(net) {
-            if delta.is_empty() {
-                return DeltaStats {
-                    epoch: self.epoch(),
-                    planes_rebuilt: 0,
+        let mut st = self.write();
+        match Self::diff_links(&st.planes, net) {
+            Some(delta) if delta.is_empty() => DeltaStats {
+                epoch: st.epoch,
+                planes_rebuilt: 0,
+                entries_repaired: 0,
+                entries_reused: st.entries,
+                full_rebuild: false,
+            },
+            Some(delta) => self.repair(&mut st, net, &delta),
+            None => {
+                // Nothing cached survives a structural change, and the table
+                // takes the new network's dimensions.
+                *st = State::build(net, st.epoch + 1);
+                DeltaStats {
+                    epoch: st.epoch,
+                    planes_rebuilt: st.planes.len(),
                     entries_repaired: 0,
-                    entries_reused: self.cached_entries(),
-                    full_rebuild: false,
-                };
+                    entries_reused: 0,
+                    full_rebuild: true,
+                }
             }
-            return self.apply_delta(net, &delta);
-        }
-        // Full-rebuild fallback: nothing cached survives a structural change.
-        *self
-            .planes
-            .write()
-            .expect("invariant: plane-snapshot lock is never poisoned") =
-            Arc::new(PlaneGraph::build_all(net));
-        self.epoch.fetch_add(1, Ordering::AcqRel);
-        let mut st = self
-            .state
-            .write()
-            .expect("invariant: route-table lock is never poisoned");
-        st.table.clear();
-        st.index.clear();
-        DeltaStats {
-            epoch: self.epoch(),
-            planes_rebuilt: self.n_planes(),
-            entries_repaired: 0,
-            entries_reused: 0,
-            full_rebuild: true,
         }
     }
 
-    /// Diff `net`'s fabric-link membership against the current snapshot.
+    /// Diff `net`'s fabric-link membership against the snapshot `planes`.
     /// `Some(delta)` when the network has the same plane count and switch
     /// rosters and only link up/down state differs; `None` when the change
     /// is structural and needs a full rebuild.
-    fn diff_links(&self, net: &Network) -> Option<LinkDelta> {
-        let planes = self.plane_graphs();
+    fn diff_links(planes: &[PlaneGraph], net: &Network) -> Option<LinkDelta> {
         let net_planes: Vec<PlaneId> = net.planes().collect();
         if planes.len() != net_planes.len() {
             return None;
@@ -625,31 +572,23 @@ impl Router {
                 return None;
             }
         }
-        // Membership diff at cable granularity, per plane.
-        let mut old_cables: BTreeSet<u32> = BTreeSet::new();
-        for pg in planes.iter() {
-            old_cables.extend(pg.link_ids().map(|l| l.0 & !1));
-        }
-        let mut new_cables: BTreeSet<u32> = BTreeSet::new();
-        for (id, link) in net.links() {
-            if link.up
-                && net.node(link.src).kind.is_switch()
-                && net.node(link.dst).kind.is_switch()
-                && planes[link.plane.index()].dense(link.src).is_some()
-                && planes[link.plane.index()].dense(link.dst).is_some()
-            {
-                new_cables.insert(id.0 & !1);
-            }
-        }
+        // Membership diff at cable granularity. `dense` is `Some` exactly
+        // for the plane's own switches, so host attachments drop out.
+        let old: BTreeSet<LinkId> = planes
+            .iter()
+            .flat_map(|pg| pg.link_ids().map(cable_of))
+            .collect();
+        let new: BTreeSet<LinkId> = net
+            .links()
+            .filter(|(_, link)| {
+                let pg = &planes[link.plane.index()];
+                link.up && pg.dense(link.src).is_some() && pg.dense(link.dst).is_some()
+            })
+            .map(|(id, _)| cable_of(id))
+            .collect();
         Some(LinkDelta {
-            down: old_cables
-                .difference(&new_cables)
-                .map(|&c| pnet_topology::LinkId(c))
-                .collect(),
-            up: new_cables
-                .difference(&old_cables)
-                .map(|&c| pnet_topology::LinkId(c))
-                .collect(),
+            down: old.difference(&new).copied().collect(),
+            up: new.difference(&old).copied().collect(),
         })
     }
 }
@@ -686,6 +625,32 @@ mod tests {
         // Both planes should be represented (homogeneous planes tie, sort
         // breaks ties by plane, so first 4 come from plane 0 then plane 1).
         assert!(merged.iter().any(|p| p.plane == PlaneId(1)));
+    }
+
+    #[test]
+    fn cross_plane_merge_alternates_planes_inside_a_tier() {
+        let net = assemble_homogeneous(&FatTree::three_tier(4), 2, &LinkProfile::paper_default());
+        let r = Router::new(&net, RouteAlgo::Ksp { k: 4 });
+        let merged = r.k_best_across_planes(RackId(0), RackId(7), 6);
+        // Two identical planes, four equal-length paths each: one tier, so
+        // the merge is plane 0's i-th path, then plane 1's i-th path.
+        let planes: Vec<u16> = merged.iter().map(|p| p.plane.0).collect();
+        assert_eq!(planes, [0, 1, 0, 1, 0, 1]);
+        for (i, path) in merged.iter().enumerate() {
+            assert_eq!(
+                *path,
+                r.paths_in_plane(path.plane, RackId(0), RackId(7))[i / 2]
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside a 8-rack fabric")]
+    fn out_of_range_rack_panics_instead_of_aliasing() {
+        let net = assemble_homogeneous(&FatTree::three_tier(4), 1, &LinkProfile::paper_default());
+        let r = Router::new(&net, RouteAlgo::Ecmp { cap: 4 });
+        // Unchecked, this would be the table position of (plane 0, 1, 0).
+        r.paths_in_plane(PlaneId(0), RackId(0), RackId(r.n_racks() as u32));
     }
 
     #[test]
@@ -844,6 +809,11 @@ mod tests {
         assert!(stats.full_rebuild);
         assert_eq!(r.cached_entries(), 0);
         assert_eq!(r.n_planes(), 3);
+        // The table took the new network's dimensions: filling it lands on
+        // the same bytes as a router born on the 3-plane network.
+        r.precompute_all_pairs();
+        assert_eq!(r.cached_entries(), 3 * 8 * 7);
+        assert_matches_rebuild(&other, &r);
     }
 
     #[test]

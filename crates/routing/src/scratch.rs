@@ -8,8 +8,8 @@
 //! epoch, so "clearing" an array is a single integer increment instead of an
 //! `O(n)` fill.
 //!
-//! A scratch is plain mutable state owned by one worker. The bulk entry
-//! points ([`crate::router::Router::precompute`], the batched KSP functions)
+//! A scratch is plain mutable state owned by one worker. The bulk entry points
+//! ([`crate::router::Router::precompute_with`], the batched KSP functions)
 //! reach it through [`with_thread_scratch`], which hands out one scratch per
 //! OS thread — the per-index closures of
 //! [`crate::exec::Parallelism::map_indexed`] stay pure in their *outputs*

@@ -230,13 +230,125 @@ fn back_to_back_update_batches_match_the_serial_loop() {
         }
         items
     };
+    let parallel = finishes("20 000 pool batches (lost wake-up?)", move || {
+        run(Parallelism::Rayon)
+    });
+    assert_eq!(parallel, run(Parallelism::Serial));
+}
+
+/// Run `f` on a thread the test can give up on: a hang (or a panic in `f`,
+/// printed above the failure) fails the test after two minutes instead of
+/// wedging the suite.
+fn finishes<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
     let (tx, rx) = std::sync::mpsc::channel();
     // pnet-tidy: allow(D2) -- the watchdog needs a thread it can give up on; a scoped one would be joined
-    std::thread::spawn(move || tx.send(run(Parallelism::Rayon)));
-    let parallel = rx
-        .recv_timeout(std::time::Duration::from_secs(120))
-        .expect("20 000 pool batches did not finish: lost wake-up");
-    assert_eq!(parallel, run(Parallelism::Serial));
+    std::thread::spawn(move || tx.send(f()));
+    rx.recv_timeout(std::time::Duration::from_secs(120))
+        .unwrap_or_else(|e| panic!("{what} did not finish: {e}"))
+}
+
+/// The 2-plane 12-ToR fabric the shared-router tests churn.
+fn churn_fabric() -> pnet::topology::Network {
+    use pnet::topology::{assemble_homogeneous, Jellyfish, LinkProfile};
+    assemble_homogeneous(
+        &Jellyfish::new(12, 3, 1, 4),
+        2,
+        &LinkProfile::paper_default(),
+    )
+}
+
+/// Fingerprint of a router built from scratch on `net`, all pairs filled.
+fn rebuilt_fingerprint(net: &pnet::topology::Network) -> u64 {
+    let fresh = Router::new(net, RouteAlgo::Ksp { k: 4 });
+    fresh.precompute_all_pairs();
+    fresh.table_fingerprint()
+}
+
+/// Two writers repair one router at once, each for a cable of its own plane,
+/// against a network that already shows both changes. Neither update may be
+/// lost: after every round the table equals a rebuild and the snapshot holds
+/// both planes' new link state.
+#[test]
+fn concurrent_deltas_on_different_planes_both_land() {
+    use pnet::topology::{failures, LinkDelta, PlaneId};
+    finishes("200 rounds of two concurrent deltas", || {
+        let up_net = churn_fabric();
+        let cables = [0u16, 1].map(|p| failures::fabric_cables(&up_net, Some(PlaneId(p)))[2]);
+        let mut down_net = up_net.clone();
+        for c in cables {
+            failures::fail_cable(&mut down_net, c);
+        }
+        let router = Router::new(&up_net, RouteAlgo::Ksp { k: 4 });
+        router.precompute_all_pairs();
+        // Even steps fail both cables, odd steps restore them.
+        let nets = [&down_net, &up_net];
+        let want = nets.map(rebuilt_fingerprint);
+        let start = std::sync::Barrier::new(2);
+        for step in 0..400 {
+            let restore = step % 2;
+            std::thread::scope(|s| {
+                for cable in cables {
+                    let (router, start) = (&router, &start);
+                    s.spawn(move || {
+                        let mut delta = LinkDelta::default();
+                        [&mut delta.down, &mut delta.up][restore].push(cable);
+                        start.wait();
+                        router.apply_delta(nets[restore], &delta);
+                    });
+                }
+            });
+            assert_eq!(router.table_fingerprint(), want[restore], "step {step}");
+            let planes = router.plane_graphs();
+            for c in cables {
+                let live = planes.iter().any(|pg| pg.link_ids().any(|l| l == c));
+                assert_eq!(live, restore == 1, "step {step}: cable {c}");
+            }
+        }
+    });
+}
+
+/// A reader fills and reads a lazy router while the main thread replays a
+/// churn walk through `refresh`. Nothing hangs or panics, every path set the
+/// reader gets is in canonical order, and no fill computed against a
+/// replaced snapshot survives: the end state equals a rebuild.
+#[test]
+fn lookups_race_a_churn_replay() {
+    use pnet::routing::sort_paths;
+    use pnet::topology::{ChurnSchedule, PlaneId};
+    use rand::{RngExt, SeedableRng};
+    finishes("a 12-event churn replay under a reader", || {
+        let mut net = churn_fabric();
+        let router = Router::new(&net, RouteAlgo::Ksp { k: 4 });
+        let sched = ChurnSchedule::random_walk(&net, 12, 0.2, 21);
+        assert_eq!(sched.events.len(), 12);
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+                start.wait();
+                for _ in 0..4000 {
+                    let a = RackId(rng.random_range(0..12u32));
+                    let b = RackId((a.0 + rng.random_range(1..12u32)) % 12);
+                    let set = router.paths_in_plane(PlaneId(rng.random_range(0..2u16)), a, b);
+                    let mut sorted = (*set).clone();
+                    sort_paths(&mut sorted);
+                    assert_eq!(*set, sorted, "({a}, {b}) out of canonical order");
+                    let best = router.k_best_across_planes(a, b, 6);
+                    assert!(best
+                        .windows(2)
+                        .all(|w| w[0].links.len() <= w[1].links.len()));
+                }
+            });
+            start.wait();
+            for &ev in &sched.events {
+                ev.apply(&mut net);
+                assert!(!router.refresh(&net).full_rebuild);
+            }
+        });
+        assert_eq!(router.epoch(), 12);
+        router.precompute_all_pairs();
+        assert_eq!(router.table_fingerprint(), rebuilt_fingerprint(&net));
+    });
 }
 
 /// Eight OS threads fan out at once. One of them gets the pool, the others

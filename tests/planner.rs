@@ -1,6 +1,6 @@
 //! Planner service contract tests: snapshot consistency across publishes,
-//! memo-hit ≡ cold-solve byte identity, batch amortization, delta-repair
-//! fingerprint cross-checks, and concurrent queries racing the writer.
+//! memo-hit ≡ cold-solve byte identity, batch amortization, and concurrent
+//! queries racing the writer.
 
 use pnet::flowsim::mcf::McfError;
 use pnet::flowsim::{commodity, Commodity};
@@ -22,7 +22,6 @@ fn cfg() -> PlannerConfig {
         k: 4,
         eps: 0.1,
         parallelism: Parallelism::Serial,
-        track_repair: false,
     }
 }
 
@@ -84,6 +83,10 @@ fn pinned_generation_is_byte_identical_across_publish() {
     let cold = Planner::with_config(net(), cfg());
     let cold_sol = cold.solve_ksp_at(&cold.latest(), &tm, 4).expect("solvable");
     assert_eq!(solution_fingerprint(&cold_sol), before_fp);
+
+    // Down + up round-trips the topology fingerprint to the seed's.
+    let restored = planner.publish_delta(&up(cable)).expect("publish");
+    assert_eq!(restored.topology_fp, fp0);
 }
 
 /// Satellite 5 (second half): a memo hit is bitwise identical to the cold
@@ -105,29 +108,6 @@ fn memo_hit_is_bitwise_identical_to_cold_solve() {
     let adm = planner.admit_at(&gen0, &tm).expect("solvable");
     assert_eq!(adm.lambda.to_bits(), cold.lambda.to_bits());
     assert_eq!(planner.memo_stats().hits, 2);
-}
-
-/// `track_repair` keeps a master router repaired in place by `apply_delta`
-/// and asserts its table fingerprint equals a fresh rebuild on every
-/// publish — the PR 7 equivalence discipline as a service invariant (the
-/// assert lives inside `publish_delta`; this test drives it through a
-/// down/up cycle).
-#[test]
-fn track_repair_crosschecks_delta_equivalence() {
-    let config = PlannerConfig {
-        track_repair: true,
-        ..cfg()
-    };
-    let planner = Planner::with_config(net(), config);
-    let gen0_fp = planner.latest().topology_fingerprint();
-    let cable = failures::fabric_cables(planner.latest().network(), None)[0];
-    let failed = planner.publish_delta(&down(cable)).expect("publish");
-    let repair = failed.repair.expect("track_repair records delta stats");
-    assert!(!repair.full_rebuild, "cable churn must take the delta path");
-    let restored = planner.publish_delta(&up(cable)).expect("publish");
-    assert!(restored.repair.is_some());
-    // Down + up round-trips the topology fingerprint to the seed's.
-    assert_eq!(restored.topology_fp, gen0_fp);
 }
 
 /// Batch admission pins one generation and solves each *distinct* matrix
