@@ -17,8 +17,8 @@
 //!   routing; flows larger than or equal to 1 GB ... multipath").
 
 use pnet_htsim::CcAlgo;
-use pnet_routing::{flow_hash, hash_plane, hash_select, host_route, Path, Router};
-use pnet_topology::{HostId, LinkId, Network, PlaneId};
+use pnet_routing::{flow_hash, hash_plane, hash_select, host_route, tie_rotated, Path, Router};
+use pnet_topology::{HostId, LinkId, Network, PlaneId, RackId};
 
 /// A path-selection policy.
 #[derive(Debug, Clone)]
@@ -79,8 +79,6 @@ pub struct PathSelector {
     router: Router,
     policy: PathPolicy,
     rr: u64,
-    /// When set (by [`PathPolicy::Pinned`]), only these planes are usable.
-    pinned: Option<Vec<PlaneId>>,
 }
 
 impl PathSelector {
@@ -92,7 +90,6 @@ impl PathSelector {
             router,
             policy,
             rr: 0,
-            pinned: None,
         }
     }
 
@@ -120,206 +117,198 @@ impl PathSelector {
         flow_id: u64,
         size_bytes: u64,
     ) -> (Vec<Vec<LinkId>>, CcAlgo) {
-        let policy = self.policy.clone();
-        self.select_with(&policy, net, src, dst, flow_id, size_bytes)
+        let flow = Flow {
+            router: &self.router,
+            net,
+            src,
+            dst,
+            ra: net.rack_of_host(src),
+            rb: net.rack_of_host(dst),
+            hash: flow_hash(src, dst, flow_id),
+            pinned: None,
+        };
+        let (routes, cc) = flow.place(&self.policy, &mut self.rr, size_bytes);
+        assert!(!routes.is_empty(), "no usable route {src}->{dst}");
+        (routes, cc)
     }
+}
 
-    fn select_with(
-        &mut self,
-        policy: &PathPolicy,
-        net: &Network,
-        src: HostId,
-        dst: HostId,
-        flow_id: u64,
+/// One flow being placed: the fabric, the flow's endpoints and hash, and the
+/// planes its policy may use. Route-table path sets are read in place; only
+/// the host routes handed back are built.
+#[derive(Clone, Copy)]
+struct Flow<'a> {
+    router: &'a Router,
+    net: &'a Network,
+    src: HostId,
+    dst: HostId,
+    ra: RackId,
+    rb: RackId,
+    hash: u64,
+    /// When set (by [`PathPolicy::Pinned`]), only these planes are usable.
+    pinned: Option<&'a [u16]>,
+}
+
+impl<'a> Flow<'a> {
+    fn place(
+        self,
+        policy: &'a PathPolicy,
+        rr: &mut u64,
         size_bytes: u64,
     ) -> (Vec<Vec<LinkId>>, CcAlgo) {
-        let (ra, rb) = (net.rack_of_host(src), net.rack_of_host(dst));
-        let h = flow_hash(src, dst, flow_id);
+        let (ra, rb, h) = (self.ra, self.rb, self.hash);
         match policy {
             PathPolicy::EcmpHash => {
-                let plane = self.usable_plane(net, src, dst, hash_plane(net.n_planes(), h));
-                let path = self.single_path_in(net, plane, ra, rb, h);
-                (self.expand(net, src, dst, &[path]), CcAlgo::Reno)
+                let plane = self.usable_plane(hash_plane(self.net.n_planes(), h));
+                (self.single_route_in(plane), CcAlgo::Reno)
             }
             PathPolicy::RoundRobin => {
-                let start = PlaneId((self.rr % net.n_planes() as u64) as u16);
-                self.rr += 1;
-                let plane = self.usable_plane(net, src, dst, start);
-                let path = self.single_path_in(net, plane, ra, rb, h);
-                (self.expand(net, src, dst, &[path]), CcAlgo::Reno)
+                let start = PlaneId((*rr % self.net.n_planes() as u64) as u16);
+                *rr += 1;
+                (self.single_route_in(self.usable_plane(start)), CcAlgo::Reno)
             }
-            PathPolicy::ShortestPlane => {
-                let path = self.shortest_plane_path(net, src, dst, ra, rb, h);
-                (self.expand(net, src, dst, &[path]), CcAlgo::Reno)
-            }
+            PathPolicy::ShortestPlane => (self.shortest_plane_route(), CcAlgo::Reno),
             PathPolicy::MultipathKsp { k } => {
-                let paths = if ra == rb {
-                    self.usable_planes(net, src, dst)
-                        .into_iter()
-                        .map(Path::intra_rack)
-                        .collect()
-                } else {
-                    // Wide fetch, per-flow hash rotation of equal-cost ties,
-                    // then truncate: flows between the same racks get
-                    // *different* shortest-path subsets.
-                    let mut ps = self.router.k_best_across_planes(ra, rb, 2 * *k);
-                    ps.retain(|p| self.plane_usable(net, src, dst, p.plane));
-                    pnet_routing::rotate_ties(&mut ps, h);
-                    ps.truncate(*k);
-                    ps
-                };
-                assert!(!paths.is_empty(), "no usable path {src}->{dst}");
-                (self.expand(net, src, dst, &paths), CcAlgo::Lia)
+                if ra == rb {
+                    return (self.intra_rack_routes(), CcAlgo::Lia);
+                }
+                // Wide fetch, per-flow hash rotation of equal-cost ties,
+                // then truncate: flows between the same racks get
+                // *different* shortest-path subsets.
+                let mut ps = self.router.k_best_across_planes(ra, rb, 2 * *k);
+                ps.retain(|p| self.plane_usable(p.plane));
+                let best = tie_rotated(&ps, h).take(*k);
+                (
+                    best.filter_map(|i| self.route(&ps[i])).collect(),
+                    CcAlgo::Lia,
+                )
             }
             PathPolicy::PlaneKsp { per_plane } => {
-                let mut paths = Vec::new();
-                for plane in self.usable_planes(net, src, dst) {
-                    if ra == rb {
-                        paths.push(Path::intra_rack(plane));
-                        continue;
-                    }
-                    let set = self.router.paths_in_plane(plane, ra, rb);
-                    let mut v: Vec<Path> = set.to_vec();
-                    pnet_routing::rotate_ties(&mut v, h ^ plane.0 as u64);
-                    paths.extend(v.into_iter().take(*per_plane));
+                if ra == rb {
+                    return (self.intra_rack_routes(), CcAlgo::Lia);
                 }
-                assert!(!paths.is_empty(), "no usable path {src}->{dst}");
-                (self.expand(net, src, dst, &paths), CcAlgo::Lia)
+                let mut routes = Vec::new();
+                for plane in self.usable_planes() {
+                    let set = self.router.paths_in_plane(plane, ra, rb);
+                    let best = tie_rotated(&set, h ^ plane.0 as u64).take(*per_plane);
+                    routes.extend(best.filter_map(|i| self.route(&set[i])));
+                }
+                (routes, CcAlgo::Lia)
             }
             PathPolicy::DisjointPerPlane { per_plane } => {
-                let mut paths = Vec::new();
-                for plane in self.usable_planes(net, src, dst) {
-                    if ra == rb {
-                        paths.push(Path::intra_rack(plane));
-                        continue;
-                    }
-                    let pg = &self.router.plane_graphs()[plane.index()];
-                    paths.extend(pnet_routing::edge_disjoint_paths(pg, ra, rb, *per_plane));
+                if ra == rb {
+                    return (self.intra_rack_routes(), CcAlgo::Lia);
                 }
-                assert!(!paths.is_empty(), "no usable path {src}->{dst}");
-                (self.expand(net, src, dst, &paths), CcAlgo::Lia)
+                let graphs = self.router.plane_graphs();
+                let mut routes = Vec::new();
+                for plane in self.usable_planes() {
+                    let pg = &graphs[plane.index()];
+                    let paths = pnet_routing::edge_disjoint_paths(pg, ra, rb, *per_plane);
+                    routes.extend(paths.iter().filter_map(|p| self.route(p)));
+                }
+                (routes, CcAlgo::Lia)
             }
             PathPolicy::SizeThreshold {
                 cutoff_bytes,
                 small,
                 large,
             } => {
-                if size_bytes <= *cutoff_bytes {
-                    self.select_with(small, net, src, dst, flow_id, size_bytes)
+                let inner = if size_bytes <= *cutoff_bytes {
+                    small
                 } else {
-                    self.select_with(large, net, src, dst, flow_id, size_bytes)
-                }
+                    large
+                };
+                self.place(inner, rr, size_bytes)
             }
             PathPolicy::Pinned { planes, inner } => {
                 assert!(!planes.is_empty(), "Pinned needs at least one plane");
-                let saved = self.pinned.take();
-                self.pinned = Some(planes.iter().map(|&p| PlaneId(p)).collect());
-                let result = self.select_with(inner, net, src, dst, flow_id, size_bytes);
-                self.pinned = saved;
-                result
+                let pinned = Flow {
+                    pinned: Some(planes),
+                    ..self
+                };
+                pinned.place(inner, rr, size_bytes)
             }
         }
     }
 
-    /// A single path within `plane` (intra-rack or hash-selected among the
-    /// plane's candidates).
-    fn single_path_in(
-        &mut self,
-        _net: &Network,
-        plane: PlaneId,
-        ra: pnet_topology::RackId,
-        rb: pnet_topology::RackId,
-        h: u64,
-    ) -> Path {
-        if ra == rb {
-            return Path::intra_rack(plane);
-        }
-        let set = self.router.paths_in_plane(plane, ra, rb);
-        assert!(!set.is_empty(), "no path in {plane} between {ra} and {rb}");
-        // Restrict the hash choice to the shortest tier so "single path"
-        // means "a shortest path" for every policy.
-        let best = set[0].links.len();
-        let shortest: Vec<&Path> = set.iter().filter(|p| p.links.len() == best).collect();
-        (*hash_select(&shortest, h)).clone()
+    /// The host route along `path`, if both hosts are attached to its plane.
+    fn route(&self, path: &Path) -> Option<Vec<LinkId>> {
+        host_route(self.net, self.src, self.dst, path)
     }
 
-    /// The lowest-hop path across all usable planes (ties hash-balanced).
-    fn shortest_plane_path(
-        &mut self,
-        net: &Network,
-        src: HostId,
-        dst: HostId,
-        ra: pnet_topology::RackId,
-        rb: pnet_topology::RackId,
-        h: u64,
-    ) -> Path {
-        if ra == rb {
-            let planes = self.usable_planes(net, src, dst);
-            return Path::intra_rack(planes[(h % planes.len() as u64) as usize]);
+    /// Same-rack flows: one up-down route through every usable plane's ToR.
+    fn intra_rack_routes(&self) -> Vec<Vec<LinkId>> {
+        let planes = self.usable_planes();
+        let routes = planes.map(|plane| self.route(&Path::intra_rack(plane)));
+        routes.flatten().collect()
+    }
+
+    /// A single route within `plane`: intra-rack, or hash-selected among the
+    /// plane's shortest paths, so "single path" means "a shortest path" for
+    /// every policy.
+    fn single_route_in(&self, plane: PlaneId) -> Vec<Vec<LinkId>> {
+        if self.ra == self.rb {
+            return self.route(&Path::intra_rack(plane)).into_iter().collect();
         }
-        let mut best: Vec<Path> = Vec::new();
-        let mut best_len = usize::MAX;
-        for plane in net.planes() {
-            if !self.plane_usable(net, src, dst, plane) {
-                continue;
-            }
-            let set = self.router.paths_in_plane(plane, ra, rb);
-            if let Some(p) = set.first() {
-                match p.links.len().cmp(&best_len) {
-                    std::cmp::Ordering::Less => {
-                        best_len = p.links.len();
-                        best = set
-                            .iter()
-                            .filter(|q| q.links.len() == best_len)
-                            .cloned()
-                            .collect();
-                    }
-                    std::cmp::Ordering::Equal => {
-                        best.extend(set.iter().filter(|q| q.links.len() == best_len).cloned());
-                    }
-                    std::cmp::Ordering::Greater => {}
-                }
-            }
+        let set = self.router.paths_in_plane(plane, self.ra, self.rb);
+        let route = shortest_tier(&set).and_then(|tier| self.route(hash_select(tier, self.hash)));
+        route.into_iter().collect()
+    }
+
+    /// The lowest-hop route across all usable planes (ties hash-balanced).
+    fn shortest_plane_route(&self) -> Vec<Vec<LinkId>> {
+        if self.ra == self.rb {
+            let planes: Vec<PlaneId> = self.usable_planes().collect();
+            let plane = *hash_select(&planes, self.hash);
+            return self.route(&Path::intra_rack(plane)).into_iter().collect();
         }
-        assert!(!best.is_empty(), "no usable path {src}->{dst}");
-        hash_select(&best, h).clone()
+        let sets: Vec<_> = self
+            .usable_planes()
+            .map(|plane| self.router.paths_in_plane(plane, self.ra, self.rb))
+            .collect();
+        // Every plane's shortest tier that is as short as the best plane's,
+        // in plane order.
+        let tiers = sets.iter().filter_map(|set| shortest_tier(set));
+        let best_len = tiers.clone().map(|tier| tier[0].links.len()).min();
+        let ties: Vec<&Path> = tiers
+            .filter(|tier| Some(tier[0].links.len()) == best_len)
+            .flatten()
+            .collect();
+        if ties.is_empty() {
+            return Vec::new();
+        }
+        let route = self.route(hash_select::<&Path>(&ties, self.hash));
+        route.into_iter().collect()
     }
 
     /// Planes where both hosts have live uplinks.
-    fn usable_planes(&self, net: &Network, src: HostId, dst: HostId) -> Vec<PlaneId> {
-        net.planes()
-            .filter(|&p| self.plane_usable(net, src, dst, p))
-            .collect()
+    fn usable_planes(&self) -> impl Iterator<Item = PlaneId> + '_ {
+        self.net.planes().filter(|&p| self.plane_usable(p))
     }
 
-    fn plane_usable(&self, net: &Network, src: HostId, dst: HostId, plane: PlaneId) -> bool {
-        if let Some(pinned) = &self.pinned {
-            if !pinned.contains(&plane) {
-                return false;
-            }
-        }
-        net.host_uplink(src, plane).is_some() && net.host_uplink(dst, plane).is_some()
+    fn plane_usable(&self, plane: PlaneId) -> bool {
+        self.pinned.is_none_or(|planes| planes.contains(&plane.0))
+            && self.net.host_uplink(self.src, plane).is_some()
+            && self.net.host_uplink(self.dst, plane).is_some()
     }
 
     /// `preferred` if usable, otherwise the next usable plane (failure
     /// masking: "end hosts can quickly detect individual dataplane failures
     /// via link status and avoid using the broken dataplane(s)").
-    fn usable_plane(&self, net: &Network, src: HostId, dst: HostId, preferred: PlaneId) -> PlaneId {
-        let n = net.n_planes();
+    fn usable_plane(&self, preferred: PlaneId) -> PlaneId {
+        let n = self.net.n_planes();
         (0..n)
             .map(|off| PlaneId((preferred.0 + off) % n))
-            .find(|&p| self.plane_usable(net, src, dst, p))
+            .find(|&p| self.plane_usable(p))
             .expect("invariant: assembled multi-plane networks keep every host pair connected")
     }
+}
 
-    fn expand(&self, net: &Network, src: HostId, dst: HostId, paths: &[Path]) -> Vec<Vec<LinkId>> {
-        let routes: Vec<Vec<LinkId>> = paths
-            .iter()
-            .filter_map(|p| host_route(net, src, dst, p))
-            .collect();
-        assert!(!routes.is_empty(), "no expandable route {src}->{dst}");
-        routes
-    }
+/// The leading run of equally short paths of a shortest-first set.
+fn shortest_tier(set: &[Path]) -> Option<&[Path]> {
+    let best = set.first()?.links.len();
+    let end = set.iter().take_while(|p| p.links.len() == best).count();
+    Some(&set[..end])
 }
 
 #[cfg(test)]

@@ -100,25 +100,33 @@ pub fn reverse_route(route: &[LinkId]) -> Vec<LinkId> {
     route.iter().rev().map(|l| l.reverse()).collect()
 }
 
-/// Rotate each equal-length tier of a sorted path list by `hash`, so that
+/// Positions of a shortest-first path list in *tie-rotated* order: each
+/// equal-length tier rotated left by `hash` modulo its size, so that
 /// different flows pick *different* (but still shortest-first) path subsets.
 /// Without this, deterministic KSP ordering funnels every flow between the
 /// same racks through the same lexicographically-first paths — the opposite
 /// of what a hashing path manager (ECMP, MPTCP subflow setup) does.
+pub fn tie_rotated(paths: &[Path], hash: u64) -> impl Iterator<Item = usize> + '_ {
+    // The tier `start..end` holding the position being emitted.
+    let (mut start, mut end) = (0, 0);
+    (0..paths.len()).map(move |i| {
+        if i == end {
+            let len = paths[i].links.len();
+            let tier = paths[i..].iter().take_while(|p| p.links.len() == len);
+            (start, end) = (i, i + tier.count());
+        }
+        let n = end - start;
+        start + (i - start + (hash % n as u64) as usize) % n
+    })
+}
+
+/// Reorder a shortest-first path list into [`tie_rotated`] order.
 pub fn rotate_ties(paths: &mut [Path], hash: u64) {
-    let mut start = 0;
-    while start < paths.len() {
-        let len = paths[start].links.len();
-        let mut end = start + 1;
-        while end < paths.len() && paths[end].links.len() == len {
-            end += 1;
-        }
-        let group = &mut paths[start..end];
-        let n = group.len();
-        if n > 1 {
-            group.rotate_left((hash % n as u64) as usize);
-        }
-        start = end;
+    let order: Vec<usize> = tie_rotated(paths, hash).collect();
+    let hollow = |p: &mut Path| std::mem::replace(p, Path::intra_rack(p.plane));
+    let mut old: Vec<Path> = paths.iter_mut().map(hollow).collect();
+    for (slot, from) in paths.iter_mut().zip(order) {
+        *slot = hollow(&mut old[from]);
     }
 }
 

@@ -11,6 +11,10 @@
 //! multi-plane [`Network`] adjacency on every traversal.
 
 use pnet_topology::{LinkId, Network, NodeId, NodeKind, PlaneId, RackId};
+use std::sync::OnceLock;
+
+/// [`PlaneGraph::hops_to`] entry of a switch with no path to the target.
+pub const UNREACHABLE: u16 = u16::MAX;
 
 /// Switch-level graph of a single plane. Only *up* links are included, so a
 /// graph built after failure injection reflects the failures (rebuild after
@@ -36,6 +40,11 @@ pub struct PlaneGraph {
     /// Exclusive upper bound on the link ids appearing in this plane graph
     /// (sizes the per-link scratch arrays of [`crate::scratch::RouteScratch`]).
     link_bound: u32,
+    /// Hop count of every ordered switch pair, target-major: entry
+    /// `t * n + v` is the length of the shortest `v -> t` path. Filled by the
+    /// first [`PlaneGraph::hops_to`], so a snapshot nobody routes on (the
+    /// solver's per-solve graphs) never pays for it.
+    hops: OnceLock<Vec<u16>>,
 }
 
 impl PlaneGraph {
@@ -96,6 +105,7 @@ impl PlaneGraph {
             packed,
             tor_of_rack,
             link_bound,
+            hops: OnceLock::new(),
         }
     }
 
@@ -168,6 +178,44 @@ impl PlaneGraph {
         out.extend(self.packed.iter().map(|&(_, l)| weight[l.index()]));
     }
 
+    /// Exact hop count from every switch to `target` (both dense indices):
+    /// `hops_to(t)[v]` is the length of the shortest `v -> t` path over up
+    /// links, [`UNREACHABLE`] if there is none. Directions are kept apart, so
+    /// a cable with one direction down is handled. The whole table — one BFS
+    /// per switch, `n²` `u16`s — is built by the first call on this snapshot.
+    pub fn hops_to(&self, target: usize) -> &[u16] {
+        let n = self.n_switches();
+        let table = self.hops.get_or_init(|| self.all_pairs_hops());
+        &table[target * n..(target + 1) * n]
+    }
+
+    fn all_pairs_hops(&self) -> Vec<u16> {
+        let n = self.n_switches();
+        assert!(n <= UNREACHABLE as usize, "hop counts are u16");
+        let mut table = vec![UNREACHABLE; n * n];
+        let mut queue: Vec<u32> = Vec::with_capacity(n);
+        // A forward BFS from `s` yields `d(s, v)` for every `v`: column `s`.
+        for s in 0..n {
+            queue.clear();
+            queue.push(s as u32);
+            table[s * n + s] = 0;
+            let mut head = 0;
+            while head < queue.len() {
+                let u = queue[head] as usize;
+                head += 1;
+                let next = table[u * n + s] + 1;
+                for &(v, _) in self.neighbors(u) {
+                    let cell = &mut table[v as usize * n + s];
+                    if *cell == UNREACHABLE {
+                        *cell = next;
+                        queue.push(v);
+                    }
+                }
+            }
+        }
+        table
+    }
+
     /// Total directed fabric links in the plane graph.
     #[inline]
     pub fn n_directed_links(&self) -> usize {
@@ -192,7 +240,56 @@ impl PlaneGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bfs::bfs_dist;
     use pnet_topology::{assemble_homogeneous, failures, FatTree, Jellyfish, LinkProfile};
+
+    /// `pg` without the directed link `l`; its reverse stays up. No cable
+    /// failure does that, but link state is per direction.
+    fn without_link(mut pg: PlaneGraph, l: LinkId) -> PlaneGraph {
+        let at = pg.packed.iter().position(|&(_, x)| x == l).unwrap();
+        pg.packed.remove(at);
+        for off in pg.offsets.iter_mut().filter(|off| **off as usize > at) {
+            *off -= 1;
+        }
+        pg.hops = OnceLock::new();
+        pg
+    }
+
+    fn assert_hops_match_bfs(pg: &PlaneGraph) {
+        for s in 0..pg.n_switches() {
+            for (t, &d) in bfs_dist(pg, s).iter().enumerate() {
+                let want = u16::try_from(d).unwrap_or(UNREACHABLE);
+                assert_eq!(pg.hops_to(t)[s], want, "hops {s} -> {t}");
+            }
+        }
+    }
+
+    #[test]
+    fn hops_to_is_exact_per_direction_and_marks_unreachable() {
+        let net = assemble_homogeneous(
+            &Jellyfish::new(10, 3, 1, 4),
+            1,
+            &LinkProfile::paper_default(),
+        );
+        let full = PlaneGraph::build(&net, PlaneId(0));
+        assert_hops_match_bfs(&full);
+        // One direction of one cable down: 0 -> v is a detour, v -> 0 is not.
+        let (v, l) = full.neighbors(0)[0];
+        let one_way = without_link(full, l);
+        assert_hops_match_bfs(&one_way);
+        assert_eq!(one_way.hops_to(0)[v as usize], 1);
+        assert!(one_way.hops_to(v as usize)[0] > 1, "table assumed symmetry");
+        // Every out-link of switch 0 down: it reaches nothing, all reach it.
+        let mut island = one_way;
+        while let Some(&(_, l)) = island.neighbors(0).first() {
+            island = without_link(island, l);
+        }
+        assert_hops_match_bfs(&island);
+        for t in 1..island.n_switches() {
+            assert_eq!(island.hops_to(t)[0], UNREACHABLE);
+            assert!(island.hops_to(0)[t] < 10);
+        }
+    }
 
     #[test]
     fn fat_tree_plane_graph_counts() {

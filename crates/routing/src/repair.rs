@@ -2,16 +2,16 @@
 //! and delta bookkeeping behind [`crate::Router::apply_delta`].
 //!
 //! The index answers "which cached route-table slots have a path through
-//! this cable?" in one CSR row scan. Slots are *noted* whenever a path set is
-//! committed to the route table; notes append to a staged list and are
-//! compacted into CSR form (counting sort by cable) lazily, at the start of
-//! each delta application. Every commit bumps the slot's generation, which
-//! invalidates every older posting for that slot — stale postings are
-//! filtered on query and dropped at the next compaction, so the index never
-//! needs a scatter-delete.
+//! this cable?" in one CSR row scan. A commit to the route table only *notes*
+//! its slot (four bytes); the slot's cables are read off its committed path
+//! set when the notes are compacted into CSR form (counting sort by cable),
+//! lazily, at the start of each delta application — a table that never sees
+//! a delta never pays for the index. Every commit bumps the slot's
+//! generation, which invalidates every older posting for that slot — stale
+//! postings are filtered on query and dropped at the next compaction, so the
+//! index never needs a scatter-delete.
 
 use crate::path::Path;
-use crate::plane_graph::PlaneGraph;
 use pnet_topology::LinkId;
 use std::sync::Arc;
 
@@ -77,41 +77,27 @@ pub(crate) struct LinkIndex {
     /// cable `c` live at `postings[offsets[c]..offsets[c + 1]]`. Empty until
     /// the first compaction.
     offsets: Vec<u32>,
-    /// Compacted postings: `(slot, generation at noting)`.
+    /// Compacted postings: `(slot, generation at compaction)`.
     postings: Vec<(u32, u32)>,
-    /// Postings noted since the last compaction: `(cable index, slot, gen)`.
-    staged: Vec<(u32, u32, u32)>,
+    /// Slots committed since the last compaction.
+    staged: Vec<u32>,
 }
 
 impl LinkIndex {
-    /// Record that `slot` was just committed with `paths` at generation
-    /// `gen`, superseding every posting of an older generation.
-    pub(crate) fn note(&mut self, slot: u32, gen: u32, paths: &[Path]) {
-        let mut cables: Vec<u32> = paths
-            .iter()
-            .flat_map(|p| p.links.iter().map(|l| l.0 >> 1))
-            .collect();
-        cables.sort_unstable();
-        cables.dedup();
-        self.staged
-            .extend(cables.into_iter().map(|c| (c, slot, gen)));
+    /// Record that `slot` was just committed: its postings are superseded by
+    /// those of its new path set at the next compaction.
+    pub(crate) fn note(&mut self, slot: u32) {
+        self.staged.push(slot);
     }
 
-    /// Room for the notes of a bulk commit of `sets`, in one step (an upper
-    /// bound: every link counted). Grown by doubling, the list leaves its old
-    /// half behind as a hole — 5.5 MB of peak RSS on a 64-ToR all-pairs fill.
-    pub(crate) fn reserve(&mut self, sets: &[Vec<Path>]) {
-        let links = sets.iter().flatten().map(|p| p.links.len()).sum();
-        self.staged.reserve(links);
-    }
-
-    /// Fold staged postings into the CSR rows, dropping stale generations.
+    /// Fold the noted slots' cables into the CSR rows, dropping stale
+    /// generations.
     pub(crate) fn compact(&mut self, slots: &[Slot]) {
         if self.staged.is_empty() {
             return;
         }
-        // Survivors of the old rows first (in row order), then the staged
-        // notes (in noting order): a stable counting sort by cable.
+        // Survivors of the old rows first (in row order), then the noted
+        // slots (in slot order): a stable counting sort by cable.
         let live = |slot: u32, g: u32| slots[slot as usize].gen == g;
         let mut merged: Vec<(u32, u32, u32)> = Vec::new();
         for (c, row) in self.offsets.windows(2).enumerate() {
@@ -121,8 +107,19 @@ impl LinkIndex {
                 }
             }
         }
-        let staged = std::mem::take(&mut self.staged);
-        merged.extend(staged.into_iter().filter(|&(_, slot, g)| live(slot, g)));
+        let mut staged = std::mem::take(&mut self.staged);
+        staged.sort_unstable();
+        staged.dedup();
+        let mut cables: Vec<u32> = Vec::new();
+        for slot in staged {
+            let cell = &slots[slot as usize];
+            let paths = cell.paths.iter().flat_map(|set| set.iter());
+            cables.clear();
+            cables.extend(paths.flat_map(|p| p.links.iter().map(|l| l.0 >> 1)));
+            cables.sort_unstable();
+            cables.dedup();
+            merged.extend(cables.iter().map(|&c| (c, slot, cell.gen)));
+        }
         let n_cables = merged.iter().map(|&(c, _, _)| c as usize + 1).max();
         let mut counts = vec![0u32; n_cables.unwrap_or(0) + 1];
         for &(c, _, _) in &merged {
@@ -160,25 +157,6 @@ impl LinkIndex {
     }
 }
 
-/// Hop distances from `src` (dense index) to every switch of the plane —
-/// the link-up repair bound runs two of these per restored cable.
-pub(crate) fn bfs_hop_dists(pg: &PlaneGraph, src: usize) -> Vec<u32> {
-    let mut dist = vec![u32::MAX; pg.n_switches()];
-    let mut queue = std::collections::VecDeque::with_capacity(pg.n_switches());
-    dist[src] = 0;
-    queue.push_back(src as u32);
-    while let Some(u) = queue.pop_front() {
-        let du = dist[u as usize];
-        for &(v, _) in pg.neighbors(u as usize) {
-            if dist[v as usize] == u32::MAX {
-                dist[v as usize] = du + 1;
-                queue.push_back(v);
-            }
-        }
-    }
-    dist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,10 +169,13 @@ mod tests {
         }
     }
 
-    /// What the router's commit does: bump the slot's generation, note it.
+    /// What the router's commit does: store the set, bump the generation,
+    /// note the slot.
     fn commit(idx: &mut LinkIndex, slots: &mut [Slot], slot: u32, paths: &[Path]) {
-        slots[slot as usize].gen += 1;
-        idx.note(slot, slots[slot as usize].gen, paths);
+        let cell = &mut slots[slot as usize];
+        cell.paths = Some(Arc::new(paths.to_vec()));
+        cell.gen += 1;
+        idx.note(slot);
     }
 
     #[test]

@@ -39,9 +39,9 @@
 use crate::bfs;
 use crate::exec::Parallelism;
 use crate::path::{sort_paths, Path};
-use crate::plane_graph::PlaneGraph;
+use crate::plane_graph::{PlaneGraph, UNREACHABLE};
 pub use crate::repair::DeltaStats;
-use crate::repair::{bfs_hop_dists, Fnv, LinkIndex, Slot};
+use crate::repair::{Fnv, LinkIndex, Slot};
 use crate::yen;
 use pnet_topology::{LinkDelta, LinkId, Network, PlaneId, RackId};
 use std::collections::BTreeSet;
@@ -123,12 +123,12 @@ impl State {
         }
     }
 
-    /// Store `paths` in `slot` (overwriting) and index its cables.
+    /// Store `paths` in `slot` (overwriting) and note it for the cable index.
     fn commit(&mut self, slot: usize, paths: Vec<Path>) -> Arc<Vec<Path>> {
         let arc = Arc::new(paths);
         let cell = &mut self.slots[slot];
         cell.gen = cell.gen.wrapping_add(1);
-        self.index.note(slot as u32, cell.gen, &arc);
+        self.index.note(slot as u32);
         if cell.paths.replace(Arc::clone(&arc)).is_none() {
             self.entries += 1;
         }
@@ -336,7 +336,6 @@ impl Router {
             if !Arc::ptr_eq(&st.planes, &planes) {
                 continue; // results are stale against the new snapshot
             }
-            st.index.reserve(&computed);
             for (slot, paths) in todo.into_iter().zip(computed) {
                 if st.slots[slot].paths.is_none() {
                     st.commit(slot, paths);
@@ -400,17 +399,16 @@ impl Router {
     /// "low-latency" interface selects this plane for small RPCs). Ties go
     /// to the lowest plane id. `None` if no plane connects the racks.
     pub fn shortest_plane(&self, src: RackId, dst: RackId) -> Option<(PlaneId, usize)> {
-        let mut best: Option<(PlaneId, usize)> = None;
-        for plane in 0..self.n_planes() {
-            let paths = self.paths_in_plane(PlaneId(plane as u16), src, dst);
-            if let Some(p) = paths.first() {
-                let hops = p.switch_hops();
-                if best.is_none_or(|(_, b)| hops < b) {
-                    best = Some((PlaneId(plane as u16), hops));
-                }
-            }
-        }
-        best
+        // Read off the hop tables; no path set is computed or cached.
+        let reach = |pg: &PlaneGraph| {
+            let hops = pg.hops_to(pg.tor(dst))[pg.tor(src)];
+            (hops != UNREACHABLE).then_some((pg.plane, usize::from(hops) + 1))
+        };
+        let planes = self.plane_graphs();
+        planes
+            .iter()
+            .filter_map(reach)
+            .min_by_key(|&(_, hops)| hops)
     }
 
     /// Repair the route table for a link delta: `net` must already reflect
@@ -422,8 +420,8 @@ impl Router {
     ///   committed path set traverses it (inverted-index lookup) change;
     /// * an *up* cable can only add paths through itself, so an entry can
     ///   change only if the best possible new path — bounded below by
-    ///   `min(d(s,u) + 1 + d(v, t), d(s,v) + 1 + d(u, t))` from two hop-BFS
-    ///   runs off the cable's endpoints — is at most the entry's current
+    ///   `min(d(s,u) + 1 + d(v,t), d(s,v) + 1 + d(u,t))`, read off the rebuilt
+    ///   plane's hop table — is at most the entry's current
     ///   k-th (KSP) or first (ECMP) path length (ties included: an
     ///   equal-length path can displace by the canonical order), or the
     ///   entry holds fewer than its limit of paths.
@@ -467,8 +465,7 @@ impl Router {
             let (Some(du), Some(dv)) = (pg.dense(link.src), pg.dense(link.dst)) else {
                 continue; // host attachment cable: rack-level routing unaffected
             };
-            let dist_u = bfs_hop_dists(pg, du);
-            let dist_v = bfs_hop_dists(pg, dv);
+            let (to_u, to_v) = (pg.hops_to(du), pg.hops_to(dv));
             let racks = st.racks as u32;
             for (s, d) in (0..racks).flat_map(|s| (0..racks).map(move |d| (s, d))) {
                 let slot = slot_of(st.racks, link.plane, RackId(s), RackId(d));
@@ -476,9 +473,10 @@ impl Router {
                     continue;
                 };
                 let (ts, td) = (pg.tor(RackId(s)), pg.tor(RackId(d)));
-                // An unreachable end is `u32::MAX` hops away: longer than any path.
-                let via = |a: &[u32], b: &[u32]| u64::from(a[ts]) + 1 + u64::from(b[td]);
-                let lb = via(&dist_u, &dist_v).min(via(&dist_v, &dist_u));
+                // An unreachable end is `UNREACHABLE` hops away: longer than any path.
+                let to_t = pg.hops_to(td);
+                let via = |to_near: &[u16], far| u32::from(to_near[ts]) + 1 + u32::from(to_t[far]);
+                let lb = via(to_u, dv).min(via(to_v, du));
                 // The kept path a new one must beat or tie: KSP's longest,
                 // ECMP's (all equal) first. A set below its limit takes any.
                 let bar = match self.algo {
@@ -486,7 +484,7 @@ impl Router {
                     RouteAlgo::Ecmp { .. } => paths.first(),
                 };
                 let full = paths.len() >= limit;
-                if bar.is_none_or(|p| !full || lb <= p.links.len() as u64) {
+                if bar.is_none_or(|p| !full || lb as usize <= p.links.len()) {
                     affected.push(slot);
                 }
             }

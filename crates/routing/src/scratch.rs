@@ -19,6 +19,10 @@
 use pnet_topology::LinkId;
 use std::cell::RefCell;
 
+/// One step of a stored path: a link and the switch it leads to. Hops order
+/// by link id (a link has one head), so hop slices order like link sequences.
+pub(crate) type Hop = (LinkId, u32);
+
 /// Per-worker traversal scratch. All arrays are epoch-stamped; `begin_*`
 /// methods start a fresh logical state in O(1).
 #[derive(Debug, Default)]
@@ -36,6 +40,8 @@ pub struct RouteScratch {
     link_ban: Vec<u32>,
     // --- FIFO queue storage reused across BFS calls. ----------------------
     pub(crate) queue: Vec<u32>,
+    // --- Path storage of one Yen call (accepted paths and candidates). ----
+    pub(crate) arena: Vec<Hop>,
 }
 
 impl RouteScratch {

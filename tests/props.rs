@@ -7,8 +7,8 @@ use pnet::flowsim::{commodity, mcf, Commodity};
 use pnet::htsim::{run_to_completion, CcAlgo, FlowSpec, SimConfig, Simulator};
 use pnet::routing::{self, bfs, ksp, Parallelism, PlaneGraph, RouteAlgo, Router};
 use pnet::topology::{
-    assemble_homogeneous, failures, ChurnEvent, ChurnSchedule, FatTree, HostId, Jellyfish,
-    LinkProfile, Network, PlaneId, RackId, Xpander,
+    assemble_homogeneous, failures, ChurnEvent, ChurnSchedule, FatTree, HostId, Jellyfish, LinkId,
+    LinkProfile, Network, NodeKind, PlaneId, RackId, Xpander,
 };
 use pnet::workloads::sizes::EmpiricalCdf;
 
@@ -97,6 +97,163 @@ fn small_jellyfish(seed: u64) -> Network {
         2,
         &LinkProfile::paper_default(),
     )
+}
+
+/// Every simple ToR-to-ToR path of the plane by exhaustive DFS, sorted by
+/// (length, link ids): the canonical sequence `ksp` must emit a prefix of.
+fn brute_force_paths(pg: &PlaneGraph, src: RackId, dst: RackId) -> Vec<Vec<LinkId>> {
+    fn dfs(
+        pg: &PlaneGraph,
+        u: usize,
+        t: usize,
+        seen: &mut [bool],
+        stack: &mut Vec<LinkId>,
+        out: &mut Vec<Vec<LinkId>>,
+    ) {
+        if u == t {
+            out.push(stack.clone());
+            return;
+        }
+        for &(v, l) in pg.neighbors(u) {
+            let v = v as usize;
+            if !seen[v] {
+                seen[v] = true;
+                stack.push(l);
+                dfs(pg, v, t, seen, stack, out);
+                stack.pop();
+                seen[v] = false;
+            }
+        }
+    }
+    let (s, t) = (pg.tor(src), pg.tor(dst));
+    let mut seen = vec![false; pg.n_switches()];
+    seen[s] = true;
+    let mut all = Vec::new();
+    dfs(pg, s, t, &mut seen, &mut Vec::new(), &mut all);
+    all.sort_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
+    all
+}
+
+/// `ksp` returns exactly the first `k` entries of the brute-force list, link
+/// for link; returns how many simple paths there are.
+fn assert_ksp_is_canonical(pg: &PlaneGraph, src: RackId, dst: RackId, k: usize) -> usize {
+    let yen: Vec<Vec<LinkId>> = ksp(pg, src, dst, k).into_iter().map(|p| p.links).collect();
+    let brute = brute_force_paths(pg, src, dst);
+    assert_eq!(
+        yen,
+        brute[..k.min(brute.len())],
+        "ksp diverged from the brute-force enumeration ({src}->{dst}, k={k})"
+    );
+    brute.len()
+}
+
+fn jellyfish_plane(tors: usize, degree: usize, seed: u64) -> PlaneGraph {
+    let net = assemble_homogeneous(
+        &Jellyfish::new(tors, degree, 1, seed),
+        1,
+        &LinkProfile::paper_default(),
+    );
+    PlaneGraph::build(&net, PlaneId(0))
+}
+
+fn fat_tree_k4() -> Network {
+    assemble_homogeneous(&FatTree::three_tier(4), 1, &LinkProfile::paper_default())
+}
+
+#[test]
+fn ksp_is_canonical_on_fixed_graphs() {
+    // Seeded Jellyfish of different degrees: different spur structures.
+    for (tors, degree, seed, dst, k) in [
+        (8, 3, 5, 5, 12),
+        (8, 3, 11, 6, 10),
+        (9, 4, 23, 4, 14),
+        (10, 3, 47, 7, 12),
+    ] {
+        assert_ksp_is_canonical(
+            &jellyfish_plane(tors, degree, seed),
+            RackId(0),
+            RackId(dst),
+            k,
+        );
+    }
+    // K far beyond the simple-path count of a sparse graph: every late round
+    // spurs at a high deviation index, and the result is every simple path.
+    let ring = jellyfish_plane(7, 2, 13);
+    let n_paths = assert_ksp_is_canonical(&ring, RackId(0), RackId(3), 64);
+    assert!((1..64).contains(&n_paths), "{n_paths} simple paths");
+    // Fat tree: same-pod, adjacent-pod and far-pod destinations; k below, at
+    // and above the equal-cost path count, where every tie-break is live.
+    let pg = PlaneGraph::build(&fat_tree_k4(), PlaneId(0));
+    for dst in [1u32, 3, 7] {
+        for k in [1usize, 4, 9, 16] {
+            assert_ksp_is_canonical(&pg, RackId(0), RackId(dst), k);
+        }
+    }
+}
+
+/// A pod left with one aggregation switch: that switch is a cut vertex, so
+/// its two racks have one simple path between them however large K is — the
+/// case on which enumerating by increasing length would walk every simple
+/// prefix of the rest of the fabric.
+#[test]
+fn ksp_behind_a_cut_vertex_returns_the_one_path() {
+    let mut net = fat_tree_k4();
+    let (agg, _) = net
+        .nodes()
+        .find(|(_, n)| n.kind == NodeKind::Agg { pod: 0 })
+        .unwrap();
+    failures::fail_switch(&mut net, agg);
+    let pg = PlaneGraph::build(&net, PlaneId(0));
+    assert_eq!(assert_ksp_is_canonical(&pg, RackId(0), RackId(1), 32), 1);
+    // The other pods are still reached, through the cut vertex.
+    assert!(assert_ksp_is_canonical(&pg, RackId(0), RackId(7), 32) >= 32);
+}
+
+#[test]
+fn ksp_to_an_unreachable_rack_is_empty() {
+    let mut net = fat_tree_k4();
+    let tor = net.tor_of_rack(RackId(5), PlaneId(0)).unwrap();
+    failures::fail_switch(&mut net, tor);
+    let pg = PlaneGraph::build(&net, PlaneId(0));
+    assert!(ksp(&pg, RackId(0), RackId(5), 8).is_empty());
+    assert!(assert_ksp_is_canonical(&pg, RackId(0), RackId(4), 8) >= 8);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Canonicity, not plausibility: on small random planes with up to 40 %
+    /// of the cables failed, `ksp` is the brute-force list's prefix for K
+    /// from 1 to beyond the number of simple paths.
+    #[test]
+    fn ksp_equals_brute_force_enumeration(
+        fat_tree: bool,
+        tors in 6usize..11,
+        seed in 0u64..1000,
+        fail in 0.0f64..0.4,
+        a in 0u32..6, b in 0u32..6,
+        k in 1usize..48,
+        beyond: bool,
+    ) {
+        prop_assume!(a != b);
+        let mut net = if fat_tree {
+            fat_tree_k4()
+        } else {
+            // Degree 3 needs an even number of switches.
+            let degree = if tors % 2 == 0 { 3 } else { 4 };
+            assemble_homogeneous(
+                &Jellyfish::new(tors, degree, 1, seed),
+                1,
+                &LinkProfile::paper_default(),
+            )
+        };
+        failures::fail_random_fraction(&mut net, fail, seed);
+        let pg = PlaneGraph::build(&net, PlaneId(0));
+        let n_paths = assert_ksp_is_canonical(&pg, RackId(a), RackId(b), k);
+        if beyond && n_paths < 400 {
+            assert_ksp_is_canonical(&pg, RackId(a), RackId(b), n_paths + 2);
+        }
+    }
 }
 
 proptest! {
