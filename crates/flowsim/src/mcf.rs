@@ -46,6 +46,14 @@ pub struct McfSolution {
     /// [`solve_warm_with_options`] after a link delta re-solves from this
     /// point instead of from the uniform δ/cₑ start.
     pub length: Vec<f64>,
+    /// Shortest-path trees (one per source and stale plane) the AnyPath
+    /// phase loop built by Dijkstra. The three counters are exact, identical
+    /// under `Serial` and `Rayon`, and 0 in `Explicit` mode.
+    pub trees_built: u64,
+    /// Trees copied from a same-shape plane holding bit-equal lengths.
+    pub trees_shared: u64,
+    /// Trees kept because none of their chains crossed a grown link.
+    pub trees_kept: u64,
 }
 
 impl McfSolution {
@@ -93,6 +101,9 @@ pub enum McfError {
     WarmArenaMismatch { expected: usize, got: usize },
     /// Warm start: the previous solution's λ is not positive.
     NonPositiveWarmLambda,
+    /// The phase loop hit its hard cap with the length mass still below 1:
+    /// a λ scored now would come from a truncated run.
+    PhaseLimit { phases: usize },
 }
 
 impl std::fmt::Display for McfError {
@@ -126,6 +137,9 @@ impl std::fmt::Display for McfError {
             ),
             McfError::NonPositiveWarmLambda => {
                 write!(f, "warm start needs a positive previous λ")
+            }
+            McfError::PhaseLimit { phases } => {
+                write!(f, "no convergence within the {phases}-phase limit")
             }
         }
     }
@@ -270,7 +284,7 @@ pub fn try_solve_with_options(
         .map(|&c| if c > 0.0 { delta / c } else { f64::INFINITY })
         .collect();
     let d_sum: f64 = m * delta; // Σ cₑ·ℓₑ over usable links
-    Ok(gk_core(
+    gk_core(
         net,
         commodities,
         &routes,
@@ -281,7 +295,8 @@ pub fn try_solve_with_options(
         length,
         d_sum,
         false,
-    ))
+        MAX_PHASES,
+    )
 }
 
 /// Relative λ tolerance the warm-started solver is held to against a cold
@@ -491,7 +506,7 @@ pub fn try_solve_warm_with_options(
         })
         .collect();
 
-    Ok(gk_core(
+    gk_core(
         net,
         commodities,
         &routes,
@@ -502,8 +517,13 @@ pub fn try_solve_warm_with_options(
         length,
         d_sum,
         true,
-    ))
+        MAX_PHASES,
+    )
 }
+
+/// Hard cap on phases: generous versus the theoretical bound; stops a runaway
+/// loop on degenerate inputs with [`McfError::PhaseLimit`].
+const MAX_PHASES: usize = 200_000;
 
 /// The shared Fleischer phase loop + congestion rescale: everything after
 /// the start point (`length`, its mass `d_sum`, and the demand pre-scale) is
@@ -521,13 +541,11 @@ fn gk_core(
     mut length: Vec<f64>,
     mut d_sum: f64,
     complete_last_phase: bool,
-) -> McfSolution {
+    max_phases: usize,
+) -> Result<McfSolution, McfError> {
     let mut flow = vec![0.0f64; caps.len()];
     let mut sent = vec![0.0f64; commodities.len()];
     let mut phases = 0usize;
-    // Hard cap: generous versus the theoretical bound; prevents runaway
-    // loops if inputs are degenerate.
-    let max_phases = 200_000;
 
     // Group commodities by source for shared oracle trees in AnyPath mode.
     let mut by_src: Vec<Vec<usize>> = vec![Vec::new(); net.n_hosts()];
@@ -580,8 +598,12 @@ fn gk_core(
     // cleared together after the refresh. Within a dirty plane, a source
     // whose recorded shortest-path chains traverse no grown link skips its
     // Dijkstra entirely (see `refresh_trees` for why that is exact).
+    //
+    // `sibling` names, per dirty plane, a same-shape plane whose trees it may
+    // copy instead (see `AnyPathOracle::siblings`), decided once per phase.
     let mut phase_w: Vec<Vec<f64>> = Vec::new();
     let mut plane_dirty: Vec<bool> = vec![true; n_planes];
+    let mut sibling: Vec<Option<usize>> = Vec::new();
     let n_words = caps.len().div_ceil(64);
     let mut grown: Vec<Vec<u64>> = vec![vec![0u64; n_words]; n_planes];
     let mut route: Vec<LinkId> = Vec::new();
@@ -615,13 +637,26 @@ fn gk_core(
         // keeps serial and parallel runs bit-identical.
         if let Routes::AnyPath(oracle) = routes {
             oracle.edge_weights(&length, &plane_dirty, &mut phase_w);
-            opts.parallelism.update_indexed(&mut phase_trees, |i, t| {
+            oracle.siblings(&phase_w, &plane_dirty, &mut sibling);
+            // A phase whose dirty planes all copy has no Dijkstra to fan out;
+            // handing 64 memcpys to the pool costs more than doing them.
+            let all_copy = plane_dirty
+                .iter()
+                .zip(&sibling)
+                .all(|(&d, s)| !d || s.is_some());
+            let par = if all_copy {
+                Parallelism::Serial
+            } else {
+                opts.parallelism
+            };
+            par.update_indexed(&mut phase_trees, |i, t| {
                 oracle.refresh_trees(
                     net,
                     HostId(sources[i] as u32),
                     &target_racks[i],
                     &phase_w,
                     &plane_dirty,
+                    &sibling,
                     &grown,
                     t,
                 )
@@ -699,6 +734,10 @@ fn gk_core(
         }
     }
 
+    if phases == max_phases && d_sum < 1.0 {
+        return Err(McfError::PhaseLimit { phases });
+    }
+
     // --- Congestion rescale to a feasible primal. --------------------------
     let score = |flow: &[f64], sent: &[f64]| -> (f64, Vec<f64>, Vec<f64>) {
         let congestion = flow
@@ -732,13 +771,17 @@ fn gk_core(
         }
     }
 
-    McfSolution {
+    let count = |f: fn(&PlaneTrees) -> u64| phase_trees.iter().map(f).sum();
+    Ok(McfSolution {
         lambda,
         phases,
         link_flow,
         rates,
         length,
-    }
+        trees_built: count(|t| t.built),
+        trees_shared: count(|t| t.shared),
+        trees_kept: count(|t| t.kept),
+    })
 }
 
 /// Shortest allowed route per commodity under unit lengths (used for demand
@@ -780,8 +823,18 @@ fn shortest_routes_unit(
                     t
                 })
                 .collect();
+            // One gather and one sibling decision serve every source; fresh
+            // bundles are invalid in every plane, so the grown bitsets are
+            // never consulted and an empty slice suffices.
+            let all = vec![true; oracle.planes.len()];
+            let (mut w, mut sibling) = (Vec::new(), Vec::new());
+            oracle.edge_weights(&unit, &all, &mut w);
+            oracle.siblings(&w, &all, &mut sibling);
             let trees: Vec<PlaneTrees> = par.map_indexed(sources.len(), |i| {
-                oracle.trees(net, HostId(sources[i]), &targets[i], &unit)
+                let mut t = oracle.empty_trees();
+                let src = HostId(sources[i]);
+                oracle.refresh_trees(net, src, &targets[i], &w, &all, &sibling, &[], &mut t);
+                t
             });
             commodities
                 .iter()
@@ -814,13 +867,15 @@ fn best_explicit<'a>(candidates: &'a [Vec<LinkId>], length: &[f64]) -> &'a [Link
 
 use pnet_routing::PlaneGraph;
 
-/// Parent sentinel: `u64::MAX` cannot encode a real (node, link) pair.
+/// Parent sentinel: `u64::MAX` cannot encode a real (node, edge) pair.
 const NO_PARENT: u64 = u64::MAX;
 
 /// One plane's tree: (dist to each dense switch, packed parent of each
-/// switch). A parent packs `(dense parent node) << 32 | link id`, or
-/// [`NO_PARENT`] at the tree root — one word instead of a 24-byte
-/// `Option<(usize, LinkId)>`, so refreshes touch less memory.
+/// switch). A parent packs `(dense parent node) << 32 | CSR edge position`
+/// ([`PlaneGraph::link_at`] names the link), or [`NO_PARENT`] at the tree
+/// root — one word instead of a 24-byte `Option<(usize, LinkId)>`, so
+/// refreshes touch less memory, and free of link ids, so a tree means the
+/// same thing on every plane of one shape.
 type PlaneTree = (Vec<f64>, Vec<u64>);
 
 /// Indexed 4-ary min-heap on `(distance bits, dense node)` with
@@ -941,6 +996,11 @@ pub struct PlaneTrees {
     /// has, there are no recorded chains to test against grown links and the
     /// Dijkstra must run unconditionally.
     valid: Vec<bool>,
+    /// Dirty-plane refreshes of this bundle by outcome, summed over sources
+    /// into [`McfSolution`]'s `trees_*` counters.
+    built: u64,
+    shared: u64,
+    kept: u64,
 }
 
 /// A solve's route source: the caller's [`PathMode`] with the AnyPath oracle
@@ -962,6 +1022,9 @@ impl<'a> Routes<'a> {
 
 struct AnyPathOracle {
     planes: Vec<PlaneGraph>,
+    /// Shape class of each plane: the lowest plane index with the same
+    /// shape ([`PlaneGraph::same_shape`]). A homogeneous P-Net is one class.
+    class: Vec<usize>,
     /// Host uplink per (host, plane), cached once: `host_uplink` scans the
     /// host's link arena slice on every call, and `best_route` asks for it
     /// several times per commodity per phase. Link state is frozen for the
@@ -974,6 +1037,13 @@ impl AnyPathOracle {
     fn new(net: &Network) -> Self {
         let planes = PlaneGraph::build_all(net);
         let n_planes = planes.len();
+        let class = (0..n_planes)
+            .map(|p| {
+                (0..p)
+                    .find(|&q| planes[q].same_shape(&planes[p]))
+                    .unwrap_or(p)
+            })
+            .collect();
         let mut uplinks = Vec::with_capacity(net.n_hosts() * n_planes);
         for h in 0..net.n_hosts() {
             for p in 0..n_planes {
@@ -982,6 +1052,7 @@ impl AnyPathOracle {
         }
         AnyPathOracle {
             planes,
+            class,
             uplinks,
             n_planes,
         }
@@ -1013,6 +1084,9 @@ impl AnyPathOracle {
             heap: DijkstraHeap::with_nodes(max_n),
             mask: vec![false; max_n],
             valid: vec![false; self.planes.len()],
+            built: 0,
+            shared: 0,
+            kept: 0,
         }
     }
 
@@ -1034,6 +1108,35 @@ impl AnyPathOracle {
         {
             pg.gather_weights(length, w);
         }
+    }
+
+    /// For every dirty plane `p`, name a plane `q` whose trees `p` may copy
+    /// instead of running Dijkstra: `q` has `p`'s shape, holds a snapshot
+    /// equal to `p`'s in every bit, and its trees are current for that
+    /// snapshot — `q` is clean, or `q < p` and so refreshed before `p` in
+    /// the same pass. The copy is exact: a plane's Dijkstra is a function of
+    /// (shape, CSR-order weights, source ToR, targets) — it pops in `(dist
+    /// bits, dense node)` order, relaxes in CSR row order, and compares no
+    /// link id — so equal inputs give equal distances and equal parent
+    /// *positions*, and a tree `q` kept rather than rebuilt is observably a
+    /// rebuilt one (see [`AnyPathOracle::refresh_trees`]). Planes that differ
+    /// in shape or lengths (heterogeneous fabrics, a failed cable, a warm
+    /// start) find no sibling at the cost of one short-circuited compare.
+    fn siblings(&self, weights: &[Vec<f64>], dirty: &[bool], out: &mut Vec<Option<usize>>) {
+        let n = self.planes.len();
+        out.clear();
+        out.extend((0..n).map(|p| {
+            (0..n).find(|&q| {
+                dirty[p]
+                    && q != p
+                    && self.class[q] == self.class[p]
+                    && (q < p || !dirty[q])
+                    && weights[p]
+                        .iter()
+                        .zip(&weights[q])
+                        .all(|(a, b)| a.to_bits() == b.to_bits())
+            })
+        }));
     }
 
     /// Dijkstra from `src`'s ToR in every plane under per-plane CSR-order
@@ -1071,6 +1174,10 @@ impl AnyPathOracle {
     /// recorded parent to displace it, but growth can only move rivals'
     /// keys (and hence their pops) later, never earlier. Only the stale
     /// never-read remainder of the arrays differs from a re-run.
+    ///
+    /// A dirty plane whose tree is not kept copies plane `sibling[p]`'s
+    /// arrays when there is one (see [`AnyPathOracle::siblings`]), and runs
+    /// Dijkstra otherwise.
     #[allow(clippy::too_many_arguments)]
     fn refresh_trees(
         &self,
@@ -1079,6 +1186,7 @@ impl AnyPathOracle {
         targets: &[RackId],
         weights: &[Vec<f64>],
         dirty: &[bool],
+        sibling: &[Option<usize>],
         grown: &[Vec<u64>],
         out: &mut PlaneTrees,
     ) {
@@ -1088,18 +1196,16 @@ impl AnyPathOracle {
             heap,
             mask,
             valid,
+            built,
+            shared,
+            kept,
         } = out;
-        for (p, ((pg, w), (dist, parent))) in self
-            .planes
-            .iter()
-            .zip(weights)
-            .zip(trees.iter_mut())
-            .enumerate()
-        {
+        for (p, pg) in self.planes.iter().enumerate() {
             if !dirty[p] {
                 continue;
             }
             if valid[p] {
+                let (dist, parent) = &trees[p];
                 let g = &grown[p];
                 let hit = targets.iter().any(|&r| {
                     let t = pg.tor(r);
@@ -1112,7 +1218,7 @@ impl AnyPathOracle {
                         if pv == NO_PARENT {
                             return false;
                         }
-                        let e = pv as u32 as usize;
+                        let e = pg.link_at(pv as u32 as usize).index();
                         if g[e >> 6] & (1u64 << (e & 63)) != 0 {
                             return true;
                         }
@@ -1120,10 +1226,23 @@ impl AnyPathOracle {
                     }
                 });
                 if !hit {
+                    *kept += 1;
                     continue;
                 }
             }
             valid[p] = true;
+            if let Some(q) = sibling[p].filter(|&q| valid[q]) {
+                let [from, to] = trees
+                    .get_disjoint_mut([q, p])
+                    .expect("invariant: a plane's sibling is another plane");
+                to.0.copy_from_slice(&from.0);
+                to.1.copy_from_slice(&from.1);
+                *shared += 1;
+                continue;
+            }
+            *built += 1;
+            let (dist, parent) = &mut trees[p];
+            let w = &weights[p];
             let s = pg.tor(rack);
             let mut remaining = 0usize;
             for &r in targets {
@@ -1150,13 +1269,14 @@ impl AnyPathOracle {
                 }
                 let d = f64::from_bits(db);
                 let row = pg.neighbors(u);
-                let wrow = &w[pg.row_start(u)..pg.row_start(u) + row.len()];
-                for (&(v, l), &wt) in row.iter().zip(wrow) {
+                let start = pg.row_start(u);
+                let wrow = &w[start..start + row.len()];
+                for (j, (&(v, _), &wt)) in row.iter().zip(wrow).enumerate() {
                     let v = v as usize;
                     let nd = d + wt;
                     if nd < dist[v] {
                         dist[v] = nd;
-                        parent[v] = ((u as u64) << 32) | l.0 as u64;
+                        parent[v] = ((u as u64) << 32) | (start + j) as u64;
                         heap.push_or_decrease(nd.to_bits(), v as u32);
                     }
                 }
@@ -1169,19 +1289,6 @@ impl AnyPathOracle {
                 }
             }
         }
-    }
-
-    /// One-shot tree bundle (allocating convenience over
-    /// [`AnyPathOracle::refresh_trees`], gathering its own weights).
-    fn trees(&self, net: &Network, src: HostId, targets: &[RackId], length: &[f64]) -> PlaneTrees {
-        let all = vec![true; self.planes.len()];
-        let mut w = Vec::new();
-        self.edge_weights(length, &all, &mut w);
-        let mut out = self.empty_trees();
-        // Fresh trees are invalid in every plane, so the grown bitsets are
-        // never consulted: an empty slice suffices.
-        self.refresh_trees(net, src, targets, &w, &all, &[], &mut out);
-        out
     }
 
     /// Best full route `src -> dst` across all planes given precomputed
@@ -1231,7 +1338,7 @@ impl AnyPathOracle {
             if pv == NO_PARENT {
                 break;
             }
-            route.push(LinkId(pv as u32));
+            route.push(pg.link_at(pv as u32 as usize));
             cur = (pv >> 32) as usize;
         }
         route[1..].reverse();
@@ -1588,6 +1695,13 @@ mod tests {
             warm.lambda,
             cold.lambda
         );
+        // Minted before trees were shared between planes (PR 16's tree): the
+        // cut plane has its own shape, so every refresh is a Dijkstra.
+        assert_eq!(warm.lambda.to_bits(), 0x421a_8b38_ef54_e9e8);
+        assert_eq!(
+            (warm.trees_built, warm.trees_shared, warm.trees_kept),
+            (1840, 0, 0)
+        );
         assert!(
             warm.phases < cold.phases,
             "warm ({}) should need fewer phases than cold ({})",
@@ -1624,8 +1738,139 @@ mod tests {
             warm.lambda,
             cold.lambda
         );
+        // Same shape again, but the carried profile differs between the
+        // planes: λ and the 1 888 refreshes are PR 16's, bit for bit.
+        assert_eq!(warm.lambda.to_bits(), 0x421a_8b81_618b_bf9a);
+        assert_eq!(warm.trees_built + warm.trees_shared, 1886);
+        assert_eq!(warm.trees_kept, 2);
         // The restored cable must be routable again in the warm solve.
         assert!(warm.length[cable.index()].is_finite());
+    }
+
+    /// Source-0 bundle on `net` under `length`, with tree sharing as the
+    /// oracle decides it (`share`) or with Dijkstra in every plane.
+    fn bundle(oracle: &AnyPathOracle, net: &Network, length: &[f64], share: bool) -> PlaneTrees {
+        let all = vec![true; oracle.planes.len()];
+        let targets: Vec<RackId> = (1..net.n_racks() as u32).map(RackId).collect();
+        let (mut w, mut sibling) = (Vec::new(), Vec::new());
+        oracle.edge_weights(length, &all, &mut w);
+        oracle.siblings(&w, &all, &mut sibling);
+        if !share {
+            sibling.fill(None);
+        }
+        let mut t = oracle.empty_trees();
+        oracle.refresh_trees(net, HostId(0), &targets, &w, &all, &sibling, &[], &mut t);
+        t
+    }
+
+    #[test]
+    fn shared_tree_equals_dijkstra_on_that_plane() {
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+        let net = assemble_homogeneous(
+            &Jellyfish::new(14, 4, 1, 3),
+            3,
+            &LinkProfile::paper_default(),
+        );
+        let oracle = AnyPathOracle::new(&net);
+        assert_eq!(oracle.class, [0, 0, 0]);
+        let n_edges = oracle.planes[0].n_directed_links();
+        let mut rng = StdRng::seed_from_u64(11);
+        // All-equal weights make every comparison a tie; small integers tie
+        // often; the rest are generic.
+        for round in 0..12 {
+            let wts: Vec<f64> = (0..n_edges)
+                .map(|_| match round {
+                    0 => 1.0,
+                    1..=3 => rng.random_range(1u32..4) as f64,
+                    _ => rng.random_range(1e-9..1.0),
+                })
+                .collect();
+            // Every plane gets the same CSR-order weights, on its own links.
+            let mut length = vec![1.0; net.n_links()];
+            for pg in &oracle.planes {
+                for (pos, &x) in wts.iter().enumerate() {
+                    length[pg.link_at(pos).index()] = x;
+                }
+            }
+            let shared = bundle(&oracle, &net, &length, true);
+            let built = bundle(&oracle, &net, &length, false);
+            assert_eq!((shared.built, shared.shared), (1, 2));
+            assert_eq!((built.built, built.shared), (3, 0));
+            for (p, pg) in oracle.planes.iter().enumerate() {
+                let chain = |t: &PlaneTrees, mut cur: usize| {
+                    let mut links = Vec::new();
+                    while t.trees[p].1[cur] != NO_PARENT {
+                        let pv = t.trees[p].1[cur];
+                        links.push(pg.link_at(pv as u32 as usize));
+                        cur = (pv >> 32) as usize;
+                    }
+                    links
+                };
+                for r in 1..net.n_racks() as u32 {
+                    let t = pg.tor(RackId(r));
+                    let (a, b) = (shared.trees[p].0[t], built.trees[p].0[t]);
+                    assert_eq!(a.to_bits(), b.to_bits(), "round {round} plane {p}");
+                    assert_eq!(chain(&shared, t), chain(&built, t), "round {round}");
+                    assert!(chain(&shared, t)
+                        .iter()
+                        .all(|&l| net.link(l).plane.0 == p as u16));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sharing_stops_at_a_shape_or_length_difference() {
+        use pnet_topology::failures;
+        let mut net = assemble_homogeneous(
+            &Jellyfish::new(14, 4, 1, 3),
+            3,
+            &LinkProfile::paper_default(),
+        );
+        let cable = failures::fabric_cables(&net, Some(PlaneId(1)))[0];
+        failures::fail_cable(&mut net, cable);
+        let oracle = AnyPathOracle::new(&net);
+        assert_eq!(oracle.class, [0, 1, 0]);
+        let unit = vec![1.0; net.n_links()];
+        let (mut w, mut sibling) = (Vec::new(), Vec::new());
+        oracle.edge_weights(&unit, &[true; 3], &mut w);
+        // Only the intact planes pair up, and only the later one copies.
+        oracle.siblings(&w, &[true; 3], &mut sibling);
+        assert_eq!(sibling, [None, None, Some(0)]);
+        // A clean plane serves a lower-numbered dirty one; a dirty one does not.
+        oracle.siblings(&w, &[true, false, false], &mut sibling);
+        assert_eq!(sibling, [Some(2), None, None]);
+        // One differing bit anywhere in the snapshot ends it.
+        let last = w[2].len() - 1;
+        w[2][last] = f64::from_bits(1.0f64.to_bits() + 1);
+        oracle.siblings(&w, &[true; 3], &mut sibling);
+        assert_eq!(sibling, [None, None, None]);
+    }
+
+    #[test]
+    fn phase_limit_is_a_typed_error() {
+        let net = assemble_homogeneous(&FatTree::three_tier(4), 1, &LinkProfile::paper_default());
+        let c = vec![Commodity::unit(HostId(0), HostId(15))];
+        let caps = link_capacities(&net);
+        let routes = Routes::new(&net, &PathMode::AnyPath);
+        let run = |max_phases| {
+            let length: Vec<f64> = caps.iter().map(|&c| 1e-30 / c).collect();
+            let d_sum = 1e-30 * caps.len() as f64;
+            let opts = McfOptions::default();
+            gk_core(
+                &net, &c, &routes, 0.1, opts, &caps, 1e9, length, d_sum, false, max_phases,
+            )
+        };
+        assert_eq!(run(3).err(), Some(McfError::PhaseLimit { phases: 3 }));
+        assert_eq!(
+            McfError::PhaseLimit { phases: 3 }.to_string(),
+            "no convergence within the 3-phase limit"
+        );
+        // The same start converges when given room, on the limit's last
+        // phase included.
+        let phases = run(MAX_PHASES).expect("converges").phases;
+        assert!(phases > 3);
+        assert_eq!(run(phases).expect("exactly enough").phases, phases);
     }
 
     #[test]

@@ -178,6 +178,28 @@ impl PlaneGraph {
         out.extend(self.packed.iter().map(|&(_, l)| weight[l.index()]));
     }
 
+    /// Link of the packed CSR entry at flat position `pos` (see
+    /// [`PlaneGraph::row_start`]).
+    #[inline]
+    pub fn link_at(&self, pos: usize) -> LinkId {
+        self.packed[pos].1
+    }
+
+    /// Whether `other` is a copy of this graph in everything a traversal can
+    /// read except link ids: same switch count, same rack → ToR index, CSR
+    /// rows equal position by position in neighbour index. Any traversal
+    /// whose comparisons never read a link id (Dijkstra on CSR-order
+    /// weights, BFS) then takes identical steps on both.
+    pub fn same_shape(&self, other: &PlaneGraph) -> bool {
+        self.tor_of_rack == other.tor_of_rack
+            && self.offsets == other.offsets
+            && self
+                .packed
+                .iter()
+                .zip(&other.packed)
+                .all(|(&(a, _), &(b, _))| a == b)
+    }
+
     /// Exact hop count from every switch to `target` (both dense indices):
     /// `hops_to(t)[v]` is the length of the shortest `v -> t` path over up
     /// links, [`UNREACHABLE`] if there is none. Directions are kept apart, so
@@ -315,6 +337,38 @@ mod tests {
         failures::fail_cable(&mut net, cables[0]);
         let after = PlaneGraph::build(&net, PlaneId(0)).n_directed_links();
         assert_eq!(after, before - 2);
+    }
+
+    #[test]
+    fn same_shape_holds_for_identical_planes_only() {
+        let mut net = assemble_homogeneous(
+            &Jellyfish::new(16, 4, 1, 9),
+            3,
+            &LinkProfile::paper_default(),
+        );
+        let pgs = PlaneGraph::build_all(&net);
+        for a in &pgs {
+            for b in &pgs {
+                assert!(a.same_shape(b), "{} vs {}", a.plane, b.plane);
+            }
+        }
+        // Link ids differ between the copies; positions line up.
+        assert_ne!(pgs[0].link_at(0), pgs[1].link_at(0));
+        assert_eq!(pgs[1].link_at(5), pgs[1].neighbors(1)[1].1);
+        // A failed cable changes one plane's rows, and only that plane's.
+        let cable = failures::fabric_cables(&net, Some(PlaneId(1)))[3];
+        failures::fail_cable(&mut net, cable);
+        let cut = PlaneGraph::build_all(&net);
+        assert!(!cut[1].same_shape(&cut[0]) && !cut[0].same_shape(&cut[1]));
+        assert!(!cut[1].same_shape(&pgs[1]));
+        assert!(cut[0].same_shape(&cut[2]));
+        // Same size and degree, different wiring.
+        let other = assemble_homogeneous(
+            &Jellyfish::new(16, 4, 1, 10),
+            1,
+            &LinkProfile::paper_default(),
+        );
+        assert!(!pgs[0].same_shape(&PlaneGraph::build(&other, PlaneId(0))));
     }
 
     #[test]

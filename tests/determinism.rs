@@ -177,8 +177,10 @@ fn serial_and_parallel_anypath_mcf_agree() {
     use pnet::flowsim::mcf::{self, McfOptions, PathMode};
     use pnet::routing::Parallelism;
     // The 16-ToR fabric is the historical case; a phase there has almost no
-    // work to mis-order. At 64 ToRs and 4 planes a phase refreshes 256 trees
-    // of uneven cost, which is what the pool's claimed blocks interleave.
+    // work to mis-order. At 64 ToRs and 4 planes the first phase refreshes
+    // 256 trees and a later one the 64 of its one stale plane — Dijkstras in
+    // one phase of four, copies in the rest — which is the uneven work the
+    // pool's claimed blocks interleave.
     let wide = PNetSpec::new(
         TopologyKind::Jellyfish {
             n_tors: 64,
@@ -212,7 +214,40 @@ fn serial_and_parallel_anypath_mcf_agree() {
         assert_eq!(bits(&a.rates), bits(&b.rates), "{hosts} hosts");
         assert_eq!(bits(&a.link_flow), bits(&b.link_flow), "{hosts} hosts");
         assert_eq!(bits(&a.length), bits(&b.length), "{hosts} hosts");
+        let trees = |s: &mcf::McfSolution| (s.trees_built, s.trees_shared, s.trees_kept);
+        assert_eq!(trees(&a), trees(&b), "{hosts} hosts");
+        assert!(a.trees_shared > 0, "{hosts} hosts");
     }
+}
+
+#[test]
+fn planes_of_different_shape_share_no_trees() {
+    use pnet::flowsim::mcf::{self, PathMode};
+    use pnet::topology::{failures, PlaneId};
+    let kind = TopologyKind::Jellyfish {
+        n_tors: 16,
+        degree: 4,
+        hosts_per_tor: 1,
+    };
+    let c = commodity::permutation(&tm::random_permutation(16, 13));
+    // Differently wired planes: nothing to copy, same answer as ever.
+    let hetero = PNetSpec::new(kind, NetworkClass::ParallelHeterogeneous, 3, 7)
+        .build()
+        .net;
+    let sol = mcf::solve(&hetero, &c, &PathMode::AnyPath, 0.1);
+    assert_eq!(sol.trees_shared, 0);
+    assert!(sol.trees_built > 0);
+    // Identical planes share; cut a cable in one of three and the other two
+    // still do, but less than all three did.
+    let mut homo = PNetSpec::new(kind, NetworkClass::ParallelHomogeneous, 3, 7)
+        .build()
+        .net;
+    let whole = mcf::solve(&homo, &c, &PathMode::AnyPath, 0.1);
+    let cable = failures::fabric_cables(&homo, Some(PlaneId(1)))[0];
+    failures::fail_cable(&mut homo, cable);
+    let cut = mcf::solve(&homo, &c, &PathMode::AnyPath, 0.1);
+    assert!(cut.trees_shared > 0);
+    assert!(cut.trees_shared < whole.trees_shared);
 }
 
 /// 20 000 back-to-back in-place batches of 64 tiny items: the shape of the

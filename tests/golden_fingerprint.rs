@@ -125,6 +125,34 @@ fn gk_mcf_lambda_fingerprint_is_stable() {
         "GK solve changed (lambda {} over {} phases)",
         sol.lambda, sol.phases
     );
+    // Before planes shared trees this solve ran 32 464 Dijkstras in its phase
+    // loop, one per source and stale plane. The refreshes are the same ones;
+    // some are now copies of the twin plane's tree.
+    assert_eq!(sol.trees_built + sol.trees_shared + sol.trees_kept, 32_464);
+    assert!(sol.trees_shared > 0 && sol.trees_built < 32_464);
+}
+
+/// `pipeline_cold`'s seed-1 instance at full size: what the benchmark's
+/// `PINNED` phase count is made of. Phase 1 refreshes all 256 trees, each of
+/// the other 8 940 the 64 trees of its one stale plane — 572 416 refreshes,
+/// every one a Dijkstra before planes shared trees. Three planes of four
+/// find the rotation's previous plane holding their lengths. About 3 s in a
+/// debug build.
+#[test]
+fn full_size_cold_solve_shares_three_trees_of_four() {
+    let net = assemble_homogeneous(
+        &Jellyfish::new(64, 8, 1, 1),
+        4,
+        &LinkProfile::paper_default(),
+    );
+    let c = commodity::permutation(&tm::random_permutation(64, 1));
+    let sol = mcf::solve(&net, &c, &mcf::PathMode::AnyPath, 0.1);
+    assert_eq!(sol.phases, 8_941);
+    assert_eq!(sol.lambda, 399_821_109_123.459_7);
+    assert_eq!(
+        (sol.trees_built, sol.trees_shared, sol.trees_kept),
+        (143_104, 429_312, 0)
+    );
 }
 
 #[test]
