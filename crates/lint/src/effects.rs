@@ -74,7 +74,7 @@ pub(crate) const SIM_STATE_TYPES: &[&str] = &[
 /// mutation, and `Cell`/`RefCell` are `!Sync` anyway — the compiler already
 /// keeps them out of parallel closures. What survives into threaded code is
 /// atomics and locks, and those are exactly this list.
-pub(crate) const INTERIOR_METHODS: &[&str] = &[
+const INTERIOR_METHODS: &[&str] = &[
     "borrow_mut",
     "with_borrow_mut",
     "lock",
@@ -104,7 +104,7 @@ const PRELUDE_FNS: &[&str] = &["drop"];
 /// `&mut self` methods from std containers: calling one of these on a
 /// *captured* place inside a parallel closure is a shared-state mutation
 /// even though no `&mut` token appears at the call site.
-pub(crate) const STD_MUTATORS: &[&str] = &[
+const STD_MUTATORS: &[&str] = &[
     "push",
     "pop",
     "insert",
@@ -160,9 +160,9 @@ impl Effect {
 /// Per-fn local facts: the effect read off the body alone, plus witness
 /// tokens for the flags (span anchors for findings and waiver origins).
 #[derive(Default)]
-pub(crate) struct Local {
+struct Local {
     eff: Effect,
-    pub(crate) interior_tok: Option<usize>,
+    interior_tok: Option<usize>,
     io_tok: Option<usize>,
     higher_order_tok: Option<usize>,
 }
@@ -185,7 +185,7 @@ impl Local {
 }
 
 pub(crate) struct Effects {
-    pub(crate) locals: Vec<Local>,
+    locals: Vec<Local>,
     /// Transitive (fixed-point) effect per fn, indexed like `Workspace::fns`.
     pub(crate) trans: Vec<Effect>,
 }
@@ -472,7 +472,6 @@ pub(crate) fn check(ws: &Workspace, files: &[SemFile]) -> Vec<Finding> {
             rule_q1(f, body, &mut out);
         }
     }
-    crate::conc::check(ws, files, &fx, &ws_mutators, &mut out);
     out
 }
 
@@ -615,7 +614,7 @@ fn t1_witness(
 // ---- S1: parallel-safe closures -------------------------------------------
 
 /// Closure-taking combinators whose closures run under `Parallelism`.
-pub(crate) fn is_parallel_combinator(name: &str) -> bool {
+fn is_parallel_combinator(name: &str) -> bool {
     matches!(name, "map_indexed" | "update_indexed")
 }
 
@@ -801,7 +800,7 @@ fn check_parallel_closure(
 
 /// If any candidate's transitive effect has a flag set, BFS to the nearest
 /// local witness so the finding can carry a concrete origin.
-pub(crate) fn effectful_callee(
+fn effectful_callee(
     ws: &Workspace,
     fx: &Effects,
     cands: &[usize],
@@ -827,7 +826,7 @@ pub(crate) fn effectful_callee(
     None
 }
 
-pub(crate) fn is_assign_op(op: &str) -> bool {
+fn is_assign_op(op: &str) -> bool {
     matches!(
         op,
         "=" | "+=" | "-=" | "*=" | "/=" | "%=" | "&=" | "|=" | "^=" | "<<=" | ">>="
@@ -835,7 +834,7 @@ pub(crate) fn is_assign_op(op: &str) -> bool {
 }
 
 /// The base identifier of a place expression: `self.buf[i].x` → `self`.
-pub(crate) fn place_root(e: &Expr) -> Option<&str> {
+fn place_root(e: &Expr) -> Option<&str> {
     match &e.kind {
         ExprKind::Path(segs) => segs.first().map(|s| s.as_str()),
         ExprKind::Field { recv, .. }
@@ -849,7 +848,7 @@ pub(crate) fn place_root(e: &Expr) -> Option<&str> {
     }
 }
 
-pub(crate) fn pat_bindings(p: &Pat, out: &mut BTreeSet<String>) {
+fn pat_bindings(p: &Pat, out: &mut BTreeSet<String>) {
     ast::walk_pat(p, &mut |q| {
         if let PatKind::Binding(name, _) = &q.kind {
             out.insert(name.clone());
@@ -859,7 +858,7 @@ pub(crate) fn pat_bindings(p: &Pat, out: &mut BTreeSet<String>) {
 
 /// All names bound anywhere inside an expression: `let`s in every block
 /// position, `for`/`if let`/`match` patterns, nested closure params.
-pub(crate) fn collect_bindings(e: &Expr, out: &mut BTreeSet<String>) {
+fn collect_bindings(e: &Expr, out: &mut BTreeSet<String>) {
     let lets_of = |b: &Block, out: &mut BTreeSet<String>| {
         for s in &b.stmts {
             if let Stmt::Let { pat, .. } = s {

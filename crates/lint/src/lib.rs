@@ -18,7 +18,6 @@
 pub mod allowlist;
 pub mod ast;
 pub mod baseline;
-mod conc;
 mod effects;
 pub mod lexer;
 pub mod rules;

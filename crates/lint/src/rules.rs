@@ -42,7 +42,7 @@ pub enum Suppression {
 pub fn rule_summary(rule: &str) -> &'static str {
     match rule {
         "D1" => "hash container (HashMap/HashSet) in determinism-critical crate",
-        "D2" => "wall-clock time or ad-hoc thread outside bench/routing::exec",
+        "D2" => "wall-clock time, ad-hoc thread or atomic outside bench/routing::exec",
         "D3" => "float ==/!= comparison in solver/sim code",
         "C1" => "unwrap()/expect()/panic! in library crate outside #[cfg(test)]",
         "C2" => "narrowing `as` cast in htsim",
@@ -55,9 +55,6 @@ pub fn rule_summary(rule: &str) -> &'static str {
         "S1" => "parallel closure captures/mutates shared state or calls effectful code",
         "O1" => "float reduction over parallel-produced data not provably index-ordered",
         "Q1" => "unstable sort without a provably total, duplicate-free key",
-        "Y1" => "Relaxed load/store on a publication atomic (guards non-atomic shared data)",
-        "Y2" => "RMW-derived value flows into indexing/ordering/float accumulation in a parallel closure",
-        "Y3" => "spawned closure calls workspace code that mutates a shared capture",
         "Y4" => "unsafe block without a `// SAFETY:` comment",
         "W1" => "malformed pnet-tidy waiver comment",
         "A1" => "stale allowlist entry (matches no finding)",
@@ -67,8 +64,7 @@ pub fn rule_summary(rule: &str) -> &'static str {
 
 /// All enforceable rule ids (the ones a waiver may name).
 pub const RULE_IDS: &[&str] = &[
-    "D1", "D2", "D3", "C1", "C2", "P1", "M1", "U1", "F1", "E1", "T1", "S1", "O1", "Q1", "Y1", "Y2",
-    "Y3", "Y4",
+    "D1", "D2", "D3", "C1", "C2", "P1", "M1", "U1", "F1", "E1", "T1", "S1", "O1", "Q1", "Y4",
 ];
 
 fn d1_scope(p: &str) -> bool {
@@ -307,7 +303,14 @@ fn rule_d1(ctx: &FileCtx, out: &mut Vec<Finding>) {
 /// (order-preserving) and all timing through the bench crate. Applies to
 /// test code too — a test that spawns raw threads or reads the clock is a
 /// flaky test.
+///
+/// In the product crates' library code the same holds for the other ways
+/// to start a thread (`thread::scope`, `thread::Builder`) and for
+/// `sync::atomic`: shared state there sits behind a lock, so no lock-free
+/// protocol exists to get wrong. One that is worth having needs a waiver
+/// with a reason — and a model in `crates/modelcheck`, like the pool's.
 fn rule_d2(ctx: &FileCtx, out: &mut Vec<Finding>) {
+    let product = c1_scope(ctx.rel_path);
     for (i, t) in ctx.tokens.iter().enumerate() {
         if t.kind != TokenKind::Ident {
             continue;
@@ -323,11 +326,9 @@ fn rule_d2(ctx: &FileCtx, out: &mut Vec<Finding>) {
                 ),
             ));
         }
-        if t.text == "spawn"
-            && i >= 2
-            && ctx.tokens[i - 1].text == "::"
-            && ctx.tokens[i - 2].text == "thread"
-        {
+        let after =
+            |head: &str| i >= 2 && ctx.tokens[i - 1].text == "::" && ctx.tokens[i - 2].text == head;
+        if t.text == "spawn" && after("thread") {
             out.push(
                 ctx.finding(
                     "D2",
@@ -337,6 +338,21 @@ fn rule_d2(ctx: &FileCtx, out: &mut Vec<Finding>) {
                         .to_string(),
                 ),
             );
+        }
+        let lock_free = (t.text == "atomic" && after("sync"))
+            || (matches!(t.text.as_str(), "scope" | "Builder") && after("thread"));
+        if product && !ctx.in_test[i] && lock_free {
+            out.push(ctx.finding(
+                "D2",
+                t,
+                format!(
+                    "{}::{} in a product crate: shared state goes behind a lock and \
+                     parallelism through routing::exec; a lock-free protocol needs a \
+                     waiver and a model",
+                    ctx.tokens[i - 2].text,
+                    t.text
+                ),
+            ));
         }
     }
 }

@@ -91,9 +91,9 @@ pub(crate) fn graph_callee_file(p: &str) -> bool {
     lib_file(p)
         && !p.starts_with("crates/lint/")
         && !p.starts_with("crates/bench/")
-        // The model checker's `MAtomic::load`/`store`/`MMutex::lock` would
-        // alias the std atomic/lock method names at every by-name call site
-        // in sim code and fabricate effect chains.
+        // The model checker's `MAtomic::load`/`fetch_add` would alias the
+        // std atomic method names at every by-name call site in sim code
+        // and fabricate effect chains.
         && !p.starts_with("crates/modelcheck/")
 }
 

@@ -48,6 +48,12 @@ fn fixture_effect_dump_snapshot() {
 (fn crates/htsim/src/y4.rs:4 naked pure)
 (fn crates/htsim/src/y4.rs:8 documented pure)
 (fn crates/htsim/src/y4.rs:13 waived pure)
+(fn crates/routing/src/d2.rs:9 scoped pure)
+(fn crates/routing/src/d2.rs:13 scoped_waived pure)
+(fn crates/routing/src/d2.rs:18 named pure)
+(fn crates/routing/src/d2.rs:22 named_waived pure)
+(fn crates/routing/src/d2.rs:27 counters pure)
+(fn crates/routing/src/d2.rs:36 tests_keep_their_scoped_threads pure)
 (fn crates/routing/src/lib.rs:8 elapsed_ns pure)
 (fn crates/routing/src/p1.rs:4 helper_unchecked pure)
 (fn crates/routing/src/p1.rs:8 head pure)
@@ -64,26 +70,6 @@ fn fixture_effect_dump_snapshot() {
 (fn crates/routing/src/s1.rs:21 racy_waived pure)
 (fn crates/routing/src/s1.rs:30 racy_allowlisted pure)
 (fn crates/routing/src/s1.rs:38 clean pure)
-(fn crates/routing/src/y1.rs:12 Seq::snapshot pure)
-(fn crates/routing/src/y1.rs:15 Seq::frontier pure)
-(fn crates/routing/src/y1.rs:18 Seq::publish (local interior) (trans interior) (touched))
-(fn crates/routing/src/y1.rs:28 SeqWaived::frontier_waived pure)
-(fn crates/routing/src/y1.rs:32 SeqWaived::publish_waived (local interior) (trans interior) (touched))
-(fn crates/routing/src/y1.rs:42 SeqAllowed::snapshot_allowed pure)
-(fn crates/routing/src/y1.rs:45 SeqAllowed::publish_allowed (local interior) (trans interior) (touched))
-(fn crates/routing/src/y1.rs:55 Stats::bump (local interior) (trans interior) (touched))
-(fn crates/routing/src/y1.rs:58 Stats::total pure)
-(fn crates/routing/src/y2.rs:10 Par::map_indexed pure)
-(fn crates/routing/src/y2.rs:15 racy (local interior) (trans interior) (touched))
-(fn crates/routing/src/y2.rs:20 racy_waived (local interior) (trans interior) (touched))
-(fn crates/routing/src/y2.rs:26 clean pure)
-(fn crates/routing/src/y3.rs:11 Scope::spawn (local higher-order) (trans higher-order) (touched))
-(fn crates/routing/src/y3.rs:21 Shared::record (local interior) (trans interior) (touched))
-(fn crates/routing/src/y3.rs:24 Shared::record_waived (local interior) (trans interior) (touched))
-(fn crates/routing/src/y3.rs:28 Shared::peek pure)
-(fn crates/routing/src/y3.rs:33 racy (local) (trans interior higher-order) (touched))
-(fn crates/routing/src/y3.rs:37 racy_waived (local) (trans interior higher-order) (touched))
-(fn crates/routing/src/y3.rs:41 clean (local) (trans higher-order) (touched))
 ";
     assert_eq!(dump, expected);
 }

@@ -1,24 +1,21 @@
 //! Mini-loom: a dependency-free, exhaustive-interleaving model checker for
-//! the workspace's lock-free publication protocols.
+//! the workspace's one lock-free protocol.
 //!
-//! The real protocols (`Published::{publish,pin}` in `pnet-planner`, the
-//! worker pool's batch hand-off in `vendor/rayon`) are small enough to model
-//! op-by-op, so instead of stress tests we *enumerate schedules*: every modeled operation is a
-//! scheduling point, a deterministic scheduler replays one interleaving per
-//! execution, and a DFS over the per-step choice points covers the whole
-//! (preemption-bounded) schedule space. Each execution also maintains
-//! happens-before vector clocks, so the checker reports not just assertion
-//! failures but *races*: a non-atomic read/write that is not ordered by an
-//! acquire/release edge or a mutex handoff.
+//! That protocol (the worker pool's batch hand-off in `vendor/rayon`) is
+//! small enough to model op-by-op, so instead of stress tests we *enumerate
+//! schedules*: every modeled operation is a scheduling point, a
+//! deterministic scheduler replays one interleaving per execution, and a DFS
+//! over the per-step choice points covers the whole (preemption-bounded)
+//! schedule space. Each execution also maintains happens-before vector
+//! clocks, so the checker reports not just assertion failures but *races*: a
+//! non-atomic read/write that is not ordered by an acquire/release edge.
 //!
 //! Modeled primitives:
 //! * [`MAtomic`] — an atomic `usize` carrying a release clock. A
 //!   Release-class store publishes the writer's clock; an Acquire-class
-//!   load joins it; a Relaxed store *clears* it (breaking the release
-//!   chain, which is exactly the seeded-bug behaviour Y1 exists to catch);
-//!   a Relaxed RMW preserves it (the release-sequence rule).
+//!   load joins it; a Relaxed RMW preserves it (the release-sequence rule)
+//!   but publishes nothing of its own.
 //! * [`MCell`] — a non-atomic cell with full read/write race detection.
-//! * [`MMutex`] — a blocking mutex that transfers clocks on handoff.
 //!
 //! Scheduling: threads are real OS threads taking turns under a token
 //! (one runnable thread at a time); a turn runs from one modeled op to the
@@ -27,13 +24,12 @@
 //! preemptions, and the bound keeps the space polynomial). Within the
 //! bound the search is exhaustive and deterministic, so execution counts
 //! are exact and snapshot-testable. `SeqCst` is modeled as `AcqRel`
-//! (conservative for these protocols, which never rely on a total store
-//! order). See DESIGN.md §"Static analysis Phase 4".
+//! (conservative for this protocol, which never relies on a total store
+//! order). See DESIGN.md §"Mini-loom".
 
 use std::any::Any;
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::AtomicUsize;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 pub mod models;
@@ -122,8 +118,6 @@ struct SchedInner {
     current: Option<usize>,
     /// Threads parked at a scheduling point, eligible to run.
     waiting: Vec<bool>,
-    /// Threads blocked on a modeled mutex (by mutex id) — not runnable.
-    blocked_on: Vec<Option<usize>>,
     finished: Vec<bool>,
     abort: bool,
     violation: Option<String>,
@@ -140,7 +134,6 @@ impl Sched {
             inner: Mutex::new(SchedInner {
                 current: None,
                 waiting: vec![false; n],
-                blocked_on: vec![None; n],
                 finished: vec![false; n],
                 abort: false,
                 violation: None,
@@ -176,42 +169,6 @@ impl Sched {
         g.waiting[me] = false;
     }
 
-    /// Give up the token and park as blocked on `mutex_id`; returns once
-    /// re-granted a turn (after some unlock made this thread runnable).
-    fn block_on(&self, me: usize, mutex_id: usize) {
-        let mut g = self.lock();
-        if g.current == Some(me) {
-            g.current = None;
-        }
-        g.blocked_on[me] = Some(mutex_id);
-        self.cv.notify_all();
-        loop {
-            if g.abort {
-                g.blocked_on[me] = None;
-                drop(g);
-                std::panic::panic_any(Abort);
-            }
-            if g.current == Some(me) {
-                break;
-            }
-            g = self.cv.wait(g).unwrap_or_else(PoisonError::into_inner);
-        }
-        g.waiting[me] = false;
-    }
-
-    /// Mark every thread blocked on `mutex_id` runnable again (they retry
-    /// acquisition when next scheduled).
-    fn wake_blocked(&self, mutex_id: usize) {
-        let mut g = self.lock();
-        for i in 0..g.blocked_on.len() {
-            if g.blocked_on[i] == Some(mutex_id) {
-                g.blocked_on[i] = None;
-                g.waiting[i] = true;
-            }
-        }
-        self.cv.notify_all();
-    }
-
     /// Record a violation, abort the execution, and unwind the caller.
     fn raise(&self, msg: String) -> ! {
         let mut g = self.lock();
@@ -228,7 +185,6 @@ impl Sched {
         let mut g = self.lock();
         g.finished[me] = true;
         g.waiting[me] = false;
-        g.blocked_on[me] = None;
         if g.current == Some(me) {
             g.current = None;
         }
@@ -257,8 +213,7 @@ impl Sched {
                 if g.abort {
                     break;
                 }
-                let parked =
-                    (0..n).all(|i| g.waiting[i] || g.blocked_on[i].is_some() || g.finished[i]);
+                let parked = (0..n).all(|i| g.waiting[i] || g.finished[i]);
                 if g.current.is_none() && parked {
                     break;
                 }
@@ -275,16 +230,9 @@ impl Sched {
             if (0..n).all(|i| g.finished[i]) {
                 return trace;
             }
+            // Every live thread is parked at a modeled op, so this is never
+            // empty: no modeled primitive blocks.
             let mut runnable: Vec<usize> = (0..n).filter(|&i| g.waiting[i]).collect();
-            if runnable.is_empty() {
-                if g.violation.is_none() {
-                    g.violation =
-                        Some("deadlock: every live thread is blocked on a modeled mutex".into());
-                }
-                g.abort = true;
-                self.cv.notify_all();
-                continue;
-            }
             // Previously-running thread first: index 0 is the
             // non-preempting continuation, so default (and bounded) search
             // prefers running a thread to completion.
@@ -361,7 +309,7 @@ impl Ctx<'_> {
 struct AtomicState {
     value: usize,
     /// Clock published by the last Release-class store, threaded through
-    /// RMWs (release sequence); `None` after a Relaxed store.
+    /// RMWs (release sequence); `None` until the first one.
     release: Option<Clock>,
 }
 
@@ -392,18 +340,6 @@ impl MAtomic {
         st.value
     }
 
-    pub fn store(&self, ctx: &Ctx, v: usize, ord: Ordering) {
-        ctx.turn();
-        ctx.bump();
-        let mut st = lock_recover(&self.st);
-        st.value = v;
-        st.release = if ord.releases() {
-            Some(ctx.clock_snapshot())
-        } else {
-            None
-        };
-    }
-
     pub fn fetch_add(&self, ctx: &Ctx, v: usize, ord: Ordering) -> usize {
         ctx.turn();
         ctx.bump();
@@ -412,33 +348,6 @@ impl MAtomic {
         st.value = old + v;
         Self::rmw_clock(ctx, &mut st, ord);
         old
-    }
-
-    /// `compare_exchange(current, new, success, failure)`, like std: `Ok`
-    /// carries the previous value on success, `Err` the observed one.
-    pub fn compare_exchange(
-        &self,
-        ctx: &Ctx,
-        current: usize,
-        new: usize,
-        success: Ordering,
-        failure: Ordering,
-    ) -> Result<usize, usize> {
-        ctx.turn();
-        ctx.bump();
-        let mut st = lock_recover(&self.st);
-        if st.value == current {
-            st.value = new;
-            Self::rmw_clock(ctx, &mut st, success);
-            Ok(current)
-        } else {
-            if failure.acquires() {
-                if let Some(c) = &st.release {
-                    ctx.join_clock(c);
-                }
-            }
-            Err(st.value)
-        }
     }
 
     fn rmw_clock(ctx: &Ctx, st: &mut AtomicState, ord: Ordering) {
@@ -534,70 +443,6 @@ impl MCell {
     }
 }
 
-static NEXT_MUTEX_ID: AtomicUsize = AtomicUsize::new(0);
-
-struct MutexState {
-    holder: Option<usize>,
-    /// Clock released by the last unlock; joined by the next acquirer.
-    clock: Clock,
-}
-
-/// Modeled blocking mutex with clock transfer on handoff. Lock and unlock
-/// are both scheduling points; a thread that finds the mutex held becomes
-/// non-runnable until an unlock wakes it.
-pub struct MMutex {
-    id: usize,
-    st: Mutex<MutexState>,
-}
-
-/// Token proving the mutex is held; release with [`MGuard::unlock`].
-/// (Dropping it without unlocking leaves the modeled mutex held — a
-/// deliberately loud failure mode: the checker reports a deadlock.)
-pub struct MGuard<'m> {
-    mutex: &'m MMutex,
-}
-
-impl MMutex {
-    #[allow(clippy::new_without_default)]
-    pub fn new() -> MMutex {
-        MMutex {
-            id: NEXT_MUTEX_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-            st: Mutex::new(MutexState {
-                holder: None,
-                clock: Clock::new(),
-            }),
-        }
-    }
-
-    pub fn lock(&self, ctx: &Ctx) -> MGuard<'_> {
-        ctx.turn();
-        ctx.bump();
-        loop {
-            {
-                let mut st = lock_recover(&self.st);
-                if st.holder.is_none() {
-                    st.holder = Some(ctx.tid);
-                    ctx.join_clock(&st.clock);
-                    return MGuard { mutex: self };
-                }
-            }
-            ctx.sched.block_on(ctx.tid, self.id);
-        }
-    }
-}
-
-impl MGuard<'_> {
-    pub fn unlock(self, ctx: &Ctx) {
-        ctx.turn();
-        ctx.bump();
-        let mut st = lock_recover(&self.mutex.st);
-        st.holder = None;
-        st.clock = ctx.clock_snapshot();
-        drop(st);
-        ctx.sched.wake_blocked(self.mutex.id);
-    }
-}
-
 // ---- exploration ----------------------------------------------------------
 
 /// Search configuration.
@@ -636,7 +481,7 @@ pub struct Stats {
 }
 
 /// A counterexample: the schedule search found an execution that raised a
-/// violation (assertion failure, race, deadlock, or budget overrun).
+/// violation (assertion failure, race, or budget overrun).
 #[derive(Debug)]
 pub struct Violation {
     pub message: String,
@@ -827,50 +672,5 @@ mod tests {
             violation.message.contains("write-write race"),
             "{violation}"
         );
-    }
-
-    /// Mutex-guarded writers are properly serialized: no race, and the
-    /// clock handoff makes both increments visible.
-    #[test]
-    fn mutex_transfers_happens_before() {
-        struct S {
-            lock: MMutex,
-            cell: MCell,
-        }
-        let body = |ctx: &Ctx<'_>, s: &S| {
-            let g = s.lock.lock(ctx);
-            let v = s.cell.read(ctx);
-            s.cell.write(ctx, v + 1);
-            g.unlock(ctx);
-        };
-        let stats = explore(
-            &Opts::default(),
-            &|| S {
-                lock: MMutex::new(),
-                cell: MCell::new(0),
-            },
-            &[&body, &body],
-            &|s| {
-                if s.cell.peek() == 2 {
-                    Ok(())
-                } else {
-                    Err(format!("lost increment: {}", s.cell.peek()))
-                }
-            },
-        )
-        .expect("mutex-guarded model must verify");
-        assert!(stats.executions >= 2);
-    }
-
-    /// A guard dropped without unlocking leaves the mutex held — the
-    /// second locker can never proceed, and the checker calls it.
-    #[test]
-    fn leaked_guard_reports_deadlock() {
-        let body = |ctx: &Ctx<'_>, lock: &MMutex| {
-            let _leaked = lock.lock(ctx);
-        };
-        let violation = explore(&Opts::default(), &MMutex::new, &[&body, &body], &|_| Ok(()))
-            .expect_err("second locker can never acquire");
-        assert!(violation.message.contains("deadlock"), "{violation}");
     }
 }

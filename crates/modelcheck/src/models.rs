@@ -1,117 +1,21 @@
-//! Hand-written models of the workspace's lock-free protocols, each with
+//! Hand-written model of the workspace's one lock-free protocol, with
 //! seeded-bug variants the checker must catch.
 //!
-//! * [`check_published`] — `Published::{publish,pin}` from
-//!   `crates/planner/src/publish.rs`: two publishers appending behind a
-//!   writer mutex with a CAS-verified frontier bump, one lock-free reader
-//!   pinning the newest slot. Seeded bugs: Relaxed publication (the CAS
-//!   success ordering drops Release), Relaxed pin (the reader drops
-//!   Acquire), and racing publishers (the writer mutex removed).
-//! * [`check_pool`] — the worker pool's batch hand-off from
-//!   `vendor/rayon/src/lib.rs`: the caller writes the job cell and publishes
-//!   it with a Release bump of the batch counter, two workers claim indices
-//!   from a cursor and write per-index result cells, each worker's Release
-//!   bump of the completion count ends its use of the job, and the caller
-//!   reads the results and retires the job cell only after an Acquire load
-//!   saw both. Seeded bugs: Relaxed publication (a worker reads a torn job)
-//!   and waiting on indices claimed instead of workers finished (the caller
-//!   reads a result, or retires the closure, under a running worker).
+//! [`check_pool`] — the worker pool's batch hand-off from
+//! `vendor/rayon/src/lib.rs`: the caller writes the job cell and publishes
+//! it with a Release bump of the batch counter, two workers claim indices
+//! from a cursor and write per-index result cells, each worker's Release
+//! bump of the completion count ends its use of the job, and the caller
+//! reads the results and retires the job cell only after an Acquire load
+//! saw both. Seeded bugs: Relaxed publication (a worker reads a torn job)
+//! and waiting on indices claimed instead of workers finished (the caller
+//! reads a result, or retires the closure, under a running worker).
 //!
-//! Models intentionally stay op-for-op close to the real code so a future
-//! protocol change can be mirrored here and re-verified before it lands.
+//! The model intentionally stays op-for-op close to the real code so a
+//! future protocol change can be mirrored here and re-verified before it
+//! lands.
 
-use crate::{explore, Ctx, MAtomic, MCell, MMutex, Opts, Ordering, Stats, Violation};
-
-/// Seeded-bug selector for the `Published` publish/pin model.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PubBug {
-    /// Faithful model of the (hardened) protocol — must verify.
-    None,
-    /// Publication CAS succeeds with `Relaxed`: the reader's Acquire load
-    /// has no release edge to synchronize with → stale/torn pin.
-    RelaxedPublish,
-    /// Reader pins with a `Relaxed` frontier load: no acquire edge even
-    /// though the writer released → same race, reader-side.
-    RelaxedPin,
-    /// Writer mutex removed: two publishers race the frontier — the CAS
-    /// turns a silently lost generation into a caught violation.
-    NoWriterLock,
-}
-
-/// State of the publish/pin model: an atomic frontier guarding write-once
-/// slots (modeled as race-checked non-atomic cells), plus the writer lock.
-pub struct PublishModel {
-    len: MAtomic,
-    slots: Vec<MCell>,
-    writer: MMutex,
-}
-
-/// Model-check `Published::{publish,pin}` with two publishers and one
-/// pinning reader under the given seeded bug.
-pub fn check_published(bug: PubBug) -> Result<Stats, Violation> {
-    let publish_ord = if bug == PubBug::RelaxedPublish {
-        Ordering::Relaxed
-    } else {
-        Ordering::Release
-    };
-    let pin_ord = if bug == PubBug::RelaxedPin {
-        Ordering::Relaxed
-    } else {
-        Ordering::Acquire
-    };
-    let locked = bug != PubBug::NoWriterLock;
-
-    let writer = move |ctx: &Ctx<'_>, m: &PublishModel| {
-        let guard = if locked {
-            Some(m.writer.lock(ctx))
-        } else {
-            None
-        };
-        let i = m.len.load(ctx, Ordering::Acquire);
-        m.slots[i].write(ctx, i + 1);
-        let published = m
-            .len
-            .compare_exchange(ctx, i, i + 1, publish_ord, Ordering::Relaxed);
-        ctx.check(
-            published.is_ok(),
-            "lost publication: the frontier moved between the writer's load and its publish",
-        );
-        if let Some(g) = guard {
-            g.unlock(ctx);
-        }
-    };
-    let reader = move |ctx: &Ctx<'_>, m: &PublishModel| {
-        let n = m.len.load(ctx, pin_ord);
-        if n > 0 {
-            let v = m.slots[n - 1].read(ctx);
-            ctx.check(v == n, "stale pin: pinned slot disagrees with the frontier");
-        }
-    };
-    explore(
-        &Opts::default(),
-        &|| PublishModel {
-            len: MAtomic::new(0),
-            slots: vec![MCell::new(0), MCell::new(0)],
-            writer: MMutex::new(),
-        },
-        &[&writer, &writer, &reader],
-        &|m| {
-            if m.len.peek() != 2 {
-                return Err(format!("lost generation: final len {}", m.len.peek()));
-            }
-            for (i, slot) in m.slots.iter().enumerate() {
-                if slot.peek() != i + 1 {
-                    return Err(format!(
-                        "slot {i} holds {}, expected {}",
-                        slot.peek(),
-                        i + 1
-                    ));
-                }
-            }
-            Ok(())
-        },
-    )
-}
+use crate::{explore, Ctx, MAtomic, MCell, Opts, Ordering, Stats, Violation};
 
 /// Seeded-bug selector for the worker-pool hand-off model.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

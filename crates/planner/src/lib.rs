@@ -9,11 +9,10 @@
 //!
 //! * **Generations** ([`Generation`]) — immutable snapshots of the fabric:
 //!   a [`Network`] clone, a [`Router`] whose tables are pinned to it, and
-//!   the topology's golden FNV-1a fingerprint. Generations live in a
-//!   [`Published`] store: an append-only, ArcSwap-style sequence whose
-//!   read path takes **no lock** — queries pin a generation with one
-//!   atomic load and keep answering from it even while the writer
-//!   publishes its successor.
+//!   the topology's golden FNV-1a fingerprint. Generations live in an
+//!   append-only `RwLock<Vec<Arc<Generation>>>`: a query pins one with a
+//!   read lock and an `Arc` clone, and keeps answering from it while the
+//!   writer builds and appends its successor.
 //! * **Publication** — [`Planner::publish_delta`] applies a [`LinkDelta`]
 //!   (cable churn) and appends generation N+1 with a fresh lazy router;
 //!   the planner never mutates a router it has published.
@@ -37,18 +36,16 @@
 
 pub mod fingerprint;
 pub mod memo;
-pub mod publish;
 
 pub use fingerprint::{commodity_fingerprint, solution_fingerprint, topology_fingerprint};
 pub use memo::{Memo, MemoKey, MemoStats};
-pub use publish::Published;
 
 use pnet_flowsim::mcf::{McfError, McfOptions};
 use pnet_flowsim::{throughput, Commodity, McfSolution};
 use pnet_routing::{Fnv, Parallelism, RouteAlgo, Router};
 use pnet_topology::{failures, LinkDelta, LinkId, Network, PlaneId};
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
 
 /// Planner service configuration.
 #[derive(Debug, Clone, Copy)]
@@ -240,11 +237,12 @@ pub struct PublishStats {
 }
 
 /// The planner service. Cheap to share behind an `Arc`; every query method
-/// takes `&self` and the read path is lock-free up to the per-generation
-/// router's internal table cache.
+/// takes `&self`.
 pub struct Planner {
     cfg: PlannerConfig,
-    generations: Published<Generation>,
+    /// Append-only; index = sequence number. The write lock is held for one
+    /// push, never across a generation build.
+    generations: RwLock<Vec<Arc<Generation>>>,
     memo: Memo,
     /// The writer's mutable copy of the fabric; the lock serializes publishes.
     writer: Mutex<Network>,
@@ -273,7 +271,7 @@ impl Planner {
         let gen0 = Generation::build(0, net.clone(), &cfg);
         Planner {
             cfg,
-            generations: Published::new(gen0),
+            generations: RwLock::new(vec![Arc::new(gen0)]),
             memo: Memo::new(),
             writer: Mutex::new(net),
         }
@@ -284,23 +282,32 @@ impl Planner {
         &self.cfg
     }
 
-    /// Pin the newest generation. Lock-free; the returned snapshot stays
-    /// valid (and bitwise stable) across any number of later publishes.
+    fn generations(&self) -> RwLockReadGuard<'_, Vec<Arc<Generation>>> {
+        self.generations
+            .read()
+            .expect("invariant: generations lock is never poisoned")
+    }
+
+    /// Pin the newest generation. The returned snapshot stays valid (and
+    /// bitwise stable) across any number of later publishes.
     pub fn latest(&self) -> Arc<Generation> {
-        self.generations.latest()
+        self.generations()
+            .last()
+            .cloned()
+            .expect("invariant: generation 0 is published at construction")
     }
 
     /// Pin a specific generation by sequence number.
     pub fn generation(&self, seq: u64) -> Result<Arc<Generation>, PlanError> {
         usize::try_from(seq)
             .ok()
-            .and_then(|i| self.generations.get(i))
+            .and_then(|i| self.generations().get(i).cloned())
             .ok_or(PlanError::UnknownGeneration { seq })
     }
 
     /// Number of published generations.
     pub fn n_generations(&self) -> usize {
-        self.generations.len()
+        self.generations().len()
     }
 
     /// Cumulative memo counters.
@@ -327,14 +334,15 @@ impl Planner {
         for &c in &delta.up {
             failures::restore_cable(&mut net, c);
         }
-        let seq = self.generations.len() as u64;
+        // Only this function appends, and only under the writer lock held
+        // above, so the length read here is still the new index at the push.
+        let seq = self.n_generations() as u64;
         let generation = Generation::build(seq, net.clone(), &self.cfg);
         let topology_fp = generation.topology_fp;
-        let idx = self.generations.publish(generation);
-        assert_eq!(
-            idx as u64, seq,
-            "invariant: publishes are serialized by the writer lock"
-        );
+        self.generations
+            .write()
+            .expect("invariant: generations lock is never poisoned")
+            .push(Arc::new(generation));
         Ok(PublishStats { seq, topology_fp })
     }
 

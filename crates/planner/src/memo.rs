@@ -11,8 +11,7 @@ use crate::fingerprint::solution_fingerprint;
 use crate::PlanError;
 use pnet_flowsim::McfSolution;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Cache key: the topology and commodity-set fingerprints plus a query tag
 /// folding everything else that can change solver output (query kind, K,
@@ -39,28 +38,31 @@ pub struct MemoStats {
 }
 
 /// Concurrent solution cache. Solves run *outside* the lock, so queries
-/// for different keys never serialize on each other; the lock only guards
-/// the map itself.
+/// for different keys never serialize on each other; the lock guards the
+/// map and its counters together, so [`Memo::stats`] is one consistent
+/// snapshot (every entry was counted as a miss before it was inserted).
+#[derive(Default)]
 pub struct Memo {
-    map: Mutex<BTreeMap<MemoKey, Arc<McfSolution>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    inner: Mutex<Inner>,
 }
 
-impl Default for Memo {
-    fn default() -> Memo {
-        Memo::new()
-    }
+#[derive(Default)]
+struct Inner {
+    map: BTreeMap<MemoKey, Arc<McfSolution>>,
+    hits: u64,
+    misses: u64,
 }
 
 impl Memo {
     /// An empty cache.
     pub fn new() -> Memo {
-        Memo {
-            map: Mutex::new(BTreeMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
+        Memo::default()
+    }
+
+    fn locked(&self) -> MutexGuard<'_, Inner> {
+        self.inner
+            .lock()
+            .expect("invariant: memo lock is never poisoned")
     }
 
     /// Look `key` up, or run `solve` and publish the result. Errors are
@@ -72,17 +74,17 @@ impl Memo {
         key: MemoKey,
         solve: impl FnOnce() -> Result<McfSolution, PlanError>,
     ) -> Result<Arc<McfSolution>, PlanError> {
-        if let Some(hit) = self.lookup(key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(hit);
+        {
+            let mut inner = self.locked();
+            if let Some(hit) = inner.map.get(&key).cloned() {
+                inner.hits += 1;
+                return Ok(hit);
+            }
+            inner.misses += 1;
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
         let solved = Arc::new(solve()?);
-        let mut map = self
-            .map
-            .lock()
-            .expect("invariant: memo lock is never poisoned");
-        if let Some(first) = map.get(&key) {
+        let mut inner = self.locked();
+        if let Some(first) = inner.map.get(&key) {
             assert_eq!(
                 solution_fingerprint(first),
                 solution_fingerprint(&solved),
@@ -90,32 +92,17 @@ impl Memo {
             );
             return Ok(Arc::clone(first));
         }
-        map.insert(key, Arc::clone(&solved));
+        inner.map.insert(key, Arc::clone(&solved));
         Ok(solved)
     }
 
-    /// The cached solution for `key`, without counting a hit or miss.
-    /// (Named `lookup`, not `peek`: the workspace lint's effect inference
-    /// resolves calls by method name, and `peek` would alias the heap
-    /// peeks inside the solver's parallel closures.)
-    pub fn lookup(&self, key: MemoKey) -> Option<Arc<McfSolution>> {
-        self.map
-            .lock()
-            .expect("invariant: memo lock is never poisoned")
-            .get(&key)
-            .map(Arc::clone)
-    }
-
-    /// Current counters.
+    /// Current counters, read under the one lock.
     pub fn stats(&self) -> MemoStats {
+        let inner = self.locked();
         MemoStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self
-                .map
-                .lock()
-                .expect("invariant: memo lock is never poisoned")
-                .len(),
+            hits: inner.hits,
+            misses: inner.misses,
+            entries: inner.map.len(),
         }
     }
 }

@@ -9,9 +9,10 @@ use pnet::planner::{
 };
 use pnet::routing::Parallelism;
 use pnet::topology::{
-    assemble_homogeneous, failures, FatTree, LinkDelta, LinkId, LinkProfile, Network, PlaneId,
+    assemble_homogeneous, failures, FatTree, HostId, LinkDelta, LinkId, LinkProfile, Network,
+    PlaneId,
 };
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 fn net() -> Network {
     assemble_homogeneous(&FatTree::three_tier(4), 2, &LinkProfile::paper_default())
@@ -258,4 +259,103 @@ fn concurrent_queries_survive_publishes() {
     let pinned = planner.generation(0).expect("seed generation");
     let fin = planner.solve_ksp_at(&pinned, &tm, 4).expect("solvable");
     assert_eq!(solution_fingerprint(&fin), reference);
+}
+
+/// Two publishers racing `publish_delta` lose nothing: every returned
+/// sequence number is distinct, generation `i` sits at index `i`, one past
+/// the end is a typed error, and the generation pinned before the race is
+/// bitwise stable after every publish. The barrier releases both writers
+/// together, so they contend for the writer lock from the first delta.
+#[test]
+fn racing_publishers_cannot_lose_a_generation() {
+    const N: u64 = 25;
+    let planner = Planner::with_config(net(), cfg());
+    let gen0 = planner.latest();
+    let fp0 = gen0.topology_fingerprint();
+    let cables = failures::fabric_cables(gen0.network(), None);
+    let start = Barrier::new(2);
+    let mut seqs: Vec<u64> = std::thread::scope(|scope| {
+        let publishers: Vec<_> = (0..2)
+            .map(|t| {
+                let (planner, gen0, start, cable) = (&planner, &gen0, &start, cables[t]);
+                scope.spawn(move || {
+                    start.wait();
+                    (0..N)
+                        .map(|i| {
+                            let delta = if i % 2 == 0 { down(cable) } else { up(cable) };
+                            let stats = planner.publish_delta(&delta).expect("publish");
+                            assert_eq!(topology_fingerprint(gen0.network()), fp0);
+                            let pinned = planner.generation(0).expect("seed generation");
+                            assert_eq!(pinned.topology_fingerprint(), fp0);
+                            stats.seq
+                        })
+                        .collect::<Vec<u64>>()
+                })
+            })
+            .collect();
+        publishers
+            .into_iter()
+            .flat_map(|p| p.join().expect("publisher panicked"))
+            .collect()
+    });
+    seqs.sort_unstable();
+    assert_eq!(seqs, (1..=2 * N).collect::<Vec<u64>>());
+    assert_eq!(planner.n_generations() as u64, 1 + 2 * N);
+    for i in 0..=2 * N {
+        assert_eq!(planner.generation(i).expect("published").seq(), i);
+    }
+    assert!(matches!(
+        planner.generation(1 + 2 * N),
+        Err(PlanError::UnknownGeneration { .. })
+    ));
+    assert_eq!(planner.latest().seq(), 2 * N);
+}
+
+/// `memo_stats()` is one consistent snapshot: an entry is counted as a miss
+/// before it is inserted, so no snapshot taken while queries race may show
+/// more entries than misses. One-commodity matrices keep a miss-to-insert
+/// short enough that a torn read of the three counters would be caught; a
+/// quarter of the queries repeat a key so hits are counted too.
+#[test]
+fn memo_stats_snapshots_are_consistent_under_racing_queries() {
+    const CLIENTS: usize = 3;
+    const QUERIES: usize = 80;
+    let planner = Planner::with_config(net(), cfg());
+    let gen0 = planner.latest();
+    let start = Barrier::new(CLIENTS + 1);
+    std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|t| {
+                let (planner, gen0, start) = (&planner, &gen0, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for q in 0..QUERIES {
+                        let fresh = if q % 4 == 3 { q - 1 } else { q };
+                        let pair = t * QUERIES + fresh;
+                        let (src, dst) = (pair / 15, pair % 15);
+                        let dst = if dst >= src { dst + 1 } else { dst };
+                        let tm = [Commodity::unit(HostId(src as u32), HostId(dst as u32))];
+                        planner.admit_at(gen0, &tm).expect("solvable");
+                    }
+                })
+            })
+            .collect();
+        start.wait();
+        while !clients.iter().all(|c| c.is_finished()) {
+            let s = planner.memo_stats();
+            assert!(
+                s.entries as u64 <= s.misses,
+                "torn snapshot: {} entries after {} misses",
+                s.entries,
+                s.misses
+            );
+        }
+    });
+    let s = planner.memo_stats();
+    assert_eq!(s.hits + s.misses, (CLIENTS * QUERIES) as u64);
+    assert_eq!(
+        s.entries as u64, s.misses,
+        "every solve succeeded and was cached"
+    );
+    assert_eq!(s.hits, (CLIENTS * QUERIES / 4) as u64);
 }
