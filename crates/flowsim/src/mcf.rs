@@ -1037,13 +1037,7 @@ impl AnyPathOracle {
     fn new(net: &Network) -> Self {
         let planes = PlaneGraph::build_all(net);
         let n_planes = planes.len();
-        let class = (0..n_planes)
-            .map(|p| {
-                (0..p)
-                    .find(|&q| planes[q].same_shape(&planes[p]))
-                    .unwrap_or(p)
-            })
-            .collect();
+        let class = pnet_routing::plane_graph::shape_classes(&planes);
         let mut uplinks = Vec::with_capacity(net.n_hosts() * n_planes);
         for h in 0..net.n_hosts() {
             for p in 0..n_planes {

@@ -45,6 +45,10 @@ pub struct PlaneGraph {
     /// first [`PlaneGraph::hops_to`], so a snapshot nobody routes on (the
     /// solver's per-solve graphs) never pays for it.
     hops: OnceLock<Vec<u16>>,
+    /// Flat CSR position of each link, indexed by link id (`u32::MAX` for
+    /// ids outside the plane). Filled by the first
+    /// [`PlaneGraph::link_positions`].
+    link_pos: OnceLock<Vec<u32>>,
 }
 
 impl PlaneGraph {
@@ -106,6 +110,7 @@ impl PlaneGraph {
             tor_of_rack,
             link_bound,
             hops: OnceLock::new(),
+            link_pos: OnceLock::new(),
         }
     }
 
@@ -185,6 +190,22 @@ impl PlaneGraph {
         self.packed[pos].1
     }
 
+    /// Inverse of [`PlaneGraph::link_at`]: `link_positions()[l.index()]` is
+    /// the flat CSR position of link `l` of this plane. Between two planes of
+    /// the [same shape](PlaneGraph::same_shape), `b.link_at(a.link_positions()[l])`
+    /// is the link of `b` that sits where `l` sits in `a`; since rows are
+    /// sorted by link id on both sides, that map keeps the order of any two
+    /// links leaving one switch.
+    pub fn link_positions(&self) -> &[u32] {
+        self.link_pos.get_or_init(|| {
+            let mut pos = vec![u32::MAX; self.link_bound()];
+            for (at, &(_, l)) in self.packed.iter().enumerate() {
+                pos[l.index()] = at as u32;
+            }
+            pos
+        })
+    }
+
     /// Whether `other` is a copy of this graph in everything a traversal can
     /// read except link ids: same switch count, same rack → ToR index, CSR
     /// rows equal position by position in neighbour index. Any traversal
@@ -259,6 +280,19 @@ impl PlaneGraph {
     }
 }
 
+/// Shape class of each of `planes`: the lowest index of a plane with the
+/// [same shape](PlaneGraph::same_shape). A homogeneous P-Net is one class; a
+/// plane with a failed cable is alone in its own.
+pub fn shape_classes(planes: &[PlaneGraph]) -> Vec<usize> {
+    (0..planes.len())
+        .map(|p| {
+            (0..p)
+                .find(|&q| planes[q].same_shape(&planes[p]))
+                .unwrap_or(p)
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,6 +308,7 @@ mod tests {
             *off -= 1;
         }
         pg.hops = OnceLock::new();
+        pg.link_pos = OnceLock::new();
         pg
     }
 
@@ -352,9 +387,19 @@ mod tests {
                 assert!(a.same_shape(b), "{} vs {}", a.plane, b.plane);
             }
         }
+        assert_eq!(shape_classes(&pgs), [0, 0, 0]);
         // Link ids differ between the copies; positions line up.
         assert_ne!(pgs[0].link_at(0), pgs[1].link_at(0));
         assert_eq!(pgs[1].link_at(5), pgs[1].neighbors(1)[1].1);
+        for pg in &pgs {
+            let pos = pg.link_positions();
+            assert_eq!(pos.len(), pg.link_bound());
+            for at in 0..pg.n_directed_links() {
+                assert_eq!(pos[pg.link_at(at).index()] as usize, at);
+            }
+            let in_plane = pos.iter().filter(|&&at| at != u32::MAX).count();
+            assert_eq!(in_plane, pg.n_directed_links());
+        }
         // A failed cable changes one plane's rows, and only that plane's.
         let cable = failures::fabric_cables(&net, Some(PlaneId(1)))[3];
         failures::fail_cable(&mut net, cable);
@@ -362,6 +407,7 @@ mod tests {
         assert!(!cut[1].same_shape(&cut[0]) && !cut[0].same_shape(&cut[1]));
         assert!(!cut[1].same_shape(&pgs[1]));
         assert!(cut[0].same_shape(&cut[2]));
+        assert_eq!(shape_classes(&cut), [0, 1, 0]);
         // Same size and degree, different wiring.
         let other = assemble_homogeneous(
             &Jellyfish::new(16, 4, 1, 10),

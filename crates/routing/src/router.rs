@@ -11,9 +11,11 @@
 //!
 //! Path computation is a pure function of the plane-graph snapshot, so the
 //! route table is filled either lazily, one entry per missed lookup, or in
-//! bulk by [`Router::precompute_with`], which fans per-(plane, src) Yen/ECMP
-//! batches across threads. Serial and parallel precomputation produce
-//! identical tables — see `tests/determinism.rs`.
+//! bulk by [`Router::precompute_with`], which fans per-(shape class, src)
+//! Yen/ECMP batches across threads: planes that are copies of one graph
+//! ([`PlaneGraph::same_shape`]) are computed once and the copies' path sets
+//! written off the first one's, link for link. Serial and parallel
+//! precomputation produce identical tables — see `tests/determinism.rs`.
 //!
 //! Cross-plane queries ([`Router::k_best_across_planes`]) merge the
 //! per-plane path sets shortest-first — this is how a P-Net host builds its
@@ -39,12 +41,13 @@
 use crate::bfs;
 use crate::exec::Parallelism;
 use crate::path::{sort_paths, Path};
-use crate::plane_graph::{PlaneGraph, UNREACHABLE};
+use crate::plane_graph::{shape_classes, PlaneGraph, UNREACHABLE};
 pub use crate::repair::DeltaStats;
 use crate::repair::{Fnv, LinkIndex, Slot};
 use crate::yen;
 use pnet_topology::{LinkDelta, LinkId, Network, PlaneId, RackId};
 use std::collections::BTreeSet;
+use std::ops::Range;
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Which path computation the router serves.
@@ -86,6 +89,33 @@ fn key_of(racks: usize, slot: usize) -> (PlaneId, RackId, RackId) {
     )
 }
 
+/// One (plane, src) run of the slots handed to [`Router::fill`].
+struct Run {
+    /// Shape class of `plane`.
+    class: usize,
+    src: RackId,
+    plane: PlaneId,
+    /// Where the run sits in the slot list.
+    at: Range<usize>,
+}
+
+/// Position of `dst` in the sorted destination list of one batch.
+fn batch_index(batch: &[RackId], dst: RackId) -> usize {
+    batch
+        .binary_search(&dst)
+        .expect("invariant: a batch holds every destination of its runs")
+}
+
+/// `path`, of a plane whose [`PlaneGraph::link_positions`] are `pos`, as it
+/// runs in the same-shape plane `to`.
+fn translate(path: &Path, pos: &[u32], to: &PlaneGraph) -> Path {
+    let moved = |l: &LinkId| to.link_at(pos[l.index()] as usize);
+    Path {
+        plane: to.plane,
+        links: path.links.iter().map(moved).collect(),
+    }
+}
+
 /// The cable (duplex pair, even-direction representative) a link belongs to.
 fn cable_of(link: LinkId) -> LinkId {
     LinkId(link.0 & !1)
@@ -96,6 +126,8 @@ fn cable_of(link: LinkId) -> LinkId {
 /// inverted cable → slot index over the table's committed path sets.
 struct State {
     planes: Arc<Vec<PlaneGraph>>,
+    /// [`shape_classes`] of `planes`.
+    classes: Vec<usize>,
     /// Racks per plane; the table holds `planes · racks²` slots.
     racks: usize,
     slots: Vec<Slot>,
@@ -114,6 +146,7 @@ impl State {
         let n_slots = planes.len() * racks * racks;
         assert!(n_slots <= u32::MAX as usize, "slot ids are u32");
         State {
+            classes: shape_classes(&planes),
             planes: Arc::new(planes),
             racks,
             slots: vec![Slot::default(); n_slots],
@@ -262,25 +295,77 @@ impl Router {
     }
 
     /// Path sets of `slots`, in the same order. `slots` must be ascending:
-    /// that puts the slots of one (plane, src) next to each other, and each
-    /// such run is one batched computation sharing the source-side BFS work
-    /// across its destinations. Runs fan out across threads; per-destination
-    /// results are identical to per-key `compute`.
+    /// that puts the slots of one (plane, src) next to each other. The runs
+    /// of one (shape class, src) — `classes` being [`shape_classes`] of
+    /// `planes` — are one batched computation, on the lowest plane among
+    /// them, for the union of their destinations; the other planes' sets are
+    /// that plane's with every link replaced by the one at the same CSR
+    /// position. Groups fan out across threads.
+    ///
+    /// The result equals per-key `compute` on each plane's own graph. Two
+    /// different paths out of one source first part at two links leaving
+    /// one switch — one CSR row. Rows of same-shape planes match position by
+    /// position and are sorted by link id on both sides, so the position map
+    /// keeps every comparison Yen's `(len, link ids)` order, the ECMP
+    /// enumeration and `sort_paths` make; the searches themselves read
+    /// neighbours, bans and hop counts, which are the shape.
     fn fill(
         &self,
         planes: &[PlaneGraph],
+        classes: &[usize],
         racks: usize,
         slots: &[usize],
         par: Parallelism,
     ) -> Vec<Vec<Path>> {
         let keys: Vec<_> = slots.iter().map(|&slot| key_of(racks, slot)).collect();
-        let runs: Vec<_> = keys.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)).collect();
-        let computed = par.map_indexed(runs.len(), |i| {
-            let (plane, src, _) = runs[i][0];
-            let dsts: Vec<RackId> = runs[i].iter().map(|key| key.2).collect();
-            Self::compute_batch(&planes[plane.index()], self.algo, src, &dsts)
+        let dsts: Vec<RackId> = keys.iter().map(|key| key.2).collect();
+        let mut runs: Vec<Run> = Vec::new();
+        for run in keys.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let (plane, src, _) = run[0];
+            let at = runs.last().map_or(0, |prev| prev.at.end);
+            runs.push(Run {
+                class: classes[plane.index()],
+                src,
+                plane,
+                at: at..at + run.len(),
+            });
+        }
+        // Stable: a group's runs stay in plane order, lowest first.
+        runs.sort_by_key(|run| (run.class, run.src));
+        let groups: Vec<_> = runs
+            .chunk_by(|a, b| (a.class, a.src) == (b.class, b.src))
+            .collect();
+        let computed = par.map_indexed(groups.len(), |i| {
+            let (lead, copies) = (&groups[i][0], &groups[i][1..]);
+            let pg = &planes[lead.plane.index()];
+            let wanted = groups[i].iter().flat_map(|run| &dsts[run.at.clone()]);
+            let mut batch: Vec<RackId> = wanted.copied().collect();
+            batch.sort_unstable();
+            batch.dedup();
+            let mut sets = Self::compute_batch(pg, self.algo, lead.src, &batch);
+            // The copies first, read off the lead's sets; those are then
+            // moved out, never cloned (a second copy of the table in flight
+            // shows in peak RSS).
+            let mut copied: Vec<Vec<Path>> = Vec::new();
+            for run in copies {
+                let (pos, to) = (pg.link_positions(), &planes[run.plane.index()]);
+                copied.extend(dsts[run.at.clone()].iter().map(|&dst| {
+                    let set = sets[batch_index(&batch, dst)].iter();
+                    set.map(|path| translate(path, pos, to)).collect()
+                }));
+            }
+            let own = dsts[lead.at.clone()]
+                .iter()
+                .map(|&dst| std::mem::take(&mut sets[batch_index(&batch, dst)]));
+            own.chain(copied).collect::<Vec<_>>()
         });
-        computed.into_iter().flatten().collect()
+        let mut out = vec![Vec::new(); slots.len()];
+        for (group, sets) in groups.iter().zip(computed) {
+            for (cell, set) in group.iter().flat_map(|run| run.at.clone()).zip(sets) {
+                out[cell] = set;
+            }
+        }
+        out
     }
 
     /// Path set between two racks within one plane (memoized, shared).
@@ -316,7 +401,7 @@ impl Router {
             // Skip slots that are already materialized: precompute after
             // lazy use must not replace Arcs callers may have compared by
             // pointer.
-            let (planes, racks, mut todo) = {
+            let (planes, classes, racks, mut todo) = {
                 let st = self.read();
                 let mut todo: Vec<usize> = Vec::new();
                 for &(src, dst) in pairs {
@@ -327,11 +412,11 @@ impl Router {
                         }
                     }
                 }
-                (Arc::clone(&st.planes), st.racks, todo)
+                (Arc::clone(&st.planes), st.classes.clone(), st.racks, todo)
             };
             todo.sort_unstable();
             todo.dedup();
-            let computed = self.fill(&planes, racks, &todo, par);
+            let computed = self.fill(&planes, &classes, racks, &todo, par);
             let mut st = self.write();
             if !Arc::ptr_eq(&st.planes, &planes) {
                 continue; // results are stale against the new snapshot
@@ -448,6 +533,7 @@ impl Router {
         for &p in &touched {
             rebuilt[p.index()] = PlaneGraph::build(net, p);
         }
+        st.classes = shape_classes(&rebuilt);
         st.planes = Arc::new(rebuilt);
         st.epoch += 1;
 
@@ -493,7 +579,8 @@ impl Router {
         affected.dedup();
 
         // Recompute the affected slots against the new snapshot and overwrite.
-        let computed = self.fill(&st.planes, st.racks, &affected, Parallelism::default());
+        let par = Parallelism::default();
+        let computed = self.fill(&st.planes, &st.classes, st.racks, &affected, par);
         for (&slot, paths) in affected.iter().zip(computed) {
             st.commit(slot, paths);
         }
@@ -828,6 +915,83 @@ mod tests {
         failures::restore_cable(&mut net, cables[7]);
         r.refresh(&net);
         assert_matches_rebuild(&net, &r);
+    }
+
+    /// Every materialized slot against the pure per-key computation on the
+    /// slot's *own* plane graph, link for link.
+    fn assert_slots_equal_compute(r: &Router, when: &str) {
+        let st = r.read();
+        assert_eq!(st.entries, st.planes.len() * st.racks * (st.racks - 1));
+        for (slot, cell) in st.slots.iter().enumerate() {
+            let Some(paths) = &cell.paths else { continue };
+            let (p, s, d) = key_of(st.racks, slot);
+            let want = Router::compute(&st.planes[p.index()], r.algo, s, d);
+            assert_eq!(**paths, want, "{when}: {:?} {p} {s}->{d}", r.algo);
+        }
+    }
+
+    /// The bulk fill computes one plane per shape class and writes the other
+    /// planes' sets off it; the per-plane `compute` is the oracle. Walks one
+    /// fabric through every shape-class layout a delta can produce.
+    #[test]
+    fn translated_tables_equal_per_plane_compute() {
+        let profile = LinkProfile::paper_default();
+        let fabrics = [
+            assemble_homogeneous(&Jellyfish::new(16, 4, 1, 5), 4, &profile),
+            assemble_homogeneous(&FatTree::three_tier(4), 2, &profile),
+        ];
+        let algos = [RouteAlgo::Ksp { k: 8 }, RouteAlgo::Ecmp { cap: 16 }];
+        for (mut net, algo) in fabrics
+            .into_iter()
+            .flat_map(|f| algos.map(|a| (f.clone(), a)))
+        {
+            let n = net.n_planes() as usize;
+            let r = Router::new(&net, algo);
+            // Lazy entries on different planes first: the runs of one source
+            // then ask for different destinations, the lowest plane for fewer
+            // than the union, and the live `Arc`s must survive.
+            let lazy = [(0, 0, 5), (1, 0, 7), (1, 3, 2)].map(|(p, s, d)| {
+                let key = (PlaneId(p), RackId(s), RackId(d));
+                (key, r.paths_in_plane(key.0, key.1, key.2))
+            });
+            r.precompute_all_pairs();
+            assert_eq!(r.read().classes, vec![0; n]);
+            assert_slots_equal_compute(&r, "all planes one class");
+            for ((p, s, d), arc) in &lazy {
+                assert!(Arc::ptr_eq(arc, &r.paths_in_plane(*p, *s, *d)));
+            }
+
+            // The same cable position in planes 0 and 1.
+            let [c0, c1] = [0, 1].map(|p| failures::fabric_cables(&net, Some(PlaneId(p)))[3]);
+            let apply = |net: &mut Network, down: &[LinkId], up: &[LinkId]| {
+                down.iter().for_each(|&c| failures::fail_cable(net, c));
+                up.iter().for_each(|&c| failures::restore_cable(net, c));
+                let (down, up) = (down.to_vec(), up.to_vec());
+                r.apply_delta(net, &LinkDelta { down, up });
+            };
+            apply(&mut net, &[c1], &[]);
+            let mut alone = vec![0; n];
+            alone[1] = 1;
+            assert_eq!(r.read().classes, alone);
+            assert_slots_equal_compute(&r, "plane 1 cut");
+            assert_matches_rebuild(&net, &r);
+
+            apply(&mut net, &[], &[c1]);
+            assert_eq!(r.read().classes, vec![0; n]);
+            assert_slots_equal_compute(&r, "plane 1 restored");
+
+            // One delta, both planes: they repair as a class of their own.
+            apply(&mut net, &[c0, c1], &[]);
+            let pair: Vec<usize> = (0..n).map(|p| if p < 2 { 0 } else { 2 }).collect();
+            assert_eq!(r.read().classes, pair);
+            assert_slots_equal_compute(&r, "planes 0 and 1 cut alike");
+            assert_matches_rebuild(&net, &r);
+
+            apply(&mut net, &[], &[c0, c1]);
+            assert_eq!(r.read().classes, vec![0; n]);
+            assert_slots_equal_compute(&r, "both restored");
+            assert_matches_rebuild(&net, &r);
+        }
     }
 
     #[test]

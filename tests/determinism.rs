@@ -112,29 +112,37 @@ fn two_plane_spec() -> PNetSpec {
 #[test]
 fn serial_and_parallel_route_tables_are_identical() {
     use pnet::routing::Parallelism;
-    use pnet::topology::PlaneId;
-    let net = two_plane_spec().build().net;
-    let serial = Router::with_parallelism(&net, RouteAlgo::Ksp { k: 8 }, Parallelism::Serial);
-    serial.precompute_all_pairs_with(Parallelism::Serial);
-    let parallel = Router::with_parallelism(&net, RouteAlgo::Ksp { k: 8 }, Parallelism::Rayon);
-    parallel.precompute_all_pairs_with(Parallelism::Rayon);
-    assert_eq!(serial.cached_entries(), parallel.cached_entries());
-    for a in 0..16u32 {
-        for b in 0..16u32 {
-            if a == b {
-                continue;
-            }
-            for p in 0..2u16 {
+    use pnet::topology::{failures, PlaneId};
+    // Both planes one shape class (plane 1's table is written off plane 0's
+    // inside one pool task), then plane 1 degraded and on its own.
+    let whole = two_plane_spec().build().net;
+    let mut degraded = whole.clone();
+    let cable = failures::fabric_cables(&degraded, Some(PlaneId(1)))[0];
+    failures::fail_cable(&mut degraded, cable);
+    for net in [whole, degraded] {
+        let serial = Router::with_parallelism(&net, RouteAlgo::Ksp { k: 8 }, Parallelism::Serial);
+        serial.precompute_all_pairs_with(Parallelism::Serial);
+        let parallel = Router::with_parallelism(&net, RouteAlgo::Ksp { k: 8 }, Parallelism::Rayon);
+        parallel.precompute_all_pairs_with(Parallelism::Rayon);
+        assert_eq!(serial.cached_entries(), parallel.cached_entries());
+        assert_eq!(serial.table_fingerprint(), parallel.table_fingerprint());
+        for a in 0..16u32 {
+            for b in 0..16u32 {
+                if a == b {
+                    continue;
+                }
+                for p in 0..2u16 {
+                    assert_eq!(
+                        *serial.paths_in_plane(PlaneId(p), RackId(a), RackId(b)),
+                        *parallel.paths_in_plane(PlaneId(p), RackId(a), RackId(b)),
+                        "route table diverged at plane {p}, pair ({a},{b})"
+                    );
+                }
                 assert_eq!(
-                    *serial.paths_in_plane(PlaneId(p), RackId(a), RackId(b)),
-                    *parallel.paths_in_plane(PlaneId(p), RackId(a), RackId(b)),
-                    "route table diverged at plane {p}, pair ({a},{b})"
+                    serial.k_best_across_planes(RackId(a), RackId(b), 8),
+                    parallel.k_best_across_planes(RackId(a), RackId(b), 8)
                 );
             }
-            assert_eq!(
-                serial.k_best_across_planes(RackId(a), RackId(b), 8),
-                parallel.k_best_across_planes(RackId(a), RackId(b), 8)
-            );
         }
     }
 }

@@ -422,6 +422,57 @@ proptest! {
     }
 }
 
+proptest! {
+    // Eight (fabric, algorithm, mirror) combinations share the cases.
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The bulk fill computes one plane per shape class and writes the
+    /// same-shape planes' sets off it; a lazy miss computes on the plane's own
+    /// graph. Whatever mix of whole, cut and alike-cut planes the failures
+    /// leave, the two tables are the same bytes.
+    #[test]
+    fn bulk_fill_equals_key_by_key_fill(
+        seed in 0u64..60,
+        frac in 0.0f64..0.4,
+        fail_seed in 0u64..60,
+        fat_tree: bool,
+        ecmp: bool,
+        mirror: bool,
+    ) {
+        let profile = LinkProfile::paper_default();
+        let mut net = if fat_tree {
+            assemble_homogeneous(&FatTree::three_tier(4), 2, &profile)
+        } else {
+            assemble_homogeneous(&Jellyfish::new(12, 3, 1, seed), 4, &profile)
+        };
+        failures::fail_random_fraction(&mut net, frac, fail_seed);
+        if mirror {
+            // Plane 1 cut exactly where plane 0 is: a class of their own.
+            let [from, to] = [0, 1].map(|p| failures::fabric_cables(&net, Some(PlaneId(p))));
+            for (c0, c1) in from.into_iter().zip(to) {
+                if net.link(c0).up {
+                    failures::restore_cable(&mut net, c1);
+                } else {
+                    failures::fail_cable(&mut net, c1);
+                }
+            }
+        }
+        let algo = if ecmp { RouteAlgo::Ecmp { cap: 8 } } else { RouteAlgo::Ksp { k: 6 } };
+        let bulk = Router::new(&net, algo);
+        bulk.precompute_all_pairs();
+        let lazy = Router::new(&net, algo);
+        let racks = lazy.n_racks() as u32;
+        for p in net.planes() {
+            for (a, b) in (0..racks).flat_map(|a| (0..racks).map(move |b| (a, b))) {
+                if a != b {
+                    lazy.paths_in_plane(p, RackId(a), RackId(b));
+                }
+            }
+        }
+        prop_assert_eq!(bulk.table_fingerprint(), lazy.table_fingerprint());
+    }
+}
+
 // ---------------------------------------------------------------------
 // Flow-level solver invariants
 // ---------------------------------------------------------------------
