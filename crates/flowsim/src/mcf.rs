@@ -409,7 +409,6 @@ pub fn try_solve_warm_with_options(
             }
         }
     }
-    // pnet-tidy: allow(D3) -- usize arena-length comparison, not a float read
     if warm.length.len() != caps.len() {
         return Err(McfError::WarmArenaMismatch {
             expected: caps.len(),
@@ -1328,7 +1327,6 @@ impl AnyPathOracle {
         let mut cur = pg.tor(dst_rack);
         loop {
             let pv = parent[cur];
-            // pnet-tidy: allow(D3) -- pv is a packed u64 parent word; exact integer sentinel compare
             if pv == NO_PARENT {
                 break;
             }

@@ -34,7 +34,7 @@ pub fn ecmp_throughput(net: &Network, commodities: &[Commodity]) -> f64 {
 pub fn ecmp_throughput_with(net: &Network, router: &Router, commodities: &[Commodity]) -> f64 {
     let mode = mcf::ecmp_mode(net, router, commodities);
     let PathMode::Explicit(paths) = mode else {
-        unreachable!()
+        unreachable!("invariant: ecmp_mode builds PathMode::Explicit, one path per commodity")
     };
     let routes: Vec<Vec<pnet_topology::LinkId>> =
         paths.into_iter().map(|mut p| p.swap_remove(0)).collect();

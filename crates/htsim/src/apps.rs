@@ -92,6 +92,10 @@ impl Driver for ClosedLoopDriver<'_> {
         if sim.now >= self.stop {
             return;
         }
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "owner_tag is the slot index this driver wrote as `i as u64`"
+        )]
         let i = rec.owner_tag as usize;
         let slot = &mut self.slots[i];
         let dst = (slot.next_dst)();

@@ -219,6 +219,10 @@ impl EventQueue {
     fn open_slot(&mut self, s: usize) {
         self.cur_slot = s;
         std::mem::swap(&mut self.drain, &mut self.slots[s]);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "whole-element compare: (time, seq) with unique seq, so no two events are equal"
+        )]
         self.drain.sort_unstable_by(|a, b| b.cmp(a));
         // Slots at or before `s` are now all empty (the scan that found `s`
         // proved those before it empty, and `s` was just swapped out).

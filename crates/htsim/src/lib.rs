@@ -43,6 +43,20 @@
 //! assert_eq!(sim.records.len(), 1);
 //! ```
 
+// Test modules are exempt from the typed determinism lints (DESIGN.md "Static analysis &
+// determinism contract"): they keep hash sets, exact float asserts and catch-all arms.
+#![cfg_attr(
+    test,
+    allow(
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        clippy::float_cmp,
+        clippy::wildcard_enum_match_arm
+    )
+)]
+// Time, byte counts and ids are u64/u32 arithmetic: a narrowing `as` silently truncates at scale.
+#![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
+
 pub mod apps;
 pub mod event;
 pub mod metrics;

@@ -39,6 +39,10 @@ pub fn percentile(samples: &[f64], p: f64) -> f64 {
     assert!((0.0..=100.0).contains(&p));
     let mut v = samples.to_vec();
     v.sort_by(f64::total_cmp);
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "p is asserted within [0, 100], so the rank is at most v.len()"
+    )]
     let rank = ((p / 100.0) * v.len() as f64).ceil() as usize;
     v[rank.saturating_sub(1).min(v.len() - 1)]
 }
@@ -68,7 +72,10 @@ pub fn ecdf(samples: &[f64]) -> Vec<(f64, f64)> {
     for (i, x) in v.iter().enumerate() {
         let frac = (i + 1) as f64 / n;
         match out.last_mut() {
-            // pnet-tidy: allow(D3) -- dedup of sorted samples: exact representation equality is the intent
+            #[expect(
+                clippy::float_cmp,
+                reason = "dedup of sorted samples: exact representation equality is the intent"
+            )]
             Some(last) if last.0 == *x => last.1 = frac,
             _ => out.push((*x, frac)),
         }

@@ -975,7 +975,11 @@ impl Simulator {
                 subflow,
                 token,
             } => self.on_rto(conn, subflow, token),
-            EventKind::AppTimer { .. } => unreachable!("app timers handled by the run loop"),
+            EventKind::AppTimer { .. } => {
+                unreachable!(
+                    "invariant: the run loop hands app timers to the driver, never to dispatch"
+                )
+            }
             EventKind::TelemetrySample => self.on_telemetry_sample(),
         }
     }
@@ -1137,6 +1141,10 @@ pub fn run(sim: &mut Simulator, driver: &mut dyn Driver, until: Option<SimTime>)
         for next in sim.events.next_hint() {
             sim.prefetch_for(next);
         }
+        #[expect(
+            clippy::wildcard_enum_match_arm,
+            reason = "dispatch matches EventKind exhaustively: a new variant fails to compile there"
+        )]
         match ev.kind {
             EventKind::AppTimer { app, tag } => driver.on_app_timer(sim, app, tag),
             other => sim.dispatch(other),
@@ -1157,6 +1165,10 @@ pub fn run(sim: &mut Simulator, driver: &mut dyn Driver, until: Option<SimTime>)
             for next in sim.events.next_hint() {
                 sim.prefetch_for(next);
             }
+            #[expect(
+                clippy::wildcard_enum_match_arm,
+                reason = "dispatch matches EventKind exhaustively: a new variant fails to compile there"
+            )]
             match ev.kind {
                 EventKind::AppTimer { app, tag } => driver.on_app_timer(sim, app, tag),
                 other => sim.dispatch(other),

@@ -240,6 +240,10 @@ impl Subflow {
             self.rttvar_ps = 0.75 * self.rttvar_ps + 0.25 * (self.srtt_ps - s).abs();
             self.srtt_ps = 0.875 * self.srtt_ps + 0.125 * s;
         }
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "float-to-int `as` saturates; the clamp to [min_rto, max_rto] follows"
+        )]
         let rto_ps = (self.srtt_ps + 4.0 * self.rttvar_ps) as u64;
         self.rto = SimTime::from_ps(rto_ps).max(cfg.min_rto).min(cfg.max_rto);
     }

@@ -9,7 +9,7 @@ use std::ops::{Add, AddAssign, Sub};
 
 /// An absolute simulation timestamp in picoseconds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct SimTime(pub u64);
+pub struct SimTime(u64);
 
 impl SimTime {
     /// Time zero.
@@ -158,6 +158,10 @@ pub fn serialization_ps(bytes: u32, rate_bps: u64) -> u64 {
     // answer for anything larger.
     match bits.checked_mul(1_000_000_000_000) {
         Some(ps) => ps.div_ceil(rate_bps),
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "bits < 2^35 (bytes is u32), so the quotient fits u64 for every rate above 2 kb/s"
+        )]
         None => (bits as u128 * 1_000_000_000_000u128).div_ceil(rate_bps as u128) as u64,
     }
 }

@@ -1,13 +1,4 @@
-//! D3 fixtures: float equality in solver code, plus a dead waiver.
-
-pub fn converged(a: f64, b: f64) -> bool {
-    a == b
-}
-
-pub fn is_sentinel(x: f64) -> bool {
-    // pnet-tidy: allow(D3) -- fixture: exact sentinel compare is intended
-    x == -1.0
-}
+//! W1 fixture: a waiver that suppresses nothing is itself a finding.
 
 // pnet-tidy: allow(D2) -- fixture: this waiver suppresses nothing
 pub fn noop() {}

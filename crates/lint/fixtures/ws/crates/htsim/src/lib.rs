@@ -1,4 +1,4 @@
-//! C1/C2 fixtures: panics and narrowing casts in the simulator.
+//! C1 fixtures: panics in the simulator's library code.
 
 pub fn first(v: &[u32]) -> u32 {
     *v.first().unwrap()
@@ -8,10 +8,28 @@ pub fn checked_first(v: &[u32]) -> u32 {
     *v.first().expect("invariant: caller guarantees non-empty")
 }
 
-pub fn narrow(x: u64) -> u32 {
-    x as u32
-}
-
 pub fn boom() -> u32 {
     panic!("fixture: allowlisted panic site")
+}
+
+pub fn sign(x: i32) -> i32 {
+    match x.signum() {
+        -1 | 0 | 1 => x.signum(),
+        _ => unreachable!(),
+    }
+}
+
+pub fn sign_waived(x: i32) -> i32 {
+    match x.signum() {
+        -1 | 0 | 1 => x.signum(),
+        // pnet-tidy: allow(C1) -- fixture: signum returns -1, 0 or 1
+        _ => unreachable!("signum is one of three values"),
+    }
+}
+
+pub fn sign_named(x: i32) -> i32 {
+    match x.signum() {
+        -1 | 0 | 1 => x.signum(),
+        _ => unreachable!("invariant: signum returns -1, 0 or 1"),
+    }
 }

@@ -1,7 +1,7 @@
-//! U1 fixtures: raw unit constructors and inline conversion constants.
+//! U1 fixtures: inline conversion constants next to unit-bearing values.
 
-pub fn raw_ctor() -> SimTime {
-    SimTime(5)
+pub fn thousands(n: u64) -> u64 {
+    n * 1000
 }
 
 pub fn fct_to_us(fct_ps: u64) -> f64 {

@@ -1,9 +1,4 @@
-//! D1/D2 fixtures: unordered containers and wall-clock time in routing.
-
-pub type Table = std::collections::HashMap<u32, u32>;
-
-// pnet-tidy: allow(D1) -- fixture: waived unordered set, lookup only
-pub type Seen = std::collections::HashSet<u32>;
+//! D2 fixture: wall-clock time in routing.
 
 pub fn elapsed_ns(t0: std::time::Instant) -> u128 {
     t0.elapsed().as_nanos()

@@ -56,7 +56,6 @@ pub fn parse_allowlist(src: &str, path: &str) -> (Vec<AllowEntry>, Vec<Finding>)
             message,
             snippet: snippet.trim().to_string(),
             suppressed: None,
-            origin: None,
         });
     };
     for (idx, raw) in src.lines().enumerate() {
@@ -198,7 +197,6 @@ pub fn parse_waivers(
                 message,
                 snippet: snippet.clone(),
                 suppressed: None,
-                origin: None,
             });
         };
         let Some(args) = body

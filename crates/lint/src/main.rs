@@ -3,22 +3,14 @@
 //! Modes:
 //! * `check` — human-readable diagnostics for every unsuppressed finding;
 //!   exit 1 if any. This is the CI gate and what `tests/tidy.rs` shells to.
-//!   With `--baseline <sarif>`, only findings *not* in the baseline fail the
-//!   gate (rule-rollout mode: land the rule, burn the baseline down).
-//! * `list`  — every finding (suppressed included) as a JSON array, or as a
-//!   SARIF 2.1.0 log with `--format sarif` (GitHub code-scanning upload).
+//! * `list`  — every finding, suppressed ones included and marked as such.
 //! * `stats` — per-rule counts of active / waived / allowlisted findings.
-//! * `effects` — every workspace fn's inferred effect signature, one
-//!   S-expression per line (the T1/S1 substrate; see DESIGN.md).
 //!
 //! Flags: `--root <dir>` (default: walk up from cwd to the `[workspace]`
-//! manifest), `--allowlist <file>` (default: `<root>/lint-allowlist.toml`),
-//! `--format json|sarif` (list mode only), `--baseline <sarif>` (check mode
-//! only).
+//! manifest), `--allowlist <file>` (default: `<root>/lint-allowlist.toml`).
 
-use pnet_lint::baseline::{parse_sarif_baseline, split_against_baseline};
-use pnet_lint::rules::{rule_summary, Finding, Suppression, RULE_IDS};
-use pnet_lint::{effects_dump_root, find_workspace_root, scan};
+use pnet_lint::rules::{rule_summary, Finding, Suppression};
+use pnet_lint::{find_workspace_root, scan, ScanReport};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -27,15 +19,11 @@ fn main() -> ExitCode {
     let mut mode: Option<String> = None;
     let mut root: Option<PathBuf> = None;
     let mut allowlist: Option<PathBuf> = None;
-    let mut format: Option<String> = None;
-    let mut baseline: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--root" => root = args.next().map(PathBuf::from),
             "--allowlist" => allowlist = args.next().map(PathBuf::from),
-            "--format" => format = args.next(),
-            "--baseline" => baseline = args.next().map(PathBuf::from),
             "--help" | "-h" => {
                 print_usage();
                 return ExitCode::SUCCESS;
@@ -49,14 +37,8 @@ fn main() -> ExitCode {
         }
     }
     let mode = mode.unwrap_or_else(|| "check".to_string());
-    if !matches!(mode.as_str(), "check" | "list" | "stats" | "effects") {
+    if !matches!(mode.as_str(), "check" | "list" | "stats") {
         eprintln!("pnet-tidy: unknown mode `{mode}`");
-        print_usage();
-        return ExitCode::from(2);
-    }
-    let format = format.unwrap_or_else(|| "json".to_string());
-    if !matches!(format.as_str(), "json" | "sarif") {
-        eprintln!("pnet-tidy: unknown format `{format}` (expected json or sarif)");
         print_usage();
         return ExitCode::from(2);
     }
@@ -83,18 +65,6 @@ fn main() -> ExitCode {
         }
     };
     let allowlist = allowlist.unwrap_or_else(|| root.join("lint-allowlist.toml"));
-    if mode == "effects" {
-        return match effects_dump_root(&root) {
-            Ok(s) => {
-                print!("{s}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("pnet-tidy: effects dump failed: {e}");
-                ExitCode::from(2)
-            }
-        };
-    }
     let report = match scan(&root, &allowlist) {
         Ok(r) => r,
         Err(e) => {
@@ -103,78 +73,57 @@ fn main() -> ExitCode {
         }
     };
     match mode.as_str() {
-        "check" => run_check(&report, baseline.as_deref()),
+        "check" => run_check(&report),
         "list" => {
-            if format == "sarif" {
-                println!("{}", to_sarif(&report.findings));
-            } else {
-                println!("{}", to_json(&report.findings));
+            for f in &report.findings {
+                print_finding(f);
             }
             ExitCode::SUCCESS
         }
-        "stats" => {
+        _ => {
             run_stats(&report);
             ExitCode::SUCCESS
         }
-        _ => unreachable!(),
     }
 }
 
 fn print_usage() {
     eprintln!(
-        "usage: pnet-tidy [check|list|stats|effects] [--root <dir>] [--allowlist <file>] \
-         [--format json|sarif] [--baseline <sarif>]\n\
+        "usage: pnet-tidy [check|list|stats] [--root <dir>] [--allowlist <file>]\n\
          \n\
-         check    exit 1 on any unwaived finding (default; the CI gate);\n\
-         \x20        --baseline <sarif> fails only on findings not in the baseline\n\
-         list     all findings, suppressed included, as JSON (or SARIF 2.1.0)\n\
-         stats    per-rule active/waived/allowlisted counts\n\
-         effects  inferred effect signature per workspace fn (S-expressions)"
+         check    exit 1 on any unwaived finding (default; the CI gate)\n\
+         list     all findings, suppressed included\n\
+         stats    per-rule active/waived/allowlisted counts"
     );
 }
 
-fn run_check(report: &pnet_lint::ScanReport, baseline: Option<&std::path::Path>) -> ExitCode {
+fn print_finding(f: &Finding) {
+    let how = match f.suppressed {
+        None => "",
+        Some(Suppression::Waiver) => " (waived)",
+        Some(Suppression::Allowlist) => " (allowlisted)",
+    };
+    println!(
+        "{}:{}:{}: [{}]{how} {}\n    {}",
+        f.file, f.line, f.col, f.rule, f.message, f.snippet
+    );
+}
+
+fn run_check(report: &ScanReport) -> ExitCode {
     let active: Vec<&Finding> = report.active().collect();
-    let (active, absorbed) = match baseline {
-        None => (active, 0),
-        Some(path) => {
-            let src = match std::fs::read_to_string(path) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("pnet-tidy: cannot read baseline {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            };
-            match parse_sarif_baseline(&src) {
-                Ok(keys) => split_against_baseline(&active, &keys),
-                Err(e) => {
-                    eprintln!("pnet-tidy: bad baseline {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            }
-        }
-    };
     for f in &active {
-        println!(
-            "{}:{}:{}: [{}] {}\n    {}",
-            f.file, f.line, f.col, f.rule, f.message, f.snippet
-        );
+        print_finding(f);
     }
-    let suppressed = report.findings.len() - report.active().count();
-    let baselined = if absorbed > 0 {
-        format!(", {absorbed} baselined")
-    } else {
-        String::new()
-    };
+    let suppressed = report.findings.len() - active.len();
     if active.is_empty() {
         println!(
-            "pnet-tidy: clean — {} files scanned, {} suppressed finding(s){baselined}",
+            "pnet-tidy: clean — {} files scanned, {} suppressed finding(s)",
             report.files_scanned, suppressed
         );
         ExitCode::SUCCESS
     } else {
         println!(
-            "pnet-tidy: {} finding(s) in {} files scanned ({} suppressed{baselined})",
+            "pnet-tidy: {} finding(s) in {} files scanned ({} suppressed)",
             active.len(),
             report.files_scanned,
             suppressed
@@ -183,7 +132,7 @@ fn run_check(report: &pnet_lint::ScanReport, baseline: Option<&std::path::Path>)
     }
 }
 
-fn run_stats(report: &pnet_lint::ScanReport) {
+fn run_stats(report: &ScanReport) {
     // rule -> (active, waived, allowlisted)
     let mut by_rule: BTreeMap<&str, (usize, usize, usize)> = BTreeMap::new();
     for f in &report.findings {
@@ -199,101 +148,4 @@ fn run_stats(report: &pnet_lint::ScanReport) {
         println!("{rule:<5} {a:>6}  {w:>6}  {al:>11}  {}", rule_summary(rule));
     }
     println!("files scanned: {}", report.files_scanned);
-}
-
-fn to_json(findings: &[Finding]) -> String {
-    let mut s = String::from("[");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str("\n  {");
-        s.push_str(&format!("\"rule\":{},", json_str(f.rule)));
-        s.push_str(&format!("\"file\":{},", json_str(&f.file)));
-        s.push_str(&format!("\"line\":{},", f.line));
-        s.push_str(&format!("\"col\":{},", f.col));
-        s.push_str(&format!("\"message\":{},", json_str(&f.message)));
-        s.push_str(&format!("\"snippet\":{},", json_str(&f.snippet)));
-        let sup = match f.suppressed {
-            None => "null".to_string(),
-            Some(Suppression::Waiver) => json_str("waiver"),
-            Some(Suppression::Allowlist) => json_str("allowlist"),
-        };
-        s.push_str(&format!("\"suppressed\":{sup},"));
-        let origin = match &f.origin {
-            None => "null".to_string(),
-            Some((file, line)) => json_str(&format!("{file}:{line}")),
-        };
-        s.push_str(&format!("\"origin\":{origin}"));
-        s.push('}');
-    }
-    s.push_str("\n]");
-    s
-}
-
-/// Minimal SARIF 2.1.0 log: one run, one rule descriptor per catalogue id,
-/// one result per finding. Suppressed findings carry a `suppressions` array
-/// so code scanning shows them as closed rather than open.
-fn to_sarif(findings: &[Finding]) -> String {
-    let mut s = String::from(
-        "{\n  \"$schema\": \"https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json\",\n  \"version\": \"2.1.0\",\n  \"runs\": [{\n    \"tool\": {\"driver\": {\"name\": \"pnet-tidy\", \"informationUri\": \"DESIGN.md\", \"rules\": [",
-    );
-    let all_rules: Vec<&str> = RULE_IDS.iter().copied().chain(["W1", "A1"]).collect();
-    for (i, rule) in all_rules.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "\n      {{\"id\": {}, \"shortDescription\": {{\"text\": {}}}}}",
-            json_str(rule),
-            json_str(rule_summary(rule))
-        ));
-    }
-    s.push_str("\n    ]}},\n    \"results\": [");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "\n      {{\"ruleId\": {}, \"level\": \"error\", \"message\": {{\"text\": {}}}, \
-             \"locations\": [{{\"physicalLocation\": {{\"artifactLocation\": {{\"uri\": {}}}, \
-             \"region\": {{\"startLine\": {}, \"startColumn\": {}}}}}}}]",
-            json_str(f.rule),
-            json_str(&f.message),
-            json_str(&f.file),
-            f.line,
-            f.col
-        ));
-        if let Some(sup) = f.suppressed {
-            let kind = match sup {
-                Suppression::Waiver => "inline waiver",
-                Suppression::Allowlist => "allowlist entry",
-            };
-            s.push_str(&format!(
-                ", \"suppressions\": [{{\"kind\": \"inSource\", \"justification\": {}}}]",
-                json_str(kind)
-            ));
-        }
-        s.push('}');
-    }
-    s.push_str("\n    ]\n  }]\n}");
-    s
-}
-
-fn json_str(v: &str) -> String {
-    let mut out = String::with_capacity(v.len() + 2);
-    out.push('"');
-    for c in v.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }

@@ -71,7 +71,7 @@ impl Parallelism {
 /// any reduction whose operand order can vary (tree reductions, rayon `sum`)
 /// is a determinism hazard; this left fold is the blessed way to consume
 /// parallel-produced values (`map_indexed` output arrives in index order, and
-/// this keeps it that way). pnet-tidy's O1 rule points here.
+/// this keeps it that way).
 pub fn ordered_sum_f64(xs: &[f64]) -> f64 {
     xs.iter().fold(0.0, |acc, &x| acc + x)
 }

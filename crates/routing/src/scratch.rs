@@ -158,7 +158,6 @@ thread_local! {
 /// through their own signatures; nested calls must pass the borrowed scratch
 /// down instead of re-entering.
 pub fn with_thread_scratch<R>(f: impl FnOnce(&mut RouteScratch) -> R) -> R {
-    // pnet-tidy: allow(S1) -- the sanctioned per-thread scratch: the RefCell is thread_local (never shared across threads) and `f` is the caller's own work, not foreign code
     SCRATCH.with(|s| f(&mut s.borrow_mut()))
 }
 

@@ -299,7 +299,7 @@ impl Network {
     pub fn host_of_node(&self, n: NodeId) -> Option<HostId> {
         match self.node(n).kind {
             NodeKind::Host { host, .. } => Some(host),
-            _ => None,
+            NodeKind::Tor { .. } | NodeKind::Agg { .. } | NodeKind::Core => None,
         }
     }
 
@@ -307,7 +307,11 @@ impl Network {
     pub fn rack_of_host(&self, h: HostId) -> RackId {
         match self.node(self.host_node(h)).kind {
             NodeKind::Host { rack, .. } => rack,
-            _ => unreachable!("host table points at a non-host node"),
+            NodeKind::Tor { .. } | NodeKind::Agg { .. } | NodeKind::Core => {
+                unreachable!(
+                    "invariant: the host table lists only Host nodes (checked by validate)"
+                )
+            }
         }
     }
 
@@ -333,7 +337,10 @@ impl Network {
         // Linear scan is fine: used in construction and tests, not hot paths.
         self.nodes().find_map(|(id, n)| match n.kind {
             NodeKind::Tor { rack: r } if r == rack && n.plane == Some(plane) => Some(id),
-            _ => None,
+            NodeKind::Host { .. }
+            | NodeKind::Tor { .. }
+            | NodeKind::Agg { .. }
+            | NodeKind::Core => None,
         })
     }
 
@@ -401,7 +408,10 @@ impl Network {
         for (i, &n) in self.hosts.iter().enumerate() {
             match self.node(n).kind {
                 NodeKind::Host { host, .. } if host == HostId(i as u32) => {}
-                _ => return Err(format!("host table slot {i} does not match node")),
+                NodeKind::Host { .. }
+                | NodeKind::Tor { .. }
+                | NodeKind::Agg { .. }
+                | NodeKind::Core => return Err(format!("host table slot {i} does not match node")),
             }
         }
         Ok(())

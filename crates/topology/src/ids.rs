@@ -118,11 +118,12 @@ mod tests {
     use super::*;
 
     /// mcf.rs and router.rs sort `Vec<RackId>` / `Vec<LinkId>` with plain
-    /// `sort_unstable()` (the Q1-clean form). That is only equivalent to the
-    /// old `sort_unstable_by_key(|x| x.0)` because the derived `Ord` on these
-    /// newtypes IS the inner-u32 order and duplicates are indistinguishable
-    /// whole elements. Pin the equivalence so a future field addition (which
-    /// would make the unstable sort reorder-prone again) fails loudly here.
+    /// `sort_unstable()` (the form `clippy::disallowed_methods` leaves alone).
+    /// That is only equivalent to the old `sort_unstable_by_key(|x| x.0)`
+    /// because the derived `Ord` on these newtypes IS the inner-u32 order and
+    /// duplicates are indistinguishable whole elements. Pin the equivalence so
+    /// a future field addition (which would make the unstable sort
+    /// reorder-prone again) fails loudly here.
     #[test]
     fn newtype_sort_unstable_matches_inner_key_sort() {
         let raw = [7u32, 3, 7, 0, 3, 9, 1, 7, 0];

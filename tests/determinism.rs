@@ -153,30 +153,36 @@ fn serial_and_parallel_mcf_solutions_are_bit_identical() {
     use pnet::routing::Parallelism;
     let net = two_plane_spec().build().net;
     let c = commodity::permutation(&tm::random_permutation(32, 11));
-    let solve = |par: Parallelism| {
-        let router = Router::with_parallelism(&net, RouteAlgo::Ksp { k: 16 }, par);
-        let mode = mcf::ksp_mode_with(&net, &router, &c, 8, par);
-        mcf::solve_with_options(
-            &net,
-            &c,
-            &mode,
-            0.1,
-            McfOptions {
-                parallelism: par,
-                ..Default::default()
-            },
-        )
-    };
-    let a = solve(Parallelism::Serial);
-    let b = solve(Parallelism::Rayon);
-    assert_eq!(a.lambda.to_bits(), b.lambda.to_bits());
-    assert_eq!(a.phases, b.phases);
-    assert_eq!(a.rates.len(), b.rates.len());
-    for (ra, rb) in a.rates.iter().zip(&b.rates) {
-        assert_eq!(ra.to_bits(), rb.to_bits());
-    }
-    for (fa, fb) in a.link_flow.iter().zip(&b.link_flow) {
-        assert_eq!(fa.to_bits(), fb.to_bits());
+    // Both explicit-path mode constructors fan out over commodities.
+    for algo in [RouteAlgo::Ksp { k: 16 }, RouteAlgo::Ecmp { cap: 64 }] {
+        let solve = |par: Parallelism| {
+            let router = Router::with_parallelism(&net, algo, par);
+            let mode = match algo {
+                RouteAlgo::Ksp { .. } => mcf::ksp_mode_with(&net, &router, &c, 8, par),
+                RouteAlgo::Ecmp { .. } => mcf::ecmp_mode_with(&net, &router, &c, par),
+            };
+            mcf::solve_with_options(
+                &net,
+                &c,
+                &mode,
+                0.1,
+                McfOptions {
+                    parallelism: par,
+                    ..Default::default()
+                },
+            )
+        };
+        let a = solve(Parallelism::Serial);
+        let b = solve(Parallelism::Rayon);
+        assert_eq!(a.lambda.to_bits(), b.lambda.to_bits(), "{algo:?}");
+        assert_eq!(a.phases, b.phases, "{algo:?}");
+        assert_eq!(a.rates.len(), b.rates.len());
+        for (ra, rb) in a.rates.iter().zip(&b.rates) {
+            assert_eq!(ra.to_bits(), rb.to_bits(), "{algo:?}");
+        }
+        for (fa, fb) in a.link_flow.iter().zip(&b.link_flow) {
+            assert_eq!(fa.to_bits(), fb.to_bits(), "{algo:?}");
+        }
     }
 }
 

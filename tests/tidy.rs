@@ -1,33 +1,52 @@
-//! Tier-1 gate: the workspace must lint clean under `pnet-tidy check`.
+//! Tier-1 gate: the workspace must lint clean under `pnet-tidy check` (the
+//! lexical half of the contract) and under clippy with the workspace lint
+//! table (the typed half).
 //!
-//! The same command runs as the `tidy` CI job; this test makes the gate
-//! local too, so a plain `cargo test` catches determinism/correctness lint
-//! regressions before a push. See DESIGN.md §"Static analysis & determinism
-//! contract" for the rule catalogue and the waiver/allowlist machinery.
+//! The same commands run as the `tidy` and `lint` CI jobs; these tests make
+//! the gate local too, so a plain `cargo test` catches determinism/correctness
+//! lint regressions before a push. See DESIGN.md §"Static analysis &
+//! determinism contract" for the catalogue and the waiver machinery.
 
 use std::process::Command;
 
-#[test]
-fn workspace_lints_clean() {
-    let root = env!("CARGO_MANIFEST_DIR");
+fn cargo_succeeds(args: &[&str]) {
     let out = Command::new(env!("CARGO"))
-        .args([
-            "run",
-            "-q",
-            "-p",
-            "pnet-lint",
-            "--bin",
-            "pnet-tidy",
-            "--",
-            "check",
-        ])
-        .current_dir(root)
+        .args(args)
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
         .output()
         .expect("failed to launch cargo");
     assert!(
         out.status.success(),
-        "pnet-tidy check failed:\n--- stdout ---\n{}\n--- stderr ---\n{}",
+        "cargo {} failed:\n--- stdout ---\n{}\n--- stderr ---\n{}",
+        args.join(" "),
         String::from_utf8_lossy(&out.stdout),
         String::from_utf8_lossy(&out.stderr)
     );
+}
+
+#[test]
+fn workspace_lints_clean() {
+    cargo_succeeds(&[
+        "run",
+        "-q",
+        "-p",
+        "pnet-lint",
+        "--bin",
+        "pnet-tidy",
+        "--",
+        "check",
+    ]);
+}
+
+#[test]
+fn workspace_clippy_clean() {
+    cargo_succeeds(&[
+        "clippy",
+        "--offline",
+        "--workspace",
+        "--all-targets",
+        "--",
+        "-D",
+        "warnings",
+    ]);
 }
