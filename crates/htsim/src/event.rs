@@ -40,6 +40,15 @@
 //! 2. the window only advances when the buckets are empty, and only to the
 //!    span containing the global minimum, so no pending event is ever left
 //!    behind the window.
+//!
+//! **Memory.** Staging buffers belong to a pool, not to slots: a slot holds
+//! a buffer exactly while it holds events. Opening a slot moves its buffer
+//! to `drain` and the exhausted drain buffer to `spare`; staging into a
+//! slot without a buffer takes one from `spare` before allocating. Hence
+//! the invariant the tests check: buffers in existence ≤ peak number of
+//! slots occupied at once + 1 (the drain), and no buffer's capacity exceeds
+//! `max(4, 2 × largest slot load seen)` (`Vec` doubling) — capacity follows
+//! the events pending, not the slots the ring has ever visited.
 
 use crate::packet::{ConnId, PacketId};
 use crate::time::SimTime;
@@ -120,6 +129,8 @@ pub struct EventQueue {
     /// The current slot's backlog, sorted descending by `(time, seq)`; pops
     /// come off the end.
     drain: Vec<Event>,
+    /// Empty staging buffers waiting for the next slot that needs one.
+    spare: Vec<Vec<Event>>,
     /// Events scheduled into the current slot after it opened.
     late: BinaryHeap<Reverse<Event>>,
     /// Slot currently being drained. Slots before it (within this window)
@@ -158,6 +169,7 @@ impl EventQueue {
         EventQueue {
             slots: (0..N_SLOTS).map(|_| Vec::new()).collect(),
             drain: Vec::new(),
+            spare: Vec::new(),
             late: BinaryHeap::new(),
             cur_slot: 0,
             window_start: 0,
@@ -202,30 +214,49 @@ impl EventQueue {
             );
             if s == self.cur_slot {
                 self.late.push(Reverse(ev));
+                self.in_buckets += 1;
             } else {
-                self.slots[s].push(ev);
-                self.min_staged = self.min_staged.min(s);
+                self.stage(s, ev);
             }
-            self.in_buckets += 1;
         } else {
             self.ladder.push(Reverse(ev));
         }
     }
 
-    /// Open staged slot `s`: take its events as the new drain stack, sorted
-    /// once, descending by `(time, seq)`. Recycles the old drain buffer (and
-    /// its capacity) as the slot's staging area. The comparator is total —
-    /// sequence numbers are unique — so `sort_unstable` is deterministic.
+    /// Stage `ev` in slot `s` (ahead of the drain cursor). A slot without a
+    /// buffer takes a pooled one before `push` would allocate.
+    #[inline]
+    fn stage(&mut self, s: usize, ev: Event) {
+        let slot = &mut self.slots[s];
+        if slot.capacity() == 0 {
+            if let Some(buf) = self.spare.pop() {
+                *slot = buf;
+            }
+        }
+        slot.push(ev);
+        self.min_staged = self.min_staged.min(s);
+        self.in_buckets += 1;
+    }
+
+    /// Open staged slot `s`: its buffer becomes the new drain stack, sorted
+    /// once, descending by `(time, seq)`, and the exhausted drain buffer goes
+    /// back to the pool — the slot itself keeps nothing, so capacity never
+    /// accumulates round the ring. The comparator is total — sequence
+    /// numbers are unique — so `sort_unstable` is deterministic.
     fn open_slot(&mut self, s: usize) {
         self.cur_slot = s;
-        std::mem::swap(&mut self.drain, &mut self.slots[s]);
+        let spent = std::mem::replace(&mut self.drain, std::mem::take(&mut self.slots[s]));
+        debug_assert!(spent.is_empty(), "opened a slot over an unfinished drain");
+        if spent.capacity() > 0 {
+            self.spare.push(spent);
+        }
         #[expect(
             clippy::disallowed_methods,
             reason = "whole-element compare: (time, seq) with unique seq, so no two events are equal"
         )]
         self.drain.sort_unstable_by(|a, b| b.cmp(a));
         // Slots at or before `s` are now all empty (the scan that found `s`
-        // proved those before it empty, and `s` was just swapped out).
+        // proved those before it empty, and `s` was just taken).
         self.min_staged = s + 1;
     }
 
@@ -318,10 +349,7 @@ impl EventQueue {
                     .ladder
                     .pop()
                     .expect("invariant: peeked ladder head exists");
-                let s = slot_of(ev.time.as_ps());
-                self.slots[s].push(ev);
-                self.min_staged = self.min_staged.min(s);
-                self.in_buckets += 1;
+                self.stage(slot_of(ev.time.as_ps()), ev);
             }
         }
     }
@@ -383,6 +411,13 @@ impl EventQueue {
     /// `dispatched() + len()`).
     pub fn scheduled(&self) -> u64 {
         self.scheduled
+    }
+
+    /// Events of capacity held by the staging buffers — slots, pool and
+    /// drain (for instrumentation; see "Memory" in the module docs).
+    pub fn staged_capacity(&self) -> usize {
+        let buffers = self.slots.iter().chain(&self.spare);
+        buffers.map(Vec::capacity).sum::<usize>() + self.drain.capacity()
     }
 
     /// Packets currently propagating: pending [`EventKind::Arrival`] events.
@@ -657,5 +692,83 @@ mod tests {
         }
         expect.sort_unstable(); // (time, seq) == (time, insertion index) here
         assert_eq!(drain_apps(&mut q), expect);
+    }
+
+    /// (buffers in existence, largest capacity) over slots, pool and drain.
+    fn buffer_census(q: &EventQueue) -> (usize, usize) {
+        let all = q.slots.iter().chain(&q.spare).chain([&q.drain]);
+        let caps = all.map(Vec::capacity).filter(|&c| c > 0);
+        caps.fold((0, 0), |(n, max), c| (n + 1, max.max(c)))
+    }
+
+    #[test]
+    fn staged_capacity_follows_occupancy_not_history() {
+        // 1 000 bursts of 512 events, each in one slot, each on a slot index
+        // the ring has not used before (stride 17 is coprime to N_SLOTS),
+        // drained between bursts. ~4 windows pass, so bursts arrive both by
+        // `schedule` and by the ladder re-hash. One slot is occupied at a
+        // time: two buffers (slot + drain) must carry the whole run.
+        const BURST: u64 = 512;
+        let w = 1u64 << SLOT_SHIFT;
+        let mut q = EventQueue::new();
+        let mut seen = std::collections::BTreeSet::new();
+        let mut peak_capacity = 0;
+        for burst in 0..1_000u64 {
+            let base = burst * 17 * w;
+            assert!(seen.insert(slot_of(base)), "burst reused a slot index");
+            let mut expect: Vec<(u64, u32)> = (0..BURST)
+                .map(|j| (base + j * 37 % w, (burst * BURST + j) as u32))
+                .collect();
+            for &(t, id) in &expect {
+                app(&mut q, t, id);
+            }
+            expect.sort_unstable(); // ids ascend in schedule order, as seq does
+            assert_eq!(drain_apps(&mut q), expect);
+            peak_capacity = peak_capacity.max(q.staged_capacity());
+            let (buffers, largest) = buffer_census(&q);
+            assert!(buffers <= 2, "{buffers} buffers for one occupied slot");
+            assert!(largest <= 2 * BURST as usize);
+        }
+        assert!(q.window_start >= 3 * SPAN_PS, "run must cross window jumps");
+        assert!(
+            peak_capacity <= 4 * BURST as usize,
+            "staged capacity {peak_capacity} events for bursts of {BURST}"
+        );
+    }
+
+    #[test]
+    fn buffers_number_the_slots_occupied_at_once() {
+        // The module docs' Memory invariant on a schedule that occupies many
+        // slots at once: waves of 1..=40 occupied slots with uneven loads,
+        // each wave drained before the next, windows crossed on the way.
+        let w = 1u64 << SLOT_SHIFT;
+        let mut q = EventQueue::new();
+        let (mut id, mut now) = (0u32, 0u64);
+        let (mut peak_occupied, mut peak_load) = (0usize, 0usize);
+        for wave in 1..=120u64 {
+            let n_slots = 1 + wave * 7 % 40;
+            let base = (now / w + 1) * w; // slot-aligned: one group, one slot
+            for k in 0..n_slots {
+                let load = 1 + (wave + k) * 5 % 23;
+                for j in 0..load {
+                    app(&mut q, base + 3 * k * w + j, id);
+                    id += 1;
+                }
+                peak_load = peak_load.max(load as usize);
+            }
+            // A wave straddling the window end occupies fewer at once.
+            peak_occupied = peak_occupied.max(n_slots as usize);
+            let (buffers, largest) = buffer_census(&q);
+            assert!(
+                buffers <= peak_occupied + 1,
+                "{buffers} > {peak_occupied} + 1"
+            );
+            assert!(
+                largest <= (2 * peak_load).max(4),
+                "{largest} vs {peak_load}"
+            );
+            now = drain_apps(&mut q).last().expect("wave not empty").0;
+        }
+        assert!(q.window_start > 0, "run must cross a window jump");
     }
 }

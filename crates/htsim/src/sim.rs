@@ -966,7 +966,13 @@ impl Simulator {
         }
     }
 
-    fn dispatch(&mut self, kind: EventKind) {
+    /// Hand one popped event to its handler — app timers to the driver,
+    /// everything else to the engine — after prefetching for its successors.
+    #[inline]
+    fn dispatch(&mut self, driver: &mut dyn Driver, kind: EventKind) {
+        for next in self.events.next_hint() {
+            self.prefetch_for(next);
+        }
         match kind {
             EventKind::QueueDeparture { link } => self.on_departure(link),
             EventKind::Arrival { packet } => self.on_arrival(packet),
@@ -975,20 +981,31 @@ impl Simulator {
                 subflow,
                 token,
             } => self.on_rto(conn, subflow, token),
-            EventKind::AppTimer { .. } => {
-                unreachable!(
-                    "invariant: the run loop hands app timers to the driver, never to dispatch"
-                )
-            }
+            EventKind::AppTimer { app, tag } => driver.on_app_timer(self, app, tag),
             EventKind::TelemetrySample => self.on_telemetry_sample(),
         }
     }
 
+    /// Hand every completion not yet delivered to the driver.
+    fn deliver_completions(&mut self, driver: &mut dyn Driver) {
+        while let Some(cid) = self.pending_complete.pop() {
+            let rec = self
+                .records
+                .iter()
+                .rfind(|r| r.conn == cid)
+                .expect("invariant: every completed connection has a flow record")
+                .clone();
+            driver.on_flow_complete(self, &rec);
+        }
+    }
+
     /// Warm the cache lines the next event's handler will touch. At paper
-    /// scale the packet arena, link queues, and connection table all exceed
-    /// L2 and events address them near-randomly, so each dispatch stalls on
-    /// one or two DRAM loads; issuing the successor's loads during the
-    /// current handler overlaps that latency. Advisory only — prefetching
+    /// scale (686 hosts, `packet_bulk`) the packet arena is 9 MB, the link
+    /// queues 5 MB and the subflow tables 4 MB — together past L2 — and
+    /// events address them near-randomly, so a dispatch stalls on one or two
+    /// misses; issuing the successor's loads during the current handler
+    /// overlaps that latency (−12 % per pass there; nothing to hide on a
+    /// sparse calendar, DESIGN.md has both rows). Advisory only — prefetching
     /// the wrong line (the hint can be overtaken by the late heap) costs a
     /// few cycles and changes nothing observable.
     #[inline]
@@ -1109,15 +1126,7 @@ fn prefetch_read<T>(p: *const T) {
 pub fn run(sim: &mut Simulator, driver: &mut dyn Driver, until: Option<SimTime>) {
     loop {
         // Deliver completions before advancing time further.
-        while let Some(cid) = sim.pending_complete.pop() {
-            let rec = sim
-                .records
-                .iter()
-                .rfind(|r| r.conn == cid)
-                .expect("invariant: every completed connection has a flow record")
-                .clone();
-            driver.on_flow_complete(sim, &rec);
-        }
+        sim.deliver_completions(driver);
         // With no horizon (the common case) popping directly saves a full
         // peek — queue emptiness is what `pop` reports anyway.
         let ev = if let Some(u) = until {
@@ -1138,17 +1147,7 @@ pub fn run(sim: &mut Simulator, driver: &mut dyn Driver, until: Option<SimTime>)
             ev
         };
         sim.now = ev.time;
-        for next in sim.events.next_hint() {
-            sim.prefetch_for(next);
-        }
-        #[expect(
-            clippy::wildcard_enum_match_arm,
-            reason = "dispatch matches EventKind exhaustively: a new variant fails to compile there"
-        )]
-        match ev.kind {
-            EventKind::AppTimer { app, tag } => driver.on_app_timer(sim, app, tag),
-            other => sim.dispatch(other),
-        }
+        sim.dispatch(driver, ev.kind);
         // Batched dispatch: drain the same-timestamp cascade (departure →
         // arrival → departure at a slower link, ACK fan-out, ...) without
         // re-touching the queue head machinery. Two exits keep behaviour
@@ -1162,28 +1161,10 @@ pub fn run(sim: &mut Simulator, driver: &mut dyn Driver, until: Option<SimTime>)
             let Some(ev) = sim.events.pop_if_at(sim.now) else {
                 break;
             };
-            for next in sim.events.next_hint() {
-                sim.prefetch_for(next);
-            }
-            #[expect(
-                clippy::wildcard_enum_match_arm,
-                reason = "dispatch matches EventKind exhaustively: a new variant fails to compile there"
-            )]
-            match ev.kind {
-                EventKind::AppTimer { app, tag } => driver.on_app_timer(sim, app, tag),
-                other => sim.dispatch(other),
-            }
+            sim.dispatch(driver, ev.kind);
         }
     }
-    while let Some(cid) = sim.pending_complete.pop() {
-        let rec = sim
-            .records
-            .iter()
-            .rfind(|r| r.conn == cid)
-            .expect("invariant: every completed connection has a flow record")
-            .clone();
-        driver.on_flow_complete(sim, &rec);
-    }
+    sim.deliver_completions(driver);
     #[cfg(feature = "strict-invariants")]
     sim.assert_conservation();
 }

@@ -638,7 +638,7 @@ proptest! {
 use pnet::htsim::event::{Event, EventKind, EventQueue};
 use pnet::htsim::SimTime;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BinaryHeap};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -652,6 +652,13 @@ proptest! {
     /// invariant that nothing is scheduled in the past, and span same-slot
     /// (< 2^14 ps), same-window (< ~67 us), and far-future (overflow ladder)
     /// distances.
+    ///
+    /// After every op the calendar's memory invariant (event.rs module docs)
+    /// is checked through its one accessor: buffers ≤ peak occupied slots + 1
+    /// of at most max(4, 2 × peak slot load) events each bounds
+    /// `staged_capacity()` by their product. The model over-counts both
+    /// peaks from the pending set alone — distinct 2^14 ps buckets, and the
+    /// most events sharing one — so the bound holds whatever the window does.
     #[test]
     fn calendar_queue_matches_binary_heap_model(
         seed in 0u64..400,
@@ -664,6 +671,8 @@ proptest! {
         let mut model: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
         let mut now = 0u64;
         let mut next_tag = 0u64;
+        let mut buckets: BTreeMap<u64, usize> = BTreeMap::new();
+        let (mut peak_buckets, mut peak_load) = (0usize, 0usize);
 
         let check_pop = |got: Option<Event>, want: Option<(u64, u64)>|
          -> Result<Option<u64>, TestCaseError> {
@@ -684,6 +693,14 @@ proptest! {
             }
         };
 
+        let unstage = |buckets: &mut BTreeMap<u64, usize>, t: u64| {
+            let load = buckets.get_mut(&(t >> 14)).expect("popped event was pending");
+            *load -= 1;
+            if *load == 0 {
+                buckets.remove(&(t >> 14));
+            }
+        };
+
         for _ in 0..n_ops {
             match rng.random_range(0..10u32) {
                 // Schedule: slot-, window-, and ladder-scale offsets.
@@ -700,6 +717,10 @@ proptest! {
                     );
                     model.push(Reverse((at, next_tag)));
                     next_tag += 1;
+                    let load = buckets.entry(at >> 14).or_default();
+                    *load += 1;
+                    peak_load = peak_load.max(*load);
+                    peak_buckets = peak_buckets.max(buckets.len());
                 }
                 6..=8 => {
                     prop_assert_eq!(
@@ -709,6 +730,7 @@ proptest! {
                     let want = model.pop().map(|Reverse(e)| e);
                     if let Some(t) = check_pop(q.pop(), want)? {
                         now = t;
+                        unstage(&mut buckets, t);
                     }
                 }
                 // The batched-dispatch fast path: pop only events at exactly now.
@@ -720,10 +742,17 @@ proptest! {
                     } else {
                         None
                     };
-                    check_pop(q.pop_if_at(SimTime::from_ps(now)), want)?;
+                    if let Some(t) = check_pop(q.pop_if_at(SimTime::from_ps(now)), want)? {
+                        unstage(&mut buckets, t);
+                    }
                 }
             }
             prop_assert_eq!(q.len(), model.len());
+            prop_assert!(
+                q.staged_capacity() <= (peak_buckets + 1) * (2 * peak_load).max(4),
+                "{} events of capacity for {} buckets of at most {}",
+                q.staged_capacity(), peak_buckets, peak_load
+            );
         }
 
         // Drain both to the end: the tails must agree too.

@@ -339,3 +339,200 @@ fn queue_stats_account_every_packet() {
     // Every data packet (fresh + retransmitted) passed the first uplink.
     assert_eq!(qs.enqueued + qs.total_dropped(), 1000 + rec.retransmits);
 }
+
+// ---------------------------------------------------------------------
+// Checks derived from the model, not minted by the engine (ROADMAP 2a)
+// ---------------------------------------------------------------------
+
+/// `(plane, src, dst, bytes)`; a flow's index in its list is its owner tag.
+type PlaneFlow = (u16, u32, u32, u64);
+
+/// Start together the flows of `flows` that ride plane `only` (all of them
+/// for `None`) and run: `(tag, start, finish, retransmits, timeouts)` each.
+fn run_plane_flows(
+    n: &Network,
+    flows: &[PlaneFlow],
+    only: Option<u16>,
+) -> Vec<(u64, u64, u64, u64, u64)> {
+    let mut sim = Simulator::new(n, SimConfig::default());
+    for (tag, &(plane, src, dst, size_bytes)) in flows.iter().enumerate() {
+        if only.is_none_or(|p| p == plane) {
+            sim.start_flow(FlowSpec {
+                src: HostId(src),
+                dst: HostId(dst),
+                size_bytes,
+                routes: vec![route(n, HostId(src), HostId(dst), plane)],
+                cc: CcAlgo::Reno,
+                owner_tag: tag as u64,
+            });
+        }
+    }
+    run_to_completion(&mut sim);
+    assert_eq!(sim.records.len(), sim.n_conns(), "some flow never finished");
+    let recs = sim.records.iter();
+    recs.map(|r| {
+        let (start, finish) = (r.start.as_ps(), r.finish.as_ps());
+        (r.owner_tag, start, finish, r.retransmits, r.timeouts)
+    })
+    .collect()
+}
+
+#[test]
+fn planes_carrying_independent_flows_equal_single_plane_runs() {
+    // The paper's "once a packet enters a plane it stays there": planes
+    // share hosts and nothing else, so what one plane carries cannot move a
+    // picosecond of another's flows. Joint run == each plane's flows alone.
+    let n = net(4);
+    // One flow per plane between distinct host pairs, sizes from one packet
+    // to past the window cap.
+    let one_each: Vec<PlaneFlow> = vec![
+        (0, 0, 15, 64),
+        (1, 1, 10, 200_000),
+        (2, 4, 3, 1_000_000),
+        (3, 13, 6, 3_000_000),
+    ];
+    // Contended: per plane a 5-to-1 incast on its own victim, so drops, fast
+    // retransmits and RTO timers of all four planes interleave in one calendar.
+    let incast: Vec<PlaneFlow> = (0..4u16)
+        .flat_map(|p| {
+            let victim = 3 + 4 * u32::from(p);
+            let senders = (0..16u32).filter(move |&h| h / 4 != victim / 4).take(5);
+            senders.map(move |h| (p, h, victim, 400_000 + 1_500 * u64::from(p)))
+        })
+        .collect();
+    for (flows, lossy) in [(one_each, false), (incast, true)] {
+        let mut joint = run_plane_flows(&n, &flows, None);
+        let mut solo: Vec<_> = (0..4u16)
+            .flat_map(|plane| run_plane_flows(&n, &flows, Some(plane)))
+            .collect();
+        joint.sort_unstable();
+        solo.sort_unstable();
+        assert_eq!(joint, solo);
+        let lost: u64 = joint.iter().map(|r| r.3).sum();
+        assert!(lost > 0 || !lossy, "the incast must exercise loss recovery");
+    }
+}
+
+#[test]
+fn uncontended_reno_fct_matches_the_closed_form() {
+    // One Reno flow of S packets alone on an h-link route of equal-rate
+    // links, in slow start throughout. Store and forward: a packet handed to
+    // an idle path is delivered h·D + P later (D = MTU serialization, P =
+    // summed propagation) and its ACK returns after h·A + P more, so
+    // R = h·(D + A) + 2P is the one-packet round trip. Round r sends
+    // w0·2^r packets back to back (each ACK slides the window by one and
+    // grows it by one: two packets per ACK, ACKs D apart, so the uplink stays
+    // busy from the round's first ACK on); packet m of a round leaves the
+    // host (m+1)·D after the round began and is acknowledged R + m·D after
+    // it. Rounds do not overlap while a round is shorter than R. Hence the
+    // last packet — index m in round k — is acknowledged at (k+1)·R + m·D.
+    let profile = LinkProfile::paper_default();
+    let tcp = pnet::htsim::TcpConfig::default();
+    let ser = |bytes: u64| bytes * 8 * 1_000_000_000_000 / profile.link_speed_bps;
+    let (d, a) = (ser(1500), ser(40));
+    let n = net(1);
+    for (dst, h) in [(15u32, 6u64), (2, 4)] {
+        let r = route(&n, HostId(0), HostId(dst), 0);
+        assert_eq!(r.len() as u64, h);
+        let p = 2 * profile.host_delay_ps + (h - 2) * profile.fabric_delay_ps;
+        let rtt = h * (d + a) + 2 * p;
+        for s in [1u64, 7, 10, 11, 30, 31, 69, 70] {
+            let w0 = tcp.initial_cwnd as u64;
+            let (mut k, mut before) = (0u64, 0u64); // round of the last packet, packets before it
+            while before + (w0 << k) < s {
+                before += w0 << k;
+                k += 1;
+            }
+            assert!(
+                (w0 << k) * d < rtt,
+                "S = {s} leaves slow start's idle-pipe regime"
+            );
+            let want = (k + 1) * rtt + (s - before - 1) * d;
+
+            let mut sim = Simulator::new(&n, SimConfig::default());
+            sim.start_flow(FlowSpec {
+                src: HostId(0),
+                dst: HostId(dst),
+                size_bytes: s * 1500,
+                routes: vec![r.clone()],
+                cc: CcAlgo::Reno,
+                owner_tag: 0,
+            });
+            run_to_completion(&mut sim);
+            let rec = &sim.records[0];
+            assert_eq!(rec.fct().as_ps(), want, "S = {s} packets over {h} links");
+            assert_eq!((rec.retransmits, rec.timeouts), (0, 0));
+        }
+    }
+}
+
+#[test]
+fn scaling_rates_and_the_time_base_scales_every_fct() {
+    // Rates × c, every delay and timer ÷ c: the same run, c times faster.
+    // Exact, not approximate — every ps value involved divides by 4 (MTU
+    // and ACK serialization 120 000 / 3 200 ps, delays 100 000 / 1 000 000,
+    // timers whole µs), a power of two scales the f64 RTT estimators
+    // without rounding, the window cap's bandwidth-delay product is
+    // invariant, and the one truncating conversion (the RTO in ps) sits far
+    // below `min_rto`'s clamp. Equal times keep their order, so ties break
+    // alike and the runs dispatch the same events in the same sequence.
+    let base = LinkProfile::paper_default();
+    let tcp = pnet::htsim::TcpConfig::default();
+    // 16 flows on one plane: an 8-to-2 incast plus 8 cross-pod flows.
+    let flows: Vec<(u32, u32)> = (0..16u32)
+        .map(|i| {
+            if i < 8 {
+                (i, 14 + i % 2)
+            } else {
+                (i, (i + 5) % 16)
+            }
+        })
+        .collect();
+    let run_at = |c: u64| {
+        let profile = LinkProfile {
+            link_speed_bps: base.link_speed_bps * c,
+            host_delay_ps: base.host_delay_ps / c,
+            fabric_delay_ps: base.fabric_delay_ps / c,
+        };
+        let n = assemble_homogeneous(&FatTree::three_tier(4), 1, &profile);
+        let scaled = |t: SimTime| SimTime::from_ps(t.as_ps() / c);
+        let cfg = SimConfig {
+            tcp: pnet::htsim::TcpConfig {
+                min_rto: scaled(tcp.min_rto),
+                max_rto: scaled(tcp.max_rto),
+                default_rtt: scaled(tcp.default_rtt),
+                ..tcp
+            },
+            ..SimConfig::default()
+        };
+        let mut sim = Simulator::new(&n, cfg);
+        for (i, &(src, dst)) in flows.iter().enumerate() {
+            sim.start_flow(FlowSpec {
+                src: HostId(src),
+                dst: HostId(dst),
+                size_bytes: 600_000,
+                routes: vec![route(&n, HostId(src), HostId(dst), 0)],
+                cc: CcAlgo::Reno,
+                owner_tag: i as u64,
+            });
+        }
+        run_to_completion(&mut sim);
+        assert_eq!(sim.records.len(), flows.len());
+        let recs = sim.records.iter();
+        recs.map(|r| (r.owner_tag, r.fct().as_ps(), r.retransmits, r.timeouts))
+            .collect::<Vec<_>>()
+    };
+    let reference = run_at(1);
+    assert!(
+        reference.iter().any(|r| r.2 > 0),
+        "the run must be contended enough to lose packets"
+    );
+    for c in [2u64, 4] {
+        let fast = run_at(c);
+        let rescaled: Vec<_> = fast
+            .iter()
+            .map(|&(tag, fct, rtx, to)| (tag, fct * c, rtx, to))
+            .collect();
+        assert_eq!(rescaled, reference, "c = {c}");
+    }
+}
