@@ -9,31 +9,43 @@
 //! consumes one existing cable). After each step we check connectivity,
 //! mean best-plane hop count, and the rewiring cost in patch-panel
 //! operations — showing that growth is cheap and the fabric quality holds.
-//!
-//! Usage: `exp_expand [--tors 32] [--degree 6] [--hosts-per-tor 2]
-//!                    [--planes 4] [--add 12] [--seed 1] [--csv]`
 
-use pnet_bench::{banner, f3, Args, Table};
+use crate::{banner, f3, Args, Error, Experiment, Table, CSV, SEED};
 use pnet_core::analysis;
 use pnet_topology::{assemble, jellyfish::expand_rack, Jellyfish, LinkProfile, PlaneBuilder};
+use std::io::Write;
 
-fn main() {
-    let args = Args::parse();
-    let tors: usize = args.get("tors", 32);
-    let degree: usize = args.get("degree", 6);
-    let hpt: usize = args.get("hosts-per-tor", 2);
-    let planes: usize = args.get("planes", 4);
-    let add: usize = args.get("add", 12);
-    let seed: u64 = args.get("seed", 1);
-    let csv = args.has("csv");
+pub const EXPERIMENT: Experiment = Experiment {
+    name: "expand",
+    about: "Extension (section 6.1): rack-by-rack expansion of a heterogeneous Jellyfish P-Net",
+    params: &[
+        ("tors", "32", "racks to start from"),
+        ("degree", "6", "fabric ports per ToR"),
+        ("hosts-per-tor", "2", "hosts per ToR"),
+        ("planes", "4", "dataplanes N"),
+        ("add", "12", "racks to add, one at a time"),
+        SEED,
+        CSV,
+    ],
+    run,
+};
+
+fn run(args: &Args, out: &mut dyn Write) -> Result<(), Error> {
+    let tors: usize = args.get("tors")?;
+    let degree: usize = args.get("degree")?;
+    let hpt: usize = args.get("hosts-per-tor")?;
+    let planes: usize = args.get("planes")?;
+    let add: usize = args.get("add")?;
+    let seed: u64 = args.get("seed")?;
 
     banner(
+        out,
         "Extension — incremental rack-by-rack expansion (paper section 6.1)",
         &format!(
             "start: {tors} racks x {hpt} hosts, {planes} heterogeneous jellyfish planes \
              (degree {degree}); add {add} racks via cable splicing"
         ),
-    );
+    )?;
 
     let profile = LinkProfile::paper_default();
     let builders: Vec<Jellyfish> = (0..planes)
@@ -42,16 +54,14 @@ fn main() {
     let refs: Vec<&dyn PlaneBuilder> = builders.iter().map(|b| b as &dyn PlaneBuilder).collect();
     let mut net = assemble(&refs, &profile);
 
-    let mut table = Table::new(
-        vec![
-            "racks",
-            "hosts",
-            "mean best-plane hops",
-            "splice ops (cumulative)",
-            "connected",
-        ],
-        csv,
-    );
+    let header = [
+        "racks",
+        "hosts",
+        "mean best-plane hops",
+        "splice ops (cumulative)",
+        "connected",
+    ];
+    let mut table = Table::new(&header, args.has("csv"));
 
     // Each spliced cable = 1 unplug + 2 plugs = 3 panel operations, per
     // plane; degree/2 cables per plane per rack.
@@ -60,13 +70,8 @@ fn main() {
 
     let record = |net: &pnet_topology::Network, ops: usize, table: &mut Table| {
         let connected = net.planes().all(|p| net.plane_connects_all_hosts(p));
-        table.row(vec![
-            net.n_racks().to_string(),
-            net.n_hosts().to_string(),
-            f3(analysis::mean_hops_best_plane(net)),
-            ops.to_string(),
-            connected.to_string(),
-        ]);
+        let hops = f3(analysis::mean_hops_best_plane(net));
+        table.row(&[&net.n_racks(), &net.n_hosts(), &hops, &ops, &connected]);
         assert!(connected, "expansion broke connectivity");
     };
 
@@ -78,12 +83,12 @@ fn main() {
             record(&net, ops, &mut table);
         }
     }
-    table.print();
-
-    println!();
-    println!(
-        "expected: hop count stays nearly flat as the fabric grows; each rack costs\n\
+    table.print(out)?;
+    writeln!(
+        out,
+        "\nexpected: hop count stays nearly flat as the fabric grows; each rack costs\n\
          a constant {ops_per_rack} patch-panel operations — no forklift, no downtime\n\
          (one plane can be spliced at a time while the others carry traffic)"
-    );
+    )?;
+    Ok(())
 }

@@ -1,4 +1,8 @@
-//! Aligned-table and CSV output for the experiment binaries.
+//! Aligned-table and CSV output for the experiments, written to whatever
+//! `Write` the caller hands in so a run can be captured and compared.
+
+use std::fmt::Display;
+use std::io::{self, Write};
 
 /// A simple text table with a header row.
 pub struct Table {
@@ -10,23 +14,27 @@ pub struct Table {
 
 impl Table {
     /// New table with the given column headers.
-    pub fn new<S: Into<String>>(header: Vec<S>, csv: bool) -> Self {
+    pub fn new<S: AsRef<str>>(header: &[S], csv: bool) -> Self {
         Table {
-            header: header.into_iter().map(Into::into).collect(),
+            header: header.iter().map(|h| h.as_ref().to_string()).collect(),
             rows: Vec::new(),
             csv,
         }
     }
 
-    /// Append a row (stringified cells).
-    pub fn row<S: Into<String>>(&mut self, cells: Vec<S>) {
-        let cells: Vec<String> = cells.into_iter().map(Into::into).collect();
+    /// Append a row of displayable cells.
+    pub fn row(&mut self, cells: &[&dyn Display]) {
+        self.push(cells.iter().map(|c| c.to_string()).collect());
+    }
+
+    /// Append a row built cell by cell.
+    pub fn push(&mut self, cells: Vec<String>) {
         assert_eq!(cells.len(), self.header.len(), "row width mismatch");
         self.rows.push(cells);
     }
 
-    /// Render the aligned table (plus CSV if enabled) to stdout.
-    pub fn print(&self) {
+    /// Render the aligned table (plus CSV if enabled) to `out`.
+    pub fn print(&self, out: &mut dyn Write) -> io::Result<()> {
         let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();
         for row in &self.rows {
             for (w, cell) in widths.iter_mut().zip(row) {
@@ -41,22 +49,19 @@ impl Table {
                 .collect::<Vec<_>>()
                 .join("  ")
         };
-        println!("{}", line(&self.header));
-        println!(
-            "{}",
-            "-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1))
-        );
+        writeln!(out, "{}", line(&self.header))?;
+        let rule = widths.iter().sum::<usize>() + 2 * (widths.len() - 1);
+        writeln!(out, "{}", "-".repeat(rule))?;
         for row in &self.rows {
-            println!("{}", line(row));
+            writeln!(out, "{}", line(row))?;
         }
         if self.csv {
-            println!();
-            println!("# csv");
-            println!("{}", self.header.join(","));
+            writeln!(out, "\n# csv\n{}", self.header.join(","))?;
             for row in &self.rows {
-                println!("{}", row.join(","));
+                writeln!(out, "{}", row.join(","))?;
             }
         }
+        Ok(())
     }
 }
 
@@ -88,13 +93,13 @@ pub fn min_index_total(vals: &[f64]) -> Option<usize> {
         .map(|(i, _)| i)
 }
 
-/// Print an experiment banner.
-pub fn banner(title: &str, detail: &str) {
-    println!("=== {title} ===");
+/// Write an experiment banner.
+pub fn banner(out: &mut dyn Write, title: &str, detail: &str) -> io::Result<()> {
+    writeln!(out, "=== {title} ===")?;
     if !detail.is_empty() {
-        println!("{detail}");
+        writeln!(out, "{detail}")?;
     }
-    println!();
+    writeln!(out)
 }
 
 #[cfg(test)]
@@ -103,16 +108,16 @@ mod tests {
 
     #[test]
     fn table_row_widths_checked() {
-        let mut t = Table::new(vec!["a", "b"], false);
-        t.row(vec!["1", "2"]);
-        assert_eq!(t.rows.len(), 1);
+        let mut t = Table::new(&["a", "b"], false);
+        t.row(&[&1, &"2"]);
+        assert_eq!(t.rows, [["1", "2"]]);
     }
 
     #[test]
     #[should_panic(expected = "width mismatch")]
     fn bad_row_rejected() {
-        let mut t = Table::new(vec!["a", "b"], false);
-        t.row(vec!["only-one"]);
+        let mut t = Table::new(&["a", "b"], false);
+        t.row(&[&"only-one"]);
     }
 
     #[test]

@@ -1,10 +1,46 @@
-//! Shared experiment scaffolding: the four comparison networks, per-class
-//! path policies, and flow factories for the packet simulator.
+//! Shared experiment scaffolding: the fabric flags, the four comparison
+//! networks, per-class path policies, the build → factory → simulator
+//! scaffold of the packet-level experiments, and the traffic generators and
+//! throughput tables more than one experiment uses.
 
-use pnet_core::{PNet, PNetSpec, PathPolicy, PathSelector, TopologyKind};
-use pnet_htsim::apps::FlowFactory;
-use pnet_htsim::{SimConfig, SimTime};
-use pnet_topology::{Network, NetworkClass};
+use crate::{f3, ArgError, Args, Table};
+use pnet_core::{PNetSpec, PathPolicy, PathSelector, TopologyKind};
+use pnet_flowsim::{throughput, Commodity};
+use pnet_htsim::apps::{ClosedLoopDriver, ClosedLoopSlot, FlowFactory, RpcDriver, RpcSlot};
+use pnet_htsim::{
+    metrics, run, run_to_completion, CcAlgo, FlowSpec, SimConfig, SimTime, Simulator,
+};
+use pnet_topology::{HostId, Network, NetworkClass};
+use pnet_workloads::{tm, EmpiricalCdf, Trace};
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
+use std::io::{self, Write};
+
+/// The Jellyfish of `--tors --degree --hosts-per-tor`.
+pub fn jellyfish_from(args: &Args) -> Result<TopologyKind, ArgError> {
+    Ok(TopologyKind::Jellyfish {
+        n_tors: args.get("tors")?,
+        degree: args.get("degree")?,
+        hosts_per_tor: args.get("hosts-per-tor")?,
+    })
+}
+
+/// The fabric of a packet-level experiment, from [`jellyfish_from`]'s flags
+/// plus `--planes --seed`; the caller sets `class` per comparison network
+/// (see [`per_class`]).
+pub fn jellyfish_spec(args: &Args) -> Result<PNetSpec, ArgError> {
+    Ok(PNetSpec::new(
+        jellyfish_from(args)?,
+        NetworkClass::SerialLow,
+        args.get("planes")?,
+        args.get("seed")?,
+    ))
+}
+
+/// The trace called `name` (its label), as `--trace`/`--traces` spell it.
+pub fn trace_named(name: &str) -> Option<Trace> {
+    Trace::all().into_iter().find(|t| t.label() == name)
+}
 
 /// A [`SimConfig`] with the minimum RTO set to `us` microseconds.
 ///
@@ -31,9 +67,20 @@ pub fn classes_for(topology: TopologyKind) -> Vec<NetworkClass> {
     }
 }
 
-/// Build one comparison network.
-pub fn build(topology: TopologyKind, class: NetworkClass, n_planes: usize, seed: u64) -> PNet {
-    PNetSpec::new(topology, class, n_planes, seed).build()
+/// `f` of `base` as each network class its topology family has, in
+/// [`classes_for`] order.
+pub fn per_class<R>(base: PNetSpec, mut f: impl FnMut(PNetSpec) -> R) -> Vec<R> {
+    classes_for(base.topology)
+        .into_iter()
+        .map(|class| f(PNetSpec { class, ..base }))
+        .collect()
+}
+
+/// A table with one column per network class after a leading `first` column.
+pub fn class_table(first: &str, classes: &[NetworkClass], csv: bool) -> Table {
+    let mut header = vec![first];
+    header.extend(classes.iter().map(|c| c.label()));
+    Table::new(&header, csv)
 }
 
 /// The paper's *single-path* configuration per class:
@@ -76,16 +123,208 @@ pub fn make_factory<'a>(net: &'a Network, mut selector: PathSelector) -> FlowFac
     })
 }
 
-/// Build the network *and* a single-path flow factory for a class in one
-/// step (the common case in the packet-level experiments).
-pub fn network_and_policy(
-    topology: TopologyKind,
-    class: NetworkClass,
-    n_planes: usize,
-    seed: u64,
+/// The scaffold of one packet-level run: build `spec`'s network, warm a flow
+/// factory for `policy` over it, open a simulator with `cfg`, and hand both
+/// (and the host count) to `body`.
+pub fn simulate<R>(
+    spec: PNetSpec,
     policy: PathPolicy,
-) -> (PNet, PathPolicy) {
-    (build(topology, class, n_planes, seed), policy)
+    cfg: SimConfig,
+    body: impl FnOnce(&mut Simulator, FlowFactory<'_>, u32) -> R,
+) -> R {
+    let pnet = spec.build();
+    let factory = make_factory(&pnet.net, pnet.selector(policy));
+    let mut sim = Simulator::new(&pnet.net, cfg);
+    body(&mut sim, factory, pnet.net.n_hosts() as u32)
+}
+
+/// An endless stream of uniformly random hosts other than `me`.
+fn other_hosts(seed: u64, n_hosts: u32, me: u32) -> Box<dyn FnMut() -> HostId> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    Box::new(move || loop {
+        let s = rng.random_range(0..n_hosts);
+        if s != me {
+            return HostId(s);
+        }
+    })
+}
+
+/// A uniformly random ordered pair of distinct hosts.
+pub fn random_pair(rng: &mut StdRng, n_hosts: u32) -> (HostId, HostId) {
+    let a = rng.random_range(0..n_hosts);
+    let mut b = rng.random_range(0..n_hosts - 1);
+    if b >= a {
+        b += 1;
+    }
+    (HostId(a), HostId(b))
+}
+
+/// `per_host` RPC client slots on every host, each calling random other
+/// hosts from its own stream seeded off `rng`.
+pub fn rpc_slots(rng: &mut StdRng, n_hosts: u32, per_host: usize) -> Vec<RpcSlot<'static>> {
+    let mut slots = Vec::new();
+    for h in 0..n_hosts {
+        for _ in 0..per_host {
+            slots.push(RpcSlot {
+                client: HostId(h),
+                next_server: other_hosts(rng.random(), n_hosts, h),
+            });
+        }
+    }
+    slots
+}
+
+/// Completion times (us) and total retransmits of `rounds` request/response
+/// rounds on [`rpc_slots`]; requests carry `request_bytes`, responses 1500 B.
+pub fn rpc_rounds(
+    sim: &mut Simulator,
+    factory: FlowFactory,
+    rng: &mut StdRng,
+    n_hosts: u32,
+    per_host: usize,
+    request_bytes: u64,
+    rounds: u64,
+) -> (Vec<f64>, u64) {
+    let slots = rpc_slots(rng, n_hosts, per_host);
+    let mut driver = RpcDriver::start(sim, slots, factory, request_bytes, 1500, rounds);
+    run(sim, &mut driver, None);
+    assert!(driver.done(), "RPC rounds did not complete");
+    (driver.round_times_us, driver.retransmits)
+}
+
+/// Mean FCT (us) of one `size`-byte flow per host along the permutation of
+/// `perm_seed`, all started at t = 0. `uncoupled` swaps MPTCP's LIA for
+/// uncoupled subflows.
+pub fn permutation_mean_fct(
+    net: &Network,
+    mut factory: FlowFactory,
+    perm_seed: u64,
+    size: u64,
+    uncoupled: bool,
+) -> f64 {
+    let mut sim = Simulator::new(net, SimConfig::default());
+    for (a, b) in tm::permutation_pairs(net.n_hosts(), perm_seed) {
+        let (src, dst) = (HostId(a as u32), HostId(b as u32));
+        let (routes, mut cc) = factory(src, dst, size);
+        if uncoupled && cc == CcAlgo::Lia {
+            cc = CcAlgo::Uncoupled;
+        }
+        sim.start_flow(FlowSpec {
+            src,
+            dst,
+            size_bytes: size,
+            routes,
+            cc,
+            owner_tag: 0,
+        });
+    }
+    run_to_completion(&mut sim);
+    metrics::mean(&metrics::fcts_us(&sim.records))
+}
+
+/// FCTs (us) of `flows_per_host` closed-loop single-path flows per host, sizes
+/// drawn from `cdf` and destinations uniform, started for `ms` of simulated
+/// time and drained for as long again.
+pub fn closed_loop_fcts(
+    spec: PNetSpec,
+    cdf: &EmpiricalCdf,
+    rto_us: u64,
+    flows_per_host: usize,
+    ms: u64,
+    rng_seed: u64,
+) -> Vec<f64> {
+    let cfg = config_with_rto_us(rto_us);
+    simulate(
+        spec,
+        single_path_policy(spec.class),
+        cfg,
+        |sim, factory, n_hosts| {
+            let mut rng = StdRng::seed_from_u64(rng_seed);
+            let mut slots = Vec::new();
+            for h in 0..n_hosts {
+                for _ in 0..flows_per_host {
+                    let next_dst = other_hosts(rng.random(), n_hosts, h);
+                    let mut size_rng = StdRng::seed_from_u64(rng.random());
+                    let cdf = cdf.clone();
+                    slots.push(ClosedLoopSlot {
+                        src: HostId(h),
+                        next_dst,
+                        next_size: Box::new(move || cdf.sample(&mut size_rng)),
+                    });
+                }
+            }
+            let stop = SimTime::from_ms(ms);
+            let mut driver = ClosedLoopDriver::start(sim, slots, factory, stop);
+            run(sim, &mut driver, Some(stop + stop));
+            metrics::fcts_us(&driver.completed)
+        },
+    )
+}
+
+/// Figures 6a/b and 8a/b: total `throughput` of all-to-all and of permutation
+/// traffic on each network, normalized to the first (serial low-bw) row.
+pub fn pattern_table(
+    out: &mut dyn Write,
+    nets: &[(String, Network, usize)],
+    a2a: &[Commodity],
+    perm: &[Commodity],
+    csv: bool,
+    throughput: impl Fn(&Network, &[Commodity]) -> f64,
+) -> io::Result<()> {
+    let mut table = Table::new(&["network", "all-to-all", "permutation"], csv);
+    let mut base = (0.0, 0.0);
+    for (i, (name, net, _)) in nets.iter().enumerate() {
+        let t = (throughput(net, a2a), throughput(net, perm));
+        if i == 0 {
+            base = t;
+        }
+        table.row(&[name, &f3(t.0 / base.0), &f3(t.1 / base.1)]);
+    }
+    table.print(out)
+}
+
+/// Figures 6c and 8c: permutation throughput of each `(name, network, planes
+/// N)` at every multipath level of `ksweep`, normalized to what the first
+/// (serial low-bw) network reaches at the largest K. The first K at which a
+/// network reaches 95 % of N x is starred and reported below the table.
+pub fn saturation_sweep(
+    out: &mut dyn Write,
+    nets: &[(String, Network, usize)],
+    perm: &[Commodity],
+    ksweep: &[u64],
+    eps: f64,
+    csv: bool,
+) -> io::Result<()> {
+    let k_max = *ksweep
+        .last()
+        .expect("invariant: a parsed list is never empty") as usize;
+    let (serial_sat, _) = throughput::ksp_multipath_throughput(&nets[0].1, perm, k_max, eps);
+    let mut header = vec!["K"];
+    header.extend(nets.iter().map(|(name, ..)| name.as_str()));
+    let mut table = Table::new(&header, csv);
+    let mut saturated: Vec<Option<u64>> = vec![None; nets.len()];
+    for &k in ksweep {
+        let mut row = vec![k.to_string()];
+        for ((_, net, n), sat) in nets.iter().zip(&mut saturated) {
+            let (t, _) = throughput::ksp_multipath_throughput(net, perm, k as usize, eps);
+            let norm = t / serial_sat;
+            let first = norm >= 0.95 * *n as f64 && sat.is_none();
+            if first {
+                *sat = Some(k);
+            }
+            row.push(format!("{}{}", f3(norm), if first { "*" } else { "" }));
+        }
+        table.push(row);
+    }
+    table.print(out)?;
+    writeln!(out)?;
+    for ((name, _, n), sat) in nets.iter().zip(&saturated) {
+        match sat {
+            Some(k) => writeln!(out, "{name}: saturates ({n}x) at K = {k}")?,
+            None => writeln!(out, "{name}: did not reach {n}x within the sweep")?,
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -123,12 +362,13 @@ mod tests {
     #[test]
     fn factory_produces_routes() {
         use pnet_topology::HostId;
-        let pnet = build(
+        let pnet = PNetSpec::new(
             TopologyKind::FatTree { k: 4 },
             NetworkClass::SerialLow,
             4,
             0,
-        );
+        )
+        .build();
         let sel = pnet.selector(PathPolicy::ShortestPlane);
         let mut f = make_factory(&pnet.net, sel);
         let (routes, _) = f(HostId(0), HostId(15), 1000);

@@ -9,20 +9,23 @@
 //!   sweep, per-plane headroom, failure what-ifs
 //! * `pnet simulate`   — packet-level FCTs of a batch of flows
 //! * `pnet components` — Table 1-style component accounting
+//! * `pnet exp`        — the paper's tables and figures (`pnet exp` lists them)
 //!
 //! Every subcommand takes `--help`-style discoverable flags (see
 //! `usage()`); topologies and seeds are deterministic, so outputs are
 //! reproducible.
 
 use pnet::core::{analysis, PNetSpec, PathPolicy, TopologyKind};
-use pnet::flowsim::{commodity, throughput};
+use pnet::flowsim::{commodity, throughput, Commodity};
 use pnet::htsim::{
     metrics, run_to_completion, EventMask, FlowSpec, SimConfig, SimTime, Simulator, TelemetryConfig,
 };
 use pnet::planner::{PlanError, Planner, PlannerConfig};
-use pnet::topology::{components, failures, HostId, NetworkClass};
+use pnet::topology::{failures, HostId, NetworkClass};
 use pnet::workloads::tm;
-use pnet_bench::{Args, Table};
+use pnet_bench::args::parse_size;
+use pnet_bench::{exp::table1, setups, ArgError, Args, Error, Param, Table};
+use std::io::stdout;
 
 fn usage() -> ! {
     eprintln!(
@@ -34,10 +37,10 @@ USAGE:
 SUBCOMMANDS:
   topology     build and summarize a network
                --kind jellyfish|fattree|xpander  --class low|homo|hetero|high
-               --planes N --tors N --degree D --hosts-per-tor H --k K --seed S
+               --planes N --tors N --degree D --hosts-per-tor H --k K --lifts L --seed S
   route        show selected paths for a host pair
                (topology flags) --src H --dst H --policy ecmp|rr|shortest|ksp|plane-ksp|disjoint
-               --kpaths K --size BYTES
+               --kpaths K --size BYTES --flow ID
   throughput   flow-level capacity of a pattern
                (topology flags) --pattern permutation|all-to-all --kpaths K --eps E
   plan         planner-service what-if report on one fabric snapshot
@@ -49,6 +52,8 @@ SUBCOMMANDS:
                --trace-events flow,retransmit,timeout,subflow-dead,ecn,link,samples|all
   components   Table 1 component accounting
                --hosts N --planes N
+  exp          regenerate a table or figure of the paper: exp <name> [flags];
+               `pnet exp` alone lists the names and each experiment's flags
 
 EXAMPLES:
   pnet topology --kind jellyfish --class hetero --planes 4 --tors 32 --degree 5
@@ -61,27 +66,46 @@ EXAMPLES:
     std::process::exit(2);
 }
 
-fn topology_from(args: &Args) -> (TopologyKind, NetworkClass, usize, u64) {
-    let kind = match args.get_str("kind").unwrap_or("jellyfish") {
-        "jellyfish" => TopologyKind::Jellyfish {
-            n_tors: args.get("tors", 32),
-            degree: args.get("degree", 5),
-            hosts_per_tor: args.get("hosts-per-tor", 2),
-        },
-        "fattree" => TopologyKind::FatTree {
-            k: args.get("k", 8),
-        },
+/// Each subcommand's flags and defaults, as `main` declares them to `Args`
+/// (`usage()` has the help): `topology_from`'s, `policy_from`'s with `--size`,
+/// and the traffic pattern's.
+const TOPOLOGY: &[Param] = &[
+    ("kind", "jellyfish", ""),
+    ("class", "hetero", ""),
+    ("planes", "4", ""),
+    ("tors", "32", ""),
+    ("degree", "5", ""),
+    ("hosts-per-tor", "2", ""),
+    ("k", "8", ""),
+    ("lifts", "3", ""),
+    ("seed", "1", ""),
+];
+const ROUTING: &[Param] = &[
+    ("policy", "shortest", ""),
+    ("kpaths", "8", ""),
+    ("size", "1m", ""),
+];
+const PATTERN: &[Param] = &[
+    ("pattern", "permutation", ""),
+    ("kpaths", "8", ""),
+    ("eps", "0.1", ""),
+];
+
+fn topology_from(args: &Args) -> Result<(TopologyKind, NetworkClass, usize, u64), ArgError> {
+    let kind = match args.get_str("kind").unwrap_or_default() {
+        "jellyfish" => setups::jellyfish_from(args)?,
+        "fattree" => TopologyKind::FatTree { k: args.get("k")? },
         "xpander" => TopologyKind::Xpander {
-            degree: args.get("degree", 5),
-            lifts: args.get("lifts", 3),
-            hosts_per_tor: args.get("hosts-per-tor", 2),
+            degree: args.get("degree")?,
+            lifts: args.get("lifts")?,
+            hosts_per_tor: args.get("hosts-per-tor")?,
         },
         other => {
             eprintln!("unknown --kind {other:?}");
             usage()
         }
     };
-    let class = match args.get_str("class").unwrap_or("hetero") {
+    let class = match args.get_str("class").unwrap_or_default() {
         "low" => NetworkClass::SerialLow,
         "homo" => NetworkClass::ParallelHomogeneous,
         "hetero" => NetworkClass::ParallelHeterogeneous,
@@ -99,12 +123,12 @@ fn topology_from(args: &Args) -> (TopologyKind, NetworkClass, usize, u64) {
     } else {
         class
     };
-    (kind, class, args.get("planes", 4), args.get("seed", 1))
+    Ok((kind, class, args.get("planes")?, args.get("seed")?))
 }
 
-fn policy_from(args: &Args, planes: usize) -> PathPolicy {
-    let k: usize = args.get("kpaths", 8);
-    match args.get_str("policy").unwrap_or("shortest") {
+fn policy_from(args: &Args, planes: usize) -> Result<PathPolicy, ArgError> {
+    let k: usize = args.get("kpaths")?;
+    Ok(match args.get_str("policy").unwrap_or_default() {
         "ecmp" => PathPolicy::EcmpHash,
         "rr" => PathPolicy::RoundRobin,
         "shortest" => PathPolicy::ShortestPlane,
@@ -120,11 +144,11 @@ fn policy_from(args: &Args, planes: usize) -> PathPolicy {
             eprintln!("unknown --policy {other:?}");
             usage()
         }
-    }
+    })
 }
 
-fn cmd_topology(args: &Args) {
-    let (kind, class, planes, seed) = topology_from(args);
+fn cmd_topology(args: &Args) -> Result<(), Error> {
+    let (kind, class, planes, seed) = topology_from(args)?;
     let pnet = PNetSpec::new(kind, class, planes, seed).build();
     let net = &pnet.net;
     println!("class:    {}", class.label());
@@ -153,10 +177,11 @@ fn cmd_topology(args: &Args) {
         let ok = net.plane_connects_all_hosts(p);
         println!("plane {p}: connected = {ok}");
     }
+    Ok(())
 }
 
-fn host_arg(args: &Args, key: &str, default: u32, n_hosts: usize) -> HostId {
-    let id: u32 = args.get(key, default);
+fn host_arg(args: &Args, key: &str, default: u32, n_hosts: usize) -> Result<HostId, ArgError> {
+    let id: u32 = args.opt(key)?.unwrap_or(default);
     if id as usize >= n_hosts {
         eprintln!(
             "--{key} {id} out of range: the network has {n_hosts} hosts (0..{})",
@@ -164,22 +189,22 @@ fn host_arg(args: &Args, key: &str, default: u32, n_hosts: usize) -> HostId {
         );
         std::process::exit(2);
     }
-    HostId(id)
+    Ok(HostId(id))
 }
 
-fn cmd_route(args: &Args) {
-    let (kind, class, planes, seed) = topology_from(args);
+fn cmd_route(args: &Args) -> Result<(), Error> {
+    let (kind, class, planes, seed) = topology_from(args)?;
     let pnet = PNetSpec::new(kind, class, planes, seed).build();
     let n_hosts = pnet.net.n_hosts();
-    let src = host_arg(args, "src", 0, n_hosts);
-    let dst = host_arg(args, "dst", (n_hosts - 1) as u32, n_hosts);
+    let src = host_arg(args, "src", 0, n_hosts)?;
+    let dst = host_arg(args, "dst", (n_hosts - 1) as u32, n_hosts)?;
     if src == dst {
         eprintln!("--src and --dst must differ (both are {})", src.0);
         std::process::exit(2);
     }
-    let size: u64 = args.get_list("size", &[1_000_000])[0];
-    let mut selector = pnet.selector(policy_from(args, planes));
-    let (routes, cc) = selector.select(&pnet.net, src, dst, args.get("flow", 0u64), size);
+    let size = args.get_with("size", parse_size)?;
+    let mut selector = pnet.selector(policy_from(args, planes)?);
+    let (routes, cc) = selector.select(&pnet.net, src, dst, args.get("flow")?, size);
     println!(
         "{src} -> {dst} ({} bytes): {} subflow(s), congestion control {cc:?}",
         size,
@@ -195,22 +220,28 @@ fn cmd_route(args: &Args) {
         println!("  subflow {i}: plane {plane}, {hops} switch hops");
         println!("    {}", nodes.join(" -> "));
     }
+    Ok(())
 }
 
-fn cmd_throughput(args: &Args) {
-    let (kind, class, planes, seed) = topology_from(args);
-    let pnet = PNetSpec::new(kind, class, planes, seed).build();
-    let n = pnet.net.n_hosts();
-    let commodities = match args.get_str("pattern").unwrap_or("permutation") {
+/// The `--pattern` traffic matrix over `n` hosts.
+fn commodities_from(args: &Args, n: usize, seed: u64) -> Vec<Commodity> {
+    match args.get_str("pattern").unwrap_or_default() {
         "permutation" => commodity::permutation(&tm::random_permutation(n, seed)),
         "all-to-all" => commodity::all_to_all(n),
         other => {
             eprintln!("unknown --pattern {other:?}");
             usage()
         }
-    };
-    let k: usize = args.get("kpaths", 8);
-    let eps: f64 = args.get("eps", 0.1);
+    }
+}
+
+fn cmd_throughput(args: &Args) -> Result<(), Error> {
+    let (kind, class, planes, seed) = topology_from(args)?;
+    let pnet = PNetSpec::new(kind, class, planes, seed).build();
+    let n = pnet.net.n_hosts();
+    let commodities = commodities_from(args, n, seed);
+    let k: usize = args.get("kpaths")?;
+    let eps: f64 = args.get("eps")?;
     let ecmp = throughput::ecmp_throughput(&pnet.net, &commodities);
     let (ksp, lambda) = throughput::ksp_multipath_throughput(&pnet.net, &commodities, k, eps);
     println!(
@@ -226,6 +257,7 @@ fn cmd_throughput(args: &Args) {
         ksp / 1e12,
         lambda / 1e9
     );
+    Ok(())
 }
 
 /// Exit with the planner's diagnostic when a what-if query fails.
@@ -241,21 +273,14 @@ fn run_query<T>(result: Result<T, PlanError>) -> T {
 /// headroom, and (optionally) ideal throughput with the first N fabric
 /// cables failed — all answered against a single pinned generation, with
 /// the memo counters showing how much solver work the queries shared.
-fn cmd_plan(args: &Args) {
-    let (kind, class, planes, seed) = topology_from(args);
+fn cmd_plan(args: &Args) -> Result<(), Error> {
+    let (kind, class, planes, seed) = topology_from(args)?;
     let pnet = PNetSpec::new(kind, class, planes, seed).build();
     let n = pnet.net.n_hosts();
-    let commodities = match args.get_str("pattern").unwrap_or("permutation") {
-        "permutation" => commodity::permutation(&tm::random_permutation(n, seed)),
-        "all-to-all" => commodity::all_to_all(n),
-        other => {
-            eprintln!("unknown --pattern {other:?}");
-            usage()
-        }
-    };
+    let commodities = commodities_from(args, n, seed);
     let cfg = PlannerConfig {
-        k: args.get("kpaths", 8),
-        eps: args.get("eps", 0.1),
+        k: args.get("kpaths")?,
+        eps: args.get("eps")?,
         ..PlannerConfig::default()
     };
     let planner = Planner::with_config(pnet.net.clone(), cfg);
@@ -285,11 +310,7 @@ fn cmd_plan(args: &Args) {
         adm.total_rate_bps / 1e12
     );
 
-    let sweep: Vec<usize> = args
-        .get_list("sweep", &[1, 2, 4, 8])
-        .into_iter()
-        .map(|k| k as usize)
-        .collect();
+    let sweep: Vec<usize> = args.list_with("sweep", |k| parse_size(k).map(|k| k as usize))?;
     let best = run_query(planner.best_k_at(&generation, &commodities, &sweep));
     let swept: Vec<String> = best
         .evaluated
@@ -302,22 +323,20 @@ fn cmd_plan(args: &Args) {
     );
     println!("            {}", swept.join("   "));
 
-    let mut t = Table::new(
-        vec!["Plane", "Live Tb/s", "Total Tb/s", "Down links", "Headroom"],
-        false,
-    );
+    let header = ["Plane", "Live Tb/s", "Total Tb/s", "Down links", "Headroom"];
+    let mut t = Table::new(&header, false);
     for h in planner.plane_headroom_at(&generation) {
-        t.row(vec![
-            h.plane.to_string(),
-            format!("{:.3}", h.live_capacity_bps as f64 / 1e12),
-            format!("{:.3}", h.total_capacity_bps as f64 / 1e12),
-            h.failed_links.to_string(),
-            format!("{:.1}%", h.headroom * 100.0),
+        t.row(&[
+            &h.plane,
+            &format!("{:.3}", h.live_capacity_bps as f64 / 1e12),
+            &format!("{:.3}", h.total_capacity_bps as f64 / 1e12),
+            &h.failed_links,
+            &format!("{:.1}%", h.headroom * 100.0),
         ]);
     }
-    t.print();
+    t.print(&mut stdout())?;
 
-    let n_fail: usize = args.get("what-if-cables", 0);
+    let n_fail: usize = args.get("what-if-cables")?;
     if n_fail > 0 {
         let cables = failures::fabric_cables(generation.network(), None);
         let chosen = &cables[..n_fail.min(cables.len())];
@@ -337,6 +356,7 @@ fn cmd_plan(args: &Args) {
         "memo:       {} cold solve(s), {} cache hit(s), {} entries",
         stats.misses, stats.hits, stats.entries
     );
+    Ok(())
 }
 
 /// Telemetry configuration from `--trace-out`, `--sample-interval`, and
@@ -375,12 +395,12 @@ fn telemetry_from(args: &Args) -> TelemetryConfig {
     }
 }
 
-fn cmd_simulate(args: &Args) {
-    let (kind, class, planes, seed) = topology_from(args);
+fn cmd_simulate(args: &Args) -> Result<(), Error> {
+    let (kind, class, planes, seed) = topology_from(args)?;
     let pnet = PNetSpec::new(kind, class, planes, seed).build();
     let n = pnet.net.n_hosts();
-    let size: u64 = args.get_list("size", &[1_000_000])[0];
-    let mut selector = pnet.selector(policy_from(args, planes));
+    let size = args.get_with("size", parse_size)?;
+    let mut selector = pnet.selector(policy_from(args, planes)?);
     let cfg = SimConfig {
         telemetry: telemetry_from(args),
         ..SimConfig::default()
@@ -439,31 +459,43 @@ fn cmd_simulate(args: &Args) {
         }
         println!("trace: {} records -> {path}", tl.len());
     }
+    Ok(())
 }
 
-fn cmd_components(args: &Args) {
-    let hosts: usize = args.get("hosts", 8192);
-    let planes: usize = args.get("planes", 8);
-    let chip = components::ChipSpec::table1();
-    let mut t = Table::new(
-        vec!["Architecture", "Tiers", "Hops", "Chips", "Boxes", "Links"],
-        false,
-    );
-    for row in [
-        components::serial_scale_out(hosts, chip),
-        components::serial_chassis(hosts, chip),
-        components::parallel_pnet(hosts, planes, chip),
-    ] {
-        t.row(vec![
-            row.architecture.clone(),
-            row.tiers.to_string(),
-            row.hops.to_string(),
-            row.chips.to_string(),
-            row.boxes.to_string(),
-            row.links.to_string(),
-        ]);
+fn cmd_components(args: &Args) -> Result<(), Error> {
+    table1::component_table(args.get("hosts")?, args.get("planes")?, false).print(&mut stdout())?;
+    Ok(())
+}
+
+type Cmd = fn(&Args) -> Result<(), Error>;
+
+/// A subcommand's entry point and the flags it declares.
+fn subcommand(sub: &str) -> (Cmd, Vec<Param<'static>>) {
+    match sub {
+        "topology" => (cmd_topology, TOPOLOGY.to_vec()),
+        "route" => {
+            let host_pair: &[Param] = &[("src", "0", ""), ("dst", "", ""), ("flow", "0", "")];
+            (cmd_route, [TOPOLOGY, ROUTING, host_pair].concat())
+        }
+        "throughput" => (cmd_throughput, [TOPOLOGY, PATTERN].concat()),
+        "plan" => {
+            let what_if: &[Param] = &[("sweep", "1,2,4,8", ""), ("what-if-cables", "0", "")];
+            (cmd_plan, [TOPOLOGY, PATTERN, what_if].concat())
+        }
+        "simulate" => {
+            let trace: &[Param] = &[
+                ("trace-out", "", ""),
+                ("sample-interval", "", ""),
+                ("trace-events", "", ""),
+            ];
+            (cmd_simulate, [TOPOLOGY, ROUTING, trace].concat())
+        }
+        "components" => (
+            cmd_components,
+            vec![("hosts", "8192", ""), ("planes", "8", "")],
+        ),
+        _ => usage(),
     }
-    t.print();
 }
 
 fn main() {
@@ -472,14 +504,16 @@ fn main() {
         usage();
     }
     let sub = raw.remove(0);
-    let args = Args::from_args(raw);
-    match sub.as_str() {
-        "topology" => cmd_topology(&args),
-        "route" => cmd_route(&args),
-        "throughput" => cmd_throughput(&args),
-        "plan" => cmd_plan(&args),
-        "simulate" => cmd_simulate(&args),
-        "components" => cmd_components(&args),
-        _ => usage(),
+    let result = if sub == "exp" {
+        pnet_bench::dispatch(&raw, &mut stdout().lock())
+    } else {
+        let (cmd, params) = subcommand(&sub);
+        Args::parse(&params, raw)
+            .map_err(Error::from)
+            .and_then(|args| cmd(&args))
+    };
+    if let Err(e) = result {
+        eprintln!("pnet {sub}: {e}");
+        std::process::exit(if matches!(e, Error::Io(_)) { 1 } else { 2 });
     }
 }
