@@ -99,9 +99,11 @@ fn run_mix(
 
     // Bulk goodput: bytes acked per elapsed time across background flows.
     let elapsed = sim.now.as_secs_f64();
+    // A bulk flow that has finished and retired acked every one of its packets.
+    let mtu = pnet_htsim::MTU_BYTES as u64;
     let bulk_bytes: u64 = bulk_conns
         .iter()
-        .map(|&c| sim.conn(c).acked * pnet_htsim::MTU_BYTES as u64)
+        .map(|&c| sim.conn(c).map_or(bulk_size.div_ceil(mtu), |c| c.acked) * mtu)
         .sum();
     let goodput_gbps = bulk_bytes as f64 * 8.0 / elapsed / 1e9;
     (driver.0.round_times_us, goodput_gbps)

@@ -1,10 +1,10 @@
 //! The discrete-event simulation engine.
 //!
 //! A [`Simulator`] owns one drop-tail [`Queue`] per directed link of the
-//! network and an arena of [`Connection`]s. Packets are source-routed by the
-//! sending host (the P-Net model: path choice happens at the edge), traverse
-//! queue → propagation → queue …, and are delivered to the peer's transport
-//! state at the destination.
+//! network and a recycled slab of live [`Connection`]s. Packets are
+//! source-routed by the sending host (the P-Net model: path choice happens
+//! at the edge), traverse queue → propagation → queue …, and are delivered
+//! to the peer's transport state at the destination.
 //!
 //! Application logic lives *outside* the simulator, behind the [`Driver`]
 //! trait: the run loop hands flow completions and app timers to the driver,
@@ -94,7 +94,8 @@ impl FlowRecord {
 
 /// Application callbacks driven by the run loop.
 pub trait Driver {
-    /// A flow finished (all packets acknowledged).
+    /// A flow finished (all packets acknowledged). This call is the last
+    /// point at which [`Simulator::conn`] is guaranteed to answer for it.
     fn on_flow_complete(&mut self, _sim: &mut Simulator, _rec: &FlowRecord) {}
     /// An application timer (scheduled with [`Simulator::schedule_app`])
     /// fired.
@@ -160,6 +161,9 @@ impl ConservationLedger {
     }
 }
 
+/// "No slot" / "no record" per [`ConnId`]: past the end of either table, so `get` finds nothing.
+const NONE: u32 = u32::MAX;
+
 /// The engine.
 pub struct Simulator {
     /// Current simulation time.
@@ -169,7 +173,16 @@ pub struct Simulator {
     /// Slab arena of in-flight packets; events and queue FIFOs carry
     /// [`PacketId`]s into it.
     packets: PacketArena,
-    conns: Vec<Connection>,
+    /// Per [`ConnId`] (never reused): its slab slot; `NONE` once retired, so
+    /// a stale `RtoTimer` finds nothing, as it does on a finished connection.
+    conn_slot: Vec<u32>,
+    /// Per [`ConnId`]: index into `records` once finished, `NONE` before.
+    conn_record: Vec<u32>,
+    /// Connections not yet retired (DESIGN.md "Connection lifetime"). Freed
+    /// slots are reused LIFO, subflow tables and buffers included; until
+    /// then they keep their last tenant (`finish` set, `in_network` zero).
+    slab: Vec<Connection>,
+    free_slots: Vec<usize>,
     cfg: SimConfig,
     /// Completion records of all finished flows, in completion order.
     pub records: Vec<FlowRecord>,
@@ -214,7 +227,10 @@ impl Simulator {
             events: EventQueue::new(),
             queues,
             packets: PacketArena::new(),
-            conns: Vec::new(),
+            conn_slot: Vec::new(),
+            conn_record: Vec::new(),
+            slab: Vec::new(),
+            free_slots: Vec::new(),
             cfg,
             records: Vec::new(),
             pending_complete: Vec::new(),
@@ -273,6 +289,9 @@ impl Simulator {
             in_flight,
             "packet arena live count disagrees with queue/event books"
         );
+        // ...and so must the per-connection counts that decide retirement.
+        let pinned: u64 = self.slab.iter().map(|c| u64::from(c.in_network)).sum();
+        debug_assert_eq!(pinned, in_flight, "per-connection in-network counts");
         ConservationLedger {
             injected: self.ledger_injected,
             delivered: self.ledger_delivered,
@@ -311,14 +330,30 @@ impl Simulator {
         &self.cfg
     }
 
-    /// Connection accessor (e.g. for inspecting windows in tests).
-    pub fn conn(&self, id: ConnId) -> &Connection {
-        &self.conns[id.0 as usize]
+    /// Transport state of a connection; `None` once it has retired, when its
+    /// [`FlowRecord`] and [`TraceRecord::SubflowFinish`] are what is left.
+    pub fn conn(&self, id: ConnId) -> Option<&Connection> {
+        self.slab.get(self.conn_slot[id.0 as usize] as usize)
+    }
+
+    /// Completion record of a connection, or `None` while it is transferring.
+    pub fn record(&self, id: ConnId) -> Option<&FlowRecord> {
+        self.records.get(self.conn_record[id.0 as usize] as usize)
     }
 
     /// Number of connections ever started.
     pub fn n_conns(&self) -> usize {
-        self.conns.len()
+        self.conn_slot.len()
+    }
+
+    /// Connections not yet retired.
+    pub fn live_conns(&self) -> usize {
+        self.slab.len() - self.free_slots.len()
+    }
+
+    /// Connection-slab high-water mark: the peak of [`Simulator::live_conns`].
+    pub fn conn_slab_capacity(&self) -> usize {
+        self.slab.len()
     }
 
     /// Queue statistics of a link.
@@ -384,26 +419,33 @@ impl Simulator {
         assert!(spec.src != spec.dst, "flow to self");
         assert!(!spec.routes.is_empty(), "flow needs at least one route");
         let id = ConnId(
-            u32::try_from(self.conns.len()).expect("invariant: connection count stays within u32"),
+            u32::try_from(self.conn_slot.len())
+                .expect("invariant: connection count stays within u32"),
         );
+        assert!(id.0 < NONE, "invariant: connection ids stay below `NONE`");
         let size_packets = spec.size_bytes.div_ceil(MTU_BYTES as u64).max(1);
-        let subflows: Vec<Subflow> = spec
-            .routes
-            .iter()
-            .map(|r| {
-                assert!(!r.is_empty(), "empty route");
-                // Intern both directions once: a single `Arc<[LinkId]>`
-                // allocation each, cloned (refcount bump only) per packet.
-                let fwd: Arc<[LinkId]> = Arc::from(&r[..]);
-                let rev: Arc<[LinkId]> = Arc::from(reverse_route(r));
-                let mut sub = Subflow::new(fwd, rev, &self.cfg.tcp);
-                sub.cwnd_cap = self.window_cap(r);
-                sub.last_progress = self.now;
-                sub
-            })
-            .collect();
-        let n_subflows = subflows.len();
-        self.conns.push(Connection {
+        // Take over the most recently retired slot and its subflow table.
+        let (ci, mut subflows) = match self.free_slots.pop() {
+            Some(ci) => (ci, std::mem::take(&mut self.slab[ci].subflows)),
+            None => (self.slab.len(), Vec::new()),
+        };
+        subflows.truncate(spec.routes.len());
+        subflows.reserve_exact(spec.routes.len() - subflows.len());
+        for (si, r) in spec.routes.iter().enumerate() {
+            assert!(!r.is_empty(), "empty route");
+            // Intern both directions once: a single `Arc<[LinkId]>`
+            // allocation each, cloned (refcount bump only) per packet.
+            let fwd: Arc<[LinkId]> = Arc::from(&r[..]);
+            let rev: Arc<[LinkId]> = Arc::from(reverse_route(r));
+            let mut sub = Subflow::new(fwd, rev, &self.cfg.tcp);
+            sub.cwnd_cap = self.window_cap(r);
+            sub.last_progress = self.now;
+            match subflows.get_mut(si) {
+                Some(old) => old.recycle(sub),
+                None => subflows.push(sub),
+            }
+        }
+        let conn = Connection {
             id,
             src: spec.src,
             dst: spec.dst,
@@ -417,7 +459,15 @@ impl Simulator {
             subflows,
             rr: 0,
             owner_tag: spec.owner_tag,
-        });
+            in_network: 0,
+        };
+        match self.slab.get_mut(ci) {
+            Some(slot) => *slot = conn,
+            None => self.slab.push(conn),
+        }
+        self.conn_slot
+            .push(u32::try_from(ci).expect("invariant: slots <= connections"));
+        self.conn_record.push(NONE);
         if self.wants(EventMask::FLOW_START) {
             let t = self.now;
             self.emit(TraceRecord::FlowStart {
@@ -426,7 +476,7 @@ impl Simulator {
                 src: spec.src.index() as u64,
                 dst: spec.dst.index() as u64,
                 size_bytes: spec.size_bytes.max(1),
-                n_subflows: n_subflows as u64,
+                n_subflows: spec.routes.len() as u64,
             });
         }
         // A flow starting on an idle simulator revives the sampler.
@@ -439,7 +489,7 @@ impl Simulator {
                 }
             }
         }
-        self.pump(id);
+        self.pump(ci);
         id
     }
 
@@ -500,11 +550,11 @@ impl Simulator {
             Enqueue::Queued => {}
             Enqueue::Dropped => {
                 self.dropped_packets += 1;
-                self.packets.free(id);
+                self.drop_packet(id);
             }
             Enqueue::DroppedLinkDown => {
                 self.dropped_link_down_packets += 1;
-                self.packets.free(id);
+                self.drop_packet(id);
             }
         }
         if trace_ecn {
@@ -519,6 +569,52 @@ impl Simulator {
                 });
             }
         }
+    }
+
+    fn drop_packet(&mut self, id: PacketId) {
+        let (PacketKind::Data { conn, .. } | PacketKind::Ack { conn, .. }) = self.packets[id].kind;
+        self.packets.free(id);
+        self.left_network(conn);
+    }
+
+    /// One of `conn`'s packets left the network (ACK delivered, any packet
+    /// dropped). Returns the slot while still transferring; a finished one
+    /// retires with its last packet (`run` has told the driver by then).
+    fn left_network(&mut self, conn: ConnId) -> Option<usize> {
+        // Kept: a packet in the network pins its connection.
+        let ci = self.conn_slot[conn.0 as usize] as usize;
+        let c = &mut self.slab[ci];
+        c.in_network -= 1;
+        if c.finish.is_none() {
+            return Some(ci);
+        }
+        if c.in_network == 0 {
+            self.retire(ci);
+        }
+        None
+    }
+
+    /// Release a finished, drained connection's slot for the next flow.
+    fn retire(&mut self, ci: usize) {
+        let c = &self.slab[ci];
+        debug_assert!(c.finish.is_some() && !self.pending_complete.contains(&c.id));
+        debug_assert_eq!(c.in_network, 0, "retiring {:?} with packets out", c.id);
+        let post_mortems = EventMask::SUBFLOW_FINISH;
+        if let Some(tl) = self.telemetry.as_mut().filter(|tl| tl.wants(post_mortems)) {
+            for (si, sub) in c.subflows.iter().enumerate() {
+                tl.record(TraceRecord::SubflowFinish {
+                    t: self.now,
+                    conn: u64::from(c.id.0),
+                    subflow: si as u64,
+                    dead: sub.dead,
+                    highest_sent: sub.highest_sent,
+                    dctcp_alpha: sub.dctcp_alpha,
+                    dctcp_dupack_marks: sub.dctcp_dupack_marks,
+                });
+            }
+        }
+        self.conn_slot[c.id.0 as usize] = NONE;
+        self.free_slots.push(ci);
     }
 
     fn on_departure(&mut self, link: LinkId) {
@@ -570,8 +666,10 @@ impl Simulator {
     }
 
     fn on_data(&mut self, conn: ConnId, subflow: u8, seq: u64, ts: SimTime, rtx: bool, ce: bool) {
-        let c = &mut self.conns[conn.0 as usize];
-        let sub = &mut c.subflows[subflow as usize];
+        // Duplicate data landing after `finish` is ACKed like any other; the
+        // ACK inherits the data packet's `in_network` count and pins on.
+        let ci = self.conn_slot[conn.0 as usize] as usize;
+        let sub = &mut self.slab[ci].subflows[subflow as usize];
         let cum = sub.receive_data(seq);
         let route = Arc::clone(&sub.rev_route);
         let id = self.packets.alloc(Packet {
@@ -600,16 +698,15 @@ impl Simulator {
         rtx_echo: bool,
         ece: bool,
     ) {
-        let ci = conn.0 as usize;
+        let Some(ci) = self.left_network(conn) else {
+            return; // late ACK after completion
+        };
         let now = self.now;
         // Single borrow of the connection for the whole handler: ACKs are
-        // ~half of all events, and the repeated `conns[ci].subflows[si]`
+        // ~half of all events, and the repeated `slab[ci].subflows[si]`
         // double-indexing was measurable. `self.cfg` is a disjoint field, so
         // the split borrows below are fine.
-        let c = &mut self.conns[ci];
-        if c.finish.is_some() {
-            return; // late ACK after completion
-        }
+        let c = &mut self.slab[ci];
         let si = subflow as usize;
         let cc = c.cc;
         let sub = &mut c.subflows[si];
@@ -691,15 +788,16 @@ impl Simulator {
 
         // Completion?
         if c.acked >= c.size_packets {
-            self.finish_conn(conn);
+            self.finish_conn(ci);
             return;
         }
-        self.pump(conn);
+        self.pump(ci);
     }
 
-    fn finish_conn(&mut self, conn: ConnId) {
-        let c = &mut self.conns[conn.0 as usize];
+    fn finish_conn(&mut self, ci: usize) {
+        let c = &mut self.slab[ci];
         c.finish = Some(self.now);
+        let conn = c.id;
         let rec = FlowRecord {
             conn,
             src: c.src,
@@ -730,6 +828,8 @@ impl Simulator {
                 timeouts: rec.timeouts,
             });
         }
+        self.conn_record[conn.0 as usize] = u32::try_from(self.records.len())
+            .expect("invariant: connection count stays within u32");
         self.records.push(rec);
         self.pending_complete.push(conn);
     }
@@ -739,25 +839,24 @@ impl Simulator {
     // ------------------------------------------------------------------
 
     /// Push out as much as windows allow, round-robin over subflows.
-    fn pump(&mut self, conn: ConnId) {
-        let ci = conn.0 as usize;
-        let n_subs = self.conns[ci].subflows.len();
+    fn pump(&mut self, ci: usize) {
+        let n_subs = self.slab[ci].subflows.len();
         let mut progress = true;
         while progress {
             progress = false;
             for off in 0..n_subs {
-                let si = (self.conns[ci].rr + off) % n_subs;
+                let si = (self.slab[ci].rr + off) % n_subs;
                 // Point retransmissions (fast retransmit, NewReno partial
                 // acks) go out regardless of window space.
                 loop {
-                    let sub = &mut self.conns[ci].subflows[si];
+                    let sub = &mut self.slab[ci].subflows[si];
                     let Some(seq) = sub.rtx_queue.pop_front() else {
                         break;
                     };
                     if seq < sub.snd_una {
                         continue; // already cumulatively acked
                     }
-                    self.transmit(conn, si, seq, true);
+                    self.transmit(ci, si, seq, true);
                     progress = true;
                 }
                 // Window-paced (re)transmission: first go-back-N resends of
@@ -765,7 +864,7 @@ impl Simulator {
                 // fresh packets if the connection has unassigned data left.
                 loop {
                     // Re-borrow each iteration: `transmit` needs `&mut self`.
-                    let c = &mut self.conns[ci];
+                    let c = &mut self.slab[ci];
                     let sub = &mut c.subflows[si];
                     if !sub.window_open() {
                         break;
@@ -773,37 +872,37 @@ impl Simulator {
                     if sub.resend_high < sub.highest_sent {
                         let seq = sub.resend_high;
                         sub.resend_high += 1;
-                        self.transmit(conn, si, seq, true);
+                        self.transmit(ci, si, seq, true);
                         progress = true;
                     } else if c.assigned < c.size_packets {
                         let seq = sub.highest_sent;
                         sub.highest_sent += 1;
                         sub.resend_high += 1;
                         c.assigned += 1;
-                        self.transmit(conn, si, seq, false);
+                        self.transmit(ci, si, seq, false);
                         progress = true;
                     } else {
                         break;
                     }
                 }
             }
-            let c = &mut self.conns[ci];
+            let c = &mut self.slab[ci];
             c.rr = (c.rr + 1) % n_subs;
         }
         // Arm timers wherever data is outstanding.
         for si in 0..n_subs {
-            let sub = &self.conns[ci].subflows[si];
+            let sub = &self.slab[ci].subflows[si];
             if sub.outstanding() > 0 && !sub.timer_armed {
-                self.arm_timer(conn, si);
+                self.arm_timer(ci, si);
             }
         }
     }
 
-    fn transmit(&mut self, conn: ConnId, si: usize, seq: u64, rtx: bool) {
-        let ci = conn.0 as usize;
+    fn transmit(&mut self, ci: usize, si: usize, seq: u64, rtx: bool) {
         let now = self.now;
-        let c = &mut self.conns[ci];
-        let cc = c.cc;
+        let c = &mut self.slab[ci];
+        let (conn, cc) = (c.id, c.cc);
+        c.in_network += 1;
         let (route, size) = {
             let sub = &mut c.subflows[si];
             sub.packets_sent += 1;
@@ -853,9 +952,9 @@ impl Simulator {
     // Timers (lazy re-arm: one outstanding event per subflow)
     // ------------------------------------------------------------------
 
-    fn arm_timer(&mut self, conn: ConnId, si: usize) {
-        let ci = conn.0 as usize;
-        let sub = &mut self.conns[ci].subflows[si];
+    fn arm_timer(&mut self, ci: usize, si: usize) {
+        let conn = self.slab[ci].id;
+        let sub = &mut self.slab[ci].subflows[si];
         sub.timer_token += 1;
         sub.timer_armed = true;
         let deadline = self.now + sub.effective_rto(&self.cfg.tcp);
@@ -870,28 +969,28 @@ impl Simulator {
     }
 
     fn on_rto(&mut self, conn: ConnId, subflow: u8, token: u64) {
-        let ci = conn.0 as usize;
         let si = subflow as usize;
-        if self.conns[ci].finish.is_some() {
-            return;
+        let ci = self.conn_slot[conn.0 as usize] as usize;
+        if self.slab.get(ci).is_none_or(|c| c.finish.is_some()) {
+            return; // stale timer of a finished, possibly retired, connection
         }
         {
-            let sub = &self.conns[ci].subflows[si];
+            let sub = &self.slab[ci].subflows[si];
             if !sub.timer_armed || sub.timer_token != token {
                 return; // stale
             }
         }
         // Nothing outstanding: disarm.
-        if self.conns[ci].subflows[si].outstanding() == 0 {
-            self.conns[ci].subflows[si].timer_armed = false;
+        if self.slab[ci].subflows[si].outstanding() == 0 {
+            self.slab[ci].subflows[si].timer_armed = false;
             return;
         }
         // Progress since arming: push the deadline out (lazy re-arm keeps a
         // single pending event instead of one per ACK).
-        let eff = self.conns[ci].subflows[si].effective_rto(&self.cfg.tcp);
-        let deadline = self.conns[ci].subflows[si].last_progress + eff;
+        let eff = self.slab[ci].subflows[si].effective_rto(&self.cfg.tcp);
+        let deadline = self.slab[ci].subflows[si].last_progress + eff;
         if self.now < deadline {
-            let tok = self.conns[ci].subflows[si].timer_token;
+            let tok = self.slab[ci].subflows[si].timer_token;
             self.events.schedule(
                 deadline,
                 EventKind::RtoTimer {
@@ -905,7 +1004,7 @@ impl Simulator {
         // Genuine timeout: rewind the pipe estimate so the pump go-back-N
         // resends the presumed-lost window under slow start.
         {
-            let sub = &mut self.conns[ci].subflows[si];
+            let sub = &mut self.slab[ci].subflows[si];
             sub.timeouts += 1;
             let flight = sub.in_flight() as f64;
             sub.ssthresh = (flight / 2.0).max(2.0);
@@ -919,7 +1018,7 @@ impl Simulator {
         }
         if self.wants(EventMask::TIMEOUT) {
             let t = self.now;
-            let backoff = u64::from(self.conns[ci].subflows[si].backoff);
+            let backoff = u64::from(self.slab[ci].subflows[si].backoff);
             self.emit(TraceRecord::Timeout {
                 t,
                 conn: u64::from(conn.0),
@@ -930,23 +1029,22 @@ impl Simulator {
         // MPTCP path-failure handling: after repeated backoffs, declare the
         // subflow dead and re-inject its outstanding data onto the
         // surviving subflows.
-        let has_live_sibling = self.conns[ci]
+        let has_live_sibling = self.slab[ci]
             .subflows
             .iter()
             .enumerate()
             .any(|(j, s)| j != si && !s.dead);
-        if self.conns[ci].subflows[si].backoff >= self.cfg.tcp.dead_after_backoff
-            && has_live_sibling
+        if self.slab[ci].subflows[si].backoff >= self.cfg.tcp.dead_after_backoff && has_live_sibling
         {
             let reclaimed = {
-                let sub = &mut self.conns[ci].subflows[si];
+                let sub = &mut self.slab[ci].subflows[si];
                 sub.dead = true;
                 let lost = sub.highest_sent - sub.snd_una;
                 sub.highest_sent = sub.snd_una;
                 sub.resend_high = sub.snd_una;
                 lost
             };
-            self.conns[ci].assigned -= reclaimed;
+            self.slab[ci].assigned -= reclaimed;
             if self.wants(EventMask::SUBFLOW_DEAD) {
                 let t = self.now;
                 self.emit(TraceRecord::SubflowDead {
@@ -956,13 +1054,13 @@ impl Simulator {
                     reclaimed,
                 });
             }
-            self.pump(conn);
+            self.pump(ci);
             return; // no timer for a dead subflow
         }
-        self.conns[ci].subflows[si].last_progress = self.now;
-        self.pump(conn);
-        if !self.conns[ci].subflows[si].timer_armed {
-            self.arm_timer(conn, si);
+        self.slab[ci].subflows[si].last_progress = self.now;
+        self.pump(ci);
+        if !self.slab[ci].subflows[si].timer_armed {
+            self.arm_timer(ci, si);
         }
     }
 
@@ -989,13 +1087,13 @@ impl Simulator {
     /// Hand every completion not yet delivered to the driver.
     fn deliver_completions(&mut self, driver: &mut dyn Driver) {
         while let Some(cid) = self.pending_complete.pop() {
-            let rec = self
-                .records
-                .iter()
-                .rfind(|r| r.conn == cid)
-                .expect("invariant: every completed connection has a flow record")
-                .clone();
+            let ci = self.conn_slot[cid.0 as usize] as usize;
+            let rec = self.records[self.conn_record[cid.0 as usize] as usize].clone();
             driver.on_flow_complete(self, &rec);
+            // With stragglers still out, `left_network` retires it instead.
+            if self.slab[ci].in_network == 0 {
+                self.retire(ci);
+            }
         }
     }
 
@@ -1013,7 +1111,7 @@ impl Simulator {
         match ev.kind {
             EventKind::QueueDeparture { link } => prefetch_read(&self.queues[link.index()]),
             EventKind::Arrival { packet } => prefetch_read(&self.packets[packet]),
-            EventKind::RtoTimer { conn, .. } => prefetch_read(&self.conns[conn.0 as usize]),
+            EventKind::RtoTimer { conn, .. } => prefetch_read(&self.conn_slot[conn.0 as usize]),
             EventKind::AppTimer { .. } | EventKind::TelemetrySample => {}
         }
     }
@@ -1069,10 +1167,12 @@ impl Simulator {
             tl.last_plane_bytes = bytes;
         }
         if tl.cfg.events.contains(EventMask::SUBFLOW_SAMPLE) {
-            for c in &self.conns {
-                if c.finish.is_some() {
-                    continue;
-                }
+            // In `ConnId` order, not slot order: which slot a flow recycled
+            // must not show in the export. Free slots read as finished.
+            let mut live: Vec<&Connection> =
+                self.slab.iter().filter(|c| c.finish.is_none()).collect();
+            live.sort_by_key(|c| c.id);
+            for c in live {
                 for (si, sub) in c.subflows.iter().enumerate() {
                     if sub.dead {
                         continue;
@@ -1094,8 +1194,7 @@ impl Simulator {
         // finished (stale RTO timers may linger in the queue long after);
         // the second keeps the sampler from being the only thing driving
         // the clock forever. `start_flow` re-arms it when traffic returns.
-        let live =
-            !self.pending_complete.is_empty() || self.conns.iter().any(|c| c.finish.is_none());
+        let live = !self.pending_complete.is_empty() || self.conn_slot.len() > self.records.len();
         if live && !self.events.is_empty() {
             tl.sampler_armed = true;
             self.events
@@ -1427,6 +1526,57 @@ mod tests {
             dctcp_drops <= reno_drops,
             "DCTCP drops {dctcp_drops} vs Reno {reno_drops}"
         );
+    }
+
+    #[test]
+    fn connection_state_follows_live_flows_not_history() {
+        use crate::apps::{ClosedLoopDriver, ClosedLoopSlot};
+        /// Checks the driver's last look and tracks the peak of `live_conns`.
+        struct Watch<'a>(ClosedLoopDriver<'a>, usize);
+        impl Driver for Watch<'_> {
+            fn on_flow_complete(&mut self, sim: &mut Simulator, rec: &FlowRecord) {
+                let conn = sim.conn(rec.conn).expect("state kept until handed over");
+                assert_eq!(conn.finish, Some(rec.finish));
+                assert_eq!(sim.record(rec.conn).map(|r| r.finish), Some(rec.finish));
+                self.0.on_flow_complete(sim, rec);
+                self.1 = self.1.max(sim.live_conns());
+            }
+        }
+        const SLOTS: u32 = 8;
+        let n = net();
+        let mut sim = Simulator::new(&n, SimConfig::default());
+        // Eight back-to-back chains of short flows, alternating one subflow
+        // with two, so a recycled slot's subflow table shrinks and regrows.
+        let slots = (0..SLOTS)
+            .map(|h| ClosedLoopSlot {
+                src: HostId(h),
+                next_dst: Box::new(move || HostId(15 - h)),
+                next_size: Box::new(move || 3_000 + 1_500 * u64::from(h)),
+            })
+            .collect();
+        let mut flip = false;
+        let factory = Box::new(|src, dst, _size| {
+            flip = !flip;
+            let mut routes = vec![route_for(&n, src, dst, 0)];
+            if flip {
+                routes.push(route_for(&n, src, dst, 1));
+            }
+            (routes, CcAlgo::Lia)
+        });
+        let chains = ClosedLoopDriver::start(&mut sim, slots, factory, SimTime::from_ms(3));
+        let mut watch = Watch(chains, sim.live_conns());
+        run(&mut sim, &mut watch, None);
+        assert!(sim.n_conns() >= 2_000, "only {} flows ran", sim.n_conns());
+        assert_eq!(sim.records.len(), sim.n_conns());
+        assert_eq!(
+            sim.live_conns(),
+            0,
+            "a drained run keeps no transport state"
+        );
+        // A finished flow is still live while its successor starts, hence +1.
+        assert!(watch.1 <= SLOTS as usize + 1, "peak {} live", watch.1);
+        assert!(sim.conn_slab_capacity() <= watch.1);
+        assert!(sim.conn(ConnId(0)).is_none() && sim.record(ConnId(0)).is_some());
     }
 
     #[test]

@@ -210,6 +210,15 @@ impl Subflow {
         }
     }
 
+    /// Become `fresh`, keeping this subflow's (emptied) retransmit-queue
+    /// and reorder-heap buffers: how a retired connection's slot is reused.
+    pub fn recycle(&mut self, fresh: Subflow) {
+        let old = std::mem::replace(self, fresh);
+        (self.rtx_queue, self.ooo) = (old.rtx_queue, old.ooo);
+        self.rtx_queue.clear();
+        self.ooo.clear();
+    }
+
     /// Packets believed in flight (the pipe estimate; rewound by RTOs).
     #[inline]
     pub fn in_flight(&self) -> u64 {
@@ -341,15 +350,6 @@ impl SaturatingShl for u64 {
     }
 }
 
-/// Why the connection finished pumping (used by tests).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConnState {
-    /// Still transferring.
-    Active,
-    /// All packets assigned and acknowledged.
-    Finished,
-}
-
 /// A (possibly multipath) connection transferring a fixed number of packets.
 #[derive(Debug)]
 pub struct Connection {
@@ -373,6 +373,9 @@ pub struct Connection {
     pub rr: usize,
     /// Application owner tag (delivered on completion).
     pub owner_tag: u64,
+    /// This connection's packets (data and ACKs) in queues or on the wire;
+    /// they pin its state past `finish` (duplicate data is still ACKed).
+    pub in_network: u32,
 }
 
 impl Connection {
@@ -384,15 +387,6 @@ impl Connection {
     /// Total timeouts across subflows.
     pub fn timeouts(&self) -> u64 {
         self.subflows.iter().map(|s| s.timeouts).sum()
-    }
-
-    /// Current state.
-    pub fn state(&self) -> ConnState {
-        if self.finish.is_some() {
-            ConnState::Finished
-        } else {
-            ConnState::Active
-        }
     }
 
     /// The LIA alpha parameter (RFC 6356): α = cwnd_total ·
@@ -455,6 +449,7 @@ mod tests {
             subflows: (0..n_subs).map(|_| sub(cfg)).collect(),
             rr: 0,
             owner_tag: 0,
+            in_network: 0,
         }
     }
 
@@ -667,6 +662,5 @@ mod tests {
         c.subflows[1].timeouts = 1;
         assert_eq!(c.retransmits(), 7);
         assert_eq!(c.timeouts(), 1);
-        assert_eq!(c.state(), ConnState::Active);
     }
 }

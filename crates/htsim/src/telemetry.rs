@@ -9,6 +9,8 @@
 //! * **Trace events** — flow start/finish, retransmit, timeout,
 //!   subflow-death, ECN mark, link up/down — emitted at the instant the
 //!   simulator processes them, gated per category by an [`EventMask`];
+//! * **Post-mortems** — the final state of each subflow, written when its
+//!   finished connection retires and the simulator forgets it;
 //! * **Samplers** — queue depth/occupancy per link, per-plane utilization,
 //!   per-subflow cwnd/srtt — taken every
 //!   [`TelemetryConfig::sample_interval`] of *simulation* time via a
@@ -61,6 +63,9 @@ impl EventMask {
     pub const PLANE_SAMPLE: EventMask = EventMask(1 << 8);
     /// Periodic per-subflow cwnd/srtt ([`TraceRecord::SubflowSample`]).
     pub const SUBFLOW_SAMPLE: EventMask = EventMask(1 << 9);
+    /// A finished connection retired ([`TraceRecord::SubflowFinish`] per
+    /// subflow). A state dump, asked for by name: in no composite below.
+    pub const SUBFLOW_FINISH: EventMask = EventMask(1 << 10);
 
     /// All instantaneous trace events (no samplers).
     pub const TRACE: EventMask = EventMask(
@@ -75,7 +80,7 @@ impl EventMask {
     /// All periodic samplers.
     pub const SAMPLES: EventMask =
         EventMask(Self::QUEUE_SAMPLE.0 | Self::PLANE_SAMPLE.0 | Self::SUBFLOW_SAMPLE.0);
-    /// Everything.
+    /// Every event and sampler (not the [`EventMask::SUBFLOW_FINISH`] dump).
     pub const ALL: EventMask = EventMask(Self::TRACE.0 | Self::SAMPLES.0);
 
     /// Union of two masks.
@@ -101,7 +106,8 @@ impl EventMask {
     /// Names: `flow` (start+finish), `flow-start`, `flow-finish`,
     /// `retransmit`, `timeout`, `subflow-dead`, `ecn`, `link`, `queue`,
     /// `plane`, `subflow-samples`, `samples` (all three samplers), `trace`
-    /// (all instantaneous events), `all`.
+    /// (all instantaneous events), `all` (`trace` + `samples`), and
+    /// `subflow-finish` (the post-mortems, part of no composite).
     pub fn from_names(names: &str) -> Result<EventMask, String> {
         let mut mask = EventMask::NONE;
         for name in names.split(',').map(str::trim).filter(|s| !s.is_empty()) {
@@ -112,6 +118,7 @@ impl EventMask {
                 "retransmit" => Self::RETRANSMIT,
                 "timeout" => Self::TIMEOUT,
                 "subflow-dead" => Self::SUBFLOW_DEAD,
+                "subflow-finish" => Self::SUBFLOW_FINISH,
                 "ecn" => Self::ECN_MARK,
                 "link" => Self::LINK_STATE,
                 "queue" => Self::QUEUE_SAMPLE,
@@ -218,6 +225,17 @@ pub enum TraceRecord {
         subflow: u64,
         reclaimed: u64,
     },
+    /// A subflow's final state, one record per subflow when its finished
+    /// connection retires. Sender state froze at `FlowFinish`.
+    SubflowFinish {
+        t: SimTime,
+        conn: u64,
+        subflow: u64,
+        dead: bool,
+        highest_sent: u64,
+        dctcp_alpha: f64,
+        dctcp_dupack_marks: u64,
+    },
     /// A queue CE-marked a data packet (occupancy exceeded the threshold).
     EcnMark {
         t: SimTime,
@@ -264,6 +282,7 @@ impl TraceRecord {
             TraceRecord::Retransmit { .. } => EventMask::RETRANSMIT,
             TraceRecord::Timeout { .. } => EventMask::TIMEOUT,
             TraceRecord::SubflowDead { .. } => EventMask::SUBFLOW_DEAD,
+            TraceRecord::SubflowFinish { .. } => EventMask::SUBFLOW_FINISH,
             TraceRecord::EcnMark { .. } => EventMask::ECN_MARK,
             TraceRecord::LinkDown { .. } | TraceRecord::LinkUp { .. } => EventMask::LINK_STATE,
             TraceRecord::QueueSample { .. } => EventMask::QUEUE_SAMPLE,
@@ -280,6 +299,7 @@ impl TraceRecord {
             | TraceRecord::Retransmit { t, .. }
             | TraceRecord::Timeout { t, .. }
             | TraceRecord::SubflowDead { t, .. }
+            | TraceRecord::SubflowFinish { t, .. }
             | TraceRecord::EcnMark { t, .. }
             | TraceRecord::LinkDown { t, .. }
             | TraceRecord::LinkUp { t, .. }
@@ -344,6 +364,20 @@ impl TraceRecord {
             } => format!(
                 "{{\"t_ps\":{},\"event\":\"subflow_dead\",\"conn\":{conn},\
                  \"subflow\":{subflow},\"reclaimed\":{reclaimed}}}",
+                t.as_ps()
+            ),
+            TraceRecord::SubflowFinish {
+                t,
+                conn,
+                subflow,
+                dead,
+                highest_sent,
+                dctcp_alpha,
+                dctcp_dupack_marks,
+            } => format!(
+                "{{\"t_ps\":{},\"event\":\"subflow_finish\",\"conn\":{conn},\
+                 \"subflow\":{subflow},\"dead\":{dead},\"highest_sent\":{highest_sent},\
+                 \"dctcp_alpha\":{dctcp_alpha},\"dctcp_dupack_marks\":{dctcp_dupack_marks}}}",
                 t.as_ps()
             ),
             TraceRecord::EcnMark {
@@ -494,6 +528,28 @@ impl TraceRecord {
                 "",
                 "",
                 [s(reclaimed), none.clone(), none.clone(), none.clone()],
+            ),
+            TraceRecord::SubflowFinish {
+                t,
+                conn,
+                subflow,
+                dead,
+                highest_sent,
+                dctcp_alpha,
+                dctcp_dupack_marks,
+            } => row(
+                t,
+                "subflow_finish",
+                &s(conn),
+                &s(subflow),
+                "",
+                "",
+                [
+                    s(u64::from(dead)),
+                    s(highest_sent),
+                    f(dctcp_alpha),
+                    s(dctcp_dupack_marks),
+                ],
             ),
             TraceRecord::EcnMark {
                 t,
@@ -677,6 +733,7 @@ impl Telemetry {
          # retransmit: v0=seq\n\
          # timeout: v0=backoff\n\
          # subflow_dead: v0=reclaimed\n\
+         # subflow_finish: v0=dead v1=highest_sent v2=dctcp_alpha v3=dctcp_dupack_marks\n\
          # ecn_mark: v0=buffered_bytes\n\
          # queue_sample: v0=depth_pkts v1=buffered_bytes\n\
          # plane_sample: v0=bytes_delta v1=utilization\n\

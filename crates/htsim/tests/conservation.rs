@@ -6,7 +6,8 @@
 #![cfg(feature = "strict-invariants")]
 
 use pnet_htsim::{
-    run, run_to_completion, CcAlgo, FlowSpec, NullDriver, SimConfig, SimTime, Simulator,
+    run, run_to_completion, CcAlgo, ConnId, Driver, FlowRecord, FlowSpec, NullDriver, SimConfig,
+    SimTime, Simulator,
 };
 use pnet_routing::{host_route, RouteAlgo, Router};
 use pnet_topology::{assemble_homogeneous, FatTree, HostId, LinkId, LinkProfile, Network, PlaneId};
@@ -94,17 +95,14 @@ fn books_balance_across_a_link_failure() {
     });
 
     run(&mut sim, &mut NullDriver, Some(SimTime::from_us(200)));
-    assert!(
-        sim.conn(id).finish.is_none(),
-        "flow finished before failure"
-    );
+    assert!(sim.record(id).is_none(), "flow finished before failure");
     assert!(sim.conservation().balanced(), "{:?}", sim.conservation());
 
     sim.fail_link(plane0_uplink);
     run(&mut sim, &mut NullDriver, None);
 
     assert!(
-        sim.conn(id).finish.is_some(),
+        sim.record(id).is_some(),
         "MPTCP flow never completed after losing one plane"
     );
     let l = sim.conservation();
@@ -184,4 +182,64 @@ fn books_balance_with_samplers_active() {
     }
     assert!(saw_down && saw_up, "link failure/restore must be traced");
     assert!(samples > 0, "samplers must have run");
+}
+
+#[test]
+fn finished_connections_stay_until_their_last_packet_lands() {
+    // A lossy 8-to-1 incast: go-back-N resends after a timeout are still in
+    // the network when the ACK that completes the flow arrives, so duplicate
+    // data lands after `finish`. It is ACKed over the subflow's reverse
+    // route, which is why the connection outlives its completion — and the
+    // per-connection in-network counts, which `conservation()` checks against
+    // the packet arena and `retire` against zero, say when it may go.
+    struct Stragglers(Vec<ConnId>);
+    impl Driver for Stragglers {
+        fn on_flow_complete(&mut self, sim: &mut Simulator, rec: &FlowRecord) {
+            let conn = sim.conn(rec.conn).expect("state kept until handed over");
+            if conn.in_network > 0 {
+                self.0.push(rec.conn);
+            }
+        }
+    }
+    use pnet_htsim::{EventMask, TelemetryConfig, TraceRecord};
+    let n = net2();
+    let cfg = SimConfig {
+        telemetry: TelemetryConfig {
+            events: EventMask::FLOW_FINISH | EventMask::SUBFLOW_FINISH,
+            sample_interval: None,
+        },
+        ..SimConfig::default()
+    };
+    let mut sim = Simulator::new(&n, cfg);
+    for h in 0..8u32 {
+        sim.start_flow(FlowSpec {
+            src: HostId(h),
+            dst: HostId(15),
+            size_bytes: 100_000,
+            routes: vec![route_for(&n, HostId(h), HostId(15), 0)],
+            cc: CcAlgo::Reno,
+            owner_tag: u64::from(h),
+        });
+    }
+    let mut stragglers = Stragglers(Vec::new());
+    run(&mut sim, &mut stragglers, None);
+    assert_eq!(sim.records.len(), 8);
+    assert!(sim.records.iter().any(|r| r.timeouts > 0));
+    assert!(
+        !stragglers.0.is_empty(),
+        "no flow finished with packets out"
+    );
+    assert_eq!(sim.live_conns(), 0);
+    assert_eq!(sim.conservation().in_flight, 0);
+    // A straggler retires strictly after it finished, everyone else at once.
+    let trace = sim.telemetry().expect("telemetry was enabled").records();
+    for rec in &sim.records {
+        let id = u64::from(rec.conn.0);
+        let retired = trace.iter().find_map(|r| match *r {
+            TraceRecord::SubflowFinish { t, conn, .. } if conn == id => Some(t),
+            _ => None,
+        });
+        let retired = retired.expect("every flow retired");
+        assert_eq!(retired > rec.finish, stragglers.0.contains(&rec.conn));
+    }
 }

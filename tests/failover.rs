@@ -4,7 +4,10 @@
 //! performance degradation" (section 3.4).
 
 use pnet::core::{HostStack, PNetSpec, PathPolicy, TopologyKind};
-use pnet::htsim::{run, FlowSpec, NullDriver, SimConfig, SimTime, Simulator};
+use pnet::htsim::{
+    run, EventMask, FlowSpec, NullDriver, SimConfig, SimTime, Simulator, TelemetryConfig,
+    TraceRecord,
+};
 use pnet::topology::{failures, HostId, NetworkClass, PlaneId};
 
 fn pnet4() -> pnet::core::PNet {
@@ -35,6 +38,12 @@ fn mptcp_survives_a_plane_failure_mid_flight() {
 
     let mut cfg = SimConfig::default();
     cfg.tcp.min_rto = SimTime::from_ms(1); // fast failure detection
+                                           // Which subflow died is read from the post-mortem the connection leaves
+                                           // behind when it retires; the simulator keeps no state of a finished flow.
+    cfg.telemetry = TelemetryConfig {
+        events: EventMask::SUBFLOW_FINISH,
+        sample_interval: None,
+    };
     let mut sim = Simulator::new(&pnet.net, cfg);
     let id = sim.start_flow(FlowSpec {
         src: HostId(0),
@@ -47,28 +56,36 @@ fn mptcp_survives_a_plane_failure_mid_flight() {
 
     // Let the transfer ramp, then kill plane 0's uplink for good.
     run(&mut sim, &mut NullDriver, Some(SimTime::from_us(200)));
-    assert!(sim.conn(id).finish.is_none());
+    assert!(sim.record(id).is_none());
     sim.fail_link(plane0_uplink);
     run(&mut sim, &mut NullDriver, None);
 
-    let conn = sim.conn(id);
-    assert!(
-        conn.finish.is_some(),
-        "MPTCP flow never completed after losing one plane"
-    );
-    // Exactly one subflow died; the rest carried the re-injected data.
-    let dead: Vec<usize> = conn
-        .subflows
+    let rec = sim
+        .record(id)
+        .expect("MPTCP flow never completed after losing one plane");
+    assert!(sim.conn(id).is_none(), "a drained, finished flow retires");
+    // Exactly one subflow died; the rest carried the re-injected data, and
+    // between them the four sent every packet of the flow exactly once.
+    let post_mortems: Vec<(bool, u64)> = sim
+        .telemetry()
+        .expect("telemetry was enabled")
+        .records()
         .iter()
-        .enumerate()
-        .filter(|(_, s)| s.dead)
-        .map(|(i, _)| i)
+        .map(|r| match *r {
+            TraceRecord::SubflowFinish {
+                dead, highest_sent, ..
+            } => (dead, highest_sent),
+            ref other => panic!("unexpected record {other:?}"),
+        })
         .collect();
-    assert_eq!(dead.len(), 1, "expected one dead subflow, got {dead:?}");
-    assert_eq!(conn.acked, conn.size_packets);
+    assert_eq!(post_mortems.len(), 4);
+    let dead = post_mortems.iter().filter(|(dead, _)| *dead).count();
+    assert_eq!(dead, 1, "expected one dead subflow, got {post_mortems:?}");
+    let sent: u64 = post_mortems.iter().map(|(_, sent)| sent).sum();
+    assert_eq!(sent, 40_000_000u64.div_ceil(1500));
     // 40 MB over the 3 surviving 100G uplinks ~ 1.1 ms + failure detection;
     // it must not have taken a pathological number of timeouts.
-    let fct = conn.finish.unwrap().as_ms_f64();
+    let fct = rec.finish.as_ms_f64();
     assert!(fct < 50.0, "fct {fct} ms too slow for a 3-plane recovery");
 
     // The blackholed packets are failure loss, not congestion loss: they
@@ -158,7 +175,7 @@ fn single_path_flows_on_other_planes_unaffected_by_plane_death() {
     sim.fail_link(up1);
     run(&mut sim, &mut NullDriver, Some(SimTime::from_ms(20)));
     for (id, plane) in ids {
-        let done = sim.conn(id).finish.is_some();
+        let done = sim.record(id).is_some();
         if plane == PlaneId(1) {
             assert!(!done, "flow on the dead plane cannot finish");
         } else {

@@ -597,7 +597,17 @@ proptest! {
     ) {
         let net = small_jellyfish(seed);
         let router = Router::new(&net, RouteAlgo::Ksp { k: 2 });
-        let mut sim = Simulator::new(&net, SimConfig::default());
+        // Finished flows retire; their subflows' final state comes back as
+        // one post-mortem record each.
+        use pnet::htsim::{EventMask, TelemetryConfig, TraceRecord};
+        let cfg = SimConfig {
+            telemetry: TelemetryConfig {
+                events: EventMask::SUBFLOW_FINISH,
+                sample_interval: None,
+            },
+            ..SimConfig::default()
+        };
+        let mut sim = Simulator::new(&net, cfg);
         use rand::{RngExt, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         for i in 0..n_flows {
@@ -620,13 +630,23 @@ proptest! {
         }
         run_to_completion(&mut sim);
         prop_assert_eq!(sim.records.len(), n_flows, "some flow never finished");
+        prop_assert_eq!(sim.live_conns(), 0, "a drained network holds no connection state");
+        let post_mortems = sim.telemetry().expect("telemetry was enabled").records();
         for rec in &sim.records {
             prop_assert!(rec.finish >= rec.start);
-            // Conservation: every assigned packet was acked exactly once.
-            let conn = sim.conn(rec.conn);
-            prop_assert_eq!(conn.acked, conn.size_packets);
-            let sent: u64 = conn.subflows.iter().map(|s| s.highest_sent).sum();
-            prop_assert_eq!(sent, conn.size_packets);
+            prop_assert!(sim.conn(rec.conn).is_none());
+            // Conservation: every packet of the flow was assigned to exactly
+            // one subflow's sequence space (and acked there, or the flow
+            // would not have finished).
+            let sent: u64 = post_mortems
+                .iter()
+                .map(|r| match *r {
+                    TraceRecord::SubflowFinish { conn, highest_sent, .. }
+                        if conn == u64::from(rec.conn.0) => highest_sent,
+                    _ => 0,
+                })
+                .sum();
+            prop_assert_eq!(sent, rec.size_bytes.div_ceil(1500));
         }
     }
 }

@@ -284,3 +284,70 @@ fn samplers_emit_queue_plane_and_subflow_records() {
         "sampler kept running after the network drained"
     );
 }
+
+#[test]
+fn subflow_samples_follow_connection_ids_not_recycled_slots() {
+    // Flows of staggered sizes, each restarted on completion: retired slots
+    // are recycled while older connections are still live, so a connection
+    // with a higher id soon sits in a lower slot. The sampler must still
+    // report every tick in (connection, subflow) order.
+    use pnet::htsim::{run, Driver, FlowRecord};
+    struct Restart<'a>(&'a Network, u64);
+    impl Restart<'_> {
+        fn start(&self, sim: &mut Simulator, tag: u64) {
+            let i = (tag % 6) as u32;
+            let (src, dst) = (HostId(i), HostId(15 - (i % 2)));
+            sim.start_flow(FlowSpec {
+                src,
+                dst,
+                size_bytes: 30_000 * (u64::from(i) + 1),
+                routes: vec![route(self.0, src, dst, 0), route(self.0, src, dst, 1)],
+                cc: CcAlgo::Lia,
+                owner_tag: tag,
+            });
+        }
+    }
+    impl Driver for Restart<'_> {
+        fn on_flow_complete(&mut self, sim: &mut Simulator, rec: &FlowRecord) {
+            if rec.owner_tag + 6 < self.1 {
+                self.start(sim, rec.owner_tag + 6);
+            }
+        }
+    }
+    let n = net(2);
+    let cfg = SimConfig {
+        telemetry: TelemetryConfig {
+            events: EventMask::SUBFLOW_SAMPLE,
+            sample_interval: Some(SimTime::from_us(2)),
+        },
+        ..SimConfig::default()
+    };
+    let mut sim = Simulator::new(&n, cfg);
+    let mut driver = Restart(&n, 60);
+    for tag in 0..6 {
+        driver.start(&mut sim, tag);
+    }
+    run(&mut sim, &mut driver, None);
+    assert_eq!(sim.records.len(), 60);
+    assert!(
+        sim.conn_slab_capacity() <= 7,
+        "slots must have been recycled"
+    );
+    let samples: Vec<(u64, u64, u64)> = sim
+        .telemetry()
+        .expect("telemetry was enabled")
+        .records()
+        .iter()
+        .map(|r| match *r {
+            TraceRecord::SubflowSample {
+                t, conn, subflow, ..
+            } => (t.as_ps(), conn, subflow),
+            ref other => panic!("non-sample record slipped past the filter: {other:?}"),
+        })
+        .collect();
+    assert!(samples.iter().any(|s| s.1 >= 6), "no recycled flow sampled");
+    assert!(
+        samples.windows(2).all(|w| w[0] < w[1]),
+        "samples out of order"
+    );
+}

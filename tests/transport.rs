@@ -3,7 +3,8 @@
 //! full stack.
 
 use pnet::htsim::{
-    run, run_to_completion, CcAlgo, FlowSpec, NullDriver, SimConfig, SimTime, Simulator,
+    run, run_to_completion, CcAlgo, Driver, EventMask, FlowRecord, FlowSpec, NullDriver, SimConfig,
+    SimTime, Simulator, TelemetryConfig, TraceRecord,
 };
 use pnet::routing::{host_route, RouteAlgo, Router};
 use pnet::topology::{assemble_homogeneous, FatTree, HostId, LinkProfile, Network, PlaneId};
@@ -21,6 +22,29 @@ fn route(net: &Network, src: HostId, dst: HostId, plane: u16) -> Vec<pnet::topol
     let p = router.paths_in_plane(PlaneId(plane), net.rack_of_host(src), net.rack_of_host(dst))[0]
         .clone();
     host_route(net, src, dst, &p).unwrap()
+}
+
+/// Telemetry that records nothing but the per-subflow post-mortems finished
+/// connections leave behind when they retire.
+fn post_mortems_only() -> TelemetryConfig {
+    TelemetryConfig {
+        events: EventMask::SUBFLOW_FINISH,
+        sample_interval: None,
+    }
+}
+
+/// `(dctcp_alpha, dctcp_dupack_marks)` of every retired subflow.
+fn dctcp_post_mortems(sim: &Simulator) -> Vec<(f64, u64)> {
+    let records = sim.telemetry().expect("telemetry was enabled").records();
+    let dctcp = records.iter().map(|r| match *r {
+        TraceRecord::SubflowFinish {
+            dctcp_alpha,
+            dctcp_dupack_marks,
+            ..
+        } => (dctcp_alpha, dctcp_dupack_marks),
+        ref other => panic!("unexpected record {other:?}"),
+    });
+    dctcp.collect()
 }
 
 #[test]
@@ -66,7 +90,8 @@ fn uncoupled_mptcp_is_more_aggressive_than_lia() {
         // the share measurement (we are comparing steady-state additive
         // increase behaviour, not loss-recovery luck).
         run(&mut sim, &mut NullDriver, Some(SimTime::from_ms(60)));
-        sim.conn(mp).acked as f64 / sim.conn(tcp).acked.max(1) as f64
+        let acked = |id| sim.conn(id).expect("still transferring").acked;
+        acked(mp) as f64 / acked(tcp).max(1) as f64
     };
     let lia_share = share_of(CcAlgo::Lia);
     let unc_share = share_of(CcAlgo::Uncoupled);
@@ -99,24 +124,22 @@ fn rto_backoff_survives_a_blackout() {
     });
     // Let it ramp, then black out the path for 40 ms (4 min-RTOs).
     run(&mut sim, &mut NullDriver, Some(SimTime::from_us(50)));
-    assert!(sim.conn(id).finish.is_none());
+    assert!(sim.record(id).is_none());
     sim.fail_link(fabric_cable);
     run(&mut sim, &mut NullDriver, Some(SimTime::from_ms(40)));
-    assert!(
-        sim.conn(id).finish.is_none(),
-        "flow finished through a dark link"
-    );
-    let timeouts_during = sim.conn(id).timeouts();
+    let conn = sim.conn(id).expect("still transferring");
+    assert!(conn.finish.is_none(), "flow finished through a dark link");
+    let timeouts_during = conn.timeouts();
     assert!(
         timeouts_during >= 2,
         "expected RTO retries, got {timeouts_during}"
     );
-    let progress_during = sim.conn(id).acked;
+    assert!(conn.acked < conn.size_packets, "the repair has work left");
     sim.restore_link(fabric_cable);
     run(&mut sim, &mut NullDriver, None);
-    let conn = sim.conn(id);
-    assert!(conn.finish.is_some(), "flow never recovered after repair");
-    assert!(conn.acked > progress_during);
+    let rec = sim.record(id).expect("flow never recovered after repair");
+    assert!(rec.timeouts >= timeouts_during);
+    assert!(sim.conn(id).is_none(), "a drained, finished flow retires");
     // Backoff must have grown the retry gaps: with min-RTO 10 ms and ~40 ms
     // of blackout, un-backed-off retries would fire ~4 times; exponential
     // backoff (10, 20, 40, ...) keeps it to at most 3.
@@ -210,7 +233,11 @@ fn dctcp_first_window_spans_initial_flight() {
     // at first transmission to cover the whole initial flight.
     let n = net(1);
     let r = route(&n, HostId(0), HostId(15), 0);
-    let mut sim = Simulator::new(&n, SimConfig::default());
+    let cfg = SimConfig {
+        telemetry: post_mortems_only(),
+        ..SimConfig::default()
+    };
+    let mut sim = Simulator::new(&n, cfg);
     let id = sim.start_flow(FlowSpec {
         src: HostId(0),
         dst: HostId(15),
@@ -221,7 +248,7 @@ fn dctcp_first_window_spans_initial_flight() {
     });
     // The initial burst (10 packets, no ACKs yet) must all be inside the
     // first observation window.
-    let sub = &sim.conn(id).subflows[0];
+    let sub = &sim.conn(id).expect("just started").subflows[0];
     assert_eq!(sub.highest_sent, 10);
     assert_eq!(
         sub.dctcp_window_end, 10,
@@ -232,7 +259,9 @@ fn dctcp_first_window_spans_initial_flight() {
     // seeded 10-packet one) closes over this transfer, so alpha decays by a
     // single EWMA step: 1.0 * (1 - 1/16) = 0.9375. The pre-fix code closed
     // an extra degenerate window on the first ACK, landing at 0.9375^2.
-    let alpha = sim.conn(id).subflows[0].dctcp_alpha;
+    let [(alpha, _)] = dctcp_post_mortems(&sim)[..] else {
+        panic!("one subflow, one post-mortem");
+    };
     assert!(
         (alpha - 0.9375).abs() < 1e-12,
         "early alpha trajectory off: {alpha} != 0.9375"
@@ -250,36 +279,29 @@ fn dctcp_counts_marks_carried_by_dupacks() {
     let n = net(1);
     let mut cfg = SimConfig {
         ecn_threshold_packets: Some(5),
+        telemetry: post_mortems_only(),
         ..SimConfig::default()
     };
     cfg.queue_bytes = 20 * 1500;
     let mut sim = Simulator::new(&n, cfg);
     let dst = HostId(15);
-    let mut ids = Vec::new();
     for h in 0..12u32 {
         let src = HostId(h);
         let r = route(&n, src, dst, 0);
-        ids.push(sim.start_flow(FlowSpec {
+        sim.start_flow(FlowSpec {
             src,
             dst,
             size_bytes: 600_000,
             routes: vec![r],
             cc: CcAlgo::Dctcp,
             owner_tag: h as u64,
-        }));
+        });
     }
     run_to_completion(&mut sim);
     assert!(sim.dropped_packets > 0, "incast must overflow the buffer");
-    let dupack_marks: u64 = ids
-        .iter()
-        .map(|&id| {
-            sim.conn(id)
-                .subflows
-                .iter()
-                .map(|s| s.dctcp_dupack_marks)
-                .sum::<u64>()
-        })
-        .sum();
+    let post_mortems = dctcp_post_mortems(&sim);
+    assert_eq!(post_mortems.len(), 12, "every flow retired");
+    let dupack_marks: u64 = post_mortems.iter().map(|&(_, marks)| marks).sum();
     assert!(
         dupack_marks > 0,
         "marked dupacks must enter DCTCP's accounting"
@@ -535,4 +557,151 @@ fn scaling_rates_and_the_time_base_scales_every_fct() {
             .collect();
         assert_eq!(rescaled, reference, "c = {c}");
     }
+}
+
+/// A flow of the relabelling test: the plane of each of its subflows, its
+/// endpoints and its size.
+type ChainFlow = (Vec<u16>, u32, u32, u64);
+
+/// Closed-loop chains over a flow list: tags `0..flows.len()` start together
+/// in a given order, and when tag `t` finishes, tag `t + flows.len()` starts
+/// from the completion callback — the spec `hop` places down the list — for
+/// `generations` rounds. Connections retire and their slots are recycled all
+/// through the run. Planes and hosts are renamed on the way to the simulator.
+struct Chains<'a> {
+    n: &'a Network,
+    flows: &'a [ChainFlow],
+    hop: usize,
+    generations: usize,
+    plane_of: [u16; 4],
+    host_of: fn(u32) -> u32,
+}
+
+impl Chains<'_> {
+    fn start(&self, sim: &mut Simulator, tag: usize) {
+        let len = self.flows.len();
+        let (planes, src, dst, size_bytes) = &self.flows[(tag + tag / len * self.hop) % len];
+        let (src, dst) = (HostId((self.host_of)(*src)), HostId((self.host_of)(*dst)));
+        let on_plane = |&p: &u16| route(self.n, src, dst, self.plane_of[usize::from(p)]);
+        sim.start_flow(FlowSpec {
+            src,
+            dst,
+            size_bytes: *size_bytes,
+            routes: planes.iter().map(on_plane).collect(),
+            cc: CcAlgo::Lia,
+            owner_tag: tag as u64,
+        });
+    }
+
+    /// Per tag: `(tag, start, finish, retransmits, timeouts, conn)`.
+    fn run(&self, order: &[usize]) -> Vec<(u64, u64, u64, u64, u64, u32)> {
+        let mut sim = Simulator::new(self.n, SimConfig::default());
+        for &tag in order {
+            self.start(&mut sim, tag);
+        }
+        struct Next<'a>(&'a Chains<'a>);
+        impl Driver for Next<'_> {
+            fn on_flow_complete(&mut self, sim: &mut Simulator, rec: &FlowRecord) {
+                let next = rec.owner_tag as usize + self.0.flows.len();
+                if next < self.0.flows.len() * self.0.generations {
+                    self.0.start(sim, next);
+                }
+            }
+        }
+        run(&mut sim, &mut Next(self), None);
+        assert_eq!(sim.records.len(), self.flows.len() * self.generations);
+        assert!(
+            sim.conn_slab_capacity() <= self.flows.len() + 1,
+            "slots must have been recycled"
+        );
+        let mut recs: Vec<_> = sim
+            .records
+            .iter()
+            .map(|r| {
+                let (start, finish) = (r.start.as_ps(), r.finish.as_ps());
+                (
+                    r.owner_tag,
+                    start,
+                    finish,
+                    r.retransmits,
+                    r.timeouts,
+                    r.conn.0,
+                )
+            })
+            .collect();
+        recs.sort_unstable();
+        recs
+    }
+}
+
+#[test]
+fn relabelling_planes_and_hosts_permutes_the_records() {
+    // The model knows planes and hosts only by what they connect. Renaming
+    // the four identical planes by a permutation, swapping the two hosts of
+    // every rack, and — where the flows of different planes share nothing —
+    // starting them in another order at the same instant must give every
+    // flow the same life to the picosecond. What may change is which
+    // connection id and which recycled slot a flow gets, and with them the
+    // order of `records`: a permutation of the same records.
+    let n = net(4);
+    for h in 0..16 {
+        assert_eq!(n.rack_of_host(HostId(h)), n.rack_of_host(HostId(h ^ 1)));
+    }
+    let renamed = |flows, hop| Chains {
+        n: &n,
+        flows,
+        hop,
+        generations: 3,
+        plane_of: [2, 0, 3, 1],
+        host_of: |h| h ^ 1,
+    };
+    let plain = |flows, hop| Chains {
+        plane_of: [0, 1, 2, 3],
+        host_of: |h| h,
+        ..renamed(flows, hop)
+    };
+
+    // Single-path chains, per plane a lossy 5-to-1 incast on its own victim:
+    // planes are independent, so besides the renaming the start order goes
+    // from plane by plane to round robin over the planes.
+    let incast: Vec<ChainFlow> = (0..4u16)
+        .flat_map(|p| {
+            let victim = 3 + 4 * u32::from(p);
+            let senders = (0..16u32).filter(move |&h| h / 4 != victim / 4).take(5);
+            senders.map(move |h| (vec![p], h, victim, 400_000 + 1_500 * u64::from(p)))
+        })
+        .collect();
+    let plane_by_plane: Vec<usize> = (0..incast.len()).collect();
+    let round_robin: Vec<usize> = (0..5)
+        .flat_map(|i| (0..4).map(move |p| 5 * p + i))
+        .collect();
+    let reference = plain(&incast, 0).run(&plane_by_plane);
+    let permuted = renamed(&incast, 0).run(&round_robin);
+    assert!(
+        reference.iter().any(|r| r.3 > 0),
+        "the incast must lose packets"
+    );
+    let life = |r: &(u64, u64, u64, u64, u64, u32)| (r.0, r.1, r.2, r.3, r.4);
+    let lives = |recs: &[_]| recs.iter().map(life).collect::<Vec<_>>();
+    assert_eq!(lives(&reference), lives(&permuted));
+    assert_ne!(reference, permuted, "the connection ids must have moved");
+
+    // Multipath chains couple the planes, so only the names change — and
+    // then nothing at all does, connection ids included. Each generation
+    // takes the next spec down the list: a slot's subflow table shrinks and
+    // regrows between tenants.
+    let mixed: Vec<ChainFlow> = vec![
+        (vec![0, 1, 2, 3], 0, 15, 600_000),
+        (vec![1], 1, 14, 200_000),
+        (vec![2, 0], 5, 10, 300_000),
+        (vec![3], 6, 9, 64),
+        (vec![0, 2], 12, 3, 500_000),
+        (vec![1, 3, 2], 8, 15, 400_000),
+        (vec![0], 4, 15, 900_000),
+    ];
+    let in_order: Vec<usize> = (0..mixed.len()).collect();
+    assert_eq!(
+        plain(&mixed, 1).run(&in_order),
+        renamed(&mixed, 1).run(&in_order)
+    );
 }
