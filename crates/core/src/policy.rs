@@ -17,7 +17,9 @@
 //!   routing; flows larger than or equal to 1 GB ... multipath").
 
 use pnet_htsim::CcAlgo;
-use pnet_routing::{flow_hash, hash_plane, hash_select, host_route, tie_rotated, Path, Router};
+use pnet_routing::{
+    flow_hash, hash_index, hash_plane, hash_select, host_route, tie_rotated, Path, PathRef, Router,
+};
 use pnet_topology::{HostId, LinkId, Network, PlaneId, RackId};
 
 /// A path-selection policy.
@@ -190,8 +192,8 @@ impl<'a> Flow<'a> {
                 let mut routes = Vec::new();
                 for plane in self.usable_planes() {
                     let set = self.router.paths_in_plane(plane, ra, rb);
-                    let best = tie_rotated(&set, h ^ plane.0 as u64).take(*per_plane);
-                    routes.extend(best.filter_map(|i| self.route(&set[i])));
+                    let best = set.tie_rotated(h ^ plane.0 as u64).take(*per_plane);
+                    routes.extend(best.filter_map(|i| self.route(set.get(i))));
                 }
                 (routes, CcAlgo::Lia)
             }
@@ -232,7 +234,7 @@ impl<'a> Flow<'a> {
     }
 
     /// The host route along `path`, if both hosts are attached to its plane.
-    fn route(&self, path: &Path) -> Option<Vec<LinkId>> {
+    fn route<'p>(&self, path: impl Into<PathRef<'p>>) -> Option<Vec<LinkId>> {
         host_route(self.net, self.src, self.dst, path)
     }
 
@@ -251,7 +253,11 @@ impl<'a> Flow<'a> {
             return self.route(&Path::intra_rack(plane)).into_iter().collect();
         }
         let set = self.router.paths_in_plane(plane, self.ra, self.rb);
-        let route = shortest_tier(&set).and_then(|tier| self.route(hash_select(tier, self.hash)));
+        let tier = set.shortest_tier();
+        if tier == 0 {
+            return Vec::new();
+        }
+        let route = self.route(set.get(hash_index(tier, self.hash)));
         route.into_iter().collect()
     }
 
@@ -268,16 +274,16 @@ impl<'a> Flow<'a> {
             .collect();
         // Every plane's shortest tier that is as short as the best plane's,
         // in plane order.
-        let tiers = sets.iter().filter_map(|set| shortest_tier(set));
-        let best_len = tiers.clone().map(|tier| tier[0].links.len()).min();
-        let ties: Vec<&Path> = tiers
-            .filter(|tier| Some(tier[0].links.len()) == best_len)
+        let tiers = sets.iter().map(|set| set.iter().take(set.shortest_tier()));
+        let best_len = tiers.clone().flatten().map(|p| p.links.len()).min();
+        let ties: Vec<PathRef> = tiers
             .flatten()
+            .filter(|p| Some(p.links.len()) == best_len)
             .collect();
         if ties.is_empty() {
             return Vec::new();
         }
-        let route = self.route(hash_select::<&Path>(&ties, self.hash));
+        let route = self.route(*hash_select(&ties, self.hash));
         route.into_iter().collect()
     }
 
@@ -302,13 +308,6 @@ impl<'a> Flow<'a> {
             .find(|&p| self.plane_usable(p))
             .expect("invariant: assembled multi-plane networks keep every host pair connected")
     }
-}
-
-/// The leading run of equally short paths of a shortest-first set.
-fn shortest_tier(set: &[Path]) -> Option<&[Path]> {
-    let best = set.first()?.links.len();
-    let end = set.iter().take_while(|p| p.links.len() == best).count();
-    Some(&set[..end])
 }
 
 #[cfg(test)]

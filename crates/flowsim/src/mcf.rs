@@ -583,6 +583,10 @@ fn gk_core(
         ),
         Routes::Explicit(_) => (Vec::new(), 0),
     };
+    let candidates = match routes {
+        Routes::Explicit(paths) => Candidates::new(paths),
+        Routes::AnyPath(_) => Candidates::default(),
+    };
     // Per-plane CSR-order weight snapshot, regathered once per phase and
     // shared by every source's Dijkstra. A plane is dirty when one of its
     // fabric links grew since its last gather: pushes mark the chosen
@@ -684,9 +688,9 @@ fn gk_core(
                         break 'outer;
                     }
                     match routes {
-                        Routes::Explicit(paths) => {
+                        Routes::Explicit(_) => {
                             route.clear();
-                            route.extend_from_slice(best_explicit(&paths[i], &length));
+                            route.extend_from_slice(candidates.best(i, &length));
                         }
                         Routes::AnyPath(oracle) => {
                             let p = oracle.best_route_into(
@@ -848,16 +852,43 @@ fn shortest_routes_unit(
     }
 }
 
-/// Pick the minimum-length candidate.
-fn best_explicit<'a>(candidates: &'a [Vec<LinkId>], length: &[f64]) -> &'a [LinkId] {
-    candidates
-        .iter()
-        .min_by(|a, b| {
-            let la: f64 = a.iter().map(|&l| length[l.index()]).sum();
-            let lb: f64 = b.iter().map(|&l| length[l.index()]).sum();
-            la.total_cmp(&lb)
-        })
-        .expect("invariant: every commodity has a non-empty candidate path set")
+/// The `Explicit` candidate routes of a solve, copied back to back: every
+/// push reads all of a commodity's candidates, and where the caller's
+/// `Vec`s happened to land in the heap should not set the solver's speed.
+/// Commodity `i` owns routes `first[i]..first[i + 1]`; route `r` is
+/// `links[ends[r]..ends[r + 1]]`.
+#[derive(Default)]
+struct Candidates {
+    links: Vec<LinkId>,
+    ends: Vec<usize>,
+    first: Vec<usize>,
+}
+
+impl Candidates {
+    fn new(paths: &[Vec<Vec<LinkId>>]) -> Self {
+        let mut flat = Candidates {
+            ends: vec![0],
+            first: vec![0],
+            ..Candidates::default()
+        };
+        for cands in paths {
+            for route in cands {
+                flat.links.extend_from_slice(route);
+                flat.ends.push(flat.links.len());
+            }
+            flat.first.push(flat.ends.len() - 1);
+        }
+        flat
+    }
+
+    /// The minimum-length candidate of commodity `i` (the first of equals).
+    fn best(&self, i: usize, length: &[f64]) -> &[LinkId] {
+        let cost = |r: &&[LinkId]| -> f64 { r.iter().map(|&l| length[l.index()]).sum() };
+        (self.first[i]..self.first[i + 1])
+            .map(|r| &self.links[self.ends[r]..self.ends[r + 1]])
+            .min_by(|a, b| cost(a).total_cmp(&cost(b)))
+            .expect("invariant: every commodity has a non-empty candidate path set")
+    }
 }
 
 // --------------------------------------------------------------------------
@@ -1357,16 +1388,16 @@ impl AnyPathOracle {
     }
 }
 
-/// Convenience: the paths of a [`pnet_routing::Path`] set expanded to full
-/// host routes for one commodity.
-pub fn expand_host_routes(
+/// Convenience: rack paths (`&Path`s, or the views of a
+/// [`pnet_routing::PathSet`]) expanded to full host routes for one commodity.
+pub fn expand_host_routes<'a, P: Into<pnet_routing::PathRef<'a>>>(
     net: &Network,
     src: HostId,
     dst: HostId,
-    rack_paths: &[pnet_routing::Path],
+    rack_paths: impl IntoIterator<Item = P>,
 ) -> Vec<Vec<LinkId>> {
     rack_paths
-        .iter()
+        .into_iter()
         .filter_map(|p| pnet_routing::host_route(net, src, dst, p))
         .collect()
 }
@@ -1439,7 +1470,7 @@ pub fn ecmp_mode_with(
     commodities: &[Commodity],
     par: Parallelism,
 ) -> PathMode {
-    use pnet_routing::{flow_hash, hash_plane, hash_select};
+    use pnet_routing::{flow_hash, hash_index, hash_plane};
     router.precompute_with(&inter_rack_pairs(net, commodities), par);
     let n_planes = net.n_planes();
     let paths = par.map_indexed(commodities.len(), |i| {
@@ -1447,14 +1478,13 @@ pub fn ecmp_mode_with(
         let h = flow_hash(c.src, c.dst, i as u64);
         let plane = hash_plane(n_planes, h);
         let (sa, sb) = (net.rack_of_host(c.src), net.rack_of_host(c.dst));
-        let rack_path = if sa == sb {
-            pnet_routing::Path::intra_rack(plane)
-        } else {
-            let set = router.paths_in_plane(plane, sa, sb);
-            assert!(!set.is_empty(), "no ECMP path in plane {plane}");
-            hash_select(&set, h).clone()
-        };
-        expand_host_routes(net, c.src, c.dst, &[rack_path])
+        if sa == sb {
+            let path = pnet_routing::Path::intra_rack(plane);
+            return expand_host_routes(net, c.src, c.dst, [&path]);
+        }
+        let set = router.paths_in_plane(plane, sa, sb);
+        assert!(!set.is_empty(), "no ECMP path in plane {plane}");
+        expand_host_routes(net, c.src, c.dst, [set.get(hash_index(set.len(), h))])
     });
     PathMode::Explicit(paths)
 }
@@ -1656,7 +1686,7 @@ mod tests {
             .map(|cm| {
                 let (ra, rb) = (net.rack_of_host(cm.src), net.rack_of_host(cm.dst));
                 let set = router.paths_in_plane(PlaneId(0), ra, rb);
-                expand_host_routes(&net, cm.src, cm.dst, &set)
+                expand_host_routes(&net, cm.src, cm.dst, set.iter())
             })
             .collect();
         let sol = solve(&net, &c, &PathMode::Explicit(paths), EPS);

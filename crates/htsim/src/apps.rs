@@ -478,7 +478,7 @@ mod tests {
             let p = if ra == rb {
                 Path::intra_rack(PlaneId(0))
             } else {
-                router.paths_in_plane(PlaneId(0), ra, rb)[0].clone()
+                router.paths_in_plane(PlaneId(0), ra, rb).get(0).to_path()
             };
             (vec![host_route(net, src, dst, &p).unwrap()], CcAlgo::Reno)
         })

@@ -24,11 +24,8 @@
 //! let net = assemble_homogeneous(&FatTree::three_tier(4), 1, &LinkProfile::paper_default());
 //! let router = Router::new(&net, RouteAlgo::Ksp { k: 1 });
 //! let path = router
-//!     .paths_in_plane(PlaneId(0), net.rack_of_host(HostId(0)), net.rack_of_host(HostId(15)))
-//!     .first()
-//!     .cloned()
-//!     .unwrap();
-//! let route = host_route(&net, HostId(0), HostId(15), &path).unwrap();
+//!     .paths_in_plane(PlaneId(0), net.rack_of_host(HostId(0)), net.rack_of_host(HostId(15)));
+//! let route = host_route(&net, HostId(0), HostId(15), path.get(0)).unwrap();
 //!
 //! let mut sim = Simulator::new(&net, SimConfig::default());
 //! sim.start_flow(FlowSpec {

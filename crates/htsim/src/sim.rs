@@ -1296,9 +1296,8 @@ mod tests {
         } else {
             router
                 .paths_in_plane(pnet_topology::PlaneId(plane), ra, rb)
-                .first()
-                .unwrap()
-                .clone()
+                .get(0)
+                .to_path()
         };
         host_route(net, src, dst, &p).unwrap()
     }

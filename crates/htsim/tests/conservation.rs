@@ -19,12 +19,9 @@ fn net2() -> Network {
 fn route_for(net: &Network, src: HostId, dst: HostId, plane: u16) -> Vec<LinkId> {
     let router = Router::new(net, RouteAlgo::Ksp { k: 1 });
     let (ra, rb) = (net.rack_of_host(src), net.rack_of_host(dst));
-    let p = router
-        .paths_in_plane(PlaneId(plane), ra, rb)
-        .first()
-        .cloned()
-        .expect("inter-rack pair must have a path");
-    host_route(net, src, dst, &p).expect("route must assemble")
+    let p = router.paths_in_plane(PlaneId(plane), ra, rb);
+    assert!(!p.is_empty(), "inter-rack pair must have a path");
+    host_route(net, src, dst, p.get(0)).expect("route must assemble")
 }
 
 #[test]

@@ -21,8 +21,13 @@ pub fn flow_hash(src: HostId, dst: HostId, flow: u64) -> u64 {
 
 /// Pick one item by hash. Panics on an empty slice.
 pub fn hash_select<T>(items: &[T], hash: u64) -> &T {
-    assert!(!items.is_empty(), "hash_select on empty path set");
-    &items[(hash % items.len() as u64) as usize]
+    &items[hash_index(items.len(), hash)]
+}
+
+/// The position [`hash_select`] picks among `n` items. Panics when `n` is 0.
+pub fn hash_index(n: usize, hash: u64) -> usize {
+    assert!(n > 0, "hash_select on empty path set");
+    (hash % n as u64) as usize
 }
 
 /// ECMP plane choice for a flow in an `n_planes`-way P-Net.

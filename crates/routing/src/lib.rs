@@ -38,19 +38,21 @@ pub mod bfs;
 pub mod disjoint;
 pub mod ecmp;
 pub mod exec;
+pub mod fnv;
 pub mod path;
 pub mod plane_graph;
-pub mod repair;
 pub mod router;
 pub mod scratch;
 pub mod yen;
 
 pub use disjoint::{are_edge_disjoint, edge_disjoint_paths};
-pub use ecmp::{flow_hash, hash_plane, hash_select};
+pub use ecmp::{flow_hash, hash_index, hash_plane, hash_select};
 pub use exec::{ordered_fold_f64, ordered_sum_f64, Parallelism};
-pub use path::{host_route, reverse_route, rotate_ties, sort_paths, tie_rotated, Path};
+pub use fnv::Fnv;
+pub use path::{
+    host_route, reverse_route, rotate_ties, sort_paths, tie_rotated, Path, PathRef, PathSet,
+};
 pub use plane_graph::PlaneGraph;
-pub use repair::{DeltaStats, Fnv};
-pub use router::{RouteAlgo, Router};
+pub use router::{DeltaStats, RouteAlgo, Router};
 pub use scratch::RouteScratch;
 pub use yen::{ksp, ksp_destinations};

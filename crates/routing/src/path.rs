@@ -5,7 +5,12 @@
 //! one plane (the P-Net forwarding constraint). Host-level source routes for
 //! the packet simulator are derived with [`host_route`], which prepends the
 //! source host's uplink and appends the destination host's downlink.
+//!
+//! An owned [`Path`] is what a query *returns*; the route table holds
+//! [`PathSet`]s — one allocation per (plane, src, dst) entry — and lends
+//! [`PathRef`] views of them.
 
+use crate::plane_graph::PlaneGraph;
 use pnet_topology::{HostId, LinkId, Network, PlaneId};
 
 /// A rack-to-rack path inside one plane.
@@ -72,11 +77,169 @@ impl Path {
     }
 }
 
+/// A borrowed [`Path`]: what a [`PathSet`] lends and every reader of a path
+/// takes (`&Path` converts).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PathRef<'a> {
+    /// The plane the path lives in.
+    pub plane: PlaneId,
+    /// Fabric links from the source ToR to the destination ToR.
+    pub links: &'a [LinkId],
+}
+
+impl PathRef<'_> {
+    /// The path, owned.
+    pub fn to_path(self) -> Path {
+        Path {
+            plane: self.plane,
+            links: self.links.to_vec(),
+        }
+    }
+}
+
+impl<'a> From<&'a Path> for PathRef<'a> {
+    fn from(path: &'a Path) -> Self {
+        PathRef {
+            plane: path.plane,
+            links: &path.links,
+        }
+    }
+}
+
+/// The paths of one route-table entry, shortest first ([`sort_paths`]
+/// order), all in one plane and one allocation.
+#[derive(Debug)]
+pub struct PathSet {
+    plane: PlaneId,
+    n_paths: u16,
+    /// `n_paths.div_ceil(2)` words holding each path's end offset into the
+    /// links (`u16`, two to a word), then every path's links back to back.
+    block: Box<[LinkId]>,
+}
+
+/// Path for path: an empty set equals an empty set, whatever its plane.
+impl PartialEq for PathSet {
+    fn eq(&self, other: &PathSet) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl From<&[Path]> for PathSet {
+    /// Flatten `paths`, which share one plane (an empty list gives an empty
+    /// set in plane 0) and are in [`sort_paths`] order.
+    fn from(paths: &[Path]) -> Self {
+        let plane = paths.first().map_or(PlaneId(0), |p| p.plane);
+        assert!(paths.iter().all(|p| p.plane == plane), "one plane per set");
+        PathSet::from_links(plane, paths.iter().map(|p| p.links.iter().copied()))
+    }
+}
+
+impl PathSet {
+    /// The set of `paths`, each the links of one path of `plane`, in
+    /// [`sort_paths`] order.
+    pub(crate) fn from_links<P: ExactSizeIterator<Item = LinkId>>(
+        plane: PlaneId,
+        paths: impl ExactSizeIterator<Item = P> + Clone,
+    ) -> PathSet {
+        let (n_paths, n_links) = (paths.len(), paths.clone().map(|p| p.len()).sum::<usize>());
+        let wide = usize::from(u16::MAX);
+        assert!(
+            n_paths <= wide && n_links <= wide,
+            "path counts and end offsets are u16"
+        );
+        let head = n_paths.div_ceil(2);
+        let mut block = Vec::with_capacity(head + n_links);
+        block.resize(head, LinkId(0));
+        for (i, path) in paths.enumerate() {
+            block.extend(path);
+            block[i / 2].0 |= ((block.len() - head) as u32) << (16 * (i % 2));
+        }
+        PathSet {
+            plane,
+            n_paths: n_paths as u16,
+            block: block.into_boxed_slice(),
+        }
+    }
+
+    /// Number of paths.
+    pub fn len(&self) -> usize {
+        usize::from(self.n_paths)
+    }
+
+    /// True when the racks are disconnected in this plane.
+    pub fn is_empty(&self) -> bool {
+        self.n_paths == 0
+    }
+
+    /// Offset into [`PathSet::links`] where path `i` ends.
+    fn end(&self, i: usize) -> usize {
+        usize::from((self.block[i / 2].0 >> (16 * (i % 2))) as u16)
+    }
+
+    /// Words of `block` before the links.
+    fn head(&self) -> usize {
+        self.len().div_ceil(2)
+    }
+
+    /// Every link of every path, back to back in path order.
+    pub(crate) fn links(&self) -> &[LinkId] {
+        &self.block[self.head()..]
+    }
+
+    /// Path `i`, 0 being the shortest. Panics past the end.
+    pub fn get(&self, i: usize) -> PathRef<'_> {
+        assert!(i < self.len(), "path {i} of a {}-path set", self.len());
+        let start = if i == 0 { 0 } else { self.end(i - 1) };
+        PathRef {
+            plane: self.plane,
+            links: &self.links()[start..self.end(i)],
+        }
+    }
+
+    /// The paths, shortest first.
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = PathRef<'_>> + ExactSizeIterator + Clone {
+        (0..self.len()).map(|i| self.get(i))
+    }
+
+    /// How many leading paths are as short as the first one.
+    pub fn shortest_tier(&self) -> usize {
+        let best = self.iter().next().map(|p| p.links.len());
+        self.iter()
+            .take_while(|p| Some(p.links.len()) == best)
+            .count()
+    }
+
+    /// [`tie_rotated`] over this set.
+    pub fn tie_rotated(&self, hash: u64) -> impl Iterator<Item = usize> + '_ {
+        rotated(self.len(), |i| self.get(i).links.len(), hash)
+    }
+
+    /// This set as it runs in the same-shape plane `to`, `pos` being the
+    /// [`PlaneGraph::link_positions`] of its own plane.
+    pub(crate) fn translate(&self, pos: &[u32], to: &PlaneGraph) -> PathSet {
+        let mut block = self.block.clone();
+        for l in &mut block[self.head()..] {
+            *l = to.link_at(pos[l.index()] as usize);
+        }
+        PathSet {
+            plane: to.plane,
+            n_paths: self.n_paths,
+            block,
+        }
+    }
+}
+
 /// Build the full host-to-host source route for the packet simulator:
 /// `src` uplink into the plane, the rack path, then `dst`'s downlink.
 ///
 /// Returns `None` if either host lacks an up link into the path's plane.
-pub fn host_route(net: &Network, src: HostId, dst: HostId, path: &Path) -> Option<Vec<LinkId>> {
+pub fn host_route<'a>(
+    net: &Network,
+    src: HostId,
+    dst: HostId,
+    path: impl Into<PathRef<'a>>,
+) -> Option<Vec<LinkId>> {
+    let path = path.into();
     let up = net.host_uplink(src, path.plane)?;
     let down = net.host_uplink(dst, path.plane)?.reverse();
     if !net.link(down).up {
@@ -84,7 +247,7 @@ pub fn host_route(net: &Network, src: HostId, dst: HostId, path: &Path) -> Optio
     }
     let mut route = Vec::with_capacity(path.links.len() + 2);
     route.push(up);
-    route.extend_from_slice(&path.links);
+    route.extend_from_slice(path.links);
     route.push(down);
     // The rack path must start at src's ToR and end at dst's ToR.
     debug_assert_eq!(
@@ -107,16 +270,24 @@ pub fn reverse_route(route: &[LinkId]) -> Vec<LinkId> {
 /// same racks through the same lexicographically-first paths — the opposite
 /// of what a hashing path manager (ECMP, MPTCP subflow setup) does.
 pub fn tie_rotated(paths: &[Path], hash: u64) -> impl Iterator<Item = usize> + '_ {
+    rotated(paths.len(), |i| paths[i].links.len(), hash)
+}
+
+/// [`tie_rotated`] for `n` paths, path `i` having `len_of(i)` links.
+fn rotated<'a>(
+    n: usize,
+    len_of: impl Fn(usize) -> usize + 'a,
+    hash: u64,
+) -> impl Iterator<Item = usize> + 'a {
     // The tier `start..end` holding the position being emitted.
     let (mut start, mut end) = (0, 0);
-    (0..paths.len()).map(move |i| {
+    (0..n).map(move |i| {
         if i == end {
-            let len = paths[i].links.len();
-            let tier = paths[i..].iter().take_while(|p| p.links.len() == len);
-            (start, end) = (i, i + tier.count());
+            let len = len_of(i);
+            (start, end) = (i, i + (i..n).take_while(|&j| len_of(j) == len).count());
         }
-        let n = end - start;
-        start + (i - start + (hash % n as u64) as usize) % n
+        let tier = end - start;
+        start + (i - start + (hash % tier as u64) as usize) % tier
     })
 }
 
@@ -200,6 +371,39 @@ mod tests {
         assert_eq!(paths[0].links.len(), 1);
         assert_eq!(paths[1].plane, PlaneId(0));
         assert_eq!(paths[2].plane, PlaneId(1));
+    }
+
+    /// Translating a flat set moves every path as translating it alone
+    /// would, and lands on what the other plane computes for itself.
+    #[test]
+    fn flat_translation_equals_per_path_translation() {
+        let net = assemble_homogeneous(
+            &pnet_topology::Jellyfish::new(12, 3, 1, 4),
+            2,
+            &LinkProfile::paper_default(),
+        );
+        let [from, to] = [0, 1].map(|p| PlaneGraph::build(&net, PlaneId(p)));
+        let pos = from.link_positions();
+        for k in [1, 2, 7, 8] {
+            let paths = crate::ksp(&from, pnet_topology::RackId(0), pnet_topology::RackId(9), k);
+            let per_path: Vec<Path> = paths
+                .iter()
+                .map(|path| Path {
+                    plane: to.plane,
+                    links: (path.links.iter())
+                        .map(|l| to.link_at(pos[l.index()] as usize))
+                        .collect(),
+                })
+                .collect();
+            let moved = PathSet::from(paths.as_slice()).translate(pos, &to);
+            assert_eq!(moved, PathSet::from(per_path.as_slice()));
+            assert_eq!(
+                per_path,
+                crate::ksp(&to, pnet_topology::RackId(0), pnet_topology::RackId(9), k)
+            );
+        }
+        let empty = PathSet::from(&[][..]).translate(pos, &to);
+        assert!(empty.is_empty() && empty.iter().next().is_none());
     }
 
     #[test]

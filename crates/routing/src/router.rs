@@ -29,8 +29,8 @@
 //! synthesize that delta (falling back to a full rebuild only when the
 //! change is not expressible as a link delta).
 //!
-//! The plane-graph snapshot, the dense `(plane, src, dst)` table and the
-//! cable index sit behind one `RwLock`; every method takes `&self`. A hit
+//! The plane-graph snapshot and the dense `(plane, src, dst)` table sit
+//! behind one `RwLock`; every method takes `&self`. A hit
 //! indexes under the read lock. A fill clones the snapshot `Arc` under the
 //! read lock, computes outside it, and commits under the write lock only if
 //! the router still holds that very snapshot (`Arc::ptr_eq`), else starts
@@ -40,10 +40,10 @@
 
 use crate::bfs;
 use crate::exec::Parallelism;
-use crate::path::{sort_paths, Path};
+use crate::fnv::Fnv;
+use crate::path::{sort_paths, Path, PathSet};
 use crate::plane_graph::{shape_classes, PlaneGraph, UNREACHABLE};
-pub use crate::repair::DeltaStats;
-use crate::repair::{Fnv, LinkIndex, Slot};
+use crate::scratch::with_thread_scratch;
 use crate::yen;
 use pnet_topology::{LinkDelta, LinkId, Network, PlaneId, RackId};
 use std::collections::BTreeSet;
@@ -106,14 +106,11 @@ fn batch_index(batch: &[RackId], dst: RackId) -> usize {
         .expect("invariant: a batch holds every destination of its runs")
 }
 
-/// `path`, of a plane whose [`PlaneGraph::link_positions`] are `pos`, as it
-/// runs in the same-shape plane `to`.
-fn translate(path: &Path, pos: &[u32], to: &PlaneGraph) -> Path {
-    let moved = |l: &LinkId| to.link_at(pos[l.index()] as usize);
-    Path {
-        plane: to.plane,
-        links: path.links.iter().map(moved).collect(),
-    }
+/// The table entry holding `paths` (of one plane, in any order). Yen writes
+/// its sets flat itself; this is where the ECMP enumeration's nested form ends.
+fn sorted_set(mut paths: Vec<Path>) -> PathSet {
+    sort_paths(&mut paths);
+    PathSet::from(paths.as_slice())
 }
 
 /// The cable (duplex pair, even-direction representative) a link belongs to.
@@ -121,19 +118,38 @@ fn cable_of(link: LinkId) -> LinkId {
     LinkId(link.0 & !1)
 }
 
+/// Outcome of one [`Router::apply_delta`] or [`Router::refresh`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DeltaStats {
+    /// Router epoch after the operation (bumped once per applied change).
+    pub epoch: u64,
+    /// Plane graphs rebuilt (only the planes touched by the delta).
+    pub planes_rebuilt: usize,
+    /// Table slots read to find the affected entries: `racks²` per plane
+    /// with a switch-to-switch cable in the delta.
+    pub slots_scanned: usize,
+    /// Cached entries invalidated and recomputed.
+    pub entries_repaired: usize,
+    /// Cached entries left untouched (their `Arc`s are byte-identical and
+    /// pointer-identical to before the delta).
+    pub entries_reused: usize,
+    /// True when the change was not expressible as a link delta and the
+    /// whole table was dropped instead (see [`Router::refresh`]).
+    pub full_rebuild: bool,
+}
+
 /// Everything a lookup, a fill or a repair touches, under one lock: the
-/// plane-graph snapshot, the dense route table computed from it, and the
-/// inverted cable → slot index over the table's committed path sets.
+/// plane-graph snapshot and the dense route table computed from it.
 struct State {
     planes: Arc<Vec<PlaneGraph>>,
     /// [`shape_classes`] of `planes`.
     classes: Vec<usize>,
     /// Racks per plane; the table holds `planes · racks²` slots.
     racks: usize,
-    slots: Vec<Slot>,
+    /// The committed path sets, `None` until first computed.
+    slots: Vec<Option<Arc<PathSet>>>,
     /// Slots holding a path set.
     entries: usize,
-    index: LinkIndex,
     /// 0 at construction, +1 per applied delta/refresh.
     epoch: u64,
 }
@@ -144,28 +160,21 @@ impl State {
         let planes = PlaneGraph::build_all(net);
         let racks = planes.first().map_or(0, |pg| pg.n_racks());
         let n_slots = planes.len() * racks * racks;
-        assert!(n_slots <= u32::MAX as usize, "slot ids are u32");
         State {
             classes: shape_classes(&planes),
             planes: Arc::new(planes),
             racks,
-            slots: vec![Slot::default(); n_slots],
+            slots: vec![None; n_slots],
             entries: 0,
-            index: LinkIndex::default(),
             epoch,
         }
     }
 
-    /// Store `paths` in `slot` (overwriting) and note it for the cable index.
-    fn commit(&mut self, slot: usize, paths: Vec<Path>) -> Arc<Vec<Path>> {
-        let arc = Arc::new(paths);
-        let cell = &mut self.slots[slot];
-        cell.gen = cell.gen.wrapping_add(1);
-        self.index.note(slot as u32);
-        if cell.paths.replace(Arc::clone(&arc)).is_none() {
+    /// Store `set` in `slot` (overwriting).
+    fn commit(&mut self, slot: usize, set: Arc<PathSet>) {
+        if self.slots[slot].replace(set).is_none() {
             self.entries += 1;
         }
-        arc
     }
 }
 
@@ -248,7 +257,7 @@ impl Router {
         let mut h = Fnv::new();
         h.u64(st.entries as u64);
         for (i, cell) in st.slots.iter().enumerate() {
-            let Some(paths) = &cell.paths else { continue };
+            let Some(paths) = cell else { continue };
             let (p, s, d) = key_of(st.racks, i);
             h.u64(u64::from(p.0));
             h.u64(u64::from(s.0));
@@ -257,7 +266,7 @@ impl Router {
             for path in paths.iter() {
                 h.u64(u64::from(path.plane.0));
                 h.u64(path.links.len() as u64);
-                for l in &path.links {
+                for l in path.links {
                     h.u64(u64::from(l.0));
                 }
             }
@@ -266,13 +275,13 @@ impl Router {
     }
 
     /// Pure per-key path computation (the function the table memoizes).
-    fn compute(pg: &PlaneGraph, algo: RouteAlgo, src: RackId, dst: RackId) -> Vec<Path> {
-        let mut paths = match algo {
-            RouteAlgo::Ecmp { cap } => bfs::all_shortest_paths(pg, src, dst, cap),
-            RouteAlgo::Ksp { k } => yen::ksp(pg, src, dst, k),
-        };
-        sort_paths(&mut paths);
-        paths
+    fn compute(pg: &PlaneGraph, algo: RouteAlgo, src: RackId, dst: RackId) -> PathSet {
+        match algo {
+            RouteAlgo::Ecmp { cap } => sorted_set(bfs::all_shortest_paths(pg, src, dst, cap)),
+            RouteAlgo::Ksp { k } => {
+                with_thread_scratch(|scratch| yen::ksp_with_scratch(pg, src, dst, k, scratch))
+            }
+        }
     }
 
     /// Batched per-source computation: identical per-destination output
@@ -283,24 +292,24 @@ impl Router {
         algo: RouteAlgo,
         src: RackId,
         dsts: &[RackId],
-    ) -> Vec<Vec<Path>> {
-        let mut per_dst = match algo {
-            RouteAlgo::Ecmp { cap } => bfs::ecmp_destinations(pg, src, dsts, cap),
+    ) -> Vec<PathSet> {
+        match algo {
+            RouteAlgo::Ecmp { cap } => {
+                let per_dst = bfs::ecmp_destinations(pg, src, dsts, cap);
+                per_dst.into_iter().map(sorted_set).collect()
+            }
             RouteAlgo::Ksp { k } => yen::ksp_destinations(pg, src, dsts, k),
-        };
-        for paths in &mut per_dst {
-            sort_paths(paths);
         }
-        per_dst
     }
 
-    /// Path sets of `slots`, in the same order. `slots` must be ascending:
-    /// that puts the slots of one (plane, src) next to each other. The runs
-    /// of one (shape class, src) — `classes` being [`shape_classes`] of
-    /// `planes` — are one batched computation, on the lowest plane among
-    /// them, for the union of their destinations; the other planes' sets are
-    /// that plane's with every link replaced by the one at the same CSR
-    /// position. Groups fan out across threads.
+    /// The path set of every slot in `slots`, in no particular order. `slots`
+    /// must be ascending: that puts the slots of one (plane, src) next to
+    /// each other. The runs of one (shape class, src) — `classes` being
+    /// [`shape_classes`] of `planes` — are one batched computation, on the
+    /// lowest plane among them, for the union of their destinations; the
+    /// other planes' sets are that plane's with every link replaced by the
+    /// one at the same CSR position, mapped over the flat block. Groups fan
+    /// out across threads.
     ///
     /// The result equals per-key `compute` on each plane's own graph. Two
     /// different paths out of one source first part at two links leaving
@@ -316,7 +325,7 @@ impl Router {
         racks: usize,
         slots: &[usize],
         par: Parallelism,
-    ) -> Vec<Vec<Path>> {
+    ) -> Vec<(usize, Arc<PathSet>)> {
         let keys: Vec<_> = slots.iter().map(|&slot| key_of(racks, slot)).collect();
         let dsts: Vec<RackId> = keys.iter().map(|key| key.2).collect();
         let mut runs: Vec<Run> = Vec::new();
@@ -342,53 +351,45 @@ impl Router {
             let mut batch: Vec<RackId> = wanted.copied().collect();
             batch.sort_unstable();
             batch.dedup();
-            let mut sets = Self::compute_batch(pg, self.algo, lead.src, &batch);
-            // The copies first, read off the lead's sets; those are then
-            // moved out, never cloned (a second copy of the table in flight
-            // shows in peak RSS).
-            let mut copied: Vec<Vec<Path>> = Vec::new();
-            for run in copies {
+            let sets = Self::compute_batch(pg, self.algo, lead.src, &batch);
+            let sets: Vec<Arc<PathSet>> = sets.into_iter().map(Arc::new).collect();
+            let of = |cell: usize| &sets[batch_index(&batch, dsts[cell])];
+            let own = lead
+                .at
+                .clone()
+                .map(|cell| (slots[cell], Arc::clone(of(cell))));
+            let copied = copies.iter().flat_map(|run| {
                 let (pos, to) = (pg.link_positions(), &planes[run.plane.index()]);
-                copied.extend(dsts[run.at.clone()].iter().map(|&dst| {
-                    let set = sets[batch_index(&batch, dst)].iter();
-                    set.map(|path| translate(path, pos, to)).collect()
-                }));
-            }
-            let own = dsts[lead.at.clone()]
-                .iter()
-                .map(|&dst| std::mem::take(&mut sets[batch_index(&batch, dst)]));
+                let moved = move |cell| (slots[cell], Arc::new(of(cell).translate(pos, to)));
+                run.at.clone().map(moved)
+            });
             own.chain(copied).collect::<Vec<_>>()
         });
-        let mut out = vec![Vec::new(); slots.len()];
-        for (group, sets) in groups.iter().zip(computed) {
-            for (cell, set) in group.iter().flat_map(|run| run.at.clone()).zip(sets) {
-                out[cell] = set;
-            }
-        }
-        out
+        computed.into_iter().flatten().collect()
     }
 
     /// Path set between two racks within one plane (memoized, shared).
-    pub fn paths_in_plane(&self, plane: PlaneId, src: RackId, dst: RackId) -> Arc<Vec<Path>> {
+    pub fn paths_in_plane(&self, plane: PlaneId, src: RackId, dst: RackId) -> Arc<PathSet> {
         loop {
             let planes = {
                 let st = self.read();
-                if let Some(p) = &st.slots[slot_of(st.racks, plane, src, dst)].paths {
+                if let Some(p) = &st.slots[slot_of(st.racks, plane, src, dst)] {
                     return Arc::clone(p);
                 }
                 Arc::clone(&st.planes)
             };
-            let paths = Self::compute(&planes[plane.index()], self.algo, src, dst);
+            let set = Arc::new(Self::compute(&planes[plane.index()], self.algo, src, dst));
             let mut st = self.write();
             if !Arc::ptr_eq(&st.planes, &planes) {
                 continue; // a delta landed mid-compute; redo on the new snapshot
             }
             let slot = slot_of(st.racks, plane, src, dst);
             // First writer wins so repeat lookups keep returning the same Arc.
-            if let Some(p) = &st.slots[slot].paths {
+            if let Some(p) = &st.slots[slot] {
                 return Arc::clone(p);
             }
-            return st.commit(slot, paths);
+            st.commit(slot, Arc::clone(&set));
+            return set;
         }
     }
 
@@ -407,7 +408,7 @@ impl Router {
                 for &(src, dst) in pairs {
                     for p in 0..st.planes.len() {
                         let slot = slot_of(st.racks, PlaneId(p as u16), src, dst);
-                        if st.slots[slot].paths.is_none() {
+                        if st.slots[slot].is_none() {
                             todo.push(slot);
                         }
                     }
@@ -421,9 +422,9 @@ impl Router {
             if !Arc::ptr_eq(&st.planes, &planes) {
                 continue; // results are stale against the new snapshot
             }
-            for (slot, paths) in todo.into_iter().zip(computed) {
-                if st.slots[slot].paths.is_none() {
-                    st.commit(slot, paths);
+            for (slot, set) in computed {
+                if st.slots[slot].is_none() {
+                    st.commit(slot, set);
                 }
             }
             return;
@@ -456,7 +457,7 @@ impl Router {
     /// truncated prefix spreads over as many planes as possible — which is
     /// what an MPTCP path manager wants from its subflow set.
     pub fn k_best_across_planes(&self, src: RackId, dst: RackId, k: usize) -> Vec<Path> {
-        let per_plane: Vec<Arc<Vec<Path>>> = (0..self.n_planes())
+        let per_plane: Vec<Arc<PathSet>> = (0..self.n_planes())
             .map(|plane| self.paths_in_plane(PlaneId(plane as u16), src, dst))
             .collect();
         // Each plane's set is already shortest-first, so the interleaved
@@ -466,7 +467,7 @@ impl Router {
         for (plane, paths) in per_plane.iter().enumerate() {
             let mut run_start = 0;
             for (i, path) in paths.iter().enumerate() {
-                if path.links.len() != paths[run_start].links.len() {
+                if path.links.len() != paths.get(run_start).links.len() {
                     run_start = i;
                 }
                 ranked.push((path.links.len(), i - run_start, plane, i));
@@ -476,7 +477,7 @@ impl Router {
         ranked.truncate(k);
         ranked
             .into_iter()
-            .map(|(_, _, plane, i)| per_plane[plane][i].clone())
+            .map(|(_, _, plane, i)| per_plane[plane].get(i).to_path())
             .collect()
     }
 
@@ -502,7 +503,7 @@ impl Router {
     /// recomputed:
     ///
     /// * a *down* cable can only remove paths, so exactly the entries whose
-    ///   committed path set traverses it (inverted-index lookup) change;
+    ///   committed path set traverses it change;
     /// * an *up* cable can only add paths through itself, so an entry can
     ///   change only if the best possible new path — bounded below by
     ///   `min(d(s,u) + 1 + d(v,t), d(s,v) + 1 + d(u,t))`, read off the rebuilt
@@ -511,10 +512,13 @@ impl Router {
     ///   equal-length path can displace by the canonical order), or the
     ///   entry holds fewer than its limit of paths.
     ///
-    /// Every other entry keeps its exact `Arc` — byte- and pointer-
-    /// identical. Recomputation reuses the batched Yen/ECMP machinery, so
-    /// the repaired table equals a from-scratch rebuild of the new topology
-    /// (see `tests/props.rs`). Bumps the epoch once. The write lock is held
+    /// Both rules are read off one walk over the `racks²` slots of each plane
+    /// the delta touches ([`DeltaStats::slots_scanned`]); a set's links sit
+    /// back to back, so the down rule is a scan of one block. Every other
+    /// entry keeps its exact `Arc` — byte- and pointer-identical.
+    /// Recomputation reuses the batched Yen/ECMP machinery, so the repaired
+    /// table equals a from-scratch rebuild of the new topology (see
+    /// `tests/props.rs`). Bumps the epoch once. The write lock is held
     /// throughout, so concurrent deltas apply one after the other.
     pub fn apply_delta(&self, net: &Network, delta: &LinkDelta) -> DeltaStats {
         self.repair(&mut self.write(), net, delta)
@@ -537,56 +541,67 @@ impl Router {
         st.planes = Arc::new(rebuilt);
         st.epoch += 1;
 
-        // Affected slots. Down cables: inverted-index rows. Up cables: the
-        // BFS lower bound over every cached entry of the cable's plane.
-        st.index.compact(&st.slots);
-        let mut affected: Vec<usize> = Vec::new();
-        for &c in &down {
-            affected.extend(st.index.entries_for(c, &st.slots));
-        }
+        // Affected slots, plane by plane: the sets through a down cable, and
+        // those the BFS lower bound says an up cable can improve.
         let limit = self.algo.per_plane_limit();
-        for &c in &up {
-            let link = net.link(c);
-            let pg = &st.planes[link.plane.index()];
-            let (Some(du), Some(dv)) = (pg.dense(link.src), pg.dense(link.dst)) else {
-                continue; // host attachment cable: rack-level routing unaffected
+        let mut affected: Vec<usize> = Vec::new();
+        let mut slots_scanned = 0;
+        for &plane in &touched {
+            let pg = &st.planes[plane.index()];
+            // The delta's switch-to-switch cables in this plane, as the dense
+            // indices of their ends: a host attachment is on no rack path.
+            let ends = |c: &LinkId| {
+                let link = net.link(*c);
+                let pair = pg.dense(link.src).zip(pg.dense(link.dst));
+                pair.filter(|_| link.plane == plane)
             };
-            let (to_u, to_v) = (pg.hops_to(du), pg.hops_to(dv));
-            let racks = st.racks as u32;
-            for (s, d) in (0..racks).flat_map(|s| (0..racks).map(move |d| (s, d))) {
-                let slot = slot_of(st.racks, link.plane, RackId(s), RackId(d));
-                let Some(paths) = &st.slots[slot].paths else {
-                    continue;
-                };
-                let (ts, td) = (pg.tor(RackId(s)), pg.tor(RackId(d)));
+            let cut: Vec<LinkId> = down.iter().copied().filter(|c| ends(c).is_some()).collect();
+            let added: Vec<(usize, usize)> = up.iter().filter_map(ends).collect();
+            if cut.is_empty() && added.is_empty() {
+                continue;
+            }
+            slots_scanned += st.racks * st.racks;
+            let severed = |set: &PathSet| {
+                !cut.is_empty() && set.links().iter().any(|&l| cut.contains(&cable_of(l)))
+            };
+            for d in (0..st.racks as u32).map(RackId) {
                 // An unreachable end is `UNREACHABLE` hops away: longer than any path.
-                let to_t = pg.hops_to(td);
-                let via = |to_near: &[u16], far| u32::from(to_near[ts]) + 1 + u32::from(to_t[far]);
-                let lb = via(to_u, dv).min(via(to_v, du));
-                // The kept path a new one must beat or tie: KSP's longest,
-                // ECMP's (all equal) first. A set below its limit takes any.
-                let bar = match self.algo {
-                    RouteAlgo::Ksp { .. } => paths.last(),
-                    RouteAlgo::Ecmp { .. } => paths.first(),
-                };
-                let full = paths.len() >= limit;
-                if bar.is_none_or(|p| !full || lb as usize <= p.links.len()) {
-                    affected.push(slot);
+                let to_t = pg.hops_to(pg.tor(d));
+                for s in (0..st.racks as u32).map(RackId) {
+                    let slot = slot_of(st.racks, plane, s, d);
+                    let Some(set) = &st.slots[slot] else { continue };
+                    // The kept path a new one must beat or tie: KSP's longest,
+                    // ECMP's (all equal) first. A set below its limit takes any.
+                    let bar = match self.algo {
+                        RouteAlgo::Ksp { .. } => set.iter().next_back(),
+                        RouteAlgo::Ecmp { .. } => set.iter().next(),
+                    };
+                    let bar = bar.filter(|_| set.len() >= limit).map(|p| p.links.len());
+                    let ts = pg.tor(s);
+                    let shortens = |&(u, v): &(usize, usize)| {
+                        let via = |near, far: usize| {
+                            u32::from(pg.hops_to(near)[ts]) + 1 + u32::from(to_t[far])
+                        };
+                        bar.is_none_or(|bar| via(u, v).min(via(v, u)) as usize <= bar)
+                    };
+                    if severed(set) || added.iter().any(shortens) {
+                        affected.push(slot);
+                    }
                 }
             }
         }
         affected.sort_unstable();
-        affected.dedup();
 
         // Recompute the affected slots against the new snapshot and overwrite.
         let par = Parallelism::default();
         let computed = self.fill(&st.planes, &st.classes, st.racks, &affected, par);
-        for (&slot, paths) in affected.iter().zip(computed) {
-            st.commit(slot, paths);
+        for (slot, set) in computed {
+            st.commit(slot, set);
         }
         DeltaStats {
             epoch: st.epoch,
             planes_rebuilt: touched.len(),
+            slots_scanned,
             entries_repaired: affected.len(),
             entries_reused: st.entries - affected.len(),
             full_rebuild: false,
@@ -611,6 +626,7 @@ impl Router {
             Some(delta) if delta.is_empty() => DeltaStats {
                 epoch: st.epoch,
                 planes_rebuilt: 0,
+                slots_scanned: 0,
                 entries_repaired: 0,
                 entries_reused: st.entries,
                 full_rebuild: false,
@@ -623,6 +639,7 @@ impl Router {
                 DeltaStats {
                     epoch: st.epoch,
                     planes_rebuilt: st.planes.len(),
+                    slots_scanned: 0,
                     entries_repaired: 0,
                     entries_reused: 0,
                     full_rebuild: true,
@@ -682,8 +699,8 @@ impl Router {
 mod tests {
     use super::*;
     use pnet_topology::{
-        assemble_homogeneous, failures, parallel, ChurnSchedule, FatTree, Jellyfish, LinkProfile,
-        NetworkClass,
+        assemble_homogeneous, failures, parallel, ChurnSchedule, FatTree, HostId, Jellyfish,
+        LinkProfile, NetworkClass,
     };
 
     #[test]
@@ -722,10 +739,8 @@ mod tests {
         let planes: Vec<u16> = merged.iter().map(|p| p.plane.0).collect();
         assert_eq!(planes, [0, 1, 0, 1, 0, 1]);
         for (i, path) in merged.iter().enumerate() {
-            assert_eq!(
-                *path,
-                r.paths_in_plane(path.plane, RackId(0), RackId(7))[i / 2]
-            );
+            let set = r.paths_in_plane(path.plane, RackId(0), RackId(7));
+            assert_eq!(set.get(i / 2), path.into());
         }
     }
 
@@ -755,9 +770,9 @@ mod tests {
                 let (plane, hops) = r.shortest_plane(RackId(a), RackId(b)).unwrap();
                 for p in 0..4u16 {
                     let paths = r.paths_in_plane(PlaneId(p), RackId(a), RackId(b));
-                    if let Some(best) = paths.first() {
+                    if !paths.is_empty() {
                         assert!(
-                            hops <= best.switch_hops(),
+                            hops <= paths.get(0).links.len() + 1,
                             "plane {plane} not minimal for ({a},{b})"
                         );
                     }
@@ -863,6 +878,47 @@ mod tests {
         }
     }
 
+    /// The repair's work is one walk of each touched plane's `racks²` slots,
+    /// however many cables the delta names there; a delta with no
+    /// switch-to-switch cable reads none.
+    #[test]
+    fn repair_scans_each_touched_plane_once() {
+        let mut net = assemble_homogeneous(
+            &Jellyfish::new(12, 3, 1, 4),
+            3,
+            &LinkProfile::paper_default(),
+        );
+        let r = Router::new(&net, RouteAlgo::Ksp { k: 4 });
+        r.precompute_all_pairs();
+        let cable = |plane, i| failures::fabric_cables(&net, Some(PlaneId(plane)))[i];
+        let (a, b, c) = (cable(0, 1), cable(0, 5), cable(2, 3));
+        let uplink = cable_of(net.host_uplink(HostId(0), PlaneId(1)).unwrap());
+        let mut apply = |down: &[LinkId], up: &[LinkId]| {
+            down.iter().for_each(|&l| failures::fail_cable(&mut net, l));
+            up.iter()
+                .for_each(|&l| failures::restore_cable(&mut net, l));
+            let (down, up) = (down.to_vec(), up.to_vec());
+            let stats = r.apply_delta(&net, &LinkDelta { down, up });
+            assert_matches_rebuild(&net, &r);
+            stats
+        };
+        let one = apply(&[a], &[]);
+        assert_eq!((one.planes_rebuilt, one.slots_scanned), (1, 12 * 12));
+        // Everything repaired sits in the cable's plane: the other two
+        // planes' 2 · 12 · 11 entries are all reused.
+        assert!(one.entries_repaired > 0 && one.entries_reused >= 2 * 12 * 11);
+
+        let burst = apply(&[b, c], &[a]);
+        assert_eq!(
+            (burst.planes_rebuilt, burst.slots_scanned),
+            (2, 2 * 12 * 12)
+        );
+
+        let host = apply(&[uplink], &[]);
+        assert_eq!((host.planes_rebuilt, host.slots_scanned), (1, 0));
+        assert_eq!(host.entries_repaired, 0);
+    }
+
     #[test]
     fn churn_walk_refresh_matches_rebuild() {
         let mut net = assemble_homogeneous(
@@ -923,7 +979,7 @@ mod tests {
         let st = r.read();
         assert_eq!(st.entries, st.planes.len() * st.racks * (st.racks - 1));
         for (slot, cell) in st.slots.iter().enumerate() {
-            let Some(paths) = &cell.paths else { continue };
+            let Some(paths) = cell else { continue };
             let (p, s, d) = key_of(st.racks, slot);
             let want = Router::compute(&st.planes[p.index()], r.algo, s, d);
             assert_eq!(**paths, want, "{when}: {:?} {p} {s}->{d}", r.algo);

@@ -34,9 +34,8 @@ impl Learner<'_> {
             plane,
             self.net.rack_of_host(src),
             self.net.rack_of_host(dst),
-        )[0]
-        .clone();
-        let route = host_route(self.net, src, dst, &path).unwrap();
+        );
+        let route = host_route(self.net, src, dst, path.get(0)).unwrap();
         self.plane_of.insert(tag, plane);
         sim.start_flow(FlowSpec {
             src,

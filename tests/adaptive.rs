@@ -49,7 +49,7 @@ impl SmallFlowDriver<'_> {
         let path = if ra == rb {
             Path::intra_rack(plane)
         } else {
-            self.router.paths_in_plane(plane, ra, rb)[0].clone()
+            self.router.paths_in_plane(plane, ra, rb).get(0).to_path()
         };
         let route = host_route(self.net, self.src, self.dst, &path).unwrap();
         self.plane_of.insert(tag, plane);

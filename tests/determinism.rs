@@ -362,7 +362,7 @@ fn concurrent_deltas_on_different_planes_both_land() {
 /// replaced snapshot survives: the end state equals a rebuild.
 #[test]
 fn lookups_race_a_churn_replay() {
-    use pnet::routing::sort_paths;
+    use pnet::routing::{sort_paths, PathSet};
     use pnet::topology::{ChurnSchedule, PlaneId};
     use rand::{RngExt, SeedableRng};
     finishes("a 12-event churn replay under a reader", || {
@@ -379,8 +379,9 @@ fn lookups_race_a_churn_replay() {
                     let a = RackId(rng.random_range(0..12u32));
                     let b = RackId((a.0 + rng.random_range(1..12u32)) % 12);
                     let set = router.paths_in_plane(PlaneId(rng.random_range(0..2u16)), a, b);
-                    let mut sorted = (*set).clone();
+                    let mut sorted: Vec<_> = set.iter().map(|p| p.to_path()).collect();
                     sort_paths(&mut sorted);
+                    let sorted = PathSet::from(sorted.as_slice());
                     assert_eq!(*set, sorted, "({a}, {b}) out of canonical order");
                     let best = router.k_best_across_planes(a, b, 6);
                     assert!(best

@@ -59,7 +59,7 @@ fn ksp_table_fingerprint(net: &Network, k: usize) -> u64 {
                 for path in paths.iter() {
                     h.u64(path.plane.0 as u64);
                     h.u64(path.links.len() as u64);
-                    for l in &path.links {
+                    for l in path.links {
                         h.u64(l.0 as u64);
                     }
                 }
@@ -241,7 +241,10 @@ fn route_in_plane(
     plane: u16,
 ) -> Vec<LinkId> {
     let (ra, rb) = (net.rack_of_host(src), net.rack_of_host(dst));
-    let path = router.paths_in_plane(PlaneId(plane), ra, rb)[0].clone();
+    let path = router
+        .paths_in_plane(PlaneId(plane), ra, rb)
+        .get(0)
+        .to_path();
     host_route(net, src, dst, &path).expect("invariant: host pair is routable")
 }
 

@@ -318,6 +318,73 @@ proptest! {
         }
     }
 
+}
+
+/// A shortest-first path list of one plane in [`routing::sort_paths`] order,
+/// by `shape`: empty, a single path, `k` equally long paths, a mixed list,
+/// and 32 paths that together fill the `u16` offset range.
+fn sorted_paths(shape: u8, k: usize, len: usize, plane: u16, seed: u64) -> Vec<routing::Path> {
+    let mut x = seed;
+    let mut next = || {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (x >> 33) as u32
+    };
+    let lens: Vec<usize> = match shape {
+        0 => Vec::new(),
+        1 => vec![len],
+        2 => vec![len; k],
+        3 => (0..k).map(|_| 1 + next() as usize % len).collect(),
+        _ => vec![2047; 32],
+    };
+    let mut path = |&len: &usize| routing::Path {
+        plane: PlaneId(plane),
+        links: (0..len).map(|_| LinkId(next())).collect(),
+    };
+    let mut paths: Vec<_> = lens.iter().map(&mut path).collect();
+    routing::sort_paths(&mut paths);
+    paths
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The flat route-table entry is its nested form, path for path, and
+    /// every selector reads the same answer off either.
+    #[test]
+    fn path_set_equals_its_nested_form(
+        shape in 0u8..5, k in 1usize..=32, len in 1usize..12, plane in 0u16..8,
+        seed: u64, hash: u64,
+    ) {
+        use routing::{hash_index, hash_select, PathRef, PathSet};
+        let nested = sorted_paths(shape, k, len, plane, seed);
+        let set = PathSet::from(nested.as_slice());
+        prop_assert_eq!(set.len(), nested.len());
+        prop_assert_eq!(set.is_empty(), nested.is_empty());
+        for (i, path) in nested.iter().enumerate() {
+            prop_assert_eq!(set.get(i), PathRef::from(path));
+        }
+        let back: Vec<routing::Path> = set.iter().map(|p| p.to_path()).collect();
+        prop_assert_eq!(&back, &nested);
+
+        let rotated: Vec<usize> = set.tie_rotated(hash).collect();
+        prop_assert_eq!(rotated, routing::tie_rotated(&nested, hash).collect::<Vec<_>>());
+        // The slice forms of `shortest_tier` and of the hash pick inside it.
+        let tier = nested.iter().take_while(|p| p.links.len() == nested[0].links.len()).count();
+        prop_assert_eq!(set.shortest_tier(), tier);
+        if tier > 0 {
+            let pick = hash_select(&nested[..tier], hash);
+            prop_assert_eq!(set.get(hash_index(tier, hash)), pick.into());
+            let pick = hash_select(&nested, hash);
+            prop_assert_eq!(set.get(hash_index(set.len(), hash)), pick.into());
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
     /// Incremental delta repair is *equivalent* to rebuilding: after any
     /// seeded random walk of cable down/up events, the live router's table
     /// fingerprint must be byte-identical to a from-scratch router built on

@@ -22,9 +22,8 @@ fn net(planes: usize) -> Network {
 
 fn route(net: &Network, src: HostId, dst: HostId, plane: u16) -> Vec<LinkId> {
     let router = Router::new(net, RouteAlgo::Ksp { k: 2 });
-    let p = router.paths_in_plane(PlaneId(plane), net.rack_of_host(src), net.rack_of_host(dst))[0]
-        .clone();
-    host_route(net, src, dst, &p).unwrap()
+    let set = router.paths_in_plane(PlaneId(plane), net.rack_of_host(src), net.rack_of_host(dst));
+    host_route(net, src, dst, set.get(0)).unwrap()
 }
 
 /// A fixed multi-flow workload: 6 flows fanning into two destination racks

@@ -19,9 +19,8 @@ fn net(planes: usize) -> Network {
 
 fn route(net: &Network, src: HostId, dst: HostId, plane: u16) -> Vec<pnet::topology::LinkId> {
     let router = Router::new(net, RouteAlgo::Ksp { k: 2 });
-    let p = router.paths_in_plane(PlaneId(plane), net.rack_of_host(src), net.rack_of_host(dst))[0]
-        .clone();
-    host_route(net, src, dst, &p).unwrap()
+    let set = router.paths_in_plane(PlaneId(plane), net.rack_of_host(src), net.rack_of_host(dst));
+    host_route(net, src, dst, set.get(0)).unwrap()
 }
 
 /// Telemetry that records nothing but the per-subflow post-mortems finished
@@ -76,8 +75,8 @@ fn uncoupled_mptcp_is_more_aggressive_than_lia() {
             n.rack_of_host(HostId(4)),
             n.rack_of_host(HostId(15)),
         );
-        let r1 = host_route(&n, HostId(4), HostId(15), &paths[0]).unwrap();
-        let r2 = host_route(&n, HostId(4), HostId(15), &paths[1]).unwrap();
+        let r1 = host_route(&n, HostId(4), HostId(15), paths.get(0)).unwrap();
+        let r2 = host_route(&n, HostId(4), HostId(15), paths.get(1)).unwrap();
         let mp = sim.start_flow(FlowSpec {
             src: HostId(4),
             dst: HostId(15),
