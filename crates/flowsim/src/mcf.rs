@@ -43,7 +43,7 @@ pub struct McfSolution {
     pub rates: Vec<f64>,
     /// The final multiplicative-weights length vector (one entry per
     /// directed link). This is the solver's dual profile: feeding it to
-    /// [`solve_warm_with_options`] after a link delta re-solves from this
+    /// [`solve_warm`] after a link delta re-solves from this
     /// point instead of from the uniform δ/cₑ start.
     pub length: Vec<f64>,
     /// Shortest-path trees (one per source and stale plane) the AnyPath
@@ -327,17 +327,6 @@ pub const WARM_LAMBDA_TOLERANCE: f64 = 0.10;
 /// [`WARM_LAMBDA_TOLERANCE`] cross-check holds the result to the cold answer.
 pub const WARM_PHASE_BUDGET: f64 = 16.0;
 
-/// [`solve`] warm-started from a previous solution's length profile.
-pub fn solve_warm(
-    net: &Network,
-    commodities: &[Commodity],
-    mode: &PathMode,
-    eps: f64,
-    warm: &McfSolution,
-) -> McfSolution {
-    solve_warm_with_options(net, commodities, mode, eps, McfOptions::default(), warm)
-}
-
 /// Re-solve max concurrent flow after a link delta, warm-started from
 /// `warm` (a solution for the *same network arena* — same link ids — under
 /// the previous link state; the current state is read from `net`).
@@ -359,15 +348,14 @@ pub fn solve_warm(
 /// the phase count). Feasibility is unconditional (the final congestion
 /// rescale), and near-optimality is asserted against a cold re-solve by the
 /// churn tests and the reconvergence benchmark.
-pub fn solve_warm_with_options(
+pub fn solve_warm(
     net: &Network,
     commodities: &[Commodity],
     mode: &PathMode,
     eps: f64,
-    opts: McfOptions,
     warm: &McfSolution,
 ) -> McfSolution {
-    let checked = try_solve_warm_with_options(net, commodities, mode, eps, opts, warm);
+    let checked = try_solve_warm(net, commodities, mode, eps, warm);
     if let Err(e) = &checked {
         assert!(checked.is_ok(), "{e}");
     }
@@ -383,32 +371,13 @@ pub fn try_solve_warm(
     eps: f64,
     warm: &McfSolution,
 ) -> Result<McfSolution, McfError> {
-    try_solve_warm_with_options(net, commodities, mode, eps, McfOptions::default(), warm)
-}
-
-/// [`solve_warm_with_options`] returning a typed [`McfError`] instead of
-/// panicking.
-pub fn try_solve_warm_with_options(
-    net: &Network,
-    commodities: &[Commodity],
-    mode: &PathMode,
-    eps: f64,
-    opts: McfOptions,
-    warm: &McfSolution,
-) -> Result<McfSolution, McfError> {
     validate_inputs(commodities, mode, eps)?;
     if warm.lambda.is_nan() || warm.lambda <= 0.0 {
         return Err(McfError::NonPositiveWarmLambda);
     }
 
-    let mut caps = link_capacities(net);
-    if opts.host_links_free {
-        for (id, l) in net.links() {
-            if l.up && (net.node(l.src).kind.is_host() || net.node(l.dst).kind.is_host()) {
-                caps[id.index()] = f64::INFINITY;
-            }
-        }
-    }
+    let opts = McfOptions::default();
+    let caps = link_capacities(net);
     if warm.length.len() != caps.len() {
         return Err(McfError::WarmArenaMismatch {
             expected: caps.len(),
@@ -527,7 +496,7 @@ const MAX_PHASES: usize = 200_000;
 /// The shared Fleischer phase loop + congestion rescale: everything after
 /// the start point (`length`, its mass `d_sum`, and the demand pre-scale) is
 /// chosen — [`solve_with_options`] passes the uniform δ/cₑ start,
-/// [`solve_warm_with_options`] the rescaled previous profile.
+/// [`solve_warm`] the rescaled previous profile.
 #[allow(clippy::too_many_arguments)]
 fn gk_core(
     net: &Network,

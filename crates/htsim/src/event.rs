@@ -153,7 +153,6 @@ pub struct EventQueue {
     dispatched: u64,
     /// Pending [`EventKind::Arrival`] events, maintained at schedule/pop so
     /// the conservation ledger never scans the queue.
-    #[cfg(feature = "strict-invariants")]
     arrivals_pending: u64,
 }
 
@@ -179,7 +178,6 @@ impl EventQueue {
             next_seq: 0,
             scheduled: 0,
             dispatched: 0,
-            #[cfg(feature = "strict-invariants")]
             arrivals_pending: 0,
         }
     }
@@ -190,7 +188,6 @@ impl EventQueue {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.scheduled += 1;
-        #[cfg(feature = "strict-invariants")]
         if matches!(kind, EventKind::Arrival { .. }) {
             self.arrivals_pending += 1;
         }
@@ -293,10 +290,9 @@ impl EventQueue {
 
     /// Shared post-pop bookkeeping for both pop paths.
     #[inline]
-    fn note_popped(&mut self, _ev: &Event) {
+    fn note_popped(&mut self, ev: &Event) {
         self.dispatched += 1;
-        #[cfg(feature = "strict-invariants")]
-        if matches!(_ev.kind, EventKind::Arrival { .. }) {
+        if matches!(ev.kind, EventKind::Arrival { .. }) {
             self.arrivals_pending -= 1;
         }
         // Drain invariant: every event is scheduled exactly once and
@@ -423,7 +419,6 @@ impl EventQueue {
     /// Packets currently propagating: pending [`EventKind::Arrival`] events.
     /// A counter maintained at schedule/pop time, so the conservation ledger
     /// stays O(1) per check at any simulation scale.
-    #[cfg(feature = "strict-invariants")]
     pub fn pending_arrivals(&self) -> u64 {
         self.arrivals_pending
     }

@@ -12,7 +12,7 @@
 //!   paper's datacenter tuning (10 ms minimum RTO);
 //! * [`apps`] — workload drivers: one-shot flow batches, closed-loop
 //!   sources, RPC ping-pong, and staged shuffle jobs;
-//! * [`metrics`] — FCT percentiles, CDFs, summaries.
+//! * [`metrics`] — FCT percentiles, means, summaries.
 //!
 //! ## Example
 //!
@@ -65,11 +65,9 @@ pub mod telemetry;
 pub mod time;
 
 pub use packet::{ConnId, Packet, PacketArena, PacketId, PacketKind, ACK_BYTES, MTU_BYTES};
-#[cfg(feature = "strict-invariants")]
-pub use sim::ConservationLedger;
 pub use sim::{
-    run, run_to_completion, Driver, FlowRecord, FlowSpec, NullDriver, QueueStats, SimConfig,
-    Simulator,
+    run, run_to_completion, ConservationLedger, Driver, FlowRecord, FlowSpec, NullDriver,
+    QueueStats, SimConfig, Simulator,
 };
 pub use tcp::{CcAlgo, TcpConfig};
 pub use telemetry::{EventMask, Telemetry, TelemetryConfig, TraceRecord};

@@ -1,37 +1,6 @@
-//! Metric helpers: percentiles, means, and CDFs over flow records, plus the
-//! packet-loss breakdown by cause.
+//! Metric helpers: percentiles, means and summaries over flow records.
 
-use crate::sim::{FlowRecord, QueueStats};
-use crate::time::SimTime;
-
-/// Packet losses split by cause across a set of queues. Drop-tail loss at a
-/// live link signals congestion; a discard at a dark link signals failure —
-/// conflating them makes failure experiments look like buffer problems.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DropBreakdown {
-    /// Drop-tail losses at live links.
-    pub congestion: u64,
-    /// Discards at links that were down.
-    pub link_down: u64,
-}
-
-impl DropBreakdown {
-    /// Sum the breakdown over per-queue statistics (e.g. one
-    /// [`crate::Simulator::queue_stats`] call per link).
-    pub fn accumulate(stats: impl IntoIterator<Item = QueueStats>) -> Self {
-        let mut out = DropBreakdown::default();
-        for qs in stats {
-            out.congestion += qs.dropped;
-            out.link_down += qs.dropped_link_down;
-        }
-        out
-    }
-
-    /// All losses regardless of cause.
-    pub fn total(&self) -> u64 {
-        self.congestion + self.link_down
-    }
-}
+use crate::sim::FlowRecord;
 
 /// A percentile of a sample set (nearest-rank). `p` in [0, 100].
 pub fn percentile(samples: &[f64], p: f64) -> f64 {
@@ -53,44 +22,9 @@ pub fn mean(samples: &[f64]) -> f64 {
     samples.iter().sum::<f64>() / samples.len() as f64
 }
 
-/// Sample standard deviation (n-1 denominator); 0 for a single sample.
-pub fn stddev(samples: &[f64]) -> f64 {
-    if samples.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(samples);
-    let var = samples.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (samples.len() - 1) as f64;
-    var.sqrt()
-}
-
-/// Empirical CDF points `(value, fraction <= value)`, one per distinct value.
-pub fn ecdf(samples: &[f64]) -> Vec<(f64, f64)> {
-    let mut v = samples.to_vec();
-    v.sort_by(f64::total_cmp);
-    let n = v.len() as f64;
-    let mut out: Vec<(f64, f64)> = Vec::new();
-    for (i, x) in v.iter().enumerate() {
-        let frac = (i + 1) as f64 / n;
-        match out.last_mut() {
-            #[expect(
-                clippy::float_cmp,
-                reason = "dedup of sorted samples: exact representation equality is the intent"
-            )]
-            Some(last) if last.0 == *x => last.1 = frac,
-            _ => out.push((*x, frac)),
-        }
-    }
-    out
-}
-
 /// Flow completion times in microseconds.
 pub fn fcts_us(records: &[FlowRecord]) -> Vec<f64> {
     records.iter().map(|r| r.fct().as_us_f64()).collect()
-}
-
-/// Records filtered by owner tag.
-pub fn with_tag(records: &[FlowRecord], tag: u64) -> Vec<&FlowRecord> {
-    records.iter().filter(|r| r.owner_tag == tag).collect()
 }
 
 /// Summary statistics of a sample set.
@@ -120,14 +54,6 @@ impl Summary {
     }
 }
 
-/// Convert a picosecond duration sample set to microseconds.
-pub fn ps_to_us(samples_ps: &[u64]) -> Vec<f64> {
-    samples_ps
-        .iter()
-        .map(|&p| SimTime::from_ps(p).as_us_f64())
-        .collect()
-}
-
 /// Goodput of a record in Gb/s. A zero-duration record (degenerate, e.g. a
 /// hand-built placeholder) yields 0.0 rather than infinity, so aggregates
 /// like [`mean`] and [`Summary::of`] stay finite.
@@ -140,29 +66,9 @@ pub fn goodput_gbps(rec: &FlowRecord) -> f64 {
     rec.size_bytes as f64 * 8.0 / secs / 1e9
 }
 
-/// Format a [`SimTime`] duration as adaptive microseconds/milliseconds.
-pub fn fmt_duration(t: SimTime) -> String {
-    t.to_string()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn drop_breakdown_sums_by_cause() {
-        let q = |dropped, link_down| QueueStats {
-            enqueued: 10,
-            dropped,
-            dropped_link_down: link_down,
-            peak_bytes: 0,
-            bytes_sent: 0,
-        };
-        let b = DropBreakdown::accumulate([q(3, 0), q(0, 5), q(2, 1)]);
-        assert_eq!(b.congestion, 5);
-        assert_eq!(b.link_down, 6);
-        assert_eq!(b.total(), 11);
-    }
 
     #[test]
     fn percentile_nearest_rank() {
@@ -171,21 +77,6 @@ mod tests {
         assert_eq!(percentile(&v, 99.0), 99.0);
         assert_eq!(percentile(&v, 100.0), 100.0);
         assert_eq!(percentile(&v, 0.0), 1.0);
-    }
-
-    #[test]
-    fn mean_and_stddev() {
-        let v = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        assert!((mean(&v) - 5.0).abs() < 1e-12);
-        // Sample stddev of this classic set is ~2.138.
-        assert!((stddev(&v) - 2.138089935).abs() < 1e-6);
-    }
-
-    #[test]
-    fn ecdf_steps() {
-        let v = [1.0, 1.0, 2.0, 3.0];
-        let cdf = ecdf(&v);
-        assert_eq!(cdf, vec![(1.0, 0.5), (2.0, 0.75), (3.0, 1.0)]);
     }
 
     #[test]
@@ -208,6 +99,7 @@ mod tests {
     #[test]
     fn goodput_of_zero_duration_record_is_zero_not_infinite() {
         use crate::packet::ConnId;
+        use crate::time::SimTime;
         use pnet_topology::HostId;
         let rec = |fct_ps: u64| FlowRecord {
             conn: ConnId(0),

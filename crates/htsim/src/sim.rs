@@ -130,14 +130,13 @@ impl QueueStats {
     }
 }
 
-/// Packet-conservation ledger (feature `strict-invariants`): a snapshot of
-/// where every packet ever handed to [`Simulator::send_packet`]'s first hop
-/// currently is. The books balance at every event boundary:
+/// Packet-conservation ledger: a snapshot of where every packet ever handed
+/// to [`Simulator::send_packet`]'s first hop currently is. The books balance
+/// at every event boundary:
 ///
 /// `injected == delivered + dropped_congestion + dropped_link_down + in_flight`
 ///
 /// and once the event queue drains, `in_flight == 0`.
-#[cfg(feature = "strict-invariants")]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConservationLedger {
     /// Packets entering the network at hop 0 (data and ACKs alike).
@@ -152,7 +151,6 @@ pub struct ConservationLedger {
     pub in_flight: u64,
 }
 
-#[cfg(feature = "strict-invariants")]
 impl ConservationLedger {
     /// True when every injected packet is accounted for.
     pub fn balanced(&self) -> bool {
@@ -197,10 +195,8 @@ pub struct Simulator {
     /// branch each and samplers unscheduled.
     telemetry: Option<Box<Telemetry>>,
     /// Packets injected at hop 0 (conservation ledger numerator).
-    #[cfg(feature = "strict-invariants")]
     ledger_injected: u64,
     /// Packets that reached the end of their route.
-    #[cfg(feature = "strict-invariants")]
     ledger_delivered: u64,
 }
 
@@ -237,9 +233,7 @@ impl Simulator {
             dropped_packets: 0,
             dropped_link_down_packets: 0,
             telemetry,
-            #[cfg(feature = "strict-invariants")]
             ledger_injected: 0,
-            #[cfg(feature = "strict-invariants")]
             ledger_delivered: 0,
         };
         // Arm the first sampler tick. If the run drains before flows exist,
@@ -274,10 +268,9 @@ impl Simulator {
         }
     }
 
-    /// Snapshot of the packet-conservation books (feature
-    /// `strict-invariants`). Valid at any event boundary; [`run`] asserts
-    /// [`ConservationLedger::balanced`] before returning.
-    #[cfg(feature = "strict-invariants")]
+    /// Snapshot of the packet-conservation books. Valid at any event
+    /// boundary; [`run`] asserts [`ConservationLedger::balanced`] before
+    /// returning.
     pub fn conservation(&self) -> ConservationLedger {
         let buffered: u64 = self.queues.iter().map(|q| q.depth() as u64).sum();
         let in_flight = buffered + self.events.pending_arrivals();
@@ -303,7 +296,6 @@ impl Simulator {
 
     /// Panic unless the conservation books balance (and, if the event queue
     /// has drained, unless the network is empty).
-    #[cfg(feature = "strict-invariants")]
     fn assert_conservation(&self) {
         let l = self.conservation();
         assert!(
@@ -526,7 +518,6 @@ impl Simulator {
     /// Hand the packet in arena slot `id` to its next link's queue. On a
     /// drop the slot is freed immediately — ids never dangle.
     fn send_packet(&mut self, id: PacketId) {
-        #[cfg(feature = "strict-invariants")]
         if self.packets[id].hop == 0 {
             self.ledger_injected += 1;
         }
@@ -636,10 +627,7 @@ impl Simulator {
             self.send_packet(id);
             return;
         }
-        #[cfg(feature = "strict-invariants")]
-        {
-            self.ledger_delivered += 1;
-        }
+        self.ledger_delivered += 1;
         // Delivered: copy the payload descriptor out and recycle the slot
         // before transport processing (which may immediately reuse it for
         // the ACK or the next window of data).
@@ -1264,7 +1252,6 @@ pub fn run(sim: &mut Simulator, driver: &mut dyn Driver, until: Option<SimTime>)
         }
     }
     sim.deliver_completions(driver);
-    #[cfg(feature = "strict-invariants")]
     sim.assert_conservation();
 }
 

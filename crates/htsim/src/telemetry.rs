@@ -101,34 +101,40 @@ impl EventMask {
         self.0 == 0
     }
 
-    /// Parse a comma-separated category list, e.g. `"flow,ecn,samples"`.
-    ///
-    /// Names: `flow` (start+finish), `flow-start`, `flow-finish`,
-    /// `retransmit`, `timeout`, `subflow-dead`, `ecn`, `link`, `queue`,
-    /// `plane`, `subflow-samples`, `samples` (all three samplers), `trace`
-    /// (all instantaneous events), `all` (`trace` + `samples`), and
-    /// `subflow-finish` (the post-mortems, part of no composite).
+    /// Every name [`EventMask::from_names`] accepts, with its mask: `samples`
+    /// is the three samplers, `trace` the instantaneous events, `all` both,
+    /// and `subflow-finish` (the post-mortems) is part of no composite.
+    pub const NAMES: &'static [(&'static str, EventMask)] = &[
+        ("flow", Self::FLOW_START.union(Self::FLOW_FINISH)),
+        ("flow-start", Self::FLOW_START),
+        ("flow-finish", Self::FLOW_FINISH),
+        ("retransmit", Self::RETRANSMIT),
+        ("timeout", Self::TIMEOUT),
+        ("subflow-dead", Self::SUBFLOW_DEAD),
+        ("ecn", Self::ECN_MARK),
+        ("link", Self::LINK_STATE),
+        ("queue", Self::QUEUE_SAMPLE),
+        ("plane", Self::PLANE_SAMPLE),
+        ("subflow-samples", Self::SUBFLOW_SAMPLE),
+        ("samples", Self::SAMPLES),
+        ("trace", Self::TRACE),
+        ("all", Self::ALL),
+        ("subflow-finish", Self::SUBFLOW_FINISH),
+    ];
+
+    /// Parse a comma-separated list of [`EventMask::NAMES`], e.g.
+    /// `"flow,ecn,samples"`.
     pub fn from_names(names: &str) -> Result<EventMask, String> {
         let mut mask = EventMask::NONE;
         for name in names.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-            mask = mask.union(match name {
-                "flow" => Self::FLOW_START.union(Self::FLOW_FINISH),
-                "flow-start" => Self::FLOW_START,
-                "flow-finish" => Self::FLOW_FINISH,
-                "retransmit" => Self::RETRANSMIT,
-                "timeout" => Self::TIMEOUT,
-                "subflow-dead" => Self::SUBFLOW_DEAD,
-                "subflow-finish" => Self::SUBFLOW_FINISH,
-                "ecn" => Self::ECN_MARK,
-                "link" => Self::LINK_STATE,
-                "queue" => Self::QUEUE_SAMPLE,
-                "plane" => Self::PLANE_SAMPLE,
-                "subflow-samples" => Self::SUBFLOW_SAMPLE,
-                "samples" => Self::SAMPLES,
-                "trace" => Self::TRACE,
-                "all" => Self::ALL,
-                other => return Err(format!("unknown telemetry category {other:?}")),
-            });
+            let Some(&(_, m)) = Self::NAMES.iter().find(|(n, _)| *n == name) else {
+                let known: Vec<&str> = Self::NAMES.iter().map(|(n, _)| *n).collect();
+                return Err(format!(
+                    "unknown telemetry category {name:?} (expected one of {})",
+                    known.join(",")
+                ));
+            };
+            mask |= m;
         }
         Ok(mask)
     }
@@ -165,14 +171,6 @@ impl TelemetryConfig {
         TelemetryConfig {
             events: EventMask::ALL,
             sample_interval: Some(interval),
-        }
-    }
-
-    /// Instantaneous trace events only (no samplers).
-    pub fn trace_only() -> TelemetryConfig {
-        TelemetryConfig {
-            events: EventMask::TRACE,
-            sample_interval: None,
         }
     }
 
@@ -273,188 +271,83 @@ pub enum TraceRecord {
     },
 }
 
-impl TraceRecord {
-    /// The category bit of this record.
-    pub fn category(&self) -> EventMask {
+/// One value of a record, in the form both exporters share.
+#[derive(Debug, Clone, Copy)]
+enum Value {
+    Int(u64),
+    Float(f64),
+    Flag(bool),
+}
+
+impl Value {
+    /// The JSON form, or the CSV one, which writes a flag as `0`/`1`. Floats
+    /// use Rust's shortest round-trip formatting, which is deterministic.
+    fn text(self, csv: bool) -> String {
         match self {
-            TraceRecord::FlowStart { .. } => EventMask::FLOW_START,
-            TraceRecord::FlowFinish { .. } => EventMask::FLOW_FINISH,
-            TraceRecord::Retransmit { .. } => EventMask::RETRANSMIT,
-            TraceRecord::Timeout { .. } => EventMask::TIMEOUT,
-            TraceRecord::SubflowDead { .. } => EventMask::SUBFLOW_DEAD,
-            TraceRecord::SubflowFinish { .. } => EventMask::SUBFLOW_FINISH,
-            TraceRecord::EcnMark { .. } => EventMask::ECN_MARK,
-            TraceRecord::LinkDown { .. } | TraceRecord::LinkUp { .. } => EventMask::LINK_STATE,
-            TraceRecord::QueueSample { .. } => EventMask::QUEUE_SAMPLE,
-            TraceRecord::PlaneSample { .. } => EventMask::PLANE_SAMPLE,
-            TraceRecord::SubflowSample { .. } => EventMask::SUBFLOW_SAMPLE,
+            Value::Int(x) => x.to_string(),
+            Value::Float(x) => x.to_string(),
+            Value::Flag(x) if csv => u64::from(x).to_string(),
+            Value::Flag(x) => x.to_string(),
         }
     }
+}
 
-    /// The record's timestamp.
-    pub fn time(&self) -> SimTime {
-        match *self {
-            TraceRecord::FlowStart { t, .. }
-            | TraceRecord::FlowFinish { t, .. }
-            | TraceRecord::Retransmit { t, .. }
-            | TraceRecord::Timeout { t, .. }
-            | TraceRecord::SubflowDead { t, .. }
-            | TraceRecord::SubflowFinish { t, .. }
-            | TraceRecord::EcnMark { t, .. }
-            | TraceRecord::LinkDown { t, .. }
-            | TraceRecord::LinkUp { t, .. }
-            | TraceRecord::QueueSample { t, .. }
-            | TraceRecord::PlaneSample { t, .. }
-            | TraceRecord::SubflowSample { t, .. } => t,
-        }
-    }
+/// Every record kind, in [`TraceRecord`] variant order: export name,
+/// category, and field names (space-separated) in export order.
+/// [`TraceRecord::parts`] returns a row index and the values of these
+/// fields; a new kind is one variant, one row here and one arm there.
+const KINDS: [(&str, EventMask, &str); 12] = [
+    (
+        "flow_start",
+        EventMask::FLOW_START,
+        "conn src dst size_bytes n_subflows",
+    ),
+    (
+        "flow_finish",
+        EventMask::FLOW_FINISH,
+        "conn fct_ps retransmits timeouts",
+    ),
+    ("retransmit", EventMask::RETRANSMIT, "conn subflow seq"),
+    ("timeout", EventMask::TIMEOUT, "conn subflow backoff"),
+    (
+        "subflow_dead",
+        EventMask::SUBFLOW_DEAD,
+        "conn subflow reclaimed",
+    ),
+    (
+        "subflow_finish",
+        EventMask::SUBFLOW_FINISH,
+        "conn subflow dead highest_sent dctcp_alpha dctcp_dupack_marks",
+    ),
+    ("ecn_mark", EventMask::ECN_MARK, "link buffered_bytes"),
+    ("link_down", EventMask::LINK_STATE, "link"),
+    ("link_up", EventMask::LINK_STATE, "link"),
+    (
+        "queue_sample",
+        EventMask::QUEUE_SAMPLE,
+        "link depth_pkts buffered_bytes",
+    ),
+    (
+        "plane_sample",
+        EventMask::PLANE_SAMPLE,
+        "plane bytes_delta utilization",
+    ),
+    (
+        "subflow_sample",
+        EventMask::SUBFLOW_SAMPLE,
+        "conn subflow cwnd srtt_ps in_flight",
+    ),
+];
 
-    /// One JSON object, fixed field order, no trailing newline. Floats use
-    /// Rust's shortest round-trip formatting, which is deterministic.
-    pub fn to_json(&self) -> String {
-        match *self {
-            TraceRecord::FlowStart {
-                t,
-                conn,
-                src,
-                dst,
-                size_bytes,
-                n_subflows,
-            } => format!(
-                "{{\"t_ps\":{},\"event\":\"flow_start\",\"conn\":{conn},\"src\":{src},\
-                 \"dst\":{dst},\"size_bytes\":{size_bytes},\"n_subflows\":{n_subflows}}}",
-                t.as_ps()
-            ),
-            TraceRecord::FlowFinish {
-                t,
-                conn,
-                fct_ps,
-                retransmits,
-                timeouts,
-            } => format!(
-                "{{\"t_ps\":{},\"event\":\"flow_finish\",\"conn\":{conn},\"fct_ps\":{fct_ps},\
-                 \"retransmits\":{retransmits},\"timeouts\":{timeouts}}}",
-                t.as_ps()
-            ),
-            TraceRecord::Retransmit {
-                t,
-                conn,
-                subflow,
-                seq,
-            } => format!(
-                "{{\"t_ps\":{},\"event\":\"retransmit\",\"conn\":{conn},\
-                 \"subflow\":{subflow},\"seq\":{seq}}}",
-                t.as_ps()
-            ),
-            TraceRecord::Timeout {
-                t,
-                conn,
-                subflow,
-                backoff,
-            } => format!(
-                "{{\"t_ps\":{},\"event\":\"timeout\",\"conn\":{conn},\
-                 \"subflow\":{subflow},\"backoff\":{backoff}}}",
-                t.as_ps()
-            ),
-            TraceRecord::SubflowDead {
-                t,
-                conn,
-                subflow,
-                reclaimed,
-            } => format!(
-                "{{\"t_ps\":{},\"event\":\"subflow_dead\",\"conn\":{conn},\
-                 \"subflow\":{subflow},\"reclaimed\":{reclaimed}}}",
-                t.as_ps()
-            ),
-            TraceRecord::SubflowFinish {
-                t,
-                conn,
-                subflow,
-                dead,
-                highest_sent,
-                dctcp_alpha,
-                dctcp_dupack_marks,
-            } => format!(
-                "{{\"t_ps\":{},\"event\":\"subflow_finish\",\"conn\":{conn},\
-                 \"subflow\":{subflow},\"dead\":{dead},\"highest_sent\":{highest_sent},\
-                 \"dctcp_alpha\":{dctcp_alpha},\"dctcp_dupack_marks\":{dctcp_dupack_marks}}}",
-                t.as_ps()
-            ),
-            TraceRecord::EcnMark {
-                t,
-                link,
-                buffered_bytes,
-            } => format!(
-                "{{\"t_ps\":{},\"event\":\"ecn_mark\",\"link\":{link},\
-                 \"buffered_bytes\":{buffered_bytes}}}",
-                t.as_ps()
-            ),
-            TraceRecord::LinkDown { t, link } => format!(
-                "{{\"t_ps\":{},\"event\":\"link_down\",\"link\":{link}}}",
-                t.as_ps()
-            ),
-            TraceRecord::LinkUp { t, link } => format!(
-                "{{\"t_ps\":{},\"event\":\"link_up\",\"link\":{link}}}",
-                t.as_ps()
-            ),
-            TraceRecord::QueueSample {
-                t,
-                link,
-                depth_pkts,
-                buffered_bytes,
-            } => format!(
-                "{{\"t_ps\":{},\"event\":\"queue_sample\",\"link\":{link},\
-                 \"depth_pkts\":{depth_pkts},\"buffered_bytes\":{buffered_bytes}}}",
-                t.as_ps()
-            ),
-            TraceRecord::PlaneSample {
-                t,
-                plane,
-                bytes_delta,
-                utilization,
-            } => format!(
-                "{{\"t_ps\":{},\"event\":\"plane_sample\",\"plane\":{plane},\
-                 \"bytes_delta\":{bytes_delta},\"utilization\":{utilization}}}",
-                t.as_ps()
-            ),
-            TraceRecord::SubflowSample {
-                t,
-                conn,
-                subflow,
-                cwnd,
-                srtt_ps,
-                in_flight,
-            } => format!(
-                "{{\"t_ps\":{},\"event\":\"subflow_sample\",\"conn\":{conn},\
-                 \"subflow\":{subflow},\"cwnd\":{cwnd},\"srtt_ps\":{srtt_ps},\
-                 \"in_flight\":{in_flight}}}",
-                t.as_ps()
-            ),
-        }
-    }
+/// Fields with a CSV column of their own, in header order; every other
+/// field goes to `v0..v3` in export order.
+const ID_COLUMNS: [&str; 4] = ["conn", "subflow", "link", "plane"];
 
-    /// One CSV row under [`Telemetry::CSV_HEADER`]. Inapplicable columns are
-    /// left empty; the `v0..v3` legend is in [`Telemetry::csv_legend`].
-    pub fn to_csv_row(&self) -> String {
-        let row = |t: SimTime,
-                   event: &str,
-                   conn: &str,
-                   subflow: &str,
-                   link: &str,
-                   plane: &str,
-                   v: [String; 4]| {
-            format!(
-                "{},{event},{conn},{subflow},{link},{plane},{},{},{},{}",
-                t.as_ps(),
-                v[0],
-                v[1],
-                v[2],
-                v[3]
-            )
-        };
-        let s = |x: u64| x.to_string();
-        let f = |x: f64| x.to_string();
-        let none = String::new();
+impl TraceRecord {
+    /// The record's row in [`KINDS`], its timestamp, and its field values
+    /// in the row's order.
+    fn parts(&self) -> (usize, SimTime, Vec<Value>) {
+        use Value::{Flag, Float, Int};
         match *self {
             TraceRecord::FlowStart {
                 t,
@@ -463,14 +356,16 @@ impl TraceRecord {
                 dst,
                 size_bytes,
                 n_subflows,
-            } => row(
+            } => (
+                0,
                 t,
-                "flow_start",
-                &s(conn),
-                "",
-                "",
-                "",
-                [s(src), s(dst), s(size_bytes), s(n_subflows)],
+                vec![
+                    Int(conn),
+                    Int(src),
+                    Int(dst),
+                    Int(size_bytes),
+                    Int(n_subflows),
+                ],
             ),
             TraceRecord::FlowFinish {
                 t,
@@ -478,57 +373,29 @@ impl TraceRecord {
                 fct_ps,
                 retransmits,
                 timeouts,
-            } => row(
+            } => (
+                1,
                 t,
-                "flow_finish",
-                &s(conn),
-                "",
-                "",
-                "",
-                [s(fct_ps), s(retransmits), s(timeouts), none.clone()],
+                vec![Int(conn), Int(fct_ps), Int(retransmits), Int(timeouts)],
             ),
             TraceRecord::Retransmit {
                 t,
                 conn,
                 subflow,
                 seq,
-            } => row(
-                t,
-                "retransmit",
-                &s(conn),
-                &s(subflow),
-                "",
-                "",
-                [s(seq), none.clone(), none.clone(), none.clone()],
-            ),
+            } => (2, t, vec![Int(conn), Int(subflow), Int(seq)]),
             TraceRecord::Timeout {
                 t,
                 conn,
                 subflow,
                 backoff,
-            } => row(
-                t,
-                "timeout",
-                &s(conn),
-                &s(subflow),
-                "",
-                "",
-                [s(backoff), none.clone(), none.clone(), none.clone()],
-            ),
+            } => (3, t, vec![Int(conn), Int(subflow), Int(backoff)]),
             TraceRecord::SubflowDead {
                 t,
                 conn,
                 subflow,
                 reclaimed,
-            } => row(
-                t,
-                "subflow_dead",
-                &s(conn),
-                &s(subflow),
-                "",
-                "",
-                [s(reclaimed), none.clone(), none.clone(), none.clone()],
-            ),
+            } => (4, t, vec![Int(conn), Int(subflow), Int(reclaimed)]),
             TraceRecord::SubflowFinish {
                 t,
                 conn,
@@ -537,78 +404,40 @@ impl TraceRecord {
                 highest_sent,
                 dctcp_alpha,
                 dctcp_dupack_marks,
-            } => row(
+            } => (
+                5,
                 t,
-                "subflow_finish",
-                &s(conn),
-                &s(subflow),
-                "",
-                "",
-                [
-                    s(u64::from(dead)),
-                    s(highest_sent),
-                    f(dctcp_alpha),
-                    s(dctcp_dupack_marks),
+                vec![
+                    Int(conn),
+                    Int(subflow),
+                    Flag(dead),
+                    Int(highest_sent),
+                    Float(dctcp_alpha),
+                    Int(dctcp_dupack_marks),
                 ],
             ),
             TraceRecord::EcnMark {
                 t,
                 link,
                 buffered_bytes,
-            } => row(
-                t,
-                "ecn_mark",
-                "",
-                "",
-                &s(link),
-                "",
-                [s(buffered_bytes), none.clone(), none.clone(), none.clone()],
-            ),
-            TraceRecord::LinkDown { t, link } => row(
-                t,
-                "link_down",
-                "",
-                "",
-                &s(link),
-                "",
-                [none.clone(), none.clone(), none.clone(), none.clone()],
-            ),
-            TraceRecord::LinkUp { t, link } => row(
-                t,
-                "link_up",
-                "",
-                "",
-                &s(link),
-                "",
-                [none.clone(), none.clone(), none.clone(), none.clone()],
-            ),
+            } => (6, t, vec![Int(link), Int(buffered_bytes)]),
+            TraceRecord::LinkDown { t, link } => (7, t, vec![Int(link)]),
+            TraceRecord::LinkUp { t, link } => (8, t, vec![Int(link)]),
             TraceRecord::QueueSample {
                 t,
                 link,
                 depth_pkts,
                 buffered_bytes,
-            } => row(
-                t,
-                "queue_sample",
-                "",
-                "",
-                &s(link),
-                "",
-                [s(depth_pkts), s(buffered_bytes), none.clone(), none.clone()],
-            ),
+            } => (9, t, vec![Int(link), Int(depth_pkts), Int(buffered_bytes)]),
             TraceRecord::PlaneSample {
                 t,
                 plane,
                 bytes_delta,
                 utilization,
-            } => row(
+            } => (
+                10,
                 t,
-                "plane_sample",
-                "",
-                "",
-                "",
-                &s(plane),
-                [s(bytes_delta), f(utilization), none.clone(), none.clone()],
+                vec![Int(plane), Int(bytes_delta), Float(utilization)],
             ),
             TraceRecord::SubflowSample {
                 t,
@@ -617,16 +446,60 @@ impl TraceRecord {
                 cwnd,
                 srtt_ps,
                 in_flight,
-            } => row(
+            } => (
+                11,
                 t,
-                "subflow_sample",
-                &s(conn),
-                &s(subflow),
-                "",
-                "",
-                [f(cwnd), f(srtt_ps), s(in_flight), none],
+                vec![
+                    Int(conn),
+                    Int(subflow),
+                    Float(cwnd),
+                    Float(srtt_ps),
+                    Int(in_flight),
+                ],
             ),
         }
+    }
+
+    /// The category bit of this record.
+    pub fn category(&self) -> EventMask {
+        KINDS[self.parts().0].1
+    }
+
+    /// The record's timestamp.
+    pub fn time(&self) -> SimTime {
+        self.parts().1
+    }
+
+    /// One JSON object, fixed field order, no trailing newline.
+    pub fn to_json(&self) -> String {
+        let (kind, t, values) = self.parts();
+        let (name, _, fields) = KINDS[kind];
+        let mut out = format!("{{\"t_ps\":{},\"event\":\"{name}\"", t.as_ps());
+        for (field, value) in fields.split(' ').zip(values) {
+            out.push_str(&format!(",\"{field}\":{}", value.text(false)));
+        }
+        out.push('}');
+        out
+    }
+
+    /// One CSV row under [`Telemetry::CSV_HEADER`]. Inapplicable columns are
+    /// left empty; the `v0..v3` legend is in [`Telemetry::csv_legend`].
+    pub fn to_csv_row(&self) -> String {
+        let (kind, t, values) = self.parts();
+        let (name, _, fields) = KINDS[kind];
+        let mut ids: [String; 4] = Default::default();
+        let mut v: [String; 4] = Default::default();
+        let mut next_v = v.iter_mut();
+        for (field, value) in fields.split(' ').zip(values) {
+            let column = match ID_COLUMNS.iter().position(|&c| c == field) {
+                Some(i) => &mut ids[i],
+                None => next_v
+                    .next()
+                    .expect("invariant: every kind has at most four v-columns"),
+            };
+            *column = value.text(true);
+        }
+        format!("{},{name},{},{}", t.as_ps(), ids.join(","), v.join(","))
     }
 }
 
@@ -726,24 +599,24 @@ impl Telemetry {
     pub const CSV_HEADER: &'static str = "t_ps,event,conn,subflow,link,plane,v0,v1,v2,v3";
 
     /// The per-event meaning of the generic `v0..v3` CSV columns, emitted as
-    /// leading comment lines by [`Telemetry::to_csv`].
-    pub fn csv_legend() -> &'static str {
-        "# flow_start: v0=src v1=dst v2=size_bytes v3=n_subflows\n\
-         # flow_finish: v0=fct_ps v1=retransmits v2=timeouts\n\
-         # retransmit: v0=seq\n\
-         # timeout: v0=backoff\n\
-         # subflow_dead: v0=reclaimed\n\
-         # subflow_finish: v0=dead v1=highest_sent v2=dctcp_alpha v3=dctcp_dupack_marks\n\
-         # ecn_mark: v0=buffered_bytes\n\
-         # queue_sample: v0=depth_pkts v1=buffered_bytes\n\
-         # plane_sample: v0=bytes_delta v1=utilization\n\
-         # subflow_sample: v0=cwnd v1=srtt_ps v2=in_flight\n"
+    /// leading comment lines by [`Telemetry::to_csv`]; kinds with no
+    /// `v`-column get no line.
+    pub fn csv_legend() -> String {
+        let mut out = String::new();
+        for (name, _, fields) in KINDS {
+            let v = fields.split(' ').filter(|f| !ID_COLUMNS.contains(f));
+            let line: Vec<String> = v.enumerate().map(|(i, f)| format!(" v{i}={f}")).collect();
+            if !line.is_empty() {
+                out.push_str(&format!("# {name}:{}\n", line.concat()));
+            }
+        }
+        out
     }
 
     /// Serialize every record as CSV with a fixed header and a per-event
     /// legend in leading `#` comments. Byte-identical across runs.
     pub fn to_csv(&self) -> String {
-        let mut out = String::from(Self::csv_legend());
+        let mut out = Self::csv_legend();
         out.push_str(Self::CSV_HEADER);
         out.push('\n');
         for r in &self.records {
@@ -784,11 +657,22 @@ mod tests {
     }
 
     #[test]
+    fn every_listed_name_parses_and_an_unknown_one_lists_them() {
+        for &(name, mask) in EventMask::NAMES {
+            assert_eq!(EventMask::from_names(name), Ok(mask), "{name}");
+        }
+        let err = EventMask::from_names("flow,bogus").unwrap_err();
+        assert!(err.contains("\"bogus\""), "{err}");
+        for (name, _) in EventMask::NAMES {
+            assert!(err.contains(name), "{name} missing from {err}");
+        }
+    }
+
+    #[test]
     fn default_config_is_disabled() {
         let cfg = TelemetryConfig::default();
         assert!(!cfg.enabled());
         assert!(TelemetryConfig::all(SimTime::from_us(10)).enabled());
-        assert!(TelemetryConfig::trace_only().enabled());
     }
 
     #[test]

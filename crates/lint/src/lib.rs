@@ -3,21 +3,21 @@
 //! A dependency-free lexical pass over the workspace's `.rs` files:
 //! [`lexer`] turns each file into tokens + comments and [`rules`] runs the
 //! token-level catalogue (D2/C1/F1/U1). This module walks the tree, applies
-//! inline waivers and the checked-in allowlist, and reports what is left.
+//! the inline [`waiver`]s, and reports what is left.
 //! Everything a type checker decides better (hash containers, float `==`,
 //! narrowing casts, catch-all arms, unstable sorts, undocumented `unsafe`)
 //! is clippy's job: `[workspace.lints.clippy]` plus `clippy.toml`. See
 //! DESIGN.md §"Static analysis & determinism contract".
 
-pub mod allowlist;
 pub mod lexer;
 pub mod rules;
+pub mod waiver;
 
-use allowlist::{parse_allowlist, parse_waivers, AllowEntry};
 use rules::{check_file, test_mask, FileCtx, Finding, Suppression};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use waiver::parse_waivers;
 
 /// Directories never scanned (build output, vendored deps, VCS, and the
 /// linter's own rule-violating fixtures).
@@ -32,8 +32,7 @@ pub struct ScanReport {
 
 impl ScanReport {
     /// Findings that fail the `check` gate: everything not suppressed by a
-    /// waiver or allowlist entry, including W1 (malformed waiver) and A1
-    /// (stale allowlist entry) meta-findings.
+    /// waiver, including W1 (malformed or dead waiver) meta-findings.
     pub fn active(&self) -> impl Iterator<Item = &Finding> {
         self.findings.iter().filter(|f| f.suppressed.is_none())
     }
@@ -42,8 +41,8 @@ impl ScanReport {
 /// Lint one file's contents: the rules, then the file's inline waivers. A
 /// waiver on a code line suppresses matching findings on that line; a waiver
 /// on a comment-only line suppresses matching findings on the next line.
-/// Waivers that end up suppressing nothing are themselves reported (W1) —
-/// dead waivers rot just like stale allowlist entries.
+/// Waivers that end up suppressing nothing are themselves reported (W1):
+/// a dead waiver must go, so the set can only shrink.
 pub fn lint_source(rel_path: &str, src: &str) -> Vec<Finding> {
     let lexed = lexer::lex(src);
     let mask = test_mask(&lexed.tokens);
@@ -127,14 +126,8 @@ fn rel_str(root: &Path, path: &Path) -> String {
         .replace('\\', "/")
 }
 
-/// Scan a workspace tree and apply the allowlist. A missing allowlist file
-/// is treated as empty (fresh checkouts lint clean without one).
-pub fn scan(root: &Path, allowlist_path: &Path) -> io::Result<ScanReport> {
-    let (entries, mut allow_findings) = match fs::read_to_string(allowlist_path) {
-        Ok(src) => parse_allowlist(&src, &rel_str(root, allowlist_path)),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => (Vec::new(), Vec::new()),
-        Err(e) => return Err(e),
-    };
+/// Lint every `.rs` file under `root`.
+pub fn scan(root: &Path) -> io::Result<ScanReport> {
     let paths = collect_rs_files(root)?;
     let files_scanned = paths.len();
     let mut findings = Vec::new();
@@ -144,24 +137,6 @@ pub fn scan(root: &Path, allowlist_path: &Path) -> io::Result<ScanReport> {
             &fs::read_to_string(path)?,
         ));
     }
-    // Allowlist pass: each entry must suppress at least one live finding,
-    // otherwise it is stale and reported under A1.
-    let mut used = vec![false; entries.len()];
-    for f in findings.iter_mut() {
-        if f.suppressed.is_some() {
-            continue;
-        }
-        if let Some(idx) = entries.iter().position(|e| e.matches(f)) {
-            f.suppressed = Some(Suppression::Allowlist);
-            used[idx] = true;
-        }
-    }
-    for (e, used) in entries.iter().zip(&used) {
-        if !used {
-            allow_findings.push(stale_entry_finding(e, &rel_str(root, allowlist_path)));
-        }
-    }
-    findings.append(&mut allow_findings);
     findings.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.col, a.rule).cmp(&(b.file.as_str(), b.line, b.col, b.rule))
     });
@@ -169,27 +144,6 @@ pub fn scan(root: &Path, allowlist_path: &Path) -> io::Result<ScanReport> {
         findings,
         files_scanned,
     })
-}
-
-fn stale_entry_finding(e: &AllowEntry, allowlist_rel: &str) -> Finding {
-    Finding {
-        rule: "A1",
-        file: allowlist_rel.to_string(),
-        line: e.line,
-        col: 1,
-        message: format!(
-            "stale allowlist entry: rule {} in `{}`{} matches no finding; remove it",
-            e.rule,
-            e.file,
-            if e.contains.is_empty() {
-                String::new()
-            } else {
-                format!(" (contains `{}`)", e.contains)
-            }
-        ),
-        snippet: String::new(),
-        suppressed: None,
-    }
 }
 
 /// Walk up from `start` to the first directory whose `Cargo.toml` declares
@@ -254,43 +208,5 @@ mod tests {
         // The C1 finding stays active; the D2 waiver is unused => W1.
         assert!(fs.iter().any(|f| f.rule == "C1" && f.suppressed.is_none()));
         assert!(fs.iter().any(|f| f.rule == "W1"));
-    }
-
-    #[test]
-    fn allowlist_roundtrip_and_stale_detection() {
-        let src = r#"
-[[allow]]
-rule = "D2"
-file = "crates/routing/src/x.rs"
-contains = "Instant"
-reason = "type only"
-
-[[allow]]
-rule = "C1"
-file = "crates/nowhere/src/y.rs"
-reason = "never matches"
-"#;
-        let (entries, errs) = parse_allowlist(src, "lint-allowlist.toml");
-        assert!(errs.is_empty(), "{errs:?}");
-        assert_eq!(entries.len(), 2);
-        let f = Finding {
-            rule: "D2",
-            file: "crates/routing/src/x.rs".to_string(),
-            line: 3,
-            col: 5,
-            message: String::new(),
-            snippet: "use std::time::Instant;".to_string(),
-            suppressed: None,
-        };
-        assert!(entries[0].matches(&f));
-        assert!(!entries[1].matches(&f));
-    }
-
-    #[test]
-    fn allowlist_rejects_unknown_rule_and_missing_reason() {
-        let src = "[[allow]]\nrule = \"Z9\"\nfile = \"x.rs\"\n";
-        let (_, errs) = parse_allowlist(src, "lint-allowlist.toml");
-        assert_eq!(errs.len(), 2); // unknown rule + missing reason
-        assert!(errs.iter().all(|f| f.rule == "A1"));
     }
 }

@@ -4,10 +4,10 @@
 //! * `check` — human-readable diagnostics for every unsuppressed finding;
 //!   exit 1 if any. This is the CI gate and what `tests/tidy.rs` shells to.
 //! * `list`  — every finding, suppressed ones included and marked as such.
-//! * `stats` — per-rule counts of active / waived / allowlisted findings.
+//! * `stats` — per-rule counts of active / waived findings.
 //!
-//! Flags: `--root <dir>` (default: walk up from cwd to the `[workspace]`
-//! manifest), `--allowlist <file>` (default: `<root>/lint-allowlist.toml`).
+//! Flag: `--root <dir>` (default: walk up from cwd to the `[workspace]`
+//! manifest).
 
 use pnet_lint::rules::{rule_summary, Finding, Suppression};
 use pnet_lint::{find_workspace_root, scan, ScanReport};
@@ -18,12 +18,10 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let mut mode: Option<String> = None;
     let mut root: Option<PathBuf> = None;
-    let mut allowlist: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--root" => root = args.next().map(PathBuf::from),
-            "--allowlist" => allowlist = args.next().map(PathBuf::from),
             "--help" | "-h" => {
                 print_usage();
                 return ExitCode::SUCCESS;
@@ -64,8 +62,7 @@ fn main() -> ExitCode {
             }
         }
     };
-    let allowlist = allowlist.unwrap_or_else(|| root.join("lint-allowlist.toml"));
-    let report = match scan(&root, &allowlist) {
+    let report = match scan(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("pnet-tidy: scan failed: {e}");
@@ -89,11 +86,11 @@ fn main() -> ExitCode {
 
 fn print_usage() {
     eprintln!(
-        "usage: pnet-tidy [check|list|stats] [--root <dir>] [--allowlist <file>]\n\
+        "usage: pnet-tidy [check|list|stats] [--root <dir>]\n\
          \n\
          check    exit 1 on any unwaived finding (default; the CI gate)\n\
          list     all findings, suppressed included\n\
-         stats    per-rule active/waived/allowlisted counts"
+         stats    per-rule active/waived counts"
     );
 }
 
@@ -101,7 +98,6 @@ fn print_finding(f: &Finding) {
     let how = match f.suppressed {
         None => "",
         Some(Suppression::Waiver) => " (waived)",
-        Some(Suppression::Allowlist) => " (allowlisted)",
     };
     println!(
         "{}:{}:{}: [{}]{how} {}\n    {}",
@@ -133,19 +129,18 @@ fn run_check(report: &ScanReport) -> ExitCode {
 }
 
 fn run_stats(report: &ScanReport) {
-    // rule -> (active, waived, allowlisted)
-    let mut by_rule: BTreeMap<&str, (usize, usize, usize)> = BTreeMap::new();
+    // rule -> (active, waived)
+    let mut by_rule: BTreeMap<&str, (usize, usize)> = BTreeMap::new();
     for f in &report.findings {
         let e = by_rule.entry(f.rule).or_default();
         match f.suppressed {
             None => e.0 += 1,
             Some(Suppression::Waiver) => e.1 += 1,
-            Some(Suppression::Allowlist) => e.2 += 1,
         }
     }
-    println!("rule  active  waived  allowlisted  description");
-    for (rule, (a, w, al)) in &by_rule {
-        println!("{rule:<5} {a:>6}  {w:>6}  {al:>11}  {}", rule_summary(rule));
+    println!("rule  active  waived  description");
+    for (rule, (a, w)) in &by_rule {
+        println!("{rule:<5} {a:>6}  {w:>6}  {}", rule_summary(rule));
     }
     println!("files scanned: {}", report.files_scanned);
 }

@@ -15,16 +15,16 @@ use crate::lexer::{Token, TokenKind};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     /// Rule id: D2, C1, F1, U1 (this module) — or W1 (malformed or dead
-    /// waiver) / A1 (stale allowlist entry), produced by the driver.
+    /// waiver), produced by the driver.
     pub rule: &'static str,
     /// Path relative to the scanned root, forward slashes.
     pub file: String,
     pub line: u32,
     pub col: u32,
     pub message: String,
-    /// The trimmed source line, for humans and for allowlist `contains`.
+    /// The trimmed source line, for humans.
     pub snippet: String,
-    /// Set by the driver when a waiver or allowlist entry suppresses this.
+    /// Set by the driver when a waiver suppresses this.
     pub suppressed: Option<Suppression>,
 }
 
@@ -32,7 +32,6 @@ pub struct Finding {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Suppression {
     Waiver,
-    Allowlist,
 }
 
 /// Human-readable one-liner for each rule id (used by `stats` and docs).
@@ -43,7 +42,6 @@ pub fn rule_summary(rule: &str) -> &'static str {
         "U1" => "inline unit-conversion constant on a unit-bearing value",
         "F1" => "partial_cmp-based float ordering (use total_cmp)",
         "W1" => "malformed or dead pnet-tidy waiver comment",
-        "A1" => "stale allowlist entry (matches no finding)",
         _ => "unknown rule",
     }
 }

@@ -1,6 +1,6 @@
 //! End-to-end scan of the rule-violating fixture workspace under
-//! `fixtures/ws/`: one deliberate violation per rule, a waived and an
-//! allowlisted variant, a dead waiver, and a stale allowlist entry. The
+//! `fixtures/ws/`: one deliberate violation per rule, a waived variant, and
+//! a dead waiver. The
 //! fixture tree is excluded from real workspace scans (`fixtures` is in the
 //! linter's excluded-dirs list), so these violations never gate CI — they
 //! exist to pin the scanner's exact output.
@@ -14,8 +14,7 @@ fn fixture_root() -> std::path::PathBuf {
 }
 
 fn scan_fixtures() -> pnet_lint::ScanReport {
-    let root = fixture_root();
-    scan(&root, &root.join("lint-allowlist.toml")).expect("fixture scan must succeed")
+    scan(&fixture_root()).expect("fixture scan must succeed")
 }
 
 /// 1-based column of `needle` on 1-based `line` of the fixture file.
@@ -48,14 +47,13 @@ fn fixture_scan_reports_exact_rule_ids_and_spans() {
         at(f1, "F1", 12, "partial_cmp", waived),
         // flowsim: the dead waiver.
         ("crates/flowsim/src/lib.rs".to_string(), "W1", 3, 1, None),
-        // htsim: active unwrap, allowlisted panic, then `unreachable!` bare
-        // (active) and with a non-invariant message (waived). The
-        // `expect("invariant: ...")` on line 8 and the
-        // `unreachable!("invariant: ...")` on line 34 are sanctioned.
+        // htsim: active unwrap, then `unreachable!` bare (active) and with a
+        // non-invariant message (waived). The `expect("invariant: ...")` on
+        // line 8 and the `unreachable!("invariant: ...")` on line 30 are
+        // sanctioned.
         at(c1, "C1", 4, "unwrap", None),
-        at(c1, "C1", 12, "panic", Some(Suppression::Allowlist)),
-        at(c1, "C1", 18, "unreachable", None),
-        at(c1, "C1", 26, "unreachable", waived),
+        at(c1, "C1", 14, "unreachable", None),
+        at(c1, "C1", 22, "unreachable", waived),
         // htsim/units: inline /1e6 conversion and its waived twin. (`n * 1000`
         // on line 4 names no unit: clean.)
         at(u1, "U1", 8, "1e6", None),
@@ -72,9 +70,6 @@ fn fixture_scan_reports_exact_rule_ids_and_spans() {
         at(d2, "D2", 24, "Builder", waived),
         // routing: active wall-clock read.
         at("crates/routing/src/lib.rs", "D2", 3, "Instant", None),
-        // The stale allowlist entry is itself a finding, anchored at its
-        // `[[allow]]` header line.
-        ("lint-allowlist.toml".to_string(), "A1", 7, 1, None),
     ];
     assert_eq!(got, expected);
 }
@@ -83,15 +78,15 @@ fn fixture_scan_reports_exact_rule_ids_and_spans() {
 fn fixture_scan_fails_the_check_gate() {
     let report = scan_fixtures();
     let active: Vec<_> = report.active().map(|f| f.rule).collect();
-    // Every enforceable rule trips at least once, and the two meta-rules
-    // (dead waiver, stale allowlist entry) are active findings too.
-    for rule in ["D2", "C1", "U1", "F1", "W1", "A1"] {
+    // Every enforceable rule trips at least once, and the dead waiver is an
+    // active finding too.
+    for rule in ["D2", "C1", "U1", "F1", "W1"] {
         assert!(
             active.contains(&rule),
             "rule {rule} missing from {active:?}"
         );
     }
-    assert_eq!(active.len(), 10);
+    assert_eq!(active.len(), 9);
 }
 
 #[test]
@@ -106,7 +101,6 @@ fn fixture_suppressions_carry_their_mechanism() {
         suppressed,
         vec![
             ("F1", Suppression::Waiver),
-            ("C1", Suppression::Allowlist),
             ("C1", Suppression::Waiver),
             ("U1", Suppression::Waiver),
             ("D2", Suppression::Waiver),

@@ -263,12 +263,11 @@ pub struct Planner {
 const QUERY_KSP: u64 = 1;
 const QUERY_IDEAL: u64 = 2;
 
-fn query_tag(kind: u64, k: usize, eps: f64, host_links_free: bool) -> u64 {
+fn query_tag(kind: u64, k: usize, eps: f64) -> u64 {
     let mut h = Fnv::new();
     h.u64(kind);
     h.u64(k as u64);
     h.u64(eps.to_bits());
-    h.u64(u64::from(host_links_free));
     h.0
 }
 
@@ -371,7 +370,7 @@ impl Planner {
         let key = MemoKey {
             topology: generation.topology_fp,
             commodities: commodity_fingerprint(tm),
-            query: query_tag(QUERY_KSP, k, self.cfg.eps, false),
+            query: query_tag(QUERY_KSP, k, self.cfg.eps),
         };
         self.memo.get_or_solve(key, || {
             throughput::try_ksp_solution(
@@ -401,7 +400,7 @@ impl Planner {
         let key = MemoKey {
             topology: topology_fp,
             commodities: commodity_fingerprint(tm),
-            query: query_tag(QUERY_IDEAL, 0, self.cfg.eps, false),
+            query: query_tag(QUERY_IDEAL, 0, self.cfg.eps),
         };
         self.memo.get_or_solve(key, || {
             throughput::try_ideal_solution(

@@ -15,14 +15,14 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Cache key: the topology and commodity-set fingerprints plus a query tag
 /// folding everything else that can change solver output (query kind, K,
-/// the exact bits of ε, host-links-free).
+/// the exact bits of ε).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct MemoKey {
     /// [`crate::fingerprint::topology_fingerprint`] of the queried network.
     pub topology: u64,
     /// [`crate::fingerprint::commodity_fingerprint`] of the traffic matrix.
     pub commodities: u64,
-    /// FNV-1a fold of the query shape (kind tag, K, ε bits, options).
+    /// FNV-1a fold of the query shape (kind tag, K, ε bits).
     pub query: u64,
 }
 

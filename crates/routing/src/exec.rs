@@ -67,25 +67,6 @@ impl Parallelism {
     }
 }
 
-/// Sum floats in slice order, always. Float addition does not associate, so
-/// any reduction whose operand order can vary (tree reductions, rayon `sum`)
-/// is a determinism hazard; this left fold is the blessed way to consume
-/// parallel-produced values (`map_indexed` output arrives in index order, and
-/// this keeps it that way).
-pub fn ordered_sum_f64(xs: &[f64]) -> f64 {
-    xs.iter().fold(0.0, |acc, &x| acc + x)
-}
-
-/// Left fold over floats in slice order — [`ordered_sum_f64`] generalized to
-/// any accumulator (min/max trackers, Kahan compensation, weighted sums).
-pub fn ordered_fold_f64<A>(xs: &[f64], init: A, mut f: impl FnMut(A, f64) -> A) -> A {
-    let mut acc = init;
-    for &x in xs {
-        acc = f(acc, x);
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,17 +94,5 @@ mod tests {
     fn thread_counts() {
         assert_eq!(Parallelism::Serial.threads(), 1);
         assert!(Parallelism::Rayon.threads() >= 1);
-    }
-
-    #[test]
-    fn ordered_sum_is_the_left_fold() {
-        // Values chosen so order matters: (big + tiny) - big loses the tiny,
-        // while (big - big) + tiny keeps it. A reassociating sum would differ.
-        let xs = [1e16, 1.0, -1e16];
-        assert_eq!(ordered_sum_f64(&xs), 0.0 + 1e16 + 1.0 + -1e16);
-        assert_eq!(
-            ordered_fold_f64(&xs, 0.0, |a, x| a + x).to_bits(),
-            ordered_sum_f64(&xs).to_bits()
-        );
     }
 }

@@ -47,7 +47,7 @@ pub mod yen;
 
 pub use disjoint::{are_edge_disjoint, edge_disjoint_paths};
 pub use ecmp::{flow_hash, hash_index, hash_plane, hash_select};
-pub use exec::{ordered_fold_f64, ordered_sum_f64, Parallelism};
+pub use exec::Parallelism;
 pub use fnv::Fnv;
 pub use path::{
     host_route, reverse_route, rotate_ties, sort_paths, tie_rotated, Path, PathRef, PathSet,

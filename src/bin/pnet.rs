@@ -28,6 +28,7 @@ use pnet_bench::{exp::table1, setups, ArgError, Args, Error, Param, Table};
 use std::io::stdout;
 
 fn usage() -> ! {
+    let trace_events: Vec<&str> = EventMask::NAMES.iter().map(|(name, _)| *name).collect();
     eprintln!(
         "pnet — Parallel Dataplane Networks (CoNEXT'22 reproduction)
 
@@ -49,7 +50,8 @@ SUBCOMMANDS:
   simulate     packet-level FCTs of a permutation of flows
                (topology flags) --size BYTES --policy ... --kpaths K
                --trace-out FILE[.jsonl|.csv] --sample-interval DUR (e.g. 100us)
-               --trace-events flow,retransmit,timeout,subflow-dead,ecn,link,samples|all
+               --trace-events LIST, comma-separated from
+                 {}
   components   Table 1 component accounting
                --hosts N --planes N
   exp          regenerate a table or figure of the paper: exp <name> [flags];
@@ -61,7 +63,8 @@ EXAMPLES:
   pnet throughput --pattern permutation --kpaths 16 --planes 2
   pnet plan --pattern permutation --planes 4 --what-if-cables 2
   pnet simulate --size 1m --policy plane-ksp --planes 4
-  pnet simulate --size 1m --trace-out trace.jsonl --sample-interval 100us"
+  pnet simulate --size 1m --trace-out trace.jsonl --sample-interval 100us",
+        trace_events.join(",")
     );
     std::process::exit(2);
 }

@@ -4,8 +4,8 @@
 //! filters must admit exactly the events they name.
 
 use pnet::htsim::{
-    run_to_completion, CcAlgo, EventMask, FlowSpec, SimConfig, SimTime, Simulator, TelemetryConfig,
-    TraceRecord,
+    run_to_completion, CcAlgo, EventMask, FlowSpec, SimConfig, SimTime, Simulator, Telemetry,
+    TelemetryConfig, TraceRecord,
 };
 use pnet::routing::{host_route, RouteAlgo, Router};
 use pnet::topology::{
@@ -282,6 +282,231 @@ fn samplers_emit_queue_plane_and_subflow_records() {
         last_t <= last_finish + SimTime::from_us(5).as_ps(),
         "sampler kept running after the network drained"
     );
+}
+
+/// 64-bit FNV-1a over bytes: a compact pin for a multi-megabyte export.
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The export formats, pinned byte for byte: one hand-built record of each
+/// kind (both values of `dead`, floats that exercise shortest round-trip
+/// formatting), the CSV legend, and the full JSONL and CSV of an incast that
+/// emits every kind. Any change to a field name, field order, column
+/// placement or number format fails here.
+#[test]
+fn exports_are_pinned_byte_for_byte() {
+    let t = SimTime::from_ns(7);
+    let records = [
+        TraceRecord::FlowStart {
+            t,
+            conn: 1,
+            src: 2,
+            dst: 3,
+            size_bytes: 4,
+            n_subflows: 5,
+        },
+        TraceRecord::FlowFinish {
+            t,
+            conn: 1,
+            fct_ps: 6,
+            retransmits: 7,
+            timeouts: 8,
+        },
+        TraceRecord::Retransmit {
+            t,
+            conn: 1,
+            subflow: 2,
+            seq: 9,
+        },
+        TraceRecord::Timeout {
+            t,
+            conn: 1,
+            subflow: 2,
+            backoff: 3,
+        },
+        TraceRecord::SubflowDead {
+            t,
+            conn: 1,
+            subflow: 2,
+            reclaimed: 4,
+        },
+        TraceRecord::SubflowFinish {
+            t,
+            conn: 1,
+            subflow: 2,
+            dead: true,
+            highest_sent: 10,
+            dctcp_alpha: 0.1,
+            dctcp_dupack_marks: 11,
+        },
+        TraceRecord::SubflowFinish {
+            t,
+            conn: 1,
+            subflow: 3,
+            dead: false,
+            highest_sent: 12,
+            dctcp_alpha: 1e-20,
+            dctcp_dupack_marks: 0,
+        },
+        TraceRecord::EcnMark {
+            t,
+            link: 13,
+            buffered_bytes: 14,
+        },
+        TraceRecord::LinkDown { t, link: 15 },
+        TraceRecord::LinkUp { t, link: 16 },
+        TraceRecord::QueueSample {
+            t,
+            link: 17,
+            depth_pkts: 18,
+            buffered_bytes: 19,
+        },
+        TraceRecord::PlaneSample {
+            t,
+            plane: 1,
+            bytes_delta: 20,
+            utilization: 1.0 / 3.0,
+        },
+        TraceRecord::SubflowSample {
+            t,
+            conn: 1,
+            subflow: 2,
+            cwnd: 12.5,
+            srtt_ps: 1e9,
+            in_flight: 21,
+        },
+    ];
+    let json: Vec<String> = records.iter().map(TraceRecord::to_json).collect();
+    let csv: Vec<String> = records.iter().map(TraceRecord::to_csv_row).collect();
+    assert_eq!(
+        json.join("\n"),
+        "\
+{\"t_ps\":7000,\"event\":\"flow_start\",\"conn\":1,\"src\":2,\"dst\":3,\"size_bytes\":4,\"n_subflows\":5}
+{\"t_ps\":7000,\"event\":\"flow_finish\",\"conn\":1,\"fct_ps\":6,\"retransmits\":7,\"timeouts\":8}
+{\"t_ps\":7000,\"event\":\"retransmit\",\"conn\":1,\"subflow\":2,\"seq\":9}
+{\"t_ps\":7000,\"event\":\"timeout\",\"conn\":1,\"subflow\":2,\"backoff\":3}
+{\"t_ps\":7000,\"event\":\"subflow_dead\",\"conn\":1,\"subflow\":2,\"reclaimed\":4}
+{\"t_ps\":7000,\"event\":\"subflow_finish\",\"conn\":1,\"subflow\":2,\"dead\":true,\"highest_sent\":10,\"dctcp_alpha\":0.1,\"dctcp_dupack_marks\":11}
+{\"t_ps\":7000,\"event\":\"subflow_finish\",\"conn\":1,\"subflow\":3,\"dead\":false,\"highest_sent\":12,\"dctcp_alpha\":0.00000000000000000001,\"dctcp_dupack_marks\":0}
+{\"t_ps\":7000,\"event\":\"ecn_mark\",\"link\":13,\"buffered_bytes\":14}
+{\"t_ps\":7000,\"event\":\"link_down\",\"link\":15}
+{\"t_ps\":7000,\"event\":\"link_up\",\"link\":16}
+{\"t_ps\":7000,\"event\":\"queue_sample\",\"link\":17,\"depth_pkts\":18,\"buffered_bytes\":19}
+{\"t_ps\":7000,\"event\":\"plane_sample\",\"plane\":1,\"bytes_delta\":20,\"utilization\":0.3333333333333333}
+{\"t_ps\":7000,\"event\":\"subflow_sample\",\"conn\":1,\"subflow\":2,\"cwnd\":12.5,\"srtt_ps\":1000000000,\"in_flight\":21}"
+    );
+    assert_eq!(
+        csv.join("\n"),
+        "\
+7000,flow_start,1,,,,2,3,4,5
+7000,flow_finish,1,,,,6,7,8,
+7000,retransmit,1,2,,,9,,,
+7000,timeout,1,2,,,3,,,
+7000,subflow_dead,1,2,,,4,,,
+7000,subflow_finish,1,2,,,1,10,0.1,11
+7000,subflow_finish,1,3,,,0,12,0.00000000000000000001,0
+7000,ecn_mark,,,13,,14,,,
+7000,link_down,,,15,,,,,
+7000,link_up,,,16,,,,,
+7000,queue_sample,,,17,,18,19,,
+7000,plane_sample,,,,1,20,0.3333333333333333,,
+7000,subflow_sample,1,2,,,12.5,1000000000,21,"
+    );
+    assert_eq!(
+        Telemetry::csv_legend(),
+        "\
+# flow_start: v0=src v1=dst v2=size_bytes v3=n_subflows
+# flow_finish: v0=fct_ps v1=retransmits v2=timeouts
+# retransmit: v0=seq
+# timeout: v0=backoff
+# subflow_dead: v0=reclaimed
+# subflow_finish: v0=dead v1=highest_sent v2=dctcp_alpha v3=dctcp_dupack_marks
+# ecn_mark: v0=buffered_bytes
+# queue_sample: v0=depth_pkts v1=buffered_bytes
+# plane_sample: v0=bytes_delta v1=utilization
+# subflow_sample: v0=cwnd v1=srtt_ps v2=in_flight
+"
+    );
+
+    // The incast: 8 two-plane flows into host 15, DCTCP and LIA alternating,
+    // one plane-1 cable dark for the whole run (timeouts, a dead subflow,
+    // re-injection) and restored once it drains.
+    let n = net(2);
+    let cfg = SimConfig {
+        ecn_threshold_packets: Some(5),
+        telemetry: TelemetryConfig {
+            events: EventMask::ALL | EventMask::SUBFLOW_FINISH,
+            sample_interval: Some(SimTime::from_us(10)),
+        },
+        ..SimConfig::default()
+    };
+    let mut sim = Simulator::new(&n, cfg);
+    let dst = HostId(15);
+    for i in 0..8u32 {
+        let src = HostId(i);
+        sim.start_flow(FlowSpec {
+            src,
+            dst,
+            size_bytes: 200_000,
+            routes: vec![route(&n, src, dst, 0), route(&n, src, dst, 1)],
+            cc: if i % 2 == 0 {
+                CcAlgo::Dctcp
+            } else {
+                CcAlgo::Lia
+            },
+            owner_tag: u64::from(i),
+        });
+    }
+    let dark = route(&n, HostId(0), dst, 1)[1];
+    sim.fail_link(dark);
+    run_to_completion(&mut sim);
+    sim.restore_link(dark);
+    let tl = sim.telemetry().expect("telemetry was enabled");
+    let mut kinds: Vec<String> = tl
+        .records()
+        .iter()
+        .map(|r| {
+            let row = r.to_csv_row();
+            row.split(',')
+                .nth(1)
+                .expect("column 1 is the event")
+                .to_string()
+        })
+        .collect();
+    kinds.sort_unstable();
+    kinds.dedup();
+    assert_eq!(
+        kinds.len(),
+        12,
+        "the incast must emit every kind: {kinds:?}"
+    );
+    let (jsonl, csv) = (tl.to_jsonl(), tl.to_csv());
+    let got = (
+        tl.len(),
+        jsonl.lines().count(),
+        fnv1a(&jsonl),
+        csv.lines().count(),
+        fnv1a(&csv),
+    );
+    assert_eq!(
+        got,
+        (
+            42_897,
+            42_897,
+            3_702_415_775_767_840_136,
+            42_908,
+            18_195_718_991_248_061_330
+        )
+    );
+    // Every CSV row, legend and header aside, has the header's arity.
+    let cols = Telemetry::CSV_HEADER.split(',').count();
+    assert!(csv
+        .lines()
+        .filter(|l| !l.starts_with('#'))
+        .all(|l| l.split(',').count() == cols));
 }
 
 #[test]
