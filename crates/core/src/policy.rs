@@ -275,10 +275,10 @@ impl<'a> Flow<'a> {
         // Every plane's shortest tier that is as short as the best plane's,
         // in plane order.
         let tiers = sets.iter().map(|set| set.iter().take(set.shortest_tier()));
-        let best_len = tiers.clone().flatten().map(|p| p.links.len()).min();
+        let best_len = tiers.clone().flatten().map(|p| p.n_links()).min();
         let ties: Vec<PathRef> = tiers
             .flatten()
-            .filter(|p| Some(p.links.len()) == best_len)
+            .filter(|p| Some(p.n_links()) == best_len)
             .collect();
         if ties.is_empty() {
             return Vec::new();

@@ -1358,7 +1358,7 @@ impl AnyPathOracle {
 }
 
 /// Convenience: rack paths (`&Path`s, or the views of a
-/// [`pnet_routing::PathSet`]) expanded to full host routes for one commodity.
+/// [`pnet_routing::PlanePaths`]) expanded to full host routes for one commodity.
 pub fn expand_host_routes<'a, P: Into<pnet_routing::PathRef<'a>>>(
     net: &Network,
     src: HostId,

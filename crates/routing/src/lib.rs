@@ -51,6 +51,7 @@ pub use exec::Parallelism;
 pub use fnv::Fnv;
 pub use path::{
     host_route, reverse_route, rotate_ties, sort_paths, tie_rotated, Path, PathRef, PathSet,
+    PlanePaths,
 };
 pub use plane_graph::PlaneGraph;
 pub use router::{DeltaStats, RouteAlgo, Router};

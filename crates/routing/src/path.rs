@@ -6,12 +6,15 @@
 //! the packet simulator are derived with [`host_route`], which prepends the
 //! source host's uplink and appends the destination host's downlink.
 //!
-//! An owned [`Path`] is what a query *returns*; the route table holds
-//! [`PathSet`]s — one allocation per (plane, src, dst) entry — and lends
-//! [`PathRef`] views of them.
+//! An owned [`Path`] is what a query *returns*. The route table holds
+//! [`PathSet`]s — one allocation per distinct entry, its links stored
+//! relative to the plane's [base](crate::PlaneGraph::base), so that every
+//! plane of a shape class shares one set — and lends them as
+//! [`PlanePaths`], which decode [`PathRef`]s in one plane on read.
 
-use crate::plane_graph::PlaneGraph;
 use pnet_topology::{HostId, LinkId, Network, PlaneId};
+use std::fmt;
+use std::sync::Arc;
 
 /// A rack-to-rack path inside one plane.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -77,23 +80,50 @@ impl Path {
     }
 }
 
-/// A borrowed [`Path`]: what a [`PathSet`] lends and every reader of a path
-/// takes (`&Path` converts).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A borrowed [`Path`]: what a [`PlanePaths`] lends and every reader of a
+/// path takes (`&Path` converts). Equal when plane and links are.
+#[derive(Clone, Copy)]
 pub struct PathRef<'a> {
     /// The plane the path lives in.
     pub plane: PlaneId,
-    /// Fabric links from the source ToR to the destination ToR.
-    pub links: &'a [LinkId],
+    /// Added to every id of `rel`.
+    base: u32,
+    rel: &'a [LinkId],
 }
 
-impl PathRef<'_> {
+impl<'a> PathRef<'a> {
+    /// Number of fabric links.
+    pub fn n_links(self) -> usize {
+        self.rel.len()
+    }
+
+    /// Fabric links from the source ToR to the destination ToR.
+    pub fn links(self) -> impl DoubleEndedIterator<Item = LinkId> + ExactSizeIterator + Clone + 'a {
+        let base = self.base;
+        self.rel.iter().map(move |l| LinkId(l.0 + base))
+    }
+
     /// The path, owned.
     pub fn to_path(self) -> Path {
         Path {
             plane: self.plane,
-            links: self.links.to_vec(),
+            links: self.links().collect(),
         }
+    }
+}
+
+impl PartialEq for PathRef<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.plane == other.plane && self.links().eq(other.links())
+    }
+}
+
+impl Eq for PathRef<'_> {}
+
+impl fmt::Debug for PathRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} ", self.plane)?;
+        f.debug_list().entries(self.links()).finish()
     }
 }
 
@@ -101,44 +131,30 @@ impl<'a> From<&'a Path> for PathRef<'a> {
     fn from(path: &'a Path) -> Self {
         PathRef {
             plane: path.plane,
-            links: &path.links,
+            base: 0,
+            rel: &path.links,
         }
     }
 }
 
 /// The paths of one route-table entry, shortest first ([`sort_paths`]
-/// order), all in one plane and one allocation.
-#[derive(Debug)]
+/// order), in one allocation and in no plane: each link is stored as its
+/// offset from the plane's [base](crate::PlaneGraph::base). Planes of one
+/// [shape class](crate::plane_graph::shape_classes) compute equal sets, so
+/// they share one; [`PlanePaths`] reads it in a given plane.
+#[derive(Debug, PartialEq, Eq)]
 pub struct PathSet {
-    plane: PlaneId,
     n_paths: u16,
     /// `n_paths.div_ceil(2)` words holding each path's end offset into the
     /// links (`u16`, two to a word), then every path's links back to back.
     block: Box<[LinkId]>,
 }
 
-/// Path for path: an empty set equals an empty set, whatever its plane.
-impl PartialEq for PathSet {
-    fn eq(&self, other: &PathSet) -> bool {
-        self.iter().eq(other.iter())
-    }
-}
-
-impl From<&[Path]> for PathSet {
-    /// Flatten `paths`, which share one plane (an empty list gives an empty
-    /// set in plane 0) and are in [`sort_paths`] order.
-    fn from(paths: &[Path]) -> Self {
-        let plane = paths.first().map_or(PlaneId(0), |p| p.plane);
-        assert!(paths.iter().all(|p| p.plane == plane), "one plane per set");
-        PathSet::from_links(plane, paths.iter().map(|p| p.links.iter().copied()))
-    }
-}
-
 impl PathSet {
-    /// The set of `paths`, each the links of one path of `plane`, in
-    /// [`sort_paths`] order.
+    /// The set of `paths`, each the links of one path of a plane whose base
+    /// is `base`, in [`sort_paths`] order.
     pub(crate) fn from_links<P: ExactSizeIterator<Item = LinkId>>(
-        plane: PlaneId,
+        base: u32,
         paths: impl ExactSizeIterator<Item = P> + Clone,
     ) -> PathSet {
         let (n_paths, n_links) = (paths.len(), paths.clone().map(|p| p.len()).sum::<usize>());
@@ -151,11 +167,10 @@ impl PathSet {
         let mut block = Vec::with_capacity(head + n_links);
         block.resize(head, LinkId(0));
         for (i, path) in paths.enumerate() {
-            block.extend(path);
+            block.extend(path.map(|l| LinkId(l.0 - base)));
             block[i / 2].0 |= ((block.len() - head) as u32) << (16 * (i % 2));
         }
         PathSet {
-            plane,
             n_paths: n_paths as u16,
             block: block.into_boxed_slice(),
         }
@@ -176,23 +191,71 @@ impl PathSet {
         usize::from((self.block[i / 2].0 >> (16 * (i % 2))) as u16)
     }
 
-    /// Words of `block` before the links.
-    fn head(&self) -> usize {
-        self.len().div_ceil(2)
+    /// Every link of every path, back to back in path order, as offsets
+    /// from the plane base.
+    pub(crate) fn links(&self) -> &[LinkId] {
+        &self.block[self.len().div_ceil(2)..]
     }
 
-    /// Every link of every path, back to back in path order.
-    pub(crate) fn links(&self) -> &[LinkId] {
-        &self.block[self.head()..]
+    /// Path `i`'s links as offsets from the plane base. Panics past the end.
+    pub(crate) fn rel(&self, i: usize) -> &[LinkId] {
+        assert!(i < self.len(), "path {i} of a {}-path set", self.len());
+        let start = if i == 0 { 0 } else { self.end(i - 1) };
+        &self.links()[start..self.end(i)]
+    }
+}
+
+/// A [`PathSet`] read in one plane: what
+/// [`Router::paths_in_plane`](crate::Router::paths_in_plane) returns. Links
+/// decode on read; cloning copies a pointer.
+#[derive(Debug, Clone)]
+pub struct PlanePaths {
+    plane: PlaneId,
+    /// The plane's [`PlaneGraph::base`](crate::PlaneGraph::base).
+    base: u32,
+    pub(crate) set: Arc<PathSet>,
+}
+
+/// Path for path: an empty set equals an empty set, whatever its plane.
+impl PartialEq for PlanePaths {
+    fn eq(&self, other: &PlanePaths) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl From<&[Path]> for PlanePaths {
+    /// Flatten `paths`, which share one plane (an empty list gives an empty
+    /// set in plane 0) and are in [`sort_paths`] order.
+    fn from(paths: &[Path]) -> Self {
+        let plane = paths.first().map_or(PlaneId(0), |p| p.plane);
+        assert!(paths.iter().all(|p| p.plane == plane), "one plane per set");
+        let links = paths.iter().map(|p| p.links.iter().copied());
+        PlanePaths::new(plane, 0, Arc::new(PathSet::from_links(0, links)))
+    }
+}
+
+impl PlanePaths {
+    /// `set` read in `plane`, whose base is `base`.
+    pub(crate) fn new(plane: PlaneId, base: u32, set: Arc<PathSet>) -> Self {
+        PlanePaths { plane, base, set }
+    }
+
+    /// Number of paths.
+    pub fn len(&self) -> usize {
+        self.set.len()
+    }
+
+    /// True when the racks are disconnected in this plane.
+    pub fn is_empty(&self) -> bool {
+        self.set.is_empty()
     }
 
     /// Path `i`, 0 being the shortest. Panics past the end.
     pub fn get(&self, i: usize) -> PathRef<'_> {
-        assert!(i < self.len(), "path {i} of a {}-path set", self.len());
-        let start = if i == 0 { 0 } else { self.end(i - 1) };
         PathRef {
             plane: self.plane,
-            links: &self.links()[start..self.end(i)],
+            base: self.base,
+            rel: self.set.rel(i),
         }
     }
 
@@ -203,29 +266,15 @@ impl PathSet {
 
     /// How many leading paths are as short as the first one.
     pub fn shortest_tier(&self) -> usize {
-        let best = self.iter().next().map(|p| p.links.len());
+        let best = self.iter().next().map(|p| p.n_links());
         self.iter()
-            .take_while(|p| Some(p.links.len()) == best)
+            .take_while(|p| Some(p.n_links()) == best)
             .count()
     }
 
     /// [`tie_rotated`] over this set.
     pub fn tie_rotated(&self, hash: u64) -> impl Iterator<Item = usize> + '_ {
-        rotated(self.len(), |i| self.get(i).links.len(), hash)
-    }
-
-    /// This set as it runs in the same-shape plane `to`, `pos` being the
-    /// [`PlaneGraph::link_positions`] of its own plane.
-    pub(crate) fn translate(&self, pos: &[u32], to: &PlaneGraph) -> PathSet {
-        let mut block = self.block.clone();
-        for l in &mut block[self.head()..] {
-            *l = to.link_at(pos[l.index()] as usize);
-        }
-        PathSet {
-            plane: to.plane,
-            n_paths: self.n_paths,
-            block,
-        }
+        rotated(self.len(), |i| self.set.rel(i).len(), hash)
     }
 }
 
@@ -245,9 +294,9 @@ pub fn host_route<'a>(
     if !net.link(down).up {
         return None;
     }
-    let mut route = Vec::with_capacity(path.links.len() + 2);
+    let mut route = Vec::with_capacity(path.n_links() + 2);
     route.push(up);
-    route.extend_from_slice(path.links);
+    route.extend(path.links());
     route.push(down);
     // The rack path must start at src's ToR and end at dst's ToR.
     debug_assert_eq!(
@@ -371,39 +420,6 @@ mod tests {
         assert_eq!(paths[0].links.len(), 1);
         assert_eq!(paths[1].plane, PlaneId(0));
         assert_eq!(paths[2].plane, PlaneId(1));
-    }
-
-    /// Translating a flat set moves every path as translating it alone
-    /// would, and lands on what the other plane computes for itself.
-    #[test]
-    fn flat_translation_equals_per_path_translation() {
-        let net = assemble_homogeneous(
-            &pnet_topology::Jellyfish::new(12, 3, 1, 4),
-            2,
-            &LinkProfile::paper_default(),
-        );
-        let [from, to] = [0, 1].map(|p| PlaneGraph::build(&net, PlaneId(p)));
-        let pos = from.link_positions();
-        for k in [1, 2, 7, 8] {
-            let paths = crate::ksp(&from, pnet_topology::RackId(0), pnet_topology::RackId(9), k);
-            let per_path: Vec<Path> = paths
-                .iter()
-                .map(|path| Path {
-                    plane: to.plane,
-                    links: (path.links.iter())
-                        .map(|l| to.link_at(pos[l.index()] as usize))
-                        .collect(),
-                })
-                .collect();
-            let moved = PathSet::from(paths.as_slice()).translate(pos, &to);
-            assert_eq!(moved, PathSet::from(per_path.as_slice()));
-            assert_eq!(
-                per_path,
-                crate::ksp(&to, pnet_topology::RackId(0), pnet_topology::RackId(9), k)
-            );
-        }
-        let empty = PathSet::from(&[][..]).translate(pos, &to);
-        assert!(empty.is_empty() && empty.iter().next().is_none());
     }
 
     #[test]

@@ -40,15 +40,13 @@ pub struct PlaneGraph {
     /// Exclusive upper bound on the link ids appearing in this plane graph
     /// (sizes the per-link scratch arrays of [`crate::scratch::RouteScratch`]).
     link_bound: u32,
+    /// See [`PlaneGraph::base`].
+    base: u32,
     /// Hop count of every ordered switch pair, target-major: entry
     /// `t * n + v` is the length of the shortest `v -> t` path. Filled by the
     /// first [`PlaneGraph::hops_to`], so a snapshot nobody routes on (the
     /// solver's per-solve graphs) never pays for it.
     hops: OnceLock<Vec<u16>>,
-    /// Flat CSR position of each link, indexed by link id (`u32::MAX` for
-    /// ids outside the plane). Filled by the first
-    /// [`PlaneGraph::link_positions`].
-    link_pos: OnceLock<Vec<u32>>,
 }
 
 impl PlaneGraph {
@@ -92,6 +90,8 @@ impl PlaneGraph {
         for i in 1..=n {
             offsets[i] += offsets[i - 1];
         }
+        // Link ids ascend, so the plane's first link is its lowest.
+        let base = net.links().find(|(_, link)| link.plane == plane);
         let mut cursor: Vec<u32> = offsets[..n].to_vec();
         let mut packed = vec![(0u32, LinkId(0)); offsets[n] as usize];
         for (id, link) in net.links() {
@@ -109,8 +109,8 @@ impl PlaneGraph {
             packed,
             tor_of_rack,
             link_bound,
+            base: base.map_or(0, |(id, _)| id.0),
             hops: OnceLock::new(),
-            link_pos: OnceLock::new(),
         }
     }
 
@@ -190,35 +190,28 @@ impl PlaneGraph {
         self.packed[pos].1
     }
 
-    /// Inverse of [`PlaneGraph::link_at`]: `link_positions()[l.index()]` is
-    /// the flat CSR position of link `l` of this plane. Between two planes of
-    /// the [same shape](PlaneGraph::same_shape), `b.link_at(a.link_positions()[l])`
-    /// is the link of `b` that sits where `l` sits in `a`; since rows are
-    /// sorted by link id on both sides, that map keeps the order of any two
-    /// links leaving one switch.
-    pub fn link_positions(&self) -> &[u32] {
-        self.link_pos.get_or_init(|| {
-            let mut pos = vec![u32::MAX; self.link_bound()];
-            for (at, &(_, l)) in self.packed.iter().enumerate() {
-                pos[l.index()] = at as u32;
-            }
-            pos
-        })
+    /// Lowest id of any link of this plane in the network, up or down, host
+    /// attachments included. Link state cannot move it, and it is even (a
+    /// cable's two directions are `2k, 2k + 1`). The route table stores a
+    /// link as its offset from the base, so a [`PathSet`](crate::PathSet)
+    /// means the same paths in every plane of a [shape class](shape_classes).
+    #[inline]
+    pub fn base(&self) -> u32 {
+        self.base
     }
 
-    /// Whether `other` is a copy of this graph in everything a traversal can
-    /// read except link ids: same switch count, same rack → ToR index, CSR
-    /// rows equal position by position in neighbour index. Any traversal
-    /// whose comparisons never read a link id (Dijkstra on CSR-order
-    /// weights, BFS) then takes identical steps on both.
+    /// Whether `other` is a copy of this graph up to the plane base: same
+    /// switch count, same rack → ToR index, CSR rows equal position by
+    /// position in neighbour index and in link offset from the
+    /// [base](PlaneGraph::base). Every traversal takes identical steps on
+    /// both, link-id tie-breaks included, and finds the same paths as
+    /// offsets.
     pub fn same_shape(&self, other: &PlaneGraph) -> bool {
+        let offset = |pg: &PlaneGraph, l: LinkId| l.0 - pg.base;
         self.tor_of_rack == other.tor_of_rack
             && self.offsets == other.offsets
-            && self
-                .packed
-                .iter()
-                .zip(&other.packed)
-                .all(|(&(a, _), &(b, _))| a == b)
+            && (self.packed.iter().zip(&other.packed))
+                .all(|(&(u, a), &(v, b))| u == v && offset(self, a) == offset(other, b))
     }
 
     /// Exact hop count from every switch to `target` (both dense indices):
@@ -281,8 +274,9 @@ impl PlaneGraph {
 }
 
 /// Shape class of each of `planes`: the lowest index of a plane with the
-/// [same shape](PlaneGraph::same_shape). A homogeneous P-Net is one class; a
-/// plane with a failed cable is alone in its own.
+/// [same shape](PlaneGraph::same_shape). A homogeneous P-Net is one class
+/// (its planes are stamped from one graph, link for link); a plane with a
+/// failed cable is alone in its own.
 pub fn shape_classes(planes: &[PlaneGraph]) -> Vec<usize> {
     (0..planes.len())
         .map(|p| {
@@ -308,7 +302,6 @@ mod tests {
             *off -= 1;
         }
         pg.hops = OnceLock::new();
-        pg.link_pos = OnceLock::new();
         pg
     }
 
@@ -388,18 +381,18 @@ mod tests {
             }
         }
         assert_eq!(shape_classes(&pgs), [0, 0, 0]);
-        // Link ids differ between the copies; positions line up.
+        // Link ids differ between the copies; offsets from the base line up.
         assert_ne!(pgs[0].link_at(0), pgs[1].link_at(0));
         assert_eq!(pgs[1].link_at(5), pgs[1].neighbors(1)[1].1);
-        for pg in &pgs {
-            let pos = pg.link_positions();
-            assert_eq!(pos.len(), pg.link_bound());
-            for at in 0..pg.n_directed_links() {
-                assert_eq!(pos[pg.link_at(at).index()] as usize, at);
-            }
-            let in_plane = pos.iter().filter(|&&at| at != u32::MAX).count();
-            assert_eq!(in_plane, pg.n_directed_links());
+        for at in 0..pgs[0].n_directed_links() {
+            let offset = |pg: &PlaneGraph| pg.link_at(at).0 - pg.base();
+            assert_eq!(offset(&pgs[0]), offset(&pgs[2]));
         }
+        let first = |p| net.links().find(|(_, l)| l.plane == PlaneId(p)).unwrap().0;
+        assert_eq!(
+            pgs.iter().map(|pg| pg.base()).collect::<Vec<_>>(),
+            [0, 1, 2].map(|p| first(p).0)
+        );
         // A failed cable changes one plane's rows, and only that plane's.
         let cable = failures::fabric_cables(&net, Some(PlaneId(1)))[3];
         failures::fail_cable(&mut net, cable);
@@ -408,6 +401,7 @@ mod tests {
         assert!(!cut[1].same_shape(&pgs[1]));
         assert!(cut[0].same_shape(&cut[2]));
         assert_eq!(shape_classes(&cut), [0, 1, 0]);
+        assert_eq!(cut[1].base(), pgs[1].base(), "a failure moved the base");
         // Same size and degree, different wiring.
         let other = assemble_homogeneous(
             &Jellyfish::new(16, 4, 1, 10),

@@ -12,10 +12,12 @@
 //! Path computation is a pure function of the plane-graph snapshot, so the
 //! route table is filled either lazily, one entry per missed lookup, or in
 //! bulk by [`Router::precompute_with`], which fans per-(shape class, src)
-//! Yen/ECMP batches across threads: planes that are copies of one graph
-//! ([`PlaneGraph::same_shape`]) are computed once and the copies' path sets
-//! written off the first one's, link for link. Serial and parallel
-//! precomputation produce identical tables — see `tests/determinism.rs`.
+//! Yen/ECMP batches across threads. A table entry stores its links as
+//! offsets from the plane's [base](PlaneGraph::base), so planes that are
+//! copies of one graph ([`PlaneGraph::same_shape`]) compute an entry once
+//! and hold the same `Arc<PathSet>`; [`PlanePaths`] reads it back in each
+//! plane. Serial and parallel precomputation produce identical tables — see
+//! `tests/determinism.rs`.
 //!
 //! Cross-plane queries ([`Router::k_best_across_planes`]) merge the
 //! per-plane path sets shortest-first — this is how a P-Net host builds its
@@ -41,7 +43,7 @@
 use crate::bfs;
 use crate::exec::Parallelism;
 use crate::fnv::Fnv;
-use crate::path::{sort_paths, Path, PathSet};
+use crate::path::{sort_paths, Path, PathSet, PlanePaths};
 use crate::plane_graph::{shape_classes, PlaneGraph, UNREACHABLE};
 use crate::scratch::with_thread_scratch;
 use crate::yen;
@@ -106,11 +108,12 @@ fn batch_index(batch: &[RackId], dst: RackId) -> usize {
         .expect("invariant: a batch holds every destination of its runs")
 }
 
-/// The table entry holding `paths` (of one plane, in any order). Yen writes
-/// its sets flat itself; this is where the ECMP enumeration's nested form ends.
-fn sorted_set(mut paths: Vec<Path>) -> PathSet {
+/// The table entry holding `paths` (of `pg`'s plane, in any order). Yen
+/// writes its sets flat itself; this is where the ECMP enumeration's nested
+/// form ends.
+fn sorted_set(pg: &PlaneGraph, mut paths: Vec<Path>) -> PathSet {
     sort_paths(&mut paths);
-    PathSet::from(paths.as_slice())
+    PathSet::from_links(pg.base(), paths.iter().map(|p| p.links.iter().copied()))
 }
 
 /// The cable (duplex pair, even-direction representative) a link belongs to.
@@ -146,7 +149,8 @@ struct State {
     classes: Vec<usize>,
     /// Racks per plane; the table holds `planes · racks²` slots.
     racks: usize,
-    /// The committed path sets, `None` until first computed.
+    /// The committed path sets, `None` until first computed. Slots of one
+    /// rack pair that hold equal sets hold one `Arc`.
     slots: Vec<Option<Arc<PathSet>>>,
     /// Slots holding a path set.
     entries: usize,
@@ -170,11 +174,35 @@ impl State {
         }
     }
 
-    /// Store `set` in `slot` (overwriting).
+    /// Store `set` in `slot` (overwriting), as the `Arc` another plane holds
+    /// for the same rack pair when that set is equal: a plane that repairs
+    /// back to its class's paths shares them again.
     fn commit(&mut self, slot: usize, set: Arc<PathSet>) {
+        let per_plane = self.racks * self.racks;
+        let twins = (slot % per_plane..self.slots.len()).step_by(per_plane);
+        let twin = twins
+            .filter_map(|at| self.slots[at].as_ref().filter(|_| at != slot))
+            .find(|held| Arc::ptr_eq(held, &set) || held.as_ref() == set.as_ref());
+        let set = twin.map_or(set, Arc::clone);
         if self.slots[slot].replace(set).is_none() {
             self.entries += 1;
         }
+    }
+
+    /// What `slot` holds, read in its own plane.
+    fn view(&self, slot: usize) -> Option<PlanePaths> {
+        let set = self.slots[slot].as_ref()?;
+        let plane = key_of(self.racks, slot).0;
+        let base = self.planes[plane.index()].base();
+        Some(PlanePaths::new(plane, base, Arc::clone(set)))
+    }
+
+    /// The set a plane of `slot`'s shape class holds for its rack pair.
+    fn class_twin(&self, slot: usize) -> Option<Arc<PathSet>> {
+        let (plane, src, dst) = key_of(self.racks, slot);
+        let class = self.classes[plane.index()];
+        let mut same = (0..self.planes.len()).filter(|&p| self.classes[p] == class);
+        same.find_map(|p| self.slots[slot_of(self.racks, PlaneId(p as u16), src, dst)].clone())
     }
 }
 
@@ -256,8 +284,8 @@ impl Router {
         let st = self.read();
         let mut h = Fnv::new();
         h.u64(st.entries as u64);
-        for (i, cell) in st.slots.iter().enumerate() {
-            let Some(paths) = cell else { continue };
+        for i in 0..st.slots.len() {
+            let Some(paths) = st.view(i) else { continue };
             let (p, s, d) = key_of(st.racks, i);
             h.u64(u64::from(p.0));
             h.u64(u64::from(s.0));
@@ -265,8 +293,8 @@ impl Router {
             h.u64(paths.len() as u64);
             for path in paths.iter() {
                 h.u64(u64::from(path.plane.0));
-                h.u64(path.links.len() as u64);
-                for l in path.links {
+                h.u64(path.n_links() as u64);
+                for l in path.links() {
                     h.u64(u64::from(l.0));
                 }
             }
@@ -277,7 +305,7 @@ impl Router {
     /// Pure per-key path computation (the function the table memoizes).
     fn compute(pg: &PlaneGraph, algo: RouteAlgo, src: RackId, dst: RackId) -> PathSet {
         match algo {
-            RouteAlgo::Ecmp { cap } => sorted_set(bfs::all_shortest_paths(pg, src, dst, cap)),
+            RouteAlgo::Ecmp { cap } => sorted_set(pg, bfs::all_shortest_paths(pg, src, dst, cap)),
             RouteAlgo::Ksp { k } => {
                 with_thread_scratch(|scratch| yen::ksp_with_scratch(pg, src, dst, k, scratch))
             }
@@ -296,7 +324,10 @@ impl Router {
         match algo {
             RouteAlgo::Ecmp { cap } => {
                 let per_dst = bfs::ecmp_destinations(pg, src, dsts, cap);
-                per_dst.into_iter().map(sorted_set).collect()
+                per_dst
+                    .into_iter()
+                    .map(|paths| sorted_set(pg, paths))
+                    .collect()
             }
             RouteAlgo::Ksp { k } => yen::ksp_destinations(pg, src, dsts, k),
         }
@@ -306,18 +337,14 @@ impl Router {
     /// must be ascending: that puts the slots of one (plane, src) next to
     /// each other. The runs of one (shape class, src) — `classes` being
     /// [`shape_classes`] of `planes` — are one batched computation, on the
-    /// lowest plane among them, for the union of their destinations; the
-    /// other planes' sets are that plane's with every link replaced by the
-    /// one at the same CSR position, mapped over the flat block. Groups fan
-    /// out across threads.
+    /// lowest plane among them, for the union of their destinations, and
+    /// every plane of the group gets the same `Arc` per destination. Groups
+    /// fan out across threads.
     ///
-    /// The result equals per-key `compute` on each plane's own graph. Two
-    /// different paths out of one source first part at two links leaving
-    /// one switch — one CSR row. Rows of same-shape planes match position by
-    /// position and are sorted by link id on both sides, so the position map
-    /// keeps every comparison Yen's `(len, link ids)` order, the ECMP
-    /// enumeration and `sort_paths` make; the searches themselves read
-    /// neighbours, bans and hop counts, which are the shape.
+    /// The result equals per-key `compute` on each plane's own graph: the
+    /// searches read neighbours, bans, hop counts and link ids, and planes
+    /// of one class differ only in the base their link ids count from, which
+    /// a set does not store.
     fn fill(
         &self,
         planes: &[PlaneGraph],
@@ -345,7 +372,7 @@ impl Router {
             .chunk_by(|a, b| (a.class, a.src) == (b.class, b.src))
             .collect();
         let computed = par.map_indexed(groups.len(), |i| {
-            let (lead, copies) = (&groups[i][0], &groups[i][1..]);
+            let lead = &groups[i][0];
             let pg = &planes[lead.plane.index()];
             let wanted = groups[i].iter().flat_map(|run| &dsts[run.at.clone()]);
             let mut batch: Vec<RackId> = wanted.copied().collect();
@@ -353,43 +380,41 @@ impl Router {
             batch.dedup();
             let sets = Self::compute_batch(pg, self.algo, lead.src, &batch);
             let sets: Vec<Arc<PathSet>> = sets.into_iter().map(Arc::new).collect();
-            let of = |cell: usize| &sets[batch_index(&batch, dsts[cell])];
-            let own = lead
-                .at
-                .clone()
-                .map(|cell| (slots[cell], Arc::clone(of(cell))));
-            let copied = copies.iter().flat_map(|run| {
-                let (pos, to) = (pg.link_positions(), &planes[run.plane.index()]);
-                let moved = move |cell| (slots[cell], Arc::new(of(cell).translate(pos, to)));
-                run.at.clone().map(moved)
-            });
-            own.chain(copied).collect::<Vec<_>>()
+            let of = |cell: usize| Arc::clone(&sets[batch_index(&batch, dsts[cell])]);
+            let cells = groups[i].iter().flat_map(|run| run.at.clone());
+            cells
+                .map(|cell| (slots[cell], of(cell)))
+                .collect::<Vec<_>>()
         });
         computed.into_iter().flatten().collect()
     }
 
-    /// Path set between two racks within one plane (memoized, shared).
-    pub fn paths_in_plane(&self, plane: PlaneId, src: RackId, dst: RackId) -> Arc<PathSet> {
+    /// Path set between two racks within one plane (memoized, shared). A
+    /// miss takes the set another plane of the shape class already holds,
+    /// and computes only when none does.
+    pub fn paths_in_plane(&self, plane: PlaneId, src: RackId, dst: RackId) -> PlanePaths {
         loop {
-            let planes = {
+            let (planes, twin) = {
                 let st = self.read();
-                if let Some(p) = &st.slots[slot_of(st.racks, plane, src, dst)] {
-                    return Arc::clone(p);
+                let slot = slot_of(st.racks, plane, src, dst);
+                if let Some(hit) = st.view(slot) {
+                    return hit;
                 }
-                Arc::clone(&st.planes)
+                (Arc::clone(&st.planes), st.class_twin(slot))
             };
-            let set = Arc::new(Self::compute(&planes[plane.index()], self.algo, src, dst));
+            let set = twin.unwrap_or_else(|| {
+                Arc::new(Self::compute(&planes[plane.index()], self.algo, src, dst))
+            });
             let mut st = self.write();
             if !Arc::ptr_eq(&st.planes, &planes) {
                 continue; // a delta landed mid-compute; redo on the new snapshot
             }
             let slot = slot_of(st.racks, plane, src, dst);
             // First writer wins so repeat lookups keep returning the same Arc.
-            if let Some(p) = &st.slots[slot] {
-                return Arc::clone(p);
+            if st.slots[slot].is_none() {
+                st.commit(slot, set);
             }
-            st.commit(slot, Arc::clone(&set));
-            return set;
+            return st.view(slot).expect("invariant: the slot was just filled");
         }
     }
 
@@ -457,7 +482,7 @@ impl Router {
     /// truncated prefix spreads over as many planes as possible — which is
     /// what an MPTCP path manager wants from its subflow set.
     pub fn k_best_across_planes(&self, src: RackId, dst: RackId, k: usize) -> Vec<Path> {
-        let per_plane: Vec<Arc<PathSet>> = (0..self.n_planes())
+        let per_plane: Vec<PlanePaths> = (0..self.n_planes())
             .map(|plane| self.paths_in_plane(PlaneId(plane as u16), src, dst))
             .collect();
         // Each plane's set is already shortest-first, so the interleaved
@@ -467,10 +492,10 @@ impl Router {
         for (plane, paths) in per_plane.iter().enumerate() {
             let mut run_start = 0;
             for (i, path) in paths.iter().enumerate() {
-                if path.links.len() != paths.get(run_start).links.len() {
+                if path.n_links() != paths.get(run_start).n_links() {
                     run_start = i;
                 }
-                ranked.push((path.links.len(), i - run_start, plane, i));
+                ranked.push((path.n_links(), i - run_start, plane, i));
             }
         }
         ranked.sort_unstable();
@@ -515,7 +540,8 @@ impl Router {
     /// Both rules are read off one walk over the `racks²` slots of each plane
     /// the delta touches ([`DeltaStats::slots_scanned`]); a set's links sit
     /// back to back, so the down rule is a scan of one block. Every other
-    /// entry keeps its exact `Arc` — byte- and pointer-identical.
+    /// entry keeps its exact `Arc` — byte- and pointer-identical — and a
+    /// recomputed one equal to another plane's takes that plane's `Arc`.
     /// Recomputation reuses the batched Yen/ECMP machinery, so the repaired
     /// table equals a from-scratch rebuild of the new topology (see
     /// `tests/props.rs`). Bumps the epoch once. The write lock is held
@@ -555,7 +581,10 @@ impl Router {
                 let pair = pg.dense(link.src).zip(pg.dense(link.dst));
                 pair.filter(|_| link.plane == plane)
             };
-            let cut: Vec<LinkId> = down.iter().copied().filter(|c| ends(c).is_some()).collect();
+            // Cut cables as sets store them: offsets from the (even) base.
+            let cut: Vec<LinkId> = (down.iter().filter(|c| ends(c).is_some()))
+                .map(|c| LinkId(c.0 - pg.base()))
+                .collect();
             let added: Vec<(usize, usize)> = up.iter().filter_map(ends).collect();
             if cut.is_empty() && added.is_empty() {
                 continue;
@@ -572,11 +601,12 @@ impl Router {
                     let Some(set) = &st.slots[slot] else { continue };
                     // The kept path a new one must beat or tie: KSP's longest,
                     // ECMP's (all equal) first. A set below its limit takes any.
-                    let bar = match self.algo {
-                        RouteAlgo::Ksp { .. } => set.iter().next_back(),
-                        RouteAlgo::Ecmp { .. } => set.iter().next(),
+                    let kept = match self.algo {
+                        RouteAlgo::Ksp { .. } => set.len().saturating_sub(1),
+                        RouteAlgo::Ecmp { .. } => 0,
                     };
-                    let bar = bar.filter(|_| set.len() >= limit).map(|p| p.links.len());
+                    let full = !set.is_empty() && set.len() >= limit;
+                    let bar = full.then(|| set.rel(kept).len());
                     let ts = pg.tor(s);
                     let shortens = |&(u, v): &(usize, usize)| {
                         let via = |near, far: usize| {
@@ -702,6 +732,8 @@ mod tests {
         assemble_homogeneous, failures, parallel, ChurnSchedule, FatTree, HostId, Jellyfish,
         LinkProfile, NetworkClass,
     };
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     #[test]
     fn ecmp_router_caches() {
@@ -709,7 +741,7 @@ mod tests {
         let r = Router::new(&net, RouteAlgo::Ecmp { cap: 16 });
         let a = r.paths_in_plane(PlaneId(0), RackId(0), RackId(7));
         let b = r.paths_in_plane(PlaneId(0), RackId(0), RackId(7));
-        assert!(Arc::ptr_eq(&a, &b));
+        assert!(Arc::ptr_eq(&a.set, &b.set));
         assert_eq!(a.len(), 4);
     }
 
@@ -772,7 +804,7 @@ mod tests {
                     let paths = r.paths_in_plane(PlaneId(p), RackId(a), RackId(b));
                     if !paths.is_empty() {
                         assert!(
-                            hops <= paths.get(0).links.len() + 1,
+                            hops <= paths.get(0).n_links() + 1,
                             "plane {plane} not minimal for ({a},{b})"
                         );
                     }
@@ -872,7 +904,7 @@ mod tests {
         for (b, arc) in (1..12u32).zip(before) {
             let after = r.paths_in_plane(PlaneId(1), RackId(0), RackId(b));
             assert!(
-                Arc::ptr_eq(&arc, &after),
+                Arc::ptr_eq(&arc.set, &after.set),
                 "plane-1 entry (0,{b}) was replaced by a plane-0 delta"
             );
         }
@@ -973,80 +1005,164 @@ mod tests {
         assert_matches_rebuild(&net, &r);
     }
 
-    /// Every materialized slot against the pure per-key computation on the
-    /// slot's *own* plane graph, link for link.
-    fn assert_slots_equal_compute(r: &Router, when: &str) {
+    /// Every materialized slot decodes to what `compute` finds on the slot's
+    /// *own* plane graph, link for link, and holds the very `Arc` its class
+    /// lead holds for the rack pair.
+    fn assert_exact_and_shared(r: &Router, when: &str) {
         let st = r.read();
-        assert_eq!(st.entries, st.planes.len() * st.racks * (st.racks - 1));
-        for (slot, cell) in st.slots.iter().enumerate() {
-            let Some(paths) = cell else { continue };
+        for slot in 0..st.slots.len() {
+            let Some(got) = st.view(slot) else { continue };
             let (p, s, d) = key_of(st.racks, slot);
-            let want = Router::compute(&st.planes[p.index()], r.algo, s, d);
-            assert_eq!(**paths, want, "{when}: {:?} {p} {s}->{d}", r.algo);
+            let pg = &st.planes[p.index()];
+            let want = Arc::new(Router::compute(pg, r.algo, s, d));
+            assert_eq!(
+                got,
+                PlanePaths::new(p, pg.base(), want),
+                "{when}: {p} {s}->{d}"
+            );
+            let lead = PlaneId(st.classes[p.index()] as u16);
+            let held = st.slots[slot_of(st.racks, lead, s, d)].as_ref();
+            assert!(
+                held.is_some_and(|held| Arc::ptr_eq(held, &got.set)),
+                "{when}: {p} {s}->{d} is not its class lead's set"
+            );
         }
     }
 
-    /// The bulk fill computes one plane per shape class and writes the other
-    /// planes' sets off it; the per-plane `compute` is the oracle. Walks one
-    /// fabric through every shape-class layout a delta can produce.
-    #[test]
-    fn translated_tables_equal_per_plane_compute() {
-        let profile = LinkProfile::paper_default();
-        let fabrics = [
-            assemble_homogeneous(&Jellyfish::new(16, 4, 1, 5), 4, &profile),
-            assemble_homogeneous(&FatTree::three_tier(4), 2, &profile),
-        ];
-        let algos = [RouteAlgo::Ksp { k: 8 }, RouteAlgo::Ecmp { cap: 16 }];
-        for (mut net, algo) in fabrics
-            .into_iter()
-            .flat_map(|f| algos.map(|a| (f.clone(), a)))
-        {
-            let n = net.n_planes() as usize;
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// Sharing is exact. A random homogeneous fabric walks through random
+        /// fail/restore steps, each toggling the same cable position in a
+        /// random subset of planes, so classes split and merge. After every
+        /// step each slot equals its own plane's `compute` and shares its
+        /// class lead's `Arc`; once every cable is back, every plane holds
+        /// plane 0's sets and the table fingerprints as it did pristine.
+        #[test]
+        fn shared_tables_equal_per_plane_compute(
+            planes in 2usize..=4, tors in 8usize..=13, seed: u64, walk: u64, ecmp: bool,
+        ) {
+            let degree = if tors.is_multiple_of(2) { 3 } else { 4 };
+            let fabric = Jellyfish::new(tors, degree, 1, seed);
+            let mut net = assemble_homogeneous(&fabric, planes, &LinkProfile::paper_default());
+            let algo = if ecmp { RouteAlgo::Ecmp { cap: 16 } } else { RouteAlgo::Ksp { k: 6 } };
             let r = Router::new(&net, algo);
-            // Lazy entries on different planes first: the runs of one source
-            // then ask for different destinations, the lowest plane for fewer
-            // than the union, and the live `Arc`s must survive.
-            let lazy = [(0, 0, 5), (1, 0, 7), (1, 3, 2)].map(|(p, s, d)| {
-                let key = (PlaneId(p), RackId(s), RackId(d));
-                (key, r.paths_in_plane(key.0, key.1, key.2))
-            });
+            // Lazy entries first, on different planes: the bulk fill must keep
+            // their `Arc`s, and plane 0's miss takes the set plane 1 holds.
+            let keys = [(0, 0, 5), (1, 0, 7), (1, 3, 2), (0, 3, 2)];
+            let lookup = |(p, s, d)| r.paths_in_plane(PlaneId(p), RackId(s), RackId(d));
+            let lazy = keys.map(lookup);
+            assert!(Arc::ptr_eq(&lazy[2].set, &lazy[3].set));
             r.precompute_all_pairs();
-            assert_eq!(r.read().classes, vec![0; n]);
-            assert_slots_equal_compute(&r, "all planes one class");
-            for ((p, s, d), arc) in &lazy {
-                assert!(Arc::ptr_eq(arc, &r.paths_in_plane(*p, *s, *d)));
+            let pristine = r.table_fingerprint();
+            assert_eq!(r.read().classes, vec![0; planes]);
+            assert_exact_and_shared(&r, "pristine");
+            for (set, key) in lazy.iter().zip(keys) {
+                assert!(Arc::ptr_eq(&set.set, &lookup(key).set), "precompute replaced a live Arc");
             }
 
-            // The same cable position in planes 0 and 1.
-            let [c0, c1] = [0, 1].map(|p| failures::fabric_cables(&net, Some(PlaneId(p)))[3]);
-            let apply = |net: &mut Network, down: &[LinkId], up: &[LinkId]| {
-                down.iter().for_each(|&c| failures::fail_cable(net, c));
-                up.iter().for_each(|&c| failures::restore_cable(net, c));
-                let (down, up) = (down.to_vec(), up.to_vec());
-                r.apply_delta(net, &LinkDelta { down, up });
-            };
-            apply(&mut net, &[c1], &[]);
-            let mut alone = vec![0; n];
-            alone[1] = 1;
-            assert_eq!(r.read().classes, alone);
-            assert_slots_equal_compute(&r, "plane 1 cut");
-            assert_matches_rebuild(&net, &r);
+            let positions = failures::fabric_cables(&net, Some(PlaneId(0))).len();
+            let mut rng = StdRng::seed_from_u64(walk);
+            for step in 0..6 {
+                let at = rng.random_range(0..positions);
+                for p in (0..planes as u16).filter(|_| rng.random_bool(0.6)) {
+                    let cable = failures::fabric_cables(&net, Some(PlaneId(p)))[at];
+                    if net.link(cable).up {
+                        failures::fail_cable(&mut net, cable);
+                    } else {
+                        failures::restore_cable(&mut net, cable);
+                    }
+                }
+                assert!(!r.refresh(&net).full_rebuild);
+                assert_exact_and_shared(&r, &format!("step {step}"));
+            }
+            for cable in failures::fabric_cables(&net, None) {
+                failures::restore_cable(&mut net, cable);
+            }
+            r.refresh(&net);
+            assert_eq!(r.read().classes, vec![0; planes]);
+            assert_exact_and_shared(&r, "restored");
+            assert_eq!(r.table_fingerprint(), pristine);
+        }
+    }
 
-            apply(&mut net, &[], &[c1]);
-            assert_eq!(r.read().classes, vec![0; n]);
-            assert_slots_equal_compute(&r, "plane 1 restored");
+    /// One 12-ToR Möbius ladder wired one perfect matching after another;
+    /// `flip` numbers each matching's cables in reverse. Every switch meets
+    /// each matching once, so flipping keeps every CSR row's order and moves
+    /// every cable's offset from the plane base.
+    struct Ladder {
+        flip: bool,
+    }
 
-            // One delta, both planes: they repair as a class of their own.
-            apply(&mut net, &[c0, c1], &[]);
-            let pair: Vec<usize> = (0..n).map(|p| if p < 2 { 0 } else { 2 }).collect();
-            assert_eq!(r.read().classes, pair);
-            assert_slots_equal_compute(&r, "planes 0 and 1 cut alike");
-            assert_matches_rebuild(&net, &r);
+    impl pnet_topology::PlaneBuilder for Ladder {
+        fn n_racks(&self) -> usize {
+            12
+        }
 
-            apply(&mut net, &[], &[c0, c1]);
-            assert_eq!(r.read().classes, vec![0; n]);
-            assert_slots_equal_compute(&r, "both restored");
-            assert_matches_rebuild(&net, &r);
+        fn hosts_per_rack(&self) -> usize {
+            1
+        }
+
+        fn build_plane(
+            &self,
+            net: &mut Network,
+            plane: PlaneId,
+            profile: &LinkProfile,
+        ) -> Vec<pnet_topology::NodeId> {
+            let tor = |rack| pnet_topology::NodeKind::Tor { rack: RackId(rack) };
+            let tors: Vec<_> = (0..12).map(|r| net.add_switch(tor(r), plane)).collect();
+            // The matchings {2i, 2i + 1}, {2i + 1, 2i + 2} and {i, i + 6}, as
+            // (first end, stride between ends, step to the other end).
+            for (first, stride, step) in [(0, 2, 1), (1, 2, 1), (0, 1, 6)] {
+                let mut matching: Vec<usize> = (first..12).step_by(stride).take(6).collect();
+                if self.flip {
+                    matching.reverse();
+                }
+                for a in matching {
+                    let (speed, delay) = (profile.link_speed_bps, profile.fabric_delay_ps);
+                    net.add_duplex_link(tors[a], tors[(a + step) % 12], speed, delay, plane);
+                }
+            }
+            tors
+        }
+
+        fn describe(&self) -> String {
+            format!("ladder (flip {})", self.flip)
+        }
+    }
+
+    /// The control: two planes of one shape whose links count from their
+    /// bases differently are two classes. Nothing is shared, and every slot
+    /// still equals its own plane's `compute`.
+    #[test]
+    fn planes_numbered_apart_do_not_share() {
+        let (plain, flipped) = (Ladder { flip: false }, Ladder { flip: true });
+        let planes: [&dyn pnet_topology::PlaneBuilder; 2] = [&plain, &flipped];
+        let net = pnet_topology::assemble(&planes, &LinkProfile::paper_default());
+        let pgs = PlaneGraph::build_all(&net);
+        let same_rows = (0..pgs[0].n_switches()).all(|u| {
+            let row = |pg: &PlaneGraph| pg.neighbors(u).iter().map(|&(v, _)| v).collect::<Vec<_>>();
+            row(&pgs[0]) == row(&pgs[1])
+        });
+        assert!(same_rows, "the control must differ in numbering only");
+        assert_eq!(shape_classes(&pgs), [0, 1]);
+        for algo in [RouteAlgo::Ksp { k: 6 }, RouteAlgo::Ecmp { cap: 16 }] {
+            let r = Router::new(&net, algo);
+            // A miss in plane 0 must not take plane 1's set.
+            r.paths_in_plane(PlaneId(1), RackId(0), RackId(5));
+            r.paths_in_plane(PlaneId(0), RackId(0), RackId(5));
+            r.precompute_all_pairs();
+            assert_exact_and_shared(&r, "control");
+            let st = r.read();
+            let per_plane = st.racks * st.racks;
+            for (a, b) in st.slots[..per_plane].iter().zip(&st.slots[per_plane..]) {
+                if let (Some(a), Some(b)) = (a, b) {
+                    assert!(
+                        !Arc::ptr_eq(a, b),
+                        "{algo:?}: planes numbered apart share a set"
+                    );
+                }
+            }
         }
     }
 
@@ -1063,8 +1179,8 @@ mod tests {
                 }
                 for p in 0..2u16 {
                     assert_eq!(
-                        *warm.paths_in_plane(PlaneId(p), RackId(a), RackId(b)),
-                        *lazy.paths_in_plane(PlaneId(p), RackId(a), RackId(b)),
+                        warm.paths_in_plane(PlaneId(p), RackId(a), RackId(b)),
+                        lazy.paths_in_plane(PlaneId(p), RackId(a), RackId(b)),
                         "mismatch at plane {p} pair ({a},{b})"
                     );
                 }
@@ -1093,8 +1209,8 @@ mod tests {
                 }
                 for p in 0..2u16 {
                     assert_eq!(
-                        *a.paths_in_plane(PlaneId(p), RackId(x), RackId(y)),
-                        *b.paths_in_plane(PlaneId(p), RackId(x), RackId(y)),
+                        a.paths_in_plane(PlaneId(p), RackId(x), RackId(y)),
+                        b.paths_in_plane(PlaneId(p), RackId(x), RackId(y)),
                     );
                 }
             }
@@ -1109,7 +1225,7 @@ mod tests {
         r.precompute_all_pairs();
         let after = r.paths_in_plane(PlaneId(0), RackId(0), RackId(7));
         assert!(
-            Arc::ptr_eq(&before, &after),
+            Arc::ptr_eq(&before.set, &after.set),
             "precompute replaced a live Arc"
         );
     }

@@ -16,11 +16,12 @@
 //! reproducible.
 
 use pnet::core::{analysis, PNetSpec, PathPolicy, TopologyKind};
-use pnet::flowsim::{commodity, throughput, Commodity};
+use pnet::flowsim::{commodity, mcf, throughput, Commodity};
 use pnet::htsim::{
     metrics, run_to_completion, EventMask, FlowSpec, SimConfig, SimTime, Simulator, TelemetryConfig,
 };
 use pnet::planner::{PlanError, Planner, PlannerConfig};
+use pnet::routing::{RouteAlgo, Router};
 use pnet::topology::{failures, HostId, NetworkClass};
 use pnet::workloads::tm;
 use pnet_bench::args::parse_size;
@@ -94,6 +95,13 @@ const PATTERN: &[Param] = &[
     ("eps", "0.1", ""),
 ];
 
+/// Reject a flag value the library cannot build or solve with: one line
+/// naming the flag, exit 2.
+fn bad_flag(flag: &str, value: impl std::fmt::Display, why: impl std::fmt::Display) -> ! {
+    eprintln!("--{flag} {value}: {why}");
+    std::process::exit(2);
+}
+
 fn topology_from(args: &Args) -> Result<(TopologyKind, NetworkClass, usize, u64), ArgError> {
     let kind = match args.get_str("kind").unwrap_or_default() {
         "jellyfish" => setups::jellyfish_from(args)?,
@@ -126,7 +134,23 @@ fn topology_from(args: &Args) -> Result<(TopologyKind, NetworkClass, usize, u64)
     } else {
         class
     };
-    Ok((kind, class, args.get("planes")?, args.get("seed")?))
+    if let TopologyKind::Jellyfish { n_tors, degree, .. } = kind {
+        if n_tors < 2 {
+            bad_flag("tors", n_tors, "a fabric needs at least two ToRs");
+        }
+        if degree == 0 || degree >= n_tors {
+            bad_flag("degree", degree, format!("must be 1 to {}", n_tors - 1));
+        }
+        if !(n_tors * degree).is_multiple_of(2) {
+            let why = format!("{n_tors} ToRs x {degree} ports is odd, and a cable has two ends");
+            bad_flag("degree", degree, why);
+        }
+    }
+    let planes: usize = args.get("planes")?;
+    if !(1..=8).contains(&planes) {
+        bad_flag("planes", planes, "a P-Net has 1 to 8 dataplanes");
+    }
+    Ok((kind, class, planes, args.get("seed")?))
 }
 
 fn policy_from(args: &Args, planes: usize) -> Result<PathPolicy, ArgError> {
@@ -186,11 +210,11 @@ fn cmd_topology(args: &Args) -> Result<(), Error> {
 fn host_arg(args: &Args, key: &str, default: u32, n_hosts: usize) -> Result<HostId, ArgError> {
     let id: u32 = args.opt(key)?.unwrap_or(default);
     if id as usize >= n_hosts {
-        eprintln!(
-            "--{key} {id} out of range: the network has {n_hosts} hosts (0..{})",
+        let why = format!(
+            "out of range: the network has {n_hosts} hosts (0..{})",
             n_hosts - 1
         );
-        std::process::exit(2);
+        bad_flag(key, id, why);
     }
     Ok(HostId(id))
 }
@@ -244,9 +268,24 @@ fn cmd_throughput(args: &Args) -> Result<(), Error> {
     let n = pnet.net.n_hosts();
     let commodities = commodities_from(args, n, seed);
     let k: usize = args.get("kpaths")?;
+    if k == 0 {
+        bad_flag("kpaths", k, "each flow needs at least one path");
+    }
     let eps: f64 = args.get("eps")?;
+    // As `throughput::ksp_multipath_throughput`, with the solver's typed
+    // errors: a wider per-plane set than K for the per-flow tie rotation.
+    let router = Router::new(&pnet.net, RouteAlgo::Ksp { k: (2 * k).max(8) });
+    let opts = mcf::McfOptions::default();
+    let sol = match throughput::try_ksp_solution(&pnet.net, &router, &commodities, k, eps, opts) {
+        Ok(sol) => sol,
+        Err(e @ mcf::McfError::InvalidEps { .. }) => bad_flag("eps", eps, e),
+        Err(e) => {
+            eprintln!("pnet throughput: {e}");
+            std::process::exit(1);
+        }
+    };
+    let (ksp, lambda) = (sol.total_rate(), sol.lambda);
     let ecmp = throughput::ecmp_throughput(&pnet.net, &commodities);
-    let (ksp, lambda) = throughput::ksp_multipath_throughput(&pnet.net, &commodities, k, eps);
     println!(
         "network: {} ({} hosts, {} planes)",
         class.label(),

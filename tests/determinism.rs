@@ -133,8 +133,8 @@ fn serial_and_parallel_route_tables_are_identical() {
                 }
                 for p in 0..2u16 {
                     assert_eq!(
-                        *serial.paths_in_plane(PlaneId(p), RackId(a), RackId(b)),
-                        *parallel.paths_in_plane(PlaneId(p), RackId(a), RackId(b)),
+                        serial.paths_in_plane(PlaneId(p), RackId(a), RackId(b)),
+                        parallel.paths_in_plane(PlaneId(p), RackId(a), RackId(b)),
                         "route table diverged at plane {p}, pair ({a},{b})"
                     );
                 }
@@ -362,7 +362,7 @@ fn concurrent_deltas_on_different_planes_both_land() {
 /// replaced snapshot survives: the end state equals a rebuild.
 #[test]
 fn lookups_race_a_churn_replay() {
-    use pnet::routing::{sort_paths, PathSet};
+    use pnet::routing::{sort_paths, PlanePaths};
     use pnet::topology::{ChurnSchedule, PlaneId};
     use rand::{RngExt, SeedableRng};
     finishes("a 12-event churn replay under a reader", || {
@@ -381,8 +381,8 @@ fn lookups_race_a_churn_replay() {
                     let set = router.paths_in_plane(PlaneId(rng.random_range(0..2u16)), a, b);
                     let mut sorted: Vec<_> = set.iter().map(|p| p.to_path()).collect();
                     sort_paths(&mut sorted);
-                    let sorted = PathSet::from(sorted.as_slice());
-                    assert_eq!(*set, sorted, "({a}, {b}) out of canonical order");
+                    let sorted = PlanePaths::from(sorted.as_slice());
+                    assert_eq!(set, sorted, "({a}, {b}) out of canonical order");
                     let best = router.k_best_across_planes(a, b, 6);
                     assert!(best
                         .windows(2)

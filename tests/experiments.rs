@@ -120,3 +120,31 @@ fn the_binary_exits_2_naming_the_declared_flags() {
         assert!(stderr.contains(names), "{argv:?}: {stderr}");
     }
 }
+
+/// Flag values the library would panic on are a one-line message naming the
+/// flag, with exit 2: never a panic (exit 101).
+#[test]
+fn throughput_rejects_unbuildable_flags_without_a_panic() {
+    let small = ["--tors", "8", "--degree", "3", "--hosts-per-tor", "1"];
+    for (argv, flag) in [
+        (&["--planes", "0"][..], "--planes 0"),
+        (&["--eps", "2"], "--eps 2"),
+        (&["--kpaths", "0"], "--kpaths 0"),
+        (&["--tors", "5", "--degree", "3"], "--degree 3"),
+    ] {
+        // The topology flags the case does not set come from `small`.
+        let rest = small.chunks(2).filter(|pair| !argv.contains(&pair[0]));
+        let out = Command::new(env!("CARGO_BIN_EXE_pnet"))
+            .arg("throughput")
+            .args(argv)
+            .args(rest.flatten())
+            .output()
+            .expect("failed to launch pnet");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{argv:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{argv:?}: {stderr}");
+        assert!(stderr.starts_with(flag), "{argv:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{argv:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{argv:?} printed a report");
+    }
+}

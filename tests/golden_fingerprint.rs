@@ -58,8 +58,8 @@ fn ksp_table_fingerprint(net: &Network, k: usize) -> u64 {
                 h.u64(paths.len() as u64);
                 for path in paths.iter() {
                     h.u64(path.plane.0 as u64);
-                    h.u64(path.links.len() as u64);
-                    for l in path.links {
+                    h.u64(path.n_links() as u64);
+                    for l in path.links() {
                         h.u64(l.0 as u64);
                     }
                 }

@@ -357,9 +357,9 @@ proptest! {
         shape in 0u8..5, k in 1usize..=32, len in 1usize..12, plane in 0u16..8,
         seed: u64, hash: u64,
     ) {
-        use routing::{hash_index, hash_select, PathRef, PathSet};
+        use routing::{hash_index, hash_select, PathRef, PlanePaths};
         let nested = sorted_paths(shape, k, len, plane, seed);
-        let set = PathSet::from(nested.as_slice());
+        let set = PlanePaths::from(nested.as_slice());
         prop_assert_eq!(set.len(), nested.len());
         prop_assert_eq!(set.is_empty(), nested.is_empty());
         for (i, path) in nested.iter().enumerate() {
