@@ -50,7 +50,7 @@ pub struct McfSolution {
     /// phase loop built by Dijkstra. The three counters are exact, identical
     /// under `Serial` and `Rayon`, and 0 in `Explicit` mode.
     pub trees_built: u64,
-    /// Trees copied from a same-shape plane holding bit-equal lengths.
+    /// Trees taken from a same-shape plane holding bit-equal lengths.
     pub trees_shared: u64,
     /// Trees kept because none of their chains crossed a grown link.
     pub trees_kept: u64,
@@ -258,7 +258,7 @@ pub fn try_solve_with_options(
     // --- Demand pre-scaling so that OPT λ' is Θ(1). -----------------------
     // Lower bound: route every commodity on a shortest allowed path and
     // scale by the resulting congestion.
-    let seed_routes = shortest_routes_unit(net, commodities, &routes, opts.parallelism);
+    let seed_routes = shortest_routes_unit(net, commodities, &routes, opts.parallelism)?;
     let mut seed_load = vec![0.0f64; caps.len()];
     for (c, route) in commodities.iter().zip(&seed_routes) {
         for &l in route {
@@ -396,7 +396,7 @@ pub fn try_solve_warm(
     // in the cold run, so the warm phase count lands near cold/B; the
     // seeding pass costs one unit-length route per commodity, noise next to
     // the phases it preserves.
-    let seed_routes = shortest_routes_unit(net, commodities, &routes, opts.parallelism);
+    let seed_routes = shortest_routes_unit(net, commodities, &routes, opts.parallelism)?;
     let mut seed_load = vec![0.0f64; caps.len()];
     for (c, route) in commodities.iter().zip(&seed_routes) {
         for &l in route {
@@ -572,7 +572,7 @@ fn gk_core(
     // Dijkstra entirely (see `refresh_trees` for why that is exact).
     //
     // `sibling` names, per dirty plane, a same-shape plane whose trees it may
-    // copy instead (see `AnyPathOracle::siblings`), decided once per phase.
+    // share instead (see `AnyPathOracle::siblings`), decided once per phase.
     let mut phase_w: Vec<Vec<f64>> = Vec::new();
     let mut plane_dirty: Vec<bool> = vec![true; n_planes];
     let mut sibling: Vec<Option<usize>> = Vec::new();
@@ -610,13 +610,14 @@ fn gk_core(
         if let Routes::AnyPath(oracle) = routes {
             oracle.edge_weights(&length, &plane_dirty, &mut phase_w);
             oracle.siblings(&phase_w, &plane_dirty, &mut sibling);
-            // A phase whose dirty planes all copy has no Dijkstra to fan out;
-            // handing 64 memcpys to the pool costs more than doing them.
-            let all_copy = plane_dirty
+            // A phase whose dirty planes all share has no Dijkstra to fan
+            // out; handing 64 index hand-offs to the pool costs more than
+            // doing them.
+            let all_share = plane_dirty
                 .iter()
                 .zip(&sibling)
                 .all(|(&d, s)| !d || s.is_some());
-            let par = if all_copy {
+            let par = if all_share {
                 Parallelism::Serial
             } else {
                 opts.parallelism
@@ -662,14 +663,16 @@ fn gk_core(
                             route.extend_from_slice(candidates.best(i, &length));
                         }
                         Routes::AnyPath(oracle) => {
-                            let p = oracle.best_route_into(
-                                net,
-                                commodities[i].src,
-                                commodities[i].dst,
-                                &phase_trees[si],
-                                &length,
-                                &mut route,
-                            );
+                            let p = oracle
+                                .best_route_into(
+                                    net,
+                                    commodities[i].src,
+                                    commodities[i].dst,
+                                    &phase_trees[si],
+                                    &length,
+                                    &mut route,
+                                )
+                                .expect("invariant: the seeding pass routed every commodity");
                             // Routes longer than uplink + downlink grow
                             // fabric lengths: plane p's trees go stale.
                             // Record exactly which fabric links grow so
@@ -759,15 +762,17 @@ fn gk_core(
 /// Shortest allowed route per commodity under unit lengths (used for demand
 /// pre-scaling). Explicit mode: fewest links among candidates. AnyPath:
 /// BFS-shortest across planes, with one tree bundle per *unique* source
-/// computed in parallel rather than one per commodity.
+/// computed in parallel rather than one per commodity; a commodity no plane
+/// connects is [`McfError::UnroutableCommodity`]. Link state is frozen for
+/// the solve, so every commodity this routes the phase loop routes too.
 fn shortest_routes_unit(
     net: &Network,
     commodities: &[Commodity],
     routes: &Routes<'_>,
     par: Parallelism,
-) -> Vec<Vec<LinkId>> {
+) -> Result<Vec<Vec<LinkId>>, McfError> {
     match routes {
-        Routes::Explicit(paths) => paths
+        Routes::Explicit(paths) => Ok(paths
             .iter()
             .map(|cands| {
                 cands
@@ -776,7 +781,7 @@ fn shortest_routes_unit(
                     .expect("invariant: every commodity has a non-empty candidate path set")
                     .clone()
             })
-            .collect(),
+            .collect()),
         Routes::AnyPath(oracle) => {
             let unit: Vec<f64> = net.links().map(|_| 1.0).collect();
             let mut sources: Vec<u32> = commodities.iter().map(|c| c.src.0).collect();
@@ -810,11 +815,16 @@ fn shortest_routes_unit(
             });
             commodities
                 .iter()
-                .map(|c| {
+                .enumerate()
+                .map(|(index, c)| {
                     let si = sources
                         .binary_search(&c.src.0)
                         .expect("invariant: sources holds every commodity source host");
-                    oracle.best_route(net, c.src, c.dst, &trees[si], &unit)
+                    let mut route = Vec::new();
+                    oracle
+                        .best_route_into(net, c.src, c.dst, &trees[si], &unit, &mut route)
+                        .map(|_| route)
+                        .ok_or(McfError::UnroutableCommodity { index })
                 })
                 .collect()
         }
@@ -850,13 +860,19 @@ impl Candidates {
         flat
     }
 
-    /// The minimum-length candidate of commodity `i` (the first of equals).
+    /// The minimum-length candidate of commodity `i` (the first of equals),
+    /// each candidate's length summed once.
     fn best(&self, i: usize, length: &[f64]) -> &[LinkId] {
-        let cost = |r: &&[LinkId]| -> f64 { r.iter().map(|&l| length[l.index()]).sum() };
-        (self.first[i]..self.first[i + 1])
-            .map(|r| &self.links[self.ends[r]..self.ends[r + 1]])
-            .min_by(|a, b| cost(a).total_cmp(&cost(b)))
-            .expect("invariant: every commodity has a non-empty candidate path set")
+        let mut best: Option<(f64, &[LinkId])> = None;
+        for r in self.first[i]..self.first[i + 1] {
+            let route = &self.links[self.ends[r]..self.ends[r + 1]];
+            let cost: f64 = route.iter().map(|&l| length[l.index()]).sum();
+            if best.is_none_or(|(b, _)| cost.total_cmp(&b).is_lt()) {
+                best = Some((cost, route));
+            }
+        }
+        best.expect("invariant: every commodity has a non-empty candidate path set")
+            .1
     }
 }
 
@@ -877,117 +893,25 @@ const NO_PARENT: u64 = u64::MAX;
 /// same thing on every plane of one shape.
 type PlaneTree = (Vec<f64>, Vec<u64>);
 
-/// Indexed 4-ary min-heap on `(distance bits, dense node)` with
-/// decrease-key, reused across Dijkstras.
-///
-/// Every distance is a non-negative finite float, and for those the
-/// IEEE-754 bit pattern orders identically to the value — so the heap
-/// compares plain integers yet pops in the exact (dist asc, node asc) order
-/// an `f64`-keyed heap would. Decrease-key (via the `pos` index) keeps one
-/// entry per frontier node instead of the lazy-deletion scheme's duplicates:
-/// the sequence of *valid* extract-mins — hence the settle order, the
-/// relaxation order, and every float operation — is unchanged, but roughly
-/// half the pops and their sift-downs disappear.
-struct DijkstraHeap {
-    /// `(dist bits, node)` entries in 4-ary heap order.
-    items: Vec<(u64, u32)>,
-    /// Heap position of each dense node, `u32::MAX` when absent.
-    pos: Vec<u32>,
-}
-
-impl DijkstraHeap {
-    fn with_nodes(max_n: usize) -> DijkstraHeap {
-        DijkstraHeap {
-            items: Vec::with_capacity(max_n),
-            pos: vec![u32::MAX; max_n],
-        }
-    }
-
-    /// Remove all entries, resetting their position marks.
-    fn clear(&mut self) {
-        for &(_, v) in &self.items {
-            self.pos[v as usize] = u32::MAX;
-        }
-        self.items.clear();
-    }
-
-    /// Insert `node` with `key`, or lower its existing key (Dijkstra only
-    /// ever improves keys, so a present node always sifts up).
-    fn push_or_decrease(&mut self, key: u64, node: u32) {
-        let p = self.pos[node as usize];
-        if p == u32::MAX {
-            self.items.push((key, node));
-            self.sift_up(self.items.len() - 1);
-        } else {
-            self.items[p as usize].0 = key;
-            self.sift_up(p as usize);
-        }
-    }
-
-    /// Extract the minimum `(key, node)` entry.
-    fn pop(&mut self) -> Option<(u64, u32)> {
-        let top = *self.items.first()?;
-        self.pos[top.1 as usize] = u32::MAX;
-        let last = self
-            .items
-            .pop()
-            .expect("invariant: items is non-empty when first() returned an entry");
-        if !self.items.is_empty() {
-            self.items[0] = last;
-            self.sift_down(0);
-        }
-        Some(top)
-    }
-
-    fn sift_up(&mut self, mut i: usize) {
-        let it = self.items[i];
-        while i > 0 {
-            let p = (i - 1) / 4;
-            if self.items[p] <= it {
-                break;
-            }
-            self.items[i] = self.items[p];
-            self.pos[self.items[i].1 as usize] = i as u32;
-            i = p;
-        }
-        self.items[i] = it;
-        self.pos[it.1 as usize] = i as u32;
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        let it = self.items[i];
-        loop {
-            let c0 = 4 * i + 1;
-            if c0 >= self.items.len() {
-                break;
-            }
-            let mut m = c0;
-            for c in c0 + 1..(c0 + 4).min(self.items.len()) {
-                if self.items[c] < self.items[m] {
-                    m = c;
-                }
-            }
-            if it <= self.items[m] {
-                break;
-            }
-            self.items[i] = self.items[m];
-            self.pos[self.items[i].1 as usize] = i as u32;
-            i = m;
-        }
-        self.items[i] = it;
-        self.pos[it.1 as usize] = i as u32;
-    }
-}
-
 /// Shortest-path trees from one source rack, one per plane. Persistent: the
 /// phase loop refreshes the same trees in place every phase (dist refilled,
-/// the Dijkstra heap reused) instead of reallocating — refreshing performs
-/// the exact same float operations as building fresh, so solutions are
+/// the frontier reused) instead of reallocating — refreshing performs the
+/// exact same float operations as building fresh, so solutions are
 /// bit-identical.
+///
+/// Planes that share a tree share it by index: `of[p]` names the buffer
+/// holding plane `p`'s tree, and a hand-off from a sibling is `of[p] =
+/// of[q]`. There are as many buffers as planes, so a plane about to run
+/// Dijkstra while another plane reads its buffer always finds one that no
+/// plane reads.
 pub struct PlaneTrees {
-    trees: Vec<PlaneTree>,
-    /// Reused Dijkstra frontier (cleared per plane).
-    heap: DijkstraHeap,
+    /// One (dist, parent) buffer per plane, each sized to the largest plane.
+    bufs: Vec<PlaneTree>,
+    /// The buffer holding each plane's tree.
+    of: Vec<usize>,
+    /// Reused Dijkstra frontier, one bit per dense switch (cleared per
+    /// plane).
+    frontier: Vec<u64>,
     /// Scratch target-marks for early-terminated Dijkstra (shared across the
     /// planes of one refresh; every set bit is cleared again before reuse).
     mask: Vec<bool>,
@@ -1000,6 +924,13 @@ pub struct PlaneTrees {
     built: u64,
     shared: u64,
     kept: u64,
+}
+
+impl PlaneTrees {
+    /// Plane `p`'s (dist, parent) arrays.
+    fn tree(&self, p: usize) -> &PlaneTree {
+        &self.bufs[self.of[p]]
+    }
 }
 
 /// A solve's route source: the caller's [`PathMode`] with the AnyPath oracle
@@ -1066,15 +997,9 @@ impl AnyPathOracle {
             .max()
             .unwrap_or(0);
         PlaneTrees {
-            trees: self
-                .planes
-                .iter()
-                .map(|pg| {
-                    let n = pg.n_switches();
-                    (vec![f64::INFINITY; n], vec![NO_PARENT; n])
-                })
-                .collect(),
-            heap: DijkstraHeap::with_nodes(max_n),
+            bufs: vec![(vec![f64::INFINITY; max_n], vec![NO_PARENT; max_n]); self.n_planes],
+            of: (0..self.n_planes).collect(),
+            frontier: vec![0; max_n.div_ceil(64)],
             mask: vec![false; max_n],
             valid: vec![false; self.planes.len()],
             built: 0,
@@ -1103,11 +1028,11 @@ impl AnyPathOracle {
         }
     }
 
-    /// For every dirty plane `p`, name a plane `q` whose trees `p` may copy
+    /// For every dirty plane `p`, name a plane `q` whose trees `p` may share
     /// instead of running Dijkstra: `q` has `p`'s shape, holds a snapshot
     /// equal to `p`'s in every bit, and its trees are current for that
     /// snapshot — `q` is clean, or `q < p` and so refreshed before `p` in
-    /// the same pass. The copy is exact: a plane's Dijkstra is a function of
+    /// the same pass. Sharing is exact: a plane's Dijkstra is a function of
     /// (shape, CSR-order weights, source ToR, targets) — it pops in `(dist
     /// bits, dense node)` order, relaxes in CSR row order, and compares no
     /// link id — so equal inputs give equal distances and equal parent
@@ -1135,6 +1060,14 @@ impl AnyPathOracle {
     /// Dijkstra from `src`'s ToR in every plane under per-plane CSR-order
     /// `weights` (see [`AnyPathOracle::edge_weights`]), refreshing `out` in
     /// place.
+    ///
+    /// The frontier is a bitset, one bit per dense switch, keyed by `dist`.
+    /// A pop scans the set bits in ascending node order and keeps a node
+    /// only when its distance bits are strictly smaller, which yields the
+    /// least `(dist bits, node)`: the order an indexed heap on distance bits
+    /// pops in (non-negative floats order like their bit patterns). The
+    /// settle order, every relaxation, parent and early stop are therefore a
+    /// heap's, with no sift and no position index.
     ///
     /// `targets` are the destination racks the caller will read out of the
     /// trees (via [`AnyPathOracle::best_route_into`]): each plane's Dijkstra
@@ -1168,8 +1101,8 @@ impl AnyPathOracle {
     /// keys (and hence their pops) later, never earlier. Only the stale
     /// never-read remainder of the arrays differs from a re-run.
     ///
-    /// A dirty plane whose tree is not kept copies plane `sibling[p]`'s
-    /// arrays when there is one (see [`AnyPathOracle::siblings`]), and runs
+    /// A dirty plane whose tree is not kept takes plane `sibling[p]`'s
+    /// buffer when there is one (see [`AnyPathOracle::siblings`]), and runs
     /// Dijkstra otherwise.
     #[allow(clippy::too_many_arguments)]
     fn refresh_trees(
@@ -1185,8 +1118,9 @@ impl AnyPathOracle {
     ) {
         let rack = net.rack_of_host(src);
         let PlaneTrees {
-            trees,
-            heap,
+            bufs,
+            of,
+            frontier,
             mask,
             valid,
             built,
@@ -1198,7 +1132,7 @@ impl AnyPathOracle {
                 continue;
             }
             if valid[p] {
-                let (dist, parent) = &trees[p];
+                let (dist, parent) = &bufs[of[p]];
                 let g = &grown[p];
                 let hit = targets.iter().any(|&r| {
                     let t = pg.tor(r);
@@ -1225,16 +1159,20 @@ impl AnyPathOracle {
             }
             valid[p] = true;
             if let Some(q) = sibling[p].filter(|&q| valid[q]) {
-                let [from, to] = trees
-                    .get_disjoint_mut([q, p])
-                    .expect("invariant: a plane's sibling is another plane");
-                to.0.copy_from_slice(&from.0);
-                to.1.copy_from_slice(&from.1);
+                of[p] = of[q];
                 *shared += 1;
                 continue;
             }
             *built += 1;
-            let (dist, parent) = &mut trees[p];
+            // Build in a buffer no other plane reads (see `PlaneTrees`).
+            if (0..of.len()).any(|r| r != p && of[r] == of[p]) {
+                of[p] = (0..bufs.len())
+                    .find(|b| !of.contains(b))
+                    .expect("invariant: a shared buffer leaves one of the n buffers unheld");
+            }
+            let n = pg.n_switches();
+            let (dist, parent) = &mut bufs[of[p]];
+            let dist = &mut dist[..n];
             let w = &weights[p];
             let s = pg.tor(rack);
             let mut remaining = 0usize;
@@ -1249,10 +1187,27 @@ impl AnyPathOracle {
             dist.fill(f64::INFINITY);
             dist[s] = 0.0;
             parent[s] = NO_PARENT;
-            heap.clear();
-            heap.push_or_decrease(0, s as u32);
-            while let Some((db, u)) = heap.pop() {
-                let u = u as usize;
+            let front = &mut frontier[..n.div_ceil(64)];
+            front.fill(0);
+            front[s >> 6] = 1 << (s & 63);
+            loop {
+                // Pop the least (dist bits, node).
+                let (mut u, mut du) = (usize::MAX, u64::MAX);
+                for (i, &word) in front.iter().enumerate() {
+                    let mut bits = word;
+                    while bits != 0 {
+                        let v = (i << 6) | bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        let dv = dist[v].to_bits();
+                        if dv < du {
+                            (u, du) = (v, dv);
+                        }
+                    }
+                }
+                if u == usize::MAX {
+                    break;
+                }
+                front[u >> 6] &= !(1 << (u & 63));
                 if early && mask[u] {
                     mask[u] = false;
                     remaining -= 1;
@@ -1260,7 +1215,7 @@ impl AnyPathOracle {
                         break;
                     }
                 }
-                let d = f64::from_bits(db);
+                let d = f64::from_bits(du);
                 let row = pg.neighbors(u);
                 let start = pg.row_start(u);
                 let wrow = &w[start..start + row.len()];
@@ -1270,7 +1225,7 @@ impl AnyPathOracle {
                     if nd < dist[v] {
                         dist[v] = nd;
                         parent[v] = ((u as u64) << 32) | (start + j) as u64;
-                        heap.push_or_decrease(nd.to_bits(), v as u32);
+                        front[v >> 6] |= 1 << (v & 63);
                     }
                 }
             }
@@ -1286,7 +1241,8 @@ impl AnyPathOracle {
 
     /// Best full route `src -> dst` across all planes given precomputed
     /// trees, written into `route` (cleared first); returns the chosen
-    /// plane's index. Falls back across planes where a host lacks an uplink.
+    /// plane's index, or `None` when no plane connects the two hosts. Falls
+    /// back across planes where a host lacks an uplink.
     fn best_route_into(
         &self,
         net: &Network,
@@ -1295,17 +1251,18 @@ impl AnyPathOracle {
         trees: &PlaneTrees,
         length: &[f64],
         route: &mut Vec<LinkId>,
-    ) -> usize {
+    ) -> Option<usize> {
         let dst_rack = net.rack_of_host(dst);
         let mut best: Option<(f64, usize)> = None;
-        for (p, (dist, _)) in trees.trees.iter().enumerate() {
+        for (p, pg) in self.planes.iter().enumerate() {
             let (Some(up), Some(down)) = (
                 self.uplink(src, p),
                 self.uplink(dst, p).map(|l| l.reverse()),
             ) else {
                 continue;
             };
-            let t = self.planes[p].tor(dst_rack);
+            let t = pg.tor(dst_rack);
+            let dist = &trees.tree(p).0;
             if dist[t].is_infinite() {
                 continue;
             }
@@ -1314,9 +1271,9 @@ impl AnyPathOracle {
                 best = Some((total, p));
             }
         }
-        let (_, p) = best.expect("invariant: some plane connects every commodity's endpoints");
+        let (_, p) = best?;
         let pg = &self.planes[p];
-        let (_, parent) = &trees.trees[p];
+        let parent = &trees.tree(p).1;
         // Backtrack the fabric portion, then reverse in place within the
         // route buffer (slot 0 holds the uplink; the downlink is appended).
         route.clear();
@@ -1339,21 +1296,7 @@ impl AnyPathOracle {
                 .expect("invariant: the chosen plane has an uplink for the destination host")
                 .reverse(),
         );
-        p
-    }
-
-    /// Allocating wrapper over [`AnyPathOracle::best_route_into`].
-    fn best_route(
-        &self,
-        net: &Network,
-        src: HostId,
-        dst: HostId,
-        trees: &PlaneTrees,
-        length: &[f64],
-    ) -> Vec<LinkId> {
-        let mut route = Vec::new();
-        self.best_route_into(net, src, dst, trees, length, &mut route);
-        route
+        Some(p)
     }
 }
 
@@ -1788,26 +1731,193 @@ mod tests {
             assert_eq!((shared.built, shared.shared), (1, 2));
             assert_eq!((built.built, built.shared), (3, 0));
             for (p, pg) in oracle.planes.iter().enumerate() {
-                let chain = |t: &PlaneTrees, mut cur: usize| {
-                    let mut links = Vec::new();
-                    while t.trees[p].1[cur] != NO_PARENT {
-                        let pv = t.trees[p].1[cur];
-                        links.push(pg.link_at(pv as u32 as usize));
-                        cur = (pv >> 32) as usize;
-                    }
-                    links
-                };
                 for r in 1..net.n_racks() as u32 {
                     let t = pg.tor(RackId(r));
-                    let (a, b) = (shared.trees[p].0[t], built.trees[p].0[t]);
+                    let (a, b) = (shared.tree(p).0[t], built.tree(p).0[t]);
                     assert_eq!(a.to_bits(), b.to_bits(), "round {round} plane {p}");
-                    assert_eq!(chain(&shared, t), chain(&built, t), "round {round}");
-                    assert!(chain(&shared, t)
-                        .iter()
-                        .all(|&l| net.link(l).plane.0 == p as u16));
+                    let links = chain(&shared, pg, p, t);
+                    assert_eq!(links, chain(&built, pg, p, t), "round {round}");
+                    assert!(links.iter().all(|&l| net.link(l).plane.0 == p as u16));
                 }
             }
         }
+    }
+
+    /// The links from plane `p`'s tree root to switch `v`, target first.
+    fn chain(t: &PlaneTrees, pg: &PlaneGraph, p: usize, mut v: usize) -> Vec<LinkId> {
+        let mut links = Vec::new();
+        while t.tree(p).1[v] != NO_PARENT {
+            let pv = t.tree(p).1[v];
+            links.push(pg.link_at(pv as u32 as usize));
+            v = (pv >> 32) as usize;
+        }
+        links
+    }
+
+    /// Dijkstra's answer from `s` by definition, for weights no sum absorbs
+    /// (`d + w > d`, so pops come in strictly ascending (dist bits, node)
+    /// order): each switch's least path sum, by Bellman–Ford to a fixpoint,
+    /// and as its parent the first achiever in (dist bits, node, CSR
+    /// position) order.
+    fn reference_tree(pg: &PlaneGraph, w: &[f64], s: usize) -> PlaneTree {
+        let n = pg.n_switches();
+        let edges: Vec<(usize, usize, usize)> = (0..n)
+            .flat_map(|u| {
+                let start = pg.row_start(u);
+                let row = pg.neighbors(u).iter().enumerate();
+                row.map(move |(j, &(v, _))| (u, v as usize, start + j))
+            })
+            .collect();
+        let mut dist = vec![f64::INFINITY; n];
+        dist[s] = 0.0;
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for &(u, v, pos) in &edges {
+                if dist[u] + w[pos] < dist[v] {
+                    dist[v] = dist[u] + w[pos];
+                    changed = true;
+                }
+            }
+        }
+        let mut parent = vec![NO_PARENT; n];
+        let mut first = vec![(u64::MAX, 0, 0); n];
+        for &(u, v, pos) in &edges {
+            let key = (dist[u].to_bits(), u, pos);
+            let achieves = (dist[u] + w[pos]).to_bits() == dist[v].to_bits();
+            if v != s && dist[u].is_finite() && achieves && key < first[v] {
+                first[v] = key;
+                parent[v] = ((u as u64) << 32) | pos as u64;
+            }
+        }
+        (dist, parent)
+    }
+
+    #[test]
+    fn refresh_trees_matches_bellman_ford_on_one_to_four_frontier_words() {
+        use pnet_topology::failures;
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(5);
+        // (switches, degree), on both sides of every frontier word boundary.
+        for (n, degree) in [
+            (2, 1),
+            (3, 2),
+            (9, 4),
+            (63, 4),
+            (64, 3),
+            (65, 4),
+            (128, 3),
+            (129, 4),
+            (193, 4),
+            (200, 3),
+        ] {
+            let mut net = assemble_homogeneous(
+                &Jellyfish::new(n, degree, 1, n as u64),
+                1,
+                &LinkProfile::paper_default(),
+            );
+            // Failed cables make the degrees uneven and may cut switches off.
+            let cables = failures::fabric_cables(&net, None);
+            for &c in cables.iter().skip(3).step_by(7) {
+                failures::fail_cable(&mut net, c);
+            }
+            let oracle = AnyPathOracle::new(&net);
+            let pg = &oracle.planes[0];
+            // All-equal weights make every comparison a tie, small integers
+            // tie often, the rest are generic; even rounds settle every
+            // switch, odd rounds stop at three targets.
+            for round in 0..6 {
+                let length: Vec<f64> = (0..net.n_links())
+                    .map(|_| match round % 3 {
+                        0 => 1.0,
+                        1 => rng.random_range(1u32..4) as f64,
+                        _ => rng.random_range(1e-9..1.0),
+                    })
+                    .collect();
+                let targets: Vec<RackId> = match round % 2 {
+                    0 => Vec::new(),
+                    _ => (0..3)
+                        .map(|_| RackId(rng.random_range(0..n as u32)))
+                        .collect(),
+                };
+                let src = HostId(rng.random_range(0..n as u32));
+                let (mut w, mut t) = (Vec::new(), oracle.empty_trees());
+                oracle.edge_weights(&length, &[true], &mut w);
+                oracle.refresh_trees(&net, src, &targets, &w, &[true], &[None], &[], &mut t);
+                let s = pg.tor(net.rack_of_host(src));
+                let (want_dist, want_parent) = reference_tree(pg, &w[0], s);
+                let (dist, parent) = t.tree(0);
+                let read: Vec<usize> = match targets.len() {
+                    0 => (0..n).collect(),
+                    _ => targets.iter().map(|&r| pg.tor(r)).collect(),
+                };
+                for v in read {
+                    let at = format!("{n} switches, round {round}, switch {v}");
+                    assert_eq!(dist[v].to_bits(), want_dist[v].to_bits(), "{at}");
+                    let mut cur = v;
+                    while dist[cur].is_finite() && cur != s {
+                        assert_eq!(parent[cur], want_parent[cur], "{at}, via {cur}");
+                        cur = (parent[cur] >> 32) as usize;
+                    }
+                }
+            }
+        }
+    }
+
+    /// A plane that took a sibling's tree keeps it when the sibling is
+    /// rebuilt under other weights: the rebuild moves to an unheld buffer.
+    #[test]
+    fn rebuilding_a_shared_tree_leaves_its_sharer_intact() {
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+        let net = assemble_homogeneous(
+            &Jellyfish::new(14, 4, 1, 3),
+            2,
+            &LinkProfile::paper_default(),
+        );
+        let oracle = AnyPathOracle::new(&net);
+        let targets: Vec<RackId> = (1..net.n_racks() as u32).map(RackId).collect();
+        let mut rng = StdRng::seed_from_u64(17);
+        let wts: Vec<f64> = (0..oracle.planes[0].n_directed_links())
+            .map(|_| rng.random_range(1e-9..1.0))
+            .collect();
+        let mut length = vec![1.0; net.n_links()];
+        for pg in &oracle.planes {
+            for (pos, &x) in wts.iter().enumerate() {
+                length[pg.link_at(pos).index()] = x;
+            }
+        }
+        let (mut w, mut sibling, mut t) = (Vec::new(), Vec::new(), oracle.empty_trees());
+        let mut refresh = |length: &[f64], dirty: &[bool], grown: &[Vec<u64>]| {
+            oracle.edge_weights(length, dirty, &mut w);
+            oracle.siblings(&w, dirty, &mut sibling);
+            let src = HostId(0);
+            oracle.refresh_trees(&net, src, &targets, &w, dirty, &sibling, grown, &mut t);
+            (t.built, t.shared, t.of.clone())
+        };
+        assert_eq!(refresh(&length, &[true, true], &[]), (1, 1, vec![0, 0]));
+        // New weights on plane 0 alone, every link of it grown.
+        for l in oracle.planes[0].link_ids() {
+            length[l.index()] = rng.random_range(1e-9..1.0);
+        }
+        let grown = vec![vec![u64::MAX; net.n_links().div_ceil(64)]; 2];
+        assert_eq!(refresh(&length, &[true, false], &grown), (2, 1, vec![1, 0]));
+        let fresh = bundle(&oracle, &net, &length, false);
+        for (p, pg) in oracle.planes.iter().enumerate() {
+            for &r in &targets {
+                let v = pg.tor(r);
+                assert_eq!(t.tree(p).0[v].to_bits(), fresh.tree(p).0[v].to_bits());
+                assert_eq!(chain(&t, pg, p, v), chain(&fresh, pg, p, v), "plane {p}");
+            }
+        }
+    }
+
+    #[test]
+    fn equal_cost_candidates_route_on_the_first() {
+        let route = |ls: &[u32]| ls.iter().map(|&l| LinkId(l)).collect::<Vec<_>>();
+        let flat = Candidates::new(&[vec![route(&[0, 1]), route(&[2, 3]), route(&[4])]]);
+        // Costs 3, 3, 4 and then 4, 3, 3: the first of the cheapest wins.
+        assert_eq!(flat.best(0, &[1.0, 2.0, 2.0, 1.0, 4.0]), route(&[0, 1]));
+        assert_eq!(flat.best(0, &[2.0, 2.0, 2.0, 1.0, 3.0]), route(&[2, 3]));
     }
 
     #[test]
@@ -1825,7 +1935,7 @@ mod tests {
         let unit = vec![1.0; net.n_links()];
         let (mut w, mut sibling) = (Vec::new(), Vec::new());
         oracle.edge_weights(&unit, &[true; 3], &mut w);
-        // Only the intact planes pair up, and only the later one copies.
+        // Only the intact planes pair up, and only the later one shares.
         oracle.siblings(&w, &[true; 3], &mut sibling);
         assert_eq!(sibling, [None, None, Some(0)]);
         // A clean plane serves a lower-numbered dirty one; a dirty one does not.

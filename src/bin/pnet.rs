@@ -155,6 +155,9 @@ fn topology_from(args: &Args) -> Result<(TopologyKind, NetworkClass, usize, u64)
 
 fn policy_from(args: &Args, planes: usize) -> Result<PathPolicy, ArgError> {
     let k: usize = args.get("kpaths")?;
+    if k == 0 {
+        bad_flag("kpaths", k, "each flow needs at least one path");
+    }
     Ok(match args.get_str("policy").unwrap_or_default() {
         "ecmp" => PathPolicy::EcmpHash,
         "rr" => PathPolicy::RoundRobin,

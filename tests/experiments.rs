@@ -124,18 +124,23 @@ fn the_binary_exits_2_naming_the_declared_flags() {
 /// Flag values the library would panic on are a one-line message naming the
 /// flag, with exit 2: never a panic (exit 101).
 #[test]
-fn throughput_rejects_unbuildable_flags_without_a_panic() {
+fn subcommands_reject_unbuildable_flags_without_a_panic() {
     let small = ["--tors", "8", "--degree", "3", "--hosts-per-tor", "1"];
-    for (argv, flag) in [
-        (&["--planes", "0"][..], "--planes 0"),
-        (&["--eps", "2"], "--eps 2"),
-        (&["--kpaths", "0"], "--kpaths 0"),
-        (&["--tors", "5", "--degree", "3"], "--degree 3"),
+    for (sub, argv, flag) in [
+        ("throughput", &["--planes", "0"][..], "--planes 0"),
+        ("throughput", &["--eps", "2"], "--eps 2"),
+        ("throughput", &["--kpaths", "0"], "--kpaths 0"),
+        (
+            "throughput",
+            &["--tors", "5", "--degree", "3"],
+            "--degree 3",
+        ),
+        ("route", &["--kpaths", "0", "--policy", "ksp"], "--kpaths 0"),
     ] {
         // The topology flags the case does not set come from `small`.
         let rest = small.chunks(2).filter(|pair| !argv.contains(&pair[0]));
         let out = Command::new(env!("CARGO_BIN_EXE_pnet"))
-            .arg("throughput")
+            .arg(sub)
             .args(argv)
             .args(rest.flatten())
             .output()

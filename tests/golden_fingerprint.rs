@@ -93,17 +93,17 @@ fn fat_tree_ksp_table_fingerprint_is_stable() {
     );
 }
 
-#[test]
-fn gk_mcf_lambda_fingerprint_is_stable() {
-    // Same construction as the benchmark's `pipeline_cold`, scaled down:
-    // seeded Jellyfish, random-permutation commodities, AnyPath oracle at
-    // eps = 0.1. lambda and every per-commodity rate are hashed bit-exactly.
+/// A serial AnyPath GK solve at eps = 0.1 of a random permutation over the
+/// `n` single-host racks of a seeded `Jellyfish(n, degree, 1, 7)` with two
+/// planes, and its digest: lambda, the phase count and every per-commodity
+/// rate, bit-exactly.
+fn gk_permutation_fingerprint(n: usize, degree: usize) -> (mcf::McfSolution, u64) {
     let net = assemble_homogeneous(
-        &Jellyfish::new(16, 4, 1, 7),
+        &Jellyfish::new(n, degree, 1, 7),
         2,
         &LinkProfile::paper_default(),
     );
-    let c = commodity::permutation(&tm::random_permutation(16, 7));
+    let c = commodity::permutation(&tm::random_permutation(n, 7));
     let sol = mcf::solve_with_options(
         &net,
         &c,
@@ -120,8 +120,15 @@ fn gk_mcf_lambda_fingerprint_is_stable() {
     for r in &sol.rates {
         h.u64(r.to_bits());
     }
+    (sol, h.0)
+}
+
+#[test]
+fn gk_mcf_lambda_fingerprint_is_stable() {
+    // Same construction as the benchmark's `pipeline_cold`, scaled down.
+    let (sol, digest) = gk_permutation_fingerprint(16, 4);
     assert_eq!(
-        h.0, GOLDEN_GK_LAMBDA,
+        digest, GOLDEN_GK_LAMBDA,
         "GK solve changed (lambda {} over {} phases)",
         sol.lambda, sol.phases
     );
@@ -130,6 +137,23 @@ fn gk_mcf_lambda_fingerprint_is_stable() {
     // some are now copies of the twin plane's tree.
     assert_eq!(sol.trees_built + sol.trees_shared + sol.trees_kept, 32_464);
     assert!(sol.trees_shared > 0 && sol.trees_built < 32_464);
+}
+
+/// The same solve on planes of 96 switches, where every Dijkstra frontier
+/// spans two 64-bit words; the pins above stop at 64. About 7 s in a debug
+/// build.
+#[test]
+fn gk_mcf_lambda_above_one_frontier_word_is_stable() {
+    let (sol, digest) = gk_permutation_fingerprint(96, 6);
+    assert_eq!(
+        digest, GOLDEN_GK_LAMBDA_96,
+        "GK solve changed on 96-switch planes (lambda {} over {} phases)",
+        sol.lambda, sol.phases
+    );
+    assert_eq!(
+        (sol.trees_built, sol.trees_shared, sol.trees_kept),
+        (134_784, 134_784, 0)
+    );
 }
 
 /// `pipeline_cold`'s seed-1 instance at full size: what the benchmark's
@@ -372,6 +396,9 @@ const GOLDEN_POST_CHURN_KSP: u64 = 3576556970543380266;
 const GOLDEN_FAT_TREE_KSP: u64 = 11144640133350879781;
 // lambda 199901380670.61145 over 2028 phases.
 const GOLDEN_GK_LAMBDA: u64 = 2946497110374994333;
+// lambda 199857549857.54987 over 2807 phases, minted with the 4-ary heap
+// Dijkstra the bitset frontier replaced.
+const GOLDEN_GK_LAMBDA_96: u64 = 15002067845247366420;
 // Pinned by the pre-calendar-queue BinaryHeap engine; the calendar/arena
 // engine must reproduce it bit-for-bit.
 const GOLDEN_SIM_FCT: u64 = 2982833380558106106;

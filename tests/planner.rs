@@ -224,6 +224,31 @@ fn degenerate_queries_are_typed_errors() {
     ));
 }
 
+/// A what-if that fails every fabric cable leaves no plane joining two racks:
+/// the first inter-rack commodity (0 → 2; 0 → 1 shares a ToR) comes back as
+/// the solver's typed error, from the library and from `pnet plan`.
+#[test]
+fn what_if_cutting_every_fabric_cable_is_a_typed_error() {
+    let planner = Planner::with_config(net(), cfg());
+    let cables = failures::fabric_cables(planner.latest().network(), None);
+    assert_eq!(
+        planner.ideal_throughput_after(&cables, &tm()).err(),
+        Some(PlanError::Solver(McfError::UnroutableCommodity {
+            index: 1
+        }))
+    );
+    let argv = "plan --tors 8 --degree 3 --hosts-per-tor 1 --planes 2 --sweep 1 \
+                --what-if-cables 100000";
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_pnet"))
+        .args(argv.split_whitespace())
+        .output()
+        .expect("failed to launch pnet");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{stderr}");
+    assert!(stderr.contains("planner query failed:"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
 /// Concurrent readers race the writer: queries pinned to generation 0 stay
 /// bitwise stable while four publishes land, and queries against whatever
 /// `latest()` returns always succeed. Scoped threads keep the test
