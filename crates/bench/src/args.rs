@@ -21,7 +21,16 @@ pub enum ArgErrorKind {
     UnknownFlag(String),
     StrayWord(String),
     MissingValue(String),
-    BadValue { flag: String, value: String },
+    BadValue {
+        flag: String,
+        value: String,
+    },
+    /// The value parsed, but nothing can be built or solved with it.
+    Rejected {
+        flag: String,
+        value: String,
+        why: String,
+    },
 }
 
 /// A rejected command line, with the vocabulary it was checked against.
@@ -40,6 +49,10 @@ impl fmt::Display for ArgError {
             ArgErrorKind::MissingValue(flag) => write!(f, "--{flag} needs a value")?,
             ArgErrorKind::BadValue { flag, value } => {
                 write!(f, "bad value for --{flag}: {value:?}")?
+            }
+            // The flag is declared; listing the vocabulary would not help.
+            ArgErrorKind::Rejected { flag, value, why } => {
+                return write!(f, "--{flag} {value}: {why}");
             }
         }
         write!(f, "\ndeclared flags: {}", self.declared)
@@ -103,6 +116,16 @@ impl Args {
         self.error(ArgErrorKind::BadValue {
             flag: flag.to_string(),
             value: value.to_string(),
+        })
+    }
+
+    /// Reject `value` of the declared `--flag`, saying `why` nothing can be
+    /// built or solved with it.
+    pub fn reject(&self, flag: &str, value: impl fmt::Display, why: impl fmt::Display) -> ArgError {
+        self.error(ArgErrorKind::Rejected {
+            flag: flag.to_string(),
+            value: value.to_string(),
+            why: why.to_string(),
         })
     }
 

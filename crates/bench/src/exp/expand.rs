@@ -10,7 +10,7 @@
 //! mean best-plane hop count, and the rewiring cost in patch-panel
 //! operations — showing that growth is cheap and the fabric quality holds.
 
-use crate::{banner, f3, Args, Error, Experiment, Table, CSV, SEED};
+use crate::{banner, f3, setups, Args, Error, Experiment, Table, CSV, SEED};
 use pnet_core::analysis;
 use pnet_topology::{assemble, jellyfish::expand_rack, Jellyfish, LinkProfile, PlaneBuilder};
 use std::io::Write;
@@ -31,10 +31,9 @@ pub const EXPERIMENT: Experiment = Experiment {
 };
 
 fn run(args: &Args, out: &mut dyn Write) -> Result<(), Error> {
-    let tors: usize = args.get("tors")?;
-    let degree: usize = args.get("degree")?;
-    let hpt: usize = args.get("hosts-per-tor")?;
-    let planes: usize = args.get("planes")?;
+    let (tors, degree) = setups::tors_and_degree(args, "tors")?;
+    let hpt = setups::count(args, "hosts-per-tor")?;
+    let planes = setups::planes_from(args)?;
     let add: usize = args.get("add")?;
     let seed: u64 = args.get("seed")?;
 

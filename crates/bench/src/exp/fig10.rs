@@ -47,7 +47,9 @@ fn run(args: &Args, out: &mut dyn Write) -> Result<(), Error> {
     let base = setups::jellyfish_spec(args)?;
     let (hosts, planes) = (base.n_hosts(), base.n_planes);
     let rounds: u64 = args.get("rounds")?;
-    let queue: u64 = args.get("queue")?;
+    // A zero-packet queue drops every packet: the RPCs would retransmit
+    // forever.
+    let queue = setups::count(args, "queue")? as u64;
     let csv = args.has("csv");
 
     banner(

@@ -58,7 +58,7 @@ fn run(args: &Args, out: &mut dyn Write) -> Result<(), Error> {
     let (hosts, planes) = (base.n_hosts(), base.n_planes);
     let rounds: u64 = args.get("rounds")?;
     let request = args.get_with("request", parse_size)?;
-    let concurrency = args.list_with("concurrency", parse_size)?;
+    let concurrency = setups::counts(args, "concurrency")?;
     let csv = args.has("csv");
 
     banner(

@@ -6,7 +6,7 @@
 //! only ~3% (independent failures per plane), heterogeneous stays lowest in
 //! absolute hops but its advantage shrinks.
 
-use crate::{banner, f3, Args, Error, Experiment, Table, CSV, SEED};
+use crate::{banner, f3, setups, Args, Error, Experiment, Table, CSV, SEED};
 use pnet_core::analysis;
 use pnet_topology::{failures, parallel, Jellyfish, LinkProfile, NetworkClass};
 use std::io::Write;
@@ -26,9 +26,8 @@ pub const EXPERIMENT: Experiment = Experiment {
 };
 
 fn run(args: &Args, out: &mut dyn Write) -> Result<(), Error> {
-    let tors: usize = args.get("tors")?;
-    let degree: usize = args.get("degree")?;
-    let planes: usize = args.get("planes")?;
+    let (tors, degree) = setups::tors_and_degree(args, "tors")?;
+    let planes = setups::planes_from(args)?;
     let trials: u64 = args.get("trials")?;
     let seed: u64 = args.get("seed")?;
 

@@ -11,7 +11,6 @@
 //! for paper scale. Throughput is normalized against the serial
 //! low-bandwidth network as in the paper.
 
-use crate::args::parse_size;
 use crate::{banner, setups, Args, Error, Experiment, CSV, SEED};
 use pnet_flowsim::{commodity, throughput};
 use pnet_topology::{assemble_homogeneous, FatTree, LinkProfile, Network};
@@ -32,11 +31,11 @@ pub const EXPERIMENT: Experiment = Experiment {
 };
 
 fn run(args: &Args, out: &mut dyn Write) -> Result<(), Error> {
-    let k: usize = args.get("k")?;
+    let k = setups::fat_tree_k(args)?;
     let seed: u64 = args.get("seed")?;
-    let eps: f64 = args.get("eps")?;
+    let eps = setups::eps_from(args)?;
     let csv = args.has("csv");
-    let ksweep = args.list_with("ksweep", parse_size)?;
+    let ksweep = setups::counts(args, "ksweep")?;
 
     let ft = FatTree::three_tier(k);
     let hosts = ft.n_hosts();
@@ -58,7 +57,9 @@ fn run(args: &Args, out: &mut dyn Write) -> Result<(), Error> {
     )?;
     let a2a = commodity::all_to_all(hosts);
     let perm = commodity::permutation(&tm::random_permutation(hosts, seed));
-    setups::pattern_table(out, &nets, &a2a, &perm, csv, throughput::ecmp_throughput)?;
+    setups::pattern_table(out, &nets, &a2a, &perm, csv, |net, commodities| {
+        Ok(throughput::ecmp_throughput(net, commodities))
+    })?;
     writeln!(
         out,
         "\npaper: all-to-all scales ~Nx; permutation stays ~1x under ECMP\n"

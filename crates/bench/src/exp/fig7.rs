@@ -10,9 +10,8 @@
 //! Scale note: the paper uses 128 racks; the default here is 64 for a
 //! seconds-scale run (`--racks 128` for paper scale).
 
-use crate::args::parse_size;
-use crate::{banner, f3, Args, Error, Experiment, Table, CSV, SEED};
-use pnet_flowsim::{commodity, throughput};
+use crate::{banner, f3, setups, Args, Error, Experiment, Table, CSV, SEED};
+use pnet_flowsim::{commodity, throughput, McfError};
 use pnet_topology::{parallel, Jellyfish, LinkProfile, NetworkClass};
 use std::io::Write;
 
@@ -32,12 +31,11 @@ pub const EXPERIMENT: Experiment = Experiment {
 };
 
 fn run(args: &Args, out: &mut dyn Write) -> Result<(), Error> {
-    let racks: usize = args.get("racks")?;
-    let degree: usize = args.get("degree")?;
+    let (racks, degree) = setups::tors_and_degree(args, "racks")?;
     let seed: u64 = args.get("seed")?;
-    let eps: f64 = args.get("eps")?;
+    let eps = setups::eps_from(args)?;
     let trials: u64 = args.get("trials")?;
-    let planes = args.list_with("planes", parse_size)?;
+    let planes = setups::counts(args, "planes")?;
 
     banner(
         out,
@@ -56,10 +54,10 @@ fn run(args: &Args, out: &mut dyn Write) -> Result<(), Error> {
         let sum: f64 = (0..trials)
             .map(|t| {
                 let net = parallel::jellyfish_network(class, proto, n, seed + t, &base);
-                throughput::ideal_core_throughput(&net, &commodities, eps).0
+                throughput::ideal_core_throughput(&net, &commodities, eps).map(|(total, _)| total)
             })
-            .sum();
-        sum / trials as f64
+            .sum::<Result<f64, McfError>>()?;
+        Ok::<_, McfError>(sum / trials as f64)
     };
 
     let header = [
@@ -69,10 +67,10 @@ fn run(args: &Args, out: &mut dyn Write) -> Result<(), Error> {
         "hetero / serial-high",
     ];
     let mut table = Table::new(&header, args.has("csv"));
-    let serial_low = mean_ideal(NetworkClass::SerialLow, 1);
+    let serial_low = mean_ideal(NetworkClass::SerialLow, 1)?;
     for &n in &planes {
-        let high = mean_ideal(NetworkClass::SerialHigh, n as usize) / serial_low;
-        let het = mean_ideal(NetworkClass::ParallelHeterogeneous, n as usize) / serial_low;
+        let high = mean_ideal(NetworkClass::SerialHigh, n as usize)? / serial_low;
+        let het = mean_ideal(NetworkClass::ParallelHeterogeneous, n as usize)? / serial_low;
         let gain = format!("{:+.1}%", 100.0 * (het - high) / high);
         table.row(&[&n, &f3(high), &f3(het), &gain]);
     }

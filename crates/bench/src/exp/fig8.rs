@@ -11,7 +11,6 @@
 //! paper's 1024-host equivalent; pass `--tors 128 --hosts-per-tor 8
 //! --degree 8` for paper scale.
 
-use crate::args::parse_size;
 use crate::{banner, setups, Args, Error, Experiment, CSV, SEED};
 use pnet_flowsim::{commodity, throughput};
 use pnet_topology::{parallel, Jellyfish, LinkProfile, Network, NetworkClass};
@@ -34,12 +33,11 @@ pub const EXPERIMENT: Experiment = Experiment {
 };
 
 fn run(args: &Args, out: &mut dyn Write) -> Result<(), Error> {
-    let tors: usize = args.get("tors")?;
-    let degree: usize = args.get("degree")?;
-    let hpt: usize = args.get("hosts-per-tor")?;
+    let (tors, degree) = setups::tors_and_degree(args, "tors")?;
+    let hpt = setups::count(args, "hosts-per-tor")?;
     let seed: u64 = args.get("seed")?;
-    let eps: f64 = args.get("eps")?;
-    let ksweep = args.list_with("ksweep", parse_size)?;
+    let eps = setups::eps_from(args)?;
+    let ksweep = setups::counts(args, "ksweep")?;
     let csv = args.has("csv");
 
     let hosts = tors * hpt;
@@ -63,7 +61,7 @@ fn run(args: &Args, out: &mut dyn Write) -> Result<(), Error> {
     let a2a = commodity::all_to_all(hosts);
     let perm = commodity::permutation(&tm::random_permutation(hosts, seed));
     setups::pattern_table(out, &nets, &a2a, &perm, csv, |net, commodities| {
-        throughput::ksp_multipath_throughput(net, commodities, 8, eps).0
+        throughput::ksp_multipath_throughput(net, commodities, 8, eps).map(|(total, _)| total)
     })?;
     writeln!(
         out,

@@ -60,7 +60,7 @@ fn rpc_median(net: &Network, seed: u64, rounds: u64) -> (f64, f64) {
 }
 
 fn run(args: &Args, out: &mut dyn Write) -> Result<(), Error> {
-    let k: usize = args.get("k")?;
+    let k = setups::fat_tree_k(args)?;
     let degree: usize = args.get("expander-degree")?;
     let rounds: u64 = args.get("rounds")?;
     let bulk_size = args.get_with("bulk-size", parse_size)?;

@@ -38,6 +38,7 @@ pub mod exp {
 pub use args::{ArgError, ArgErrorKind, Args, Param, CSV, SEED};
 pub use report::{banner, f3, human_bytes, min_index_total, Table};
 
+use pnet_flowsim::McfError;
 use std::fmt;
 use std::io::{self, Write};
 
@@ -48,6 +49,8 @@ pub enum Error {
     Args(ArgError),
     /// `pnet exp <name>` named no registered experiment.
     UnknownExperiment(String),
+    /// The flow solver refused the instance the flags describe.
+    Solver(McfError),
     /// The report could not be written.
     Io(io::Error),
 }
@@ -60,6 +63,7 @@ impl fmt::Display for Error {
                 let names: Vec<&str> = REGISTRY.iter().map(|e| e.name).collect();
                 write!(f, "unknown experiment {name:?}; known: {}", names.join(" "))
             }
+            Error::Solver(e) => write!(f, "flow solver: {e}"),
             Error::Io(e) => e.fmt(f),
         }
     }
@@ -70,6 +74,12 @@ impl std::error::Error for Error {}
 impl From<ArgError> for Error {
     fn from(e: ArgError) -> Self {
         Error::Args(e)
+    }
+}
+
+impl From<McfError> for Error {
+    fn from(e: McfError) -> Self {
+        Error::Solver(e)
     }
 }
 

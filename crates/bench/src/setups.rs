@@ -1,11 +1,17 @@
-//! Shared experiment scaffolding: the fabric flags, the four comparison
-//! networks, per-class path policies, the build → factory → simulator
-//! scaffold of the packet-level experiments, and the traffic generators and
-//! throughput tables more than one experiment uses.
+//! Shared experiment scaffolding: the checked fabric and count flags, the
+//! four comparison networks, per-class path policies, the build → factory →
+//! simulator scaffold of the packet-level experiments, and the traffic
+//! generators and throughput tables more than one experiment uses.
+//!
+//! The flag helpers are the one place a value is checked against what the
+//! library can build or solve: a value it cannot use comes back as an
+//! [`ArgErrorKind::Rejected`](crate::ArgErrorKind) naming the flag, for the
+//! `pnet` subcommands and the experiments alike.
 
-use crate::{f3, ArgError, Args, Table};
+use crate::args::parse_size;
+use crate::{f3, ArgError, Args, Error, Table};
 use pnet_core::{PNetSpec, PathPolicy, PathSelector, TopologyKind};
-use pnet_flowsim::{throughput, Commodity};
+use pnet_flowsim::{throughput, Commodity, McfError};
 use pnet_htsim::apps::{ClosedLoopDriver, ClosedLoopSlot, FlowFactory, RpcDriver, RpcSlot};
 use pnet_htsim::{
     metrics, run, run_to_completion, CcAlgo, FlowSpec, SimConfig, SimTime, Simulator,
@@ -14,14 +20,99 @@ use pnet_topology::{HostId, Network, NetworkClass};
 use pnet_workloads::{tm, EmpiricalCdf, Trace};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::io::{self, Write};
+use std::io::Write;
+
+/// `--{flag}`, a count that means nothing at zero: paths, hosts, packets.
+pub fn count(args: &Args, flag: &str) -> Result<usize, ArgError> {
+    let n: usize = args.get(flag)?;
+    if n == 0 {
+        return Err(args.reject(flag, n, "must be at least 1"));
+    }
+    Ok(n)
+}
+
+/// The comma-separated counts of `--{flag}` (k/m/g suffixes allowed), none
+/// of them zero.
+pub fn counts(args: &Args, flag: &str) -> Result<Vec<u64>, ArgError> {
+    let list = args.list_with(flag, parse_size)?;
+    if list.contains(&0) {
+        let given = args.get_str(flag).unwrap_or_default();
+        return Err(args.reject(flag, given, "every entry must be at least 1"));
+    }
+    Ok(list)
+}
+
+/// `--eps`, the flow solver's approximation parameter.
+pub fn eps_from(args: &Args) -> Result<f64, ArgError> {
+    let eps: f64 = args.get("eps")?;
+    if !(eps > 0.0 && eps < 0.5) {
+        return Err(args.reject("eps", eps, "the flow solver needs 0 < eps < 0.5"));
+    }
+    Ok(eps)
+}
+
+/// `--planes`, bounded as the paper bounds it.
+pub fn planes_from(args: &Args) -> Result<usize, ArgError> {
+    let planes: usize = args.get("planes")?;
+    if !(1..=8).contains(&planes) {
+        return Err(args.reject("planes", planes, "a P-Net has 1 to 8 dataplanes"));
+    }
+    Ok(planes)
+}
+
+/// `--{tors}` ToRs with `--degree` fabric ports each, as a connected random
+/// regular graph needs them.
+pub fn tors_and_degree(args: &Args, tors: &str) -> Result<(usize, usize), ArgError> {
+    let (n, degree): (usize, usize) = (args.get(tors)?, args.get("degree")?);
+    if n < 2 {
+        return Err(args.reject(tors, n, "a fabric needs at least two ToRs"));
+    }
+    // Degree 1 pairs the ToRs off, which connects two of them and no more.
+    let least = if n == 2 { 1 } else { 2 };
+    if !(least..n).contains(&degree) {
+        let why = format!("must be {least} to {} with {n} ToRs", n - 1);
+        return Err(args.reject("degree", degree, why));
+    }
+    if !n.is_multiple_of(2) && !degree.is_multiple_of(2) {
+        let why = format!("{n} ToRs x {degree} ports is odd, and a cable has two ends");
+        return Err(args.reject("degree", degree, why));
+    }
+    Ok((n, degree))
+}
 
 /// The Jellyfish of `--tors --degree --hosts-per-tor`.
 pub fn jellyfish_from(args: &Args) -> Result<TopologyKind, ArgError> {
+    let (n_tors, degree) = tors_and_degree(args, "tors")?;
     Ok(TopologyKind::Jellyfish {
-        n_tors: args.get("tors")?,
-        degree: args.get("degree")?,
-        hosts_per_tor: args.get("hosts-per-tor")?,
+        n_tors,
+        degree,
+        hosts_per_tor: count(args, "hosts-per-tor")?,
+    })
+}
+
+/// `--k`, a three-tier fat tree's arity.
+pub fn fat_tree_k(args: &Args) -> Result<usize, ArgError> {
+    let k: usize = args.get("k")?;
+    if k < 4 || !k.is_multiple_of(2) {
+        return Err(args.reject("k", k, "a fat tree's arity is even and at least 4"));
+    }
+    Ok(k)
+}
+
+/// The Xpander of `--degree --lifts --hosts-per-tor`.
+pub fn xpander_from(args: &Args) -> Result<TopologyKind, ArgError> {
+    let degree: usize = args.get("degree")?;
+    if degree < 3 {
+        return Err(args.reject("degree", degree, "an expander needs 3 ports or more"));
+    }
+    let lifts: u32 = args.get("lifts")?;
+    if lifts > 16 {
+        return Err(args.reject("lifts", lifts, "must be 0 to 16"));
+    }
+    Ok(TopologyKind::Xpander {
+        degree,
+        lifts,
+        hosts_per_tor: count(args, "hosts-per-tor")?,
     })
 }
 
@@ -32,7 +123,7 @@ pub fn jellyfish_spec(args: &Args) -> Result<PNetSpec, ArgError> {
     Ok(PNetSpec::new(
         jellyfish_from(args)?,
         NetworkClass::SerialLow,
-        args.get("planes")?,
+        planes_from(args)?,
         args.get("seed")?,
     ))
 }
@@ -269,18 +360,18 @@ pub fn pattern_table(
     a2a: &[Commodity],
     perm: &[Commodity],
     csv: bool,
-    throughput: impl Fn(&Network, &[Commodity]) -> f64,
-) -> io::Result<()> {
+    throughput: impl Fn(&Network, &[Commodity]) -> Result<f64, McfError>,
+) -> Result<(), Error> {
     let mut table = Table::new(&["network", "all-to-all", "permutation"], csv);
     let mut base = (0.0, 0.0);
     for (i, (name, net, _)) in nets.iter().enumerate() {
-        let t = (throughput(net, a2a), throughput(net, perm));
+        let t = (throughput(net, a2a)?, throughput(net, perm)?);
         if i == 0 {
             base = t;
         }
         table.row(&[name, &f3(t.0 / base.0), &f3(t.1 / base.1)]);
     }
-    table.print(out)
+    Ok(table.print(out)?)
 }
 
 /// Figures 6c and 8c: permutation throughput of each `(name, network, planes
@@ -294,11 +385,11 @@ pub fn saturation_sweep(
     ksweep: &[u64],
     eps: f64,
     csv: bool,
-) -> io::Result<()> {
+) -> Result<(), Error> {
     let k_max = *ksweep
         .last()
         .expect("invariant: a parsed list is never empty") as usize;
-    let (serial_sat, _) = throughput::ksp_multipath_throughput(&nets[0].1, perm, k_max, eps);
+    let (serial_sat, _) = throughput::ksp_multipath_throughput(&nets[0].1, perm, k_max, eps)?;
     let mut header = vec!["K"];
     header.extend(nets.iter().map(|(name, ..)| name.as_str()));
     let mut table = Table::new(&header, csv);
@@ -306,7 +397,7 @@ pub fn saturation_sweep(
     for &k in ksweep {
         let mut row = vec![k.to_string()];
         for ((_, net, n), sat) in nets.iter().zip(&mut saturated) {
-            let (t, _) = throughput::ksp_multipath_throughput(net, perm, k as usize, eps);
+            let (t, _) = throughput::ksp_multipath_throughput(net, perm, k as usize, eps)?;
             let norm = t / serial_sat;
             let first = norm >= 0.95 * *n as f64 && sat.is_none();
             if first {

@@ -10,7 +10,8 @@
 //!   pinned to single paths.
 //!
 //! [`throughput`] wraps both into the exact quantities plotted in Figures 6,
-//! 7, and 8.
+//! 7, and 8. A solve has one fallible entry, [`mcf::try_solve`] cold and
+//! [`mcf::try_solve_warm`] warm; both return a typed [`McfError`].
 //!
 //! ## Example
 //!
@@ -21,8 +22,9 @@
 //! let net = assemble_homogeneous(&FatTree::three_tier(4), 2, &LinkProfile::paper_default());
 //! let perm: Vec<usize> = (0..16).map(|i| (i + 8) % 16).collect();
 //! let commodities = commodity::permutation(&perm);
-//! let (total, lambda) = throughput::ksp_multipath_throughput(&net, &commodities, 16, 0.1);
+//! let (total, lambda) = throughput::ksp_multipath_throughput(&net, &commodities, 16, 0.1)?;
 //! assert!(total > 0.0 && lambda > 0.0);
+//! # Ok::<(), pnet_flowsim::McfError>(())
 //! ```
 
 // Test modules are exempt from the typed determinism lints (DESIGN.md "Static analysis &
@@ -43,4 +45,4 @@ pub mod mcf;
 pub mod throughput;
 
 pub use commodity::Commodity;
-pub use mcf::{link_capacities, McfError, McfSolution, PathMode};
+pub use mcf::{link_capacities, Candidates, McfError, McfSolution, PathMode};

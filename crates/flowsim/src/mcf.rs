@@ -22,9 +22,10 @@ use pnet_topology::{HostId, LinkId, Network, PlaneId, RackId};
 /// How commodities may be routed.
 #[derive(Debug, Clone)]
 pub enum PathMode {
-    /// `paths[i]` are the allowed routes of commodity `i`, each a full
-    /// host-to-host link sequence. A commodity may split across them.
-    Explicit(Vec<Vec<Vec<LinkId>>>),
+    /// The allowed routes of every commodity, each a full host-to-host link
+    /// sequence (see [`Candidates`]). A commodity may split across its
+    /// routes.
+    Explicit(Candidates),
     /// Any path within any single plane (host uplink + fabric + downlink).
     AnyPath,
 }
@@ -43,7 +44,7 @@ pub struct McfSolution {
     pub rates: Vec<f64>,
     /// The final multiplicative-weights length vector (one entry per
     /// directed link). This is the solver's dual profile: feeding it to
-    /// [`solve_warm`] after a link delta re-solves from this
+    /// [`try_solve_warm`] after a link delta re-solves from this
     /// point instead of from the uniform δ/cₑ start.
     pub length: Vec<f64>,
     /// Shortest-path trees (one per source and stale plane) the AnyPath
@@ -71,9 +72,8 @@ pub fn link_capacities(net: &Network) -> Vec<f64> {
         .collect()
 }
 
-/// Typed rejection for the checked (`try_`) solver entry points. Services
-/// that answer queries built from untrusted or computed inputs (the planner's
-/// what-if path) must receive an error value, not a panic.
+/// Why a solve was refused or did not converge: what [`try_solve`] and
+/// [`try_solve_warm`] return instead of panicking.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum McfError {
     /// `eps` outside the open interval (0, 0.5). The Fleischer start value
@@ -147,8 +147,7 @@ impl std::fmt::Display for McfError {
 
 impl std::error::Error for McfError {}
 
-/// Shared input validation of the checked entry points: everything the
-/// panicking solvers assert about their arguments, as a value.
+/// The checks a solve makes on its arguments before it builds anything.
 fn validate_inputs(commodities: &[Commodity], mode: &PathMode, eps: f64) -> Result<(), McfError> {
     if !(eps > 0.0 && eps < 0.5) {
         return Err(McfError::InvalidEps { eps });
@@ -161,17 +160,15 @@ fn validate_inputs(commodities: &[Commodity], mode: &PathMode, eps: f64) -> Resu
             return Err(McfError::InvalidDemand { index: i });
         }
     }
-    if let PathMode::Explicit(paths) = mode {
-        if paths.len() != commodities.len() {
+    if let PathMode::Explicit(routes) = mode {
+        if routes.len() != commodities.len() {
             return Err(McfError::PathTableMismatch {
-                paths: paths.len(),
+                paths: routes.len(),
                 commodities: commodities.len(),
             });
         }
-        for (i, p) in paths.iter().enumerate() {
-            if p.is_empty() {
-                return Err(McfError::UnroutableCommodity { index: i });
-            }
+        if let Some(index) = (0..routes.len()).find(|&i| routes.routes(i).len() == 0) {
+            return Err(McfError::UnroutableCommodity { index });
         }
     }
     Ok(())
@@ -193,17 +190,14 @@ pub struct McfOptions {
     pub parallelism: Parallelism,
 }
 
-/// Solve max concurrent flow. `eps` trades accuracy for speed (the result is
-/// ≥ (1−O(eps))·OPT; 0.05–0.15 are sensible).
-///
-/// # Panics
-/// If a commodity has an empty or no allowed path (`Explicit` mode) — the
-/// caller should filter unroutable commodities first (λ would be 0).
+/// [`try_solve`] with default [`McfOptions`], panicking on its errors. Kept
+/// only because the standalone benchmark calls it.
 pub fn solve(net: &Network, commodities: &[Commodity], mode: &PathMode, eps: f64) -> McfSolution {
-    solve_with_options(net, commodities, mode, eps, McfOptions::default())
+    expect_solved(try_solve(net, commodities, mode, eps, Default::default()))
 }
 
-/// [`solve`] with explicit [`McfOptions`].
+/// [`try_solve`], panicking on its errors. Kept only because the standalone
+/// benchmark calls it.
 pub fn solve_with_options(
     net: &Network,
     commodities: &[Commodity],
@@ -211,92 +205,39 @@ pub fn solve_with_options(
     eps: f64,
     opts: McfOptions,
 ) -> McfSolution {
-    let checked = try_solve_with_options(net, commodities, mode, eps, opts);
+    expect_solved(try_solve(net, commodities, mode, eps, opts))
+}
+
+/// [`try_solve_warm`], panicking on its errors. Kept only because the
+/// standalone benchmark calls it.
+pub fn solve_warm(
+    net: &Network,
+    commodities: &[Commodity],
+    mode: &PathMode,
+    eps: f64,
+    warm: &McfSolution,
+) -> McfSolution {
+    expect_solved(try_solve_warm(net, commodities, mode, eps, warm))
+}
+
+/// The panicking entries' one unwrap: the error's message is the panic's.
+fn expect_solved(checked: Result<McfSolution, McfError>) -> McfSolution {
     if let Err(e) = &checked {
         assert!(checked.is_ok(), "{e}");
     }
     checked.expect("invariant: asserted Ok above")
 }
 
-/// [`solve`] returning a typed error instead of panicking on bad inputs —
-/// the entry point for services whose queries are not pre-validated.
+/// Solve max concurrent flow from the uniform start. `eps` trades accuracy
+/// for speed (the result is ≥ (1−O(eps))·OPT; 0.05–0.15 are sensible).
 pub fn try_solve(
-    net: &Network,
-    commodities: &[Commodity],
-    mode: &PathMode,
-    eps: f64,
-) -> Result<McfSolution, McfError> {
-    try_solve_with_options(net, commodities, mode, eps, McfOptions::default())
-}
-
-/// [`solve_with_options`] returning a typed [`McfError`] instead of
-/// panicking on bad inputs.
-pub fn try_solve_with_options(
     net: &Network,
     commodities: &[Commodity],
     mode: &PathMode,
     eps: f64,
     opts: McfOptions,
 ) -> Result<McfSolution, McfError> {
-    validate_inputs(commodities, mode, eps)?;
-
-    let mut caps = link_capacities(net);
-    if opts.host_links_free {
-        for (id, l) in net.links() {
-            if l.up && (net.node(l.src).kind.is_host() || net.node(l.dst).kind.is_host()) {
-                caps[id.index()] = f64::INFINITY;
-            }
-        }
-    }
-    let m = caps.iter().filter(|&&c| c > 0.0 && c.is_finite()).count() as f64;
-
-    // One route source for the whole solve: in AnyPath mode the oracle's
-    // plane graphs and host-uplink cache are shared between demand
-    // pre-scaling and the phase loop.
-    let routes = Routes::new(net, mode);
-
-    // --- Demand pre-scaling so that OPT λ' is Θ(1). -----------------------
-    // Lower bound: route every commodity on a shortest allowed path and
-    // scale by the resulting congestion.
-    let seed_routes = shortest_routes_unit(net, commodities, &routes, opts.parallelism)?;
-    let mut seed_load = vec![0.0f64; caps.len()];
-    for (c, route) in commodities.iter().zip(&seed_routes) {
-        for &l in route {
-            seed_load[l.index()] += c.demand;
-        }
-    }
-    let seed_congestion = seed_load
-        .iter()
-        .zip(&caps)
-        .filter(|&(_, &c)| c > 0.0)
-        .map(|(&f, &c)| f / c)
-        .fold(0.0f64, f64::max);
-    if seed_congestion.is_nan() || seed_congestion <= 0.0 {
-        return Err(McfError::NoFeasibleFlow);
-    }
-    let lambda_lb = 1.0 / seed_congestion;
-    let scale = lambda_lb; // demands multiplied by this => OPT' in [1, ...]
-
-    // --- Fleischer phases. -------------------------------------------------
-    let delta = (m / (1.0 - eps)).powf(-1.0 / eps);
-    let length: Vec<f64> = caps
-        .iter()
-        .map(|&c| if c > 0.0 { delta / c } else { f64::INFINITY })
-        .collect();
-    let d_sum: f64 = m * delta; // Σ cₑ·ℓₑ over usable links
-    gk_core(
-        net,
-        commodities,
-        &routes,
-        eps,
-        opts,
-        &caps,
-        scale,
-        length,
-        d_sum,
-        false,
-        MAX_PHASES,
-    )
+    solve_from(net, commodities, mode, eps, opts, None)
 }
 
 /// Relative λ tolerance the warm-started solver is held to against a cold
@@ -343,27 +284,10 @@ pub const WARM_PHASE_BUDGET: f64 = 16.0;
 ///
 /// `δ_w` is compressed by [`WARM_PHASE_BUDGET`], so the phase loop runs ~16×
 /// shorter than cold. Demands are pre-scaled by the same shortest-path
-/// seeding pass the cold solver uses, run against the current topology (the
-/// previous λ would overshoot after a capacity-reducing delta and collapse
-/// the phase count). Feasibility is unconditional (the final congestion
-/// rescale), and near-optimality is asserted against a cold re-solve by the
-/// churn tests and the reconvergence benchmark.
-pub fn solve_warm(
-    net: &Network,
-    commodities: &[Commodity],
-    mode: &PathMode,
-    eps: f64,
-    warm: &McfSolution,
-) -> McfSolution {
-    let checked = try_solve_warm(net, commodities, mode, eps, warm);
-    if let Err(e) = &checked {
-        assert!(checked.is_ok(), "{e}");
-    }
-    checked.expect("invariant: asserted Ok above")
-}
-
-/// [`solve_warm`] returning a typed [`McfError`] instead of panicking on
-/// bad inputs or a mismatched warm profile.
+/// seeding pass the cold solver uses, run against the current topology.
+/// Feasibility is unconditional (the final congestion rescale), and
+/// near-optimality is asserted against a cold re-solve by the churn tests
+/// and the reconvergence benchmark.
 pub fn try_solve_warm(
     net: &Network,
     commodities: &[Commodity],
@@ -371,32 +295,58 @@ pub fn try_solve_warm(
     eps: f64,
     warm: &McfSolution,
 ) -> Result<McfSolution, McfError> {
+    let opts = McfOptions::default();
+    solve_from(net, commodities, mode, eps, opts, Some(warm))
+}
+
+/// The one body of every solve. A cold solve (`warm` is `None`) starts
+/// every usable link at δ/cₑ; a warm one starts from [`warm_start`]'s
+/// profile and completes its last phase. Everything else is shared, and the
+/// errors come in this order: the inputs ([`validate_inputs`]),
+/// [`McfError::NonPositiveWarmLambda`], [`McfError::WarmArenaMismatch`],
+/// [`McfError::UnroutableCommodity`], [`McfError::NoFeasibleFlow`].
+fn solve_from(
+    net: &Network,
+    commodities: &[Commodity],
+    mode: &PathMode,
+    eps: f64,
+    opts: McfOptions,
+    warm: Option<&McfSolution>,
+) -> Result<McfSolution, McfError> {
     validate_inputs(commodities, mode, eps)?;
-    if warm.lambda.is_nan() || warm.lambda <= 0.0 {
+    if warm.is_some_and(|w| w.lambda.is_nan() || w.lambda <= 0.0) {
         return Err(McfError::NonPositiveWarmLambda);
     }
-
-    let opts = McfOptions::default();
-    let caps = link_capacities(net);
-    if warm.length.len() != caps.len() {
+    let mut caps = link_capacities(net);
+    if opts.host_links_free {
+        for (id, l) in net.links() {
+            if l.up && (net.node(l.src).kind.is_host() || net.node(l.dst).kind.is_host()) {
+                caps[id.index()] = f64::INFINITY;
+            }
+        }
+    }
+    if let Some(w) = warm.filter(|w| w.length.len() != caps.len()) {
         return Err(McfError::WarmArenaMismatch {
             expected: caps.len(),
-            got: warm.length.len(),
+            got: w.length.len(),
         });
     }
     let m = caps.iter().filter(|&&c| c > 0.0 && c.is_finite()).count() as f64;
-    let routes = Routes::new(net, mode);
 
-    // Demand pre-scale: the same shortest-path seeding as the cold solver,
-    // run against the *current* topology. The previous λ is tempting but
-    // wrong here — after a capacity-reducing delta it overshoots the new
-    // optimum, every phase then grows lengths too aggressively, and the run
-    // terminates in far fewer phases than the budget intends, too coarse to
-    // hit the λ tolerance. A fresh λ lower bound keeps OPT' ≥ 1 exactly as
-    // in the cold run, so the warm phase count lands near cold/B; the
-    // seeding pass costs one unit-length route per commodity, noise next to
-    // the phases it preserves.
-    let seed_routes = shortest_routes_unit(net, commodities, &routes, opts.parallelism)?;
+    // One route source and one source grouping for the whole solve: in
+    // AnyPath mode the oracle's plane graphs and host-uplink cache are shared
+    // between demand pre-scaling and the phase loop.
+    let routes = Routes::new(net, mode);
+    let sources = Sources::new(net, commodities);
+
+    // --- Demand pre-scaling so that OPT λ' is Θ(1). -----------------------
+    // Lower bound: route every commodity on a shortest allowed path under
+    // the current link state and scale by the resulting congestion. A warm
+    // solve runs this too rather than reuse the previous λ: after a
+    // capacity-reducing delta that λ overshoots the new optimum, every phase
+    // then grows lengths too aggressively, and the run ends in far fewer
+    // phases than its budget intends.
+    let seed_routes = shortest_routes_unit(net, commodities, &routes, &sources, opts.parallelism)?;
     let mut seed_load = vec![0.0f64; caps.len()];
     for (c, route) in commodities.iter().zip(&seed_routes) {
         for &l in route {
@@ -412,15 +362,45 @@ pub fn try_solve_warm(
     if seed_congestion.is_nan() || seed_congestion <= 0.0 {
         return Err(McfError::NoFeasibleFlow);
     }
-    let scale = 1.0 / seed_congestion;
+    let scale = 1.0 / seed_congestion; // demands multiplied by this => OPT' in [1, ...]
 
+    // --- Fleischer phases. -------------------------------------------------
+    let delta = (m / (1.0 - eps)).powf(-1.0 / eps);
+    let (length, d_sum) = match warm {
+        None => {
+            let length = caps
+                .iter()
+                .map(|&c| if c > 0.0 { delta / c } else { f64::INFINITY })
+                .collect();
+            (length, m * delta) // Σ cₑ·ℓₑ over usable links
+        }
+        Some(w) => warm_start(&caps, m, delta, &w.length),
+    };
+    gk_core(
+        net,
+        commodities,
+        &routes,
+        &sources,
+        eps,
+        opts,
+        &caps,
+        scale,
+        length,
+        d_sum,
+        warm.is_some(),
+        MAX_PHASES,
+    )
+}
+
+/// A warm solve's start lengths and their mass Σ cₑ·ℓₑ, from the previous
+/// profile `prev` and the cold start value `delta`.
+fn warm_start(caps: &[f64], m: f64, delta: f64, prev: &[f64]) -> (Vec<f64>, f64) {
     // The cold run walks the total length mass Σ cₑ·ℓₑ from m·δ up to 1; the
     // phase count is proportional to those multiplicative decades. Start the
     // warm run at the B-th root of the cold start mass — the same decades
     // divided by WARM_PHASE_BUDGET — rather than at δ^(1/B) per link, which
     // would land within a small factor of 1 and leave almost no phases.
-    let delta_cold = (m / (1.0 - eps)).powf(-1.0 / eps);
-    let delta_w = (m * delta_cold).powf(1.0 / WARM_PHASE_BUDGET) / m;
+    let delta_w = (m * delta).powf(1.0 / WARM_PHASE_BUDGET) / m;
     // A previous length is carried iff it is a real dual value for a link
     // that is still capacitated: finite and positive. Restored links show up
     // as ∞ (failed at warm time) or 0 (uncapacitated at warm time) in the
@@ -438,13 +418,13 @@ pub fn try_solve_warm(
     let root = 1.0 / WARM_PHASE_BUDGET;
     let carried_mass: f64 = caps
         .iter()
-        .zip(&warm.length)
+        .zip(prev)
         .filter(|&(&c, &w)| c > 0.0 && c.is_finite() && w > 0.0 && w.is_finite())
         .map(|(&c, &w)| (c * w).powf(root))
         .sum();
     let n_fresh = caps
         .iter()
-        .zip(&warm.length)
+        .zip(prev)
         .filter(|&(&c, &w)| c > 0.0 && c.is_finite() && !(w > 0.0 && w.is_finite()))
         .count();
     let carried = m - n_fresh as f64;
@@ -454,9 +434,9 @@ pub fn try_solve_warm(
         0.0
     };
     let mut d_sum = 0.0f64;
-    let length: Vec<f64> = caps
+    let length = caps
         .iter()
-        .zip(&warm.length)
+        .zip(prev)
         .map(|(&c, &w)| {
             if c <= 0.0 {
                 f64::INFINITY
@@ -473,35 +453,22 @@ pub fn try_solve_warm(
             }
         })
         .collect();
-
-    gk_core(
-        net,
-        commodities,
-        &routes,
-        eps,
-        opts,
-        &caps,
-        scale,
-        length,
-        d_sum,
-        true,
-        MAX_PHASES,
-    )
+    (length, d_sum)
 }
 
 /// Hard cap on phases: generous versus the theoretical bound; stops a runaway
 /// loop on degenerate inputs with [`McfError::PhaseLimit`].
 const MAX_PHASES: usize = 200_000;
 
-/// The shared Fleischer phase loop + congestion rescale: everything after
-/// the start point (`length`, its mass `d_sum`, and the demand pre-scale) is
-/// chosen — [`solve_with_options`] passes the uniform δ/cₑ start,
-/// [`solve_warm`] the rescaled previous profile.
+/// The Fleischer phase loop + congestion rescale of [`solve_from`], from a
+/// chosen start point: the lengths, their mass `d_sum` and the demand
+/// pre-scale.
 #[allow(clippy::too_many_arguments)]
 fn gk_core(
     net: &Network,
     commodities: &[Commodity],
     routes: &Routes<'_>,
+    sources: &Sources,
     eps: f64,
     opts: McfOptions,
     caps: &[f64],
@@ -515,46 +482,16 @@ fn gk_core(
     let mut sent = vec![0.0f64; commodities.len()];
     let mut phases = 0usize;
 
-    // Group commodities by source for shared oracle trees in AnyPath mode.
-    let mut by_src: Vec<Vec<usize>> = vec![Vec::new(); net.n_hosts()];
-    for (i, c) in commodities.iter().enumerate() {
-        by_src[c.src.index()].push(i);
-    }
-    // Active sources in ascending order — the batch of independent Dijkstras
-    // each phase fans out over.
-    let sources: Vec<usize> = by_src
-        .iter()
-        .enumerate()
-        .filter(|(_, g)| !g.is_empty())
-        .map(|(s, _)| s)
-        .collect();
-    // Destination racks each source's tree bundle will be read at — the
-    // per-phase Dijkstras early-terminate once these are settled.
-    let target_racks: Vec<Vec<RackId>> = sources
-        .iter()
-        .map(|&s| {
-            let mut t: Vec<RackId> = by_src[s]
-                .iter()
-                .map(|&i| net.rack_of_host(commodities[i].dst))
-                .collect();
-            t.sort_unstable();
-            t.dedup();
-            t
-        })
-        .collect();
-
     // Persistent per-source tree bundles (AnyPath): refreshed in place each
     // phase instead of reallocated, and one route buffer serves every push.
     let (mut phase_trees, n_planes): (Vec<PlaneTrees>, usize) = match routes {
         Routes::AnyPath(oracle) => (
-            (0..sources.len()).map(|_| oracle.empty_trees()).collect(),
+            (0..sources.hosts.len())
+                .map(|_| oracle.empty_trees())
+                .collect(),
             oracle.planes.len(),
         ),
         Routes::Explicit(_) => (Vec::new(), 0),
-    };
-    let candidates = match routes {
-        Routes::Explicit(paths) => Candidates::new(paths),
-        Routes::AnyPath(_) => Candidates::default(),
     };
     // Per-plane CSR-order weight snapshot, regathered once per phase and
     // shared by every source's Dijkstra. A plane is dirty when one of its
@@ -625,8 +562,8 @@ fn gk_core(
             par.update_indexed(&mut phase_trees, |i, t| {
                 oracle.refresh_trees(
                     net,
-                    HostId(sources[i] as u32),
-                    &target_racks[i],
+                    sources.hosts[i],
+                    &sources.targets[i],
                     &phase_w,
                     &plane_dirty,
                     &sibling,
@@ -641,8 +578,7 @@ fn gk_core(
             }
             plane_dirty.fill(false);
         }
-        for (si, &src) in sources.iter().enumerate() {
-            let group = &by_src[src];
+        for (si, group) in sources.commodities.iter().enumerate() {
             for &i in group {
                 let mut remaining = commodities[i].demand * scale;
                 while remaining > 0.0 {
@@ -658,7 +594,7 @@ fn gk_core(
                         break 'outer;
                     }
                     match routes {
-                        Routes::Explicit(_) => {
+                        Routes::Explicit(candidates) => {
                             route.clear();
                             route.extend_from_slice(candidates.best(i, &length));
                         }
@@ -761,94 +697,117 @@ fn gk_core(
 
 /// Shortest allowed route per commodity under unit lengths (used for demand
 /// pre-scaling). Explicit mode: fewest links among candidates. AnyPath:
-/// BFS-shortest across planes, with one tree bundle per *unique* source
-/// computed in parallel rather than one per commodity; a commodity no plane
-/// connects is [`McfError::UnroutableCommodity`]. Link state is frozen for
-/// the solve, so every commodity this routes the phase loop routes too.
+/// BFS-shortest across planes, with one tree bundle per source computed in
+/// parallel rather than one per commodity; a commodity no plane connects is
+/// [`McfError::UnroutableCommodity`]. Link state is frozen for the solve,
+/// so every commodity this routes the phase loop routes too.
 fn shortest_routes_unit(
     net: &Network,
     commodities: &[Commodity],
     routes: &Routes<'_>,
+    sources: &Sources,
     par: Parallelism,
 ) -> Result<Vec<Vec<LinkId>>, McfError> {
-    match routes {
-        Routes::Explicit(paths) => Ok(paths
-            .iter()
-            .map(|cands| {
-                cands
-                    .iter()
-                    .min_by_key(|p| p.len())
-                    .expect("invariant: every commodity has a non-empty candidate path set")
-                    .clone()
-            })
-            .collect()),
-        Routes::AnyPath(oracle) => {
-            let unit: Vec<f64> = net.links().map(|_| 1.0).collect();
-            let mut sources: Vec<u32> = commodities.iter().map(|c| c.src.0).collect();
-            sources.sort_unstable();
-            sources.dedup();
-            let targets: Vec<Vec<RackId>> = sources
-                .iter()
-                .map(|&s| {
-                    let mut t: Vec<RackId> = commodities
-                        .iter()
-                        .filter(|c| c.src.0 == s)
-                        .map(|c| net.rack_of_host(c.dst))
-                        .collect();
-                    t.sort_unstable();
-                    t.dedup();
-                    t
-                })
-                .collect();
-            // One gather and one sibling decision serve every source; fresh
-            // bundles are invalid in every plane, so the grown bitsets are
-            // never consulted and an empty slice suffices.
-            let all = vec![true; oracle.planes.len()];
-            let (mut w, mut sibling) = (Vec::new(), Vec::new());
-            oracle.edge_weights(&unit, &all, &mut w);
-            oracle.siblings(&w, &all, &mut sibling);
-            let trees: Vec<PlaneTrees> = par.map_indexed(sources.len(), |i| {
-                let mut t = oracle.empty_trees();
-                let src = HostId(sources[i]);
-                oracle.refresh_trees(net, src, &targets[i], &w, &all, &sibling, &[], &mut t);
-                t
-            });
-            commodities
-                .iter()
-                .enumerate()
-                .map(|(index, c)| {
-                    let si = sources
-                        .binary_search(&c.src.0)
-                        .expect("invariant: sources holds every commodity source host");
-                    let mut route = Vec::new();
-                    oracle
-                        .best_route_into(net, c.src, c.dst, &trees[si], &unit, &mut route)
-                        .map(|_| route)
-                        .ok_or(McfError::UnroutableCommodity { index })
-                })
-                .collect()
+    let oracle = match routes {
+        Routes::Explicit(candidates) => {
+            let fewest_links = |i| {
+                let shortest = candidates.routes(i).min_by_key(|r| r.len());
+                shortest.expect("invariant: every commodity has a non-empty candidate path set")
+            };
+            return Ok((0..candidates.len())
+                .map(|i| fewest_links(i).to_vec())
+                .collect());
         }
+        Routes::AnyPath(oracle) => oracle,
+    };
+    let unit: Vec<f64> = net.links().map(|_| 1.0).collect();
+    // One gather and one sibling decision serve every source; fresh bundles
+    // are invalid in every plane, so the grown bitsets are never consulted
+    // and an empty slice suffices.
+    let all = vec![true; oracle.planes.len()];
+    let (mut w, mut sibling) = (Vec::new(), Vec::new());
+    oracle.edge_weights(&unit, &all, &mut w);
+    oracle.siblings(&w, &all, &mut sibling);
+    let trees: Vec<PlaneTrees> = par.map_indexed(sources.hosts.len(), |si| {
+        let (src, targets) = (sources.hosts[si], &sources.targets[si]);
+        let mut t = oracle.empty_trees();
+        oracle.refresh_trees(net, src, targets, &w, &all, &sibling, &[], &mut t);
+        t
+    });
+    let mut seeded = vec![None; commodities.len()];
+    for (group, trees) in sources.commodities.iter().zip(&trees) {
+        for &i in group {
+            let (c, mut route) = (&commodities[i], Vec::new());
+            let found = oracle.best_route_into(net, c.src, c.dst, trees, &unit, &mut route);
+            seeded[i] = found.map(|_| route);
+        }
+    }
+    seeded
+        .into_iter()
+        .enumerate()
+        .map(|(index, r)| r.ok_or(McfError::UnroutableCommodity { index }))
+        .collect()
+}
+
+/// The active sources of a solve, grouped once for the seeding pass and the
+/// phase loop: the source hosts in ascending order, each one's commodities
+/// in index order, and the sorted, deduplicated racks those commodities go
+/// to — where the source's trees are read, so where its Dijkstras may stop.
+struct Sources {
+    hosts: Vec<HostId>,
+    commodities: Vec<Vec<usize>>,
+    targets: Vec<Vec<RackId>>,
+}
+
+impl Sources {
+    fn new(net: &Network, commodities: &[Commodity]) -> Self {
+        let mut by_src: Vec<Vec<usize>> = vec![Vec::new(); net.n_hosts()];
+        for (i, c) in commodities.iter().enumerate() {
+            by_src[c.src.index()].push(i);
+        }
+        let mut sources = Sources {
+            hosts: Vec::new(),
+            commodities: Vec::new(),
+            targets: Vec::new(),
+        };
+        for (h, group) in by_src.into_iter().enumerate() {
+            if group.is_empty() {
+                continue;
+            }
+            let mut targets: Vec<RackId> = group
+                .iter()
+                .map(|&i| net.rack_of_host(commodities[i].dst))
+                .collect();
+            targets.sort_unstable();
+            targets.dedup();
+            sources.hosts.push(HostId(h as u32));
+            sources.commodities.push(group);
+            sources.targets.push(targets);
+        }
+        sources
     }
 }
 
-/// The `Explicit` candidate routes of a solve, copied back to back: every
-/// push reads all of a commodity's candidates, and where the caller's
-/// `Vec`s happened to land in the heap should not set the solver's speed.
-/// Commodity `i` owns routes `first[i]..first[i + 1]`; route `r` is
+/// The `Explicit` routes of a solve, back to back in one table: every push
+/// reads all of a commodity's candidates, and where separate `Vec`s would
+/// have landed in the heap should not set the solver's speed. Commodity `i`
+/// owns routes `first[i]..first[i + 1]`; route `r` is
 /// `links[ends[r]..ends[r + 1]]`.
-#[derive(Default)]
-struct Candidates {
+#[derive(Debug, Clone)]
+pub struct Candidates {
     links: Vec<LinkId>,
     ends: Vec<usize>,
     first: Vec<usize>,
 }
 
 impl Candidates {
-    fn new(paths: &[Vec<Vec<LinkId>>]) -> Self {
+    /// The table of `paths`, where `paths[i]` are the routes of commodity
+    /// `i`, each a full host-to-host link sequence.
+    pub fn new(paths: &[Vec<Vec<LinkId>>]) -> Self {
         let mut flat = Candidates {
+            links: Vec::new(),
             ends: vec![0],
             first: vec![0],
-            ..Candidates::default()
         };
         for cands in paths {
             for route in cands {
@@ -860,12 +819,21 @@ impl Candidates {
         flat
     }
 
+    /// Commodities in the table.
+    pub(crate) fn len(&self) -> usize {
+        self.first.len() - 1
+    }
+
+    /// The routes of commodity `i`, in the order given.
+    pub(crate) fn routes(&self, i: usize) -> impl ExactSizeIterator<Item = &[LinkId]> + '_ {
+        (self.first[i]..self.first[i + 1]).map(|r| &self.links[self.ends[r]..self.ends[r + 1]])
+    }
+
     /// The minimum-length candidate of commodity `i` (the first of equals),
     /// each candidate's length summed once.
     fn best(&self, i: usize, length: &[f64]) -> &[LinkId] {
         let mut best: Option<(f64, &[LinkId])> = None;
-        for r in self.first[i]..self.first[i + 1] {
-            let route = &self.links[self.ends[r]..self.ends[r + 1]];
+        for route in self.routes(i) {
             let cost: f64 = route.iter().map(|&l| length[l.index()]).sum();
             if best.is_none_or(|(b, _)| cost.total_cmp(&b).is_lt()) {
                 best = Some((cost, route));
@@ -937,14 +905,14 @@ impl PlaneTrees {
 /// built. An `Explicit` solve reads neither the plane graphs nor the uplink
 /// cache, so it does not build them.
 enum Routes<'a> {
-    Explicit(&'a [Vec<Vec<LinkId>>]),
+    Explicit(&'a Candidates),
     AnyPath(AnyPathOracle),
 }
 
 impl<'a> Routes<'a> {
     fn new(net: &Network, mode: &'a PathMode) -> Self {
         match mode {
-            PathMode::Explicit(paths) => Routes::Explicit(paths),
+            PathMode::Explicit(candidates) => Routes::Explicit(candidates),
             PathMode::AnyPath => Routes::AnyPath(AnyPathOracle::new(net)),
         }
     }
@@ -1361,21 +1329,12 @@ pub fn ksp_mode_with(
         };
         expand_host_routes(net, c.src, c.dst, &rack_paths)
     });
-    PathMode::Explicit(paths)
+    PathMode::Explicit(Candidates::new(&paths))
 }
 
 /// Helper: single hash-selected ECMP path per commodity (plane by hash, then
 /// equal-cost path by hash), the paper's naive P-Net ECMP. Candidate-set
-/// construction fans out across commodities.
-pub fn ecmp_mode(
-    net: &Network,
-    router: &pnet_routing::Router,
-    commodities: &[Commodity],
-) -> PathMode {
-    ecmp_mode_with(net, router, commodities, Parallelism::default())
-}
-
-/// [`ecmp_mode`] with an explicit execution strategy.
+/// construction fans out across commodities under `par`.
 pub fn ecmp_mode_with(
     net: &Network,
     router: &pnet_routing::Router,
@@ -1398,7 +1357,7 @@ pub fn ecmp_mode_with(
         assert!(!set.is_empty(), "no ECMP path in plane {plane}");
         expand_host_routes(net, c.src, c.dst, [set.get(hash_index(set.len(), h))])
     });
-    PathMode::Explicit(paths)
+    PathMode::Explicit(Candidates::new(&paths))
 }
 
 /// Distinct inter-rack (src, dst) rack pairs of a commodity list, in first-
@@ -1415,17 +1374,6 @@ fn inter_rack_pairs(net: &Network, commodities: &[Commodity]) -> Vec<(RackId, Ra
     pairs
 }
 
-/// Max-min throughput of fixed single routes (see [`crate::maxmin`]) — used
-/// for ECMP cases where the paper's LP would allocate on pinned paths.
-pub fn single_path_maxmin(net: &Network, routes: &[Vec<LinkId>]) -> Vec<f64> {
-    let caps = link_capacities(net);
-    let idx: Vec<Vec<usize>> = routes
-        .iter()
-        .map(|r| r.iter().map(|l| l.index()).collect())
-        .collect();
-    crate::maxmin::maxmin_rates(&caps, &idx)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1434,6 +1382,10 @@ mod tests {
     use pnet_topology::{assemble_homogeneous, gbps, FatTree, Jellyfish, LinkProfile};
 
     const EPS: f64 = 0.05;
+    const OPTS: McfOptions = McfOptions {
+        host_links_free: false,
+        parallelism: Parallelism::Serial,
+    };
 
     /// Regression (PR 9): `eps` outside (0, 0.5) must surface as a typed
     /// error, never as a NaN δ = (m/(1−ε))^(−1/ε) silently corrupting the
@@ -1444,7 +1396,7 @@ mod tests {
         let net = assemble_homogeneous(&FatTree::three_tier(4), 1, &LinkProfile::paper_default());
         let c = vec![Commodity::unit(HostId(0), HostId(15))];
         for eps in [0.0, -0.1, 0.5, 1.0, 2.0, f64::NAN, f64::INFINITY] {
-            let got = try_solve(&net, &c, &PathMode::AnyPath, eps);
+            let got = try_solve(&net, &c, &PathMode::AnyPath, eps, OPTS);
             assert!(
                 matches!(got, Err(McfError::InvalidEps { .. })),
                 "eps {eps} must be rejected, got {got:?}"
@@ -1463,7 +1415,7 @@ mod tests {
         let got = try_solve_warm(&net, &c, &PathMode::AnyPath, 1.0, &warm);
         assert!(matches!(got, Err(McfError::InvalidEps { .. })));
         // In-range eps still solves.
-        let ok = try_solve(&net, &c, &PathMode::AnyPath, EPS);
+        let ok = try_solve(&net, &c, &PathMode::AnyPath, EPS, OPTS);
         assert!(ok.is_ok());
     }
 
@@ -1472,21 +1424,33 @@ mod tests {
         let net = assemble_homogeneous(&FatTree::three_tier(4), 1, &LinkProfile::paper_default());
         let c = vec![Commodity::unit(HostId(0), HostId(15))];
         assert!(matches!(
-            try_solve(&net, &[], &PathMode::AnyPath, EPS),
+            try_solve(&net, &[], &PathMode::AnyPath, EPS, OPTS),
             Err(McfError::NoCommodities)
         ));
         let mut bad = c.clone();
         bad[0].demand = f64::NAN;
         assert!(matches!(
-            try_solve(&net, &bad, &PathMode::AnyPath, EPS),
+            try_solve(&net, &bad, &PathMode::AnyPath, EPS, OPTS),
             Err(McfError::InvalidDemand { index: 0 })
         ));
         assert!(matches!(
-            try_solve(&net, &c, &PathMode::Explicit(vec![Vec::new()]), EPS),
+            try_solve(
+                &net,
+                &c,
+                &PathMode::Explicit(Candidates::new(&[Vec::new()])),
+                EPS,
+                OPTS
+            ),
             Err(McfError::UnroutableCommodity { index: 0 })
         ));
         assert!(matches!(
-            try_solve(&net, &c, &PathMode::Explicit(Vec::new()), EPS),
+            try_solve(
+                &net,
+                &c,
+                &PathMode::Explicit(Candidates::new(&[])),
+                EPS,
+                OPTS
+            ),
             Err(McfError::PathTableMismatch {
                 paths: 0,
                 commodities: 1
@@ -1507,7 +1471,8 @@ mod tests {
         ));
         // The checked and panicking paths agree on good inputs.
         let a = solve(&net, &c, &PathMode::AnyPath, EPS);
-        let b = try_solve(&net, &c, &PathMode::AnyPath, EPS).expect("valid instance must solve");
+        let b =
+            try_solve(&net, &c, &PathMode::AnyPath, EPS, OPTS).expect("valid instance must solve");
         assert_eq!(a.lambda.to_bits(), b.lambda.to_bits());
     }
 
@@ -1601,7 +1566,7 @@ mod tests {
                 expand_host_routes(&net, cm.src, cm.dst, set.iter())
             })
             .collect();
-        let sol = solve(&net, &c, &PathMode::Explicit(paths), EPS);
+        let sol = solve(&net, &c, &PathMode::Explicit(Candidates::new(&paths)), EPS);
         let per_host = sol.rates[0];
         assert!(
             per_host > 0.85 * 100e9,
@@ -1953,13 +1918,17 @@ mod tests {
         let net = assemble_homogeneous(&FatTree::three_tier(4), 1, &LinkProfile::paper_default());
         let c = vec![Commodity::unit(HostId(0), HostId(15))];
         let caps = link_capacities(&net);
-        let routes = Routes::new(&net, &PathMode::AnyPath);
+        let (routes, sources) = (
+            Routes::new(&net, &PathMode::AnyPath),
+            Sources::new(&net, &c),
+        );
         let run = |max_phases| {
             let length: Vec<f64> = caps.iter().map(|&c| 1e-30 / c).collect();
             let d_sum = 1e-30 * caps.len() as f64;
             let opts = McfOptions::default();
+            let (net, c, r, s) = (&net, &c, &routes, &sources);
             gk_core(
-                &net, &c, &routes, 0.1, opts, &caps, 1e9, length, d_sum, false, max_phases,
+                net, c, r, s, 0.1, opts, &caps, 1e9, length, d_sum, false, max_phases,
             )
         };
         assert_eq!(run(3).err(), Some(McfError::PhaseLimit { phases: 3 }));

@@ -9,8 +9,9 @@
 //! * [`ksp_multipath_throughput`] — each flow may split over the K globally
 //!   shortest paths across all planes (the MPTCP + KSP configuration),
 //!   solved as max concurrent flow.
-//! * [`ideal_throughput`] — no path constraint (Figure 7), max concurrent
-//!   flow with a free per-plane shortest-path oracle.
+//! * [`ideal_core_throughput`] — no path constraint and uncapacitated host
+//!   links (Figure 7), max concurrent flow with a free per-plane
+//!   shortest-path oracle.
 //!
 //! All functions return *total* delivered rate in bits per second; the
 //! experiment binaries normalize against the serial low-bandwidth network as
@@ -18,28 +19,25 @@
 
 use crate::commodity::Commodity;
 use crate::maxmin;
-use crate::mcf::{self, PathMode};
-use pnet_routing::{RouteAlgo, Router};
+use crate::mcf::{self, McfError, McfOptions, McfSolution, PathMode};
+use pnet_routing::{Parallelism, RouteAlgo, Router};
 use pnet_topology::Network;
 
 /// Total throughput of hash-based single-path ECMP under max-min fairness.
 pub fn ecmp_throughput(net: &Network, commodities: &[Commodity]) -> f64 {
     let router = Router::new(net, RouteAlgo::Ecmp { cap: 64 });
-    ecmp_throughput_with(net, &router, commodities)
-}
-
-/// As [`ecmp_throughput`], but pinned to a caller-provided ECMP router —
-/// the snapshot entry point: no router is built here, so concurrent
-/// queries against the same topology generation share one path table.
-pub fn ecmp_throughput_with(net: &Network, router: &Router, commodities: &[Commodity]) -> f64 {
-    let mode = mcf::ecmp_mode(net, router, commodities);
-    let PathMode::Explicit(paths) = mode else {
-        unreachable!("invariant: ecmp_mode builds PathMode::Explicit, one path per commodity")
+    let mode = mcf::ecmp_mode_with(net, &router, commodities, Parallelism::default());
+    let PathMode::Explicit(routes) = &mode else {
+        unreachable!("invariant: ecmp_mode_with builds PathMode::Explicit, one path per commodity")
     };
-    let routes: Vec<Vec<pnet_topology::LinkId>> =
-        paths.into_iter().map(|mut p| p.swap_remove(0)).collect();
-    let rates = mcf::single_path_maxmin(net, &routes);
-    maxmin::total_rate(&rates)
+    let flows: Vec<Vec<usize>> = (0..routes.len())
+        .map(|i| {
+            let mut one = routes.routes(i);
+            let route = one.next().expect("invariant: ECMP routes every commodity");
+            route.iter().map(|l| l.index()).collect()
+        })
+        .collect();
+    maxmin::total_rate(&maxmin::maxmin_rates(&mcf::link_capacities(net), &flows))
 }
 
 /// Total throughput when every flow may split across its K best paths
@@ -50,87 +48,46 @@ pub fn ksp_multipath_throughput(
     commodities: &[Commodity],
     k: usize,
     eps: f64,
-) -> (f64, f64) {
+) -> Result<(f64, f64), McfError> {
     // The router computes a wider per-plane candidate set than K so that
     // per-flow hash rotation has equal-cost alternatives to spread over
     // (see `mcf::ksp_mode`).
     let wide = (2 * k).max(8);
     let router = Router::new(net, RouteAlgo::Ksp { k: wide });
-    let sol = ksp_solution_with(
-        net,
-        &router,
-        commodities,
-        k,
-        eps,
-        mcf::McfOptions::default(),
-    );
-    (sol.total_rate(), sol.lambda)
+    let sol = try_ksp_solution(net, &router, commodities, k, eps, McfOptions::default())?;
+    Ok((sol.total_rate(), sol.lambda))
 }
 
-/// Full KSP-multipath solution against a caller-provided router snapshot.
-/// The planner's generation entry point: the router's tables must already
-/// reflect `net`, and `k` must not exceed the router's per-plane width.
-pub fn ksp_solution_with(
-    net: &Network,
-    router: &Router,
-    commodities: &[Commodity],
-    k: usize,
-    eps: f64,
-    opts: mcf::McfOptions,
-) -> mcf::McfSolution {
-    let mode = mcf::ksp_mode(net, router, commodities, k);
-    mcf::solve_with_options(net, commodities, &mode, eps, opts)
-}
-
-/// Fallible twin of [`ksp_solution_with`]: degenerate inputs (bad `eps`,
-/// empty or unroutable commodities) come back as [`mcf::McfError`] instead
-/// of panicking — what a serving layer wants.
+/// The K-subflow solution against a caller-provided router snapshot: the
+/// router's tables must already reflect `net`, and `k` must not exceed its
+/// per-plane width.
 pub fn try_ksp_solution(
     net: &Network,
     router: &Router,
     commodities: &[Commodity],
     k: usize,
     eps: f64,
-    opts: mcf::McfOptions,
-) -> Result<mcf::McfSolution, mcf::McfError> {
+    opts: McfOptions,
+) -> Result<McfSolution, McfError> {
     let mode = mcf::ksp_mode(net, router, commodities, k);
-    mcf::try_solve_with_options(net, commodities, &mode, eps, opts)
+    mcf::try_solve(net, commodities, &mode, eps, opts)
 }
 
-/// Ideal total throughput with no path constraint (each plane freely
-/// routed). Returns `(total_rate, lambda)`.
-pub fn ideal_throughput(net: &Network, commodities: &[Commodity], eps: f64) -> (f64, f64) {
-    let sol = mcf::solve(net, commodities, &PathMode::AnyPath, eps);
-    (sol.total_rate(), sol.lambda)
-}
-
-/// Fallible free-routing solve returning the full solution — the planner's
-/// ideal-throughput entry point ([`ideal_throughput`] /
-/// [`ideal_core_throughput`] with typed errors and the whole primal).
-pub fn try_ideal_solution(
+/// Ideal *core* throughput with no path constraint (each plane freely
+/// routed) and host attachment links uncapacitated, measuring only the
+/// switch fabric — the paper's rack-level "total capacity of the network
+/// core" (Figure 7). Returns `(total_rate, lambda)`.
+pub fn ideal_core_throughput(
     net: &Network,
     commodities: &[Commodity],
     eps: f64,
-    opts: mcf::McfOptions,
-) -> Result<mcf::McfSolution, mcf::McfError> {
-    mcf::try_solve_with_options(net, commodities, &PathMode::AnyPath, eps, opts)
-}
-
-/// Ideal *core* throughput: like [`ideal_throughput`] but with host
-/// attachment links uncapacitated, measuring only the switch fabric — the
-/// paper's rack-level "total capacity of the network core" (Figure 7).
-pub fn ideal_core_throughput(net: &Network, commodities: &[Commodity], eps: f64) -> (f64, f64) {
-    let sol = mcf::solve_with_options(
-        net,
-        commodities,
-        &PathMode::AnyPath,
-        eps,
-        mcf::McfOptions {
-            host_links_free: true,
-            ..Default::default()
-        },
-    );
-    (sol.total_rate(), sol.lambda)
+) -> Result<(f64, f64), McfError> {
+    let opts = McfOptions {
+        host_links_free: true,
+        ..Default::default()
+    };
+    let sol = mcf::try_solve(net, commodities, &PathMode::AnyPath, eps, opts)?;
+    Ok((sol.total_rate(), sol.lambda))
 }
 
 #[cfg(test)]
@@ -177,8 +134,8 @@ mod tests {
         let serial = assemble_homogeneous(&FatTree::three_tier(4), 1, &base);
         let par2 = assemble_homogeneous(&FatTree::three_tier(4), 2, &base);
         let c = cross_pod_permutation(16, 5);
-        let (t1, _) = ksp_multipath_throughput(&serial, &c, 8, 0.05);
-        let (t2, _) = ksp_multipath_throughput(&par2, &c, 16, 0.05);
+        let (t1, _) = ksp_multipath_throughput(&serial, &c, 8, 0.05).unwrap();
+        let (t2, _) = ksp_multipath_throughput(&par2, &c, 16, 0.05).unwrap();
         let ratio = t2 / t1;
         assert!(
             ratio > 1.7,
@@ -191,8 +148,10 @@ mod tests {
         let base = LinkProfile::paper_default();
         let net = assemble_homogeneous(&FatTree::three_tier(4), 2, &base);
         let c = cross_pod_permutation(16, 2);
-        let (ideal, _) = ideal_throughput(&net, &c, 0.05);
-        let (ksp1, _) = ksp_multipath_throughput(&net, &c, 1, 0.05);
+        let opts = McfOptions::default();
+        let ideal = mcf::try_solve(&net, &c, &PathMode::AnyPath, 0.05, opts).unwrap();
+        let (ksp1, _) = ksp_multipath_throughput(&net, &c, 1, 0.05).unwrap();
+        let ideal = ideal.total_rate();
         assert!(
             ideal >= ksp1 * 0.95,
             "ideal {ideal} should dominate single-path {ksp1}"

@@ -52,7 +52,7 @@ pub mod memo;
 pub use fingerprint::{commodity_fingerprint, solution_fingerprint, topology_fingerprint};
 pub use memo::{Memo, MemoKey, MemoStats};
 
-use pnet_flowsim::mcf::{McfError, McfOptions};
+use pnet_flowsim::mcf::{self, McfError, McfOptions, PathMode};
 use pnet_flowsim::{throughput, Commodity, McfSolution};
 use pnet_routing::{Fnv, Parallelism, RouteAlgo, Router};
 use pnet_topology::{failures, LinkDelta, LinkId, Network, PlaneId};
@@ -403,9 +403,10 @@ impl Planner {
             query: query_tag(QUERY_IDEAL, 0, self.cfg.eps),
         };
         self.memo.get_or_solve(key, || {
-            throughput::try_ideal_solution(
+            mcf::try_solve(
                 net,
                 tm,
+                &PathMode::AnyPath,
                 self.cfg.eps,
                 McfOptions {
                     parallelism: self.cfg.parallelism,

@@ -16,16 +16,15 @@
 //! reproducible.
 
 use pnet::core::{analysis, PNetSpec, PathPolicy, TopologyKind};
-use pnet::flowsim::{commodity, mcf, throughput, Commodity};
+use pnet::flowsim::{commodity, throughput, Commodity};
 use pnet::htsim::{
     metrics, run_to_completion, EventMask, FlowSpec, SimConfig, SimTime, Simulator, TelemetryConfig,
 };
 use pnet::planner::{PlanError, Planner, PlannerConfig};
-use pnet::routing::{RouteAlgo, Router};
 use pnet::topology::{failures, HostId, NetworkClass};
 use pnet::workloads::tm;
 use pnet_bench::args::parse_size;
-use pnet_bench::{exp::table1, setups, ArgError, Args, Error, Param, Table};
+use pnet_bench::{exp::table1, setups, ArgError, ArgErrorKind, Args, Error, Param, Table};
 use std::io::stdout;
 
 fn usage() -> ! {
@@ -95,22 +94,15 @@ const PATTERN: &[Param] = &[
     ("eps", "0.1", ""),
 ];
 
-/// Reject a flag value the library cannot build or solve with: one line
-/// naming the flag, exit 2.
-fn bad_flag(flag: &str, value: impl std::fmt::Display, why: impl std::fmt::Display) -> ! {
-    eprintln!("--{flag} {value}: {why}");
-    std::process::exit(2);
-}
-
+/// The topology flags, checked by `setups`' helpers as the experiments'
+/// are: a value the library cannot build with is an `ArgError` naming it.
 fn topology_from(args: &Args) -> Result<(TopologyKind, NetworkClass, usize, u64), ArgError> {
     let kind = match args.get_str("kind").unwrap_or_default() {
         "jellyfish" => setups::jellyfish_from(args)?,
-        "fattree" => TopologyKind::FatTree { k: args.get("k")? },
-        "xpander" => TopologyKind::Xpander {
-            degree: args.get("degree")?,
-            lifts: args.get("lifts")?,
-            hosts_per_tor: args.get("hosts-per-tor")?,
+        "fattree" => TopologyKind::FatTree {
+            k: setups::fat_tree_k(args)?,
         },
+        "xpander" => setups::xpander_from(args)?,
         other => {
             eprintln!("unknown --kind {other:?}");
             usage()
@@ -134,30 +126,11 @@ fn topology_from(args: &Args) -> Result<(TopologyKind, NetworkClass, usize, u64)
     } else {
         class
     };
-    if let TopologyKind::Jellyfish { n_tors, degree, .. } = kind {
-        if n_tors < 2 {
-            bad_flag("tors", n_tors, "a fabric needs at least two ToRs");
-        }
-        if degree == 0 || degree >= n_tors {
-            bad_flag("degree", degree, format!("must be 1 to {}", n_tors - 1));
-        }
-        if !(n_tors * degree).is_multiple_of(2) {
-            let why = format!("{n_tors} ToRs x {degree} ports is odd, and a cable has two ends");
-            bad_flag("degree", degree, why);
-        }
-    }
-    let planes: usize = args.get("planes")?;
-    if !(1..=8).contains(&planes) {
-        bad_flag("planes", planes, "a P-Net has 1 to 8 dataplanes");
-    }
-    Ok((kind, class, planes, args.get("seed")?))
+    Ok((kind, class, setups::planes_from(args)?, args.get("seed")?))
 }
 
 fn policy_from(args: &Args, planes: usize) -> Result<PathPolicy, ArgError> {
-    let k: usize = args.get("kpaths")?;
-    if k == 0 {
-        bad_flag("kpaths", k, "each flow needs at least one path");
-    }
+    let k = setups::count(args, "kpaths")?;
     Ok(match args.get_str("policy").unwrap_or_default() {
         "ecmp" => PathPolicy::EcmpHash,
         "rr" => PathPolicy::RoundRobin,
@@ -213,11 +186,8 @@ fn cmd_topology(args: &Args) -> Result<(), Error> {
 fn host_arg(args: &Args, key: &str, default: u32, n_hosts: usize) -> Result<HostId, ArgError> {
     let id: u32 = args.opt(key)?.unwrap_or(default);
     if id as usize >= n_hosts {
-        let why = format!(
-            "out of range: the network has {n_hosts} hosts (0..{})",
-            n_hosts - 1
-        );
-        bad_flag(key, id, why);
+        let why = format!("out of range: the network has {n_hosts} hosts");
+        return Err(args.reject(key, id, why));
     }
     Ok(HostId(id))
 }
@@ -229,8 +199,7 @@ fn cmd_route(args: &Args) -> Result<(), Error> {
     let src = host_arg(args, "src", 0, n_hosts)?;
     let dst = host_arg(args, "dst", (n_hosts - 1) as u32, n_hosts)?;
     if src == dst {
-        eprintln!("--src and --dst must differ (both are {})", src.0);
-        std::process::exit(2);
+        return Err(args.reject("dst", dst.0, "must differ from --src").into());
     }
     let size = args.get_with("size", parse_size)?;
     let mut selector = pnet.selector(policy_from(args, planes)?);
@@ -270,24 +239,9 @@ fn cmd_throughput(args: &Args) -> Result<(), Error> {
     let pnet = PNetSpec::new(kind, class, planes, seed).build();
     let n = pnet.net.n_hosts();
     let commodities = commodities_from(args, n, seed);
-    let k: usize = args.get("kpaths")?;
-    if k == 0 {
-        bad_flag("kpaths", k, "each flow needs at least one path");
-    }
-    let eps: f64 = args.get("eps")?;
-    // As `throughput::ksp_multipath_throughput`, with the solver's typed
-    // errors: a wider per-plane set than K for the per-flow tie rotation.
-    let router = Router::new(&pnet.net, RouteAlgo::Ksp { k: (2 * k).max(8) });
-    let opts = mcf::McfOptions::default();
-    let sol = match throughput::try_ksp_solution(&pnet.net, &router, &commodities, k, eps, opts) {
-        Ok(sol) => sol,
-        Err(e @ mcf::McfError::InvalidEps { .. }) => bad_flag("eps", eps, e),
-        Err(e) => {
-            eprintln!("pnet throughput: {e}");
-            std::process::exit(1);
-        }
-    };
-    let (ksp, lambda) = (sol.total_rate(), sol.lambda);
+    let k = setups::count(args, "kpaths")?;
+    let eps = setups::eps_from(args)?;
+    let (ksp, lambda) = throughput::ksp_multipath_throughput(&pnet.net, &commodities, k, eps)?;
     let ecmp = throughput::ecmp_throughput(&pnet.net, &commodities);
     println!(
         "network: {} ({} hosts, {} planes)",
@@ -324,10 +278,14 @@ fn cmd_plan(args: &Args) -> Result<(), Error> {
     let n = pnet.net.n_hosts();
     let commodities = commodities_from(args, n, seed);
     let cfg = PlannerConfig {
-        k: args.get("kpaths")?,
-        eps: args.get("eps")?,
+        k: setups::count(args, "kpaths")?,
+        eps: setups::eps_from(args)?,
         ..PlannerConfig::default()
     };
+    let sweep: Vec<usize> = setups::counts(args, "sweep")?
+        .into_iter()
+        .map(|k| k as usize)
+        .collect();
     let planner = Planner::with_config(pnet.net.clone(), cfg);
     let generation = planner.latest();
     println!(
@@ -355,7 +313,6 @@ fn cmd_plan(args: &Args) -> Result<(), Error> {
         adm.total_rate_bps / 1e12
     );
 
-    let sweep: Vec<usize> = args.list_with("sweep", |k| parse_size(k).map(|k| k as usize))?;
     let best = run_query(planner.best_k_at(&generation, &commodities, &sweep));
     let swept: Vec<String> = best
         .evaluated
@@ -558,7 +515,14 @@ fn main() {
             .and_then(|args| cmd(&args))
     };
     if let Err(e) = result {
-        eprintln!("pnet {sub}: {e}");
+        match &e {
+            // Already one line that names the flag.
+            Error::Args(ArgError {
+                kind: ArgErrorKind::Rejected { .. },
+                ..
+            }) => eprintln!("{e}"),
+            _ => eprintln!("pnet {sub}: {e}"),
+        }
         std::process::exit(if matches!(e, Error::Io(_)) { 1 } else { 2 });
     }
 }

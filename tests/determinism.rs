@@ -54,8 +54,8 @@ fn routing_is_deterministic() {
 fn flow_solver_is_deterministic() {
     let net = spec().build().net;
     let c = commodity::permutation(&tm::random_permutation(32, 4));
-    let (t1, l1) = throughput::ksp_multipath_throughput(&net, &c, 8, 0.1);
-    let (t2, l2) = throughput::ksp_multipath_throughput(&net, &c, 8, 0.1);
+    let (t1, l1) = throughput::ksp_multipath_throughput(&net, &c, 8, 0.1).unwrap();
+    let (t2, l2) = throughput::ksp_multipath_throughput(&net, &c, 8, 0.1).unwrap();
     assert_eq!(t1.to_bits(), t2.to_bits());
     assert_eq!(l1.to_bits(), l2.to_bits());
 }

@@ -121,6 +121,26 @@ fn the_binary_exits_2_naming_the_declared_flags() {
     }
 }
 
+/// `pnet` with `argv`, run to the end.
+fn pnet(argv: &[&str]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_pnet"))
+        .args(argv)
+        .output()
+        .expect("failed to launch pnet")
+}
+
+/// `argv` is refused before any work: exit 2 and one line on stderr that
+/// starts with `flag` and its value, never a panic (exit 101).
+fn assert_rejected(argv: &[&str], flag: &str) {
+    let out = pnet(argv);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{argv:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{argv:?}: {stderr}");
+    assert!(stderr.starts_with(flag), "{argv:?}: {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{argv:?}: {stderr}");
+    assert!(out.stdout.is_empty(), "{argv:?} printed a report");
+}
+
 /// Flag values the library would panic on are a one-line message naming the
 /// flag, with exit 2: never a panic (exit 101).
 #[test]
@@ -139,17 +159,118 @@ fn subcommands_reject_unbuildable_flags_without_a_panic() {
     ] {
         // The topology flags the case does not set come from `small`.
         let rest = small.chunks(2).filter(|pair| !argv.contains(&pair[0]));
-        let out = Command::new(env!("CARGO_BIN_EXE_pnet"))
-            .arg(sub)
-            .args(argv)
-            .args(rest.flatten())
-            .output()
+        let full: Vec<&str> = [sub].into_iter().chain(argv.iter().copied()).collect();
+        assert_rejected(&[full, rest.flatten().copied().collect()].concat(), flag);
+    }
+}
+
+/// Every flag value that once panicked or hung, in the subcommands and in
+/// the experiments alike, is refused at the flag.
+#[test]
+fn values_the_library_cannot_use_exit_2_naming_the_flag() {
+    let mut cases: Vec<(Vec<&str>, &str)> = Vec::new();
+    for sub in ["topology", "route", "throughput", "plan", "simulate"] {
+        cases.push((vec![sub, "--kind", "fattree", "--k", "3"], "--k 3"));
+    }
+    for sub in ["throughput", "plan", "simulate", "route"] {
+        cases.push((vec![sub, "--hosts-per-tor", "0"], "--hosts-per-tor 0"));
+    }
+    for (argv, flag) in [
+        (&["exp", "fig6", "--k", "3"][..], "--k 3"),
+        (&["topology", "--tors", "8", "--degree", "1"], "--degree 1"),
+        (
+            &["exp", "fig8", "--hosts-per-tor", "0"],
+            "--hosts-per-tor 0",
+        ),
+        (&["exp", "fig7", "--racks", "1"], "--racks 1"),
+        (&["exp", "fig7", "--degree", "0"], "--degree 0"),
+        (&["exp", "fig7", "--planes", "0"], "--planes 0"),
+        (&["exp", "fig9", "--planes", "0"], "--planes 0"),
+        (&["plan", "--kpaths", "0"], "--kpaths 0"),
+        (&["plan", "--eps", "0"], "--eps 0"),
+        (&["plan", "--sweep", "0"], "--sweep 0"),
+        (&["exp", "fig6", "--eps", "0"], "--eps 0"),
+        (&["exp", "fig6", "--ksweep", "0"], "--ksweep 0"),
+        (&["exp", "fig8", "--ksweep", "0"], "--ksweep 0"),
+        (&["exp", "fig11", "--concurrency", "0"], "--concurrency 0"),
+        (
+            &[
+                "exp", "fig10", "--queue", "0", "--tors", "8", "--degree", "3", "--rounds", "1",
+            ],
+            "--queue 0",
+        ),
+        (&["route", "--src", "3", "--dst", "3"], "--dst 3"),
+    ] {
+        cases.push((argv.to_vec(), flag));
+    }
+    for (argv, flag) in cases {
+        assert_rejected(&argv, flag);
+    }
+}
+
+/// The flags `pnet <sub>` declares, as its rejection of an unknown flag
+/// lists them.
+fn declared_flags(sub: &str) -> Vec<String> {
+    let out = pnet(&[sub, "--no-such-flag"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let (_, declared) = stderr
+        .split_once("declared flags: ")
+        .unwrap_or_else(|| panic!("{sub}: {stderr}"));
+    let words = declared.split_whitespace();
+    words
+        .filter_map(|w| w.strip_prefix("--"))
+        .map(String::from)
+        .collect()
+}
+
+/// A seeded walk over single-flag changes to a small fabric: whatever the
+/// value, `pnet` answers (exit 0) or names what it refused (exit 2) within
+/// 20 s — never a panic (101), another failure or a hang.
+#[test]
+fn single_flag_changes_exit_0_or_2_within_20_s() {
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+    use std::time::Duration;
+    let small = ["--tors", "8", "--degree", "3", "--hosts-per-tor", "1"];
+    let subs = ["throughput", "route", "plan", "simulate"];
+    let declared: Vec<Vec<String>> = subs.iter().map(|s| declared_flags(s)).collect();
+    let values = ["0", "1", "2", "3", "7", "-1", "x"];
+    let mut rng = StdRng::seed_from_u64(30);
+    for _ in 0..36 {
+        let s = rng.random_range(0..subs.len());
+        // `--trace-out` names a file to write, not a value to check.
+        let flags: Vec<&String> = declared[s].iter().filter(|f| *f != "trace-out").collect();
+        let flag = format!("--{}", flags[rng.random_range(0..flags.len())]);
+        let value = values[rng.random_range(0..values.len())];
+        let argv: Vec<&str> = [subs[s]]
+            .into_iter()
+            .chain(small)
+            .chain([flag.as_str(), value])
+            .collect();
+        let mut child = Command::new(env!("CARGO_BIN_EXE_pnet"))
+            .args(&argv)
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
             .expect("failed to launch pnet");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{argv:?}: {stderr}");
-        assert!(!stderr.contains("panicked"), "{argv:?}: {stderr}");
-        assert!(stderr.starts_with(flag), "{argv:?}: {stderr}");
-        assert_eq!(stderr.lines().count(), 1, "{argv:?}: {stderr}");
-        assert!(out.stdout.is_empty(), "{argv:?} printed a report");
+        // 1 000 polls 20 ms apart: at least 20 s, read without a wall clock.
+        let polls = (0..1_000).map(|_| {
+            let exited = child.try_wait().expect("pnet is waitable");
+            if exited.is_none() {
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            exited
+        });
+        let Some(status) = polls.flatten().next() else {
+            child.kill().expect("a running pnet can be killed");
+            panic!("{argv:?} ran past 20 s");
+        };
+        let mut stderr = String::new();
+        std::io::Read::read_to_string(&mut child.stderr.take().expect("piped"), &mut stderr)
+            .expect("stderr is text");
+        assert!(
+            matches!(status.code(), Some(0 | 2)),
+            "{argv:?} exited {status}: {stderr}"
+        );
     }
 }

@@ -14,7 +14,7 @@
 //! of these fails after an optimization, the optimization changed observable
 //! behaviour and must be fixed (do not re-pin without understanding why).
 
-use pnet::flowsim::{commodity, mcf};
+use pnet::flowsim::{commodity, mcf, throughput};
 use pnet::htsim::{run_to_completion, CcAlgo, FlowRecord, FlowSpec, SimConfig, Simulator};
 use pnet::routing::{host_route, Parallelism, RouteAlgo, Router};
 use pnet::topology::{
@@ -114,13 +114,65 @@ fn gk_permutation_fingerprint(n: usize, degree: usize) -> (mcf::McfSolution, u64
             ..Default::default()
         },
     );
+    let digest = solution_digest(&sol);
+    (sol, digest)
+}
+
+/// A GK solution's lambda, phase count and every per-commodity rate,
+/// bit-exactly.
+fn solution_digest(sol: &mcf::McfSolution) -> u64 {
     let mut h = Fnv::new();
     h.u64(sol.lambda.to_bits());
     h.u64(sol.phases as u64);
     for r in &sol.rates {
         h.u64(r.to_bits());
     }
-    (sol, h.0)
+    h.0
+}
+
+/// `pipeline_cold`'s seed-1 fabric and permutation solved in KSP mode: each
+/// flow may split over its 8 best paths across the four planes, at eps =
+/// 0.1. Pins the Explicit-route half of the solver, which the AnyPath pins
+/// above never enter.
+#[test]
+fn gk_ksp_mode_fingerprint_is_stable() {
+    let net = assemble_homogeneous(
+        &Jellyfish::new(64, 8, 1, 1),
+        4,
+        &LinkProfile::paper_default(),
+    );
+    let c = commodity::permutation(&tm::random_permutation(64, 1));
+    let router = Router::new(&net, RouteAlgo::Ksp { k: 8 });
+    let mode = mcf::ksp_mode(&net, &router, &c, 8);
+    let sol = mcf::solve(&net, &c, &mode, 0.1);
+    assert_eq!(
+        solution_digest(&sol),
+        GOLDEN_GK_KSP,
+        "KSP-mode GK solve changed (lambda {} over {} phases)",
+        sol.lambda,
+        sol.phases
+    );
+}
+
+/// Hash-placed single-path ECMP under max-min waterfilling: the totals of a
+/// permutation and of all-to-all traffic on 1, 2 and 4 planes. A moved
+/// route or a reordered waterfilling step changes a rate, and with it the
+/// bits of its total.
+#[test]
+fn ecmp_maxmin_fingerprint_is_stable() {
+    let mut h = Fnv::new();
+    for planes in [1, 2, 4] {
+        let net = assemble_homogeneous(
+            &Jellyfish::new(16, 4, 2, 7),
+            planes,
+            &LinkProfile::paper_default(),
+        );
+        let perm = commodity::permutation(&tm::random_permutation(32, 3));
+        for c in [perm, commodity::all_to_all(32)] {
+            h.u64(throughput::ecmp_throughput(&net, &c).to_bits());
+        }
+    }
+    assert_eq!(h.0, GOLDEN_ECMP_MAXMIN, "ECMP max-min totals changed");
 }
 
 #[test]
@@ -399,6 +451,10 @@ const GOLDEN_GK_LAMBDA: u64 = 2946497110374994333;
 // lambda 199857549857.54987 over 2807 phases, minted with the 4-ary heap
 // Dijkstra the bitset frontier replaced.
 const GOLDEN_GK_LAMBDA_96: u64 = 15002067845247366420;
+// Minted before Explicit routes became one flat table and before the cold
+// and warm solves shared one body.
+const GOLDEN_GK_KSP: u64 = 6197694358928288419;
+const GOLDEN_ECMP_MAXMIN: u64 = 13167328887666313324;
 // Pinned by the pre-calendar-queue BinaryHeap engine; the calendar/arena
 // engine must reproduce it bit-for-bit.
 const GOLDEN_SIM_FCT: u64 = 2982833380558106106;
