@@ -365,6 +365,18 @@ impl Simulator {
         self.events.dispatched()
     }
 
+    /// Calendar slots opened so far, each counting-sorted once by fine
+    /// bucket (see `event.rs`).
+    pub fn calendar_slot_opens(&self) -> u64 {
+        self.events.slot_opens()
+    }
+
+    /// Events scheduled into the calendar bucket being drained, which take
+    /// the late heap: a delay under ~1 ns (see `event.rs`).
+    pub fn calendar_late_pushes(&self) -> u64 {
+        self.events.late_pushes()
+    }
+
     /// The packet arena (e.g. for slab high-water instrumentation).
     pub fn packet_arena(&self) -> &PacketArena {
         &self.packets
@@ -1091,9 +1103,11 @@ impl Simulator {
     /// events address them near-randomly, so a dispatch stalls on one or two
     /// misses; issuing the successor's loads during the current handler
     /// overlaps that latency (−12 % per pass there; nothing to hide on a
-    /// sparse calendar, DESIGN.md has both rows). Advisory only — prefetching
-    /// the wrong line (the hint can be overtaken by the late heap) costs a
-    /// few cycles and changes nothing observable.
+    /// sparse calendar, DESIGN.md has both rows). The hint is the calendar's
+    /// drain stack, the current 1-ns bucket in order: it runs short at the
+    /// bucket's end and misses a late-heap event that overtakes it.
+    /// Advisory only — prefetching the wrong line costs a few cycles and
+    /// changes nothing observable.
     #[inline]
     fn prefetch_for(&self, ev: &crate::event::Event) {
         match ev.kind {

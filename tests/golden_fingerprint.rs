@@ -297,6 +297,17 @@ fn run_batch(
     flows: Vec<FlowSpec>,
     failed: Option<LinkId>,
 ) -> Vec<FlowRecord> {
+    run_batch_counting(net, cfg, flows, failed).0
+}
+
+/// [`run_batch`], also returning the calendar's work counts: slots opened
+/// and events that took the late heap.
+fn run_batch_counting(
+    net: &Network,
+    cfg: SimConfig,
+    flows: Vec<FlowSpec>,
+    failed: Option<LinkId>,
+) -> (Vec<FlowRecord>, [u64; 2]) {
     let mut sim = Simulator::new(net, cfg);
     for f in flows {
         sim.start_flow(f);
@@ -305,7 +316,8 @@ fn run_batch(
         sim.fail_link(l);
     }
     run_to_completion(&mut sim);
-    sim.records
+    let counts = [sim.calendar_slot_opens(), sim.calendar_late_pushes()];
+    (sim.records, counts)
 }
 
 /// The host route over `plane`'s first KSP path.
@@ -324,15 +336,12 @@ fn route_in_plane(
     host_route(net, src, dst, &path).expect("invariant: host pair is routable")
 }
 
-#[test]
-fn packet_sim_fct_fingerprint_is_stable() {
-    // A mid-size multi-plane MPTCP run: 32 flows under LIA, one subflow per
-    // plane.
-    let net = assemble_homogeneous(
-        &Jellyfish::new(16, 4, 2, 7),
-        3,
-        &LinkProfile::paper_default(),
-    );
+/// The 32-flow LIA batch the `GOLDEN_SIM_FCT*` LIA cases run: a multi-plane
+/// MPTCP permutation on a 16-rack Jellyfish, one subflow per plane over
+/// each plane's first KSP path, every link at `profile`'s speed. Returns the
+/// records and the calendar's work counts.
+fn lia_batch(profile: &LinkProfile) -> (Vec<FlowRecord>, [u64; 2]) {
+    let net = assemble_homogeneous(&Jellyfish::new(16, 4, 2, 7), 3, profile);
     let router = Router::with_parallelism(&net, RouteAlgo::Ksp { k: 2 }, Parallelism::Serial);
     let flows = tm::permutation_pairs(32, 9)
         .iter()
@@ -351,12 +360,45 @@ fn packet_sim_fct_fingerprint_is_stable() {
             }
         })
         .collect();
-    let records = run_batch(&net, SimConfig::default(), flows, None);
+    run_batch_counting(&net, SimConfig::default(), flows, None)
+}
+
+#[test]
+fn packet_sim_fct_fingerprint_is_stable() {
+    // A mid-size multi-plane MPTCP run: 32 flows under LIA, one subflow per
+    // plane.
+    let (records, counts) = lia_batch(&LinkProfile::paper_default());
     assert_eq!(
         flow_records_fingerprint(&records),
         GOLDEN_SIM_FCT,
         "packet-level event order changed: a 32-flow 3-plane MPTCP run no \
          longer reproduces the pinned flow-completion records"
+    );
+    // Every delay at 100G is at least an ACK's 3.2 ns serialization, past
+    // the 1-ns bucket being drained: the late heap is never used.
+    assert_eq!(
+        counts,
+        [1952, 0],
+        "calendar [slot opens, late pushes] at 100G"
+    );
+}
+
+#[test]
+fn packet_sim_400g_fct_fingerprint_is_stable() {
+    // The same batch at 400 Gb/s: a 40-byte ACK serializes in 0.8 ns, so
+    // its departure can land in the 1-ns bucket the calendar is draining,
+    // the one path to the late heap.
+    let (records, counts) = lia_batch(&LinkProfile::speed_gbps(400));
+    assert_eq!(
+        flow_records_fingerprint(&records),
+        GOLDEN_SIM_FCT_400G,
+        "sub-nanosecond event order changed: the 32-flow LIA batch at 400G no \
+         longer reproduces the pinned flow-completion records"
+    );
+    assert_eq!(
+        counts,
+        [1485, 4840],
+        "calendar [slot opens, late pushes] at 400G"
     );
 }
 
@@ -458,6 +500,9 @@ const GOLDEN_ECMP_MAXMIN: u64 = 13167328887666313324;
 // Pinned by the pre-calendar-queue BinaryHeap engine; the calendar/arena
 // engine must reproduce it bit-for-bit.
 const GOLDEN_SIM_FCT: u64 = 2982833380558106106;
+// Minted with the calendar that sorted each opened 16.4 ns slot whole and
+// heaped every event scheduled into it.
+const GOLDEN_SIM_FCT_400G: u64 = 15479597210232354342;
 // Minted at commit 3cb3e90 (PR 12), the last with the frozen BinaryHeap
 // engine (`htsim/src/reference.rs`): it and the production engine produced
 // these records field for field. With marking off the incast hashes to

@@ -728,7 +728,7 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// The calendar/ladder queue must pop the exact sequence a binary heap
     /// ordered by (time, insertion seq) would: same times, same identities,
@@ -736,15 +736,16 @@ proptest! {
     /// identity; they double as the model's tie-break because they are
     /// assigned in schedule order. Offsets are relative to the time of the
     /// most recently popped event ("now"), mirroring the simulator's
-    /// invariant that nothing is scheduled in the past, and span same-slot
-    /// (< 2^14 ps), same-window (< ~67 us), and far-future (overflow ladder)
-    /// distances.
+    /// invariant that nothing is scheduled in the past, and span
+    /// same-bucket (< 2^10 ps, the late heap), same-slot (2^10..2^14 ps,
+    /// `later`), nearby-slot, same-window (< ~67 us) and far-future
+    /// (overflow ladder) distances, plus same-timestamp bursts.
     ///
-    /// After every op the calendar's memory invariant (event.rs module docs)
-    /// is checked through its one accessor: buffers ≤ peak occupied slots + 1
-    /// of at most max(4, 2 × peak slot load) events each bounds
+    /// After every op the calendar's memory bound (event.rs module docs) is
+    /// checked through its one accessor: buffers ≤ 4 + peak occupied slots,
+    /// of at most max(4, 2 × peak slot load) events each, bounds
     /// `staged_capacity()` by their product. The model over-counts both
-    /// peaks from the pending set alone — distinct 2^14 ps buckets, and the
+    /// peaks from the pending set alone — distinct 2^14 ps slots, and the
     /// most events sharing one — so the bound holds whatever the window does.
     #[test]
     fn calendar_queue_matches_binary_heap_model(
@@ -758,8 +759,8 @@ proptest! {
         let mut model: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
         let mut now = 0u64;
         let mut next_tag = 0u64;
-        let mut buckets: BTreeMap<u64, usize> = BTreeMap::new();
-        let (mut peak_buckets, mut peak_load) = (0usize, 0usize);
+        let mut slots: BTreeMap<u64, usize> = BTreeMap::new();
+        let (mut peak_slots, mut peak_load) = (0usize, 0usize);
 
         let check_pop = |got: Option<Event>, want: Option<(u64, u64)>|
          -> Result<Option<u64>, TestCaseError> {
@@ -780,36 +781,43 @@ proptest! {
             }
         };
 
-        let unstage = |buckets: &mut BTreeMap<u64, usize>, t: u64| {
-            let load = buckets.get_mut(&(t >> 14)).expect("popped event was pending");
+        let unstage = |slots: &mut BTreeMap<u64, usize>, t: u64| {
+            let load = slots.get_mut(&(t >> 14)).expect("popped event was pending");
             *load -= 1;
             if *load == 0 {
-                buckets.remove(&(t >> 14));
+                slots.remove(&(t >> 14));
             }
         };
 
         for _ in 0..n_ops {
-            match rng.random_range(0..10u32) {
-                // Schedule: slot-, window-, and ladder-scale offsets.
-                roll @ 0..=5 => {
+            match rng.random_range(0..14u32) {
+                // Schedule: bucket-, slot-, window- and ladder-scale offsets;
+                // roll 2 schedules a burst at one timestamp.
+                roll @ 0..=8 => {
                     let offset = match roll {
-                        0 | 1 => rng.random_range(0..100_000u64),
-                        2 | 3 => rng.random_range(0..70_000_000u64),
+                        0 => rng.random_range(0..1u64 << 10),
+                        1 => rng.random_range(1u64 << 10..1 << 14),
+                        2 => rng.random_range(0..1u64 << 14),
+                        3 | 4 => rng.random_range(0..100_000u64),
+                        5 | 6 => rng.random_range(0..70_000_000u64),
                         _ => rng.random_range(0..10_000_000_000u64),
                     };
                     let at = now + offset;
-                    q.schedule(
-                        SimTime::from_ps(at),
-                        EventKind::AppTimer { app: 0, tag: next_tag },
-                    );
-                    model.push(Reverse((at, next_tag)));
-                    next_tag += 1;
-                    let load = buckets.entry(at >> 14).or_default();
-                    *load += 1;
-                    peak_load = peak_load.max(*load);
-                    peak_buckets = peak_buckets.max(buckets.len());
+                    let copies = if roll == 2 { rng.random_range(2..24usize) } else { 1 };
+                    for _ in 0..copies {
+                        q.schedule(
+                            SimTime::from_ps(at),
+                            EventKind::AppTimer { app: 0, tag: next_tag },
+                        );
+                        model.push(Reverse((at, next_tag)));
+                        next_tag += 1;
+                        let load = slots.entry(at >> 14).or_default();
+                        *load += 1;
+                        peak_load = peak_load.max(*load);
+                        peak_slots = peak_slots.max(slots.len());
+                    }
                 }
-                6..=8 => {
+                9..=11 => {
                     prop_assert_eq!(
                         q.peek_time(),
                         model.peek().map(|Reverse((t, _))| SimTime::from_ps(*t))
@@ -817,7 +825,7 @@ proptest! {
                     let want = model.pop().map(|Reverse(e)| e);
                     if let Some(t) = check_pop(q.pop(), want)? {
                         now = t;
-                        unstage(&mut buckets, t);
+                        unstage(&mut slots, t);
                     }
                 }
                 // The batched-dispatch fast path: pop only events at exactly now.
@@ -830,15 +838,15 @@ proptest! {
                         None
                     };
                     if let Some(t) = check_pop(q.pop_if_at(SimTime::from_ps(now)), want)? {
-                        unstage(&mut buckets, t);
+                        unstage(&mut slots, t);
                     }
                 }
             }
             prop_assert_eq!(q.len(), model.len());
             prop_assert!(
-                q.staged_capacity() <= (peak_buckets + 1) * (2 * peak_load).max(4),
-                "{} events of capacity for {} buckets of at most {}",
-                q.staged_capacity(), peak_buckets, peak_load
+                q.staged_capacity() <= (peak_slots + 4) * (2 * peak_load).max(4),
+                "{} events of capacity for {} slots of at most {}",
+                q.staged_capacity(), peak_slots, peak_load
             );
         }
 
