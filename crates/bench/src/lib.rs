@@ -39,6 +39,7 @@ pub use args::{ArgError, ArgErrorKind, Args, Param, CSV, SEED};
 pub use report::{banner, f3, human_bytes, min_index_total, Table};
 
 use pnet_flowsim::McfError;
+use pnet_planner::PlanError;
 use std::fmt;
 use std::io::{self, Write};
 
@@ -51,6 +52,8 @@ pub enum Error {
     UnknownExperiment(String),
     /// The flow solver refused the instance the flags describe.
     Solver(McfError),
+    /// The planner refused a query for a reason other than its solver's.
+    Planner(PlanError),
     /// The report could not be written.
     Io(io::Error),
 }
@@ -64,6 +67,7 @@ impl fmt::Display for Error {
                 write!(f, "unknown experiment {name:?}; known: {}", names.join(" "))
             }
             Error::Solver(e) => write!(f, "flow solver: {e}"),
+            Error::Planner(e) => write!(f, "planner: {e}"),
             Error::Io(e) => e.fmt(f),
         }
     }
@@ -80,6 +84,15 @@ impl From<ArgError> for Error {
 impl From<McfError> for Error {
     fn from(e: McfError) -> Self {
         Error::Solver(e)
+    }
+}
+
+impl From<PlanError> for Error {
+    fn from(e: PlanError) -> Self {
+        match e {
+            PlanError::Solver(e) => Error::Solver(e),
+            e => Error::Planner(e),
+        }
     }
 }
 

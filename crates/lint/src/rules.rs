@@ -199,9 +199,8 @@ pub fn check_file(ctx: &FileCtx) -> Vec<Finding> {
 ///
 /// In the product crates' library code the same holds for the other ways
 /// to start a thread (`thread::scope`, `thread::Builder`) and for
-/// `sync::atomic`: shared state there sits behind a lock, so no lock-free
-/// protocol exists to get wrong. One that is worth having needs a waiver
-/// with a reason — and a model in `crates/modelcheck`, like the pool's.
+/// `sync::atomic`: shared state there sits behind a lock, with no exception,
+/// so no lock-free protocol exists to get wrong.
 fn rule_d2(ctx: &FileCtx, out: &mut Vec<Finding>) {
     let product = product_scope(ctx.rel_path);
     for (i, t) in ctx.tokens.iter().enumerate() {
@@ -240,8 +239,7 @@ fn rule_d2(ctx: &FileCtx, out: &mut Vec<Finding>) {
                 t,
                 format!(
                     "{}::{} in a product crate: shared state goes behind a lock and \
-                     parallelism through routing::exec; a lock-free protocol needs a \
-                     waiver and a model",
+                     parallelism through routing::exec",
                     ctx.tokens[i - 2].text,
                     t.text
                 ),

@@ -20,7 +20,7 @@ use pnet::flowsim::{commodity, throughput, Commodity};
 use pnet::htsim::{
     metrics, run_to_completion, EventMask, FlowSpec, SimConfig, SimTime, Simulator, TelemetryConfig,
 };
-use pnet::planner::{PlanError, Planner, PlannerConfig};
+use pnet::planner::{Planner, PlannerConfig};
 use pnet::topology::{failures, HostId, NetworkClass};
 use pnet::workloads::tm;
 use pnet_bench::args::parse_size;
@@ -259,14 +259,6 @@ fn cmd_throughput(args: &Args) -> Result<(), Error> {
     Ok(())
 }
 
-/// Exit with the planner's diagnostic when a what-if query fails.
-fn run_query<T>(result: Result<T, PlanError>) -> T {
-    result.unwrap_or_else(|e| {
-        eprintln!("planner query failed: {e}");
-        std::process::exit(1);
-    })
-}
-
 /// One-stop what-if report from the planner service: admission of the
 /// offered matrix, the subflow fan-out sweep, structural per-plane
 /// headroom, and (optionally) ideal throughput with the first N fabric
@@ -301,7 +293,7 @@ fn cmd_plan(args: &Args) -> Result<(), Error> {
         generation.topology_fingerprint()
     );
 
-    let adm = run_query(planner.admit_at(&generation, &commodities));
+    let adm = planner.admit_at(&generation, &commodities)?;
     println!(
         "admission:  lambda = {:.4} -> {}  ({:.3} Tb/s delivered at that scale)",
         adm.lambda,
@@ -313,7 +305,7 @@ fn cmd_plan(args: &Args) -> Result<(), Error> {
         adm.total_rate_bps / 1e12
     );
 
-    let best = run_query(planner.best_k_at(&generation, &commodities, &sweep));
+    let best = planner.best_k_at(&generation, &commodities, &sweep)?;
     let swept: Vec<String> = best
         .evaluated
         .iter()
@@ -342,7 +334,7 @@ fn cmd_plan(args: &Args) -> Result<(), Error> {
     if n_fail > 0 {
         let cables = failures::fabric_cables(generation.network(), None);
         let chosen = &cables[..n_fail.min(cables.len())];
-        let wi = run_query(planner.ideal_throughput_after_at(&generation, chosen, &commodities));
+        let wi = planner.ideal_throughput_after_at(&generation, chosen, &commodities)?;
         println!(
             "what-if:    {} fabric cable(s) down -> ideal lambda {:.4} vs {:.4} \
              baseline ({:.1}% retained)",

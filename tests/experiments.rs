@@ -162,6 +162,16 @@ fn subcommands_reject_unbuildable_flags_without_a_panic() {
         let full: Vec<&str> = [sub].into_iter().chain(argv.iter().copied()).collect();
         assert_rejected(&[full, rest.flatten().copied().collect()].concat(), flag);
     }
+    // A solver refusal after the report has begun is exit 2 as well, with
+    // the solver's reason on one line: cutting all 48 fabric cables leaves
+    // every rack unreachable for the what-if solve.
+    let out = pnet(&[&["plan", "--what-if-cables", "48"][..], &small].concat());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert_eq!(
+        stderr,
+        "pnet plan: flow solver: commodity 0 has no allowed path\n"
+    );
 }
 
 /// Every flag value that once panicked or hung, in the subcommands and in
