@@ -2,7 +2,7 @@
 //! serial scale-out fat tree, serial chassis fat tree, and an 8x parallel
 //! P-Net — at equal bisection bandwidth.
 
-use crate::{banner, Args, Error, Experiment, Table, CSV};
+use crate::{banner, setups, Args, Error, Experiment, Table, CSV};
 use pnet_topology::components::{parallel_pnet, serial_chassis, serial_scale_out, ChipSpec};
 use pnet_topology::deployment::{deployment, DeploymentStyle, PowerModel};
 use std::io::Write;
@@ -41,8 +41,7 @@ pub fn component_table(hosts: usize, planes: usize, csv: bool) -> Table {
 }
 
 fn run(args: &Args, out: &mut dyn Write) -> Result<(), Error> {
-    let hosts: usize = args.get("hosts")?;
-    let planes: usize = args.get("planes")?;
+    let (hosts, planes) = setups::component_hosts_and_planes(args, ChipSpec::table1())?;
     let csv = args.has("csv");
 
     banner(

@@ -16,6 +16,7 @@ use pnet_htsim::apps::{ClosedLoopDriver, ClosedLoopSlot, FlowFactory, RpcDriver,
 use pnet_htsim::{
     metrics, run, run_to_completion, CcAlgo, FlowSpec, SimConfig, SimTime, Simulator,
 };
+use pnet_topology::components::ChipSpec;
 use pnet_topology::{HostId, Network, NetworkClass};
 use pnet_workloads::{tm, EmpiricalCdf, Trace};
 use rand::rngs::StdRng;
@@ -58,6 +59,22 @@ pub fn planes_from(args: &Args) -> Result<usize, ArgError> {
         return Err(args.reject("planes", planes, "a P-Net has 1 to 8 dataplanes"));
     }
     Ok(planes)
+}
+
+/// `--hosts` and `--planes` of a Table 1 component count on `chip`: the
+/// parallel design is one 2-tier plane per dataplane, which connects at most
+/// [`ChipSpec::max_plane_hosts`] hosts.
+pub fn component_hosts_and_planes(args: &Args, chip: ChipSpec) -> Result<(usize, usize), ArgError> {
+    let hosts: usize = args.get("hosts")?;
+    let most = chip.max_plane_hosts();
+    if !(1..=most).contains(&hosts) {
+        let why = format!(
+            "must be 1 to {most}, what one 2-tier plane of radix-{} chips connects",
+            chip.native_radix
+        );
+        return Err(args.reject("hosts", hosts, why));
+    }
+    Ok((hosts, planes_from(args)?))
 }
 
 /// `--{tors}` ToRs with `--degree` fabric ports each, as a connected random

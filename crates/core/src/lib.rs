@@ -59,13 +59,11 @@ pub mod adaptive;
 pub mod analysis;
 pub mod hoststack;
 pub mod interfaces;
-pub mod monitoring;
 pub mod pnet;
 pub mod policy;
 
 pub use adaptive::AdaptiveBalancer;
 pub use hoststack::{HostStack, PlaneAddr};
 pub use interfaces::{subflows_for, TrafficClass};
-pub use monitoring::{PlaneReport, PlaneStats};
 pub use pnet::{PNet, PNetSpec, TopologyKind};
 pub use policy::{PathPolicy, PathSelector};

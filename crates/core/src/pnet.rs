@@ -134,16 +134,6 @@ impl PNet {
         Router::new(&self.net, algo)
     }
 
-    /// A router with the full all-pairs route table precomputed in parallel
-    /// — the bulk path for experiment sweeps, where every rack pair will be
-    /// queried anyway. The returned router only ever reads its frozen
-    /// tables, so it can be shared across threads behind an `Arc`.
-    pub fn precomputed_router(&self, algo: RouteAlgo) -> Router {
-        let router = Router::new(&self.net, algo);
-        router.precompute_all_pairs();
-        router
-    }
-
     /// A path selector for `policy`, backed by a KSP router wide enough for
     /// any of the built-in policies (`k = max(32, policy k)`).
     pub fn selector(&self, policy: PathPolicy) -> PathSelector {

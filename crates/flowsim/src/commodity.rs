@@ -54,11 +54,6 @@ pub fn permutation(perm: &[usize]) -> Vec<Commodity> {
         .collect()
 }
 
-/// Total demand of a commodity set.
-pub fn total_demand(commodities: &[Commodity]) -> f64 {
-    commodities.iter().map(|c| c.demand).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -76,11 +71,5 @@ mod tests {
         assert_eq!(c.len(), 2);
         assert_eq!(c[0].src, HostId(0));
         assert_eq!(c[0].dst, HostId(1));
-    }
-
-    #[test]
-    fn total_demand_sums() {
-        let c = all_to_all(3);
-        assert!((total_demand(&c) - 6.0).abs() < 1e-12);
     }
 }

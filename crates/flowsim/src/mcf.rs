@@ -872,7 +872,7 @@ type PlaneTree = (Vec<f64>, Vec<u64>);
 /// of[q]`. There are as many buffers as planes, so a plane about to run
 /// Dijkstra while another plane reads its buffer always finds one that no
 /// plane reads.
-pub struct PlaneTrees {
+struct PlaneTrees {
     /// One (dist, parent) buffer per plane, each sized to the largest plane.
     bufs: Vec<PlaneTree>,
     /// The buffer holding each plane's tree.
@@ -1270,7 +1270,7 @@ impl AnyPathOracle {
 
 /// Convenience: rack paths (`&Path`s, or the views of a
 /// [`pnet_routing::PlanePaths`]) expanded to full host routes for one commodity.
-pub fn expand_host_routes<'a, P: Into<pnet_routing::PathRef<'a>>>(
+fn expand_host_routes<'a, P: Into<pnet_routing::PathRef<'a>>>(
     net: &Network,
     src: HostId,
     dst: HostId,

@@ -430,19 +430,6 @@ impl EventQueue {
         Some(ev)
     }
 
-    /// The events most likely to pop next — the drain stack's tail —
-    /// offered as a prefetch hint to the dispatch loop. Purely advisory: the
-    /// late heap may in fact come first, and the hint runs short at the
-    /// bucket's end, so callers must never use it for ordering decisions.
-    #[inline]
-    pub fn next_hint(&self) -> &[Event] {
-        let n = self.drain.len();
-        // Two-deep: a handler runs long enough to cover its successor's DRAM
-        // load but often not two, so overlapping a pair keeps the pipeline
-        // ahead of the dispatch loop.
-        &self.drain[n.saturating_sub(2)..]
-    }
-
     /// Shared post-pop bookkeeping for both pop paths.
     #[inline]
     fn note_popped(&mut self, ev: &Event) {

@@ -131,7 +131,7 @@ impl QueueStats {
 }
 
 /// Packet-conservation ledger: a snapshot of where every packet ever handed
-/// to [`Simulator::send_packet`]'s first hop currently is. The books balance
+/// to `Simulator::send_packet`'s first hop currently is. The books balance
 /// at every event boundary:
 ///
 /// `injected == delivered + dropped_congestion + dropped_link_down + in_flight`
@@ -1065,12 +1065,9 @@ impl Simulator {
     }
 
     /// Hand one popped event to its handler — app timers to the driver,
-    /// everything else to the engine — after prefetching for its successors.
+    /// everything else to the engine.
     #[inline]
     fn dispatch(&mut self, driver: &mut dyn Driver, kind: EventKind) {
-        for next in self.events.next_hint() {
-            self.prefetch_for(next);
-        }
         match kind {
             EventKind::QueueDeparture { link } => self.on_departure(link),
             EventKind::Arrival { packet } => self.on_arrival(packet),
@@ -1094,27 +1091,6 @@ impl Simulator {
             if self.slab[ci].in_network == 0 {
                 self.retire(ci);
             }
-        }
-    }
-
-    /// Warm the cache lines the next event's handler will touch. At paper
-    /// scale (686 hosts, `packet_bulk`) the packet arena is 9 MB, the link
-    /// queues 5 MB and the subflow tables 4 MB — together past L2 — and
-    /// events address them near-randomly, so a dispatch stalls on one or two
-    /// misses; issuing the successor's loads during the current handler
-    /// overlaps that latency (−12 % per pass there; nothing to hide on a
-    /// sparse calendar, DESIGN.md has both rows). The hint is the calendar's
-    /// drain stack, the current 1-ns bucket in order: it runs short at the
-    /// bucket's end and misses a late-heap event that overtakes it.
-    /// Advisory only — prefetching the wrong line costs a few cycles and
-    /// changes nothing observable.
-    #[inline]
-    fn prefetch_for(&self, ev: &crate::event::Event) {
-        match ev.kind {
-            EventKind::QueueDeparture { link } => prefetch_read(&self.queues[link.index()]),
-            EventKind::Arrival { packet } => prefetch_read(&self.packets[packet]),
-            EventKind::RtoTimer { conn, .. } => prefetch_read(&self.conn_slot[conn.0 as usize]),
-            EventKind::AppTimer { .. } | EventKind::TelemetrySample => {}
         }
     }
 
@@ -1205,21 +1181,6 @@ impl Simulator {
             tl.sampler_armed = false;
         }
     }
-}
-
-/// Issue a read prefetch for the cache line holding `p`. A pure scheduling
-/// hint to the load unit: no memory access is architecturally performed, so
-/// it is valid for any pointer and can never fault or race.
-#[inline]
-fn prefetch_read<T>(p: *const T) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: PREFETCHT0 performs no architectural memory access; it is
-    // defined for arbitrary addresses, dangling or unaligned included.
-    unsafe {
-        std::arch::x86_64::_mm_prefetch(p as *const i8, std::arch::x86_64::_MM_HINT_T0)
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = p;
 }
 
 /// Run the simulation until the event queue drains or `until` is reached.

@@ -5,9 +5,9 @@
 //! token-level catalogue (D2/C1/F1/U1). This module walks the tree, applies
 //! the inline [`waiver`]s, and reports what is left.
 //! Everything a type checker decides better (hash containers, float `==`,
-//! narrowing casts, catch-all arms, unstable sorts, undocumented `unsafe`)
-//! is clippy's job: `[workspace.lints.clippy]` plus `clippy.toml`. See
-//! DESIGN.md §"Static analysis & determinism contract".
+//! narrowing casts, catch-all arms, unstable sorts, no `unsafe` (`forbid`))
+//! is the compiler's and clippy's job: `[workspace.lints]` plus
+//! `clippy.toml`. See DESIGN.md §"Static analysis & determinism contract".
 
 pub mod lexer;
 pub mod rules;

@@ -6,8 +6,8 @@
 //! exact line:col span. Rules are scoped by path (see the `*_scope`
 //! predicates) and skip `#[cfg(test)]` / `#[test]` regions where noted. The
 //! typed half of the contract (hash containers, float `==`, narrowing casts,
-//! catch-all arms, unstable sorts, undocumented `unsafe`) is clippy's: see
-//! `[workspace.lints.clippy]` and `clippy.toml`.
+//! catch-all arms, unstable sorts, no `unsafe` (`forbid`)) is the compiler's
+//! and clippy's: see `[workspace.lints]` and `clippy.toml`.
 
 use crate::lexer::{Token, TokenKind};
 

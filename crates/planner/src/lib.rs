@@ -54,7 +54,7 @@ pub use memo::{Memo, MemoKey, MemoStats};
 
 use pnet_flowsim::mcf::{self, McfError, McfOptions, PathMode};
 use pnet_flowsim::{throughput, Commodity, McfSolution};
-use pnet_routing::{Fnv, Parallelism, RouteAlgo, Router};
+use pnet_routing::{Fnv, RouteAlgo, Router};
 use pnet_topology::{failures, LinkDelta, LinkId, Network, PlaneId};
 use std::fmt;
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
@@ -68,17 +68,11 @@ pub struct PlannerConfig {
     pub k: usize,
     /// Garg–Könemann approximation ε, in the open interval (0, 0.5).
     pub eps: f64,
-    /// Execution strategy for router builds and solver phases.
-    pub parallelism: Parallelism,
 }
 
 impl Default for PlannerConfig {
     fn default() -> PlannerConfig {
-        PlannerConfig {
-            k: 8,
-            eps: 0.1,
-            parallelism: Parallelism::default(),
-        }
+        PlannerConfig { k: 8, eps: 0.1 }
     }
 }
 
@@ -140,7 +134,7 @@ pub struct Generation {
 impl Generation {
     fn build(seq: u64, net: Network, cfg: &PlannerConfig) -> Generation {
         let wide = (2 * cfg.k).max(8);
-        let router = Router::with_parallelism(&net, RouteAlgo::Ksp { k: wide }, cfg.parallelism);
+        let router = Router::new(&net, RouteAlgo::Ksp { k: wide });
         let topology_fp = topology_fingerprint(&net);
         Generation {
             seq,
@@ -379,10 +373,7 @@ impl Planner {
                 tm,
                 k,
                 self.cfg.eps,
-                McfOptions {
-                    parallelism: self.cfg.parallelism,
-                    ..Default::default()
-                },
+                McfOptions::default(),
             )
             .map_err(PlanError::Solver)
         })
@@ -408,10 +399,7 @@ impl Planner {
                 tm,
                 &PathMode::AnyPath,
                 self.cfg.eps,
-                McfOptions {
-                    parallelism: self.cfg.parallelism,
-                    ..Default::default()
-                },
+                McfOptions::default(),
             )
             .map_err(PlanError::Solver)
         })

@@ -25,20 +25,19 @@
 //!
 //! ## Link churn and incremental repair
 //!
-//! Under link churn the router does not start over: [`Router::apply_delta`]
-//! repairs exactly the cached entries a link delta can affect, and
-//! [`Router::refresh`] diffs the network against the current snapshot to
-//! synthesize that delta (falling back to a full rebuild only when the
-//! change is not expressible as a link delta).
+//! Under link churn the router does not start over: [`Router::refresh`]
+//! diffs the network against the current snapshot and repairs exactly the
+//! cached entries that link delta can affect (falling back to a full rebuild
+//! only when the change is not expressible as a link delta).
 //!
 //! The plane-graph snapshot and the dense `(plane, src, dst)` table sit
 //! behind one `RwLock`; every method takes `&self`. A hit
 //! indexes under the read lock. A fill clones the snapshot `Arc` under the
 //! read lock, computes outside it, and commits under the write lock only if
 //! the router still holds that very snapshot (`Arc::ptr_eq`), else starts
-//! over. `apply_delta` and `refresh` hold the write lock from snapshot swap
-//! to last repaired commit: they serialize against each other, and no
-//! reader ever sees a half-repaired table.
+//! over. `refresh` holds the write lock from the diff to the last repaired
+//! commit: refreshes serialize against each other, and no reader ever sees
+//! a half-repaired table.
 
 use crate::bfs;
 use crate::exec::Parallelism;
@@ -121,7 +120,7 @@ fn cable_of(link: LinkId) -> LinkId {
     LinkId(link.0 & !1)
 }
 
-/// Outcome of one [`Router::apply_delta`] or [`Router::refresh`].
+/// Outcome of one [`Router::refresh`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeltaStats {
     /// Router epoch after the operation (bumped once per applied change).
@@ -154,7 +153,7 @@ struct State {
     slots: Vec<Option<Arc<PathSet>>>,
     /// Slots holding a path set.
     entries: usize,
-    /// 0 at construction, +1 per applied delta/refresh.
+    /// 0 at construction, +1 per refresh that found a change.
     epoch: u64,
 }
 
@@ -259,13 +258,13 @@ impl Router {
     }
 
     /// The current plane-graph snapshot (e.g. for custom analyses). The
-    /// returned `Arc` stays internally consistent even if a delta swaps the
+    /// returned `Arc` stays internally consistent even if a refresh swaps the
     /// router to a newer snapshot concurrently.
     pub fn plane_graphs(&self) -> Arc<Vec<PlaneGraph>> {
         Arc::clone(&self.read().planes)
     }
 
-    /// The current epoch: 0 at construction, +1 per applied delta/refresh.
+    /// The current epoch: 0 at construction, +1 per refresh that found a change.
     pub fn epoch(&self) -> u64 {
         self.read().epoch
     }
@@ -522,8 +521,8 @@ impl Router {
             .min_by_key(|&(_, hops)| hops)
     }
 
-    /// Repair the route table for a link delta: `net` must already reflect
-    /// the delta's link states. Only the planes touched by the delta are
+    /// Repair the locked table for `delta`, the diff of `net` against the
+    /// snapshot `st` holds. Only the planes touched by the delta are
     /// re-extracted, and only the cached entries the delta can affect are
     /// recomputed:
     ///
@@ -544,13 +543,7 @@ impl Router {
     /// recomputed one equal to another plane's takes that plane's `Arc`.
     /// Recomputation reuses the batched Yen/ECMP machinery, so the repaired
     /// table equals a from-scratch rebuild of the new topology (see
-    /// `tests/props.rs`). Bumps the epoch once. The write lock is held
-    /// throughout, so concurrent deltas apply one after the other.
-    pub fn apply_delta(&self, net: &Network, delta: &LinkDelta) -> DeltaStats {
-        self.repair(&mut self.write(), net, delta)
-    }
-
-    /// [`Router::apply_delta`] on the locked state.
+    /// `tests/props.rs`). Bumps the epoch once.
     fn repair(&self, st: &mut State, net: &Network, delta: &LinkDelta) -> DeltaStats {
         let down: BTreeSet<LinkId> = delta.down.iter().map(|&l| cable_of(l)).collect();
         let up: BTreeSet<LinkId> = delta.up.iter().map(|&l| cable_of(l)).collect();
@@ -642,14 +635,15 @@ impl Router {
     ///
     /// When the change is expressible as a link delta against the current
     /// snapshot — same planes, same switch rosters, only link up/down
-    /// membership differs — the diff is routed through
-    /// [`Router::apply_delta`], repairing only the affected entries and
-    /// keeping every other cached `Arc` intact. Otherwise (plane count or
-    /// switch roster changed, i.e. the router was handed a structurally
-    /// different network) it falls back to the historical behaviour: drop
-    /// the whole table and re-extract every plane graph. The returned
-    /// [`DeltaStats`] says which route was taken (`full_rebuild`). Like
-    /// `apply_delta`, holds the write lock from the diff to the last commit.
+    /// membership differs — only the entries that delta can affect are
+    /// recomputed and every other cached `Arc` stays intact (the rules are
+    /// on `repair`). The delta is computed from `net` itself, so the repaired
+    /// table always equals a rebuild. Otherwise (plane count or switch
+    /// roster changed, i.e. the router was handed a structurally different
+    /// network) it drops the whole table and re-extracts every plane graph.
+    /// The returned [`DeltaStats`] says which route was taken
+    /// (`full_rebuild`). Holds the write lock from the diff to the last
+    /// commit, so concurrent refreshes apply one after the other.
     pub fn refresh(&self, net: &Network) -> DeltaStats {
         let mut st = self.write();
         match Self::diff_links(&st.planes, net) {
@@ -844,6 +838,8 @@ mod tests {
         );
     }
 
+    /// One cable fails, then comes back: each link delta `refresh` finds
+    /// repairs part of the table, and the result equals a rebuild.
     #[test]
     fn apply_delta_repairs_single_cable_down_and_up() {
         let mut net = assemble_homogeneous(
@@ -857,11 +853,7 @@ mod tests {
         let cables = failures::fabric_cables(&net, None);
 
         failures::fail_cable(&mut net, cables[3]);
-        let down = LinkDelta {
-            down: vec![cables[3]],
-            up: vec![],
-        };
-        let stats = r.apply_delta(&net, &down);
+        let stats = r.refresh(&net);
         assert_eq!(stats.planes_rebuilt, 1);
         assert!(stats.entries_repaired > 0, "some entry used the cable");
         assert!(stats.entries_repaired < total, "repair must be partial");
@@ -869,16 +861,13 @@ mod tests {
         assert_matches_rebuild(&net, &r);
 
         failures::restore_cable(&mut net, cables[3]);
-        let up = LinkDelta {
-            down: vec![],
-            up: vec![cables[3]],
-        };
-        let stats = r.apply_delta(&net, &up);
+        let stats = r.refresh(&net);
         assert!(stats.entries_repaired > 0);
         assert_eq!(stats.epoch, 2);
         assert_matches_rebuild(&net, &r);
     }
 
+    /// A delta in plane 0, applied through `refresh`, leaves plane 1 alone.
     #[test]
     fn apply_delta_preserves_untouched_arcs() {
         let mut net = assemble_homogeneous(
@@ -894,13 +883,7 @@ mod tests {
             .map(|b| r.paths_in_plane(PlaneId(1), RackId(0), RackId(b)))
             .collect();
         failures::fail_cable(&mut net, c);
-        r.apply_delta(
-            &net,
-            &LinkDelta {
-                down: vec![c],
-                up: vec![],
-            },
-        );
+        r.refresh(&net);
         for (b, arc) in (1..12u32).zip(before) {
             let after = r.paths_in_plane(PlaneId(1), RackId(0), RackId(b));
             assert!(
@@ -911,8 +894,8 @@ mod tests {
     }
 
     /// The repair's work is one walk of each touched plane's `racks²` slots,
-    /// however many cables the delta names there; a delta with no
-    /// switch-to-switch cable reads none.
+    /// however many cables the delta names there; a change with no
+    /// switch-to-switch cable is no delta at all and reads none.
     #[test]
     fn repair_scans_each_touched_plane_once() {
         let mut net = assemble_homogeneous(
@@ -929,8 +912,7 @@ mod tests {
             down.iter().for_each(|&l| failures::fail_cable(&mut net, l));
             up.iter()
                 .for_each(|&l| failures::restore_cable(&mut net, l));
-            let (down, up) = (down.to_vec(), up.to_vec());
-            let stats = r.apply_delta(&net, &LinkDelta { down, up });
+            let stats = r.refresh(&net);
             assert_matches_rebuild(&net, &r);
             stats
         };
@@ -947,7 +929,7 @@ mod tests {
         );
 
         let host = apply(&[uplink], &[]);
-        assert_eq!((host.planes_rebuilt, host.slots_scanned), (1, 0));
+        assert_eq!((host.planes_rebuilt, host.slots_scanned), (0, 0));
         assert_eq!(host.entries_repaired, 0);
     }
 

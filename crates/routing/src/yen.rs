@@ -15,8 +15,8 @@
 //! is **goal-directed and length-capped**: it reads the plane's exact
 //! hop-to-target table ([`PlaneGraph::hops_to`]) to walk only the corridor
 //! of switches that can still lie on a shortest spur path, and gives up at
-//! the length no candidate can still win with (see [`constrained_shortest`]
-//! and the bar rule in [`yen_paths`]). Accepted paths and waiting candidates
+//! the length no candidate can still win with (see `constrained_shortest`
+//! and the bar rule in `yen_paths`). Accepted paths and waiting candidates
 //! sit back to back, whole, in one per-call arena and are handled as 12-byte
 //! records, and the result is written from there into one [`PathSet`] block:
 //! no path is allocated on its own. All BFS state

@@ -38,6 +38,12 @@ impl ChipSpec {
     pub fn serial_radix(&self) -> usize {
         self.native_radix / self.gearbox
     }
+
+    /// Hosts one 2-tier plane at the native radix `r` connects at most:
+    /// `r` leaves of `r/2` hosts each.
+    pub fn max_plane_hosts(&self) -> usize {
+        self.native_radix * (self.native_radix / 2)
+    }
 }
 
 /// One row of Table 1.
@@ -133,9 +139,9 @@ pub fn parallel_pnet(hosts: usize, n_planes: usize, chip: ChipSpec) -> Component
     let r = chip.native_radix;
     let half = r / 2;
     assert!(
-        hosts <= r * half,
+        hosts <= chip.max_plane_hosts(),
         "one 2-tier plane at radix {r} supports at most {} hosts",
-        r * half
+        chip.max_plane_hosts()
     );
     let leaves = hosts.div_ceil(half);
     let spines = leaves * half / r; // uplinks / spine radix

@@ -295,14 +295,6 @@ impl Network {
         &self.hosts
     }
 
-    /// The host id of a node, if it is a host.
-    pub fn host_of_node(&self, n: NodeId) -> Option<HostId> {
-        match self.node(n).kind {
-            NodeKind::Host { host, .. } => Some(host),
-            NodeKind::Tor { .. } | NodeKind::Agg { .. } | NodeKind::Core => None,
-        }
-    }
-
     /// The rack of a host.
     pub fn rack_of_host(&self, h: HostId) -> RackId {
         match self.node(self.host_node(h)).kind {

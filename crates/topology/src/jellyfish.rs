@@ -70,12 +70,6 @@ impl Jellyfish {
         Jellyfish::new(128, 8, 8, seed)
     }
 
-    /// Rack-level variant of [`Jellyfish::paper_1024`] used for Figure 7's
-    /// 128-rack ideal-throughput experiment.
-    pub fn paper_128_racks(seed: u64) -> Self {
-        Jellyfish::new(128, 8, 1, seed)
-    }
-
     /// Total hosts of one plane.
     pub fn n_hosts(&self) -> usize {
         self.n_tors * self.hosts_per_tor

@@ -54,29 +54,6 @@ pub fn permutation_pairs(n: usize, seed: u64) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// All ordered pairs (a, b), a != b.
-pub fn all_to_all_pairs(n: usize) -> Vec<(usize, usize)> {
-    (0..n)
-        .flat_map(|a| (0..n).filter(move |&b| b != a).map(move |b| (a, b)))
-        .collect()
-}
-
-/// Uniformly random (src, dst) pairs with src != dst, deterministic in seed.
-pub fn random_pairs(n: usize, count: usize, seed: u64) -> Vec<(usize, usize)> {
-    use rand::RngExt;
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..count)
-        .map(|_| {
-            let a = rng.random_range(0..n);
-            let mut b = rng.random_range(0..n - 1);
-            if b >= a {
-                b += 1;
-            }
-            (a, b)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,22 +81,5 @@ mod tests {
     fn tiny_permutation() {
         let p = random_permutation(2, 0);
         assert_eq!(p, vec![1, 0]);
-    }
-
-    #[test]
-    fn all_to_all_count() {
-        assert_eq!(all_to_all_pairs(5).len(), 20);
-    }
-
-    #[test]
-    fn random_pairs_no_self() {
-        let pairs = random_pairs(10, 1000, 3);
-        assert!(pairs.iter().all(|&(a, b)| a != b && a < 10 && b < 10));
-        // All destinations reachable.
-        let mut hit = [false; 10];
-        for &(_, b) in &pairs {
-            hit[b] = true;
-        }
-        assert!(hit.iter().all(|&h| h));
     }
 }

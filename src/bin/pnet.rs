@@ -21,6 +21,7 @@ use pnet::htsim::{
     metrics, run_to_completion, EventMask, FlowSpec, SimConfig, SimTime, Simulator, TelemetryConfig,
 };
 use pnet::planner::{Planner, PlannerConfig};
+use pnet::topology::components::ChipSpec;
 use pnet::topology::{failures, HostId, NetworkClass};
 use pnet::workloads::tm;
 use pnet_bench::args::parse_size;
@@ -272,7 +273,6 @@ fn cmd_plan(args: &Args) -> Result<(), Error> {
     let cfg = PlannerConfig {
         k: setups::count(args, "kpaths")?,
         eps: setups::eps_from(args)?,
-        ..PlannerConfig::default()
     };
     let sweep: Vec<usize> = setups::counts(args, "sweep")?
         .into_iter()
@@ -457,7 +457,8 @@ fn cmd_simulate(args: &Args) -> Result<(), Error> {
 }
 
 fn cmd_components(args: &Args) -> Result<(), Error> {
-    table1::component_table(args.get("hosts")?, args.get("planes")?, false).print(&mut stdout())?;
+    let (hosts, planes) = setups::component_hosts_and_planes(args, ChipSpec::table1())?;
+    table1::component_table(hosts, planes, false).print(&mut stdout())?;
     Ok(())
 }
 

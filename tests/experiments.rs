@@ -185,6 +185,13 @@ fn values_the_library_cannot_use_exit_2_naming_the_flag() {
     for sub in ["throughput", "plan", "simulate", "route"] {
         cases.push((vec![sub, "--hosts-per-tor", "0"], "--hosts-per-tor 0"));
     }
+    // One 2-tier plane of radix-128 chips connects 8 192 hosts at most.
+    for sub in [&["components"][..], &["exp", "table1"]] {
+        for flag in ["--hosts 0", "--hosts 8193", "--planes 0", "--planes 9"] {
+            let argv = [sub, &flag.split(' ').collect::<Vec<_>>()].concat();
+            cases.push((argv, flag));
+        }
+    }
     for (argv, flag) in [
         (&["exp", "fig6", "--k", "3"][..], "--k 3"),
         (&["topology", "--tors", "8", "--degree", "1"], "--degree 1"),

@@ -7,7 +7,6 @@ use pnet::flowsim::{commodity, Commodity};
 use pnet::planner::{
     solution_fingerprint, topology_fingerprint, PlanError, Planner, PlannerConfig,
 };
-use pnet::routing::Parallelism;
 use pnet::topology::{
     assemble_homogeneous, failures, FatTree, HostId, LinkDelta, LinkId, LinkProfile, Network,
     PlaneId,
@@ -19,11 +18,7 @@ fn net() -> Network {
 }
 
 fn cfg() -> PlannerConfig {
-    PlannerConfig {
-        k: 4,
-        eps: 0.1,
-        parallelism: Parallelism::Serial,
-    }
+    PlannerConfig { k: 4, eps: 0.1 }
 }
 
 fn tm() -> Vec<Commodity> {
