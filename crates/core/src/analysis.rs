@@ -3,32 +3,29 @@
 //! The heterogeneous P-Net advantage is structural: with N independently
 //! random planes, the minimum-over-planes path length between two racks is
 //! stochastically smaller than any single plane's. These helpers compute
-//! the hop statistics behind Figure 10's stepped CDFs and Figure 14's
-//! failure sweep.
+//! the hop statistics behind Figure 14's failure sweep, `pnet exp expand`
+//! and `pnet topology`'s hop histogram, all read from the planes'
+//! [`PlaneGraph::hops_to`] tables.
 
-use pnet_routing::{bfs, PlaneGraph};
-use pnet_topology::Network;
+use pnet_routing::plane_graph::UNREACHABLE;
+use pnet_routing::PlaneGraph;
+use pnet_topology::{Network, PlaneId, RackId};
 
 /// Mean switch hops over all rack pairs when every flow must stay in one
 /// *fixed* plane (serial networks, or per-plane view of a P-Net).
 pub fn mean_hops_single_plane(net: &Network) -> f64 {
-    let pg = PlaneGraph::build(net, pnet_topology::PlaneId(0));
-    bfs::mean_switch_hops(&bfs::rack_hop_matrix(&pg))
+    histogram_of(&[PlaneGraph::build(net, PlaneId(0))]).mean()
 }
 
 /// Mean switch hops over all rack pairs when the host may pick the best
 /// plane per destination (the P-Net host stack's shortest-plane interface).
 pub fn mean_hops_best_plane(net: &Network) -> f64 {
-    let matrices: Vec<Vec<Vec<u32>>> = PlaneGraph::build_all(net)
-        .iter()
-        .map(bfs::rack_hop_matrix)
-        .collect();
-    bfs::mean_switch_hops(&bfs::min_hops_across_planes(&matrices))
+    hop_histogram_best_plane(net).mean()
 }
 
-/// The distribution of best-plane switch hops over all ordered rack pairs
-/// (for the stepped RPC CDFs of Figure 10): `histogram[h]` = number of pairs
-/// at `h` switch hops. Disconnected pairs are counted in `unreachable`.
+/// The distribution of best-plane switch hops over all ordered rack pairs:
+/// `histogram[h]` = number of pairs at `h` switch hops. Disconnected pairs
+/// are counted in `unreachable`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HopHistogram {
     pub histogram: Vec<u64>,
@@ -50,40 +47,29 @@ impl HopHistogram {
             .sum();
         weighted as f64 / total as f64
     }
-
-    /// Fraction of reachable pairs with at most `h` switch hops.
-    pub fn cdf_at(&self, h: usize) -> f64 {
-        let total: u64 = self.histogram.iter().sum();
-        let upto: u64 = self.histogram.iter().take(h + 1).sum();
-        upto as f64 / total as f64
-    }
 }
 
 /// Hop histogram with best-plane selection.
 pub fn hop_histogram_best_plane(net: &Network) -> HopHistogram {
-    let matrices: Vec<Vec<Vec<u32>>> = PlaneGraph::build_all(net)
-        .iter()
-        .map(bfs::rack_hop_matrix)
-        .collect();
-    let min = bfs::min_hops_across_planes(&matrices);
-    histogram_of(&min)
+    histogram_of(&PlaneGraph::build_all(net))
 }
 
-/// Hop histogram of plane 0 only (serial view).
-pub fn hop_histogram_single_plane(net: &Network) -> HopHistogram {
-    let pg = PlaneGraph::build(net, pnet_topology::PlaneId(0));
-    histogram_of(&bfs::rack_hop_matrix(&pg))
-}
-
-fn histogram_of(matrix: &[Vec<u32>]) -> HopHistogram {
+/// Histogram of the minimum over `planes` of each ordered rack pair's
+/// fabric-link distance, read from the planes' hop tables.
+fn histogram_of(planes: &[PlaneGraph]) -> HopHistogram {
     let mut histogram = Vec::new();
     let mut unreachable = 0u64;
-    for (a, row) in matrix.iter().enumerate() {
-        for (b, &d) in row.iter().enumerate() {
+    let n_racks = planes[0].n_racks() as u32;
+    for a in (0..n_racks).map(RackId) {
+        for b in (0..n_racks).map(RackId) {
             if a == b {
                 continue;
             }
-            if d == u32::MAX {
+            let links = planes.iter().map(|pg| pg.hops_to(pg.tor(b))[pg.tor(a)]);
+            let d = links
+                .min()
+                .expect("invariant: a network has at least one plane");
+            if d == UNREACHABLE {
                 unreachable += 1;
                 continue;
             }
@@ -104,13 +90,13 @@ fn histogram_of(matrix: &[Vec<u32>]) -> HopHistogram {
 mod tests {
     use super::*;
     use pnet_topology::{
-        assemble_homogeneous, parallel, FatTree, Jellyfish, LinkProfile, NetworkClass,
+        assemble_homogeneous, failures, parallel, FatTree, Jellyfish, LinkProfile, NetworkClass,
     };
 
     #[test]
     fn fat_tree_hop_mix() {
         let net = assemble_homogeneous(&FatTree::three_tier(4), 1, &LinkProfile::paper_default());
-        let h = hop_histogram_single_plane(&net);
+        let h = hop_histogram_best_plane(&net);
         // 8 racks: same-pod pairs at 3 switch hops (2 per pod x 2 ordered x
         // 4 pods = 8... precisely: per pod 2 racks -> 2 ordered pairs), so 8
         // pairs at 3 hops; the other 48 ordered pairs at 5 hops.
@@ -144,19 +130,24 @@ mod tests {
     }
 
     #[test]
-    fn cdf_is_monotone() {
-        let net = assemble_homogeneous(
-            &Jellyfish::new(20, 4, 1, 5),
-            2,
-            &LinkProfile::paper_default(),
-        );
-        let h = hop_histogram_best_plane(&net);
-        let mut prev = 0.0;
-        for hops in 0..h.histogram.len() {
-            let c = h.cdf_at(hops);
-            assert!(c >= prev);
-            prev = c;
+    fn unreachable_pairs_excluded_from_mean() {
+        // Cut every fabric cable of rack 0's ToR in a 1-plane k=4 fat tree:
+        // its 14 ordered pairs become unreachable and leave the mean, which
+        // is then over the other 7 racks (6 same-pod pairs at 3 hops, 36
+        // cross-pod pairs at 5).
+        let mut net =
+            assemble_homogeneous(&FatTree::three_tier(4), 1, &LinkProfile::paper_default());
+        let tor = net.tor_of_rack(RackId(0), PlaneId(0)).unwrap();
+        for cable in failures::fabric_cables(&net, None) {
+            if net.link(cable).src == tor || net.link(cable).dst == tor {
+                failures::fail_cable(&mut net, cable);
+            }
         }
-        assert!((prev - 1.0).abs() < 1e-12);
+        let h = hop_histogram_best_plane(&net);
+        assert_eq!(h.unreachable, 14);
+        assert_eq!(h.histogram[3], 6);
+        assert_eq!(h.histogram[5], 36);
+        assert_eq!(h.mean(), (6.0 * 3.0 + 36.0 * 5.0) / 42.0);
+        assert_eq!(mean_hops_single_plane(&net), h.mean());
     }
 }

@@ -13,11 +13,8 @@
 //! * [`PathPolicy`] / [`PathSelector`] — per-flow plane/path selection:
 //!   ECMP hashing, round-robin, shortest-plane (low latency), K-shortest
 //!   multipath (high throughput), and the size-threshold composite the
-//!   paper recommends;
-//! * [`TrafficClass`] — the application-facing pseudo interfaces;
-//! * [`HostStack`] — per-plane IP addressing and link-status failure
-//!   masking;
-//! * [`analysis`] — hop-count/resiliency analytics behind Figures 10 and 14.
+//!   paper recommends; a plane whose host uplink is down is masked out;
+//! * [`analysis`] — hop-count/resiliency analytics behind Figure 14.
 //!
 //! ## Example: build a 4-plane heterogeneous P-Net and pick paths
 //!
@@ -57,13 +54,9 @@
 
 pub mod adaptive;
 pub mod analysis;
-pub mod hoststack;
-pub mod interfaces;
 pub mod pnet;
 pub mod policy;
 
 pub use adaptive::AdaptiveBalancer;
-pub use hoststack::{HostStack, PlaneAddr};
-pub use interfaces::{subflows_for, TrafficClass};
 pub use pnet::{PNet, PNetSpec, TopologyKind};
 pub use policy::{PathPolicy, PathSelector};

@@ -114,8 +114,7 @@ fn ksp_width(policy: &PathPolicy) -> usize {
         PathPolicy::EcmpHash
         | PathPolicy::RoundRobin
         | PathPolicy::ShortestPlane
-        | PathPolicy::PlaneKsp { .. }
-        | PathPolicy::DisjointPerPlane { .. } => 32,
+        | PathPolicy::PlaneKsp { .. } => 32,
         PathPolicy::MultipathKsp { k } => (*k).max(32),
         PathPolicy::SizeThreshold { small, large, .. } => ksp_width(small).max(ksp_width(large)),
         PathPolicy::Pinned { inner, .. } => ksp_width(inner),
@@ -139,35 +138,6 @@ impl PNet {
     pub fn selector(&self, policy: PathPolicy) -> PathSelector {
         let k = ksp_width(&policy);
         PathSelector::new(self.router(RouteAlgo::Ksp { k }), policy)
-    }
-
-    /// Shorthand: the four comparison networks of the evaluation over one
-    /// topology family, in the paper's order (heterogeneous omitted for fat
-    /// trees, which have no heterogeneous variant).
-    pub fn evaluation_set(
-        topology: TopologyKind,
-        n_planes: usize,
-        seed: u64,
-    ) -> Vec<(NetworkClass, PNet)> {
-        let classes: Vec<NetworkClass> = match topology {
-            TopologyKind::FatTree { .. } => vec![
-                NetworkClass::SerialLow,
-                NetworkClass::ParallelHomogeneous,
-                NetworkClass::SerialHigh,
-            ],
-            TopologyKind::Jellyfish { .. } | TopologyKind::Xpander { .. } => {
-                NetworkClass::all().to_vec()
-            }
-        };
-        classes
-            .into_iter()
-            .map(|class| {
-                (
-                    class,
-                    PNetSpec::new(topology, class, n_planes, seed).build(),
-                )
-            })
-            .collect()
     }
 }
 
@@ -225,25 +195,6 @@ mod tests {
         // High-bandwidth: links at 4 x 100G.
         let (_, link) = pnet.net.links().next().unwrap();
         assert_eq!(link.capacity_bps, 400_000_000_000);
-    }
-
-    #[test]
-    fn evaluation_set_shapes() {
-        let ft = PNet::evaluation_set(TopologyKind::FatTree { k: 4 }, 2, 0);
-        assert_eq!(ft.len(), 3);
-        let jf = PNet::evaluation_set(
-            TopologyKind::Jellyfish {
-                n_tors: 10,
-                degree: 3,
-                hosts_per_tor: 1,
-            },
-            2,
-            0,
-        );
-        assert_eq!(jf.len(), 4);
-        // Equal host counts across classes.
-        let hosts: Vec<usize> = jf.iter().map(|(_, p)| p.net.n_hosts()).collect();
-        assert!(hosts.iter().all(|&h| h == hosts[0]));
     }
 
     #[test]

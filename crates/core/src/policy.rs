@@ -41,11 +41,6 @@ pub enum PathPolicy {
     /// plane is a separate interface/IP, and the configuration behind the
     /// paper's "4-way KSP on a 4-plane P-Net" small-flow results.
     PlaneKsp { per_plane: usize },
-    /// MPTCP (LIA) with up to `per_plane` *edge-disjoint* subflow paths per
-    /// plane: no two subflows share any cable, so a single link failure or
-    /// hotspot degrades at most one subflow — the resilience-maximizing
-    /// variant of [`PathPolicy::PlaneKsp`].
-    DisjointPerPlane { per_plane: usize },
     /// Dispatch on flow size: below `cutoff_bytes` use `small`, at or above
     /// use `large`.
     SizeThreshold {
@@ -110,7 +105,8 @@ impl PathSelector {
     /// Select subflow routes and a congestion controller for a flow.
     ///
     /// # Panics
-    /// If no plane connects the two hosts (total disconnection).
+    /// If no usable plane connects the two hosts: every plane the policy may
+    /// use has a dead uplink at either end, or no path between the racks.
     pub fn select(
         &mut self,
         net: &Network,
@@ -197,19 +193,6 @@ impl<'a> Flow<'a> {
                 }
                 (routes, CcAlgo::Lia)
             }
-            PathPolicy::DisjointPerPlane { per_plane } => {
-                if ra == rb {
-                    return (self.intra_rack_routes(), CcAlgo::Lia);
-                }
-                let graphs = self.router.plane_graphs();
-                let mut routes = Vec::new();
-                for plane in self.usable_planes() {
-                    let pg = &graphs[plane.index()];
-                    let paths = pnet_routing::edge_disjoint_paths(pg, ra, rb, *per_plane);
-                    routes.extend(paths.iter().filter_map(|p| self.route(p)));
-                }
-                (routes, CcAlgo::Lia)
-            }
             PathPolicy::SizeThreshold {
                 cutoff_bytes,
                 small,
@@ -247,8 +230,11 @@ impl<'a> Flow<'a> {
 
     /// A single route within `plane`: intra-rack, or hash-selected among the
     /// plane's shortest paths, so "single path" means "a shortest path" for
-    /// every policy.
-    fn single_route_in(&self, plane: PlaneId) -> Vec<Vec<LinkId>> {
+    /// every policy. No route when no plane is usable.
+    fn single_route_in(&self, plane: Option<PlaneId>) -> Vec<Vec<LinkId>> {
+        let Some(plane) = plane else {
+            return Vec::new();
+        };
         if self.ra == self.rb {
             return self.route(&Path::intra_rack(plane)).into_iter().collect();
         }
@@ -265,6 +251,9 @@ impl<'a> Flow<'a> {
     fn shortest_plane_route(&self) -> Vec<Vec<LinkId>> {
         if self.ra == self.rb {
             let planes: Vec<PlaneId> = self.usable_planes().collect();
+            if planes.is_empty() {
+                return Vec::new();
+            }
             let plane = *hash_select(&planes, self.hash);
             return self.route(&Path::intra_rack(plane)).into_iter().collect();
         }
@@ -300,13 +289,13 @@ impl<'a> Flow<'a> {
 
     /// `preferred` if usable, otherwise the next usable plane (failure
     /// masking: "end hosts can quickly detect individual dataplane failures
-    /// via link status and avoid using the broken dataplane(s)").
-    fn usable_plane(&self, preferred: PlaneId) -> PlaneId {
+    /// via link status and avoid using the broken dataplane(s)"); `None`
+    /// when no plane is.
+    fn usable_plane(&self, preferred: PlaneId) -> Option<PlaneId> {
         let n = self.net.n_planes();
         (0..n)
             .map(|off| PlaneId((preferred.0 + off) % n))
             .find(|&p| self.plane_usable(p))
-            .expect("invariant: assembled multi-plane networks keep every host pair connected")
     }
 }
 
@@ -396,24 +385,6 @@ mod tests {
                 .shortest_plane(net.rack_of_host(HostId(a)), net.rack_of_host(HostId(b)))
                 .unwrap();
             assert_eq!(hops, best, "pair ({a},{b})");
-        }
-    }
-
-    #[test]
-    fn disjoint_per_plane_subflows_share_no_cable() {
-        let net = par4();
-        let mut s = selector(&net, PathPolicy::DisjointPerPlane { per_plane: 2 });
-        let (routes, cc) = s.select(&net, HostId(0), HostId(15), 3, 1 << 30);
-        assert_eq!(cc, CcAlgo::Lia);
-        // k=4 fat tree: 2 disjoint fabric paths per plane x 4 planes; host
-        // links are shared per plane by construction (one uplink), so check
-        // disjointness over the fabric portion only.
-        assert_eq!(routes.len(), 8);
-        let mut seen = std::collections::HashSet::new();
-        for r in &routes {
-            for &l in &r[1..r.len() - 1] {
-                assert!(seen.insert(l.0 / 2), "fabric cable shared across subflows");
-            }
         }
     }
 
@@ -515,5 +486,36 @@ mod tests {
                 "flow hashed onto the dead plane"
             );
         }
+    }
+
+    /// `inner` pinned to plane 2 after host 0's plane-2 uplink failed: no
+    /// plane is usable, so `select` panics with its documented message.
+    fn select_on_dead_pinned_plane(inner: PathPolicy, dst: HostId) {
+        let mut net = par4();
+        let up = net.host_uplink(HostId(0), PlaneId(2)).unwrap();
+        pnet_topology::failures::fail_cable(&mut net, up);
+        let pinned = PathPolicy::Pinned {
+            planes: vec![2],
+            inner: Box::new(inner),
+        };
+        selector(&net, pinned).select(&net, HostId(0), dst, 0, 1000);
+    }
+
+    #[test]
+    #[should_panic(expected = "no usable route")]
+    fn ecmp_hash_with_no_usable_plane_panics_as_documented() {
+        select_on_dead_pinned_plane(PathPolicy::EcmpHash, HostId(15));
+    }
+
+    #[test]
+    #[should_panic(expected = "no usable route")]
+    fn round_robin_with_no_usable_plane_panics_as_documented() {
+        select_on_dead_pinned_plane(PathPolicy::RoundRobin, HostId(15));
+    }
+
+    #[test]
+    #[should_panic(expected = "no usable route")]
+    fn intra_rack_shortest_plane_with_no_usable_plane_panics_as_documented() {
+        select_on_dead_pinned_plane(PathPolicy::ShortestPlane, HostId(1));
     }
 }

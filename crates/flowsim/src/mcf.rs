@@ -1310,24 +1310,19 @@ pub fn ksp_mode_with(
     let paths = par.map_indexed(commodities.len(), |i| {
         let c = &commodities[i];
         let (sa, sb) = (net.rack_of_host(c.src), net.rack_of_host(c.dst));
-        let rack_paths = if sa == sb {
+        if sa == sb {
             // Intra-rack: one host->ToR->host path per plane (MPTCP can
             // still stripe across all planes).
-            net.planes().map(pnet_routing::Path::intra_rack).collect()
-        } else {
-            // Fetch a wide candidate set, hash-rotate each equal-length
-            // tier per flow (the MPTCP path manager's spread), then keep
-            // the K best for this flow.
-            let wide = (2 * k).max(8);
-            let mut ps = router.k_best_across_planes(sa, sb, wide);
-            pnet_routing::path::rotate_ties(
-                &mut ps,
-                pnet_routing::flow_hash(c.src, c.dst, i as u64),
-            );
-            ps.truncate(k);
-            ps
-        };
-        expand_host_routes(net, c.src, c.dst, &rack_paths)
+            let intra: Vec<_> = net.planes().map(pnet_routing::Path::intra_rack).collect();
+            return expand_host_routes(net, c.src, c.dst, &intra);
+        }
+        // Fetch a wide candidate set, hash-rotate each equal-length tier per
+        // flow (the MPTCP path manager's spread), then keep the K best for
+        // this flow.
+        let ps = router.k_best_across_planes(sa, sb, (2 * k).max(8));
+        let h = pnet_routing::flow_hash(c.src, c.dst, i as u64);
+        let best = pnet_routing::tie_rotated(&ps, h).take(k);
+        expand_host_routes(net, c.src, c.dst, best.map(|j| &ps[j]))
     });
     PathMode::Explicit(Candidates::new(&paths))
 }

@@ -1,12 +1,13 @@
 //! Breadth-first shortest paths on plane graphs: distances, deterministic
-//! single paths, equal-cost path enumeration, and hop-count matrices.
+//! single paths and equal-cost path enumeration.
 //!
 //! Traversals run on the CSR adjacency of [`PlaneGraph`] with their state in
 //! an epoch-stamped [`RouteScratch`], so a bulk caller (the router's
-//! precompute, the hop-matrix sweeps) pays no per-query allocation beyond
-//! the paths it actually returns. [`ecmp_destinations`] batches the
-//! equal-cost enumeration of one `(plane, src)` over many destinations on a
-//! single BFS distance field.
+//! precompute) pays no per-query allocation beyond the paths it actually
+//! returns. [`ecmp_destinations`] batches the equal-cost enumeration of one
+//! `(plane, src)` over many destinations on a single BFS distance field.
+//! Hop counts alone come from [`PlaneGraph::hops_to`]; [`bfs_dist`] is the
+//! reference its tests check it against.
 
 use crate::path::Path;
 use crate::plane_graph::PlaneGraph;
@@ -170,64 +171,10 @@ fn dfs_enumerate(
     }
 }
 
-/// Rack-to-rack fabric-link distances for one plane: `matrix[a][b]` is the
-/// number of ToR-to-ToR links on the shortest path (0 on the diagonal,
-/// `u32::MAX` if disconnected).
-pub fn rack_hop_matrix(pg: &PlaneGraph) -> Vec<Vec<u32>> {
-    with_thread_scratch(|scratch| {
-        (0..pg.n_racks())
-            .map(|r| {
-                bfs_fill(pg, pg.tor(RackId(r as u32)), scratch);
-                (0..pg.n_racks())
-                    .map(|q| scratch.dist(pg.tor(RackId(q as u32))))
-                    .collect()
-            })
-            .collect()
-    })
-}
-
-/// Element-wise minimum of per-plane hop matrices: the hop count an end host
-/// sees when it may pick the best plane per destination (the heterogeneous
-/// P-Net advantage of sections 5.2.1 and 5.4).
-pub fn min_hops_across_planes(matrices: &[Vec<Vec<u32>>]) -> Vec<Vec<u32>> {
-    assert!(!matrices.is_empty());
-    let n = matrices[0].len();
-    let mut min = matrices[0].clone();
-    for m in &matrices[1..] {
-        assert_eq!(m.len(), n);
-        for (row_min, row) in min.iter_mut().zip(m) {
-            for (cell_min, &cell) in row_min.iter_mut().zip(row) {
-                *cell_min = (*cell_min).min(cell);
-            }
-        }
-    }
-    min
-}
-
-/// Mean of the finite off-diagonal entries of a hop matrix, in *switch* hops
-/// (fabric links + 1). Pairs that became disconnected are excluded, matching
-/// the paper's "average hop count across all src/dst pairs" metric.
-pub fn mean_switch_hops(matrix: &[Vec<u32>]) -> f64 {
-    let mut sum = 0u64;
-    let mut count = 0u64;
-    for (a, row) in matrix.iter().enumerate() {
-        for (b, &d) in row.iter().enumerate() {
-            if a != b && d != u32::MAX {
-                sum += d as u64 + 1;
-                count += 1;
-            }
-        }
-    }
-    if count == 0 {
-        return f64::NAN;
-    }
-    sum as f64 / count as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pnet_topology::{assemble_homogeneous, FatTree, Jellyfish, LinkProfile, Network, PlaneId};
+    use pnet_topology::{assemble_homogeneous, FatTree, LinkProfile, Network, PlaneId};
 
     fn ft_net() -> Network {
         assemble_homogeneous(&FatTree::three_tier(4), 1, &LinkProfile::paper_default())
@@ -300,50 +247,6 @@ mod tests {
                 "batched ECMP diverged for destination {dst}"
             );
         }
-    }
-
-    #[test]
-    fn hop_matrix_symmetry_and_diagonal() {
-        let net = assemble_homogeneous(
-            &Jellyfish::new(12, 3, 1, 9),
-            1,
-            &LinkProfile::paper_default(),
-        );
-        let pg = PlaneGraph::build(&net, PlaneId(0));
-        let m = rack_hop_matrix(&pg);
-        #[allow(clippy::needless_range_loop)]
-        for a in 0..12 {
-            assert_eq!(m[a][a], 0);
-            for b in 0..12 {
-                assert_eq!(m[a][b], m[b][a]);
-            }
-        }
-    }
-
-    #[test]
-    fn min_across_planes_never_worse() {
-        let net = assemble_homogeneous(
-            &Jellyfish::new(12, 3, 1, 9),
-            1,
-            &LinkProfile::paper_default(),
-        );
-        let pg = PlaneGraph::build(&net, PlaneId(0));
-        let m = rack_hop_matrix(&pg);
-        let min = min_hops_across_planes(&[m.clone(), m.clone()]);
-        assert_eq!(min, m);
-    }
-
-    #[test]
-    fn mean_switch_hops_small_case() {
-        // Two racks at distance 1 link: mean switch hops = 2.
-        let matrix = vec![vec![0, 1], vec![1, 0]];
-        assert!((mean_switch_hops(&matrix) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn unreachable_pairs_excluded_from_mean() {
-        let matrix = vec![vec![0, u32::MAX], vec![u32::MAX, 0]];
-        assert!(mean_switch_hops(&matrix).is_nan());
     }
 
     #[test]

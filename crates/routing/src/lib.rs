@@ -35,7 +35,6 @@
 )]
 
 pub mod bfs;
-pub mod disjoint;
 pub mod ecmp;
 pub mod exec;
 pub mod fnv;
@@ -45,13 +44,11 @@ pub mod router;
 pub mod scratch;
 pub mod yen;
 
-pub use disjoint::{are_edge_disjoint, edge_disjoint_paths};
 pub use ecmp::{flow_hash, hash_index, hash_plane, hash_select};
 pub use exec::Parallelism;
 pub use fnv::Fnv;
 pub use path::{
-    host_route, reverse_route, rotate_ties, sort_paths, tie_rotated, Path, PathRef, PathSet,
-    PlanePaths,
+    host_route, reverse_route, sort_paths, tie_rotated, Path, PathRef, PathSet, PlanePaths,
 };
 pub use plane_graph::PlaneGraph;
 pub use router::{DeltaStats, RouteAlgo, Router};

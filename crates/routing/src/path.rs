@@ -340,16 +340,6 @@ fn rotated<'a>(
     })
 }
 
-/// Reorder a shortest-first path list into [`tie_rotated`] order.
-pub fn rotate_ties(paths: &mut [Path], hash: u64) {
-    let order: Vec<usize> = tie_rotated(paths, hash).collect();
-    let hollow = |p: &mut Path| std::mem::replace(p, Path::intra_rack(p.plane));
-    let mut old: Vec<Path> = paths.iter_mut().map(hollow).collect();
-    for (slot, from) in paths.iter_mut().zip(order) {
-        *slot = hollow(&mut old[from]);
-    }
-}
-
 /// Order paths the way every selector in this workspace expects: shortest
 /// first, ties broken by plane then by link ids (deterministic).
 pub fn sort_paths(paths: &mut [Path]) {

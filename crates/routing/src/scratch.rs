@@ -1,6 +1,6 @@
 //! Reusable, epoch-stamped traversal scratch.
 //!
-//! Every BFS/Yen/disjoint-path call needs a distance array, a parent array,
+//! Every BFS/Yen call needs a distance array, a parent array,
 //! and banned-node/banned-link sets. Allocating those per call (`vec![u32::MAX;
 //! n]`, a fresh `HashSet` per spur) dominates the all-pairs KSP hot path, so a
 //! [`RouteScratch`] keeps them alive and invalidates by bumping a generation

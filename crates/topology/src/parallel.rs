@@ -82,20 +82,7 @@ pub fn jellyfish_network(
     base: &LinkProfile,
 ) -> Network {
     let with_seed = |s: u64| Jellyfish { seed: s, ..proto };
-    match class {
-        NetworkClass::SerialLow => assemble_homogeneous(&with_seed(seed), 1, base),
-        NetworkClass::ParallelHomogeneous => assemble_homogeneous(&with_seed(seed), n_planes, base),
-        NetworkClass::ParallelHeterogeneous => {
-            let builders: Vec<Jellyfish> =
-                (0..n_planes).map(|i| with_seed(seed + i as u64)).collect();
-            let refs: Vec<&dyn PlaneBuilder> =
-                builders.iter().map(|b| b as &dyn PlaneBuilder).collect();
-            assemble(&refs, base)
-        }
-        NetworkClass::SerialHigh => {
-            assemble_homogeneous(&with_seed(seed), 1, &base.scaled(n_planes as u64))
-        }
-    }
+    expander_network(class, with_seed, n_planes, seed, base)
 }
 
 /// Build an Xpander network of the given class (same seeding convention as
@@ -108,12 +95,23 @@ pub fn xpander_network(
     base: &LinkProfile,
 ) -> Network {
     let with_seed = |s: u64| Xpander { seed: s, ..proto };
+    expander_network(class, with_seed, n_planes, seed, base)
+}
+
+/// The body of both expander constructors: `with_seed(s)` is the family's
+/// plane built from seed `s`.
+fn expander_network<B: PlaneBuilder>(
+    class: NetworkClass,
+    with_seed: impl Fn(u64) -> B,
+    n_planes: usize,
+    seed: u64,
+    base: &LinkProfile,
+) -> Network {
     match class {
         NetworkClass::SerialLow => assemble_homogeneous(&with_seed(seed), 1, base),
         NetworkClass::ParallelHomogeneous => assemble_homogeneous(&with_seed(seed), n_planes, base),
         NetworkClass::ParallelHeterogeneous => {
-            let builders: Vec<Xpander> =
-                (0..n_planes).map(|i| with_seed(seed + i as u64)).collect();
+            let builders: Vec<B> = (0..n_planes).map(|i| with_seed(seed + i as u64)).collect();
             let refs: Vec<&dyn PlaneBuilder> =
                 builders.iter().map(|b| b as &dyn PlaneBuilder).collect();
             assemble(&refs, base)

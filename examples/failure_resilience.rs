@@ -4,8 +4,8 @@
 //! Run with: `cargo run --release --example failure_resilience`
 
 use pnet::core::analysis;
-use pnet::core::{HostStack, PNetSpec, TopologyKind};
-use pnet::topology::{failures, HostId, NetworkClass};
+use pnet::core::{PNetSpec, PathPolicy, TopologyKind};
+use pnet::topology::{failures, HostId, Network, NetworkClass, PlaneId};
 
 fn main() {
     let topology = TopologyKind::Jellyfish {
@@ -43,20 +43,17 @@ fn main() {
         );
     }
 
-    // The host-stack view: failing a host's uplink masks that plane.
-    println!("\nhost-level failure masking:");
-    let mut net = PNetSpec::new(topology, NetworkClass::ParallelHeterogeneous, planes, 3)
-        .build()
-        .net;
-    let mut stack = HostStack::new(&net, HostId(0));
-    println!("  live planes before: {:?}", stack.live_planes());
-    let uplink = net
-        .host_uplink(HostId(0), pnet::topology::PlaneId(2))
-        .unwrap();
+    // The host view: failing a host's uplink masks that plane for new flows.
+    println!("\nhost-level failure masking (one subflow per plane, host 0 -> 49):");
+    let pnet = PNetSpec::new(topology, NetworkClass::ParallelHeterogeneous, planes, 3).build();
+    let mut selector = pnet.selector(PathPolicy::PlaneKsp { per_plane: 1 });
+    let mut planes_used = |net: &Network| -> Vec<PlaneId> {
+        let (routes, _) = selector.select(net, HostId(0), HostId(49), 0, 1 << 30);
+        routes.iter().map(|r| net.link(r[0]).plane).collect()
+    };
+    println!("  planes before: {:?}", planes_used(&pnet.net));
+    let mut net = pnet.net.clone();
+    let uplink = net.host_uplink(HostId(0), PlaneId(2)).unwrap();
     failures::fail_cable(&mut net, uplink);
-    let changed = stack.refresh(&net);
-    println!(
-        "  after failing plane-2 uplink: changed {changed:?}, live {:?}",
-        stack.live_planes()
-    );
+    println!("  after failing plane-2 uplink: {:?}", planes_used(&net));
 }

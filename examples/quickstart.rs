@@ -1,11 +1,12 @@
-//! Quickstart: build a 4-plane heterogeneous P-Net, inspect the host stack,
-//! pick paths under different policies, and run a small packet simulation.
+//! Quickstart: build a 4-plane heterogeneous P-Net, watch the selector mask a
+//! failed plane, pick paths under different policies, and run a small packet
+//! simulation.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use pnet::core::{HostStack, PNetSpec, PathPolicy, TopologyKind, TrafficClass};
+use pnet::core::{PNetSpec, PathPolicy, TopologyKind};
 use pnet::htsim::{run_to_completion, FlowSpec, SimConfig, Simulator};
-use pnet::topology::{HostId, NetworkClass, PlaneId};
+use pnet::topology::{failures, HostId, Network, NetworkClass, PlaneId};
 
 fn main() {
     // 1. Build a 4-plane heterogeneous P-Net: four differently-seeded
@@ -29,28 +30,38 @@ fn main() {
         pnet.net.nodes().filter(|(_, n)| n.kind.is_switch()).count(),
     );
 
-    // 2. The host stack: one IP-like address per plane, live-plane tracking.
-    let stack = HostStack::new(&pnet.net, HostId(0));
-    println!(
-        "host 0 addresses: {:?}",
-        stack
-            .addrs()
-            .iter()
-            .map(|a| a.to_string())
-            .collect::<Vec<_>>()
-    );
-    println!("host 0 live planes: {:?}", stack.live_planes());
-
-    // 3. Path selection through the pseudo interfaces.
+    // 2. Failure masking: one subflow per plane, before and after host 0's
+    //    plane-2 uplink fails. The selector reads link status per flow, so
+    //    the dead plane drops out of the subflow set.
     let src = HostId(0);
     let dst = HostId(63);
-    for class in [TrafficClass::LowLatency, TrafficClass::HighThroughput] {
-        let mut selector = pnet.selector(class.policy(4));
+    let mut selector = pnet.selector(PathPolicy::PlaneKsp { per_plane: 1 });
+    let mut planes_used = |net: &Network| -> Vec<PlaneId> {
+        let (routes, _) = selector.select(net, src, dst, 0, 1 << 30);
+        routes.iter().map(|r| net.link(r[0]).plane).collect()
+    };
+    println!("planes host 0's routes use: {:?}", planes_used(&pnet.net));
+    let mut failed = pnet.net.clone();
+    let uplink = failed.host_uplink(src, PlaneId(2)).unwrap();
+    failures::fail_cable(&mut failed, uplink);
+    println!(
+        "after failing host 0's plane-2 uplink: {:?}",
+        planes_used(&failed)
+    );
+
+    // 3. Path selection: the "low-latency" interface is one path on the
+    //    lowest-hop plane, the "high-throughput" one MPTCP over the 32
+    //    shortest paths across planes (8 subflows per plane).
+    for (name, policy) in [
+        ("shortest-plane", PathPolicy::ShortestPlane),
+        ("32-way KSP", PathPolicy::MultipathKsp { k: 32 }),
+    ] {
+        let mut selector = pnet.selector(policy);
         let (routes, cc) = selector.select(&pnet.net, src, dst, 1, 1_000_000);
         let hops: Vec<usize> = routes.iter().map(|r| r.len() - 1).collect();
         let planes: Vec<PlaneId> = routes.iter().map(|r| pnet.net.link(r[0]).plane).collect();
         println!(
-            "{class:?}: {} subflow(s), cc {cc:?}, switch hops {hops:?}, planes {planes:?}",
+            "{name}: {} subflow(s), cc {cc:?}, switch hops {hops:?}, planes {planes:?}",
             routes.len(),
         );
     }

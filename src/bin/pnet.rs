@@ -41,7 +41,7 @@ SUBCOMMANDS:
                --kind jellyfish|fattree|xpander  --class low|homo|hetero|high
                --planes N --tors N --degree D --hosts-per-tor H --k K --lifts L --seed S
   route        show selected paths for a host pair
-               (topology flags) --src H --dst H --policy ecmp|rr|shortest|ksp|plane-ksp|disjoint
+               (topology flags) --src H --dst H --policy ecmp|rr|shortest|ksp|plane-ksp|default
                --kpaths K --size BYTES --flow ID
   throughput   flow-level capacity of a pattern
                (topology flags) --pattern permutation|all-to-all --kpaths K --eps E
@@ -104,20 +104,14 @@ fn topology_from(args: &Args) -> Result<(TopologyKind, NetworkClass, usize, u64)
             k: setups::fat_tree_k(args)?,
         },
         "xpander" => setups::xpander_from(args)?,
-        other => {
-            eprintln!("unknown --kind {other:?}");
-            usage()
-        }
+        other => return Err(args.reject("kind", other, "expected jellyfish, fattree or xpander")),
     };
     let class = match args.get_str("class").unwrap_or_default() {
         "low" => NetworkClass::SerialLow,
         "homo" => NetworkClass::ParallelHomogeneous,
         "hetero" => NetworkClass::ParallelHeterogeneous,
         "high" => NetworkClass::SerialHigh,
-        other => {
-            eprintln!("unknown --class {other:?}");
-            usage()
-        }
+        other => return Err(args.reject("class", other, "expected low, homo, hetero or high")),
     };
     let class = if matches!(kind, TopologyKind::FatTree { .. })
         && class == NetworkClass::ParallelHeterogeneous
@@ -140,13 +134,10 @@ fn policy_from(args: &Args, planes: usize) -> Result<PathPolicy, ArgError> {
         "plane-ksp" => PathPolicy::PlaneKsp {
             per_plane: (k / planes).max(1),
         },
-        "disjoint" => PathPolicy::DisjointPerPlane {
-            per_plane: (k / planes).max(1),
-        },
         "default" => PathPolicy::paper_default(k),
         other => {
-            eprintln!("unknown --policy {other:?}");
-            usage()
+            let why = "expected ecmp, rr, shortest, ksp, plane-ksp or default";
+            return Err(args.reject("policy", other, why));
         }
     })
 }
@@ -224,14 +215,11 @@ fn cmd_route(args: &Args) -> Result<(), Error> {
 }
 
 /// The `--pattern` traffic matrix over `n` hosts.
-fn commodities_from(args: &Args, n: usize, seed: u64) -> Vec<Commodity> {
+fn commodities_from(args: &Args, n: usize, seed: u64) -> Result<Vec<Commodity>, ArgError> {
     match args.get_str("pattern").unwrap_or_default() {
-        "permutation" => commodity::permutation(&tm::random_permutation(n, seed)),
-        "all-to-all" => commodity::all_to_all(n),
-        other => {
-            eprintln!("unknown --pattern {other:?}");
-            usage()
-        }
+        "permutation" => Ok(commodity::permutation(&tm::random_permutation(n, seed))),
+        "all-to-all" => Ok(commodity::all_to_all(n)),
+        other => Err(args.reject("pattern", other, "expected permutation or all-to-all")),
     }
 }
 
@@ -239,7 +227,7 @@ fn cmd_throughput(args: &Args) -> Result<(), Error> {
     let (kind, class, planes, seed) = topology_from(args)?;
     let pnet = PNetSpec::new(kind, class, planes, seed).build();
     let n = pnet.net.n_hosts();
-    let commodities = commodities_from(args, n, seed);
+    let commodities = commodities_from(args, n, seed)?;
     let k = setups::count(args, "kpaths")?;
     let eps = setups::eps_from(args)?;
     let (ksp, lambda) = throughput::ksp_multipath_throughput(&pnet.net, &commodities, k, eps)?;
@@ -269,7 +257,7 @@ fn cmd_plan(args: &Args) -> Result<(), Error> {
     let (kind, class, planes, seed) = topology_from(args)?;
     let pnet = PNetSpec::new(kind, class, planes, seed).build();
     let n = pnet.net.n_hosts();
-    let commodities = commodities_from(args, n, seed);
+    let commodities = commodities_from(args, n, seed)?;
     let cfg = PlannerConfig {
         k: setups::count(args, "kpaths")?,
         eps: setups::eps_from(args)?,
@@ -357,36 +345,36 @@ fn cmd_plan(args: &Args) -> Result<(), Error> {
 /// `--trace-events`. Tracing is enabled whenever an output file is named:
 /// all instantaneous events by default, plus the samplers when an interval
 /// is given; `--trace-events` narrows the categories.
-fn telemetry_from(args: &Args) -> TelemetryConfig {
+fn telemetry_from(args: &Args) -> Result<TelemetryConfig, ArgError> {
     if args.get_str("trace-out").is_none() {
-        return TelemetryConfig::default();
+        return Ok(TelemetryConfig::default());
     }
-    let sample_interval = args.get_str("sample-interval").map(|s| {
-        let interval = s.parse::<SimTime>().unwrap_or_else(|e| {
-            eprintln!("--sample-interval: {e}");
-            usage()
-        });
-        if interval == SimTime::ZERO {
-            eprintln!(
-                "--sample-interval must be positive: a zero period would re-arm \
-                 the sampler at the same timestamp forever"
-            );
-            usage()
-        }
-        interval
-    });
+    let sample_interval = match args.get_str("sample-interval") {
+        Some(s) => match s.parse::<SimTime>() {
+            Ok(SimTime::ZERO) => {
+                let why = "must be positive: a zero period would re-arm the sampler \
+                           at the same timestamp forever";
+                return Err(args.reject("sample-interval", s, why));
+            }
+            Ok(interval) => Some(interval),
+            Err(_) => {
+                let why = "expected a duration in ps, ns, us, ms or s, e.g. 100us";
+                return Err(args.reject("sample-interval", s, why));
+            }
+        },
+        None => None,
+    };
     let events = match args.get_str("trace-events") {
-        Some(names) => EventMask::from_names(names).unwrap_or_else(|e| {
-            eprintln!("--trace-events: {e}");
-            usage()
-        }),
+        Some(names) => {
+            EventMask::from_names(names).map_err(|why| args.reject("trace-events", names, why))?
+        }
         None if sample_interval.is_some() => EventMask::ALL,
         None => EventMask::TRACE,
     };
-    TelemetryConfig {
+    Ok(TelemetryConfig {
         events,
         sample_interval,
-    }
+    })
 }
 
 fn cmd_simulate(args: &Args) -> Result<(), Error> {
@@ -396,7 +384,7 @@ fn cmd_simulate(args: &Args) -> Result<(), Error> {
     let size = args.get_with("size", parse_size)?;
     let mut selector = pnet.selector(policy_from(args, planes)?);
     let cfg = SimConfig {
-        telemetry: telemetry_from(args),
+        telemetry: telemetry_from(args)?,
         ..SimConfig::default()
     };
     let mut sim = Simulator::new(&pnet.net, cfg);

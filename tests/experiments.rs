@@ -174,11 +174,48 @@ fn subcommands_reject_unbuildable_flags_without_a_panic() {
     );
 }
 
-/// Every flag value that once panicked or hung, in the subcommands and in
-/// the experiments alike, is refused at the flag.
+/// Every flag value that once panicked, hung or printed the whole usage
+/// text, in the subcommands and in the experiments alike, is refused at the
+/// flag.
 #[test]
 fn values_the_library_cannot_use_exit_2_naming_the_flag() {
     let mut cases: Vec<(Vec<&str>, &str)> = Vec::new();
+    // A name outside a flag's vocabulary, and a trace value the simulator
+    // cannot use (checked only when a trace is written).
+    let trace = format!("{}/rejected.jsonl", env!("CARGO_TARGET_TMPDIR"));
+    let trace = trace.as_str();
+    for (argv, flag) in [
+        (vec!["topology", "--kind", "torus"], "--kind torus"),
+        (vec!["topology", "--class", "mid"], "--class mid"),
+        (vec!["route", "--policy", "disjoint"], "--policy disjoint"),
+        (vec!["throughput", "--pattern", "ring"], "--pattern ring"),
+        (
+            vec![
+                "simulate",
+                "--trace-out",
+                trace,
+                "--sample-interval",
+                "soon",
+            ],
+            "--sample-interval soon",
+        ),
+        (
+            vec!["simulate", "--trace-out", trace, "--sample-interval", "0us"],
+            "--sample-interval 0us",
+        ),
+        (
+            vec![
+                "simulate",
+                "--trace-out",
+                trace,
+                "--trace-events",
+                "flow,bogus",
+            ],
+            "--trace-events flow,bogus",
+        ),
+    ] {
+        cases.push((argv, flag));
+    }
     for sub in ["topology", "route", "throughput", "plan", "simulate"] {
         cases.push((vec![sub, "--kind", "fattree", "--k", "3"], "--k 3"));
     }

@@ -1,9 +1,9 @@
-//! Plane-failure resilience at the transport and host-stack level: the
+//! Plane-failure resilience at the transport and path-selection level: the
 //! paper's "end hosts can quickly detect individual dataplane failures via
 //! link status and avoid using the broken dataplane(s), allowing graceful
 //! performance degradation" (section 3.4).
 
-use pnet::core::{HostStack, PNetSpec, PathPolicy, TopologyKind};
+use pnet::core::{PNetSpec, PathPolicy, TopologyKind};
 use pnet::htsim::{
     run, EventMask, FlowSpec, NullDriver, SimConfig, SimTime, Simulator, TelemetryConfig,
     TraceRecord,
@@ -109,42 +109,58 @@ fn mptcp_survives_a_plane_failure_mid_flight() {
 }
 
 #[test]
-fn host_stack_masks_failed_plane_for_new_flows() {
+fn selector_masks_failed_plane_for_every_policy() {
     let pnet = pnet4();
     let mut net = pnet.net;
-    // Fail host 0's plane-2 uplink in the *topology* (link status) and
-    // refresh the host stack + selector, as the paper's host would.
+    // Fail host 0's plane-2 uplink in the *topology* (link status): the
+    // selector reads it per flow, as the paper's host would.
     let uplink = net.host_uplink(HostId(0), PlaneId(2)).unwrap();
     failures::fail_cable(&mut net, uplink);
-    let mut stack = HostStack::new(&net, HostId(0));
-    assert!(!stack.plane_live(PlaneId(2)));
-    assert_eq!(stack.refresh(&net), vec![]); // constructed post-failure
-
-    let mut selector = pnet::core::PathSelector::new(
-        pnet::routing::Router::new(&net, pnet::routing::RouteAlgo::Ksp { k: 8 }),
-        PathPolicy::EcmpHash,
-    );
-    for flow in 0..64 {
-        let (routes, _) = selector.select(&net, HostId(0), HostId(14), flow, 1_000);
-        assert_ne!(
-            net.link(routes[0][0]).plane,
-            PlaneId(2),
-            "flow {flow} placed on the dead plane"
-        );
+    let selector = |policy| {
+        let router = pnet::routing::Router::new(&net, pnet::routing::RouteAlgo::Ksp { k: 8 });
+        pnet::core::PathSelector::new(router, policy)
+    };
+    let pinned = PathPolicy::Pinned {
+        planes: vec![2, 3],
+        inner: Box::new(PathPolicy::EcmpHash),
+    };
+    // Both arms of the size threshold: 1 kB goes shortest-plane, 1 GB KSP.
+    let (small, large) = (1_000, 1 << 30);
+    for (policy, size) in [
+        (PathPolicy::EcmpHash, small),
+        (PathPolicy::RoundRobin, small),
+        (PathPolicy::ShortestPlane, small),
+        (PathPolicy::MultipathKsp { k: 8 }, large),
+        (PathPolicy::PlaneKsp { per_plane: 1 }, large),
+        (PathPolicy::paper_default(8), small),
+        (PathPolicy::paper_default(8), large),
+        (pinned, small),
+    ] {
+        let mut s = selector(policy.clone());
+        // Host 14 sits in another rack, host 1 in host 0's own.
+        for (dst, flow) in [14, 1]
+            .into_iter()
+            .flat_map(|d| (0..16).map(move |f| (d, f)))
+        {
+            let (routes, _) = s.select(&net, HostId(0), HostId(dst), flow, size);
+            assert!(!routes.is_empty(), "{policy:?}: no route to {dst}");
+            for r in &routes {
+                assert!(
+                    r.iter().all(|&l| net.link(l).plane != PlaneId(2)),
+                    "{policy:?}: flow {flow} to host {dst} placed on the dead plane"
+                );
+            }
+        }
     }
 
-    // Multipath selection also avoids the dead plane.
-    let mut mp = pnet::core::PathSelector::new(
-        pnet::routing::Router::new(&net, pnet::routing::RouteAlgo::Ksp { k: 8 }),
-        PathPolicy::PlaneKsp { per_plane: 1 },
-    );
+    // One subflow per plane: the dead plane drops out of the subflow set.
+    let mut mp = selector(PathPolicy::PlaneKsp { per_plane: 1 });
     let (routes, _) = mp.select(&net, HostId(0), HostId(14), 0, 1 << 30);
     assert_eq!(
         routes.len(),
         3,
         "dead plane must drop out of the subflow set"
     );
-    assert!(routes.iter().all(|r| net.link(r[0]).plane != PlaneId(2)));
 }
 
 #[test]

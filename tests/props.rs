@@ -304,17 +304,14 @@ proptest! {
         let net = small_jellyfish(seed);
         let router = Router::new(&net, RouteAlgo::Ksp { k: 8 });
         let orig = router.k_best_across_planes(RackId(a), RackId(b), 8);
-        let mut rotated = orig.clone();
-        routing::rotate_ties(&mut rotated, hash);
-        // Same multiset...
-        let mut s1 = orig.clone();
-        let mut s2 = rotated.clone();
-        routing::sort_paths(&mut s1);
-        routing::sort_paths(&mut s2);
-        prop_assert_eq!(s1, s2);
-        // ...still sorted by length.
-        for w in rotated.windows(2) {
-            prop_assert!(w[0].links.len() <= w[1].links.len());
+        let order: Vec<usize> = routing::tie_rotated(&orig, hash).collect();
+        // The positions are a permutation...
+        let mut sorted = order.clone();
+        sorted.sort_unstable();
+        prop_assert_eq!(sorted, (0..orig.len()).collect::<Vec<_>>());
+        // ...that keeps the list sorted by length.
+        for w in order.windows(2) {
+            prop_assert!(orig[w[0]].links.len() <= orig[w[1]].links.len());
         }
     }
 
