@@ -50,7 +50,7 @@ pub const EXPERIMENT: Experiment = Experiment {
 struct IgnoreBulk<'a>(RpcDriver<'a>);
 
 impl pnet_htsim::Driver for IgnoreBulk<'_> {
-    fn on_flow_complete(&mut self, sim: &mut Simulator, rec: &pnet_htsim::FlowRecord) {
+    fn on_flow_complete(&mut self, sim: &mut Simulator, rec: pnet_htsim::FlowRecord) {
         if rec.owner_tag != u64::MAX {
             pnet_htsim::Driver::on_flow_complete(&mut self.0, sim, rec);
         }

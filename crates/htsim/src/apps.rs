@@ -15,6 +15,11 @@
 //! Drivers know nothing about topologies: a *flow factory* closure maps
 //! `(src, dst, size)` to subflow routes and a congestion controller, which is
 //! where the P-Net path-selection policies plug in.
+//!
+//! Each [`FlowRecord`] has one owner. [`ClosedLoopDriver`] and
+//! [`OpenLoopDriver`] move theirs into `completed`; [`RpcDriver`] and
+//! [`ShuffleDriver`] keep only what they measure. None hands a record back,
+//! so [`Simulator::records`] stays empty behind all four.
 
 use crate::sim::{Driver, FlowRecord, FlowSpec, Simulator};
 use crate::tcp::CcAlgo;
@@ -59,7 +64,8 @@ pub struct ClosedLoopDriver<'a> {
     slots: Vec<ClosedLoopSlot<'a>>,
     factory: FlowFactory<'a>,
     stop: SimTime,
-    /// All completed flow records, in completion order.
+    /// All completed flow records, in completion order (the simulator
+    /// keeps none).
     pub completed: Vec<FlowRecord>,
 }
 
@@ -87,8 +93,9 @@ impl<'a> ClosedLoopDriver<'a> {
 }
 
 impl Driver for ClosedLoopDriver<'_> {
-    fn on_flow_complete(&mut self, sim: &mut Simulator, rec: &FlowRecord) {
-        self.completed.push(rec.clone());
+    fn on_flow_complete(&mut self, sim: &mut Simulator, rec: FlowRecord) {
+        let tag = rec.owner_tag;
+        self.completed.push(rec);
         if sim.now >= self.stop {
             return;
         }
@@ -96,11 +103,11 @@ impl Driver for ClosedLoopDriver<'_> {
             clippy::cast_possible_truncation,
             reason = "owner_tag is the slot index this driver wrote as `i as u64`"
         )]
-        let i = rec.owner_tag as usize;
+        let i = tag as usize;
         let slot = &mut self.slots[i];
         let dst = (slot.next_dst)();
         let size = (slot.next_size)();
-        let spec = make_spec(&mut self.factory, slot.src, dst, size, rec.owner_tag);
+        let spec = make_spec(&mut self.factory, slot.src, dst, size, tag);
         sim.start_flow(spec);
     }
 }
@@ -119,7 +126,8 @@ pub struct OpenLoopDriver<'a> {
     /// Samples the next inter-arrival gap.
     next_gap: Box<dyn FnMut() -> SimTime + 'a>,
     stop: SimTime,
-    /// All completed flow records.
+    /// All completed flow records, in completion order (the simulator
+    /// keeps none).
     pub completed: Vec<FlowRecord>,
     /// Flows started.
     pub started: u64,
@@ -164,8 +172,8 @@ impl Driver for OpenLoopDriver<'_> {
         sim.schedule_app(next, OPEN_LOOP_APP, self.started);
     }
 
-    fn on_flow_complete(&mut self, _sim: &mut Simulator, rec: &FlowRecord) {
-        self.completed.push(rec.clone());
+    fn on_flow_complete(&mut self, _sim: &mut Simulator, rec: FlowRecord) {
+        self.completed.push(rec);
     }
 }
 
@@ -285,7 +293,7 @@ fn untag(t: u64) -> (usize, Phase) {
 }
 
 impl Driver for RpcDriver<'_> {
-    fn on_flow_complete(&mut self, sim: &mut Simulator, rec: &FlowRecord) {
+    fn on_flow_complete(&mut self, sim: &mut Simulator, rec: FlowRecord) {
         self.retransmits += rec.retransmits;
         let (i, phase) = untag(rec.owner_tag);
         match phase {
@@ -439,7 +447,7 @@ impl<'a> ShuffleDriver<'a> {
 }
 
 impl Driver for ShuffleDriver<'_> {
-    fn on_flow_complete(&mut self, sim: &mut Simulator, rec: &FlowRecord) {
+    fn on_flow_complete(&mut self, sim: &mut Simulator, rec: FlowRecord) {
         let stage = (rec.owner_tag >> 32) as usize;
         let w = (rec.owner_tag & 0xFFFF_FFFF) as usize;
         debug_assert_eq!(stage, self.current, "stray completion from old stage");
@@ -463,6 +471,7 @@ impl Driver for ShuffleDriver<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packet::ConnId;
     use crate::sim::{run, SimConfig};
     use pnet_routing::{host_route, Path, RouteAlgo, Router};
     use pnet_topology::{assemble_homogeneous, FatTree, LinkProfile, Network, PlaneId};
@@ -561,6 +570,44 @@ mod tests {
             .completed
             .iter()
             .all(|r| r.start <= SimTime::from_us(250)));
+    }
+
+    #[test]
+    fn each_record_has_one_owner() {
+        let n = net();
+        let in_completion_order =
+            |recs: &[FlowRecord]| recs.windows(2).all(|w| w[0].finish <= w[1].finish);
+
+        // Open loop: the driver keeps every record, the simulator none.
+        let mut sim = Simulator::new(&n, SimConfig::default());
+        let mut size = 0;
+        let next_flow = Box::new(move || {
+            size = size % 7 + 1;
+            (HostId(size), HostId(15 - size), 1_500 * u64::from(size))
+        });
+        let gap = Box::new(|| SimTime::from_us(3));
+        let stop = SimTime::from_us(300);
+        let mut driver = OpenLoopDriver::start(&mut sim, factory_for(&n), next_flow, gap, stop);
+        run(&mut sim, &mut driver, None);
+        assert!(sim.records.is_empty());
+        assert_eq!(driver.completed.len() as u64, driver.started);
+        assert!(in_completion_order(&driver.completed));
+
+        // No driver: the simulator keeps every record.
+        let mut sim = Simulator::new(&n, SimConfig::default());
+        let mut factory = factory_for(&n);
+        let ids: Vec<ConnId> = (1..8u32)
+            .map(|h| {
+                let (src, dst) = (HostId(h), HostId(15 - h));
+                sim.start_flow(make_spec(&mut factory, src, dst, 9_000 / u64::from(h), 0))
+            })
+            .collect();
+        crate::sim::run_to_completion(&mut sim);
+        assert_eq!(sim.records.len(), ids.len());
+        assert!(in_completion_order(&sim.records));
+        for id in ids {
+            assert_eq!(sim.record(id).map(|r| r.conn), Some(id));
+        }
     }
 
     #[test]

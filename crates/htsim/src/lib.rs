@@ -14,6 +14,11 @@
 //!   sources, RPC ping-pong, and staged shuffle jobs;
 //! * [`metrics`] — FCT percentiles, means, summaries.
 //!
+//! A finished flow's [`FlowRecord`] goes to the [`Driver`] by value and has
+//! one owner: the driver keeps it (the open- and closed-loop drivers do),
+//! drops it after reading (RPC, shuffle), or, as the default body does,
+//! hands it back to [`Simulator::records`].
+//!
 //! ## Example
 //!
 //! ```
@@ -28,7 +33,7 @@
 //! let route = host_route(&net, HostId(0), HostId(15), path.get(0)).unwrap();
 //!
 //! let mut sim = Simulator::new(&net, SimConfig::default());
-//! sim.start_flow(FlowSpec {
+//! let id = sim.start_flow(FlowSpec {
 //!     src: HostId(0),
 //!     dst: HostId(15),
 //!     size_bytes: 150_000,
@@ -37,7 +42,9 @@
 //!     owner_tag: 0,
 //! });
 //! run_to_completion(&mut sim);
+//! // No driver kept the record, so the simulator did.
 //! assert_eq!(sim.records.len(), 1);
+//! assert_eq!(sim.record(id).map(|r| r.size_bytes), Some(150_000));
 //! ```
 
 // Test modules are exempt from the typed determinism lints (DESIGN.md "Static analysis &

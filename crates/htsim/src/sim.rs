@@ -66,7 +66,8 @@ pub struct FlowSpec {
     pub owner_tag: u64,
 }
 
-/// Completion record of a finished flow.
+/// Completion record of a finished flow. The simulator hands it to
+/// [`Driver::on_flow_complete`] by value; whoever keeps it owns the one copy.
 #[derive(Debug, Clone)]
 pub struct FlowRecord {
     pub conn: ConnId,
@@ -79,11 +80,16 @@ pub struct FlowRecord {
     pub finish: SimTime,
     pub retransmits: u64,
     pub timeouts: u64,
-    pub n_subflows: usize,
-    /// Fewest switch hops among the subflow routes.
-    pub min_switch_hops: usize,
+    /// Subflow ids are `u8`, so this always fits.
+    pub n_subflows: u16,
+    /// Fewest switch hops among the subflow routes (a packet's hop index is
+    /// a `u16`).
+    pub min_switch_hops: u16,
     pub owner_tag: u64,
 }
+
+// Open-loop runs keep tens of thousands of these.
+const _: () = assert!(std::mem::size_of::<FlowRecord>() == 64);
 
 impl FlowRecord {
     /// Flow completion time.
@@ -96,7 +102,12 @@ impl FlowRecord {
 pub trait Driver {
     /// A flow finished (all packets acknowledged). This call is the last
     /// point at which [`Simulator::conn`] is guaranteed to answer for it.
-    fn on_flow_complete(&mut self, _sim: &mut Simulator, _rec: &FlowRecord) {}
+    /// The record is the driver's to keep; the default hands it back to
+    /// [`Simulator::keep_record`], so that [`Simulator::records`] and
+    /// [`Simulator::record`] see it.
+    fn on_flow_complete(&mut self, sim: &mut Simulator, rec: FlowRecord) {
+        sim.keep_record(rec);
+    }
     /// An application timer (scheduled with [`Simulator::schedule_app`])
     /// fired.
     fn on_app_timer(&mut self, _sim: &mut Simulator, _app: u32, _tag: u64) {}
@@ -174,7 +185,7 @@ pub struct Simulator {
     /// Per [`ConnId`] (never reused): its slab slot; `NONE` once retired, so
     /// a stale `RtoTimer` finds nothing, as it does on a finished connection.
     conn_slot: Vec<u32>,
-    /// Per [`ConnId`]: index into `records` once finished, `NONE` before.
+    /// Per [`ConnId`]: index into `records` once kept, `NONE` before.
     conn_record: Vec<u32>,
     /// Connections not yet retired (DESIGN.md "Connection lifetime"). Freed
     /// slots are reused LIFO, subflow tables and buffers included; until
@@ -182,10 +193,12 @@ pub struct Simulator {
     slab: Vec<Connection>,
     free_slots: Vec<usize>,
     cfg: SimConfig,
-    /// Completion records of all finished flows, in completion order.
+    /// Completion records the driver handed back (every one, unless it
+    /// overrides [`Driver::on_flow_complete`]), in completion order.
     pub records: Vec<FlowRecord>,
-    /// Completions not yet delivered to the driver.
-    pending_complete: Vec<ConnId>,
+    /// The completion not yet delivered to the driver: one event finishes
+    /// at most one flow, and the run loop delivers before the next event.
+    pending_complete: Option<FlowRecord>,
     /// Packets lost to full buffers.
     pub dropped_packets: u64,
     /// Packets lost to dark (failed) links — separate from drop-tail loss so
@@ -229,7 +242,7 @@ impl Simulator {
             free_slots: Vec::new(),
             cfg,
             records: Vec::new(),
-            pending_complete: Vec::new(),
+            pending_complete: None,
             dropped_packets: 0,
             dropped_link_down_packets: 0,
             telemetry,
@@ -328,9 +341,19 @@ impl Simulator {
         self.slab.get(self.conn_slot[id.0 as usize] as usize)
     }
 
-    /// Completion record of a connection, or `None` while it is transferring.
+    /// Completion record of a connection, or `None` while it is transferring
+    /// and when the driver kept its record.
     pub fn record(&self, id: ConnId) -> Option<&FlowRecord> {
         self.records.get(self.conn_record[id.0 as usize] as usize)
+    }
+
+    /// Append a completion record to [`Simulator::records`], where
+    /// [`Simulator::record`] finds it: what [`Driver::on_flow_complete`]
+    /// does with a record its driver does not keep.
+    pub fn keep_record(&mut self, rec: FlowRecord) {
+        self.conn_record[rec.conn.0 as usize] = u32::try_from(self.records.len())
+            .expect("invariant: connection count stays within u32");
+        self.records.push(rec);
     }
 
     /// Number of connections ever started.
@@ -437,6 +460,10 @@ impl Simulator {
         subflows.reserve_exact(spec.routes.len() - subflows.len());
         for (si, r) in spec.routes.iter().enumerate() {
             assert!(!r.is_empty(), "empty route");
+            assert!(
+                r.len() <= usize::from(u16::MAX),
+                "a packet's hop index is u16"
+            );
             // Intern both directions once: a single `Arc<[LinkId]>`
             // allocation each, cloned (refcount bump only) per packet.
             let fwd: Arc<[LinkId]> = Arc::from(&r[..]);
@@ -600,7 +627,8 @@ impl Simulator {
     /// Release a finished, drained connection's slot for the next flow.
     fn retire(&mut self, ci: usize) {
         let c = &self.slab[ci];
-        debug_assert!(c.finish.is_some() && !self.pending_complete.contains(&c.id));
+        debug_assert!(c.finish.is_some());
+        debug_assert_ne!(self.pending_complete.as_ref().map(|r| r.conn), Some(c.id));
         debug_assert_eq!(c.in_network, 0, "retiring {:?} with packets out", c.id);
         let post_mortems = EventMask::SUBFLOW_FINISH;
         if let Some(tl) = self.telemetry.as_mut().filter(|tl| tl.wants(post_mortems)) {
@@ -809,11 +837,11 @@ impl Simulator {
             finish: self.now,
             retransmits: c.retransmits(),
             timeouts: c.timeouts(),
-            n_subflows: c.subflows.len(),
+            n_subflows: u16::try_from(c.subflows.len()).expect("invariant: subflow ids are u8"),
             min_switch_hops: c
                 .subflows
                 .iter()
-                .map(|s| s.route.len().saturating_sub(1))
+                .map(|s| u16::try_from(s.route.len() - 1).expect("invariant: routes fit a u16 hop"))
                 .min()
                 .unwrap_or(0),
             owner_tag: c.owner_tag,
@@ -828,10 +856,11 @@ impl Simulator {
                 timeouts: rec.timeouts,
             });
         }
-        self.conn_record[conn.0 as usize] = u32::try_from(self.records.len())
-            .expect("invariant: connection count stays within u32");
-        self.records.push(rec);
-        self.pending_complete.push(conn);
+        debug_assert!(
+            self.pending_complete.is_none(),
+            "two flows finished without a delivery between them"
+        );
+        self.pending_complete = Some(rec);
     }
 
     // ------------------------------------------------------------------
@@ -1081,12 +1110,11 @@ impl Simulator {
         }
     }
 
-    /// Hand every completion not yet delivered to the driver.
+    /// Hand the completion not yet delivered to the driver.
     fn deliver_completions(&mut self, driver: &mut dyn Driver) {
-        while let Some(cid) = self.pending_complete.pop() {
-            let ci = self.conn_slot[cid.0 as usize] as usize;
-            let rec = self.records[self.conn_record[cid.0 as usize] as usize].clone();
-            driver.on_flow_complete(self, &rec);
+        if let Some(rec) = self.pending_complete.take() {
+            let ci = self.conn_slot[rec.conn.0 as usize] as usize;
+            driver.on_flow_complete(self, rec);
             // With stragglers still out, `left_network` retires it instead.
             if self.slab[ci].in_network == 0 {
                 self.retire(ci);
@@ -1172,7 +1200,7 @@ impl Simulator {
         // finished (stale RTO timers may linger in the queue long after);
         // the second keeps the sampler from being the only thing driving
         // the clock forever. `start_flow` re-arms it when traffic returns.
-        let live = !self.pending_complete.is_empty() || self.conn_slot.len() > self.records.len();
+        let live = self.pending_complete.is_some() || self.slab.iter().any(|c| c.finish.is_none());
         if live && !self.events.is_empty() {
             tl.sampler_armed = true;
             self.events
@@ -1219,7 +1247,7 @@ pub fn run(sim: &mut Simulator, driver: &mut dyn Driver, until: Option<SimTime>)
         // depend on that ordering), and `pop_if_at` refuses any event not at
         // exactly `sim.now` (all ≤ `until` since `t` was). Time never
         // advances inside the batch, so `sim.now` stays correct.
-        while sim.pending_complete.is_empty() {
+        while sim.pending_complete.is_none() {
             let Some(ev) = sim.events.pop_if_at(sim.now) else {
                 break;
             };
@@ -1495,11 +1523,14 @@ mod tests {
         /// Checks the driver's last look and tracks the peak of `live_conns`.
         struct Watch<'a>(ClosedLoopDriver<'a>, usize);
         impl Driver for Watch<'_> {
-            fn on_flow_complete(&mut self, sim: &mut Simulator, rec: &FlowRecord) {
+            fn on_flow_complete(&mut self, sim: &mut Simulator, rec: FlowRecord) {
                 let conn = sim.conn(rec.conn).expect("state kept until handed over");
                 assert_eq!(conn.finish, Some(rec.finish));
-                assert_eq!(sim.record(rec.conn).map(|r| r.finish), Some(rec.finish));
+                let (id, finish) = (rec.conn, rec.finish);
                 self.0.on_flow_complete(sim, rec);
+                let kept = self.0.completed.last().map(|r| (r.conn, r.finish));
+                assert_eq!(kept, Some((id, finish)));
+                assert!(sim.record(id).is_none(), "the driver owns the record");
                 self.1 = self.1.max(sim.live_conns());
             }
         }
@@ -1528,7 +1559,8 @@ mod tests {
         let mut watch = Watch(chains, sim.live_conns());
         run(&mut sim, &mut watch, None);
         assert!(sim.n_conns() >= 2_000, "only {} flows ran", sim.n_conns());
-        assert_eq!(sim.records.len(), sim.n_conns());
+        assert_eq!(watch.0.completed.len(), sim.n_conns());
+        assert!(sim.records.is_empty());
         assert_eq!(
             sim.live_conns(),
             0,
@@ -1537,7 +1569,8 @@ mod tests {
         // A finished flow is still live while its successor starts, hence +1.
         assert!(watch.1 <= SLOTS as usize + 1, "peak {} live", watch.1);
         assert!(sim.conn_slab_capacity() <= watch.1);
-        assert!(sim.conn(ConnId(0)).is_none() && sim.record(ConnId(0)).is_some());
+        assert!(sim.conn(ConnId(0)).is_none());
+        assert!(watch.0.completed.iter().any(|r| r.conn == ConnId(0)));
     }
 
     #[test]

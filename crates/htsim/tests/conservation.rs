@@ -193,11 +193,12 @@ fn finished_connections_stay_until_their_last_packet_lands() {
     // the packet arena and `retire` against zero, say when it may go.
     struct Stragglers(Vec<ConnId>);
     impl Driver for Stragglers {
-        fn on_flow_complete(&mut self, sim: &mut Simulator, rec: &FlowRecord) {
+        fn on_flow_complete(&mut self, sim: &mut Simulator, rec: FlowRecord) {
             let conn = sim.conn(rec.conn).expect("state kept until handed over");
             if conn.in_network > 0 {
                 self.0.push(rec.conn);
             }
+            sim.keep_record(rec);
         }
     }
     use pnet_htsim::{EventMask, TelemetryConfig, TraceRecord};

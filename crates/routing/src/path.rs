@@ -86,21 +86,38 @@ impl Path {
 pub struct PathRef<'a> {
     /// The plane the path lives in.
     pub plane: PlaneId,
-    /// Added to every id of `rel`.
-    base: u32,
-    rel: &'a [LinkId],
+    links: Links<'a>,
+}
+
+/// The links behind a [`PathRef`], as the two owners store them.
+#[derive(Clone, Copy)]
+enum Links<'a> {
+    /// An owned [`Path`]'s ids.
+    Ids(&'a [LinkId]),
+    /// A [`PathSet`]'s offsets, and the plane base they are added to.
+    Offsets(u32, &'a [u16]),
 }
 
 impl<'a> PathRef<'a> {
     /// Number of fabric links.
     pub fn n_links(self) -> usize {
-        self.rel.len()
+        match self.links {
+            Links::Ids(ids) => ids.len(),
+            Links::Offsets(_, rel) => rel.len(),
+        }
+    }
+
+    /// Link `i`: an owned path's id, or the plane base plus a set's offset.
+    fn link(self, i: usize) -> LinkId {
+        match self.links {
+            Links::Ids(ids) => ids[i],
+            Links::Offsets(base, rel) => LinkId(base + u32::from(rel[i])),
+        }
     }
 
     /// Fabric links from the source ToR to the destination ToR.
     pub fn links(self) -> impl DoubleEndedIterator<Item = LinkId> + ExactSizeIterator + Clone + 'a {
-        let base = self.base;
-        self.rel.iter().map(move |l| LinkId(l.0 + base))
+        (0..self.n_links()).map(move |i| self.link(i))
     }
 
     /// The path, owned.
@@ -131,23 +148,22 @@ impl<'a> From<&'a Path> for PathRef<'a> {
     fn from(path: &'a Path) -> Self {
         PathRef {
             plane: path.plane,
-            base: 0,
-            rel: &path.links,
+            links: Links::Ids(&path.links),
         }
     }
 }
 
 /// The paths of one route-table entry, shortest first ([`sort_paths`]
 /// order), in one allocation and in no plane: each link is stored as its
-/// offset from the plane's [base](crate::PlaneGraph::base). Planes of one
-/// [shape class](crate::plane_graph::shape_classes) compute equal sets, so
-/// they share one; [`PlanePaths`] reads it in a given plane.
+/// `u16` offset from the plane's [base](crate::PlaneGraph::base). Planes of
+/// one [shape class](crate::plane_graph::shape_classes) compute equal sets,
+/// so they share one; [`PlanePaths`] reads it in a given plane.
 #[derive(Debug, PartialEq, Eq)]
 pub struct PathSet {
     n_paths: u16,
-    /// `n_paths.div_ceil(2)` words holding each path's end offset into the
-    /// links (`u16`, two to a word), then every path's links back to back.
-    block: Box<[LinkId]>,
+    /// `n_paths` words holding each path's end offset into the links, then
+    /// every path's links back to back.
+    block: Box<[u16]>,
 }
 
 impl PathSet {
@@ -163,12 +179,19 @@ impl PathSet {
             n_paths <= wide && n_links <= wide,
             "path counts and end offsets are u16"
         );
-        let head = n_paths.div_ceil(2);
-        let mut block = Vec::with_capacity(head + n_links);
-        block.resize(head, LinkId(0));
+        let mut block = Vec::with_capacity(n_paths + n_links);
+        block.resize(n_paths, 0);
         for (i, path) in paths.enumerate() {
-            block.extend(path.map(|l| LinkId(l.0 - base)));
-            block[i / 2].0 |= ((block.len() - head) as u32) << (16 * (i % 2));
+            for l in path {
+                // Below the base wraps past the bound too.
+                let offset = l.0.wrapping_sub(base);
+                assert!(
+                    offset <= u32::from(u16::MAX),
+                    "link offsets from the plane base are u16: {l} is {offset} past {base}"
+                );
+                block.push(offset as u16);
+            }
+            block[i] = (block.len() - n_paths) as u16;
         }
         PathSet {
             n_paths: n_paths as u16,
@@ -186,22 +209,17 @@ impl PathSet {
         self.n_paths == 0
     }
 
-    /// Offset into [`PathSet::links`] where path `i` ends.
-    fn end(&self, i: usize) -> usize {
-        usize::from((self.block[i / 2].0 >> (16 * (i % 2))) as u16)
-    }
-
     /// Every link of every path, back to back in path order, as offsets
     /// from the plane base.
-    pub(crate) fn links(&self) -> &[LinkId] {
-        &self.block[self.len().div_ceil(2)..]
+    pub(crate) fn links(&self) -> &[u16] {
+        &self.block[self.len()..]
     }
 
     /// Path `i`'s links as offsets from the plane base. Panics past the end.
-    pub(crate) fn rel(&self, i: usize) -> &[LinkId] {
+    pub(crate) fn rel(&self, i: usize) -> &[u16] {
         assert!(i < self.len(), "path {i} of a {}-path set", self.len());
-        let start = if i == 0 { 0 } else { self.end(i - 1) };
-        &self.links()[start..self.end(i)]
+        let start = if i == 0 { 0 } else { self.block[i - 1] };
+        &self.links()[usize::from(start)..usize::from(self.block[i])]
     }
 }
 
@@ -225,12 +243,15 @@ impl PartialEq for PlanePaths {
 
 impl From<&[Path]> for PlanePaths {
     /// Flatten `paths`, which share one plane (an empty list gives an empty
-    /// set in plane 0) and are in [`sort_paths`] order.
+    /// set in plane 0) and are in [`sort_paths`] order. The base is their
+    /// lowest link id, so the `u16` bound is on the spread of their ids.
     fn from(paths: &[Path]) -> Self {
         let plane = paths.first().map_or(PlaneId(0), |p| p.plane);
         assert!(paths.iter().all(|p| p.plane == plane), "one plane per set");
+        let base = paths.iter().flat_map(|p| &p.links).map(|l| l.0).min();
+        let base = base.unwrap_or(0);
         let links = paths.iter().map(|p| p.links.iter().copied());
-        PlanePaths::new(plane, 0, Arc::new(PathSet::from_links(0, links)))
+        PlanePaths::new(plane, base, Arc::new(PathSet::from_links(base, links)))
     }
 }
 
@@ -254,8 +275,7 @@ impl PlanePaths {
     pub fn get(&self, i: usize) -> PathRef<'_> {
         PathRef {
             plane: self.plane,
-            base: self.base,
-            rel: self.set.rel(i),
+            links: Links::Offsets(self.base, self.set.rel(i)),
         }
     }
 
@@ -410,6 +430,56 @@ mod tests {
         assert_eq!(paths[0].links.len(), 1);
         assert_eq!(paths[1].plane, PlaneId(0));
         assert_eq!(paths[2].plane, PlaneId(1));
+    }
+
+    /// Paths in plane 1 whose ids run from `base` to `base + span`.
+    fn spread(base: u32, span: u32) -> Vec<Path> {
+        let path = |ids: &[u32]| Path {
+            plane: PlaneId(1),
+            links: ids.iter().map(|&l| LinkId(base + l)).collect(),
+        };
+        vec![path(&[span]), path(&[0, span / 2])]
+    }
+
+    #[test]
+    fn a_set_bounds_the_spread_of_its_ids_not_their_position() {
+        let far = spread(3 * 65_536 + 7, u32::from(u16::MAX));
+        let set = PlanePaths::from(&far[..]);
+        assert!(set.iter().eq(far.iter().map(PathRef::from)));
+    }
+
+    #[test]
+    #[should_panic(expected = "link offsets from the plane base are u16")]
+    fn a_set_rejects_an_offset_past_u16() {
+        let _ = PlanePaths::from(&spread(2, 65_536)[..]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Offsets decode back to the ids they were stored from, up to
+        /// `u16::MAX` past the base.
+        #[test]
+        fn offsets_decode_to_their_ids(
+            base in 0u32..=(u32::MAX - 65_535), seed: u64, n_paths in 1usize..=8,
+        ) {
+            let mut x = seed;
+            let mut next = || {
+                x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                (x >> 33) as u32
+            };
+            let mut paths: Vec<Vec<LinkId>> = (0..n_paths)
+                .map(|_| (0..next() % 6).map(|_| LinkId(base + next() % 65_536)).collect())
+                .collect();
+            paths[0].push(LinkId(base + u32::from(u16::MAX)));
+            let set = PathSet::from_links(base, paths.iter().map(|p| p.iter().copied()));
+            let set = PlanePaths::new(PlaneId(2), base, Arc::new(set));
+            proptest::prop_assert_eq!(set.len(), n_paths);
+            for (i, ids) in paths.iter().enumerate() {
+                proptest::prop_assert!(set.get(i).links().eq(ids.iter().copied()), "path {i}");
+                proptest::prop_assert_eq!(set.get(i).n_links(), ids.len());
+            }
+        }
     }
 
     #[test]

@@ -574,9 +574,10 @@ impl Router {
                 let pair = pg.dense(link.src).zip(pg.dense(link.dst));
                 pair.filter(|_| link.plane == plane)
             };
-            // Cut cables as sets store them: offsets from the (even) base.
-            let cut: Vec<LinkId> = (down.iter().filter(|c| ends(c).is_some()))
-                .map(|c| LinkId(c.0 - pg.base()))
+            // Cut cables as sets store them: `u16` offsets from the (even)
+            // base, so an offset's cable is its even half too.
+            let cut: Vec<u16> = (down.iter().filter(|c| ends(c).is_some()))
+                .filter_map(|c| u16::try_from(c.0 - pg.base()).ok())
                 .collect();
             let added: Vec<(usize, usize)> = up.iter().filter_map(ends).collect();
             if cut.is_empty() && added.is_empty() {
@@ -584,7 +585,7 @@ impl Router {
             }
             slots_scanned += st.racks * st.racks;
             let severed = |set: &PathSet| {
-                !cut.is_empty() && set.links().iter().any(|&l| cut.contains(&cable_of(l)))
+                !cut.is_empty() && set.links().iter().any(|&l| cut.contains(&(l & !1)))
             };
             for d in (0..st.racks as u32).map(RackId) {
                 // An unreachable end is `UNREACHABLE` hops away: longer than any path.

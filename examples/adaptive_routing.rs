@@ -56,7 +56,7 @@ impl Driver for Learner<'_> {
             sim.schedule_app(next, 0, 0);
         }
     }
-    fn on_flow_complete(&mut self, _sim: &mut Simulator, rec: &FlowRecord) {
+    fn on_flow_complete(&mut self, _sim: &mut Simulator, rec: FlowRecord) {
         if rec.owner_tag == u64::MAX {
             return;
         }

@@ -73,7 +73,7 @@ impl Driver for SmallFlowDriver<'_> {
         }
     }
 
-    fn on_flow_complete(&mut self, _sim: &mut Simulator, rec: &FlowRecord) {
+    fn on_flow_complete(&mut self, _sim: &mut Simulator, rec: FlowRecord) {
         if rec.owner_tag == u64::MAX {
             return; // background bulk
         }

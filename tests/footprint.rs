@@ -1,13 +1,21 @@
-//! What the all-pairs route table costs in memory, counted by the allocator:
-//! live bytes, live blocks and the high-water mark. No timing, no `/proc`.
+//! What the all-pairs route table and a run's flow records cost in memory,
+//! counted by the allocator: live bytes, live blocks and the high-water
+//! mark. No timing, no `/proc`.
 //!
-//! One `#[test]` only: the counters are process-wide, and a second test
-//! running beside it would be counted too.
+//! Every test holds `ONE_AT_A_TIME` throughout: the counters are
+//! process-wide, and a test running beside another would be counted too.
 
-use pnet::routing::{Parallelism, RouteAlgo, Router};
-use pnet::topology::{assemble_homogeneous, failures, Jellyfish, LinkProfile};
+use pnet::htsim::apps::OpenLoopDriver;
+use pnet::htsim::{run, CcAlgo, SimConfig, SimTime, Simulator};
+use pnet::routing::{host_route, Parallelism, RouteAlgo, Router};
+use pnet::topology::{
+    assemble_homogeneous, failures, FatTree, HostId, Jellyfish, LinkProfile, PlaneId,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::Mutex;
+
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
 static LIVE_BLOCKS: AtomicUsize = AtomicUsize::new(0);
@@ -45,12 +53,12 @@ fn live() -> (usize, usize) {
     (LIVE_BYTES.load(Relaxed), LIVE_BLOCKS.load(Relaxed))
 }
 
-/// What `router` holds, as (bytes, blocks): everything its drop gives back.
+/// What `held` holds, as (bytes, blocks): everything its drop gives back.
 /// Per-thread search scratch stays with its thread and is not counted, so
-/// the answer does not depend on how many threads filled the table.
-fn footprint(router: Router) -> (usize, usize) {
+/// a router's answer does not depend on how many threads filled its table.
+fn footprint<T>(held: T) -> (usize, usize) {
     let before = live();
-    drop(router);
+    drop(held);
     let after = live();
     (before.0 - after.0, before.1 - after.1)
 }
@@ -59,6 +67,7 @@ const MB: usize = 1 << 20;
 
 #[test]
 fn route_table_footprint_follows_its_links() {
+    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     // The fabric and K of the benchmark's `pipeline_cold` / `churn_reconverge`.
     let profile = LinkProfile::paper_default();
     let mut net = assemble_homogeneous(&Jellyfish::new(64, 8, 1, 1), 4, &profile);
@@ -76,12 +85,13 @@ fn route_table_footprint_follows_its_links() {
     assert_eq!(serial, footprint(filled(Parallelism::default())));
 
     // The four planes are copies of one graph, so they share one set per
-    // rack pair: 64 · 63 sets of 482 k link ids in all, 1.9 MB. Stored once
-    // per plane the table took 9.4 MB; as nested `Arc<Vec<Path>>`s, 25 MB in
-    // 34 blocks per entry. A set is two blocks, its `Arc` and its links; a
-    // plane adds its hop table on first use.
+    // rack pair: 64 · 63 sets of 482 k links in all, each a `u16` offset,
+    // 1.33 MB with the sets' end offsets. With 32-bit links the table took
+    // 2.25 MB; stored once per plane, 9.4 MB; as nested `Arc<Vec<Path>>`s,
+    // 25 MB in 34 blocks per entry. A set is two blocks, its `Arc` and its
+    // block; a plane adds its hop table on first use.
     let (bytes, blocks) = (serial.0 - empty.0, serial.1 - empty.1);
-    assert!(bytes <= 7 * MB / 2, "table holds {bytes} bytes");
+    assert!(bytes <= 7 * MB / 4, "table holds {bytes} bytes");
     assert!(
         blocks <= 2 * 64 * 63 + 2 * 4,
         "table holds {blocks} blocks for {entries} entries"
@@ -101,5 +111,44 @@ fn route_table_footprint_follows_its_links() {
     assert!(
         peak <= 4 * MB,
         "one repair raised the high-water mark by {peak} bytes"
+    );
+}
+
+#[test]
+fn an_open_loop_run_keeps_each_record_once() {
+    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let net = assemble_homogeneous(&FatTree::three_tier(4), 1, &LinkProfile::paper_default());
+    let router = Router::new(&net, RouteAlgo::Ksp { k: 1 });
+    let factory = Box::new(|src, dst, _size| {
+        let (a, b) = (net.rack_of_host(src), net.rack_of_host(dst));
+        let paths = router.paths_in_plane(PlaneId(0), a, b);
+        let route = host_route(&net, src, dst, paths.get(0));
+        (vec![route.expect("hosts attach to plane 0")], CcAlgo::Reno)
+    });
+    // Host h sits in rack h / 2, so h and h + 7 never share a rack.
+    let mut src = 0u32;
+    let next_flow = Box::new(move || {
+        src = (src + 5) % 16;
+        (HostId(src), HostId((src + 7) % 16), 1_500)
+    });
+    let gap = Box::new(|| SimTime::from_ns(900));
+    let mut sim = Simulator::new(&net, SimConfig::default());
+    let stop = SimTime::from_ms(3);
+    let mut driver = OpenLoopDriver::start(&mut sim, factory, next_flow, gap, stop);
+    run(&mut sim, &mut driver, None);
+
+    let flows = driver.started as usize;
+    assert!(flows > 3_000, "only {flows} flows");
+    assert_eq!(driver.completed.len(), flows);
+    // A `Vec` grown by pushes holds at most the next power of two of its
+    // length. A second copy of the records, or 80-byte records, is over.
+    let held = (
+        std::mem::take(&mut sim.records),
+        std::mem::take(&mut driver.completed),
+    );
+    let (bytes, _) = footprint(held);
+    assert!(
+        bytes <= 64 * flows.next_power_of_two(),
+        "{flows} records hold {bytes} bytes"
     );
 }

@@ -319,7 +319,8 @@ proptest! {
 
 /// A shortest-first path list of one plane in [`routing::sort_paths`] order,
 /// by `shape`: empty, a single path, `k` equally long paths, a mixed list,
-/// and 32 paths that together fill the `u16` offset range.
+/// and 32 paths that together fill the `u16` offset range. Link ids lie
+/// within `u16::MAX` of a random base, as a plane's do.
 fn sorted_paths(shape: u8, k: usize, len: usize, plane: u16, seed: u64) -> Vec<routing::Path> {
     let mut x = seed;
     let mut next = || {
@@ -328,6 +329,7 @@ fn sorted_paths(shape: u8, k: usize, len: usize, plane: u16, seed: u64) -> Vec<r
             .wrapping_add(1442695040888963407);
         (x >> 33) as u32
     };
+    let base = next();
     let lens: Vec<usize> = match shape {
         0 => Vec::new(),
         1 => vec![len],
@@ -337,7 +339,7 @@ fn sorted_paths(shape: u8, k: usize, len: usize, plane: u16, seed: u64) -> Vec<r
     };
     let mut path = |&len: &usize| routing::Path {
         plane: PlaneId(plane),
-        links: (0..len).map(|_| LinkId(next())).collect(),
+        links: (0..len).map(|_| LinkId(base + next() % 65_536)).collect(),
     };
     let mut paths: Vec<_> = lens.iter().map(&mut path).collect();
     routing::sort_paths(&mut paths);

@@ -532,10 +532,11 @@ fn subflow_samples_follow_connection_ids_not_recycled_slots() {
         }
     }
     impl Driver for Restart<'_> {
-        fn on_flow_complete(&mut self, sim: &mut Simulator, rec: &FlowRecord) {
+        fn on_flow_complete(&mut self, sim: &mut Simulator, rec: FlowRecord) {
             if rec.owner_tag + 6 < self.1 {
                 self.start(sim, rec.owner_tag + 6);
             }
+            sim.keep_record(rec);
         }
     }
     let n = net(2);

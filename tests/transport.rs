@@ -600,11 +600,12 @@ impl Chains<'_> {
         }
         struct Next<'a>(&'a Chains<'a>);
         impl Driver for Next<'_> {
-            fn on_flow_complete(&mut self, sim: &mut Simulator, rec: &FlowRecord) {
+            fn on_flow_complete(&mut self, sim: &mut Simulator, rec: FlowRecord) {
                 let next = rec.owner_tag as usize + self.0.flows.len();
                 if next < self.0.flows.len() * self.0.generations {
                     self.0.start(sim, next);
                 }
+                sim.keep_record(rec);
             }
         }
         run(&mut sim, &mut Next(self), None);
