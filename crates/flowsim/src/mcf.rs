@@ -48,8 +48,10 @@ pub struct McfSolution {
     /// point instead of from the uniform δ/cₑ start.
     pub length: Vec<f64>,
     /// Shortest-path trees (one per source and stale plane) the AnyPath
-    /// phase loop built by Dijkstra. The three counters are exact, identical
-    /// under `Serial` and `Rayon`, and 0 in `Explicit` mode.
+    /// phase loop built with its Bellman–Ford kernel; sources in one rack
+    /// share a kernel column but count one build each. The three counters
+    /// are exact, identical under `Serial` and `Rayon`, and 0 in `Explicit`
+    /// mode.
     pub trees_built: u64,
     /// Trees taken from a same-shape plane holding bit-equal lengths.
     pub trees_shared: u64,
@@ -182,11 +184,11 @@ pub struct McfOptions {
     /// the paper's "ideal throughput under no path constraint, representing
     /// the total capacity of the network core" (Figure 7).
     pub host_links_free: bool,
-    /// Execution strategy for the batched per-source shortest-path-tree
-    /// computations (AnyPath mode). The per-source Dijkstras of one phase
-    /// are independent given the phase-start length vector, so they fan out
-    /// across threads; length updates stay sequential, so `Serial` and
-    /// `Rayon` produce bit-identical solutions.
+    /// Execution strategy for the batched shortest-path-tree computations
+    /// (AnyPath mode). The kernel's blocks of one phase are independent
+    /// given the phase-start length vector, so they fan out across threads;
+    /// length updates stay sequential, so `Serial` and `Rayon` produce
+    /// bit-identical solutions.
     pub parallelism: Parallelism,
 }
 
@@ -482,8 +484,9 @@ fn gk_core(
     let mut sent = vec![0.0f64; commodities.len()];
     let mut phases = 0usize;
 
-    // Persistent per-source tree bundles (AnyPath): refreshed in place each
-    // phase instead of reallocated, and one route buffer serves every push.
+    // Persistent per-source tree bundles (AnyPath) and the kernel's working
+    // set: refreshed in place each phase instead of reallocated, and one
+    // route buffer serves every push.
     let (mut phase_trees, n_planes): (Vec<PlaneTrees>, usize) = match routes {
         Routes::AnyPath(oracle) => (
             (0..sources.hosts.len())
@@ -493,10 +496,11 @@ fn gk_core(
         ),
         Routes::Explicit(_) => (Vec::new(), 0),
     };
-    // Per-plane CSR-order weight snapshot, regathered once per phase and
-    // shared by every source's Dijkstra. A plane is dirty when one of its
+    let mut kernel = TreeKernel::default();
+    // Per-plane weight snapshot, regathered once per phase and shared by
+    // every source's tree. A plane is dirty when one of its
     // fabric links grew since its last gather: pushes mark the chosen
-    // plane, and clean planes skip both the gather and all their Dijkstras
+    // plane, and clean planes skip both the gather and all their builds
     // next phase (their trees are already exactly what a recompute would
     // produce). Host attachment links never dirty a plane — they are not
     // part of the plane graphs, and `best_route_into` reads them straight
@@ -505,8 +509,8 @@ fn gk_core(
     // `grown` refines the per-plane flag to a per-link bitset: a push on a
     // fabric link sets its bit alongside the plane flag, and both are
     // cleared together after the refresh. Within a dirty plane, a source
-    // whose recorded shortest-path chains traverse no grown link skips its
-    // Dijkstra entirely (see `refresh_trees` for why that is exact).
+    // whose recorded shortest-path chains traverse no grown link keeps its
+    // tree (see `AnyPathOracle::plan` for why that is exact).
     //
     // `sibling` names, per dirty plane, a same-shape plane whose trees it may
     // share instead (see `AnyPathOracle::siblings`), decided once per phase.
@@ -538,8 +542,8 @@ fn gk_core(
             next_snap = (next_snap + 1).max((next_snap as f64 * 1.3) as usize);
         }
         // AnyPath: one shortest-path-tree bundle per active source, all
-        // computed against the phase-start length vector. The per-source
-        // Dijkstras are independent, so they run in parallel (Fleischer's
+        // computed against the phase-start length vector. The kernel's
+        // blocks are independent, so they run in parallel (Fleischer's
         // phase framework: routing on phase-start shortest paths preserves
         // the (1-O(eps)) guarantee, and the final congestion rescale keeps
         // the primal feasible regardless). Sequential consumption below
@@ -547,30 +551,20 @@ fn gk_core(
         if let Routes::AnyPath(oracle) = routes {
             oracle.edge_weights(&length, &plane_dirty, &mut phase_w);
             oracle.siblings(&phase_w, &plane_dirty, &mut sibling);
-            // A phase whose dirty planes all share has no Dijkstra to fan
-            // out; handing 64 index hand-offs to the pool costs more than
-            // doing them.
-            let all_share = plane_dirty
-                .iter()
-                .zip(&sibling)
-                .all(|(&d, s)| !d || s.is_some());
-            let par = if all_share {
-                Parallelism::Serial
-            } else {
-                opts.parallelism
+            let snap = Snapshot {
+                weights: &phase_w,
+                dirty: &plane_dirty,
+                sibling: &sibling,
+                grown: &grown,
             };
-            par.update_indexed(&mut phase_trees, |i, t| {
-                oracle.refresh_trees(
-                    net,
-                    sources.hosts[i],
-                    &sources.targets[i],
-                    &phase_w,
-                    &plane_dirty,
-                    &sibling,
-                    &grown,
-                    t,
-                )
-            });
+            oracle.refresh(
+                net,
+                sources,
+                snap,
+                &mut phase_trees,
+                &mut kernel,
+                opts.parallelism,
+            );
             for (g, &d) in grown.iter_mut().zip(&plane_dirty) {
                 if d {
                     g.iter_mut().for_each(|w| *w = 0);
@@ -697,9 +691,9 @@ fn gk_core(
 
 /// Shortest allowed route per commodity under unit lengths (used for demand
 /// pre-scaling). Explicit mode: fewest links among candidates. AnyPath:
-/// BFS-shortest across planes, with one tree bundle per source computed in
-/// parallel rather than one per commodity; a commodity no plane connects is
-/// [`McfError::UnroutableCommodity`]. Link state is frozen for the solve,
+/// shortest across planes by the phase loop's tree kernel, with one tree
+/// bundle per source rather than one per commodity; a commodity no plane
+/// connects is [`McfError::UnroutableCommodity`]. Link state is frozen for the solve,
 /// so every commodity this routes the phase loop routes too.
 fn shortest_routes_unit(
     net: &Network,
@@ -728,12 +722,21 @@ fn shortest_routes_unit(
     let (mut w, mut sibling) = (Vec::new(), Vec::new());
     oracle.edge_weights(&unit, &all, &mut w);
     oracle.siblings(&w, &all, &mut sibling);
-    let trees: Vec<PlaneTrees> = par.map_indexed(sources.hosts.len(), |si| {
-        let (src, targets) = (sources.hosts[si], &sources.targets[si]);
-        let mut t = oracle.empty_trees();
-        oracle.refresh_trees(net, src, targets, &w, &all, &sibling, &[], &mut t);
-        t
-    });
+    let mut trees: Vec<PlaneTrees> = sources.hosts.iter().map(|_| oracle.empty_trees()).collect();
+    let snap = Snapshot {
+        weights: &w,
+        dirty: &all,
+        sibling: &sibling,
+        grown: &[],
+    };
+    oracle.refresh(
+        net,
+        sources,
+        snap,
+        &mut trees,
+        &mut TreeKernel::default(),
+        par,
+    );
     let mut seeded = vec![None; commodities.len()];
     for (group, trees) in sources.commodities.iter().zip(&trees) {
         for &i in group {
@@ -752,7 +755,7 @@ fn shortest_routes_unit(
 /// The active sources of a solve, grouped once for the seeding pass and the
 /// phase loop: the source hosts in ascending order, each one's commodities
 /// in index order, and the sorted, deduplicated racks those commodities go
-/// to — where the source's trees are read, so where its Dijkstras may stop.
+/// to — where the source's trees are read.
 struct Sources {
     hosts: Vec<HostId>,
     commodities: Vec<Vec<usize>>,
@@ -845,13 +848,21 @@ impl Candidates {
 }
 
 // --------------------------------------------------------------------------
-// AnyPath oracle: per-plane Dijkstra over the switch graphs.
+// AnyPath oracle: shortest-path trees over the per-plane switch graphs.
 // --------------------------------------------------------------------------
 
 use pnet_routing::PlaneGraph;
 
 /// Parent sentinel: `u64::MAX` cannot encode a real (node, edge) pair.
 const NO_PARENT: u64 = u64::MAX;
+
+/// Memo entry of a parent not derived yet; like [`NO_PARENT`], no real
+/// (node, edge) pair packs to it.
+const UNDERIVED: u64 = u64::MAX - 1;
+
+/// Columns of one kernel block: the sources whose distances one
+/// Bellman–Ford run carries side by side, one `[f64; LANES]` per switch.
+const LANES: usize = 8;
 
 /// One plane's tree: (dist to each dense switch, packed parent of each
 /// switch). A parent packs `(dense parent node) << 32 | CSR edge position`
@@ -862,30 +873,22 @@ const NO_PARENT: u64 = u64::MAX;
 type PlaneTree = (Vec<f64>, Vec<u64>);
 
 /// Shortest-path trees from one source rack, one per plane. Persistent: the
-/// phase loop refreshes the same trees in place every phase (dist refilled,
-/// the frontier reused) instead of reallocating — refreshing performs the
-/// exact same float operations as building fresh, so solutions are
-/// bit-identical.
+/// phase loop refreshes the same trees in place every phase instead of
+/// reallocating them.
 ///
 /// Planes that share a tree share it by index: `of[p]` names the buffer
 /// holding plane `p`'s tree, and a hand-off from a sibling is `of[p] =
-/// of[q]`. There are as many buffers as planes, so a plane about to run
-/// Dijkstra while another plane reads its buffer always finds one that no
+/// of[q]`. There are as many buffers as planes, so a plane about to be
+/// built while another plane reads its buffer always finds one that no
 /// plane reads.
 struct PlaneTrees {
     /// One (dist, parent) buffer per plane, each sized to the largest plane.
     bufs: Vec<PlaneTree>,
     /// The buffer holding each plane's tree.
     of: Vec<usize>,
-    /// Reused Dijkstra frontier, one bit per dense switch (cleared per
-    /// plane).
-    frontier: Vec<u64>,
-    /// Scratch target-marks for early-terminated Dijkstra (shared across the
-    /// planes of one refresh; every set bit is cleared again before reuse).
-    mask: Vec<bool>,
     /// Whether each plane's tree has been computed at least once — until it
     /// has, there are no recorded chains to test against grown links and the
-    /// Dijkstra must run unconditionally.
+    /// tree must be built unconditionally.
     valid: Vec<bool>,
     /// Dirty-plane refreshes of this bundle by outcome, summed over sources
     /// into [`McfSolution`]'s `trees_*` counters.
@@ -899,6 +902,18 @@ impl PlaneTrees {
     fn tree(&self, p: usize) -> &PlaneTree {
         &self.bufs[self.of[p]]
     }
+}
+
+/// What a refresh reads about the planes: the phase-start weights (see
+/// [`AnyPathOracle::edge_weights`]), which planes are dirty,
+/// each dirty plane's sibling (see [`AnyPathOracle::siblings`]) and each
+/// plane's grown links.
+#[derive(Clone, Copy)]
+struct Snapshot<'a> {
+    weights: &'a [Vec<f64>],
+    dirty: &'a [bool],
+    sibling: &'a [Option<usize>],
+    grown: &'a [Vec<u64>],
 }
 
 /// A solve's route source: the caller's [`PathMode`] with the AnyPath oracle
@@ -918,8 +933,248 @@ impl<'a> Routes<'a> {
     }
 }
 
+/// A plane's edges grouped by head, the order the kernel reads them in: the
+/// edges into switch `v` are `start[v]..start[v + 1]`, edge `e` runs from
+/// `tail[e]` and sits at CSR position `pos[e]`, and each head's edges are
+/// sorted by tail and then position. A plane's weight snapshot is laid out
+/// in this order (see [`AnyPathOracle::edge_weights`]).
+struct InEdges {
+    start: Vec<u32>,
+    tail: Vec<u32>,
+    pos: Vec<u32>,
+}
+
+impl InEdges {
+    fn new(pg: &PlaneGraph) -> Self {
+        let n = pg.n_switches();
+        let mut start = vec![0u32; n + 1];
+        for u in 0..n {
+            for &(v, _) in pg.neighbors(u) {
+                start[v as usize + 1] += 1;
+            }
+        }
+        for i in 1..=n {
+            start[i] += start[i - 1];
+        }
+        // Tails ascend and each row's positions ascend, so every head's
+        // edges come out sorted without a sort.
+        let mut cursor = start[..n].to_vec();
+        let (mut tail, mut pos) = (vec![0u32; start[n] as usize], vec![0u32; start[n] as usize]);
+        for u in 0..n {
+            let row = pg.row_start(u);
+            for (j, &(v, _)) in pg.neighbors(u).iter().enumerate() {
+                let e = &mut cursor[v as usize];
+                (tail[*e as usize], pos[*e as usize]) = (u as u32, (row + j) as u32);
+                *e += 1;
+            }
+        }
+        InEdges { start, tail, pos }
+    }
+
+    /// The edges into switch `v`.
+    #[inline]
+    fn of(&self, v: usize) -> std::ops::Range<usize> {
+        self.start[v] as usize..self.start[v + 1] as usize
+    }
+
+    /// The packed parent (see [`PlaneTree`]) that edge `e` makes.
+    fn parent(&self, e: usize) -> u64 {
+        ((self.tail[e] as u64) << 32) | self.pos[e] as u64
+    }
+}
+
+/// One tree the plan pass queued: `source`'s tree in `plane`, to be written
+/// into buffer `buf`.
+#[derive(Clone, Copy)]
+struct Build {
+    plane: usize,
+    source: usize,
+    buf: usize,
+}
+
+/// Up to [`LANES`] columns of one plane, each the distances from one root
+/// switch: the unit the kernel fans out.
+#[derive(Default)]
+struct Block {
+    plane: usize,
+    /// Root switch of each used lane.
+    roots: Vec<usize>,
+    /// Distance of each switch, one lane per column.
+    dist: Vec<[f64; LANES]>,
+    /// Parent of each switch per lane, [`UNDERIVED`] off the chains read.
+    parent: Vec<[u64; LANES]>,
+    /// The builds this block serves, each with its lane.
+    members: Vec<(usize, Build)>,
+}
+
+/// The tree kernel's working set, kept across phases so that a refresh
+/// allocates nothing once it has seen its largest phase.
+#[derive(Default)]
+struct TreeKernel {
+    builds: Vec<Build>,
+    /// Blocks; the first `n_blocks` are this refresh's.
+    blocks: Vec<Block>,
+    n_blocks: usize,
+    /// Kernel column of each (plane, root switch) pair — block `c / LANES`,
+    /// lane `c % LANES` — or `usize::MAX`.
+    column_of: Vec<usize>,
+    /// The block of each plane still taking columns.
+    open: Vec<Option<usize>>,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Plateau replays run on this thread (see [`Block::replay`]).
+    static REPLAYS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+impl Block {
+    /// Distances from every lane's root to every switch under weights `w`
+    /// (in [`InEdges`] order): Gauss–Seidel Bellman–Ford, sweeping the
+    /// switches in index order until a sweep lowers nothing. The fixpoint is
+    /// Dijkstra's distance bit for bit. Float addition is monotone and never
+    /// ends below its left operand, so Dijkstra settles each switch at the
+    /// least left fold `(…((0 + w₁) + w₂) …)` over all paths, and relaxing
+    /// in any order from +∞ ends at that same least value.
+    fn relax(&mut self, ins: &InEdges, w: &[f64]) {
+        let n = ins.start.len() - 1;
+        let Block {
+            roots,
+            dist,
+            parent,
+            ..
+        } = self;
+        dist.clear();
+        dist.resize(n, [f64::INFINITY; LANES]);
+        parent.clear();
+        parent.resize(n, [UNDERIVED; LANES]);
+        for (lane, &s) in roots.iter().enumerate() {
+            dist[s][lane] = 0.0;
+            parent[s][lane] = NO_PARENT;
+        }
+        loop {
+            let mut lowered = false;
+            for v in 0..n {
+                let (tails, ws) = (&ins.tail[ins.of(v)], &w[ins.of(v)]);
+                let mut d = dist[v];
+                for (&u, &wt) in tails.iter().zip(ws) {
+                    for (dl, &ul) in d.iter_mut().zip(&dist[u as usize]) {
+                        let nd = ul + wt;
+                        *dl = if nd < *dl { nd } else { *dl };
+                    }
+                }
+                lowered |= d.iter().zip(&dist[v]).any(|(new, old)| new < old);
+                dist[v] = d;
+            }
+            if !lowered {
+                return;
+            }
+        }
+    }
+
+    /// Derive the parents on the chain from switch `t` up to `lane`'s root,
+    /// stopping early at a switch already derived: its chain is too.
+    fn derive_chain(&mut self, ins: &InEdges, w: &[f64], lane: usize, t: usize) {
+        let (mut v, mut hops) = (t, 0);
+        while self.parent[v][lane] == UNDERIVED && self.dist[v][lane].is_finite() {
+            let pv = self.parent_of(ins, w, lane, v);
+            self.parent[v][lane] = pv;
+            v = (pv >> 32) as usize;
+            hops += 1;
+            debug_assert!(hops < self.dist.len(), "parent chains end at the root");
+        }
+    }
+
+    /// Dijkstra's parent of the reachable, non-root switch `v` in `lane`.
+    ///
+    /// Dijkstra keeps the first relaxation that reaches `v`'s final
+    /// distance, so its parent is the achiever — an edge `u → v` with
+    /// `dist[u] + w == dist[v]` — that pops first, and the least position
+    /// among that node's edges. Pops come in ascending `(dist bits, node)`
+    /// order, with one exception: within a plateau of equal distances, a
+    /// switch whose every achiever sits on the plateau itself (the edge's
+    /// weight is absorbed, `D + w == D`) joins the frontier only when one of
+    /// them pops, and may then pop after a higher-numbered switch. So the
+    /// least `(dist bits, u, position)` achiever is the parent unless
+    /// another node ties it on distance and the winner is such a switch;
+    /// then [`Block::replay`] reproduces the plateau's pops.
+    fn parent_of(&self, ins: &InEdges, w: &[f64], lane: usize, v: usize) -> u64 {
+        let dist = |x: u32| self.dist[x as usize][lane].to_bits();
+        let mut best: Option<(u64, usize)> = None;
+        let mut tie = false;
+        for e in ins.of(v).filter(|&e| self.achieves(ins, w, lane, e, v)) {
+            let du = dist(ins.tail[e]);
+            match best {
+                Some((bd, b)) if du > bd || (du == bd && ins.tail[e] == ins.tail[b]) => {}
+                Some((bd, _)) if du == bd => tie = true,
+                _ => (best, tie) = (Some((du, e)), false),
+            }
+        }
+        let (bd, b) = best.expect("invariant: a reachable switch has an achiever");
+        if tie && !self.entered(ins, w, lane, ins.tail[b] as usize) {
+            self.replay(ins, w, lane, v, bd)
+        } else {
+            ins.parent(b)
+        }
+    }
+
+    /// Whether edge `e`, into `v`, achieves `v`'s distance.
+    #[inline]
+    fn achieves(&self, ins: &InEdges, w: &[f64], lane: usize, e: usize, v: usize) -> bool {
+        let du = self.dist[ins.tail[e] as usize][lane];
+        du.is_finite() && (du + w[e]).to_bits() == self.dist[v][lane].to_bits()
+    }
+
+    /// Whether switch `u` is on Dijkstra's frontier at its distance before
+    /// any switch of that distance pops: it is the root, or an edge from a
+    /// strictly nearer switch achieves its distance.
+    fn entered(&self, ins: &InEdges, w: &[f64], lane: usize, u: usize) -> bool {
+        let du = self.dist[u][lane];
+        u == self.roots[lane]
+            || ins.of(u).any(|e| {
+                self.dist[ins.tail[e] as usize][lane] < du && self.achieves(ins, w, lane, e, u)
+            })
+    }
+
+    /// `v`'s parent among its achievers at distance bits `bd`, by replaying
+    /// Dijkstra's pops on that plateau: the frontier starts with the
+    /// plateau's [entered](Block::entered) switches, each pop takes the
+    /// least-numbered one, and a switch joins once an absorbed edge from a
+    /// popped one reaches it.
+    fn replay(&self, ins: &InEdges, w: &[f64], lane: usize, v: usize, bd: u64) -> u64 {
+        #[cfg(test)]
+        REPLAYS.with(|r| r.set(r.get() + 1));
+        let on = |x: usize| self.dist[x][lane].to_bits() == bd;
+        let plateau: Vec<usize> = (0..self.dist.len()).filter(|&x| on(x)).collect();
+        let mut rank = vec![usize::MAX; self.dist.len()];
+        for r in 0..plateau.len() {
+            let joined = |y: usize| {
+                self.entered(ins, w, lane, y)
+                    || ins.of(y).any(|e| {
+                        rank[ins.tail[e] as usize] < r && self.achieves(ins, w, lane, e, y)
+                    })
+            };
+            let Some(&x) = plateau
+                .iter()
+                .find(|&&y| rank[y] == usize::MAX && joined(y))
+            else {
+                break;
+            };
+            rank[x] = r;
+        }
+        let first = ins
+            .of(v)
+            .filter(|&e| on(ins.tail[e] as usize) && self.achieves(ins, w, lane, e, v))
+            .min_by_key(|&e| (rank[ins.tail[e] as usize], ins.pos[e]))
+            .expect("invariant: the tied achievers are on the plateau");
+        ins.parent(first)
+    }
+}
+
 struct AnyPathOracle {
     planes: Vec<PlaneGraph>,
+    /// Each plane's in-edges, for the tree kernel.
+    ins: Vec<InEdges>,
     /// Shape class of each plane: the lowest plane index with the same
     /// shape ([`PlaneGraph::same_shape`]). A homogeneous P-Net is one class.
     class: Vec<usize>,
@@ -936,6 +1191,7 @@ impl AnyPathOracle {
         let planes = PlaneGraph::build_all(net);
         let n_planes = planes.len();
         let class = pnet_routing::plane_graph::shape_classes(&planes);
+        let ins = planes.iter().map(InEdges::new).collect();
         let mut uplinks = Vec::with_capacity(net.n_hosts() * n_planes);
         for h in 0..net.n_hosts() {
             for p in 0..n_planes {
@@ -944,6 +1200,7 @@ impl AnyPathOracle {
         }
         AnyPathOracle {
             planes,
+            ins,
             class,
             uplinks,
             n_planes,
@@ -955,20 +1212,21 @@ impl AnyPathOracle {
         self.uplinks[h.index() * self.n_planes + p]
     }
 
-    /// Empty tree bundle sized for this oracle, to be filled by
-    /// [`AnyPathOracle::refresh_trees`].
-    fn empty_trees(&self) -> PlaneTrees {
-        let max_n = self
-            .planes
+    fn max_switches(&self) -> usize {
+        self.planes
             .iter()
             .map(|pg| pg.n_switches())
             .max()
-            .unwrap_or(0);
+            .unwrap_or(0)
+    }
+
+    /// Empty tree bundle sized for this oracle, to be filled by
+    /// [`AnyPathOracle::refresh`].
+    fn empty_trees(&self) -> PlaneTrees {
+        let max_n = self.max_switches();
         PlaneTrees {
             bufs: vec![(vec![f64::INFINITY; max_n], vec![NO_PARENT; max_n]); self.n_planes],
             of: (0..self.n_planes).collect(),
-            frontier: vec![0; max_n.div_ceil(64)],
-            mask: vec![false; max_n],
             valid: vec![false; self.planes.len()],
             built: 0,
             shared: 0,
@@ -976,37 +1234,39 @@ impl AnyPathOracle {
         }
     }
 
-    /// Gather `length` into per-plane CSR-edge-order weight arrays. Every
-    /// same-phase Dijkstra (one per source) then reads its relaxation weight
-    /// at the CSR position it is already walking, instead of chasing
-    /// `length[link.index()]` — one gather per plane per phase, shared by
-    /// all sources. Values are copied verbatim, so sums are bit-identical.
-    /// Planes whose `dirty` flag is unset kept their previous weights and
-    /// are skipped.
+    /// Gather `length` into per-plane weight arrays in [`InEdges`] order.
+    /// Every kernel block of a phase then streams the weights beside the
+    /// edges it walks instead of chasing `length[link.index()]` — one gather
+    /// per plane per phase, shared by all sources. Values are copied
+    /// verbatim, so sums are bit-identical. Planes whose `dirty` flag is
+    /// unset kept their previous weights and are skipped.
     fn edge_weights(&self, length: &[f64], dirty: &[bool], out: &mut Vec<Vec<f64>>) {
         out.resize(self.planes.len(), Vec::new());
-        for ((pg, w), _) in self
-            .planes
-            .iter()
+        for (((pg, ins), w), _) in (self.planes.iter().zip(&self.ins))
             .zip(out.iter_mut())
             .zip(dirty)
             .filter(|&(_, &d)| d)
         {
-            pg.gather_weights(length, w);
+            w.clear();
+            w.extend(
+                ins.pos
+                    .iter()
+                    .map(|&pos| length[pg.link_at(pos as usize).index()]),
+            );
         }
     }
 
     /// For every dirty plane `p`, name a plane `q` whose trees `p` may share
-    /// instead of running Dijkstra: `q` has `p`'s shape, holds a snapshot
+    /// instead of building its own: `q` has `p`'s shape, holds a snapshot
     /// equal to `p`'s in every bit, and its trees are current for that
     /// snapshot — `q` is clean, or `q < p` and so refreshed before `p` in
-    /// the same pass. Sharing is exact: a plane's Dijkstra is a function of
-    /// (shape, CSR-order weights, source ToR, targets) — it pops in `(dist
-    /// bits, dense node)` order, relaxes in CSR row order, and compares no
-    /// link id — so equal inputs give equal distances and equal parent
+    /// the same pass. Sharing is exact: a plane's tree is a function of
+    /// (shape, CSR-order weights, source ToR) — distances are least path
+    /// sums, parents follow pop order and CSR position, and no link id is
+    /// compared — so equal inputs give equal distances and equal parent
     /// *positions*, and a tree `q` kept rather than rebuilt is observably a
-    /// rebuilt one (see [`AnyPathOracle::refresh_trees`]). Planes that differ
-    /// in shape or lengths (heterogeneous fabrics, a failed cable, a warm
+    /// rebuilt one (see [`AnyPathOracle::plan`]). Planes that differ in
+    /// shape or lengths (heterogeneous fabrics, a failed cable, a warm
     /// start) find no sibling at the cost of one short-circuited compare.
     fn siblings(&self, weights: &[Vec<f64>], dirty: &[bool], out: &mut Vec<Option<usize>>) {
         let n = self.planes.len();
@@ -1025,31 +1285,100 @@ impl AnyPathOracle {
         }));
     }
 
-    /// Dijkstra from `src`'s ToR in every plane under per-plane CSR-order
-    /// `weights` (see [`AnyPathOracle::edge_weights`]), refreshing `out` in
-    /// place.
+    /// Refresh every source's trees (`trees[i]` is source `i`'s) for the
+    /// phase-start weights in `snap`, in three steps:
     ///
-    /// The frontier is a bitset, one bit per dense switch, keyed by `dist`.
-    /// A pop scans the set bits in ascending node order and keeps a node
-    /// only when its distance bits are strictly smaller, which yields the
-    /// least `(dist bits, node)`: the order an indexed heap on distance bits
-    /// pops in (non-negative floats order like their bit patterns). The
-    /// settle order, every relaxation, parent and early stop are therefore a
-    /// heap's, with no sift and no position index.
-    ///
-    /// `targets` are the destination racks the caller will read out of the
-    /// trees (via [`AnyPathOracle::best_route_into`]): each plane's Dijkstra
-    /// stops as soon as every target is settled. A target's distance and the
-    /// parent pointers along its shortest path are final at settle time, so
-    /// every value the caller can observe is identical to a full run — only
-    /// relaxations of never-read nodes are skipped. An empty `targets` slice
-    /// settles everything.
-    ///
-    /// Parents are *not* cleared between refreshes: every node on a
-    /// backtracked path was improved (and its parent overwritten) during
-    /// this refresh before its settle, except the root, whose distance 0.0
-    /// no relaxation can beat — so only the root's sentinel is written.
-    /// Stale parents of nodes off the returned paths are never read.
+    /// 1. [`AnyPathOracle::plan`] decides, source by source, which dirty
+    ///    planes keep, share or build their tree, and queues each build.
+    /// 2. Each plane gets one kernel column per distinct source ToR among
+    ///    its builds — the hosts of a rack share one — and each block of up
+    ///    to [`LANES`] columns runs [`Block::relax`], then derives the
+    ///    parents on its sources' chains, root → each target, by
+    ///    [`Block::derive_chain`]. Blocks are independent, so they fan out
+    ///    under `par`.
+    /// 3. Each build copies its column's distances and parents into its
+    ///    buffer. Parents off the chains are stale and never read: the routes
+    ///    and the kept check follow target chains only.
+    fn refresh(
+        &self,
+        net: &Network,
+        sources: &Sources,
+        snap: Snapshot<'_>,
+        trees: &mut [PlaneTrees],
+        kernel: &mut TreeKernel,
+        par: Parallelism,
+    ) {
+        let TreeKernel {
+            builds,
+            blocks,
+            n_blocks,
+            column_of,
+            open,
+        } = kernel;
+        builds.clear();
+        for (source, t) in trees.iter_mut().enumerate() {
+            self.plan(&sources.targets[source], snap, t, |plane, buf| {
+                builds.push(Build { plane, source, buf })
+            });
+        }
+        let max_n = self.max_switches();
+        column_of.clear();
+        column_of.resize(self.n_planes * max_n, usize::MAX);
+        open.clear();
+        open.resize(self.n_planes, None);
+        *n_blocks = 0;
+        for &b in builds.iter() {
+            let root = self.planes[b.plane].tor(net.rack_of_host(sources.hosts[b.source]));
+            let column = &mut column_of[b.plane * max_n + root];
+            if *column == usize::MAX {
+                let k = match open[b.plane] {
+                    Some(k) if blocks[k].roots.len() < LANES => k,
+                    _ => {
+                        if blocks.len() == *n_blocks {
+                            blocks.push(Block::default());
+                        }
+                        let fresh = &mut blocks[*n_blocks];
+                        fresh.plane = b.plane;
+                        fresh.roots.clear();
+                        fresh.members.clear();
+                        open[b.plane] = Some(*n_blocks);
+                        *n_blocks += 1;
+                        *n_blocks - 1
+                    }
+                };
+                *column = k * LANES + blocks[k].roots.len();
+                blocks[k].roots.push(root);
+            }
+            blocks[*column / LANES].members.push((*column % LANES, b));
+        }
+        par.update_indexed(&mut blocks[..*n_blocks], |_, k| {
+            let (pg, ins, w) = (
+                &self.planes[k.plane],
+                &self.ins[k.plane],
+                &snap.weights[k.plane],
+            );
+            k.relax(ins, w);
+            for m in 0..k.members.len() {
+                let (lane, b) = k.members[m];
+                for &r in &sources.targets[b.source] {
+                    k.derive_chain(ins, w, lane, pg.tor(r));
+                }
+            }
+        });
+        for k in &blocks[..*n_blocks] {
+            for &(lane, b) in &k.members {
+                let (dist, parent) = &mut trees[b.source].bufs[b.buf];
+                let columns = k.dist.iter().zip(&k.parent);
+                for ((d, p), (dk, pk)) in dist.iter_mut().zip(parent.iter_mut()).zip(columns) {
+                    (*d, *p) = (dk[lane], pk[lane]);
+                }
+            }
+        }
+    }
+
+    /// Decide what each plane's tree in the bundle `out` of a source with
+    /// `targets` does this refresh, and hand every tree to build, with the
+    /// buffer it goes to, to `queue`.
     ///
     /// Planes whose `dirty` flag is unset are skipped entirely: their
     /// weights match the previous refresh, so the (dist, parent) arrays
@@ -1058,50 +1387,42 @@ impl AnyPathOracle {
     /// Within a dirty plane, `grown[p]` (a bitset over link ids: the links
     /// whose length grew since the plane's last gather) refines the skip to
     /// *per source*: if none of this source's recorded shortest-path chains
-    /// (root → each target) traverses a grown link, the Dijkstra is skipped
-    /// and the arrays are kept. This is exact, not approximate: lengths only
-    /// grow within a solve, so the recorded chains — untouched by the delta
-    /// — still achieve their old distances while every other path can only
-    /// have gotten longer; the targets' distances are therefore unchanged.
-    /// Parents are also reproduced bit-for-bit by a hypothetical re-run: a
-    /// rival same-distance achiever would have to pop no later than the
-    /// recorded parent to displace it, but growth can only move rivals'
-    /// keys (and hence their pops) later, never earlier. Only the stale
-    /// never-read remainder of the arrays differs from a re-run.
+    /// (root → each target) traverses a grown link, the tree is kept. This
+    /// is exact, not approximate: lengths only grow within a solve, so the
+    /// recorded chains — untouched by the delta — still achieve their old
+    /// distances while every other path can only have gotten longer; the
+    /// targets' distances are therefore unchanged. Parents are also
+    /// reproduced bit-for-bit by a rebuild: a rival same-distance achiever
+    /// would have to pop no later than the recorded parent to displace it,
+    /// but growth can only move rivals' keys (and hence their pops) later,
+    /// never earlier. Only the stale never-read remainder of the arrays
+    /// differs from a rebuild.
     ///
     /// A dirty plane whose tree is not kept takes plane `sibling[p]`'s
-    /// buffer when there is one (see [`AnyPathOracle::siblings`]), and runs
-    /// Dijkstra otherwise.
-    #[allow(clippy::too_many_arguments)]
-    fn refresh_trees(
+    /// buffer when there is one (see [`AnyPathOracle::siblings`]), and is
+    /// built otherwise.
+    fn plan(
         &self,
-        net: &Network,
-        src: HostId,
         targets: &[RackId],
-        weights: &[Vec<f64>],
-        dirty: &[bool],
-        sibling: &[Option<usize>],
-        grown: &[Vec<u64>],
+        snap: Snapshot<'_>,
         out: &mut PlaneTrees,
+        mut queue: impl FnMut(usize, usize),
     ) {
-        let rack = net.rack_of_host(src);
         let PlaneTrees {
             bufs,
             of,
-            frontier,
-            mask,
             valid,
             built,
             shared,
             kept,
         } = out;
         for (p, pg) in self.planes.iter().enumerate() {
-            if !dirty[p] {
+            if !snap.dirty[p] {
                 continue;
             }
             if valid[p] {
                 let (dist, parent) = &bufs[of[p]];
-                let g = &grown[p];
+                let g = &snap.grown[p];
                 let hit = targets.iter().any(|&r| {
                     let t = pg.tor(r);
                     if dist[t].is_infinite() {
@@ -1126,7 +1447,7 @@ impl AnyPathOracle {
                 }
             }
             valid[p] = true;
-            if let Some(q) = sibling[p].filter(|&q| valid[q]) {
+            if let Some(q) = snap.sibling[p].filter(|&q| valid[q]) {
                 of[p] = of[q];
                 *shared += 1;
                 continue;
@@ -1138,72 +1459,7 @@ impl AnyPathOracle {
                     .find(|b| !of.contains(b))
                     .expect("invariant: a shared buffer leaves one of the n buffers unheld");
             }
-            let n = pg.n_switches();
-            let (dist, parent) = &mut bufs[of[p]];
-            let dist = &mut dist[..n];
-            let w = &weights[p];
-            let s = pg.tor(rack);
-            let mut remaining = 0usize;
-            for &r in targets {
-                let t = pg.tor(r);
-                if !mask[t] {
-                    mask[t] = true;
-                    remaining += 1;
-                }
-            }
-            let early = !targets.is_empty();
-            dist.fill(f64::INFINITY);
-            dist[s] = 0.0;
-            parent[s] = NO_PARENT;
-            let front = &mut frontier[..n.div_ceil(64)];
-            front.fill(0);
-            front[s >> 6] = 1 << (s & 63);
-            loop {
-                // Pop the least (dist bits, node).
-                let (mut u, mut du) = (usize::MAX, u64::MAX);
-                for (i, &word) in front.iter().enumerate() {
-                    let mut bits = word;
-                    while bits != 0 {
-                        let v = (i << 6) | bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        let dv = dist[v].to_bits();
-                        if dv < du {
-                            (u, du) = (v, dv);
-                        }
-                    }
-                }
-                if u == usize::MAX {
-                    break;
-                }
-                front[u >> 6] &= !(1 << (u & 63));
-                if early && mask[u] {
-                    mask[u] = false;
-                    remaining -= 1;
-                    if remaining == 0 {
-                        break;
-                    }
-                }
-                let d = f64::from_bits(du);
-                let row = pg.neighbors(u);
-                let start = pg.row_start(u);
-                let wrow = &w[start..start + row.len()];
-                for (j, (&(v, _), &wt)) in row.iter().zip(wrow).enumerate() {
-                    let v = v as usize;
-                    let nd = d + wt;
-                    if nd < dist[v] {
-                        dist[v] = nd;
-                        parent[v] = ((u as u64) << 32) | (start + j) as u64;
-                        front[v >> 6] |= 1 << (v & 63);
-                    }
-                }
-            }
-            // Unreachable targets never pop: clear their marks for the next
-            // plane/refresh.
-            if remaining > 0 {
-                for &r in targets {
-                    mask[pg.tor(r)] = false;
-                }
-            }
+            queue(p, of[p]);
         }
     }
 
@@ -1641,8 +1897,17 @@ mod tests {
         assert!(warm.length[cable.index()].is_finite());
     }
 
+    /// `src` alone, reading `targets`, grouped as a solve groups sources.
+    fn one_source(src: HostId, targets: &[RackId]) -> Sources {
+        Sources {
+            hosts: vec![src],
+            commodities: vec![Vec::new()],
+            targets: vec![targets.to_vec()],
+        }
+    }
+
     /// Source-0 bundle on `net` under `length`, with tree sharing as the
-    /// oracle decides it (`share`) or with Dijkstra in every plane.
+    /// oracle decides it (`share`) or with a build in every plane.
     fn bundle(oracle: &AnyPathOracle, net: &Network, length: &[f64], share: bool) -> PlaneTrees {
         let all = vec![true; oracle.planes.len()];
         let targets: Vec<RackId> = (1..net.n_racks() as u32).map(RackId).collect();
@@ -1653,7 +1918,22 @@ mod tests {
             sibling.fill(None);
         }
         let mut t = oracle.empty_trees();
-        oracle.refresh_trees(net, HostId(0), &targets, &w, &all, &sibling, &[], &mut t);
+        let snap = Snapshot {
+            weights: &w,
+            dirty: &all,
+            sibling: &sibling,
+            grown: &[],
+        };
+        let (sources, serial) = (one_source(HostId(0), &targets), Parallelism::Serial);
+        let mut kernel = TreeKernel::default();
+        oracle.refresh(
+            net,
+            &sources,
+            snap,
+            std::slice::from_mut(&mut t),
+            &mut kernel,
+            serial,
+        );
         t
     }
 
@@ -1714,65 +1994,86 @@ mod tests {
         links
     }
 
-    /// Dijkstra's answer from `s` by definition, for weights no sum absorbs
-    /// (`d + w > d`, so pops come in strictly ascending (dist bits, node)
-    /// order): each switch's least path sum, by Bellman–Ford to a fixpoint,
-    /// and as its parent the first achiever in (dist bits, node, CSR
-    /// position) order.
-    fn reference_tree(pg: &PlaneGraph, w: &[f64], s: usize) -> PlaneTree {
+    /// Dijkstra from switch `s` under CSR-order weights `w`, stopping once
+    /// every switch of `targets` has popped (never, when it is empty): the
+    /// solver's tree builder before the blocked Bellman–Ford replaced it,
+    /// kept as the oracle the kernel must match. The frontier is a bitset,
+    /// and a pop takes the least `(dist bits, switch)` — a heap's order.
+    fn dijkstra(pg: &PlaneGraph, w: &[f64], s: usize, targets: &[usize]) -> PlaneTree {
         let n = pg.n_switches();
-        let edges: Vec<(usize, usize, usize)> = (0..n)
-            .flat_map(|u| {
-                let start = pg.row_start(u);
-                let row = pg.neighbors(u).iter().enumerate();
-                row.map(move |(j, &(v, _))| (u, v as usize, start + j))
-            })
-            .collect();
-        let mut dist = vec![f64::INFINITY; n];
+        let (mut dist, mut parent) = (vec![f64::INFINITY; n], vec![NO_PARENT; n]);
+        let mut mask = vec![false; n];
+        let mut remaining = 0usize;
+        for &t in targets {
+            if !mask[t] {
+                mask[t] = true;
+                remaining += 1;
+            }
+        }
         dist[s] = 0.0;
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &(u, v, pos) in &edges {
-                if dist[u] + w[pos] < dist[v] {
-                    dist[v] = dist[u] + w[pos];
-                    changed = true;
+        let mut front = vec![0u64; n.div_ceil(64)];
+        front[s >> 6] = 1 << (s & 63);
+        loop {
+            let (mut u, mut du) = (usize::MAX, u64::MAX);
+            for (i, &word) in front.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let v = (i << 6) | bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    if dist[v].to_bits() < du {
+                        (u, du) = (v, dist[v].to_bits());
+                    }
+                }
+            }
+            if u == usize::MAX {
+                return (dist, parent);
+            }
+            front[u >> 6] &= !(1 << (u & 63));
+            if mask[u] {
+                remaining -= 1;
+                if remaining == 0 {
+                    return (dist, parent);
+                }
+            }
+            let start = pg.row_start(u);
+            for (j, &(v, _)) in pg.neighbors(u).iter().enumerate() {
+                let (v, nd) = (v as usize, f64::from_bits(du) + w[start + j]);
+                if nd < dist[v] {
+                    dist[v] = nd;
+                    parent[v] = ((u as u64) << 32) | (start + j) as u64;
+                    front[v >> 6] |= 1 << (v & 63);
                 }
             }
         }
-        let mut parent = vec![NO_PARENT; n];
-        let mut first = vec![(u64::MAX, 0, 0); n];
-        for &(u, v, pos) in &edges {
-            let key = (dist[u].to_bits(), u, pos);
-            let achieves = (dist[u] + w[pos]).to_bits() == dist[v].to_bits();
-            if v != s && dist[u].is_finite() && achieves && key < first[v] {
-                first[v] = key;
-                parent[v] = ((u as u64) << 32) | pos as u64;
-            }
-        }
-        (dist, parent)
     }
 
+    /// The kernel against [`dijkstra`] where sums absorb (`d + w == d`):
+    /// there a plateau's pops leave index order, and only the replay finds
+    /// the parents. Planes of 2 to 200 switches with failed cables; 1, 7, 8,
+    /// 9 and 17 source racks, so blocks fill, spill and run part-empty; the
+    /// hosts of a rack share a column, the even ones reading every rack and
+    /// the odd ones three; one kernel for every refresh, as in a solve.
     #[test]
-    fn refresh_trees_matches_bellman_ford_on_one_to_four_frontier_words() {
+    fn tree_kernel_matches_dijkstra_where_sums_absorb() {
         use pnet_topology::failures;
-        use rand::{rngs::StdRng, RngExt, SeedableRng};
+        use rand::{rngs::StdRng, seq::SliceRandom, RngExt, SeedableRng};
         let mut rng = StdRng::seed_from_u64(5);
-        // (switches, degree), on both sides of every frontier word boundary.
-        for (n, degree) in [
-            (2, 1),
-            (3, 2),
-            (9, 4),
-            (63, 4),
-            (64, 3),
-            (65, 4),
-            (128, 3),
-            (129, 4),
-            (193, 4),
-            (200, 3),
+        let mut kernel = TreeKernel::default();
+        let replays = REPLAYS.with(|r| r.get());
+        // (switches, degree, hosts per rack)
+        for (n, degree, hosts) in [
+            (2, 1, 3),
+            (3, 2, 2),
+            (9, 4, 3),
+            (17, 4, 2),
+            (40, 5, 3),
+            (64, 3, 1),
+            (65, 4, 2),
+            (129, 4, 1),
+            (200, 3, 1),
         ] {
             let mut net = assemble_homogeneous(
-                &Jellyfish::new(n, degree, 1, n as u64),
+                &Jellyfish::new(n, degree, hosts, n as u64),
                 1,
                 &LinkProfile::paper_default(),
             );
@@ -1783,45 +2084,81 @@ mod tests {
             }
             let oracle = AnyPathOracle::new(&net);
             let pg = &oracle.planes[0];
+            let racks: Vec<RackId> = (0..n as u32).map(RackId).collect();
             // All-equal weights make every comparison a tie, small integers
-            // tie often, the rest are generic; even rounds settle every
-            // switch, odd rounds stop at three targets.
-            for round in 0..6 {
+            // tie often, log-uniform ones rarely; the last two absorb.
+            for mix in 0..5 {
                 let length: Vec<f64> = (0..net.n_links())
-                    .map(|_| match round % 3 {
+                    .map(|_| match mix {
                         0 => 1.0,
                         1 => rng.random_range(1u32..4) as f64,
-                        _ => rng.random_range(1e-9..1.0),
+                        2 => 10f64.powf(rng.random_range(-40.0..0.0)),
+                        3 => [1e-30, 1.0][rng.random_range(0..2usize)],
+                        _ => [1e-30, 1.0, 2.0][rng.random_range(0..3usize)],
                     })
                     .collect();
-                let targets: Vec<RackId> = match round % 2 {
-                    0 => Vec::new(),
-                    _ => (0..3)
-                        .map(|_| RackId(rng.random_range(0..n as u32)))
-                        .collect(),
-                };
-                let src = HostId(rng.random_range(0..n as u32));
-                let (mut w, mut t) = (Vec::new(), oracle.empty_trees());
+                let csr: Vec<f64> = (0..pg.n_directed_links())
+                    .map(|pos| length[pg.link_at(pos).index()])
+                    .collect();
+                let (mut w, mut sibling) = (Vec::new(), Vec::new());
                 oracle.edge_weights(&length, &[true], &mut w);
-                oracle.refresh_trees(&net, src, &targets, &w, &[true], &[None], &[], &mut t);
-                let s = pg.tor(net.rack_of_host(src));
-                let (want_dist, want_parent) = reference_tree(pg, &w[0], s);
-                let (dist, parent) = t.tree(0);
-                let read: Vec<usize> = match targets.len() {
-                    0 => (0..n).collect(),
-                    _ => targets.iter().map(|&r| pg.tor(r)).collect(),
-                };
-                for v in read {
-                    let at = format!("{n} switches, round {round}, switch {v}");
-                    assert_eq!(dist[v].to_bits(), want_dist[v].to_bits(), "{at}");
-                    let mut cur = v;
-                    while dist[cur].is_finite() && cur != s {
-                        assert_eq!(parent[cur], want_parent[cur], "{at}, via {cur}");
-                        cur = (parent[cur] >> 32) as usize;
+                oracle.siblings(&w, &[true], &mut sibling);
+                for columns in [1, 7, 8, 9, 17] {
+                    let mut chosen = racks.clone();
+                    chosen.shuffle(&mut rng);
+                    chosen.truncate(columns);
+                    let mut sources = Sources {
+                        hosts: Vec::new(),
+                        commodities: Vec::new(),
+                        targets: Vec::new(),
+                    };
+                    let in_rack = |h: &u32, r| net.rack_of_host(HostId(*h)) == r;
+                    for &r in &chosen {
+                        for h in (0..net.n_hosts() as u32).filter(|h| in_rack(h, r)) {
+                            let targets = match h % 2 {
+                                0 => racks.clone(),
+                                _ => (0..3).map(|_| racks[rng.random_range(0..n)]).collect(),
+                            };
+                            sources.hosts.push(HostId(h));
+                            sources.commodities.push(Vec::new());
+                            sources.targets.push(targets);
+                        }
+                    }
+                    let mut trees: Vec<PlaneTrees> =
+                        sources.hosts.iter().map(|_| oracle.empty_trees()).collect();
+                    let snap = Snapshot {
+                        weights: &w,
+                        dirty: &[true],
+                        sibling: &sibling,
+                        grown: &[],
+                    };
+                    let serial = Parallelism::Serial;
+                    oracle.refresh(&net, &sources, snap, &mut trees, &mut kernel, serial);
+                    for (si, t) in trees.iter().enumerate() {
+                        assert_eq!(t.built, 1);
+                        let s = pg.tor(net.rack_of_host(sources.hosts[si]));
+                        let read: Vec<usize> =
+                            sources.targets[si].iter().map(|&r| pg.tor(r)).collect();
+                        let (want_dist, want_parent) = dijkstra(pg, &csr, s, &read);
+                        let (dist, parent) = t.tree(0);
+                        for &v in &read {
+                            let at =
+                                format!("{n} switches, mix {mix}, {columns} columns, switch {v}");
+                            assert_eq!(dist[v].to_bits(), want_dist[v].to_bits(), "{at}");
+                            let mut cur = v;
+                            while dist[cur].is_finite() && cur != s {
+                                assert_eq!(parent[cur], want_parent[cur], "{at}, via {cur}");
+                                cur = (parent[cur] >> 32) as usize;
+                            }
+                        }
                     }
                 }
             }
         }
+        assert!(
+            REPLAYS.with(|r| r.get()) > replays,
+            "no plateau was replayed"
+        );
     }
 
     /// A plane that took a sibling's tree keeps it when the sibling is
@@ -1847,11 +2184,18 @@ mod tests {
             }
         }
         let (mut w, mut sibling, mut t) = (Vec::new(), Vec::new(), oracle.empty_trees());
+        let (sources, mut kernel) = (one_source(HostId(0), &targets), TreeKernel::default());
         let mut refresh = |length: &[f64], dirty: &[bool], grown: &[Vec<u64>]| {
             oracle.edge_weights(length, dirty, &mut w);
             oracle.siblings(&w, dirty, &mut sibling);
-            let src = HostId(0);
-            oracle.refresh_trees(&net, src, &targets, &w, dirty, &sibling, grown, &mut t);
+            let snap = Snapshot {
+                weights: &w,
+                dirty,
+                sibling: &sibling,
+                grown,
+            };
+            let (trees, serial) = (std::slice::from_mut(&mut t), Parallelism::Serial);
+            oracle.refresh(&net, &sources, snap, trees, &mut kernel, serial);
             (t.built, t.shared, t.of.clone())
         };
         assert_eq!(refresh(&length, &[true, true], &[]), (1, 1, vec![0, 0]));

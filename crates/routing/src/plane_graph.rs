@@ -165,22 +165,11 @@ impl PlaneGraph {
     }
 
     /// Offset of `dense`'s first CSR entry: `neighbors(dense)[j]` sits at
-    /// flat position `row_start(dense) + j` in any array laid out in packed
-    /// CSR order (e.g. a weight array built by
-    /// [`PlaneGraph::gather_weights`]).
+    /// flat position `row_start(dense) + j`, the position
+    /// [`PlaneGraph::link_at`] takes.
     #[inline]
     pub fn row_start(&self, dense: usize) -> usize {
         self.offsets[dense] as usize
-    }
-
-    /// Gather per-link weights into packed CSR order: `out[i]` becomes the
-    /// weight of the `i`-th packed adjacency entry's link. Weighted
-    /// traversals that would otherwise chase `weight[link.index()]` per
-    /// relaxation can instead stream the row they are already walking; the
-    /// values are copied verbatim, so results are bit-identical.
-    pub fn gather_weights(&self, weight: &[f64], out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(self.packed.iter().map(|&(_, l)| weight[l.index()]));
     }
 
     /// Link of the packed CSR entry at flat position `pos` (see

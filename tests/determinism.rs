@@ -190,11 +190,15 @@ fn serial_and_parallel_mcf_solutions_are_bit_identical() {
 fn serial_and_parallel_anypath_mcf_agree() {
     use pnet::flowsim::mcf::{self, McfOptions, PathMode};
     use pnet::routing::Parallelism;
-    // The 16-ToR fabric is the historical case; a phase there has almost no
-    // work to mis-order. At 64 ToRs and 4 planes the first phase refreshes
-    // 256 trees and a later one the 64 of its one stale plane — Dijkstras in
-    // one phase of four, copies in the rest — which is the uneven work the
-    // pool's claimed blocks interleave.
+    // The pool's unit is a kernel block: up to eight source ToRs of one
+    // plane. The 16-ToR permutation is the historical case; a phase there
+    // has almost no work to mis-order. At 64 ToRs and 4 planes the first
+    // phase builds 256 trees and a later one the 64 of its one stale plane —
+    // eight blocks in one phase of four, copies in the rest — which is the
+    // uneven work the pool's claimed blocks interleave. The heterogeneous
+    // all-to-all shares nothing: a phase runs up to two blocks in each of
+    // its four planes, two hosts to a column, with free host links as in
+    // Fig 7.
     let wide = PNetSpec::new(
         TopologyKind::Jellyfish {
             n_tors: 64,
@@ -205,9 +209,13 @@ fn serial_and_parallel_anypath_mcf_agree() {
         4,
         7,
     );
-    for (spec, hosts, eps) in [(two_plane_spec(), 32, 0.1), (wide, 64, 0.3)] {
+    let permutation = |hosts| commodity::permutation(&tm::random_permutation(hosts, 13));
+    for (spec, c, eps, host_links_free, shares) in [
+        (two_plane_spec(), permutation(32), 0.1, false, true),
+        (wide, permutation(64), 0.3, false, true),
+        (spec(), commodity::all_to_all(32), 0.3, true, false),
+    ] {
         let net = spec.build().net;
-        let c = commodity::permutation(&tm::random_permutation(hosts, 13));
         let solve = |par: Parallelism| {
             mcf::solve_with_options(
                 &net,
@@ -215,13 +223,14 @@ fn serial_and_parallel_anypath_mcf_agree() {
                 &PathMode::AnyPath,
                 eps,
                 McfOptions {
+                    host_links_free,
                     parallelism: par,
-                    ..Default::default()
                 },
             )
         };
         let a = solve(Parallelism::Serial);
         let b = solve(Parallelism::Rayon);
+        let hosts = net.n_hosts();
         let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
         assert_eq!(a.lambda.to_bits(), b.lambda.to_bits(), "{hosts} hosts");
         assert_eq!(a.phases, b.phases, "{hosts} hosts");
@@ -230,7 +239,7 @@ fn serial_and_parallel_anypath_mcf_agree() {
         assert_eq!(bits(&a.length), bits(&b.length), "{hosts} hosts");
         let trees = |s: &mcf::McfSolution| (s.trees_built, s.trees_shared, s.trees_kept);
         assert_eq!(trees(&a), trees(&b), "{hosts} hosts");
-        assert!(a.trees_shared > 0, "{hosts} hosts");
+        assert_eq!(a.trees_shared > 0, shares, "{hosts} hosts");
     }
 }
 

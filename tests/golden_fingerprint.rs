@@ -184,16 +184,17 @@ fn gk_mcf_lambda_fingerprint_is_stable() {
         "GK solve changed (lambda {} over {} phases)",
         sol.lambda, sol.phases
     );
-    // Before planes shared trees this solve ran 32 464 Dijkstras in its phase
+    // Before planes shared trees this solve built 32 464 trees in its phase
     // loop, one per source and stale plane. The refreshes are the same ones;
     // some are now copies of the twin plane's tree.
     assert_eq!(sol.trees_built + sol.trees_shared + sol.trees_kept, 32_464);
     assert!(sol.trees_shared > 0 && sol.trees_built < 32_464);
 }
 
-/// The same solve on planes of 96 switches, where every Dijkstra frontier
-/// spans two 64-bit words; the pins above stop at 64. About 7 s in a debug
-/// build.
+/// The same solve on planes of 96 switches, past the 64 the pins above stop
+/// at; its 96 sources fill twelve kernel blocks per plane. Minted when the
+/// trees came from a Dijkstra whose frontier spanned two 64-bit words. About
+/// 7 s in a debug build.
 #[test]
 fn gk_mcf_lambda_above_one_frontier_word_is_stable() {
     let (sol, digest) = gk_permutation_fingerprint(96, 6);
@@ -211,9 +212,9 @@ fn gk_mcf_lambda_above_one_frontier_word_is_stable() {
 /// `pipeline_cold`'s seed-1 instance at full size: what the benchmark's
 /// `PINNED` phase count is made of. Phase 1 refreshes all 256 trees, each of
 /// the other 8 940 the 64 trees of its one stale plane — 572 416 refreshes,
-/// every one a Dijkstra before planes shared trees. Three planes of four
-/// find the rotation's previous plane holding their lengths. About 3 s in a
-/// debug build.
+/// every one a build before planes shared trees. Three planes of four find
+/// the rotation's previous plane holding their lengths. About 3 s in a debug
+/// build.
 #[test]
 fn full_size_cold_solve_shares_three_trees_of_four() {
     let net = assemble_homogeneous(
@@ -228,6 +229,51 @@ fn full_size_cold_solve_shares_three_trees_of_four() {
     assert_eq!(
         (sol.trees_built, sol.trees_shared, sol.trees_kept),
         (143_104, 429_312, 0)
+    );
+}
+
+/// Fig 7's path, which the permutation pins above never take: differently
+/// wired planes, several hosts per ToR, all-to-all demand and free host
+/// links, then a warm re-solve after one fabric cable fails. Each solve's
+/// digest also holds its three tree counters.
+#[test]
+fn gk_heterogeneous_all_to_all_fingerprint_is_stable() {
+    use pnet::topology::{failures, parallel, NetworkClass};
+    let mut net = parallel::jellyfish_network(
+        NetworkClass::ParallelHeterogeneous,
+        Jellyfish::new(16, 4, 2, 0),
+        3,
+        5,
+        &LinkProfile::paper_default(),
+    );
+    let c = commodity::all_to_all(32);
+    let opts = mcf::McfOptions {
+        host_links_free: true,
+        parallelism: Parallelism::Serial,
+    };
+    let cold = mcf::try_solve(&net, &c, &mcf::PathMode::AnyPath, 0.1, opts).expect("solves");
+    let cable = failures::fabric_cables(&net, Some(PlaneId(1)))[3];
+    failures::fail_cable(&mut net, cable);
+    let warm =
+        mcf::try_solve_warm(&net, &c, &mcf::PathMode::AnyPath, 0.1, &cold).expect("re-solves");
+    let mut h = Fnv::new();
+    for sol in [&cold, &warm] {
+        h.u64(solution_digest(sol));
+        for n in [sol.trees_built, sol.trees_shared, sol.trees_kept] {
+            h.u64(n);
+        }
+    }
+    assert_eq!(
+        h.0,
+        GOLDEN_GK_HETERO_ALL_TO_ALL,
+        "heterogeneous all-to-all GK changed (cold lambda {} over {} phases, trees {:?}; \
+         warm lambda {} over {} phases, trees {:?})",
+        cold.lambda,
+        cold.phases,
+        (cold.trees_built, cold.trees_shared, cold.trees_kept),
+        warm.lambda,
+        warm.phases,
+        (warm.trees_built, warm.trees_shared, warm.trees_kept),
     );
 }
 
@@ -491,11 +537,16 @@ const GOLDEN_FAT_TREE_KSP: u64 = 11144640133350879781;
 // lambda 199901380670.61145 over 2028 phases.
 const GOLDEN_GK_LAMBDA: u64 = 2946497110374994333;
 // lambda 199857549857.54987 over 2807 phases, minted with the 4-ary heap
-// Dijkstra the bitset frontier replaced.
+// Dijkstra that a bitset-frontier Dijkstra and then the blocked Bellman–Ford
+// replaced.
 const GOLDEN_GK_LAMBDA_96: u64 = 15002067845247366420;
 // Minted before Explicit routes became one flat table and before the cold
 // and warm solves shared one body.
 const GOLDEN_GK_KSP: u64 = 6197694358928288419;
+// Cold: lambda 12590945836.701698 over 1247 phases, trees (119712, 0, 0);
+// warm: lambda 9441233140.655071 over 77 phases, trees (7392, 0, 0). Minted
+// with the per-source Dijkstra that the blocked Bellman–Ford replaced.
+const GOLDEN_GK_HETERO_ALL_TO_ALL: u64 = 17101496976981860298;
 const GOLDEN_ECMP_MAXMIN: u64 = 13167328887666313324;
 // Pinned by the pre-calendar-queue BinaryHeap engine; the calendar/arena
 // engine must reproduce it bit-for-bit.
