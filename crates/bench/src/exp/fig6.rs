@@ -35,7 +35,7 @@ fn run(args: &Args, out: &mut dyn Write) -> Result<(), Error> {
     let seed: u64 = args.get("seed")?;
     let eps = setups::eps_from(args)?;
     let csv = args.has("csv");
-    let ksweep = setups::counts(args, "ksweep")?;
+    let ksweep = setups::kpaths_list(args, "ksweep")?;
 
     let ft = FatTree::three_tier(k);
     let hosts = ft.n_hosts();

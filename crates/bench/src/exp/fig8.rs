@@ -37,7 +37,7 @@ fn run(args: &Args, out: &mut dyn Write) -> Result<(), Error> {
     let hpt = setups::count(args, "hosts-per-tor")?;
     let seed: u64 = args.get("seed")?;
     let eps = setups::eps_from(args)?;
-    let ksweep = setups::counts(args, "ksweep")?;
+    let ksweep = setups::kpaths_list(args, "ksweep")?;
     let csv = args.has("csv");
 
     let hosts = tors * hpt;

@@ -16,6 +16,7 @@ use pnet_htsim::apps::{ClosedLoopDriver, ClosedLoopSlot, FlowFactory, RpcDriver,
 use pnet_htsim::{
     metrics, run, run_to_completion, CcAlgo, FlowSpec, SimConfig, SimTime, Simulator,
 };
+use pnet_routing::MAX_K;
 use pnet_topology::components::ChipSpec;
 use pnet_topology::{HostId, Network, NetworkClass};
 use pnet_workloads::{tm, EmpiricalCdf, Trace};
@@ -30,6 +31,29 @@ pub fn count(args: &Args, flag: &str) -> Result<usize, ArgError> {
         return Err(args.reject(flag, n, "must be at least 1"));
     }
     Ok(n)
+}
+
+/// `--{flag}`, a number of paths K: at least 1 and at most
+/// [`MAX_K`], the widest K one route-table entry holds.
+pub fn kpaths(args: &Args, flag: &str) -> Result<usize, ArgError> {
+    let k = count(args, flag)?;
+    if k > MAX_K {
+        let why = format!("must be at most {MAX_K}, the widest K a route table holds");
+        return Err(args.reject(flag, k, why));
+    }
+    Ok(k)
+}
+
+/// The comma-separated path counts of `--{flag}`, each as [`kpaths`] takes
+/// one.
+pub fn kpaths_list(args: &Args, flag: &str) -> Result<Vec<u64>, ArgError> {
+    let list = counts(args, flag)?;
+    if list.iter().any(|&k| k > MAX_K as u64) {
+        let given = args.get_str(flag).unwrap_or_default();
+        let why = format!("every entry must be at most {MAX_K}, the widest K a route table holds");
+        return Err(args.reject(flag, given, why));
+    }
+    Ok(list)
 }
 
 /// The comma-separated counts of `--{flag}` (k/m/g suffixes allowed), none
@@ -222,7 +246,7 @@ pub fn multipath_policy(class: NetworkClass, n_planes: usize, k_per_plane: usize
 /// factory call is a new flow (fresh flow id for hashing policies).
 pub fn make_factory<'a>(net: &'a Network, mut selector: PathSelector) -> FlowFactory<'a> {
     // Bulk-precompute the all-pairs route table up front (parallel) so the
-    // per-flow select calls never hit the lazy Yen path mid-simulation.
+    // per-flow select calls never fill a route lazily mid-simulation.
     selector.warm();
     let mut flow_id = 0u64;
     Box::new(move |src, dst, size| {

@@ -97,7 +97,7 @@ impl PathSelector {
 
     /// Bulk-precompute the router's all-pairs route table in parallel, so
     /// subsequent [`PathSelector::select`] calls never pay the lazy
-    /// per-pair Yen/ECMP cost.
+    /// per-pair path search.
     pub fn warm(&self) {
         self.router.precompute_all_pairs();
     }

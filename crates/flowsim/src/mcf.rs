@@ -1561,7 +1561,7 @@ pub fn ksp_mode_with(
     par: Parallelism,
 ) -> PathMode {
     // Warm the route table in bulk first: precompute fans the per-pair
-    // Yen/ECMP computations across threads without lock contention.
+    // path searches across threads without lock contention.
     router.precompute_with(&inter_rack_pairs(net, commodities), par);
     let paths = par.map_indexed(commodities.len(), |i| {
         let c = &commodities[i];

@@ -1,13 +1,11 @@
-//! Breadth-first shortest paths on plane graphs: distances, deterministic
-//! single paths and equal-cost path enumeration.
+//! Breadth-first shortest paths on plane graphs: distances and
+//! deterministic single paths.
 //!
 //! Traversals run on the CSR adjacency of [`PlaneGraph`] with their state in
-//! an epoch-stamped [`RouteScratch`], so a bulk caller (the router's
-//! precompute) pays no per-query allocation beyond the paths it actually
-//! returns. [`ecmp_destinations`] batches the equal-cost enumeration of one
-//! `(plane, src)` over many destinations on a single BFS distance field.
-//! Hop counts alone come from [`PlaneGraph::hops_to`]; [`bfs_dist`] is the
-//! reference its tests check it against.
+//! an epoch-stamped [`RouteScratch`]. Hop counts alone come from
+//! [`PlaneGraph::hops_to`]; [`bfs_dist`] is the reference its tests check it
+//! against. Equal-cost path sets are the first tier of the path search in
+//! [`crate::yen`].
 
 use crate::path::Path;
 use crate::plane_graph::PlaneGraph;
@@ -16,9 +14,9 @@ use pnet_topology::{LinkId, RackId};
 
 /// BFS over the whole plane from dense index `src`, leaving distances and
 /// first-discovery parents in the current search generation of `scratch`.
-/// No bans are honored — this is the plain distance field.
+/// Nothing is avoided — this is the plain distance field.
 fn bfs_fill(pg: &PlaneGraph, src: usize, scratch: &mut RouteScratch) {
-    scratch.ensure(pg.n_switches(), pg.link_bound());
+    scratch.ensure(pg.n_switches());
     scratch.begin_search();
     let mut queue = std::mem::take(&mut scratch.queue);
     queue.clear();
@@ -79,101 +77,11 @@ pub fn shortest_path(pg: &PlaneGraph, src: RackId, dst: RackId) -> Option<Path> 
     })
 }
 
-/// All equal-cost shortest paths between two racks, up to `cap` of them,
-/// in deterministic (lowest-link-id-first) order.
-pub fn all_shortest_paths(pg: &PlaneGraph, src: RackId, dst: RackId, cap: usize) -> Vec<Path> {
-    if src == dst {
-        return vec![Path::intra_rack(pg.plane)];
-    }
-    let s = pg.tor(src);
-    let t = pg.tor(dst);
-    with_thread_scratch(|scratch| {
-        bfs_fill(pg, s, scratch);
-        enumerate_to(pg, scratch, s, t, cap)
-    })
-}
-
-/// Equal-cost path sets from `src` toward each rack in `dsts`, sharing one
-/// BFS distance field. Entry `i` is identical to
-/// `all_shortest_paths(pg, src, dsts[i], cap)`.
-pub fn ecmp_destinations(
-    pg: &PlaneGraph,
-    src: RackId,
-    dsts: &[RackId],
-    cap: usize,
-) -> Vec<Vec<Path>> {
-    with_thread_scratch(|scratch| {
-        let s = pg.tor(src);
-        bfs_fill(pg, s, scratch);
-        dsts.iter()
-            .map(|&dst| {
-                if dst == src {
-                    vec![Path::intra_rack(pg.plane)]
-                } else {
-                    enumerate_to(pg, scratch, s, pg.tor(dst), cap)
-                }
-            })
-            .collect()
-    })
-}
-
-/// Enumerate up to `cap` shortest paths from the BFS root `s` of the current
-/// search generation toward dense index `t`.
-fn enumerate_to(
-    pg: &PlaneGraph,
-    scratch: &RouteScratch,
-    s: usize,
-    t: usize,
-    cap: usize,
-) -> Vec<Path> {
-    if scratch.dist(t) == u32::MAX || cap == 0 {
-        return Vec::new();
-    }
-    // DFS forward along the shortest-path DAG (dist strictly increasing).
-    let mut out = Vec::new();
-    let mut stack: Vec<LinkId> = Vec::new();
-    dfs_enumerate(pg, scratch, s, t, cap, &mut stack, &mut out);
-    out
-}
-
-fn dfs_enumerate(
-    pg: &PlaneGraph,
-    scratch: &RouteScratch,
-    u: usize,
-    t: usize,
-    cap: usize,
-    stack: &mut Vec<LinkId>,
-    out: &mut Vec<Path>,
-) {
-    if out.len() >= cap {
-        return;
-    }
-    if u == t {
-        out.push(Path {
-            plane: pg.plane,
-            links: stack.clone(),
-        });
-        return;
-    }
-    let du = scratch.dist(u);
-    let dt = scratch.dist(t);
-    for &(v, l) in pg.neighbors(u) {
-        let v = v as usize;
-        let dv = scratch.dist(v);
-        if dv == du + 1 && dv <= dt {
-            stack.push(l);
-            dfs_enumerate(pg, scratch, v, t, cap, stack, out);
-            stack.pop();
-            if out.len() >= cap {
-                return;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::yen::all_shortest_paths;
+    use crate::{RouteAlgo, Router};
     use pnet_topology::{assemble_homogeneous, FatTree, LinkProfile, Network, PlaneId};
 
     fn ft_net() -> Network {
@@ -238,12 +146,13 @@ mod tests {
     fn batched_ecmp_matches_per_pair() {
         let net = ft_net();
         let pg = PlaneGraph::build(&net, PlaneId(0));
-        let dsts: Vec<RackId> = (0..8).map(RackId).collect();
-        let batched = ecmp_destinations(&pg, RackId(0), &dsts, 64);
-        for (i, dst) in dsts.iter().enumerate() {
-            assert_eq!(
-                batched[i],
-                all_shortest_paths(&pg, RackId(0), *dst, 64),
+        let router = Router::new(&net, RouteAlgo::Ecmp { cap: 64 });
+        router.precompute_all_pairs();
+        for dst in (1..8).map(RackId) {
+            let batched = router.paths_in_plane(PlaneId(0), RackId(0), dst);
+            let single = all_shortest_paths(&pg, RackId(0), dst, 64);
+            assert!(
+                batched.iter().eq(single.iter().map(crate::PathRef::from)),
                 "batched ECMP diverged for destination {dst}"
             );
         }

@@ -1,8 +1,9 @@
 //! # pnet-routing
 //!
 //! Path computation for P-Nets: per-plane shortest paths (BFS), equal-cost
-//! multipath enumeration, Yen K-shortest-paths, hash-based ECMP selection,
-//! and a caching [`Router`] that merges path sets across dataplanes.
+//! and K-shortest path enumeration by length tier, hash-based ECMP
+//! selection, and a caching [`Router`] that merges path sets across
+//! dataplanes.
 //!
 //! The forwarding model follows the paper exactly: a path lives entirely in
 //! one plane (packets never cross planes mid-flight), hosts choose the
@@ -48,9 +49,9 @@ pub use ecmp::{flow_hash, hash_index, hash_plane, hash_select};
 pub use exec::Parallelism;
 pub use fnv::Fnv;
 pub use path::{
-    host_route, reverse_route, sort_paths, tie_rotated, Path, PathRef, PathSet, PlanePaths,
+    host_route, reverse_route, sort_paths, tie_rotated, Path, PathRef, PathSet, PlanePaths, MAX_K,
 };
 pub use plane_graph::PlaneGraph;
 pub use router::{DeltaStats, RouteAlgo, Router};
 pub use scratch::RouteScratch;
-pub use yen::{ksp, ksp_destinations};
+pub use yen::ksp;

@@ -153,6 +153,13 @@ impl<'a> From<&'a Path> for PathRef<'a> {
     }
 }
 
+/// The widest K a route table is asked for. A [`PathSet`] counts its paths
+/// and its links in `u16`, and routers are built up to `max(2K, 32)` paths
+/// per plane (the flow solver's KSP mode keeps 2K to merge across planes,
+/// the path selector at least 32): 2 · 256 = 512 paths of up to 127 links
+/// each fit. The command lines reject a wider K.
+pub const MAX_K: usize = 256;
+
 /// The paths of one route-table entry, shortest first ([`sort_paths`]
 /// order), in one allocation and in no plane: each link is stored as its
 /// `u16` offset from the plane's [base](crate::PlaneGraph::base). Planes of

@@ -37,9 +37,6 @@ pub struct PlaneGraph {
     packed: Vec<(u32, LinkId)>,
     /// Dense switch index of each rack's ToR.
     tor_of_rack: Vec<u32>,
-    /// Exclusive upper bound on the link ids appearing in this plane graph
-    /// (sizes the per-link scratch arrays of [`crate::scratch::RouteScratch`]).
-    link_bound: u32,
     /// See [`PlaneGraph::base`].
     base: u32,
     /// Hop count of every ordered switch pair, target-major: entry
@@ -80,11 +77,9 @@ impl PlaneGraph {
                 && dense_of[link.src.index()] != u32::MAX
                 && dense_of[link.dst.index()] != u32::MAX
         };
-        let mut link_bound = 0u32;
-        for (id, link) in net.links() {
+        for (_, link) in net.links() {
             if in_plane(link) {
                 offsets[dense_of[link.src.index()] as usize + 1] += 1;
-                link_bound = link_bound.max(id.0 + 1);
             }
         }
         for i in 1..=n {
@@ -108,7 +103,6 @@ impl PlaneGraph {
             offsets,
             packed,
             tor_of_rack,
-            link_bound,
             base: base.map_or(0, |(id, _)| id.0),
             hops: OnceLock::new(),
         }
@@ -245,13 +239,6 @@ impl PlaneGraph {
     #[inline]
     pub fn n_directed_links(&self) -> usize {
         self.packed.len()
-    }
-
-    /// Exclusive upper bound on link ids used by this plane (for sizing
-    /// per-link scratch arrays).
-    #[inline]
-    pub fn link_bound(&self) -> usize {
-        self.link_bound as usize
     }
 
     /// Every directed fabric link in the plane graph, in packed CSR order
@@ -439,9 +426,6 @@ mod tests {
                 let row = pg.neighbors(u);
                 for w in row.windows(2) {
                     assert!(w[0].1 < w[1].1, "row of {u} not sorted by link id");
-                }
-                for &(_, l) in row {
-                    assert!(l.index() < pg.link_bound());
                 }
             }
         }

@@ -6,13 +6,16 @@
 //!
 //! * [`RouteAlgo::Ecmp`] — all equal-cost shortest paths (capped), the
 //!   fat-tree default;
-//! * [`RouteAlgo::Ksp`] — Yen K-shortest-paths, the expander default and the
+//! * [`RouteAlgo::Ksp`] — K shortest paths, the expander default and the
 //!   multipath substrate for MPTCP.
+//!
+//! Both are one search ([`crate::yen`]): paths by length tier, the first
+//! tier for ECMP, as many tiers as K takes for KSP.
 //!
 //! Path computation is a pure function of the plane-graph snapshot, so the
 //! route table is filled either lazily, one entry per missed lookup, or in
 //! bulk by [`Router::precompute_with`], which fans per-(shape class, src)
-//! Yen/ECMP batches across threads. A table entry stores its links as
+//! batches across threads. A table entry stores its links as
 //! offsets from the plane's [base](PlaneGraph::base), so planes that are
 //! copies of one graph ([`PlaneGraph::same_shape`]) compute an entry once
 //! and hold the same `Arc<PathSet>`; [`PlanePaths`] reads it back in each
@@ -39,10 +42,9 @@
 //! commit: refreshes serialize against each other, and no reader ever sees
 //! a half-repaired table.
 
-use crate::bfs;
 use crate::exec::Parallelism;
 use crate::fnv::Fnv;
-use crate::path::{sort_paths, Path, PathSet, PlanePaths};
+use crate::path::{Path, PathSet, PlanePaths};
 use crate::plane_graph::{shape_classes, PlaneGraph, UNREACHABLE};
 use crate::scratch::with_thread_scratch;
 use crate::yen;
@@ -56,7 +58,7 @@ use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 pub enum RouteAlgo {
     /// All equal-cost shortest paths, up to `cap` per plane.
     Ecmp { cap: usize },
-    /// Yen K-shortest-paths, `k` per plane.
+    /// K shortest simple paths, `k` per plane.
     Ksp { k: usize },
 }
 
@@ -105,14 +107,6 @@ fn batch_index(batch: &[RackId], dst: RackId) -> usize {
     batch
         .binary_search(&dst)
         .expect("invariant: a batch holds every destination of its runs")
-}
-
-/// The table entry holding `paths` (of `pg`'s plane, in any order). Yen
-/// writes its sets flat itself; this is where the ECMP enumeration's nested
-/// form ends.
-fn sorted_set(pg: &PlaneGraph, mut paths: Vec<Path>) -> PathSet {
-    sort_paths(&mut paths);
-    PathSet::from_links(pg.base(), paths.iter().map(|p| p.links.iter().copied()))
 }
 
 /// The cable (duplex pair, even-direction representative) a link belongs to.
@@ -303,33 +297,7 @@ impl Router {
 
     /// Pure per-key path computation (the function the table memoizes).
     fn compute(pg: &PlaneGraph, algo: RouteAlgo, src: RackId, dst: RackId) -> PathSet {
-        match algo {
-            RouteAlgo::Ecmp { cap } => sorted_set(pg, bfs::all_shortest_paths(pg, src, dst, cap)),
-            RouteAlgo::Ksp { k } => {
-                with_thread_scratch(|scratch| yen::ksp_with_scratch(pg, src, dst, k, scratch))
-            }
-        }
-    }
-
-    /// Batched per-source computation: identical per-destination output
-    /// to [`Router::compute`], but the first shortest-path BFS (KSP) or the
-    /// whole distance field (ECMP) is shared across the destination list.
-    fn compute_batch(
-        pg: &PlaneGraph,
-        algo: RouteAlgo,
-        src: RackId,
-        dsts: &[RackId],
-    ) -> Vec<PathSet> {
-        match algo {
-            RouteAlgo::Ecmp { cap } => {
-                let per_dst = bfs::ecmp_destinations(pg, src, dsts, cap);
-                per_dst
-                    .into_iter()
-                    .map(|paths| sorted_set(pg, paths))
-                    .collect()
-            }
-            RouteAlgo::Ksp { k } => yen::ksp_destinations(pg, src, dsts, k),
-        }
+        with_thread_scratch(|scratch| yen::route_set(pg, algo, src, dst, scratch))
     }
 
     /// The path set of every slot in `slots`, in no particular order. `slots`
@@ -341,7 +309,7 @@ impl Router {
     /// fan out across threads.
     ///
     /// The result equals per-key `compute` on each plane's own graph: the
-    /// searches read neighbours, bans, hop counts and link ids, and planes
+    /// searches read neighbours, hop counts and link ids, and planes
     /// of one class differ only in the base their link ids count from, which
     /// a set does not store.
     fn fill(
@@ -377,7 +345,7 @@ impl Router {
             let mut batch: Vec<RackId> = wanted.copied().collect();
             batch.sort_unstable();
             batch.dedup();
-            let sets = Self::compute_batch(pg, self.algo, lead.src, &batch);
+            let sets = yen::route_sets(pg, self.algo, lead.src, &batch);
             let sets: Vec<Arc<PathSet>> = sets.into_iter().map(Arc::new).collect();
             let of = |cell: usize| Arc::clone(&sets[batch_index(&batch, dsts[cell])]);
             let cells = groups[i].iter().flat_map(|run| run.at.clone());
@@ -418,8 +386,8 @@ impl Router {
     }
 
     /// Bulk-fill the route table for every (plane, src, dst) combination of
-    /// the given rack pairs, fanning the independent Yen/ECMP computations
-    /// across threads. The resulting table is identical to serially
+    /// the given rack pairs, fanning the independent path searches across
+    /// threads. The resulting table is identical to serially
     /// computing each entry.
     pub fn precompute_with(&self, pairs: &[(RackId, RackId)], par: Parallelism) {
         loop {
@@ -541,7 +509,7 @@ impl Router {
     /// back to back, so the down rule is a scan of one block. Every other
     /// entry keeps its exact `Arc` — byte- and pointer-identical — and a
     /// recomputed one equal to another plane's takes that plane's `Arc`.
-    /// Recomputation reuses the batched Yen/ECMP machinery, so the repaired
+    /// Recomputation reuses the batched path search, so the repaired
     /// table equals a from-scratch rebuild of the new topology (see
     /// `tests/props.rs`). Bumps the epoch once.
     fn repair(&self, st: &mut State, net: &Network, delta: &LinkDelta) -> DeltaStats {

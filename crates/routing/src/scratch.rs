@@ -1,15 +1,15 @@
 //! Reusable, epoch-stamped traversal scratch.
 //!
-//! Every BFS/Yen call needs a distance array, a parent array,
-//! and banned-node/banned-link sets. Allocating those per call (`vec![u32::MAX;
-//! n]`, a fresh `HashSet` per spur) dominates the all-pairs KSP hot path, so a
-//! [`RouteScratch`] keeps them alive and invalidates by bumping a generation
-//! counter: an entry is only meaningful when its stamp equals the current
-//! epoch, so "clearing" an array is a single integer increment instead of an
-//! `O(n)` fill.
+//! Every search needs a distance array, the set of switches on the path
+//! being grown, a stack and somewhere to put the paths it finds. Allocating
+//! those per call (`vec![u32::MAX; n]`, a fresh set per branch) dominates the
+//! all-pairs KSP hot path, so a [`RouteScratch`] keeps them alive and
+//! invalidates by bumping a generation counter: an entry is only meaningful
+//! when its stamp equals the current epoch, so "clearing" an array is a
+//! single integer increment instead of an `O(n)` fill.
 //!
 //! A scratch is plain mutable state owned by one worker. The bulk entry points
-//! ([`crate::router::Router::precompute_with`], the batched KSP functions)
+//! ([`crate::router::Router::precompute_with`], the batched path searches)
 //! reach it through [`with_thread_scratch`], which hands out one scratch per
 //! OS thread — the per-index closures of
 //! [`crate::exec::Parallelism::map_indexed`] stay pure in their *outputs*
@@ -18,10 +18,6 @@
 
 use pnet_topology::LinkId;
 use std::cell::RefCell;
-
-/// One step of a stored path: a link and the switch it leads to. Hops order
-/// by link id (a link has one head), so hop slices order like link sequences.
-pub(crate) type Hop = (LinkId, u32);
 
 /// Per-worker traversal scratch. All arrays are epoch-stamped; `begin_*`
 /// methods start a fresh logical state in O(1).
@@ -32,16 +28,18 @@ pub struct RouteScratch {
     stamp: Vec<u32>,
     dist: Vec<u32>,
     parent: Vec<(u32, LinkId)>,
-    // --- Banned switches, banned iff `node_ban[i] == node_ban_epoch`. -----
-    node_ban_epoch: u32,
-    node_ban: Vec<u32>,
-    // --- Banned links (indexed by link id), same scheme. ------------------
-    link_ban_epoch: u32,
-    link_ban: Vec<u32>,
+    // --- Switches on the path being grown, iff `path[i] == path_epoch`. ---
+    path_epoch: u32,
+    path: Vec<u32>,
     // --- FIFO queue storage reused across BFS calls. ----------------------
     pub(crate) queue: Vec<u32>,
-    // --- Path storage of one Yen call (accepted paths and candidates). ----
-    pub(crate) arena: Vec<Hop>,
+    // --- One path search: its stack of (switch, next CSR entry) frames,
+    // the links of the path being grown, and the paths found, back to back
+    // with each one's end offset. ------------------------------------------
+    pub(crate) frames: Vec<(u32, u32)>,
+    pub(crate) prefix: Vec<LinkId>,
+    pub(crate) arena: Vec<LinkId>,
+    pub(crate) ends: Vec<u32>,
 }
 
 impl RouteScratch {
@@ -50,19 +48,16 @@ impl RouteScratch {
         Self::default()
     }
 
-    /// Make sure the arrays cover `n_nodes` switches and link ids below
-    /// `link_bound`. Growing resets the epochs (stamps in the fresh region
-    /// are zeroed, so epoch 0 must never be a live generation — counters
-    /// start at 0 and are bumped *before* first use).
-    pub fn ensure(&mut self, n_nodes: usize, link_bound: usize) {
+    /// Make sure the arrays cover `n_nodes` switches. Growing resets the
+    /// epochs (stamps in the fresh region are zeroed, so epoch 0 must never
+    /// be a live generation — counters start at 0 and are bumped *before*
+    /// first use).
+    pub fn ensure(&mut self, n_nodes: usize) {
         if self.stamp.len() < n_nodes {
             self.stamp.resize(n_nodes, 0);
             self.dist.resize(n_nodes, 0);
             self.parent.resize(n_nodes, (0, LinkId(0)));
-            self.node_ban.resize(n_nodes, 0);
-        }
-        if self.link_ban.len() < link_bound {
-            self.link_ban.resize(link_bound, 0);
+            self.path.resize(n_nodes, 0);
         }
     }
 
@@ -85,57 +80,43 @@ impl RouteScratch {
     /// Set distance and parent edge of `u` in the current generation.
     #[inline]
     pub fn visit(&mut self, u: usize, d: u32, parent: (u32, LinkId)) {
-        self.stamp[u] = self.epoch;
-        self.dist[u] = d;
+        self.reach(u, d);
         self.parent[u] = parent;
     }
 
-    /// Parent edge `(predecessor, link)` of `u`; only meaningful for visited
-    /// nodes at distance > 0.
+    /// Set the distance of `u` in the current generation, and no parent.
+    #[inline]
+    pub(crate) fn reach(&mut self, u: usize, d: u32) {
+        self.stamp[u] = self.epoch;
+        self.dist[u] = d;
+    }
+
+    /// Parent edge `(predecessor, link)` of `u`; only meaningful for nodes
+    /// given one by [`RouteScratch::visit`], at distance > 0.
     #[inline]
     pub fn parent(&self, u: usize) -> (u32, LinkId) {
         debug_assert_eq!(self.stamp[u], self.epoch, "parent of unvisited node");
         self.parent[u]
     }
 
-    /// Start a fresh banned-switch set.
+    /// Start a fresh path: no switch is on it.
     #[inline]
-    pub fn begin_node_bans(&mut self) {
-        self.node_ban_epoch = bump(&mut self.node_ban_epoch, &mut self.node_ban);
+    pub fn begin_path(&mut self) {
+        self.path_epoch = bump(&mut self.path_epoch, &mut self.path);
     }
 
-    /// Ban switch `u` until the next [`RouteScratch::begin_node_bans`].
+    /// Put switch `u` on the path, or take it off.
     #[inline]
-    pub fn ban_node(&mut self, u: usize) {
-        self.node_ban[u] = self.node_ban_epoch;
+    pub fn set_on_path(&mut self, u: usize, on: bool) {
+        self.path[u] = if on { self.path_epoch } else { 0 };
     }
 
-    /// Is switch `u` banned?
+    /// Is switch `u` on the path?
     #[inline]
-    pub fn node_banned(&self, u: usize) -> bool {
-        self.node_ban[u] == self.node_ban_epoch
-    }
-
-    /// Start a fresh banned-link set.
-    #[inline]
-    pub fn begin_link_bans(&mut self) {
-        self.link_ban_epoch = bump(&mut self.link_ban_epoch, &mut self.link_ban);
-    }
-
-    /// Ban `slot` (a link id, or any caller-chosen index below `link_bound`,
-    /// e.g. cable ids) until the next [`RouteScratch::begin_link_bans`].
-    #[inline]
-    pub fn ban_link_slot(&mut self, slot: usize) {
-        self.link_ban[slot] = self.link_ban_epoch;
-    }
-
-    /// Is `slot` banned?
-    #[inline]
-    pub fn link_slot_banned(&self, slot: usize) -> bool {
-        self.link_ban[slot] == self.link_ban_epoch
+    pub fn on_path(&self, u: usize) -> bool {
+        self.path[u] == self.path_epoch
     }
 }
-
 /// Advance an epoch counter, clearing `stamps` on (rare) wrap-around so a
 /// stale stamp can never alias a live generation.
 #[inline]
@@ -168,7 +149,7 @@ mod tests {
     #[test]
     fn epochs_invalidate_without_clearing() {
         let mut s = RouteScratch::new();
-        s.ensure(4, 8);
+        s.ensure(4);
         s.begin_search();
         s.visit(2, 7, (0, LinkId(3)));
         assert_eq!(s.dist(2), 7);
@@ -178,30 +159,27 @@ mod tests {
     }
 
     #[test]
-    fn bans_are_generation_scoped() {
+    fn path_marks_are_generation_scoped() {
         let mut s = RouteScratch::new();
-        s.ensure(4, 8);
-        s.begin_node_bans();
-        s.ban_node(1);
-        assert!(s.node_banned(1));
-        assert!(!s.node_banned(0));
-        s.begin_node_bans();
-        assert!(!s.node_banned(1));
-
-        s.begin_link_bans();
-        s.ban_link_slot(5);
-        assert!(s.link_slot_banned(5));
-        s.begin_link_bans();
-        assert!(!s.link_slot_banned(5));
+        s.ensure(4);
+        s.begin_path();
+        s.set_on_path(1, true);
+        s.set_on_path(2, true);
+        assert!(s.on_path(1) && s.on_path(2));
+        assert!(!s.on_path(0));
+        s.set_on_path(2, false);
+        assert!(!s.on_path(2));
+        s.begin_path();
+        assert!(!s.on_path(1), "a mark leaked across paths");
     }
 
     #[test]
     fn ensure_grows_preserving_soundness() {
         let mut s = RouteScratch::new();
-        s.ensure(2, 2);
+        s.ensure(2);
         s.begin_search();
         s.visit(0, 1, (0, LinkId(0)));
-        s.ensure(10, 10);
+        s.ensure(10);
         // Freshly grown region is unset in the current generation.
         assert_eq!(s.dist(9), u32::MAX);
         assert_eq!(s.dist(0), 1);
@@ -210,7 +188,7 @@ mod tests {
     #[test]
     fn wraparound_resets_stamps() {
         let mut s = RouteScratch::new();
-        s.ensure(2, 2);
+        s.ensure(2);
         s.epoch = u32::MAX - 1;
         s.stamp.fill(u32::MAX - 1);
         s.begin_search(); // -> MAX
@@ -222,7 +200,7 @@ mod tests {
     #[test]
     fn thread_scratch_is_reusable() {
         let a = with_thread_scratch(|s| {
-            s.ensure(8, 8);
+            s.ensure(8);
             s.begin_search();
             s.visit(3, 9, (0, LinkId(1)));
             s.dist(3)

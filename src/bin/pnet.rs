@@ -125,7 +125,7 @@ fn topology_from(args: &Args) -> Result<(TopologyKind, NetworkClass, usize, u64)
 }
 
 fn policy_from(args: &Args, planes: usize) -> Result<PathPolicy, ArgError> {
-    let k = setups::count(args, "kpaths")?;
+    let k = setups::kpaths(args, "kpaths")?;
     Ok(match args.get_str("policy").unwrap_or_default() {
         "ecmp" => PathPolicy::EcmpHash,
         "rr" => PathPolicy::RoundRobin,
@@ -228,7 +228,7 @@ fn cmd_throughput(args: &Args) -> Result<(), Error> {
     let pnet = PNetSpec::new(kind, class, planes, seed).build();
     let n = pnet.net.n_hosts();
     let commodities = commodities_from(args, n, seed)?;
-    let k = setups::count(args, "kpaths")?;
+    let k = setups::kpaths(args, "kpaths")?;
     let eps = setups::eps_from(args)?;
     let (ksp, lambda) = throughput::ksp_multipath_throughput(&pnet.net, &commodities, k, eps)?;
     let ecmp = throughput::ecmp_throughput(&pnet.net, &commodities);
@@ -259,10 +259,10 @@ fn cmd_plan(args: &Args) -> Result<(), Error> {
     let n = pnet.net.n_hosts();
     let commodities = commodities_from(args, n, seed)?;
     let cfg = PlannerConfig {
-        k: setups::count(args, "kpaths")?,
+        k: setups::kpaths(args, "kpaths")?,
         eps: setups::eps_from(args)?,
     };
-    let sweep: Vec<usize> = setups::counts(args, "sweep")?
+    let sweep: Vec<usize> = setups::kpaths_list(args, "sweep")?
         .into_iter()
         .map(|k| k as usize)
         .collect();

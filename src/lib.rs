@@ -7,8 +7,8 @@
 //!
 //! * [`topology`] — fat trees, chassis component models, Jellyfish and
 //!   Xpander expanders, multi-plane assembly, failure injection;
-//! * [`routing`] — BFS/ECMP/Yen-KSP path computation with plane-aware
-//!   route tables;
+//! * [`routing`] — BFS, and ECMP and KSP path computation by length tier,
+//!   with plane-aware route tables;
 //! * [`flowsim`] — flow-level throughput solvers (max concurrent flow,
 //!   max-min waterfilling) replacing the paper's LP solver;
 //! * [`htsim`] — a packet-level discrete-event simulator with TCP and

@@ -156,6 +156,16 @@ fn subcommands_reject_unbuildable_flags_without_a_panic() {
             "--degree 3",
         ),
         ("route", &["--kpaths", "0", "--policy", "ksp"], "--kpaths 0"),
+        // A K wider than a route-table entry holds.
+        ("throughput", &["--kpaths", "257"], "--kpaths 257"),
+        ("plan", &["--kpaths", "20000"], "--kpaths 20000"),
+        ("plan", &["--sweep", "1,20000"], "--sweep 1,20000"),
+        (
+            "simulate",
+            &["--kpaths", "20000", "--policy", "ksp"],
+            "--kpaths 20000",
+        ),
+        ("exp", &["fig8", "--ksweep", "1,20000"], "--ksweep 1,20000"),
     ] {
         // The topology flags the case does not set come from `small`.
         let rest = small.chunks(2).filter(|pair| !argv.contains(&pair[0]));
@@ -254,6 +264,36 @@ fn values_the_library_cannot_use_exit_2_naming_the_flag() {
             "--queue 0",
         ),
         (&["route", "--src", "3", "--dst", "3"], "--dst 3"),
+        (
+            &[
+                "route",
+                "--kind",
+                "jellyfish",
+                "--class",
+                "homo",
+                "--tors",
+                "16",
+                "--degree",
+                "4",
+                "--planes",
+                "1",
+                "--hosts-per-tor",
+                "1",
+                "--policy",
+                "ksp",
+                "--kpaths",
+                "20000",
+                "--src",
+                "0",
+                "--dst",
+                "9",
+            ],
+            "--kpaths 20000",
+        ),
+        (
+            &["exp", "fig6", "--k", "4", "--ksweep", "1,20000"],
+            "--ksweep 1,20000",
+        ),
     ] {
         cases.push((argv.to_vec(), flag));
     }

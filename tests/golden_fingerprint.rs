@@ -1,10 +1,10 @@
 //! Golden output fingerprints for the routing/MCF hot paths and the packet
 //! engine.
 //!
-//! The KSP/MCF overhaul (CSR plane graphs, epoch-stamped scratch, Lawler's
-//! optimization) and the packet-engine overhaul (calendar queue, packet
-//! arena) promised *byte-identical* outputs to the straightforward
-//! implementations they replaced. Those implementations are gone; these
+//! The KSP/MCF overhaul (CSR plane graphs, epoch-stamped scratch, the path
+//! search by length tier) and the packet-engine overhaul (calendar queue,
+//! packet arena) promised *byte-identical* outputs to the implementations
+//! they replaced. Those implementations are gone; these
 //! constants, minted while they still ran, are what holds the promise now.
 //! Each test hashes a complete all-pairs route table, a GK solve, or every
 //! flow-completion record of a packet run into a single FNV-1a fingerprint
@@ -18,7 +18,8 @@ use pnet::flowsim::{commodity, mcf, throughput};
 use pnet::htsim::{run_to_completion, CcAlgo, FlowRecord, FlowSpec, SimConfig, Simulator};
 use pnet::routing::{host_route, Parallelism, RouteAlgo, Router};
 use pnet::topology::{
-    assemble_homogeneous, FatTree, HostId, Jellyfish, LinkId, LinkProfile, Network, PlaneId, RackId,
+    assemble_homogeneous, failures, FatTree, HostId, Jellyfish, LinkId, LinkProfile, Network,
+    NodeKind, PlaneId, RackId,
 };
 use pnet::workloads::tm;
 
@@ -90,6 +91,69 @@ fn fat_tree_ksp_table_fingerprint_is_stable() {
         ksp_table_fingerprint(&net, 8),
         GOLDEN_FAT_TREE_KSP,
         "all-pairs KSP table changed on fat tree k=4 x2 planes, KSP k=8"
+    );
+}
+
+/// The all-pairs table of `net` under `algo`, filled serially, as
+/// [`Router::table_fingerprint`] hashes it.
+fn table_fingerprint(net: &Network, algo: RouteAlgo) -> u64 {
+    let router = Router::new(net, algo);
+    router.precompute_all_pairs_with(Parallelism::Serial);
+    router.table_fingerprint()
+}
+
+/// A 32-ToR degree-4 Jellyfish with 30 % of its cables failed: long detours,
+/// cut vertices and unreachable pairs, where a path search has the most
+/// prefixes to rule out.
+fn cut_jellyfish() -> Network {
+    let mut net = assemble_homogeneous(
+        &Jellyfish::new(32, 4, 1, 7),
+        1,
+        &LinkProfile::paper_default(),
+    );
+    failures::fail_random_fraction(&mut net, 0.3, 7);
+    net
+}
+
+#[test]
+fn cut_jellyfish_ksp_table_fingerprints_are_stable() {
+    let net = cut_jellyfish();
+    for (k, golden) in [
+        (8, GOLDEN_CUT_JELLYFISH_KSP8),
+        (32, GOLDEN_CUT_JELLYFISH_KSP32),
+    ] {
+        assert_eq!(
+            table_fingerprint(&net, RouteAlgo::Ksp { k }),
+            golden,
+            "all-pairs KSP table changed on Jellyfish(32, 4, seed 7) with 30 % of \
+             its cables failed (seed 7), k={k}"
+        );
+    }
+}
+
+#[test]
+fn cut_jellyfish_ecmp_table_fingerprint_is_stable() {
+    assert_eq!(
+        table_fingerprint(&cut_jellyfish(), RouteAlgo::Ecmp { cap: 16 }),
+        GOLDEN_CUT_JELLYFISH_ECMP16,
+        "all-pairs ECMP table changed on the 30 %-cut Jellyfish(32, 4, seed 7), cap 16"
+    );
+}
+
+/// A k = 4 fat tree whose pod 0 lost an aggregation switch: the other one is
+/// a cut vertex between pod 0's racks and the rest of the fabric.
+#[test]
+fn cut_vertex_fat_tree_ksp_table_fingerprint_is_stable() {
+    let mut net = assemble_homogeneous(&FatTree::three_tier(4), 1, &LinkProfile::paper_default());
+    let (agg, _) = net
+        .nodes()
+        .find(|(_, n)| n.kind == NodeKind::Agg { pod: 0 })
+        .expect("pod 0 has an aggregation switch");
+    failures::fail_switch(&mut net, agg);
+    assert_eq!(
+        table_fingerprint(&net, RouteAlgo::Ksp { k: 64 }),
+        GOLDEN_CUT_VERTEX_FAT_TREE_KSP64,
+        "all-pairs KSP table changed on fat tree k=4 without one pod-0 agg switch, k=64"
     );
 }
 
@@ -238,7 +302,7 @@ fn full_size_cold_solve_shares_three_trees_of_four() {
 /// digest also holds its three tree counters.
 #[test]
 fn gk_heterogeneous_all_to_all_fingerprint_is_stable() {
-    use pnet::topology::{failures, parallel, NetworkClass};
+    use pnet::topology::{parallel, NetworkClass};
     let mut net = parallel::jellyfish_network(
         NetworkClass::ParallelHeterogeneous,
         Jellyfish::new(16, 4, 2, 0),
@@ -534,6 +598,13 @@ const GOLDEN_JELLYFISH_KSP: u64 = 14853875402589996389;
 // from-scratch rebuild (asserted in the same test).
 const GOLDEN_POST_CHURN_KSP: u64 = 3576556970543380266;
 const GOLDEN_FAT_TREE_KSP: u64 = 11144640133350879781;
+// Minted with Yen's K shortest paths algorithm, before the search by length
+// tier replaced it: the cut fabrics are where that search has the most to
+// rule out.
+const GOLDEN_CUT_JELLYFISH_KSP8: u64 = 8943801096007862005;
+const GOLDEN_CUT_JELLYFISH_KSP32: u64 = 15651502737401402980;
+const GOLDEN_CUT_JELLYFISH_ECMP16: u64 = 13914852350984558645;
+const GOLDEN_CUT_VERTEX_FAT_TREE_KSP64: u64 = 9877551514689718077;
 // lambda 199901380670.61145 over 2028 phases.
 const GOLDEN_GK_LAMBDA: u64 = 2946497110374994333;
 // lambda 199857549857.54987 over 2807 phases, minted with the 4-ary heap

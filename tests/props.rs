@@ -137,10 +137,10 @@ fn brute_force_paths(pg: &PlaneGraph, src: RackId, dst: RackId) -> Vec<Vec<LinkI
 /// `ksp` returns exactly the first `k` entries of the brute-force list, link
 /// for link; returns how many simple paths there are.
 fn assert_ksp_is_canonical(pg: &PlaneGraph, src: RackId, dst: RackId, k: usize) -> usize {
-    let yen: Vec<Vec<LinkId>> = ksp(pg, src, dst, k).into_iter().map(|p| p.links).collect();
+    let got: Vec<Vec<LinkId>> = ksp(pg, src, dst, k).into_iter().map(|p| p.links).collect();
     let brute = brute_force_paths(pg, src, dst);
     assert_eq!(
-        yen,
+        got,
         brute[..k.min(brute.len())],
         "ksp diverged from the brute-force enumeration ({src}->{dst}, k={k})"
     );
@@ -162,7 +162,7 @@ fn fat_tree_k4() -> Network {
 
 #[test]
 fn ksp_is_canonical_on_fixed_graphs() {
-    // Seeded Jellyfish of different degrees: different spur structures.
+    // Seeded Jellyfish of different degrees: different tier structures.
     for (tors, degree, seed, dst, k) in [
         (8, 3, 5, 5, 12),
         (8, 3, 11, 6, 10),
@@ -176,8 +176,8 @@ fn ksp_is_canonical_on_fixed_graphs() {
             k,
         );
     }
-    // K far beyond the simple-path count of a sparse graph: every late round
-    // spurs at a high deviation index, and the result is every simple path.
+    // K far beyond the simple-path count of a sparse graph: the search runs
+    // out of tiers before it reaches K, and the result is every simple path.
     let ring = jellyfish_plane(7, 2, 13);
     let n_paths = assert_ksp_is_canonical(&ring, RackId(0), RackId(3), 64);
     assert!((1..64).contains(&n_paths), "{n_paths} simple paths");
@@ -260,7 +260,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn yen_paths_sorted_simple_distinct(
+    fn ksp_paths_sorted_simple_distinct(
         seed in 0u64..200, a in 0u32..12, b in 0u32..12, k in 1usize..12,
     ) {
         prop_assume!(a != b);
