@@ -92,7 +92,8 @@ pub enum McfError {
     /// count.
     PathTableMismatch { paths: usize, commodities: usize },
     /// Commodity `index` has no usable route: an empty `Explicit` path set,
-    /// or (AnyPath) no plane connects its endpoints under the current link
+    /// a route of no links, or routes that all cross a down link; or
+    /// (AnyPath) no plane connects its endpoints under the current link
     /// state.
     UnroutableCommodity { index: usize },
     /// No commodity could be seeded with positive congestion — every route
@@ -169,7 +170,9 @@ fn validate_inputs(commodities: &[Commodity], mode: &PathMode, eps: f64) -> Resu
                 commodities: commodities.len(),
             });
         }
-        if let Some(index) = (0..routes.len()).find(|&i| routes.routes(i).len() == 0) {
+        let unroutable =
+            |i| routes.routes(i).next().is_none() || routes.routes(i).any(<[LinkId]>::is_empty);
+        if let Some(index) = (0..routes.len()).find(|&i| unroutable(i)) {
             return Err(McfError::UnroutableCommodity { index });
         }
     }
@@ -338,7 +341,7 @@ fn solve_from(
     // One route source and one source grouping for the whole solve: in
     // AnyPath mode the oracle's plane graphs and host-uplink cache are shared
     // between demand pre-scaling and the phase loop.
-    let routes = Routes::new(net, mode);
+    let routes = Routes::new(net, mode, &caps)?;
     let sources = Sources::new(net, commodities);
 
     // --- Demand pre-scaling so that OPT λ' is Θ(1). -----------------------
@@ -486,7 +489,8 @@ fn gk_core(
 
     // Persistent per-source tree bundles (AnyPath) and the kernel's working
     // set: refreshed in place each phase instead of reallocated, and one
-    // route buffer serves every push.
+    // route buffer serves every AnyPath push (an Explicit push reads its
+    // route in place from the table).
     let (mut phase_trees, n_planes): (Vec<PlaneTrees>, usize) = match routes {
         Routes::AnyPath(oracle) => (
             (0..sources.hosts.len())
@@ -494,7 +498,7 @@ fn gk_core(
                 .collect(),
             oracle.planes.len(),
         ),
-        Routes::Explicit(_) => (Vec::new(), 0),
+        Routes::Explicit(..) => (Vec::new(), 0),
     };
     let mut kernel = TreeKernel::default();
     // Per-plane weight snapshot, regathered once per phase and shared by
@@ -587,10 +591,10 @@ fn gk_core(
                     if d_sum >= 1.0 && !complete_last_phase {
                         break 'outer;
                     }
-                    match routes {
-                        Routes::Explicit(candidates) => {
-                            route.clear();
-                            route.extend_from_slice(candidates.best(i, &length));
+                    let (links, bottleneck) = match routes {
+                        Routes::Explicit(table, bottlenecks) => {
+                            let (j, r) = table.pick(i, &length);
+                            (table.row(j, r), bottlenecks.of[bottlenecks.at[j] + r])
                         }
                         Routes::AnyPath(oracle) => {
                             let p = oracle
@@ -614,14 +618,12 @@ fn gk_core(
                                     g[l.index() >> 6] |= 1 << (l.index() & 63);
                                 }
                             }
+                            let caps_along = route.iter().map(|&l| caps[l.index()]);
+                            (&route[..], caps_along.fold(f64::INFINITY, f64::min))
                         }
                     };
-                    let bottleneck = route
-                        .iter()
-                        .map(|&l| caps[l.index()])
-                        .fold(f64::INFINITY, f64::min);
                     let push = remaining.min(bottleneck);
-                    for &l in &route {
+                    for &l in links {
                         let e = l.index();
                         flow[e] += push;
                         if !caps[e].is_finite() {
@@ -703,7 +705,7 @@ fn shortest_routes_unit(
     par: Parallelism,
 ) -> Result<Vec<Vec<LinkId>>, McfError> {
     let oracle = match routes {
-        Routes::Explicit(candidates) => {
+        Routes::Explicit(candidates, _) => {
             let fewest_links = |i| {
                 let shortest = candidates.routes(i).min_by_key(|r| r.len());
                 shortest.expect("invariant: every commodity has a non-empty candidate path set")
@@ -791,35 +793,58 @@ impl Sources {
     }
 }
 
-/// The `Explicit` routes of a solve, back to back in one table: every push
-/// reads all of a commodity's candidates, and where separate `Vec`s would
-/// have landed in the heap should not set the solver's speed. Commodity `i`
-/// owns routes `first[i]..first[i + 1]`; route `r` is
-/// `links[ends[r]..ends[r + 1]]`.
+/// The `Explicit` routes of a solve, back to back in one table and grouped
+/// into runs of consecutive equal-length routes, so the scorer costs a run's
+/// rows side by side. Commodity `i` owns runs `first[i]..first[i + 1]`, in
+/// the order its routes were given.
 #[derive(Debug, Clone)]
 pub struct Candidates {
     links: Vec<LinkId>,
-    ends: Vec<usize>,
+    runs: Vec<Run>,
     first: Vec<usize>,
+}
+
+/// `count` consecutive routes of `width` links each: route `r` of the run
+/// is `links[offset + r * width..][..width]`.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    offset: usize,
+    count: usize,
+    width: usize,
+}
+
+/// Each `Explicit` route's bottleneck, the least capacity along it, under a
+/// solve's frozen capacities: run `j`'s routes are `of[at[j]..]`.
+struct Bottlenecks {
+    of: Vec<f64>,
+    at: Vec<usize>,
 }
 
 impl Candidates {
     /// The table of `paths`, where `paths[i]` are the routes of commodity
     /// `i`, each a full host-to-host link sequence.
     pub fn new(paths: &[Vec<Vec<LinkId>>]) -> Self {
-        let mut flat = Candidates {
+        let mut table = Candidates {
             links: Vec::new(),
-            ends: vec![0],
+            runs: Vec::new(),
             first: vec![0],
         };
         for cands in paths {
+            let own = table.runs.len();
             for route in cands {
-                flat.links.extend_from_slice(route);
-                flat.ends.push(flat.links.len());
+                match table.runs[own..].last_mut() {
+                    Some(run) if run.width == route.len() => run.count += 1,
+                    _ => table.runs.push(Run {
+                        offset: table.links.len(),
+                        count: 1,
+                        width: route.len(),
+                    }),
+                }
+                table.links.extend_from_slice(route);
             }
-            flat.first.push(flat.ends.len() - 1);
+            table.first.push(table.runs.len());
         }
-        flat
+        table
     }
 
     /// Commodities in the table.
@@ -827,13 +852,98 @@ impl Candidates {
         self.first.len() - 1
     }
 
-    /// The routes of commodity `i`, in the order given.
-    pub(crate) fn routes(&self, i: usize) -> impl ExactSizeIterator<Item = &[LinkId]> + '_ {
-        (self.first[i]..self.first[i + 1]).map(|r| &self.links[self.ends[r]..self.ends[r + 1]])
+    /// Route `r` of run `j`.
+    fn row(&self, j: usize, r: usize) -> &[LinkId] {
+        let Run { offset, width, .. } = self.runs[j];
+        &self.links[offset + r * width..][..width]
     }
 
-    /// The minimum-length candidate of commodity `i` (the first of equals),
-    /// each candidate's length summed once.
+    /// The routes of commodity `i`, in the order given.
+    pub(crate) fn routes(&self, i: usize) -> impl Iterator<Item = &[LinkId]> + '_ {
+        (self.first[i]..self.first[i + 1])
+            .flat_map(move |j| (0..self.runs[j].count).map(move |r| self.row(j, r)))
+    }
+
+    /// Every route's bottleneck under `caps`, or the first commodity all of
+    /// whose routes cross a link of capacity 0: the phase loop would push
+    /// nothing on its pick, forever.
+    fn bottlenecks(&self, caps: &[f64]) -> Result<Bottlenecks, McfError> {
+        let mut b = Bottlenecks {
+            of: Vec::new(),
+            at: Vec::with_capacity(self.runs.len()),
+        };
+        for (j, run) in self.runs.iter().enumerate() {
+            b.at.push(b.of.len());
+            b.of.extend((0..run.count).map(|r| {
+                let caps_along = self.row(j, r).iter().map(|&l| caps[l.index()]);
+                caps_along.fold(f64::INFINITY, f64::min)
+            }));
+        }
+        let dead = |i: usize| {
+            let routes = self.first[i]..self.first[i + 1];
+            routes
+                .flat_map(|j| &b.of[b.at[j]..][..self.runs[j].count])
+                .all(|&c| c <= 0.0)
+        };
+        match (0..self.len()).find(|&i| dead(i)) {
+            Some(index) => Err(McfError::UnroutableCommodity { index }),
+            None => Ok(b),
+        }
+    }
+
+    /// The cheapest route of commodity `i` under `length`, as (run, row): the
+    /// first strict `total_cmp` minimum in route order, as the per-route
+    /// oracle `best` picks it. A run's rows are costed four at a time,
+    /// each in its own accumulator; every row is still the left fold from
+    /// −0.0 over its links in order that `Iterator::sum` computes, so every
+    /// cost, and with it the pick, is bit for bit the per-route one.
+    fn pick(&self, i: usize, length: &[f64]) -> (usize, usize) {
+        let mut best: Option<(f64, usize, usize)> = None;
+        let mut keep = |cost: f64, j: usize, r: usize| {
+            if best.is_none_or(|(b, _, _)| cost.total_cmp(&b).is_lt()) {
+                best = Some((cost, j, r));
+            }
+        };
+        for j in self.first[i]..self.first[i + 1] {
+            let Run {
+                offset,
+                count,
+                width,
+            } = self.runs[j];
+            let rows = &self.links[offset..offset + count * width];
+            let mut quads = rows.chunks_exact(4 * width);
+            for (q, quad) in quads.by_ref().enumerate() {
+                let (a, rest) = quad.split_at(width);
+                let (b, rest) = rest.split_at(width);
+                let (c, d) = rest.split_at(width);
+                let mut acc = [-0.0f64; 4];
+                for (((a, b), c), d) in a.iter().zip(b).zip(c).zip(d) {
+                    acc[0] += length[a.index()];
+                    acc[1] += length[b.index()];
+                    acc[2] += length[c.index()];
+                    acc[3] += length[d.index()];
+                }
+                for (k, cost) in acc.into_iter().enumerate() {
+                    keep(cost, j, 4 * q + k);
+                }
+            }
+            let done = count - quads.remainder().len() / width;
+            for (k, row) in quads.remainder().chunks_exact(width).enumerate() {
+                keep(
+                    row.iter().fold(-0.0, |s, l| s + length[l.index()]),
+                    j,
+                    done + k,
+                );
+            }
+        }
+        let (_, j, r) = best.expect("invariant: every commodity has a route with links");
+        (j, r)
+    }
+
+    /// The per-route scorer [`Candidates::pick`] replaced, kept as its
+    /// oracle: each candidate's length summed once, the first of equal
+    /// minima kept.
+    #[cfg(test)]
     fn best(&self, i: usize, length: &[f64]) -> &[LinkId] {
         let mut best: Option<(f64, &[LinkId])> = None;
         for route in self.routes(i) {
@@ -917,19 +1027,20 @@ struct Snapshot<'a> {
 }
 
 /// A solve's route source: the caller's [`PathMode`] with the AnyPath oracle
-/// built. An `Explicit` solve reads neither the plane graphs nor the uplink
-/// cache, so it does not build them.
+/// built, or the `Explicit` table with its routes' bottlenecks. An `Explicit`
+/// solve reads neither the plane graphs nor the uplink cache, so it does not
+/// build them.
 enum Routes<'a> {
-    Explicit(&'a Candidates),
+    Explicit(&'a Candidates, Bottlenecks),
     AnyPath(AnyPathOracle),
 }
 
 impl<'a> Routes<'a> {
-    fn new(net: &Network, mode: &'a PathMode) -> Self {
-        match mode {
-            PathMode::Explicit(candidates) => Routes::Explicit(candidates),
+    fn new(net: &Network, mode: &'a PathMode, caps: &[f64]) -> Result<Self, McfError> {
+        Ok(match mode {
+            PathMode::Explicit(table) => Routes::Explicit(table, table.bottlenecks(caps)?),
             PathMode::AnyPath => Routes::AnyPath(AnyPathOracle::new(net)),
-        }
+        })
     }
 }
 
@@ -2222,6 +2333,136 @@ mod tests {
         // Costs 3, 3, 4 and then 4, 3, 3: the first of the cheapest wins.
         assert_eq!(flat.best(0, &[1.0, 2.0, 2.0, 1.0, 4.0]), route(&[0, 1]));
         assert_eq!(flat.best(0, &[2.0, 2.0, 2.0, 1.0, 3.0]), route(&[2, 3]));
+        assert_eq!(flat.pick(0, &[1.0, 2.0, 2.0, 1.0, 4.0]), (0, 0));
+        assert_eq!(flat.pick(0, &[2.0, 2.0, 2.0, 1.0, 3.0]), (0, 1));
+    }
+
+    /// A random candidate table: 1 to 70 routes per commodity of 1 to 8 links
+    /// each, the next route as long as the last one half the time, so runs
+    /// of every size from 1 up occur; links drawn from a small pool, so
+    /// routes repeat and costs tie. A quarter of the routes are the last
+    /// one's links reordered, whose cost differs only where addition
+    /// rounds.
+    fn random_table(rng: &mut rand::rngs::StdRng, n_links: u32) -> Vec<Vec<Vec<LinkId>>> {
+        use rand::{seq::SliceRandom, RngExt};
+        (0..rng.random_range(1usize..4))
+            .map(|_| {
+                let mut routes: Vec<Vec<LinkId>> = Vec::new();
+                let mut width = rng.random_range(1usize..9);
+                for _ in 0..rng.random_range(1usize..71) {
+                    if let Some(last) = routes.last().filter(|_| rng.random_bool(0.25)) {
+                        let mut reordered = last.clone();
+                        reordered.shuffle(rng);
+                        routes.push(reordered);
+                        continue;
+                    }
+                    if rng.random_bool(0.5) {
+                        width = rng.random_range(1usize..9);
+                    }
+                    routes.push(
+                        (0..width)
+                            .map(|_| LinkId(rng.random_range(0..n_links)))
+                            .collect(),
+                    );
+                }
+                routes
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The run scorer picks the very route the per-route oracle picks,
+        /// over lengths of +0.0, small integers, log-uniform values from
+        /// 1e-40 to 1 and +∞, alone or mixed.
+        #[test]
+        fn run_scorer_picks_as_the_per_route_oracle(seed: u64) {
+            use rand::{rngs::StdRng, RngExt, SeedableRng};
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n_links = rng.random_range(4u32..24);
+            let table = Candidates::new(&random_table(&mut rng, n_links));
+            for _ in 0..16 {
+                let kinds = rng.random_range(1u32..16);
+                let length: Vec<f64> = (0..n_links)
+                    .map(|_| loop {
+                        let kind = rng.random_range(0u32..4);
+                        if kinds & (1 << kind) != 0 {
+                            break match kind {
+                                0 => 0.0,
+                                1 => rng.random_range(1u32..4) as f64,
+                                2 => 10f64.powf(rng.random_range(-40.0..0.0)),
+                                _ => f64::INFINITY,
+                            };
+                        }
+                    })
+                    .collect();
+                for i in 0..table.len() {
+                    let (j, r) = table.pick(i, &length);
+                    let (got, want) = (table.row(j, r), table.best(i, &length));
+                    let same = std::ptr::eq(got, want);
+                    proptest::prop_assert!(same, "commodity {i}: {got:?} for {want:?}");
+                }
+            }
+        }
+    }
+
+    /// A fat-tree commodity's KSP routes, full host to host.
+    fn host_routes(net: &Network, c: &Commodity) -> Vec<Vec<LinkId>> {
+        let router = Router::new(net, RouteAlgo::Ksp { k: 4 });
+        let (a, b) = (net.rack_of_host(c.src), net.rack_of_host(c.dst));
+        expand_host_routes(net, c.src, c.dst, &router.k_best_across_planes(a, b, 4))
+    }
+
+    #[test]
+    fn a_route_of_no_links_is_unroutable() {
+        let net = assemble_homogeneous(&FatTree::three_tier(4), 1, &LinkProfile::paper_default());
+        let c = vec![
+            Commodity::unit(HostId(0), HostId(15)),
+            Commodity::unit(HostId(1), HostId(14)),
+        ];
+        let mut paths: Vec<_> = c.iter().map(|c| host_routes(&net, c)).collect();
+        let solve = |paths: &[Vec<Vec<LinkId>>]| {
+            let mode = PathMode::Explicit(Candidates::new(paths));
+            try_solve(&net, &c, &mode, EPS, OPTS)
+        };
+        assert!(solve(&paths).is_ok());
+        paths[1].push(Vec::new());
+        assert_eq!(
+            solve(&paths).err(),
+            Some(McfError::UnroutableCommodity { index: 1 })
+        );
+        paths[0].insert(0, Vec::new());
+        assert_eq!(
+            solve(&paths).err(),
+            Some(McfError::UnroutableCommodity { index: 0 })
+        );
+    }
+
+    /// A commodity whose every candidate crosses a down link would be pushed
+    /// nothing on its pick, phase after phase; one live candidate is enough.
+    #[test]
+    fn candidates_all_through_a_down_link_are_unroutable() {
+        use pnet_topology::failures;
+        let mut net =
+            assemble_homogeneous(&FatTree::three_tier(4), 1, &LinkProfile::paper_default());
+        let c = vec![Commodity::unit(HostId(0), HostId(15))];
+        let routes = host_routes(&net, &c[0]);
+        let (dead, cut) = (routes[0].clone(), routes[0][1]);
+        let live = routes
+            .iter()
+            .find(|r| !r.contains(&cut))
+            .expect("a route avoids the cut");
+        failures::fail_cable(&mut net, cut);
+        let solve = |paths: Vec<Vec<LinkId>>| {
+            let mode = PathMode::Explicit(Candidates::new(&[paths]));
+            try_solve(&net, &c, &mode, EPS, OPTS)
+        };
+        assert_eq!(
+            solve(vec![dead.clone()]).err(),
+            Some(McfError::UnroutableCommodity { index: 0 })
+        );
+        assert!(solve(vec![dead, live.clone()]).is_ok_and(|s| s.lambda > 0.0));
     }
 
     #[test]
@@ -2258,7 +2499,7 @@ mod tests {
         let c = vec![Commodity::unit(HostId(0), HostId(15))];
         let caps = link_capacities(&net);
         let (routes, sources) = (
-            Routes::new(&net, &PathMode::AnyPath),
+            Routes::new(&net, &PathMode::AnyPath, &caps).expect("AnyPath builds its oracle"),
             Sources::new(&net, &c),
         );
         let run = |max_phases| {

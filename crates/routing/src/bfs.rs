@@ -5,7 +5,7 @@
 //! an epoch-stamped [`RouteScratch`]. Hop counts alone come from
 //! [`PlaneGraph::hops_to`]; [`bfs_dist`] is the reference its tests check it
 //! against. Equal-cost path sets are the first tier of the path search in
-//! [`crate::yen`].
+//! [`crate::tier_search`].
 
 use crate::path::Path;
 use crate::plane_graph::PlaneGraph;
@@ -80,7 +80,7 @@ pub fn shortest_path(pg: &PlaneGraph, src: RackId, dst: RackId) -> Option<Path> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::yen::all_shortest_paths;
+    use crate::tier_search::all_shortest_paths;
     use crate::{RouteAlgo, Router};
     use pnet_topology::{assemble_homogeneous, FatTree, LinkProfile, Network, PlaneId};
 

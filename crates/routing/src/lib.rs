@@ -43,7 +43,7 @@ pub mod path;
 pub mod plane_graph;
 pub mod router;
 pub mod scratch;
-pub mod yen;
+pub mod tier_search;
 
 pub use ecmp::{flow_hash, hash_index, hash_plane, hash_select};
 pub use exec::Parallelism;
@@ -54,4 +54,4 @@ pub use path::{
 pub use plane_graph::PlaneGraph;
 pub use router::{DeltaStats, RouteAlgo, Router};
 pub use scratch::RouteScratch;
-pub use yen::ksp;
+pub use tier_search::ksp;

@@ -9,8 +9,8 @@
 //! * [`RouteAlgo::Ksp`] — K shortest paths, the expander default and the
 //!   multipath substrate for MPTCP.
 //!
-//! Both are one search ([`crate::yen`]): paths by length tier, the first
-//! tier for ECMP, as many tiers as K takes for KSP.
+//! Both are one search ([`crate::tier_search`]): paths by length tier, the
+//! first tier for ECMP, as many tiers as K takes for KSP.
 //!
 //! Path computation is a pure function of the plane-graph snapshot, so the
 //! route table is filled either lazily, one entry per missed lookup, or in
@@ -47,7 +47,7 @@ use crate::fnv::Fnv;
 use crate::path::{Path, PathSet, PlanePaths};
 use crate::plane_graph::{shape_classes, PlaneGraph, UNREACHABLE};
 use crate::scratch::with_thread_scratch;
-use crate::yen;
+use crate::tier_search;
 use pnet_topology::{LinkDelta, LinkId, Network, PlaneId, RackId};
 use std::collections::BTreeSet;
 use std::ops::Range;
@@ -297,7 +297,7 @@ impl Router {
 
     /// Pure per-key path computation (the function the table memoizes).
     fn compute(pg: &PlaneGraph, algo: RouteAlgo, src: RackId, dst: RackId) -> PathSet {
-        with_thread_scratch(|scratch| yen::route_set(pg, algo, src, dst, scratch))
+        with_thread_scratch(|scratch| tier_search::route_set(pg, algo, src, dst, scratch))
     }
 
     /// The path set of every slot in `slots`, in no particular order. `slots`
@@ -345,7 +345,7 @@ impl Router {
             let mut batch: Vec<RackId> = wanted.copied().collect();
             batch.sort_unstable();
             batch.dedup();
-            let sets = yen::route_sets(pg, self.algo, lead.src, &batch);
+            let sets = tier_search::route_sets(pg, self.algo, lead.src, &batch);
             let sets: Vec<Arc<PathSet>> = sets.into_iter().map(Arc::new).collect();
             let of = |cell: usize| Arc::clone(&sets[batch_index(&batch, dsts[cell])]);
             let cells = groups[i].iter().flat_map(|run| run.at.clone());

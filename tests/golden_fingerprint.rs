@@ -218,6 +218,56 @@ fn gk_ksp_mode_fingerprint_is_stable() {
     );
 }
 
+/// The Explicit-route scorer on the values it must order exactly: free host
+/// links (lengths +0.0), K = 6 candidates of mixed hop counts, then the
+/// cable that carried the most flow failed under the same candidates (+∞
+/// costs, ties among ∞) with a cold and a warm re-solve.
+#[test]
+fn gk_explicit_edge_values_fingerprint_is_stable() {
+    let mut net = assemble_homogeneous(
+        &Jellyfish::new(16, 4, 2, 3),
+        2,
+        &LinkProfile::paper_default(),
+    );
+    let c = commodity::permutation(&tm::random_permutation(32, 5));
+    let router = Router::new(&net, RouteAlgo::Ksp { k: 12 });
+    let mode = mcf::ksp_mode(&net, &router, &c, 6);
+    let mixed = c.iter().any(|c| {
+        let (a, b) = (net.rack_of_host(c.src), net.rack_of_host(c.dst));
+        let ps = router.k_best_across_planes(a, b, 12);
+        ps.len() >= 6 && ps[0].switch_hops() != ps[5].switch_hops()
+    });
+    assert!(mixed, "some commodity's six candidates differ in hop count");
+    let opts = mcf::McfOptions {
+        host_links_free: true,
+        parallelism: Parallelism::Serial,
+    };
+    let cold = mcf::try_solve(&net, &c, &mode, 0.1, opts).expect("solves");
+    let hottest = failures::fabric_cables(&net, None)
+        .into_iter()
+        .max_by(|&a, &b| {
+            let load = |l: LinkId| cold.link_flow[l.index()] + cold.link_flow[l.reverse().index()];
+            load(a).total_cmp(&load(b))
+        })
+        .expect("the fabric has cables");
+    failures::fail_cable(&mut net, hottest);
+    let failed = mcf::try_solve(&net, &c, &mode, 0.1, opts).expect("re-solves cold");
+    let warm = mcf::try_solve_warm(&net, &c, &mode, 0.1, &cold).expect("re-solves warm");
+    let mut h = Fnv::new();
+    for sol in [&cold, &failed, &warm] {
+        h.u64(solution_digest(sol));
+        for x in sol.link_flow.iter().chain(&sol.length) {
+            h.u64(x.to_bits());
+        }
+    }
+    assert_eq!(
+        h.0, GOLDEN_GK_EXPLICIT_EDGES,
+        "Explicit-mode GK changed (cold lambda {} over {} phases; after the failure \
+         cold {} over {}, warm {} over {})",
+        cold.lambda, cold.phases, failed.lambda, failed.phases, warm.lambda, warm.phases
+    );
+}
+
 /// Hash-placed single-path ECMP under max-min waterfilling: the totals of a
 /// permutation and of all-to-all traffic on 1, 2 and 4 planes. A moved
 /// route or a reordered waterfilling step changes a rate, and with it the
@@ -618,6 +668,12 @@ const GOLDEN_GK_KSP: u64 = 6197694358928288419;
 // warm: lambda 9441233140.655071 over 77 phases, trees (7392, 0, 0). Minted
 // with the per-source Dijkstra that the blocked Bellman–Ford replaced.
 const GOLDEN_GK_HETERO_ALL_TO_ALL: u64 = 17101496976981860298;
+// Cold: lambda 119101123595.50694 over 1697 phases; after the failure, cold
+// 99043715846.99446 over 1451 and warm 99166666666.66673 over 141. Minted
+// with the per-route scorer, before candidates were scored by equal-length
+// run; eight commodities have a candidate through the failed cable, four of
+// them two.
+const GOLDEN_GK_EXPLICIT_EDGES: u64 = 478259666085826298;
 const GOLDEN_ECMP_MAXMIN: u64 = 13167328887666313324;
 // Pinned by the pre-calendar-queue BinaryHeap engine; the calendar/arena
 // engine must reproduce it bit-for-bit.
