@@ -275,7 +275,9 @@ pub const WARM_PHASE_BUDGET: f64 = 16.0;
 
 /// Re-solve max concurrent flow after a link delta, warm-started from
 /// `warm` (a solution for the *same network arena* — same link ids — under
-/// the previous link state; the current state is read from `net`).
+/// the previous link state; the current state is read from `net`). It
+/// solves the capacitated problem on the default pool
+/// ([`McfOptions::default`]), whatever options `warm` was solved under.
 ///
 /// Instead of the uniform δ/cₑ start, lengths begin at the previous dual
 /// profile, rescaled so the carried mass is `δ_w` per link on average:

@@ -27,8 +27,17 @@ use pnet_topology::Network;
 pub fn ecmp_throughput(net: &Network, commodities: &[Commodity]) -> f64 {
     let router = Router::new(net, RouteAlgo::Ecmp { cap: 64 });
     let mode = mcf::ecmp_mode_with(net, &router, commodities, Parallelism::default());
-    let PathMode::Explicit(routes) = &mode else {
-        unreachable!("invariant: ecmp_mode_with builds PathMode::Explicit, one path per commodity")
+    let routes = match &mode {
+        PathMode::Explicit(routes) => routes,
+        #[expect(
+            clippy::unreachable,
+            reason = "invariant: ecmp_mode_with builds PathMode::Explicit"
+        )]
+        PathMode::AnyPath => {
+            unreachable!(
+                "invariant: ecmp_mode_with builds PathMode::Explicit, one path per commodity"
+            )
+        }
     };
     let flows: Vec<Vec<usize>> = (0..routes.len())
         .map(|i| {

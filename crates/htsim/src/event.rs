@@ -622,7 +622,7 @@ mod tests {
         let order: Vec<u32> = std::iter::from_fn(|| q.pop())
             .map(|e| match e.kind {
                 EventKind::AppTimer { app, .. } => app,
-                _ => unreachable!(),
+                _ => panic!("only app timers are scheduled"),
             })
             .collect();
         assert_eq!(order, vec![1, 2, 3]);
@@ -637,7 +637,7 @@ mod tests {
         let order: Vec<u32> = std::iter::from_fn(|| q.pop())
             .map(|e| match e.kind {
                 EventKind::AppTimer { app, .. } => app,
-                _ => unreachable!(),
+                _ => panic!("only app timers are scheduled"),
             })
             .collect();
         assert_eq!(order, (0..10).collect::<Vec<_>>());
@@ -705,7 +705,7 @@ mod tests {
         std::iter::from_fn(|| q.pop())
             .map(|e| match e.kind {
                 EventKind::AppTimer { app, .. } => (e.time.as_ps(), app),
-                _ => unreachable!(),
+                _ => panic!("only app timers are scheduled"),
             })
             .collect()
     }
@@ -852,7 +852,7 @@ mod tests {
         got.into_iter()
             .map(|e| match e.kind {
                 EventKind::AppTimer { app, .. } => (e.time.as_ps(), app),
-                _ => unreachable!(),
+                _ => panic!("only app timers are scheduled"),
             })
             .collect()
     }
@@ -893,7 +893,7 @@ mod tests {
         while let Some(e) = q.pop() {
             let t = e.time.as_ps();
             let EventKind::AppTimer { app: id, .. } = e.kind else {
-                unreachable!()
+                panic!("only app timers are scheduled")
             };
             got.push((t, id));
             if id % 2 == 0 && t < last {

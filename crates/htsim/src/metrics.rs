@@ -62,7 +62,6 @@ pub fn goodput_gbps(rec: &FlowRecord) -> f64 {
     if secs <= 0.0 {
         return 0.0;
     }
-    // pnet-tidy: allow(U1) -- this *is* the checked bits->Gb/s conversion helper the rule points callers at
     rec.size_bytes as f64 * 8.0 / secs / 1e9
 }
 

@@ -22,7 +22,7 @@
 //! ## Determinism contract
 //!
 //! Every timestamp is a [`SimTime`]; no wall clock is read anywhere
-//! (`pnet-tidy` rule D2 applies to this file like any other). Records are
+//! (clippy.toml bans `Instant` in this file like any other). Records are
 //! appended in event-dispatch order and serialized with a stable field
 //! order, so two runs of the same scenario produce **byte-identical** JSONL
 //! and CSV. Sampler events mutate no transport or queue state — enabling

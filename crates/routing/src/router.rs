@@ -1191,7 +1191,6 @@ mod tests {
             .map(|_| {
                 let r = Arc::clone(&r);
                 let want = reference.clone();
-                // pnet-tidy: allow(D2) -- this test exists to prove the router is shareable across real OS threads
                 std::thread::spawn(move || {
                     for _ in 0..50 {
                         assert_eq!(r.k_best_across_planes(RackId(0), RackId(7), 8), want);

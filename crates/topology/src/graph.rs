@@ -299,6 +299,10 @@ impl Network {
     pub fn rack_of_host(&self, h: HostId) -> RackId {
         match self.node(self.host_node(h)).kind {
             NodeKind::Host { rack, .. } => rack,
+            #[expect(
+                clippy::unreachable,
+                reason = "invariant: the host table lists only Host nodes (checked by validate)"
+            )]
             NodeKind::Tor { .. } | NodeKind::Agg { .. } | NodeKind::Core => {
                 unreachable!(
                     "invariant: the host table lists only Host nodes (checked by validate)"

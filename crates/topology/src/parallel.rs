@@ -64,8 +64,11 @@ pub fn fattree_network(
     match class {
         NetworkClass::SerialLow => assemble_homogeneous(&ft, 1, base),
         NetworkClass::ParallelHomogeneous => assemble_homogeneous(&ft, n_planes, base),
+        #[expect(
+            clippy::panic,
+            reason = "invariant: classes_for offers no heterogeneous fat tree, as the paper has none"
+        )]
         NetworkClass::ParallelHeterogeneous => {
-            // pnet-tidy: allow(C1) -- unsupported NetworkClass combination is a programming error at experiment-construction time; the paper notes fat trees have no heterogeneous variant
             panic!("fat trees have no heterogeneous parallel variant")
         }
         NetworkClass::SerialHigh => assemble_homogeneous(&ft, 1, &base.scaled(n_planes as u64)),

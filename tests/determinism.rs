@@ -299,7 +299,7 @@ fn back_to_back_update_batches_match_the_serial_loop() {
 /// wedging the suite.
 fn finishes<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
     let (tx, rx) = std::sync::mpsc::channel();
-    // pnet-tidy: allow(D2) -- the watchdog needs a thread it can give up on; a scoped one would be joined
+    // The watchdog needs a thread it can give up on: a scoped one would be joined.
     std::thread::spawn(move || tx.send(f()));
     rx.recv_timeout(std::time::Duration::from_secs(120))
         .unwrap_or_else(|e| panic!("{what} did not finish: {e}"))

@@ -221,7 +221,9 @@ fn gk_ksp_mode_fingerprint_is_stable() {
 /// The Explicit-route scorer on the values it must order exactly: free host
 /// links (lengths +0.0), K = 6 candidates of mixed hop counts, then the
 /// cable that carried the most flow failed under the same candidates (+∞
-/// costs, ties among ∞) with a cold and a warm re-solve.
+/// costs, ties among ∞) with a cold and a warm re-solve. The warm half
+/// solves the capacitated problem (`try_solve_warm` takes no options) from
+/// the free-host-link solution's lengths.
 #[test]
 fn gk_explicit_edge_values_fingerprint_is_stable() {
     let mut net = assemble_homogeneous(
@@ -348,8 +350,10 @@ fn full_size_cold_solve_shares_three_trees_of_four() {
 
 /// Fig 7's path, which the permutation pins above never take: differently
 /// wired planes, several hosts per ToR, all-to-all demand and free host
-/// links, then a warm re-solve after one fabric cable fails. Each solve's
-/// digest also holds its three tree counters.
+/// links, then a warm re-solve after one fabric cable fails; the warm half
+/// solves the capacitated problem (`try_solve_warm` takes no options) from
+/// the free-host-link lengths. Each solve's digest also holds its three
+/// tree counters.
 #[test]
 fn gk_heterogeneous_all_to_all_fingerprint_is_stable() {
     use pnet::topology::{parallel, NetworkClass};
