@@ -395,6 +395,63 @@ fn gk_heterogeneous_all_to_all_fingerprint_is_stable() {
     );
 }
 
+/// A ToR cut off in one plane only: every fabric cable of rack 5's ToR in
+/// plane 0 fails, so that rack is unreachable in plane 0 from every other
+/// source, and its own sources reach nothing there but themselves. Every
+/// source reads fifteen racks. An all-to-all AnyPath solve runs cold, then
+/// warm after one of the cables is restored. The digest holds each solve's
+/// λ, phases, rates, link flows, lengths and tree counters.
+#[test]
+fn gk_isolated_tor_fingerprint_is_stable() {
+    let mut net = assemble_homogeneous(
+        &Jellyfish::new(16, 4, 2, 9),
+        2,
+        &LinkProfile::paper_default(),
+    );
+    let tor = net
+        .tor_of_rack(RackId(5), PlaneId(0))
+        .expect("rack 5 has a plane-0 ToR");
+    let cut: Vec<LinkId> = failures::fabric_cables(&net, Some(PlaneId(0)))
+        .into_iter()
+        .filter(|&l| net.link(l).src == tor || net.link(l).dst == tor)
+        .collect();
+    assert_eq!(cut.len(), 4, "a degree-4 ToR has four fabric cables");
+    for &l in &cut {
+        failures::fail_cable(&mut net, l);
+    }
+    let c = commodity::all_to_all(32);
+    let opts = mcf::McfOptions {
+        host_links_free: false,
+        parallelism: Parallelism::Serial,
+    };
+    let cold = mcf::try_solve(&net, &c, &mcf::PathMode::AnyPath, 0.1, opts).expect("solves");
+    failures::restore_cable(&mut net, cut[0]);
+    let warm =
+        mcf::try_solve_warm(&net, &c, &mcf::PathMode::AnyPath, 0.1, &cold).expect("re-solves");
+    let mut h = Fnv::new();
+    for sol in [&cold, &warm] {
+        h.u64(solution_digest(sol));
+        for x in sol.link_flow.iter().chain(&sol.length) {
+            h.u64(x.to_bits());
+        }
+        for n in [sol.trees_built, sol.trees_shared, sol.trees_kept] {
+            h.u64(n);
+        }
+    }
+    assert_eq!(
+        h.0,
+        GOLDEN_GK_ISOLATED_TOR,
+        "GK with a ToR isolated in one plane changed (cold lambda {} over {} phases, \
+         trees {:?}; warm lambda {} over {} phases, trees {:?})",
+        cold.lambda,
+        cold.phases,
+        (cold.trees_built, cold.trees_shared, cold.trees_kept),
+        warm.lambda,
+        warm.phases,
+        (warm.trees_built, warm.trees_shared, warm.trees_kept),
+    );
+}
+
 #[test]
 fn post_churn_ksp_table_fingerprint_is_stable() {
     // A seeded churn walk absorbed through the incremental delta path must
@@ -678,6 +735,10 @@ const GOLDEN_GK_HETERO_ALL_TO_ALL: u64 = 17101496976981860298;
 // run; eight commodities have a candidate through the failed cable, four of
 // them two.
 const GOLDEN_GK_EXPLICIT_EDGES: u64 = 478259666085826298;
+// Cold: lambda 3333238369.2772284 over 1171 phases, trees (72604, 0, 2340);
+// warm: lambda 4950495049.504951 over 123 phases, trees (7872, 0, 0). Minted
+// while each source's bundle held every switch's distance and parent.
+const GOLDEN_GK_ISOLATED_TOR: u64 = 14209252456081626339;
 const GOLDEN_ECMP_MAXMIN: u64 = 13167328887666313324;
 // Pinned by the pre-calendar-queue BinaryHeap engine; the calendar/arena
 // engine must reproduce it bit-for-bit.
