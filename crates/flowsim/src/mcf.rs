@@ -91,10 +91,10 @@ pub enum McfError {
     /// `Explicit` mode: the path table length differs from the commodity
     /// count.
     PathTableMismatch { paths: usize, commodities: usize },
-    /// Commodity `index` has no usable route: an empty `Explicit` path set,
-    /// a route of no links, or routes that all cross a down link; or
-    /// (AnyPath) no plane connects its endpoints under the current link
-    /// state.
+    /// Commodity `index` has no usable route: a `src` or `dst` that is not a
+    /// host of the network; an empty `Explicit` path set, a route of no
+    /// links, or routes that all cross a down link; or (AnyPath) no plane
+    /// connects its endpoints under the current link state.
     UnroutableCommodity { index: usize },
     /// No commodity could be seeded with positive congestion — every route
     /// is empty or uncapacitated, so there is nothing to solve.
@@ -151,7 +151,12 @@ impl std::fmt::Display for McfError {
 impl std::error::Error for McfError {}
 
 /// The checks a solve makes on its arguments before it builds anything.
-fn validate_inputs(commodities: &[Commodity], mode: &PathMode, eps: f64) -> Result<(), McfError> {
+fn validate_inputs(
+    net: &Network,
+    commodities: &[Commodity],
+    mode: &PathMode,
+    eps: f64,
+) -> Result<(), McfError> {
     if !(eps > 0.0 && eps < 0.5) {
         return Err(McfError::InvalidEps { eps });
     }
@@ -161,6 +166,9 @@ fn validate_inputs(commodities: &[Commodity], mode: &PathMode, eps: f64) -> Resu
     for (i, c) in commodities.iter().enumerate() {
         if !(c.demand > 0.0 && c.demand.is_finite()) {
             return Err(McfError::InvalidDemand { index: i });
+        }
+        if c.src.index() >= net.n_hosts() || c.dst.index() >= net.n_hosts() {
+            return Err(McfError::UnroutableCommodity { index: i });
         }
     }
     if let PathMode::Explicit(routes) = mode {
@@ -320,7 +328,7 @@ fn solve_from(
     opts: McfOptions,
     warm: Option<&McfSolution>,
 ) -> Result<McfSolution, McfError> {
-    validate_inputs(commodities, mode, eps)?;
+    validate_inputs(net, commodities, mode, eps)?;
     if warm.is_some_and(|w| w.lambda.is_nan() || w.lambda <= 0.0) {
         return Err(McfError::NonPositiveWarmLambda);
     }
@@ -599,15 +607,10 @@ fn gk_core(
                             (table.row(j, r), bottlenecks.of[bottlenecks.at[j] + r])
                         }
                         Routes::AnyPath(oracle) => {
+                            let (c, trees) = (&commodities[i], &phase_trees[si]);
+                            let slot = sources.slot[i];
                             let p = oracle
-                                .best_route_into(
-                                    net,
-                                    commodities[i].src,
-                                    commodities[i].dst,
-                                    &phase_trees[si],
-                                    &length,
-                                    &mut route,
-                                )
+                                .best_route_into(c.src, c.dst, slot, trees, &length, &mut route)
                                 .expect("invariant: the seeding pass routed every commodity");
                             // Routes longer than uplink + downlink grow
                             // fabric lengths: plane p's trees go stale.
@@ -744,8 +747,8 @@ fn shortest_routes_unit(
     let mut seeded = vec![None; commodities.len()];
     for (group, trees) in sources.commodities.iter().zip(&trees) {
         for &i in group {
-            let (c, mut route) = (&commodities[i], Vec::new());
-            let found = oracle.best_route_into(net, c.src, c.dst, trees, &unit, &mut route);
+            let (c, slot, mut route) = (&commodities[i], sources.slot[i], Vec::new());
+            let found = oracle.best_route_into(c.src, c.dst, slot, trees, &unit, &mut route);
             seeded[i] = found.map(|_| route);
         }
     }
@@ -759,11 +762,13 @@ fn shortest_routes_unit(
 /// The active sources of a solve, grouped once for the seeding pass and the
 /// phase loop: the source hosts in ascending order, each one's commodities
 /// in index order, and the sorted, deduplicated racks those commodities go
-/// to — where the source's trees are read.
+/// to — where the source's trees are read. Commodity `i` reads its
+/// source's target `slot[i]`.
 struct Sources {
     hosts: Vec<HostId>,
     commodities: Vec<Vec<usize>>,
     targets: Vec<Vec<RackId>>,
+    slot: Vec<usize>,
 }
 
 impl Sources {
@@ -776,17 +781,20 @@ impl Sources {
             hosts: Vec::new(),
             commodities: Vec::new(),
             targets: Vec::new(),
+            slot: vec![0; commodities.len()],
         };
         for (h, group) in by_src.into_iter().enumerate() {
             if group.is_empty() {
                 continue;
             }
-            let mut targets: Vec<RackId> = group
-                .iter()
-                .map(|&i| net.rack_of_host(commodities[i].dst))
-                .collect();
+            let rack = |&i: &usize| net.rack_of_host(commodities[i].dst);
+            let mut targets: Vec<RackId> = group.iter().map(rack).collect();
             targets.sort_unstable();
             targets.dedup();
+            for i in &group {
+                let j = targets.binary_search(&rack(i));
+                sources.slot[*i] = j.expect("invariant: every destination rack is a target");
+            }
             sources.hosts.push(HostId(h as u32));
             sources.commodities.push(group);
             sources.targets.push(targets);
@@ -965,7 +973,8 @@ impl Candidates {
 
 use pnet_routing::PlaneGraph;
 
-/// Parent sentinel: `u64::MAX` cannot encode a real (node, edge) pair.
+/// Parent sentinel of a tree root: `u64::MAX` cannot encode a real (node,
+/// edge) pair (see [`InEdges::parent`]).
 const NO_PARENT: u64 = u64::MAX;
 
 /// Memo entry of a parent not derived yet; like [`NO_PARENT`], no real
@@ -976,17 +985,28 @@ const UNDERIVED: u64 = u64::MAX - 1;
 /// Bellman–Ford run carries side by side, one `[f64; LANES]` per switch.
 const LANES: usize = 8;
 
-/// One plane's tree: (dist to each dense switch, packed parent of each
-/// switch). A parent packs `(dense parent node) << 32 | CSR edge position`
-/// ([`PlaneGraph::link_at`] names the link), or [`NO_PARENT`] at the tree
-/// root — one word instead of a 24-byte `Option<(usize, LinkId)>`, so
-/// refreshes touch less memory, and free of link ids, so a tree means the
-/// same thing on every plane of one shape.
-type PlaneTree = (Vec<f64>, Vec<u64>);
+/// One plane's tree as its source reads it: for the source's `j`-th target,
+/// the distance `dist[j]` (+∞ when no path reaches it) and the root → target
+/// chain `chain[at[j]..at[j + 1]]` (empty when unreachable) as CSR positions
+/// ([`PlaneGraph::link_at`] names the links). Free of link ids, so a tree
+/// means the same thing on every plane of one shape.
+#[derive(Clone, Default)]
+struct PlaneTree {
+    dist: Vec<f64>,
+    at: Vec<u32>,
+    chain: Vec<u32>,
+}
 
-/// Shortest-path trees from one source rack, one per plane. Persistent: the
-/// phase loop refreshes the same trees in place every phase instead of
-/// reallocating them.
+impl PlaneTree {
+    /// The CSR positions from the root to target `j`.
+    fn chain(&self, j: usize) -> &[u32] {
+        &self.chain[self.at[j] as usize..self.at[j + 1] as usize]
+    }
+}
+
+/// Shortest-path trees from one source host, one per plane. Persistent: a
+/// build swaps in the tree the kernel wrote, and the kernel writes the next
+/// one over the tree it got back, so refreshes stop allocating once warm.
 ///
 /// Planes that share a tree share it by index: `of[p]` names the buffer
 /// holding plane `p`'s tree, and a hand-off from a sibling is `of[p] =
@@ -994,7 +1014,7 @@ type PlaneTree = (Vec<f64>, Vec<u64>);
 /// built while another plane reads its buffer always finds one that no
 /// plane reads.
 struct PlaneTrees {
-    /// One (dist, parent) buffer per plane, each sized to the largest plane.
+    /// One tree buffer per plane.
     bufs: Vec<PlaneTree>,
     /// The buffer holding each plane's tree.
     of: Vec<usize>,
@@ -1010,7 +1030,7 @@ struct PlaneTrees {
 }
 
 impl PlaneTrees {
-    /// Plane `p`'s (dist, parent) arrays.
+    /// Plane `p`'s tree.
     fn tree(&self, p: usize) -> &PlaneTree {
         &self.bufs[self.of[p]]
     }
@@ -1090,7 +1110,8 @@ impl InEdges {
         self.start[v] as usize..self.start[v + 1] as usize
     }
 
-    /// The packed parent (see [`PlaneTree`]) that edge `e` makes.
+    /// The parent that edge `e` makes, packed `(tail) << 32 | CSR position`
+    /// in one word.
     fn parent(&self, e: usize) -> u64 {
         ((self.tail[e] as u64) << 32) | self.pos[e] as u64
     }
@@ -1114,10 +1135,14 @@ struct Block {
     roots: Vec<usize>,
     /// Distance of each switch, one lane per column.
     dist: Vec<[f64; LANES]>,
-    /// Parent of each switch per lane, [`UNDERIVED`] off the chains read.
+    /// Packed parent (see [`InEdges::parent`]) of each switch per lane,
+    /// [`UNDERIVED`] off the chains read.
     parent: Vec<[u64; LANES]>,
     /// The builds this block serves, each with its lane.
     members: Vec<(usize, Build)>,
+    /// Each member's tree, written by the fan-out and swapped into the
+    /// member's buffer after it.
+    out: Vec<PlaneTree>,
 }
 
 /// The tree kernel's working set, kept across phases so that a refresh
@@ -1185,17 +1210,35 @@ impl Block {
         }
     }
 
-    /// Derive the parents on the chain from switch `t` up to `lane`'s root,
-    /// stopping early at a switch already derived: its chain is too.
-    fn derive_chain(&mut self, ins: &InEdges, w: &[f64], lane: usize, t: usize) {
-        let (mut v, mut hops) = (t, 0);
-        while self.parent[v][lane] == UNDERIVED && self.dist[v][lane].is_finite() {
-            let pv = self.parent_of(ins, w, lane, v);
-            self.parent[v][lane] = pv;
+    /// Append switch `t`'s distance in `lane` and its chain up from the root
+    /// to `tree`, deriving the parents on the way that are not derived yet.
+    fn chain_into(
+        &mut self,
+        ins: &InEdges,
+        w: &[f64],
+        lane: usize,
+        t: usize,
+        tree: &mut PlaneTree,
+    ) {
+        let (start, mut v) = (tree.chain.len(), t);
+        while self.dist[v][lane].is_finite() {
+            if self.parent[v][lane] == UNDERIVED {
+                self.parent[v][lane] = self.parent_of(ins, w, lane, v);
+            }
+            let pv = self.parent[v][lane];
+            if pv == NO_PARENT {
+                break;
+            }
+            tree.chain.push(pv as u32);
             v = (pv >> 32) as usize;
-            hops += 1;
-            debug_assert!(hops < self.dist.len(), "parent chains end at the root");
+            debug_assert!(
+                tree.chain.len() - start < self.dist.len(),
+                "chains end at the root"
+            );
         }
+        tree.chain[start..].reverse();
+        tree.dist.push(self.dist[t][lane]);
+        tree.at.push(tree.chain.len() as u32);
     }
 
     /// Dijkstra's parent of the reachable, non-root switch `v` in `lane`.
@@ -1325,20 +1368,11 @@ impl AnyPathOracle {
         self.uplinks[h.index() * self.n_planes + p]
     }
 
-    fn max_switches(&self) -> usize {
-        self.planes
-            .iter()
-            .map(|pg| pg.n_switches())
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Empty tree bundle sized for this oracle, to be filled by
+    /// Empty tree bundle for this oracle, to be filled by
     /// [`AnyPathOracle::refresh`].
     fn empty_trees(&self) -> PlaneTrees {
-        let max_n = self.max_switches();
         PlaneTrees {
-            bufs: vec![(vec![f64::INFINITY; max_n], vec![NO_PARENT; max_n]); self.n_planes],
+            bufs: vec![PlaneTree::default(); self.n_planes],
             of: (0..self.n_planes).collect(),
             valid: vec![false; self.planes.len()],
             built: 0,
@@ -1405,13 +1439,11 @@ impl AnyPathOracle {
     ///    planes keep, share or build their tree, and queues each build.
     /// 2. Each plane gets one kernel column per distinct source ToR among
     ///    its builds — the hosts of a rack share one — and each block of up
-    ///    to [`LANES`] columns runs [`Block::relax`], then derives the
-    ///    parents on its sources' chains, root → each target, by
-    ///    [`Block::derive_chain`]. Blocks are independent, so they fan out
+    ///    to [`LANES`] columns runs [`Block::relax`], then writes each
+    ///    build's tree, every target's distance and chain, by
+    ///    [`Block::chain_into`]. Blocks are independent, so they fan out
     ///    under `par`.
-    /// 3. Each build copies its column's distances and parents into its
-    ///    buffer. Parents off the chains are stale and never read: the routes
-    ///    and the kept check follow target chains only.
+    /// 3. Each build's tree is swapped into its buffer.
     fn refresh(
         &self,
         net: &Network,
@@ -1430,11 +1462,12 @@ impl AnyPathOracle {
         } = kernel;
         builds.clear();
         for (source, t) in trees.iter_mut().enumerate() {
-            self.plan(&sources.targets[source], snap, t, |plane, buf| {
+            self.plan(snap, t, |plane, buf| {
                 builds.push(Build { plane, source, buf })
             });
         }
-        let max_n = self.max_switches();
+        let max_n = self.planes.iter().map(PlaneGraph::n_switches).max();
+        let max_n = max_n.unwrap_or(0);
         column_of.clear();
         column_of.resize(self.n_planes * max_n, usize::MAX);
         open.clear();
@@ -1471,56 +1504,52 @@ impl AnyPathOracle {
                 &snap.weights[k.plane],
             );
             k.relax(ins, w);
+            let n_out = k.out.len().max(k.members.len());
+            k.out.resize_with(n_out, PlaneTree::default);
             for m in 0..k.members.len() {
-                let (lane, b) = k.members[m];
+                let ((lane, b), mut tree) = (k.members[m], std::mem::take(&mut k.out[m]));
+                tree.dist.clear();
+                tree.chain.clear();
+                tree.at.clear();
+                tree.at.push(0);
                 for &r in &sources.targets[b.source] {
-                    k.derive_chain(ins, w, lane, pg.tor(r));
+                    k.chain_into(ins, w, lane, pg.tor(r), &mut tree);
                 }
+                k.out[m] = tree;
             }
         });
-        for k in &blocks[..*n_blocks] {
-            for &(lane, b) in &k.members {
-                let (dist, parent) = &mut trees[b.source].bufs[b.buf];
-                let columns = k.dist.iter().zip(&k.parent);
-                for ((d, p), (dk, pk)) in dist.iter_mut().zip(parent.iter_mut()).zip(columns) {
-                    (*d, *p) = (dk[lane], pk[lane]);
-                }
+        for k in &mut blocks[..*n_blocks] {
+            for (&(_, b), tree) in k.members.iter().zip(&mut k.out) {
+                std::mem::swap(&mut trees[b.source].bufs[b.buf], tree);
             }
         }
     }
 
-    /// Decide what each plane's tree in the bundle `out` of a source with
-    /// `targets` does this refresh, and hand every tree to build, with the
-    /// buffer it goes to, to `queue`.
+    /// Decide what each plane's tree in the source bundle `out` does this
+    /// refresh, and hand every tree to build, with the buffer it goes to, to
+    /// `queue`.
     ///
     /// Planes whose `dirty` flag is unset are skipped entirely: their
-    /// weights match the previous refresh, so the (dist, parent) arrays
-    /// already hold exactly what recomputing would produce.
+    /// weights match the previous refresh, so their trees already hold
+    /// exactly what recomputing would produce.
     ///
     /// Within a dirty plane, `grown[p]` (a bitset over link ids: the links
     /// whose length grew since the plane's last gather) refines the skip to
-    /// *per source*: if none of this source's recorded shortest-path chains
-    /// (root → each target) traverses a grown link, the tree is kept. This
-    /// is exact, not approximate: lengths only grow within a solve, so the
-    /// recorded chains — untouched by the delta — still achieve their old
-    /// distances while every other path can only have gotten longer; the
-    /// targets' distances are therefore unchanged. Parents are also
-    /// reproduced bit-for-bit by a rebuild: a rival same-distance achiever
-    /// would have to pop no later than the recorded parent to displace it,
-    /// but growth can only move rivals' keys (and hence their pops) later,
-    /// never earlier. Only the stale never-read remainder of the arrays
-    /// differs from a rebuild.
+    /// *per source*: if none of the tree's chains traverses a grown link,
+    /// the tree is kept. This is exact, not approximate: lengths only grow
+    /// within a solve, so the chains — untouched by the delta — still
+    /// achieve their old distances while every other path can only have
+    /// gotten longer, and an unreachable target (empty chain) stays
+    /// unreachable, as growth never severs or adds links. The chains are
+    /// also reproduced bit-for-bit by a rebuild: a rival same-distance
+    /// achiever would have to pop no later than the recorded parent to
+    /// displace it, but growth can only move rivals' keys (and hence their
+    /// pops) later, never earlier.
     ///
     /// A dirty plane whose tree is not kept takes plane `sibling[p]`'s
     /// buffer when there is one (see [`AnyPathOracle::siblings`]), and is
     /// built otherwise.
-    fn plan(
-        &self,
-        targets: &[RackId],
-        snap: Snapshot<'_>,
-        out: &mut PlaneTrees,
-        mut queue: impl FnMut(usize, usize),
-    ) {
+    fn plan(&self, snap: Snapshot<'_>, out: &mut PlaneTrees, mut queue: impl FnMut(usize, usize)) {
         let PlaneTrees {
             bufs,
             of,
@@ -1534,27 +1563,12 @@ impl AnyPathOracle {
                 continue;
             }
             if valid[p] {
-                let (dist, parent) = &bufs[of[p]];
                 let g = &snap.grown[p];
-                let hit = targets.iter().any(|&r| {
-                    let t = pg.tor(r);
-                    if dist[t].is_infinite() {
-                        return false; // unreachable stays unreachable: growth never severs or adds links
-                    }
-                    let mut cur = t;
-                    loop {
-                        let pv = parent[cur];
-                        if pv == NO_PARENT {
-                            return false;
-                        }
-                        let e = pg.link_at(pv as u32 as usize).index();
-                        if g[e >> 6] & (1u64 << (e & 63)) != 0 {
-                            return true;
-                        }
-                        cur = (pv >> 32) as usize;
-                    }
-                });
-                if !hit {
+                let grown = |&pos: &u32| {
+                    let e = pg.link_at(pos as usize).index();
+                    g[e >> 6] & (1u64 << (e & 63)) != 0
+                };
+                if !bufs[of[p]].chain.iter().any(grown) {
                     *kept += 1;
                     continue;
                 }
@@ -1576,63 +1590,43 @@ impl AnyPathOracle {
         }
     }
 
-    /// Best full route `src -> dst` across all planes given precomputed
-    /// trees, written into `route` (cleared first); returns the chosen
-    /// plane's index, or `None` when no plane connects the two hosts. Falls
-    /// back across planes where a host lacks an uplink.
+    /// Best full route `src -> dst` across all planes given the source's
+    /// trees, where `dst`'s rack is the source's target `slot`, written into
+    /// `route` (cleared first); returns the chosen plane's index, or `None`
+    /// when no plane connects the two hosts. Falls back across planes where
+    /// a host lacks an uplink.
     fn best_route_into(
         &self,
-        net: &Network,
         src: HostId,
         dst: HostId,
+        slot: usize,
         trees: &PlaneTrees,
         length: &[f64],
         route: &mut Vec<LinkId>,
     ) -> Option<usize> {
-        let dst_rack = net.rack_of_host(dst);
-        let mut best: Option<(f64, usize)> = None;
-        for (p, pg) in self.planes.iter().enumerate() {
+        let mut best: Option<(f64, usize, LinkId, LinkId)> = None;
+        for p in 0..self.n_planes {
             let (Some(up), Some(down)) = (
                 self.uplink(src, p),
                 self.uplink(dst, p).map(|l| l.reverse()),
             ) else {
                 continue;
             };
-            let t = pg.tor(dst_rack);
-            let dist = &trees.tree(p).0;
-            if dist[t].is_infinite() {
+            let dist = trees.tree(p).dist[slot];
+            if dist.is_infinite() {
                 continue;
             }
-            let total = length[up.index()] + dist[t] + length[down.index()];
-            if best.is_none_or(|(b, _)| total < b) {
-                best = Some((total, p));
+            let total = length[up.index()] + dist + length[down.index()];
+            if best.is_none_or(|(b, ..)| total < b) {
+                best = Some((total, p, up, down));
             }
         }
-        let (_, p) = best?;
-        let pg = &self.planes[p];
-        let parent = &trees.tree(p).1;
-        // Backtrack the fabric portion, then reverse in place within the
-        // route buffer (slot 0 holds the uplink; the downlink is appended).
+        let (_, p, up, down) = best?;
+        let (pg, chain) = (&self.planes[p], trees.tree(p).chain(slot));
         route.clear();
-        route.push(
-            self.uplink(src, p)
-                .expect("invariant: the chosen plane has an uplink for the source host"),
-        );
-        let mut cur = pg.tor(dst_rack);
-        loop {
-            let pv = parent[cur];
-            if pv == NO_PARENT {
-                break;
-            }
-            route.push(pg.link_at(pv as u32 as usize));
-            cur = (pv >> 32) as usize;
-        }
-        route[1..].reverse();
-        route.push(
-            self.uplink(dst, p)
-                .expect("invariant: the chosen plane has an uplink for the destination host")
-                .reverse(),
-        );
+        route.push(up);
+        route.extend(chain.iter().map(|&pos| pg.link_at(pos as usize)));
+        route.push(down);
         Some(p)
     }
 }
@@ -1833,6 +1827,24 @@ mod tests {
             try_solve_warm(&net, &c, &PathMode::AnyPath, EPS, &dead),
             Err(McfError::NonPositiveWarmLambda)
         ));
+        // A `src` or `dst` that is not a host is refused in both modes, cold
+        // and warm, before anything indexes the host tables with it.
+        let routes = host_routes(&net, &c[0]);
+        let explicit = PathMode::Explicit(Candidates::new(&[routes.clone(), routes]));
+        for stray in [
+            Commodity::unit(HostId(16), HostId(1)),
+            Commodity::unit(HostId(1), HostId(16)),
+        ] {
+            let two = [c[0], stray];
+            for mode in [&PathMode::AnyPath, &explicit] {
+                let unroutable = Some(McfError::UnroutableCommodity { index: 1 });
+                assert_eq!(try_solve(&net, &two, mode, EPS, OPTS).err(), unroutable);
+                assert_eq!(
+                    try_solve_warm(&net, &two, mode, EPS, &warm).err(),
+                    unroutable
+                );
+            }
+        }
         // The checked and panicking paths agree on good inputs.
         let a = solve(&net, &c, &PathMode::AnyPath, EPS);
         let b =
@@ -2016,6 +2028,7 @@ mod tests {
             hosts: vec![src],
             commodities: vec![Vec::new()],
             targets: vec![targets.to_vec()],
+            slot: Vec::new(),
         }
     }
 
@@ -2084,45 +2097,31 @@ mod tests {
             assert_eq!((shared.built, shared.shared), (1, 2));
             assert_eq!((built.built, built.shared), (3, 0));
             for (p, pg) in oracle.planes.iter().enumerate() {
-                for r in 1..net.n_racks() as u32 {
-                    let t = pg.tor(RackId(r));
-                    let (a, b) = (shared.tree(p).0[t], built.tree(p).0[t]);
+                for j in 0..net.n_racks() - 1 {
+                    let (a, b) = (shared.tree(p).dist[j], built.tree(p).dist[j]);
                     assert_eq!(a.to_bits(), b.to_bits(), "round {round} plane {p}");
-                    let links = chain(&shared, pg, p, t);
-                    assert_eq!(links, chain(&built, pg, p, t), "round {round}");
+                    let links = chain(&shared, pg, p, j);
+                    assert_eq!(links, chain(&built, pg, p, j), "round {round}");
                     assert!(links.iter().all(|&l| net.link(l).plane.0 == p as u16));
                 }
             }
         }
     }
 
-    /// The links from plane `p`'s tree root to switch `v`, target first.
-    fn chain(t: &PlaneTrees, pg: &PlaneGraph, p: usize, mut v: usize) -> Vec<LinkId> {
-        let mut links = Vec::new();
-        while t.tree(p).1[v] != NO_PARENT {
-            let pv = t.tree(p).1[v];
-            links.push(pg.link_at(pv as u32 as usize));
-            v = (pv >> 32) as usize;
-        }
-        links
+    /// The links from plane `p`'s tree root to the source's target `j`.
+    fn chain(t: &PlaneTrees, pg: &PlaneGraph, p: usize, j: usize) -> Vec<LinkId> {
+        let positions = t.tree(p).chain(j).iter();
+        positions.map(|&pos| pg.link_at(pos as usize)).collect()
     }
 
-    /// Dijkstra from switch `s` under CSR-order weights `w`, stopping once
-    /// every switch of `targets` has popped (never, when it is empty): the
-    /// solver's tree builder before the blocked Bellman–Ford replaced it,
-    /// kept as the oracle the kernel must match. The frontier is a bitset,
-    /// and a pop takes the least `(dist bits, switch)` — a heap's order.
-    fn dijkstra(pg: &PlaneGraph, w: &[f64], s: usize, targets: &[usize]) -> PlaneTree {
+    /// Dijkstra from switch `s` under CSR-order weights `w`: every switch's
+    /// distance and packed parent ([`InEdges::parent`]). The solver's tree
+    /// builder before the blocked Bellman–Ford replaced it, kept as the
+    /// oracle the kernel must match. The frontier is a bitset, and a pop
+    /// takes the least `(dist bits, switch)` — a heap's order.
+    fn dijkstra(pg: &PlaneGraph, w: &[f64], s: usize) -> (Vec<f64>, Vec<u64>) {
         let n = pg.n_switches();
         let (mut dist, mut parent) = (vec![f64::INFINITY; n], vec![NO_PARENT; n]);
-        let mut mask = vec![false; n];
-        let mut remaining = 0usize;
-        for &t in targets {
-            if !mask[t] {
-                mask[t] = true;
-                remaining += 1;
-            }
-        }
         dist[s] = 0.0;
         let mut front = vec![0u64; n.div_ceil(64)];
         front[s >> 6] = 1 << (s & 63);
@@ -2142,12 +2141,6 @@ mod tests {
                 return (dist, parent);
             }
             front[u >> 6] &= !(1 << (u & 63));
-            if mask[u] {
-                remaining -= 1;
-                if remaining == 0 {
-                    return (dist, parent);
-                }
-            }
             let start = pg.row_start(u);
             for (j, &(v, _)) in pg.neighbors(u).iter().enumerate() {
                 let (v, nd) = (v as usize, f64::from_bits(du) + w[start + j]);
@@ -2162,10 +2155,12 @@ mod tests {
 
     /// The kernel against [`dijkstra`] where sums absorb (`d + w == d`):
     /// there a plateau's pops leave index order, and only the replay finds
-    /// the parents. Planes of 2 to 200 switches with failed cables; 1, 7, 8,
-    /// 9 and 17 source racks, so blocks fill, spill and run part-empty; the
-    /// hosts of a rack share a column, the even ones reading every rack and
-    /// the odd ones three; one kernel for every refresh, as in a solve.
+    /// the parents. Every lane's distance to every switch must be
+    /// Dijkstra's bit for bit, and every stored chain Dijkstra's parent
+    /// walk. Planes of 2 to 200 switches with failed cables; 1, 7, 8, 9 and
+    /// 17 source racks, so blocks fill, spill and run part-empty; the hosts
+    /// of a rack share a column, the even ones reading every rack and the
+    /// odd ones three; one kernel for every refresh, as in a solve.
     #[test]
     fn tree_kernel_matches_dijkstra_where_sums_absorb() {
         use pnet_topology::failures;
@@ -2224,6 +2219,7 @@ mod tests {
                         hosts: Vec::new(),
                         commodities: Vec::new(),
                         targets: Vec::new(),
+                        slot: Vec::new(),
                     };
                     let in_rack = |h: &u32, r| net.rack_of_host(HostId(*h)) == r;
                     for &r in &chosen {
@@ -2247,22 +2243,30 @@ mod tests {
                     };
                     let serial = Parallelism::Serial;
                     oracle.refresh(&net, &sources, snap, &mut trees, &mut kernel, serial);
+                    let at = |v| format!("{n} switches, mix {mix}, {columns} columns, switch {v}");
+                    for k in &kernel.blocks[..kernel.n_blocks] {
+                        for (lane, &s) in k.roots.iter().enumerate() {
+                            let (want_dist, _) = dijkstra(pg, &csr, s);
+                            for (v, d) in k.dist.iter().enumerate() {
+                                assert_eq!(d[lane].to_bits(), want_dist[v].to_bits(), "{}", at(v));
+                            }
+                        }
+                    }
                     for (si, t) in trees.iter().enumerate() {
                         assert_eq!(t.built, 1);
                         let s = pg.tor(net.rack_of_host(sources.hosts[si]));
-                        let read: Vec<usize> =
-                            sources.targets[si].iter().map(|&r| pg.tor(r)).collect();
-                        let (want_dist, want_parent) = dijkstra(pg, &csr, s, &read);
-                        let (dist, parent) = t.tree(0);
-                        for &v in &read {
-                            let at =
-                                format!("{n} switches, mix {mix}, {columns} columns, switch {v}");
-                            assert_eq!(dist[v].to_bits(), want_dist[v].to_bits(), "{at}");
-                            let mut cur = v;
-                            while dist[cur].is_finite() && cur != s {
-                                assert_eq!(parent[cur], want_parent[cur], "{at}, via {cur}");
-                                cur = (parent[cur] >> 32) as usize;
+                        let (want_dist, want_parent) = dijkstra(pg, &csr, s);
+                        for (j, &r) in sources.targets[si].iter().enumerate() {
+                            let v = pg.tor(r);
+                            let dist = t.tree(0).dist[j];
+                            assert_eq!(dist.to_bits(), want_dist[v].to_bits(), "{}", at(v));
+                            let (mut want, mut cur) = (Vec::new(), v);
+                            while want_dist[cur].is_finite() && cur != s {
+                                want.push(want_parent[cur] as u32);
+                                cur = (want_parent[cur] >> 32) as usize;
                             }
+                            want.reverse();
+                            assert_eq!(t.tree(0).chain(j), want, "{}", at(v));
                         }
                     }
                 }
@@ -2320,10 +2324,9 @@ mod tests {
         assert_eq!(refresh(&length, &[true, false], &grown), (2, 1, vec![1, 0]));
         let fresh = bundle(&oracle, &net, &length, false);
         for (p, pg) in oracle.planes.iter().enumerate() {
-            for &r in &targets {
-                let v = pg.tor(r);
-                assert_eq!(t.tree(p).0[v].to_bits(), fresh.tree(p).0[v].to_bits());
-                assert_eq!(chain(&t, pg, p, v), chain(&fresh, pg, p, v), "plane {p}");
+            for j in 0..targets.len() {
+                assert_eq!(t.tree(p).dist[j].to_bits(), fresh.tree(p).dist[j].to_bits());
+                assert_eq!(chain(&t, pg, p, j), chain(&fresh, pg, p, j), "plane {p}");
             }
         }
     }
