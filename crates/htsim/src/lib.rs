@@ -71,7 +71,7 @@ pub mod tcp;
 pub mod telemetry;
 pub mod time;
 
-pub use packet::{ConnId, Packet, PacketArena, PacketId, PacketKind, ACK_BYTES, MTU_BYTES};
+pub use packet::{ConnId, Packet, PacketArena, PacketId, ACK_BYTES, MTU_BYTES};
 pub use sim::{
     run, run_to_completion, ConservationLedger, Driver, FlowRecord, FlowSpec, NullDriver,
     QueueStats, SimConfig, Simulator,

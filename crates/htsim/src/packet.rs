@@ -1,21 +1,21 @@
 //! Packets: the unit the simulator forwards.
 //!
-//! Packets are *source-routed*: each carries (a shared reference to) the full
-//! sequence of directed links from the source host to the destination host.
-//! This mirrors the paper's end-host-routing model — the host picks the
-//! plane and path; switches merely forward along it — and keeps switch state
-//! out of the simulator entirely.
+//! Packets are *source-routed*: the sending host fixes the full sequence of
+//! directed links from source to destination. This mirrors the paper's
+//! end-host-routing model — the host picks the plane and path; switches
+//! merely forward along it — and keeps switch state out of the simulator
+//! entirely. A packet names its connection's slab slot and its subflow; the
+//! route lives once on that subflow (`route` for data, `rev_route` for
+//! ACKs), and the packet carries only its hop index into it.
 //!
 //! Packets live in a slab arena ([`PacketArena`]) owned by the simulator.
 //! Events and link FIFOs carry a 4-byte [`PacketId`] instead of moving the
-//! packet struct by value, and freed slots are recycled through a freelist,
-//! so steady-state simulation performs zero per-packet heap allocation: a
-//! transmission writes into a recycled slot and bumps the refcount of its
-//! subflow's interned `Arc<[LinkId]>` route.
+//! packet struct by value, and freed slots are recycled through a free list
+//! threaded through the slots themselves, so steady-state simulation
+//! performs zero per-packet heap allocation and touches no refcount.
 
 use crate::time::SimTime;
 use pnet_topology::LinkId;
-use std::sync::Arc;
 
 /// Data packets occupy a full MTU on the wire (1500 B, as in the paper's RPC
 /// experiment).
@@ -28,84 +28,100 @@ pub const ACK_BYTES: u32 = 40;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ConnId(pub u32);
 
-/// Index of a live packet in its simulator's [`PacketArena`].
+/// Index of a live packet in its simulator's [`PacketArena`]. Below 2³¹, so
+/// a queue's 4-byte FIFO entry has its top bit to spare.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PacketId(u32);
+pub struct PacketId(pub(crate) u32);
 
-/// What a packet carries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PacketKind {
-    /// A data segment: `seq` counts MTU-sized packets within one subflow.
-    Data {
-        conn: ConnId,
-        subflow: u8,
-        seq: u64,
-        /// Send timestamp, echoed by the ACK for RTT sampling.
-        ts: SimTime,
-        /// True if this is a retransmission (Karn's rule: no RTT sample).
-        rtx: bool,
-        /// ECN Congestion Experienced: set by a queue whose occupancy
-        /// exceeded its marking threshold (DCTCP).
-        ce: bool,
-    },
-    /// A cumulative acknowledgment for one subflow.
-    Ack {
-        conn: ConnId,
-        subflow: u8,
-        /// All packets with seq < `cum` have been received in order.
-        cum: u64,
-        /// Echo of the triggering data packet's timestamp / rtx flag.
-        ts_echo: SimTime,
-        rtx_echo: bool,
-        /// ECN-Echo: the triggering data packet carried a CE mark.
-        ece: bool,
-    },
+impl PacketId {
+    pub(crate) const LIMIT: u32 = 1 << 31;
+
+    #[inline]
+    fn index(self) -> usize {
+        self.0 as usize
+    }
 }
 
-/// A packet in flight.
-#[derive(Debug, Clone)]
+/// A packet in flight: 24 bytes.
+///
+/// A data packet carries its subflow sequence number and send timestamp; an
+/// ACK carries the cumulative ACK and the echo of the triggering data
+/// packet's timestamp, retransmission flag and CE mark in the same fields.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Packet {
-    /// The full source route, interned once per subflow and shared by every
-    /// packet of that subflow (a single allocation — no `Vec` indirection).
-    pub route: Arc<[LinkId]>,
-    /// Index into `route` of the next link to traverse.
+    /// The connection's slab slot. Packets in flight pin their connection
+    /// (`in_network`), so the slot cannot be reused under them. While the
+    /// arena slot is free, the next free arena slot instead.
+    pub slot: u32,
+    /// Index of the next link to traverse in the subflow's route (`route`
+    /// for data, `rev_route` for an ACK).
     pub hop: u16,
-    /// Wire size in bytes.
-    pub size_bytes: u32,
-    /// Payload descriptor.
-    pub kind: PacketKind,
+    /// Subflow within the connection.
+    pub subflow: u8,
+    /// [`Packet::ACK`], [`Packet::RTX`], [`Packet::CE`].
+    pub flags: u8,
+    /// Data: the subflow sequence number, counting MTU-sized packets.
+    /// ACK: all packets with seq < this have been received in order.
+    pub seq: u64,
+    /// Data: send timestamp. ACK: its echo, for RTT sampling.
+    pub ts: SimTime,
 }
 
 impl Packet {
-    /// The next link this packet must traverse, or `None` if it has arrived.
+    /// A cumulative acknowledgment, else a data segment. Fixes the wire
+    /// size: [`ACK_BYTES`], else [`MTU_BYTES`].
+    pub const ACK: u8 = 1;
+    /// A retransmission (Karn's rule: no RTT sample); on an ACK, the echo.
+    pub const RTX: u8 = 2;
+    /// ECN Congestion Experienced, set on data by a queue whose occupancy
+    /// exceeded its marking threshold (DCTCP); on an ACK, ECN-Echo.
+    pub const CE: u8 = 4;
+
+    /// True if `flag` is set.
     #[inline]
-    pub fn next_link(&self) -> Option<LinkId> {
-        self.route.get(self.hop as usize).copied()
+    pub fn has(&self, flag: u8) -> bool {
+        self.flags & flag != 0
     }
 
-    /// Number of switch hops on the packet's route (links − 1: the route
-    /// includes the host uplink and downlink).
+    /// The next link on `route` (the subflow's route in this packet's
+    /// direction), or `None` if the packet has arrived.
     #[inline]
-    pub fn switch_hops(&self) -> usize {
-        self.route.len().saturating_sub(1)
+    pub fn next_link(&self, route: &[LinkId]) -> Option<LinkId> {
+        route.get(usize::from(self.hop)).copied()
     }
 }
 
-/// Slab arena of in-flight packets with freelist reuse.
+/// "Free list empty": the head when no freed slot waits for reuse.
+const NO_FREE: u32 = u32::MAX;
+
+/// Slab arena of in-flight packets with free-list reuse.
 ///
 /// Lifecycle invariants:
 /// * a slot is *live* from [`PacketArena::alloc`] until exactly one matching
 ///   [`PacketArena::free`] — while live, its id is held by exactly one owner
 ///   (a link FIFO entry or a pending `Arrival` event);
-/// * `free` pushes the slot onto the freelist without touching its contents;
-///   the stale `Packet` (and its route `Arc`) is overwritten by the next
-///   `alloc`, so no slot ever holds a dangling reference;
-/// * `alloc` pops the freelist before growing the slab, so a simulation's
-///   slab high-water mark equals its peak in-flight packet count.
-#[derive(Debug, Default)]
+/// * `free` pushes the slot onto the free list by writing the previous head
+///   into the freed packet's `slot` field; the stale packet is overwritten
+///   by the next `alloc`;
+/// * `alloc` pops the free list (last freed, first reused) before growing
+///   the slab, so a simulation's slab high-water mark equals its peak
+///   in-flight packet count.
+#[derive(Debug)]
 pub struct PacketArena {
     slab: Vec<Packet>,
-    free: Vec<PacketId>,
+    /// The most recently freed slot, or `NO_FREE`.
+    free_head: u32,
+    live: usize,
+}
+
+impl Default for PacketArena {
+    fn default() -> Self {
+        PacketArena {
+            slab: Vec::new(),
+            free_head: NO_FREE,
+            live: 0,
+        }
+    }
 }
 
 impl PacketArena {
@@ -116,15 +132,21 @@ impl PacketArena {
 
     /// Store `pkt`, recycling a freed slot when one exists.
     pub fn alloc(&mut self, pkt: Packet) -> PacketId {
-        if let Some(id) = self.free.pop() {
-            self.slab[id.index()] = pkt;
-            id
-        } else {
+        self.live += 1;
+        if self.free_head == NO_FREE {
             let id = PacketId(
                 u32::try_from(self.slab.len())
-                    .expect("invariant: in-flight packet count stays within u32"),
+                    .ok()
+                    .filter(|&i| i < PacketId::LIMIT)
+                    .expect("invariant: in-flight packet count stays below 2^31"),
             );
             self.slab.push(pkt);
+            id
+        } else {
+            let id = PacketId(self.free_head);
+            let slot = &mut self.slab[id.index()];
+            self.free_head = slot.slot;
+            *slot = pkt;
             id
         }
     }
@@ -135,24 +157,19 @@ impl PacketArena {
     /// checks this indirectly: a double free shows up as `live()` drifting
     /// below the pending-arrival + buffered count.
     pub fn free(&mut self, id: PacketId) {
-        self.free.push(id);
+        self.slab[id.index()].slot = self.free_head;
+        self.free_head = id.0;
+        self.live -= 1;
     }
 
     /// Live packets (allocated and not yet freed).
     pub fn live(&self) -> usize {
-        self.slab.len() - self.free.len()
+        self.live
     }
 
     /// Slab high-water mark: the peak number of simultaneously live packets.
     pub fn capacity(&self) -> usize {
         self.slab.len()
-    }
-}
-
-impl PacketId {
-    #[inline]
-    fn index(self) -> usize {
-        self.0 as usize
     }
 }
 
@@ -175,75 +192,88 @@ impl std::ops::IndexMut<PacketId> for PacketArena {
 mod tests {
     use super::*;
 
-    fn pkt(route: Vec<LinkId>) -> Packet {
+    fn pkt(seq: u64) -> Packet {
         Packet {
-            route: Arc::from(route),
+            slot: 0,
             hop: 0,
-            size_bytes: MTU_BYTES,
-            kind: PacketKind::Data {
-                conn: ConnId(0),
-                subflow: 0,
-                seq: 0,
-                ts: SimTime::ZERO,
-                rtx: false,
-                ce: false,
-            },
+            subflow: 0,
+            flags: 0,
+            seq,
+            ts: SimTime::ZERO,
         }
     }
 
     #[test]
     fn next_link_advances() {
-        let mut p = pkt(vec![LinkId(0), LinkId(2), LinkId(5)]);
-        assert_eq!(p.next_link(), Some(LinkId(0)));
+        let route = [LinkId(0), LinkId(2), LinkId(5)];
+        let mut p = pkt(0);
+        assert_eq!(p.next_link(&route), Some(LinkId(0)));
         p.hop = 2;
-        assert_eq!(p.next_link(), Some(LinkId(5)));
+        assert_eq!(p.next_link(&route), Some(LinkId(5)));
         p.hop = 3;
-        assert_eq!(p.next_link(), None);
+        assert_eq!(p.next_link(&route), None);
     }
 
     #[test]
-    fn switch_hops_counts_interior_nodes() {
-        // host -> ToR -> ToR -> host: 3 links, 2 switches.
-        let p = pkt(vec![LinkId(0), LinkId(2), LinkId(5)]);
-        assert_eq!(p.switch_hops(), 2);
+    fn flags_are_bits_of_one_byte() {
+        let mut p = pkt(0);
+        assert!(!p.has(Packet::ACK) && !p.has(Packet::RTX) && !p.has(Packet::CE));
+        p.flags = Packet::ACK | Packet::CE;
+        assert!(p.has(Packet::ACK) && p.has(Packet::CE) && !p.has(Packet::RTX));
     }
 
     #[test]
     fn arena_recycles_freed_slots() {
         let mut a = PacketArena::new();
-        let id0 = a.alloc(pkt(vec![LinkId(0)]));
-        let id1 = a.alloc(pkt(vec![LinkId(1)]));
+        let id0 = a.alloc(pkt(0));
+        let id1 = a.alloc(pkt(1));
         assert_eq!(a.live(), 2);
         assert_eq!(a.capacity(), 2);
         a.free(id0);
         assert_eq!(a.live(), 1);
         // The freed slot is reused: no slab growth.
-        let id2 = a.alloc(pkt(vec![LinkId(2)]));
+        let id2 = a.alloc(pkt(2));
         assert_eq!(id2, id0);
         assert_eq!(a.capacity(), 2);
-        assert_eq!(a[id2].next_link(), Some(LinkId(2)));
-        assert_eq!(a[id1].next_link(), Some(LinkId(1)));
+        assert_eq!(a[id2].seq, 2);
+        assert_eq!(a[id1].seq, 1);
+    }
+
+    #[test]
+    fn free_list_is_last_in_first_out() {
+        let mut a = PacketArena::new();
+        let ids: Vec<_> = (0..4).map(|i| a.alloc(pkt(i))).collect();
+        for &i in &[1, 3, 0] {
+            a.free(ids[i]);
+        }
+        assert_eq!(a.live(), 1);
+        assert_eq!(a.alloc(pkt(10)), ids[0]);
+        assert_eq!(a.alloc(pkt(11)), ids[3]);
+        assert_eq!(a.alloc(pkt(12)), ids[1]);
+        assert_eq!(a.alloc(pkt(13)), PacketId(4));
+        assert_eq!(a[ids[2]].seq, 2);
+        assert_eq!(a.live(), 5);
     }
 
     #[test]
     fn arena_mutation_in_place() {
         let mut a = PacketArena::new();
-        let id = a.alloc(pkt(vec![LinkId(0), LinkId(1)]));
+        let id = a.alloc(pkt(0));
         a[id].hop += 1;
-        assert_eq!(a[id].next_link(), Some(LinkId(1)));
+        assert_eq!(a[id].hop, 1);
     }
 
     #[test]
     fn arena_high_water_mark_tracks_peak_in_flight() {
         let mut a = PacketArena::new();
-        let ids: Vec<_> = (0..10).map(|i| a.alloc(pkt(vec![LinkId(i)]))).collect();
+        let ids: Vec<_> = (0..10).map(|i| a.alloc(pkt(i))).collect();
         for id in ids {
             a.free(id);
         }
         assert_eq!(a.live(), 0);
         // Steady-state churn below the peak never grows the slab.
-        for i in 0..100u32 {
-            let id = a.alloc(pkt(vec![LinkId(i % 7)]));
+        for i in 0..100u64 {
+            let id = a.alloc(pkt(i % 7));
             a.free(id);
         }
         assert_eq!(a.capacity(), 10);

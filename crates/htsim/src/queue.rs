@@ -5,14 +5,39 @@
 //! propagation delay. This is the htsim component model: queue → pipe, fused
 //! here because a pipe never reorders or drops.
 //!
-//! Queues store [`PacketId`]s (plus the wire size, so service times never
-//! touch the arena), not packets: the packet itself stays in the simulator's
+//! Queues store 4-byte entries — the [`PacketId`] plus its size class —
+//! not packets: the packet itself stays in the simulator's
 //! [`crate::packet::PacketArena`] slot for its whole queue → wire → next-hop
-//! life.
+//! life, and service times never touch the arena.
 
 use crate::packet::{Packet, PacketId, ACK_BYTES, MTU_BYTES};
 use crate::time::{serialization_ps, SimTime};
 use std::collections::VecDeque;
+
+/// A FIFO entry: a packet's arena id, with the top bit set for an ACK. The
+/// bit is the packet's size class, which fixes its wire size.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Entry(u32);
+
+impl Entry {
+    const ACK: u32 = PacketId::LIMIT;
+
+    fn new(id: PacketId, ack: bool) -> Self {
+        Entry(id.0 | if ack { Self::ACK } else { 0 })
+    }
+
+    fn id(self) -> PacketId {
+        PacketId(self.0 & !Self::ACK)
+    }
+
+    /// 0 for data, 1 for an ACK: the index into [`CLASS_BYTES`].
+    fn class(self) -> usize {
+        (self.0 >> 31) as usize
+    }
+}
+
+/// Wire bytes of each size class.
+const CLASS_BYTES: [u32; 2] = [MTU_BYTES, ACK_BYTES];
 
 /// A drop-tail FIFO with a byte-capacity bound and optional ECN marking.
 #[derive(Debug)]
@@ -33,7 +58,7 @@ pub struct Queue {
     pub marked: u64,
     /// Bytes currently buffered (including the packet in service).
     buffered_bytes: u64,
-    fifo: VecDeque<(PacketId, u32)>,
+    fifo: VecDeque<Entry>,
     /// True while a packet is being serialized (a departure event is
     /// outstanding).
     busy: bool,
@@ -50,11 +75,9 @@ pub struct Queue {
     /// Cumulative bytes that completed serialization on this link (the
     /// numerator of the telemetry layer's per-plane utilization samples).
     pub bytes_sent: u64,
-    /// Memoized serialization times for the two wire sizes that dominate
-    /// traffic (full data segments and bare ACKs). Valid because `rate_bps`
-    /// is fixed at construction; other sizes fall through to the exact
-    /// computation, so every answer equals `serialization_ps`.
-    ser_cache: [(u32, u64); 2],
+    /// Serialization time of each size class at this link's rate
+    /// (`rate_bps` is fixed at construction).
+    class_ps: [u64; 2],
 }
 
 /// Outcome of an enqueue attempt.
@@ -90,10 +113,7 @@ impl Queue {
             dropped_link_down: 0,
             peak_bytes: 0,
             bytes_sent: 0,
-            ser_cache: [
-                (MTU_BYTES, serialization_ps(MTU_BYTES, rate_bps)),
-                (ACK_BYTES, serialization_ps(ACK_BYTES, rate_bps)),
-            ],
+            class_ps: CLASS_BYTES.map(|b| serialization_ps(b, rate_bps)),
         }
     }
 
@@ -103,7 +123,8 @@ impl Queue {
     /// keeps ownership of the slot (and frees it).
     #[inline]
     pub fn enqueue(&mut self, id: PacketId, packet: &mut Packet) -> Enqueue {
-        let size = packet.size_bytes as u64;
+        let entry = Entry::new(id, packet.has(Packet::ACK));
+        let size = u64::from(CLASS_BYTES[entry.class()]);
         if !self.link_up {
             self.dropped_link_down += 1;
             return Enqueue::DroppedLinkDown;
@@ -116,16 +137,12 @@ impl Queue {
         self.peak_bytes = self.peak_bytes.max(self.buffered_bytes);
         self.enqueued += 1;
         if let Some(k) = self.ecn_threshold_bytes {
-            if self.buffered_bytes > k {
-                if let crate::packet::PacketKind::Data { ce, .. } = &mut packet.kind {
-                    if !*ce {
-                        *ce = true;
-                        self.marked += 1;
-                    }
-                }
+            if self.buffered_bytes > k && packet.flags & (Packet::ACK | Packet::CE) == 0 {
+                packet.flags |= Packet::CE;
+                self.marked += 1;
             }
         }
-        self.fifo.push_back((id, packet.size_bytes));
+        self.fifo.push_back(entry);
         if self.busy {
             Enqueue::Queued
         } else {
@@ -138,23 +155,11 @@ impl Queue {
     /// service).
     #[inline]
     pub fn head_service_ps(&self) -> u64 {
-        let &(_, size) = self
+        let head = self
             .fifo
             .front()
             .expect("invariant: service only starts on a non-empty queue");
-        self.service_ps(size)
-    }
-
-    /// Serialization time for `size` bytes at this link's rate, via the
-    /// memo for the common wire sizes.
-    #[inline]
-    fn service_ps(&self, size: u32) -> u64 {
-        for &(s, ps) in &self.ser_cache {
-            if s == size {
-                return ps;
-            }
-        }
-        serialization_ps(size, self.rate_bps)
+        self.class_ps[head.class()]
     }
 
     /// Complete service of the head packet: returns its arena id together
@@ -163,12 +168,13 @@ impl Queue {
     /// (`Some(next_service_ps)`) for the new head.
     #[inline]
     pub fn depart(&mut self, now: SimTime) -> (PacketId, SimTime, Option<u64>) {
-        let (id, size) = self
+        let head = self
             .fifo
             .pop_front()
             .expect("invariant: departures only fire on a non-empty queue");
-        self.buffered_bytes -= size as u64;
-        self.bytes_sent += size as u64;
+        let size = u64::from(CLASS_BYTES[head.class()]);
+        self.buffered_bytes -= size;
+        self.bytes_sent += size;
         let arrival = now + SimTime::from_ps(self.delay_ps);
         let next = if self.fifo.is_empty() {
             self.busy = false;
@@ -176,7 +182,7 @@ impl Queue {
         } else {
             Some(self.head_service_ps())
         };
-        (id, arrival, next)
+        (head.id(), arrival, next)
     }
 
     /// Bytes currently buffered.
@@ -193,23 +199,18 @@ impl Queue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::{ConnId, PacketArena, PacketKind, MTU_BYTES};
-    use pnet_topology::LinkId;
-    use std::sync::Arc;
+    use crate::packet::PacketArena;
 
+    /// A data packet for 1500 bytes, an ACK for 40.
     fn pkt(size: u32) -> Packet {
+        assert!(size == MTU_BYTES || size == ACK_BYTES);
         Packet {
-            route: Arc::from(vec![LinkId(0)]),
+            slot: 0,
             hop: 0,
-            size_bytes: size,
-            kind: PacketKind::Data {
-                conn: ConnId(0),
-                subflow: 0,
-                seq: 0,
-                ts: SimTime::ZERO,
-                rtx: false,
-                ce: false,
-            },
+            subflow: 0,
+            flags: if size == ACK_BYTES { Packet::ACK } else { 0 },
+            seq: 0,
+            ts: SimTime::ZERO,
         }
     }
 
@@ -248,7 +249,7 @@ mod tests {
         push(&mut q, &mut a, 1500);
         let now = SimTime::from_ps(120_000);
         let (id, arrival, next) = q.depart(now);
-        assert_eq!(a[id].size_bytes, 1500);
+        assert!(!a[id].has(Packet::ACK), "the 1500-byte data packet departs");
         assert_eq!(arrival, SimTime::from_ps(120_000 + 5_000_000));
         assert!(next.is_none());
         assert_eq!(q.depth(), 0);
@@ -263,7 +264,7 @@ mod tests {
         assert_eq!(push(&mut q, &mut a, 1500), Enqueue::Dropped);
         assert_eq!(q.dropped, 1);
         assert_eq!(q.enqueued, 2);
-        // The dropped packet's slot went back to the freelist.
+        // The dropped packet's slot went back to the free list.
         assert_eq!(a.live(), 2);
     }
 
@@ -301,7 +302,7 @@ mod tests {
         let (p1, _, _) = q.depart(SimTime::ZERO);
         let (p2, _, _) = q.depart(SimTime::ZERO);
         let (p3, _, _) = q.depart(SimTime::ZERO);
-        let ce = |id: PacketId| matches!(a[id].kind, PacketKind::Data { ce, .. } if ce);
+        let ce = |id: PacketId| a[id].has(Packet::CE);
         assert!(!ce(p1));
         assert!(!ce(p2));
         assert!(ce(p3));

@@ -12,14 +12,12 @@
 //! ping-pong, and the Hadoop stages are built without `Rc<RefCell>` webs.
 
 use crate::event::{EventKind, EventQueue};
-use crate::packet::{ConnId, Packet, PacketArena, PacketId, PacketKind, ACK_BYTES, MTU_BYTES};
-use crate::queue::{Enqueue, Queue};
+use crate::packet::{ConnId, Packet, PacketArena, PacketId, ACK_BYTES, MTU_BYTES};
+use crate::queue::{Enqueue, Entry, Queue};
 use crate::tcp::{CcAlgo, Connection, Subflow, TcpConfig};
 use crate::telemetry::{EventMask, Telemetry, TelemetryConfig, TraceRecord};
 use crate::time::SimTime;
-use pnet_routing::reverse_route;
 use pnet_topology::{HostId, LinkId, Network};
-use std::sync::Arc;
 
 /// Simulator configuration.
 #[derive(Debug, Clone, Copy)]
@@ -90,6 +88,10 @@ pub struct FlowRecord {
 
 // Open-loop runs keep tens of thousands of these.
 const _: () = assert!(std::mem::size_of::<FlowRecord>() == 64);
+// `packet_bulk` holds 189 k packets in flight at its peak: each costs its
+// arena slot and, while buffered, one FIFO entry.
+const _: () = assert!(std::mem::size_of::<Packet>() == 24);
+const _: () = assert!(std::mem::size_of::<Entry>() == 4);
 
 impl FlowRecord {
     /// Flow completion time.
@@ -464,17 +466,13 @@ impl Simulator {
                 r.len() <= usize::from(u16::MAX),
                 "a packet's hop index is u16"
             );
-            // Intern both directions once: a single `Arc<[LinkId]>`
-            // allocation each, cloned (refcount bump only) per packet.
-            let fwd: Arc<[LinkId]> = Arc::from(&r[..]);
-            let rev: Arc<[LinkId]> = Arc::from(reverse_route(r));
-            let mut sub = Subflow::new(fwd, rev, &self.cfg.tcp);
+            if si == subflows.len() {
+                subflows.push(Subflow::new(Vec::new(), Vec::new(), &self.cfg.tcp));
+            }
+            let sub = &mut subflows[si];
+            sub.recycle(r, &self.cfg.tcp);
             sub.cwnd_cap = self.window_cap(r);
             sub.last_progress = self.now;
-            match subflows.get_mut(si) {
-                Some(old) => old.recycle(sub),
-                None => subflows.push(sub),
-            }
         }
         let conn = Connection {
             id,
@@ -554,19 +552,17 @@ impl Simulator {
     // Packet plumbing
     // ------------------------------------------------------------------
 
-    /// Hand the packet in arena slot `id` to its next link's queue. On a
-    /// drop the slot is freed immediately — ids never dangle.
-    fn send_packet(&mut self, id: PacketId) {
-        if self.packets[id].hop == 0 {
-            self.ledger_injected += 1;
-        }
+    /// Hand the packet in arena slot `id` to `link`, the next link on its
+    /// route, which the caller has resolved. On a drop the slot is freed
+    /// immediately — ids never dangle.
+    fn send_packet(&mut self, id: PacketId, link: LinkId) {
         let trace_ecn = self.wants(EventMask::ECN_MARK);
         // One arena access for the whole hop: `queues` and `packets` are
         // disjoint fields, so the packet borrow spans the enqueue.
         let p = &mut self.packets[id];
-        let link = p
-            .next_link()
-            .expect("invariant: send_packet is only called with hops remaining");
+        if p.hop == 0 {
+            self.ledger_injected += 1;
+        }
         let q = &mut self.queues[link.index()];
         let marked_before = if trace_ecn { q.marked } else { 0 };
         match q.enqueue(id, p) {
@@ -602,26 +598,26 @@ impl Simulator {
     }
 
     fn drop_packet(&mut self, id: PacketId) {
-        let (PacketKind::Data { conn, .. } | PacketKind::Ack { conn, .. }) = self.packets[id].kind;
+        // Read before `free`, which threads the free list through `slot`.
+        let ci = self.packets[id].slot as usize;
         self.packets.free(id);
-        self.left_network(conn);
+        self.left_network(ci);
     }
 
-    /// One of `conn`'s packets left the network (ACK delivered, any packet
-    /// dropped). Returns the slot while still transferring; a finished one
-    /// retires with its last packet (`run` has told the driver by then).
-    fn left_network(&mut self, conn: ConnId) -> Option<usize> {
-        // Kept: a packet in the network pins its connection.
-        let ci = self.conn_slot[conn.0 as usize] as usize;
+    /// One of slot `ci`'s packets left the network (ACK delivered, any
+    /// packet dropped). True while the connection is still transferring; a
+    /// finished one retires with its last packet (`run` has told the driver
+    /// by then).
+    fn left_network(&mut self, ci: usize) -> bool {
         let c = &mut self.slab[ci];
         c.in_network -= 1;
         if c.finish.is_none() {
-            return Some(ci);
+            return true;
         }
         if c.in_network == 0 {
             self.retire(ci);
         }
-        None
+        false
     }
 
     /// Release a finished, drained connection's slot for the next flow.
@@ -663,79 +659,59 @@ impl Simulator {
     }
 
     fn on_arrival(&mut self, id: PacketId) {
-        if self.packets[id].next_link().is_some() {
-            self.send_packet(id);
+        // The packet pins its connection's slot, so the route is there.
+        let p = self.packets[id];
+        let sub = &self.slab[p.slot as usize].subflows[usize::from(p.subflow)];
+        let route = if p.has(Packet::ACK) {
+            &sub.rev_route
+        } else {
+            &sub.route
+        };
+        if let Some(link) = p.next_link(route) {
+            self.send_packet(id, link);
             return;
         }
         self.ledger_delivered += 1;
-        // Delivered: copy the payload descriptor out and recycle the slot
-        // before transport processing (which may immediately reuse it for
-        // the ACK or the next window of data).
-        let kind = self.packets[id].kind;
+        // Delivered: recycle the slot before transport processing (which may
+        // immediately reuse it for the ACK or the next window of data).
         self.packets.free(id);
-        match kind {
-            PacketKind::Data {
-                conn,
-                subflow,
-                seq,
-                ts,
-                rtx,
-                ce,
-            } => self.on_data(conn, subflow, seq, ts, rtx, ce),
-            PacketKind::Ack {
-                conn,
-                subflow,
-                cum,
-                ts_echo,
-                rtx_echo,
-                ece,
-            } => self.on_ack(conn, subflow, cum, ts_echo, rtx_echo, ece),
+        if p.has(Packet::ACK) {
+            self.on_ack(p);
+        } else {
+            self.on_data(p);
         }
     }
 
-    fn on_data(&mut self, conn: ConnId, subflow: u8, seq: u64, ts: SimTime, rtx: bool, ce: bool) {
+    fn on_data(&mut self, data: Packet) {
         // Duplicate data landing after `finish` is ACKed like any other; the
         // ACK inherits the data packet's `in_network` count and pins on.
-        let ci = self.conn_slot[conn.0 as usize] as usize;
-        let sub = &mut self.slab[ci].subflows[subflow as usize];
-        let cum = sub.receive_data(seq);
-        let route = Arc::clone(&sub.rev_route);
+        let sub = &mut self.slab[data.slot as usize].subflows[usize::from(data.subflow)];
+        let cum = sub.receive_data(data.seq);
+        let link = sub.rev_route[0];
         let id = self.packets.alloc(Packet {
-            route,
+            seq: cum,
             hop: 0,
-            size_bytes: ACK_BYTES,
-            kind: PacketKind::Ack {
-                conn,
-                subflow,
-                cum,
-                ts_echo: ts,
-                rtx_echo: rtx,
-                ece: ce,
-            },
+            // Echo the timestamp, the retransmission flag and the CE mark.
+            flags: Packet::ACK | data.flags,
+            ..data
         });
-        self.send_packet(id);
+        self.send_packet(id, link);
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn on_ack(
-        &mut self,
-        conn: ConnId,
-        subflow: u8,
-        cum: u64,
-        ts_echo: SimTime,
-        rtx_echo: bool,
-        ece: bool,
-    ) {
-        let Some(ci) = self.left_network(conn) else {
+    fn on_ack(&mut self, ack: Packet) {
+        let ci = ack.slot as usize;
+        if !self.left_network(ci) {
             return; // late ACK after completion
-        };
+        }
+        let (cum, ts_echo, rtx_echo, ece) =
+            (ack.seq, ack.ts, ack.has(Packet::RTX), ack.has(Packet::CE));
         let now = self.now;
         // Single borrow of the connection for the whole handler: ACKs are
         // ~half of all events, and the repeated `slab[ci].subflows[si]`
         // double-indexing was measurable. `self.cfg` is a disjoint field, so
         // the split borrows below are fine.
         let c = &mut self.slab[ci];
-        let si = subflow as usize;
+        let si = usize::from(ack.subflow);
         let cc = c.cc;
         let sub = &mut c.subflows[si];
         if sub.dead {
@@ -932,7 +908,7 @@ impl Simulator {
         let c = &mut self.slab[ci];
         let (conn, cc) = (c.id, c.cc);
         c.in_network += 1;
-        let (route, size) = {
+        let link = {
             let sub = &mut c.subflows[si];
             sub.packets_sent += 1;
             if rtx {
@@ -951,7 +927,7 @@ impl Simulator {
                 // Fresh data marks forward progress for the lazy RTO.
                 sub.last_progress = now;
             }
-            (Arc::clone(&sub.route), MTU_BYTES)
+            sub.route[0]
         };
         if rtx && self.wants(EventMask::RETRANSMIT) {
             self.emit(TraceRecord::Retransmit {
@@ -962,19 +938,14 @@ impl Simulator {
             });
         }
         let id = self.packets.alloc(Packet {
-            route,
+            slot: u32::try_from(ci).expect("invariant: slots <= connections"),
             hop: 0,
-            size_bytes: size,
-            kind: PacketKind::Data {
-                conn,
-                subflow: u8::try_from(si).expect("invariant: subflow count stays within u8"),
-                seq,
-                ts: now,
-                rtx,
-                ce: false,
-            },
+            subflow: u8::try_from(si).expect("invariant: subflow count stays within u8"),
+            flags: if rtx { Packet::RTX } else { 0 },
+            seq,
+            ts: now,
         });
-        self.send_packet(id);
+        self.send_packet(id, link);
     }
 
     // ------------------------------------------------------------------

@@ -23,7 +23,6 @@ use crate::time::SimTime;
 use pnet_topology::{HostId, LinkId};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::Arc;
 
 /// Congestion-control algorithm of a connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -162,18 +161,17 @@ pub struct Subflow {
     pub timeouts: u64,
     pub packets_sent: u64,
 
-    // --- routes (cold: cloned once per transmitted packet, never read on
-    //     the ACK fast path) ---
-    /// Forward route (data direction), interned once at flow start: every
-    /// packet of the subflow clones this single-allocation `Arc<[LinkId]>`.
-    pub route: Arc<[LinkId]>,
+    // --- routes (read once per hop by the subflow's packets, which carry
+    //     only their hop index; never read on the ACK fast path) ---
+    /// Forward route (data direction).
+    pub route: Vec<LinkId>,
     /// Reverse route (ACK direction).
-    pub rev_route: Arc<[LinkId]>,
+    pub rev_route: Vec<LinkId>,
 }
 
 impl Subflow {
     /// Fresh subflow over a route pair.
-    pub fn new(route: Arc<[LinkId]>, rev_route: Arc<[LinkId]>, cfg: &TcpConfig) -> Self {
+    pub fn new(route: Vec<LinkId>, rev_route: Vec<LinkId>, cfg: &TcpConfig) -> Self {
         Subflow {
             route,
             rev_route,
@@ -210,13 +208,21 @@ impl Subflow {
         }
     }
 
-    /// Become `fresh`, keeping this subflow's (emptied) retransmit-queue
-    /// and reorder-heap buffers: how a retired connection's slot is reused.
-    pub fn recycle(&mut self, fresh: Subflow) {
-        let old = std::mem::replace(self, fresh);
-        (self.rtx_queue, self.ooo) = (old.rtx_queue, old.ooo);
+    /// Become a fresh subflow over `route` (its reverse carries the ACKs),
+    /// keeping this subflow's buffers: the retransmit queue, the reorder
+    /// heap and both routes. How a retired connection's slot is reused;
+    /// once the buffers are warm, it allocates nothing.
+    pub fn recycle(&mut self, route: &[LinkId], cfg: &TcpConfig) {
+        let old = std::mem::replace(self, Subflow::new(Vec::new(), Vec::new(), cfg));
+        (self.rtx_queue, self.ooo, self.route, self.rev_route) =
+            (old.rtx_queue, old.ooo, old.route, old.rev_route);
         self.rtx_queue.clear();
         self.ooo.clear();
+        self.route.clear();
+        self.route.extend_from_slice(route);
+        self.rev_route.clear();
+        self.rev_route
+            .extend(route.iter().rev().map(|l| l.reverse()));
     }
 
     /// Packets believed in flight (the pipe estimate; rewound by RTOs).
@@ -431,7 +437,7 @@ mod tests {
     use super::*;
 
     fn sub(cfg: &TcpConfig) -> Subflow {
-        Subflow::new(Arc::from(vec![LinkId(0)]), Arc::from(vec![LinkId(1)]), cfg)
+        Subflow::new(vec![LinkId(0)], vec![LinkId(1)], cfg)
     }
 
     fn conn_with(cc: CcAlgo, n_subs: usize, cfg: &TcpConfig) -> Connection {

@@ -1,16 +1,18 @@
-//! What the all-pairs route table and a run's flow records cost in memory,
-//! counted by the allocator: live bytes, live blocks and the high-water
-//! mark. No timing, no `/proc`.
+//! What the all-pairs route table, a run's flow records and the packet
+//! simulator's in-flight packets cost in memory, counted by the allocator:
+//! live bytes, live blocks, allocation calls and the high-water mark. No
+//! timing, no `/proc`.
 //!
 //! Every test holds `ONE_AT_A_TIME` throughout: the counters are
 //! process-wide, and a test running beside another would be counted too.
 
 use pnet::htsim::apps::OpenLoopDriver;
-use pnet::htsim::{run, CcAlgo, SimConfig, SimTime, Simulator};
-use pnet::routing::{host_route, Parallelism, RouteAlgo, Router};
+use pnet::htsim::{run, run_to_completion, CcAlgo, FlowSpec, SimConfig, SimTime, Simulator};
+use pnet::routing::{host_route, Parallelism, Path, RouteAlgo, Router};
 use pnet::topology::{
     assemble_homogeneous, failures, FatTree, HostId, Jellyfish, LinkProfile, PlaneId,
 };
+use pnet::workloads::tm;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Mutex;
@@ -20,6 +22,7 @@ static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
 static LIVE_BLOCKS: AtomicUsize = AtomicUsize::new(0);
 static HIGH_WATER: AtomicUsize = AtomicUsize::new(0);
+static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 
 /// The system allocator, counting. `realloc` and `alloc_zeroed` keep their
 /// default bodies, which go through `alloc` and `dealloc`.
@@ -32,6 +35,7 @@ unsafe impl GlobalAlloc for Counting {
         let live = LIVE_BYTES.fetch_add(layout.size(), Relaxed) + layout.size();
         HIGH_WATER.fetch_max(live, Relaxed);
         LIVE_BLOCKS.fetch_add(1, Relaxed);
+        ALLOCS.fetch_add(1, Relaxed);
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract for
         // `layout`, which is `System.alloc`'s.
         unsafe { System.alloc(layout) }
@@ -151,4 +155,84 @@ fn an_open_loop_run_keeps_each_record_once() {
         bytes <= 64 * flows.next_power_of_two(),
         "{flows} records hold {bytes} bytes"
     );
+}
+
+#[test]
+fn in_flight_packets_cost_their_slot_and_fifo_entry() {
+    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    // `packet_bulk`'s shape at 16 ToR: one host permutation of two-subflow
+    // LIA flows over the two best paths across two planes.
+    let net = assemble_homogeneous(
+        &Jellyfish::new(16, 4, 4, 1),
+        2,
+        &LinkProfile::paper_default(),
+    );
+    let router = Router::new(&net, RouteAlgo::Ksp { k: 2 });
+    let spec = |src: HostId, dst: HostId, paths: &[Path]| FlowSpec {
+        src,
+        dst,
+        size_bytes: 300_000,
+        routes: paths
+            .iter()
+            .map(|p| host_route(&net, src, dst, p).expect("hosts attach to every plane"))
+            .collect(),
+        cc: CcAlgo::Lia,
+        owner_tag: u64::from(src.0),
+    };
+    let flows: Vec<FlowSpec> = tm::random_permutation(net.n_hosts(), 1)
+        .into_iter()
+        .enumerate()
+        .map(|(i, j)| {
+            let (src, dst) = (HostId(i as u32), HostId(j as u32));
+            let (a, b) = (net.rack_of_host(src), net.rack_of_host(dst));
+            spec(src, dst, &router.k_best_across_planes(a, b, 2))
+        })
+        .collect();
+
+    let before = live().0;
+    let mut sim = Simulator::new(&net, SimConfig::default());
+    for f in &flows {
+        sim.start_flow(f.clone());
+    }
+    HIGH_WATER.store(LIVE_BYTES.load(Relaxed), Relaxed);
+    run_to_completion(&mut sim);
+    let peak = HIGH_WATER.load(Relaxed) - before;
+    let packets = sim.packet_arena().capacity();
+    assert_eq!(sim.records.len(), flows.len());
+    assert!(
+        packets > 2_000,
+        "only {packets} packets in flight at the peak"
+    );
+    // Everything the simulator holds at its peak (queues, calendar, flows
+    // included), per packet in flight: this run reads 215 bytes. The 24-byte
+    // arena slot counts three times while the arena's `Vec` doubles (the old
+    // block and the new one), and FIFO entries grow the same way. With
+    // 48-byte packets holding an `Arc` route, 8-byte FIFO entries and a
+    // free list of its own, it read 297.
+    let per_packet = peak / packets;
+    assert!(
+        per_packet <= 240,
+        "{peak} bytes at the peak for {packets} packets in flight: {per_packet} per packet"
+    );
+
+    // Every connection retired, so each flow below takes over a slot whose
+    // subflows already hold two routes of at least two links. Rack-local
+    // routes are two links long (uplink, downlink): they fit. The first
+    // flow may grow the per-`ConnId` tables; the second allocates nothing.
+    assert_eq!(sim.live_conns(), 0);
+    let (h0, h1) = (HostId(0), HostId(1));
+    assert_eq!(net.rack_of_host(h0), net.rack_of_host(h1));
+    let local = |src, dst| spec(src, dst, &[0, 1].map(|p| Path::intra_rack(PlaneId(p))));
+    sim.start_flow(local(h0, h1));
+    let second = local(h1, h0);
+    assert!(second.routes.iter().all(|r| r.len() == 2));
+    let allocs = ALLOCS.load(Relaxed);
+    sim.start_flow(second);
+    let made = ALLOCS.load(Relaxed) - allocs;
+    assert_eq!(
+        made, 0,
+        "a flow started into a recycled slot made {made} allocations"
+    );
+    run_to_completion(&mut sim);
+    assert_eq!(sim.records.len(), flows.len() + 2);
 }

@@ -153,8 +153,8 @@ fn backoff_grows_rto_exponentially() {
     use pnet::htsim::TcpConfig;
     let cfg = TcpConfig::default();
     let mut sub = pnet::htsim::tcp::Subflow::new(
-        std::sync::Arc::from(vec![pnet::topology::LinkId(0)]),
-        std::sync::Arc::from(vec![pnet::topology::LinkId(1)]),
+        vec![pnet::topology::LinkId(0)],
+        vec![pnet::topology::LinkId(1)],
         &cfg,
     );
     let base = sub.effective_rto(&cfg);
