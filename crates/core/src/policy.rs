@@ -36,10 +36,12 @@ pub enum PathPolicy {
     /// MPTCP (LIA) over the `k` globally shortest paths across planes.
     MultipathKsp { k: usize },
     /// MPTCP (LIA) with `per_plane` subflows in *every* usable plane (each
-    /// on that plane's shortest paths). Guarantees the subflow set spreads
-    /// over all planes — the natural MPTCP path-manager behaviour when each
-    /// plane is a separate interface/IP, and the configuration behind the
-    /// paper's "4-way KSP on a 4-plane P-Net" small-flow results.
+    /// on that plane's shortest paths). Where `MultipathKsp` can put several
+    /// subflows in one plane, sharing its host uplink, this spreads the
+    /// subflow set over all planes — the natural MPTCP path-manager
+    /// behaviour when each plane is a separate interface/IP, and the
+    /// configuration behind the paper's "4-way KSP on a 4-plane P-Net"
+    /// small-flow results.
     PlaneKsp { per_plane: usize },
     /// Dispatch on flow size: below `cutoff_bytes` use `small`, at or above
     /// use `large`.

@@ -2,80 +2,60 @@
 //! window, with a ladder for the far future. Events pop in `(time, seq)`
 //! order, `seq` being a counter bumped by every `schedule`.
 //!
-//! Most simulator events are *near-future*: a queue departure lands one
-//! serialization time ahead (3.2 ns for an ACK at 100G, 120 ns for an MTU),
-//! an arrival one propagation delay ahead (~1 µs). The calendar places each
-//! event by its time in O(1) and orders a slot's events only when the slot
-//! comes up:
+//! Most simulator events are *near-future*: a departure one serialization
+//! time ahead (3.2 ns for an ACK at 100G), an arrival ~1 µs. The calendar
+//! places each event in O(1) and orders a slot only when it comes up:
 //!
 //! * **Slots.** `N_SLOTS` slots of `2^SLOT_SHIFT` ps (16.4 ns) cover a
 //!   window of ~67 µs from `window_start`, a multiple of the window span.
-//!   `schedule` appends to the buffer of `slots[(t >> SLOT_SHIFT) mod
+//!   `schedule` appends to the chain of `slots[(t >> SLOT_SHIFT) mod
 //!   N_SLOTS]`, unsorted.
-//! * **The open slot.** The slot being drained is the *open* slot. Opening
-//!   it counting-sorts its events, stably, by fine bucket — `2^BUCKET_SHIFT`
-//!   ps (1.02 ns), `BUCKETS` (16) to a slot — into `open`, a buffer taken
-//!   from the pool, recording where each bucket's group ends. The slot's own
-//!   buffer and the spent `open` go back to the pool.
-//! * **The current bucket.** The open slot drains one fine bucket at a
-//!   time. Opening a bucket copies its group, plus the events `later` holds
-//!   for it, into the `drain` stack and sorts that by time, descending; pops
-//!   come off the end.
+//! * **The open slot.** Opening the next occupied slot counts its events by
+//!   fine bucket — `2^BUCKET_SHIFT` ps (1.02 ns), `BUCKETS` (16) to a slot —
+//!   and scatters them, stably, from the chain into `open`, one group per
+//!   bucket. The slot then drains one bucket at a time: opening a bucket
+//!   copies its group, plus the events `later` holds for it, into the
+//!   `drain` stack and sorts that by time, descending; pops come off the end.
 //! * **Events scheduled into the open slot.** One for a later bucket of it
-//!   is appended to `later`, and joins its bucket when that bucket opens.
-//!   Only one for the current bucket itself — a delay under 1 ns, such as an
-//!   ACK's serialization at 400G or a same-timestamp cascade — goes to the
-//!   small `late` heap. Each pop takes the smaller, by `(time, seq)`, of
-//!   the drain tail and the late head; sequence numbers are unique, so the
-//!   pick is never ambiguous.
+//!   goes to `later`. Only one for the current bucket itself — a delay under
+//!   1 ns, such as an ACK's serialization at 400G — goes to the small `late`
+//!   heap. Each pop takes the smaller, by `(time, seq)`, of the drain tail
+//!   and the late head.
 //! * **Ladder.** Events at or beyond the window end (RTO timers at ≥10 ms,
 //!   app wakeups, telemetry ticks) go to an overflow heap. When the calendar
 //!   is empty, the window jumps to the span holding the ladder minimum and
 //!   every ladder event inside it is staged into its slot.
 //!
 //! **Why one stable sort on time is the `(time, seq)` order.** In every
-//! buffer the calendar sorts, two events with equal times stand in seq
-//! order. `schedule` appends with increasing seq. The ladder stages into an
-//! empty calendar, in `(time, seq)` order, before anything else is
-//! scheduled into the new window. The counting sort is stable. `later` is
-//! filled after the open slot's events were all scheduled, again in seq
-//! order. So a bucket's events, reversed, list equal-time events by
-//! descending seq, and a stable sort by descending time alone leaves the
-//! stack in descending `(time, seq)` order (`debug_assert`ed at each bucket
-//! open). The golden fingerprints and the proptest against a binary-heap
-//! model hold the order end to end.
+//! buffer the calendar sorts, equal-time events stand in seq order:
+//! `schedule` appends with increasing seq, the ladder stages into an empty
+//! calendar in `(time, seq)` order, the scatter is stable, and `later`
+//! fills after its slot's staged events. Reversed, then stably sorted by
+//! descending time, a bucket is in descending `(time, seq)` order.
 //!
-//! The structural invariants the window and the buckets rest on:
+//! The invariants the window and the buckets rest on: (1) every
+//! `schedule(at, ..)` has `at >= now >= window_start`, so no insertion
+//! lands before `cur_slot`, nor in the open slot before `cur_bucket`; (2)
+//! the window advances only when the calendar is empty, and only to the
+//! span holding the global minimum; (3) `now`, the time of the last pop,
+//! lies in the current bucket, since buckets open only inside `pop`. So
+//! every event outside `drain` and `late` is later than `now`, and
+//! [`EventQueue::pop_if_at`] decides from those two heads alone.
 //!
-//! 1. every `schedule(at, ..)` happens with `at >= now >= window_start`, so
-//!    an insertion never lands in a slot before `cur_slot`, nor in the open
-//!    slot before `cur_bucket`;
-//! 2. the window only advances when the calendar is empty, and only to the
-//!    span containing the global minimum, so no pending event is ever left
-//!    behind the window;
-//! 3. `now`, the time of the last pop, lies in the current bucket: buckets
-//!    open only inside `pop`, right before it takes from them. So every
-//!    event outside `drain` and `late` is later than `now`, and
-//!    [`EventQueue::pop_if_at`] decides from those two heads alone.
-//!
-//! **Memory.** Staging buffers belong to a pool, not to slots: a slot holds
-//! a buffer exactly while it holds staged events. Staging into a slot
-//! without a buffer takes one from `spare` before allocating. `open` is a
-//! pool buffer too: opening a slot takes a pooled buffer as `open` and
-//! returns the spent `open` and the slot's buffer to `spare`, so the pool
-//! can hold two buffers more than there are occupied slots — the spent
-//! `open`, and a new one made when the pool ran dry at a slot open. Beside
-//! the pool the queue owns two buffers and no more: `later` and `drain`.
-//! Hence the bound the tests check: buffers in existence ≤ 4 plus the peak
-//! number of slots holding events at once, none with capacity over `max(4,
-//! 2 × largest slot load seen)` (`Vec` doubling) — capacity follows the
-//! events pending, not the slots the ring has ever visited.
+//! **Memory.** A slot's chain is two `u32` chunk indices and a length; its
+//! events live in chunks of [`CHUNK`] events. Staging takes a chunk off the
+//! free list only when the chain's tail chunk is full, and opening the slot
+//! returns them all, so chunks in use hold at most `staged + (CHUNK − 1) ×
+//! occupied slots` events. The free list keeps what it gets back: the pool
+//! is the peak of that sum over the run, and a burst's chunks serve the
+//! slots after it. A slot open shrinks `open`, `later` and `drain` to twice
+//! its load (two chunks at least): none keeps a burst's room.
 
 use crate::packet::{ConnId, PacketId};
 use crate::time::SimTime;
 use pnet_topology::LinkId;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// Things that can happen.
 #[derive(Clone, Copy, Debug)]
@@ -124,11 +104,9 @@ impl PartialOrd for Event {
     }
 }
 
-/// Slot width: 2^14 ps ≈ 16.4 ns. Finer than an MTU serialization at 100G
-/// (120 ns), so back-to-back departures spread over distinct slots; coarse
-/// enough that a window of 4096 slots spans ~67 µs — comfortably past any
-/// hop latency (serialization + ~1 µs propagation) while keeping every
-/// ≥10 ms RTO in the ladder.
+/// Slot width: 2^14 ps ≈ 16.4 ns, under an MTU's 120 ns at 100G, so
+/// back-to-back departures spread over slots; 4096 slots span ~67 µs, past
+/// any hop latency, with every ≥10 ms RTO in the ladder.
 const SLOT_SHIFT: u32 = 14;
 /// Number of slots (power of two so the slot index is a mask).
 const N_SLOTS: usize = 1 << 12;
@@ -139,6 +117,9 @@ const SPAN_PS: u64 = (N_SLOTS as u64) << SLOT_SHIFT;
 const BUCKET_SHIFT: u32 = 10;
 /// Fine buckets per slot.
 const BUCKETS: usize = 1 << (SLOT_SHIFT - BUCKET_SHIFT);
+/// Events per chunk (512 B). Seed-1 `packet_rpc` stages a few events in
+/// each of ~3 400 slots at once, `packet_bulk` ~220 in each of ~60.
+pub const CHUNK: usize = 16;
 
 #[inline]
 fn slot_of(t_ps: u64) -> usize {
@@ -150,19 +131,88 @@ fn bucket_of(ev: &Event) -> usize {
     ((ev.time.as_ps() >> BUCKET_SHIFT) as usize) & (BUCKETS - 1)
 }
 
+/// A slot's staged events in schedule order: `len` events from chunk `head`
+/// along the pool's `next` links to chunk `tail`; none when empty.
+#[derive(Clone, Copy, Debug, Default)]
+struct Chain {
+    head: u32,
+    tail: u32,
+    len: u32,
+}
+
+/// The chunks slots stage their events in, and the free list of spare ones.
+#[derive(Debug, Default)]
+struct Chunks {
+    #[expect(clippy::vec_box, reason = "a chunk never moves as the pool grows")]
+    store: Vec<Box<[Event; CHUNK]>>,
+    /// Each chunk's successor in its chain.
+    next: Vec<u32>,
+    free: Vec<u32>,
+}
+
+impl Chunks {
+    /// Append `ev` to `q`.
+    #[inline]
+    fn push(&mut self, q: &mut Chain, ev: Event) {
+        let at = q.len as usize % CHUNK;
+        if at == 0 {
+            self.link(q, ev);
+        }
+        self.store[q.tail as usize][at] = ev;
+        q.len += 1;
+    }
+
+    /// Give `q` a new tail chunk, spare or new: out of `push`'s hot path.
+    #[inline(never)]
+    fn link(&mut self, q: &mut Chain, fill: Event) {
+        let c = self.free.pop().unwrap_or_else(|| {
+            self.store.push(Box::new([fill; CHUNK]));
+            self.next.push(0);
+            u32::try_from(self.store.len() - 1).expect("invariant: chunks fit u32 indices")
+        });
+        if q.len == 0 {
+            q.head = c;
+        } else {
+            self.next[q.tail as usize] = c;
+        }
+        q.tail = c;
+    }
+
+    /// `q`'s events in order, one chunk's run at a time.
+    fn runs<'a>(&'a self, q: &Chain) -> impl Iterator<Item = &'a [Event]> + 'a {
+        let (mut c, mut left) = (q.head as usize, q.len as usize);
+        std::iter::from_fn(move || {
+            (left > 0).then(|| {
+                let run = &self.store[c][..left.min(CHUNK)];
+                (c, left) = (self.next[c] as usize, left - run.len());
+                run
+            })
+        })
+    }
+
+    /// Empty `q`, handing its chunks to the free list.
+    fn release(&mut self, q: &mut Chain) {
+        let mut c = q.head;
+        for _ in 0..(q.len as usize).div_ceil(CHUNK) {
+            self.free.push(c);
+            c = self.next[c as usize];
+        }
+        *q = Chain::default();
+    }
+}
+
 /// Deterministic event queue (calendar slots + overflow ladder).
 #[derive(Debug)]
 pub struct EventQueue {
-    /// Unsorted per-slot staging buffers for the current window, each in
-    /// schedule order. The open slot's is always empty: its events live in
-    /// `open`, `later`, `drain` and `late`.
-    slots: Vec<Vec<Event>>,
-    /// Empty staging buffers waiting for the next slot that needs one.
-    spare: Vec<Vec<Event>>,
+    chunks: Chunks,
+    /// Per-slot staged events for the current window, each in schedule
+    /// order. The open slot's is empty: its events are in `open`, `later`,
+    /// `drain` and `late`.
+    slots: Vec<Chain>,
     /// The open slot's staged events, grouped by fine bucket: bucket `b` is
-    /// `open[ends[b - 1]..ends[b]]` (from 0 for `b == 0`).
+    /// `open[bounds[b]..bounds[b + 1]]`.
     open: Vec<Event>,
-    ends: [usize; BUCKETS],
+    bounds: [usize; BUCKETS + 1],
     /// Buckets of the open slot whose `open` group is still to drain.
     open_groups: u16,
     /// Events scheduled into a later bucket of the open slot after it
@@ -183,11 +233,9 @@ pub struct EventQueue {
     window_start: u64,
     /// Far-future overflow: every event at or beyond `window_start + SPAN_PS`.
     ladder: BinaryHeap<Reverse<Event>>,
-    /// Lower bound on the lowest-indexed occupied staging slot (`N_SLOTS`
-    /// when provably none): slot scans start here instead of at `cur_slot`,
-    /// so a run of empty slots is traversed once, not once per peek/pop.
-    /// Lowered on staged insertion, raised past each slot as it opens, reset
-    /// on window jumps; never below `cur_slot`.
+    /// Lower bound on the lowest occupied slot (`N_SLOTS` when provably
+    /// none), never below `cur_slot`: slot scans start here, so a run of
+    /// empty slots is traversed once, not once per peek/pop.
     min_staged: usize,
     /// Events in the calendar (everything but the ladder).
     in_buckets: usize,
@@ -214,10 +262,10 @@ impl EventQueue {
     /// the current bucket from the start.
     pub fn new() -> Self {
         EventQueue {
-            slots: (0..N_SLOTS).map(|_| Vec::new()).collect(),
-            spare: Vec::new(),
+            chunks: Chunks::default(),
+            slots: vec![Chain::default(); N_SLOTS],
             open: Vec::new(),
-            ends: [0; BUCKETS],
+            bounds: [0; BUCKETS + 1],
             open_groups: 0,
             later: Vec::new(),
             later_buckets: 0,
@@ -258,12 +306,7 @@ impl EventQueue {
             self.ladder.push(Reverse(ev));
             return;
         }
-        debug_assert!(
-            t >= self.window_start,
-            "scheduled behind the calendar window ({} < {})",
-            t,
-            self.window_start
-        );
+        debug_assert!(t >= self.window_start, "scheduled behind the window");
         let s = slot_of(t);
         debug_assert!(s >= self.cur_slot, "insertion behind the open slot");
         if s != self.cur_slot {
@@ -283,76 +326,60 @@ impl EventQueue {
     }
 
     /// Stage `ev` in slot `s` (after the open slot, or the slot a window
-    /// jump is about to open). A slot without a buffer takes a pooled one
-    /// before `push` would allocate.
+    /// jump is about to open).
     #[inline]
     fn stage(&mut self, s: usize, ev: Event) {
-        let slot = &mut self.slots[s];
-        if slot.capacity() == 0 {
-            if let Some(buf) = self.spare.pop() {
-                *slot = buf;
-            }
-        }
-        slot.push(ev);
+        self.chunks.push(&mut self.slots[s], ev);
         self.min_staged = self.min_staged.min(s);
         self.in_buckets += 1;
     }
 
-    /// Open staged slot `s`: counting-sort its events, stably, by fine
-    /// bucket into a pooled `open` and hand its buffer back to the pool —
-    /// the slot itself keeps nothing, so capacity never accumulates round
-    /// the ring.
+    /// Open staged slot `s`: count its events by fine bucket, scatter them,
+    /// stably, from its chain into `open`, and return the chain's chunks.
     fn open_slot(&mut self, s: usize) {
-        debug_assert!(self.open_groups == 0 && self.later.is_empty());
+        debug_assert!(self.open_groups == 0 && self.later.is_empty() && self.drain.is_empty());
         self.cur_slot = s;
         self.slot_opens += 1;
         let mut staged = std::mem::take(&mut self.slots[s]);
-        let mut counts = [0usize; BUCKETS];
-        for ev in &staged {
-            counts[bucket_of(ev)] += 1;
-        }
-        let (mut next, mut end, mut groups) = ([0usize; BUCKETS], 0, 0u16);
-        for (b, &n) in counts.iter().enumerate() {
-            next[b] = end;
-            end += n;
-            self.ends[b] = end;
-            if n > 0 {
-                groups |= 1 << b;
+        let mut next = [0usize; BUCKETS + 1];
+        for run in self.chunks.runs(&staged) {
+            for ev in run {
+                next[bucket_of(ev) + 1] += 1;
             }
         }
-        self.open_groups = groups;
-        // `open` rotates through the pool like a staging buffer: a pooled
-        // one, already grown by staging, takes the slot's events and the
-        // spent one goes back. Only a dry pool makes a new one, sized to the
-        // slot by the copy below. (An `open` that grew on its own by
-        // doubling left `packet_bulk` peak RSS 1–3.5 MB higher.)
-        let fresh = self.spare.pop().unwrap_or_default();
-        let mut spent = std::mem::replace(&mut self.open, fresh);
-        spent.clear();
-        self.spare.push(spent);
-        // Sized by a copy, then every element overwritten in bucket order.
-        self.open.clear();
-        self.open.extend_from_slice(&staged);
-        for ev in &staged {
-            let at = &mut next[bucket_of(ev)];
-            self.open[*at] = *ev;
-            *at += 1;
+        for b in 0..BUCKETS {
+            self.open_groups |= u16::from(next[b + 1] > 0) << b;
+            next[b + 1] += next[b];
         }
-        staged.clear();
-        self.spare.push(staged);
-        // Slots at or before `s` are now all empty (the scan that found `s`
-        // proved those before it empty, and `s` was just taken).
+        self.bounds = next;
+        let end = next[BUCKETS];
+        // A burst's room goes with the first slot that needs under half of
+        // it. A staged event fills `open`, and the scatter overwrites it all.
+        self.open.clear();
+        for buf in [&mut self.open, &mut self.later, &mut self.drain] {
+            buf.shrink_to(2 * end.max(CHUNK));
+        }
+        let fill = self.chunks.store[staged.head as usize][0];
+        self.open.resize(end, fill);
+        for run in self.chunks.runs(&staged) {
+            for ev in run {
+                let at = &mut next[bucket_of(ev)];
+                self.open[*at] = *ev;
+                *at += 1;
+            }
+        }
+        self.chunks.release(&mut staged);
+        // The scan that found `s` proved the slots before it empty.
         self.min_staged = s + 1;
     }
 
     /// Make bucket `b` of the open slot current: its `open` group and its
-    /// `later` events become the drain stack, in descending `(time, seq)`
-    /// order (module docs: why a stable sort on time alone gives it).
+    /// `later` events become the drain stack, descending by `(time, seq)`.
     fn open_bucket(&mut self, b: usize) {
         debug_assert!(self.drain.is_empty() && self.late.is_empty());
         self.cur_bucket = b;
-        let group = self.group(b);
-        self.drain.extend_from_slice(&self.open[group]);
+        self.drain
+            .extend_from_slice(&self.open[self.bounds[b]..self.bounds[b + 1]]);
         self.open_groups &= !(1 << b);
         if self.later_buckets & (1 << b) != 0 {
             self.later_buckets &= !(1 << b);
@@ -370,14 +397,6 @@ impl EventQueue {
         debug_assert!(self.drain.windows(2).all(|w| w[0] > w[1]));
     }
 
-    /// Where bucket `b`'s group lies in `open`: the open slot's events
-    /// staged for that bucket, in schedule order. Meaningful only until the
-    /// bucket opens; after that the group is a spent copy.
-    #[inline]
-    fn group(&self, b: usize) -> std::ops::Range<usize> {
-        (if b == 0 { 0 } else { self.ends[b - 1] })..self.ends[b]
-    }
-
     /// Open the next bucket holding events: in the open slot if any is
     /// left, else in the next occupied slot, which opens first.
     fn advance(&mut self) {
@@ -388,7 +407,7 @@ impl EventQueue {
             // bounds it below so the empty prefix is skipped without probing.
             debug_assert!(self.min_staged >= self.cur_slot);
             let next = (self.min_staged..N_SLOTS)
-                .find(|&s| !self.slots[s].is_empty())
+                .find(|&s| self.slots[s].len > 0)
                 .expect("invariant: in_buckets > 0 implies an occupied slot ahead");
             self.open_slot(next);
             pending = self.open_groups;
@@ -438,13 +457,8 @@ impl EventQueue {
         if matches!(ev.kind, EventKind::Arrival { .. }) {
             self.arrivals_pending -= 1;
         }
-        // Drain invariant: every event is scheduled exactly once and
-        // dispatched at most once, so pending + dispatched == scheduled.
-        debug_assert_eq!(
-            self.len() as u64 + self.dispatched,
-            self.scheduled,
-            "event queue counters out of sync"
-        );
+        // Every event is scheduled once and dispatched at most once.
+        debug_assert_eq!(self.len() as u64 + self.dispatched, self.scheduled);
     }
 
     /// Pop the earliest event.
@@ -466,34 +480,24 @@ impl EventQueue {
             self.cur_slot = slot_of(min_t);
             self.min_staged = N_SLOTS; // refill below re-establishes the bound
             let end = self.window_start.saturating_add(SPAN_PS);
-            while self
-                .ladder
-                .peek()
-                .is_some_and(|Reverse(e)| e.time.as_ps() < end)
-            {
-                let Reverse(ev) = self
-                    .ladder
-                    .pop()
-                    .expect("invariant: peeked ladder head exists");
+            loop {
+                let ladder = self.ladder.peek_mut();
+                let Some(head) = ladder.filter(|h| h.0.time.as_ps() < end) else {
+                    break;
+                };
+                let Reverse(ev) = PeekMut::pop(head);
                 self.stage(slot_of(ev.time.as_ps()), ev);
             }
         }
     }
 
-    /// Pop the earliest event only if it is scheduled exactly at `t`. This is
-    /// the batched-dispatch fast path for a same-timestamp cascade
-    /// (departure → arrival → departure ...).
-    ///
-    /// Precondition: `t` is the time of the last pop (zero before the
-    /// first). That time lies in the current bucket, and every event outside
-    /// it is later (invariant 3 in the module docs), so the drain tail and
-    /// the late head decide alone: no scan, no window logic.
+    /// Pop the earliest event only if it is scheduled exactly at `t`, the
+    /// time of the last pop (zero before the first): the batched-dispatch
+    /// fast path for a same-timestamp cascade. The drain tail and the late
+    /// head decide alone (invariant 3 in the module docs).
     #[inline]
     pub fn pop_if_at(&mut self, t: SimTime) -> Option<Event> {
-        debug_assert_eq!(
-            t, self.now,
-            "pop_if_at asked for a time other than the last pop's"
-        );
+        debug_assert_eq!(t, self.now, "pop_if_at takes the last pop's time");
         if self.current_head()?.time != t {
             return None;
         }
@@ -512,15 +516,12 @@ impl EventQueue {
             if pending != 0 {
                 let b = pending.trailing_zeros() as usize;
                 let later = self.later.iter().filter(|ev| bucket_of(ev) == b);
-                let group = self.open[self.group(b)].iter();
+                let group = self.open[self.bounds[b]..self.bounds[b + 1]].iter();
                 return group.chain(later).map(|ev| ev.time).min();
             }
-            for s in self.min_staged..N_SLOTS {
-                if let Some(min) = self.slots[s].iter().map(|e| e.time).min() {
-                    return Some(min);
-                }
-            }
-            debug_assert!(false, "in_buckets > 0 but no occupied slot found");
+            let staged = self.slots[self.min_staged..].iter().find(|c| c.len > 0);
+            let staged = staged.expect("invariant: in_buckets > 0 implies an occupied slot ahead");
+            return self.chunks.runs(staged).flatten().map(|e| e.time).min();
         }
         self.ladder.peek().map(|Reverse(e)| e.time)
     }
@@ -558,13 +559,12 @@ impl EventQueue {
         self.late_pushes
     }
 
-    /// Events of capacity held by the buffers the queue owns — slots, pool,
-    /// `open`, `later` and drain (for instrumentation; see "Memory" in the
-    /// module docs).
+    /// Events of room the queue holds: its chunks, spare ones included, and
+    /// `open`, `later` and the drain (for instrumentation; see "Memory" in
+    /// the module docs).
     pub fn staged_capacity(&self) -> usize {
         let own = [&self.open, &self.later, &self.drain];
-        let all = self.slots.iter().chain(&self.spare).chain(own);
-        all.map(Vec::capacity).sum()
+        self.chunks.store.len() * CHUNK + own.map(Vec::capacity).iter().sum::<usize>()
     }
 
     /// Packets currently propagating: pending [`EventKind::Arrival`] events.
@@ -988,18 +988,25 @@ mod tests {
         assert!(q.is_empty());
     }
 
-    /// (buffers in existence, largest capacity) over slots, pool, `open`,
-    /// `later` and drain.
-    fn buffer_census(q: &EventQueue) -> (usize, usize) {
-        let fixed = [&q.open, &q.later, &q.drain];
-        let all = q.slots.iter().chain(&q.spare).chain(fixed);
-        let caps = all.map(Vec::capacity).filter(|&c| c > 0);
-        caps.fold((0, 0), |(n, max), c| (n + 1, max.max(c)))
+    /// The Memory bound (module docs) on the queue's room, from peaks of
+    /// the run: `pending` events over `occupied` slots, the most in a slot.
+    fn bound(pending: usize, occupied: usize, load: usize) -> usize {
+        pending + CHUNK * occupied + 6 * load.max(CHUNK)
     }
 
-    /// Buffers beyond one per occupied slot (module docs, Memory): the spent
-    /// `open` and a dry pool's new one, `later` and the drain.
-    const EXTRA_BUFFERS: usize = 4;
+    /// Asserts the Memory bound on what `q` holds now: the chunks in chains
+    /// hold the staged events with under a chunk of slack per slot, and
+    /// `open` at most twice what its slot needs.
+    fn census(q: &EventQueue) {
+        let held = (q.chunks.store.len() - q.chunks.free.len()) * CHUNK;
+        let occupied = q.slots.iter().filter(|c| c.len > 0).count();
+        let staged: usize = q.slots.iter().map(|c| c.len as usize).sum();
+        assert!(
+            staged <= held && held <= staged + (CHUNK - 1) * occupied,
+            "{held} events of chunk for {staged} staged over {occupied} slots"
+        );
+        assert!(q.open.capacity() <= 2 * q.open.len().max(CHUNK));
+    }
 
     #[test]
     fn staged_capacity_follows_occupancy_not_history() {
@@ -1007,8 +1014,7 @@ mod tests {
         // the ring has not used before (stride 17 is coprime to N_SLOTS),
         // drained between bursts. ~4 windows pass, so bursts arrive both by
         // `schedule` and by the ladder re-hash. One slot is occupied at a
-        // time: one buffer per occupied slot and the extra ones carry the
-        // whole run.
+        // time: the first burst's chunks carry the whole run.
         const BURST: u64 = 512;
         let w = 1u64 << SLOT_SHIFT;
         let mut q = EventQueue::new();
@@ -1023,21 +1029,15 @@ mod tests {
             for &(t, id) in &expect {
                 app(&mut q, t, id);
             }
+            census(&q);
             expect.sort_unstable(); // ids ascend in schedule order, as seq does
             assert_eq!(drain_apps(&mut q), expect);
+            assert!(q.chunks.store.len() * CHUNK <= BURST as usize);
             peak_capacity = peak_capacity.max(q.staged_capacity());
-            let (buffers, largest) = buffer_census(&q);
-            assert!(
-                buffers <= 1 + EXTRA_BUFFERS,
-                "{buffers} buffers for one occupied slot"
-            );
-            assert!(largest <= 2 * BURST as usize);
         }
         assert!(q.window_start >= 3 * SPAN_PS, "run must cross window jumps");
-        // Each buffer holds at most one burst (512 is a power of two, so
-        // doubling stops there).
         assert!(
-            peak_capacity <= (1 + EXTRA_BUFFERS) * BURST as usize,
+            peak_capacity <= bound(BURST as usize, 1, BURST as usize),
             "staged capacity {peak_capacity} events for bursts of {BURST}"
         );
     }
@@ -1048,22 +1048,12 @@ mod tests {
         // slots at once: waves of 1..=40 occupied slots with uneven loads,
         // each wave drained while scheduling into the slot being drained
         // (so `later` and the late heap fill too), windows crossed on the
-        // way.
+        // way. The census holds after every operation, the bound at the
+        // run's peaks.
         let w = 1u64 << SLOT_SHIFT;
         let mut q = EventQueue::new();
         let (mut id, mut now) = (0u32, 0u64);
-        let (mut peak_occupied, mut peak_load) = (0usize, 0usize);
-        let census = |q: &EventQueue, peak_occupied: usize, peak_load: usize| {
-            let (buffers, largest) = buffer_census(q);
-            assert!(
-                buffers <= peak_occupied + EXTRA_BUFFERS,
-                "{buffers} > {peak_occupied} + {EXTRA_BUFFERS}"
-            );
-            assert!(
-                largest <= (2 * peak_load).max(4),
-                "{largest} vs {peak_load}"
-            );
-        };
+        let (mut peak_pending, mut peak_occupied, mut peak_load) = (0, 0, 0);
         for wave in 1..=120u64 {
             let n_slots = 1 + wave * 7 % 40;
             let base = (now / w + 1) * w; // slot-aligned: one group, one slot
@@ -1077,7 +1067,8 @@ mod tests {
             }
             // A wave straddling the window end occupies fewer at once.
             peak_occupied = peak_occupied.max(n_slots as usize);
-            census(&q, peak_occupied, peak_load);
+            peak_pending = peak_pending.max(q.len());
+            census(&q);
             // Each popped event of the wave's first slot schedules one more
             // into the same slot, 0 or 2 ns on: the slot's load never grows.
             let mut popped = 0;
@@ -1088,9 +1079,49 @@ mod tests {
                     id += 1;
                     popped += 1;
                 }
-                census(&q, peak_occupied, peak_load);
+                census(&q);
+                let peak = bound(peak_pending, peak_occupied, peak_load);
+                assert!(q.staged_capacity() <= peak);
             }
         }
         assert!(q.late_pushes() > 0 && q.window_start > 0);
+    }
+
+    #[test]
+    fn a_burst_leaves_no_room_behind_it() {
+        // One slot of 4 096 events, then 10 000 light slots, up to eight
+        // occupied at once. Buffers that keep the capacity they once reached
+        // hold the burst's room twice over, the slot's and the sorted
+        // copy's, while the light slots pass. Chunks hold what is staged;
+        // the burst's spare ones serve the light slots, and the sorted copy
+        // shrinks with the first light slot.
+        const BURST: u32 = 4_096;
+        let w = 1u64 << SLOT_SHIFT;
+        let mut q = EventQueue::new();
+        for i in 0..BURST {
+            app(&mut q, 3 * w + u64::from(i) * 3 % w, i);
+        }
+        census(&q);
+        let mut got = drain_apps(&mut q);
+        assert_eq!(got.len(), BURST as usize);
+        let chunks = q.chunks.store.len();
+        assert_eq!(chunks * CHUNK, BURST as usize);
+        let mut id = BURST;
+        for light in 0..10_000u64 {
+            let base = (q.now.as_ps() / w + 1 + light % 8) * w;
+            for j in 0..3 {
+                app(&mut q, base + j * 5_000, id);
+                id += 1;
+            }
+            census(&q);
+            if light % 8 == 7 {
+                got.extend(drain_apps(&mut q));
+                assert!(q.staged_capacity() <= BURST as usize + 6 * CHUNK);
+            }
+            assert_eq!(q.chunks.store.len(), chunks, "chunks are recycled");
+        }
+        got.extend(drain_apps(&mut q));
+        assert_eq!(got.len(), id as usize);
+        assert!(got.windows(2).all(|p| p[0] < p[1]));
     }
 }

@@ -338,15 +338,19 @@ impl Simulator {
     }
 
     /// Transport state of a connection; `None` once it has retired, when its
-    /// [`FlowRecord`] and [`TraceRecord::SubflowFinish`] are what is left.
+    /// [`FlowRecord`] and [`TraceRecord::SubflowFinish`] are what is left,
+    /// and for an id this simulator never handed out.
     pub fn conn(&self, id: ConnId) -> Option<&Connection> {
-        self.slab.get(self.conn_slot[id.0 as usize] as usize)
+        let slot = *self.conn_slot.get(id.0 as usize)?;
+        self.slab.get(slot as usize)
     }
 
     /// Completion record of a connection, or `None` while it is transferring
-    /// and when the driver kept its record.
+    /// and when the driver kept its record, and for an id this simulator never
+    /// handed out.
     pub fn record(&self, id: ConnId) -> Option<&FlowRecord> {
-        self.records.get(self.conn_record[id.0 as usize] as usize)
+        let at = *self.conn_record.get(id.0 as usize)?;
+        self.records.get(at as usize)
     }
 
     /// Append a completion record to [`Simulator::records`], where
@@ -1542,6 +1546,29 @@ mod tests {
         assert!(sim.conn_slab_capacity() <= watch.1);
         assert!(sim.conn(ConnId(0)).is_none());
         assert!(watch.0.completed.iter().any(|r| r.conn == ConnId(0)));
+    }
+
+    #[test]
+    fn an_id_never_handed_out_has_no_connection_and_no_record() {
+        let n = net();
+        let mut sim = Simulator::new(&n, SimConfig::default());
+        let unissued = |sim: &Simulator| ConnId(u32::try_from(sim.n_conns()).unwrap());
+        assert!(sim.conn(unissued(&sim)).is_none());
+        assert!(sim.record(unissued(&sim)).is_none());
+        let routes = vec![route_for(&n, HostId(0), HostId(15), 0)];
+        sim.start_flow(FlowSpec {
+            src: HostId(0),
+            dst: HostId(15),
+            size_bytes: 3_000,
+            routes,
+            cc: CcAlgo::Reno,
+            owner_tag: 0,
+        });
+        run_to_completion(&mut sim);
+        assert!(sim.record(ConnId(0)).is_some());
+        assert!(sim.conn(unissued(&sim)).is_none());
+        assert!(sim.record(unissued(&sim)).is_none());
+        assert!(sim.record(ConnId(u32::MAX)).is_none());
     }
 
     #[test]

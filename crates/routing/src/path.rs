@@ -344,7 +344,9 @@ pub fn reverse_route(route: &[LinkId]) -> Vec<LinkId> {
 /// different flows pick *different* (but still shortest-first) path subsets.
 /// Without this, deterministic KSP ordering funnels every flow between the
 /// same racks through the same lexicographically-first paths — the opposite
-/// of what a hashing path manager (ECMP, MPTCP subflow setup) does.
+/// of what a hashing path manager (ECMP, MPTCP subflow setup) does. This is
+/// the one place the rule lives: the path selector and the flow solver's
+/// KSP mode read path sets through it and never reorder them.
 pub fn tie_rotated(paths: &[Path], hash: u64) -> impl Iterator<Item = usize> + '_ {
     rotated(paths.len(), |i| paths[i].links.len(), hash)
 }

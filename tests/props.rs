@@ -721,7 +721,7 @@ proptest! {
 // Calendar event queue vs. reference binary-heap model
 // ---------------------------------------------------------------------
 
-use pnet::htsim::event::{Event, EventKind, EventQueue};
+use pnet::htsim::event::{Event, EventKind, EventQueue, CHUNK};
 use pnet::htsim::SimTime;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -741,11 +741,14 @@ proptest! {
     /// (overflow ladder) distances, plus same-timestamp bursts.
     ///
     /// After every op the calendar's memory bound (event.rs module docs) is
-    /// checked through its one accessor: buffers ≤ 4 + peak occupied slots,
-    /// of at most max(4, 2 × peak slot load) events each, bounds
-    /// `staged_capacity()` by their product. The model over-counts both
-    /// peaks from the pending set alone — distinct 2^14 ps slots, and the
-    /// most events sharing one — so the bound holds whatever the window does.
+    /// checked through its one accessor: chunks of `CHUNK` events hold the
+    /// staged events with under a chunk of slack per occupied slot, and
+    /// `open`, `later` and the drain at most twice the largest slot load
+    /// (or two chunks) each, so `staged_capacity()` stays within
+    /// `pending + CHUNK × occupied + 6 × max(load, CHUNK)` at the peaks of
+    /// the run. The model over-counts all three peaks from the pending set
+    /// alone — every pending event, distinct 2^14 ps slots, and the most
+    /// events sharing one — so the bound holds whatever the window does.
     #[test]
     fn calendar_queue_matches_binary_heap_model(
         seed in 0u64..400,
@@ -759,7 +762,7 @@ proptest! {
         let mut now = 0u64;
         let mut next_tag = 0u64;
         let mut slots: BTreeMap<u64, usize> = BTreeMap::new();
-        let (mut peak_slots, mut peak_load) = (0usize, 0usize);
+        let (mut peak_pending, mut peak_slots, mut peak_load) = (0usize, 0usize, 0usize);
 
         let check_pop = |got: Option<Event>, want: Option<(u64, u64)>|
          -> Result<Option<u64>, TestCaseError> {
@@ -814,6 +817,7 @@ proptest! {
                         *load += 1;
                         peak_load = peak_load.max(*load);
                         peak_slots = peak_slots.max(slots.len());
+                        peak_pending = peak_pending.max(model.len());
                     }
                 }
                 9..=11 => {
@@ -843,9 +847,10 @@ proptest! {
             }
             prop_assert_eq!(q.len(), model.len());
             prop_assert!(
-                q.staged_capacity() <= (peak_slots + 4) * (2 * peak_load).max(4),
-                "{} events of capacity for {} slots of at most {}",
-                q.staged_capacity(), peak_slots, peak_load
+                q.staged_capacity()
+                    <= peak_pending + CHUNK * peak_slots + 6 * peak_load.max(CHUNK),
+                "{} events of capacity for {} pending over {} slots of at most {}",
+                q.staged_capacity(), peak_pending, peak_slots, peak_load
             );
         }
 
