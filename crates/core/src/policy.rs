@@ -17,10 +17,8 @@
 //!   routing; flows larger than or equal to 1 GB ... multipath").
 
 use pnet_htsim::CcAlgo;
-use pnet_routing::{
-    flow_hash, hash_index, hash_plane, hash_select, host_route, tie_rotated, Path, PathRef, Router,
-};
-use pnet_topology::{HostId, LinkId, Network, PlaneId, RackId};
+use pnet_routing::{hash_plane, hash_select, Flow, Path, PathRef, Router};
+use pnet_topology::{HostId, LinkId, Network, PlaneId};
 
 /// A path-selection policy.
 #[derive(Debug, Clone)]
@@ -117,196 +115,105 @@ impl PathSelector {
         flow_id: u64,
         size_bytes: u64,
     ) -> (Vec<Vec<LinkId>>, CcAlgo) {
-        let flow = Flow {
-            router: &self.router,
-            net,
-            src,
-            dst,
-            ra: net.rack_of_host(src),
-            rb: net.rack_of_host(dst),
-            hash: flow_hash(src, dst, flow_id),
-            pinned: None,
-        };
-        let (routes, cc) = flow.place(&self.policy, &mut self.rr, size_bytes);
+        let flow = Flow::new(net, src, dst, flow_id);
+        let (routes, cc) = place(&self.router, flow, &self.policy, &mut self.rr, size_bytes);
         assert!(!routes.is_empty(), "no usable route {src}->{dst}");
         (routes, cc)
     }
 }
 
-/// One flow being placed: the fabric, the flow's endpoints and hash, and the
-/// planes its policy may use. Route-table path sets are read in place; only
-/// the host routes handed back are built.
-#[derive(Clone, Copy)]
-struct Flow<'a> {
-    router: &'a Router,
-    net: &'a Network,
-    src: HostId,
-    dst: HostId,
-    ra: RackId,
-    rb: RackId,
-    hash: u64,
-    /// When set (by [`PathPolicy::Pinned`]), only these planes are usable.
-    pinned: Option<&'a [u16]>,
+/// Place `flow` by `policy`. The KSP, ECMP and round-robin rules are the
+/// router's ([`Router::subflows`], [`Router::hashed_route`]), the ones the
+/// flow solver builds its routes by; `Pinned` narrows the flow's planes.
+fn place(
+    router: &Router,
+    flow: Flow<'_>,
+    policy: &PathPolicy,
+    rr: &mut u64,
+    size_bytes: u64,
+) -> (Vec<Vec<LinkId>>, CcAlgo) {
+    let n_planes = flow.net.n_planes();
+    let single = |route: Option<Vec<LinkId>>| (route.into_iter().collect(), CcAlgo::Reno);
+    match policy {
+        PathPolicy::EcmpHash => single(router.hashed_route(flow, hash_plane(n_planes, flow.hash))),
+        PathPolicy::RoundRobin => {
+            let preferred = PlaneId((*rr % u64::from(n_planes)) as u16);
+            *rr += 1;
+            single(router.hashed_route(flow, preferred))
+        }
+        PathPolicy::ShortestPlane => single(shortest_plane_route(router, flow)),
+        PathPolicy::MultipathKsp { k } => (router.subflows(flow, *k), CcAlgo::Lia),
+        PathPolicy::PlaneKsp { per_plane } => {
+            let (ra, rb) = flow.racks();
+            if ra == rb {
+                // One intra-rack route per usable plane, as `MultipathKsp`.
+                return (router.subflows(flow, *per_plane), CcAlgo::Lia);
+            }
+            let mut routes = Vec::new();
+            for plane in flow.usable_planes() {
+                let set = router.paths_in_plane(plane, ra, rb);
+                let best = set.tie_rotated(flow.hash ^ plane.0 as u64).take(*per_plane);
+                routes.extend(best.filter_map(|i| flow.route(set.get(i))));
+            }
+            (routes, CcAlgo::Lia)
+        }
+        PathPolicy::SizeThreshold {
+            cutoff_bytes,
+            small,
+            large,
+        } => {
+            let inner = if size_bytes <= *cutoff_bytes {
+                small
+            } else {
+                large
+            };
+            place(router, flow, inner, rr, size_bytes)
+        }
+        PathPolicy::Pinned { planes, inner } => {
+            assert!(!planes.is_empty(), "Pinned needs at least one plane");
+            let pinned = Flow {
+                planes: Some(planes),
+                ..flow
+            };
+            place(router, pinned, inner, rr, size_bytes)
+        }
+    }
 }
 
-impl<'a> Flow<'a> {
-    fn place(
-        self,
-        policy: &'a PathPolicy,
-        rr: &mut u64,
-        size_bytes: u64,
-    ) -> (Vec<Vec<LinkId>>, CcAlgo) {
-        let (ra, rb, h) = (self.ra, self.rb, self.hash);
-        match policy {
-            PathPolicy::EcmpHash => {
-                let plane = self.usable_plane(hash_plane(self.net.n_planes(), h));
-                (self.single_route_in(plane), CcAlgo::Reno)
-            }
-            PathPolicy::RoundRobin => {
-                let start = PlaneId((*rr % self.net.n_planes() as u64) as u16);
-                *rr += 1;
-                (self.single_route_in(self.usable_plane(start)), CcAlgo::Reno)
-            }
-            PathPolicy::ShortestPlane => (self.shortest_plane_route(), CcAlgo::Reno),
-            PathPolicy::MultipathKsp { k } => {
-                if ra == rb {
-                    return (self.intra_rack_routes(), CcAlgo::Lia);
-                }
-                // Wide fetch, per-flow hash rotation of equal-cost ties,
-                // then truncate: flows between the same racks get
-                // *different* shortest-path subsets.
-                let mut ps = self.router.k_best_across_planes(ra, rb, 2 * *k);
-                ps.retain(|p| self.plane_usable(p.plane));
-                let best = tie_rotated(&ps, h).take(*k);
-                (
-                    best.filter_map(|i| self.route(&ps[i])).collect(),
-                    CcAlgo::Lia,
-                )
-            }
-            PathPolicy::PlaneKsp { per_plane } => {
-                if ra == rb {
-                    return (self.intra_rack_routes(), CcAlgo::Lia);
-                }
-                let mut routes = Vec::new();
-                for plane in self.usable_planes() {
-                    let set = self.router.paths_in_plane(plane, ra, rb);
-                    let best = set.tie_rotated(h ^ plane.0 as u64).take(*per_plane);
-                    routes.extend(best.filter_map(|i| self.route(set.get(i))));
-                }
-                (routes, CcAlgo::Lia)
-            }
-            PathPolicy::SizeThreshold {
-                cutoff_bytes,
-                small,
-                large,
-            } => {
-                let inner = if size_bytes <= *cutoff_bytes {
-                    small
-                } else {
-                    large
-                };
-                self.place(inner, rr, size_bytes)
-            }
-            PathPolicy::Pinned { planes, inner } => {
-                assert!(!planes.is_empty(), "Pinned needs at least one plane");
-                let pinned = Flow {
-                    pinned: Some(planes),
-                    ..self
-                };
-                pinned.place(inner, rr, size_bytes)
-            }
+/// The lowest-hop route across all usable planes (ties hash-balanced).
+fn shortest_plane_route(router: &Router, flow: Flow<'_>) -> Option<Vec<LinkId>> {
+    let (ra, rb) = flow.racks();
+    if ra == rb {
+        let planes: Vec<PlaneId> = flow.usable_planes().collect();
+        if planes.is_empty() {
+            return None;
         }
+        return flow.route(&Path::intra_rack(*hash_select(&planes, flow.hash)));
     }
-
-    /// The host route along `path`, if both hosts are attached to its plane.
-    fn route<'p>(&self, path: impl Into<PathRef<'p>>) -> Option<Vec<LinkId>> {
-        host_route(self.net, self.src, self.dst, path)
+    let sets: Vec<_> = flow
+        .usable_planes()
+        .map(|plane| router.paths_in_plane(plane, ra, rb))
+        .collect();
+    // Every plane's shortest tier that is as short as the best plane's,
+    // in plane order.
+    let tiers = sets.iter().map(|set| set.iter().take(set.shortest_tier()));
+    let best_len = tiers.clone().flatten().map(|p| p.n_links()).min();
+    let ties: Vec<PathRef> = tiers
+        .flatten()
+        .filter(|p| Some(p.n_links()) == best_len)
+        .collect();
+    if ties.is_empty() {
+        return None;
     }
-
-    /// Same-rack flows: one up-down route through every usable plane's ToR.
-    fn intra_rack_routes(&self) -> Vec<Vec<LinkId>> {
-        let planes = self.usable_planes();
-        let routes = planes.map(|plane| self.route(&Path::intra_rack(plane)));
-        routes.flatten().collect()
-    }
-
-    /// A single route within `plane`: intra-rack, or hash-selected among the
-    /// plane's shortest paths, so "single path" means "a shortest path" for
-    /// every policy. No route when no plane is usable.
-    fn single_route_in(&self, plane: Option<PlaneId>) -> Vec<Vec<LinkId>> {
-        let Some(plane) = plane else {
-            return Vec::new();
-        };
-        if self.ra == self.rb {
-            return self.route(&Path::intra_rack(plane)).into_iter().collect();
-        }
-        let set = self.router.paths_in_plane(plane, self.ra, self.rb);
-        let tier = set.shortest_tier();
-        if tier == 0 {
-            return Vec::new();
-        }
-        let route = self.route(set.get(hash_index(tier, self.hash)));
-        route.into_iter().collect()
-    }
-
-    /// The lowest-hop route across all usable planes (ties hash-balanced).
-    fn shortest_plane_route(&self) -> Vec<Vec<LinkId>> {
-        if self.ra == self.rb {
-            let planes: Vec<PlaneId> = self.usable_planes().collect();
-            if planes.is_empty() {
-                return Vec::new();
-            }
-            let plane = *hash_select(&planes, self.hash);
-            return self.route(&Path::intra_rack(plane)).into_iter().collect();
-        }
-        let sets: Vec<_> = self
-            .usable_planes()
-            .map(|plane| self.router.paths_in_plane(plane, self.ra, self.rb))
-            .collect();
-        // Every plane's shortest tier that is as short as the best plane's,
-        // in plane order.
-        let tiers = sets.iter().map(|set| set.iter().take(set.shortest_tier()));
-        let best_len = tiers.clone().flatten().map(|p| p.n_links()).min();
-        let ties: Vec<PathRef> = tiers
-            .flatten()
-            .filter(|p| Some(p.n_links()) == best_len)
-            .collect();
-        if ties.is_empty() {
-            return Vec::new();
-        }
-        let route = self.route(*hash_select(&ties, self.hash));
-        route.into_iter().collect()
-    }
-
-    /// Planes where both hosts have live uplinks.
-    fn usable_planes(&self) -> impl Iterator<Item = PlaneId> + '_ {
-        self.net.planes().filter(|&p| self.plane_usable(p))
-    }
-
-    fn plane_usable(&self, plane: PlaneId) -> bool {
-        self.pinned.is_none_or(|planes| planes.contains(&plane.0))
-            && self.net.host_uplink(self.src, plane).is_some()
-            && self.net.host_uplink(self.dst, plane).is_some()
-    }
-
-    /// `preferred` if usable, otherwise the next usable plane (failure
-    /// masking: "end hosts can quickly detect individual dataplane failures
-    /// via link status and avoid using the broken dataplane(s)"); `None`
-    /// when no plane is.
-    fn usable_plane(&self, preferred: PlaneId) -> Option<PlaneId> {
-        let n = self.net.n_planes();
-        (0..n)
-            .map(|off| PlaneId((preferred.0 + off) % n))
-            .find(|&p| self.plane_usable(p))
-    }
+    flow.route(*hash_select(&ties, flow.hash))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pnet_routing::RouteAlgo;
+    use pnet_routing::{subflow_width, Parallelism, RouteAlgo};
     use pnet_topology::{
-        assemble_homogeneous, parallel, FatTree, Jellyfish, LinkProfile, NetworkClass,
+        assemble_homogeneous, failures, parallel, FatTree, Jellyfish, LinkProfile, NetworkClass,
     };
 
     fn par4() -> Network {
@@ -383,11 +290,68 @@ mod tests {
         for (a, b) in [(0u32, 20u32), (3, 17), (5, 30), (9, 12)] {
             let (routes, _) = s.select(&net, HostId(a), HostId(b), 0, 1000);
             let hops = routes[0].len() - 1;
-            let (_, best) = check
-                .shortest_plane(net.rack_of_host(HostId(a)), net.rack_of_host(HostId(b)))
-                .unwrap();
-            assert_eq!(hops, best, "pair ({a},{b})");
+            let (ra, rb) = (net.rack_of_host(HostId(a)), net.rack_of_host(HostId(b)));
+            let best = net.planes().filter_map(|p| {
+                let set = check.paths_in_plane(p, ra, rb);
+                (!set.is_empty()).then(|| set.get(0).n_links() + 1)
+            });
+            assert_eq!(Some(hops), best.min(), "pair ({a},{b})");
         }
+    }
+
+    /// One rule, same answer: the routes the flow solver builds for
+    /// commodity `i` are the ones the selector picks for flow id `i`, in KSP
+    /// and in ECMP mode, on a 4-plane heterogeneous Jellyfish with host 0's
+    /// plane-0 uplink dead. Each side has its own router: the selector's is
+    /// 32 wide, the KSP solver's [`subflow_width`]`(k)` and the ECMP
+    /// solver's an ECMP table capped at 64, so the answers agree because
+    /// every shortest tier holds fewer than 32 paths. The solver fans out
+    /// over the pool (`RAYON_NUM_THREADS`), the selector is serial.
+    ///
+    /// [`subflow_width`]: pnet_routing::subflow_width
+    #[test]
+    fn the_flow_solver_and_the_selector_choose_the_same_routes() {
+        use pnet_flowsim::{commodity, mcf, throughput};
+        let mut net = parallel::jellyfish_network(
+            NetworkClass::ParallelHeterogeneous,
+            Jellyfish::new(16, 4, 2, 5),
+            4,
+            5,
+            &LinkProfile::paper_default(),
+        );
+        let up = net.host_uplink(HostId(0), PlaneId(0)).unwrap();
+        failures::fail_cable(&mut net, up);
+        let c = commodity::all_to_all(12);
+        let wide = Router::new(&net, RouteAlgo::Ksp { k: 32 });
+        for (a, b) in c
+            .iter()
+            .map(|c| (net.rack_of_host(c.src), net.rack_of_host(c.dst)))
+        {
+            for plane in net.planes() {
+                assert!(wide.paths_in_plane(plane, a, b).shortest_tier() < 32);
+            }
+        }
+        let same = |policy: PathPolicy, solver: &dyn Fn(usize) -> Vec<Vec<LinkId>>| {
+            let mut s = selector(&net, policy.clone());
+            for (i, c) in c.iter().enumerate() {
+                let (routes, _) = s.select(&net, c.src, c.dst, i as u64, 1 << 20);
+                assert!(!routes.is_empty());
+                assert_eq!(routes, solver(i), "{policy:?}, commodity {i}");
+            }
+        };
+        for k in [4, 8, 16] {
+            let wide = subflow_width(k);
+            let router = Router::new(&net, RouteAlgo::Ksp { k: wide });
+            let mcf::PathMode::Explicit(ksp) = mcf::ksp_mode(&net, &router, &c, k) else {
+                panic!("ksp_mode builds explicit routes");
+            };
+            same(PathPolicy::MultipathKsp { k }, &|i| {
+                ksp.routes(i).map(<[LinkId]>::to_vec).collect()
+            });
+        }
+        let router = Router::new(&net, RouteAlgo::Ecmp { cap: 64 });
+        let ecmp = throughput::ecmp_routes(&net, &router, &c, Parallelism::default());
+        same(PathPolicy::EcmpHash, &|i| ecmp[i].iter().cloned().collect());
     }
 
     #[test]

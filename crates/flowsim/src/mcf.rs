@@ -16,7 +16,7 @@
 //! point noise; λ is then exact-feasible and ≥ (1−O(ε))·OPT.
 
 use crate::commodity::Commodity;
-use pnet_routing::Parallelism;
+use pnet_routing::{Flow, Parallelism, Router};
 use pnet_topology::{HostId, LinkId, Network, PlaneId, RackId};
 
 /// How commodities may be routed.
@@ -869,7 +869,7 @@ impl Candidates {
     }
 
     /// The routes of commodity `i`, in the order given.
-    pub(crate) fn routes(&self, i: usize) -> impl Iterator<Item = &[LinkId]> + '_ {
+    pub fn routes(&self, i: usize) -> impl Iterator<Item = &[LinkId]> + '_ {
         (self.first[i]..self.first[i + 1])
             .flat_map(move |j| (0..self.runs[j].count).map(move |r| self.row(j, r)))
     }
@@ -1631,29 +1631,11 @@ impl AnyPathOracle {
     }
 }
 
-/// Convenience: rack paths (`&Path`s, or the views of a
-/// [`pnet_routing::PlanePaths`]) expanded to full host routes for one commodity.
-fn expand_host_routes<'a, P: Into<pnet_routing::PathRef<'a>>>(
-    net: &Network,
-    src: HostId,
-    dst: HostId,
-    rack_paths: impl IntoIterator<Item = P>,
-) -> Vec<Vec<LinkId>> {
-    rack_paths
-        .into_iter()
-        .filter_map(|p| pnet_routing::host_route(net, src, dst, p))
-        .collect()
-}
-
 /// Helper bundling router + commodity list into explicit K-path mode across
-/// all planes (the MPTCP + KSP configuration). Candidate-set construction
-/// fans out across commodities.
-pub fn ksp_mode(
-    net: &Network,
-    router: &pnet_routing::Router,
-    commodities: &[Commodity],
-    k: usize,
-) -> PathMode {
+/// all planes (the MPTCP + KSP configuration): commodity `i` gets
+/// [`Router::subflows`] of flow `i`. Candidate-set construction fans out
+/// across commodities.
+pub fn ksp_mode(net: &Network, router: &Router, commodities: &[Commodity], k: usize) -> PathMode {
     ksp_mode_with(net, router, commodities, k, Parallelism::default())
 }
 
@@ -1662,7 +1644,7 @@ pub fn ksp_mode(
 /// commodity index, so parallel construction is element-identical to serial.
 pub fn ksp_mode_with(
     net: &Network,
-    router: &pnet_routing::Router,
+    router: &Router,
     commodities: &[Commodity],
     k: usize,
     par: Parallelism,
@@ -1672,55 +1654,14 @@ pub fn ksp_mode_with(
     router.precompute_with(&inter_rack_pairs(net, commodities), par);
     let paths = par.map_indexed(commodities.len(), |i| {
         let c = &commodities[i];
-        let (sa, sb) = (net.rack_of_host(c.src), net.rack_of_host(c.dst));
-        if sa == sb {
-            // Intra-rack: one host->ToR->host path per plane (MPTCP can
-            // still stripe across all planes).
-            let intra: Vec<_> = net.planes().map(pnet_routing::Path::intra_rack).collect();
-            return expand_host_routes(net, c.src, c.dst, &intra);
-        }
-        // Fetch a wide candidate set, hash-rotate each equal-length tier per
-        // flow (the MPTCP path manager's spread), then keep the K best for
-        // this flow.
-        let ps = router.k_best_across_planes(sa, sb, (2 * k).max(8));
-        let h = pnet_routing::flow_hash(c.src, c.dst, i as u64);
-        let best = pnet_routing::tie_rotated(&ps, h).take(k);
-        expand_host_routes(net, c.src, c.dst, best.map(|j| &ps[j]))
-    });
-    PathMode::Explicit(Candidates::new(&paths))
-}
-
-/// Helper: single hash-selected ECMP path per commodity (plane by hash, then
-/// equal-cost path by hash), the paper's naive P-Net ECMP. Candidate-set
-/// construction fans out across commodities under `par`.
-pub fn ecmp_mode_with(
-    net: &Network,
-    router: &pnet_routing::Router,
-    commodities: &[Commodity],
-    par: Parallelism,
-) -> PathMode {
-    use pnet_routing::{flow_hash, hash_index, hash_plane};
-    router.precompute_with(&inter_rack_pairs(net, commodities), par);
-    let n_planes = net.n_planes();
-    let paths = par.map_indexed(commodities.len(), |i| {
-        let c = &commodities[i];
-        let h = flow_hash(c.src, c.dst, i as u64);
-        let plane = hash_plane(n_planes, h);
-        let (sa, sb) = (net.rack_of_host(c.src), net.rack_of_host(c.dst));
-        if sa == sb {
-            let path = pnet_routing::Path::intra_rack(plane);
-            return expand_host_routes(net, c.src, c.dst, [&path]);
-        }
-        let set = router.paths_in_plane(plane, sa, sb);
-        assert!(!set.is_empty(), "no ECMP path in plane {plane}");
-        expand_host_routes(net, c.src, c.dst, [set.get(hash_index(set.len(), h))])
+        router.subflows(Flow::new(net, c.src, c.dst, i as u64), k)
     });
     PathMode::Explicit(Candidates::new(&paths))
 }
 
 /// Distinct inter-rack (src, dst) rack pairs of a commodity list, in first-
-/// appearance order — the precompute work-list for the helpers above.
-fn inter_rack_pairs(net: &Network, commodities: &[Commodity]) -> Vec<(RackId, RackId)> {
+/// appearance order: the precompute work-list of a route builder.
+pub(crate) fn inter_rack_pairs(net: &Network, commodities: &[Commodity]) -> Vec<(RackId, RackId)> {
     let mut seen = std::collections::BTreeSet::new();
     let mut pairs = Vec::new();
     for c in commodities {
@@ -1736,7 +1677,7 @@ fn inter_rack_pairs(net: &Network, commodities: &[Commodity]) -> Vec<(RackId, Ra
 mod tests {
     use super::*;
     use crate::commodity;
-    use pnet_routing::{RouteAlgo, Router};
+    use pnet_routing::{host_route, RouteAlgo};
     use pnet_topology::{assemble_homogeneous, gbps, FatTree, Jellyfish, LinkProfile};
 
     const EPS: f64 = 0.05;
@@ -1939,7 +1880,8 @@ mod tests {
             .map(|cm| {
                 let (ra, rb) = (net.rack_of_host(cm.src), net.rack_of_host(cm.dst));
                 let set = router.paths_in_plane(PlaneId(0), ra, rb);
-                expand_host_routes(&net, cm.src, cm.dst, set.iter())
+                let route = |p| host_route(&net, cm.src, cm.dst, p);
+                set.iter().filter_map(route).collect()
             })
             .collect();
         let sol = solve(&net, &c, &PathMode::Explicit(Candidates::new(&paths)), EPS);
@@ -2416,7 +2358,9 @@ mod tests {
     fn host_routes(net: &Network, c: &Commodity) -> Vec<Vec<LinkId>> {
         let router = Router::new(net, RouteAlgo::Ksp { k: 4 });
         let (a, b) = (net.rack_of_host(c.src), net.rack_of_host(c.dst));
-        expand_host_routes(net, c.src, c.dst, &router.k_best_across_planes(a, b, 4))
+        let paths = router.k_best_across_planes(a, b, 4);
+        let route = |p| host_route(net, c.src, c.dst, p);
+        paths.iter().filter_map(route).collect()
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! Three regimes:
 //!
 //! * [`ecmp_throughput`] — per-flow single-path routing by hash (plane by
-//!   hash, then one equal-cost path by hash), rates from exact max-min
-//!   waterfilling. This is the "naive ECMP" of section 4.
+//!   hash, the next usable one where a host's uplink is dead, then one
+//!   equal-cost path by hash), rates from exact max-min waterfilling. This
+//!   is the "naive ECMP" of section 4.
 //! * [`ksp_multipath_throughput`] — each flow may split over the K globally
 //!   shortest paths across all planes (the MPTCP + KSP configuration),
 //!   solved as max concurrent flow.
@@ -20,33 +21,36 @@
 use crate::commodity::Commodity;
 use crate::maxmin;
 use crate::mcf::{self, McfError, McfOptions, McfSolution, PathMode};
-use pnet_routing::{Parallelism, RouteAlgo, Router};
-use pnet_topology::Network;
+use pnet_routing::{hash_plane, subflow_width, Flow, Parallelism, RouteAlgo, Router};
+use pnet_topology::{LinkId, Network};
 
 /// Total throughput of hash-based single-path ECMP under max-min fairness.
+/// A commodity that no plane connects ships nothing.
 pub fn ecmp_throughput(net: &Network, commodities: &[Commodity]) -> f64 {
     let router = Router::new(net, RouteAlgo::Ecmp { cap: 64 });
-    let mode = mcf::ecmp_mode_with(net, &router, commodities, Parallelism::default());
-    let routes = match &mode {
-        PathMode::Explicit(routes) => routes,
-        #[expect(
-            clippy::unreachable,
-            reason = "invariant: ecmp_mode_with builds PathMode::Explicit"
-        )]
-        PathMode::AnyPath => {
-            unreachable!(
-                "invariant: ecmp_mode_with builds PathMode::Explicit, one path per commodity"
-            )
-        }
-    };
-    let flows: Vec<Vec<usize>> = (0..routes.len())
-        .map(|i| {
-            let mut one = routes.routes(i);
-            let route = one.next().expect("invariant: ECMP routes every commodity");
-            route.iter().map(|l| l.index()).collect()
-        })
+    let routes = ecmp_routes(net, &router, commodities, Parallelism::default());
+    let flows: Vec<Vec<usize>> = (routes.iter().flatten())
+        .map(|route| route.iter().map(|l| l.index()).collect())
         .collect();
     maxmin::total_rate(&maxmin::maxmin_rates(&mcf::link_capacities(net), &flows))
+}
+
+/// The single ECMP route of each commodity: [`Router::hashed_route`] of flow
+/// `i` from its [`hash_plane`], `None` when no usable plane connects the
+/// hosts. Route construction fans out across commodities under `par`, with
+/// the same result at any thread count.
+pub fn ecmp_routes(
+    net: &Network,
+    router: &Router,
+    commodities: &[Commodity],
+    par: Parallelism,
+) -> Vec<Option<Vec<LinkId>>> {
+    router.precompute_with(&mcf::inter_rack_pairs(net, commodities), par);
+    par.map_indexed(commodities.len(), |i| {
+        let c = &commodities[i];
+        let flow = Flow::new(net, c.src, c.dst, i as u64);
+        router.hashed_route(flow, hash_plane(net.n_planes(), flow.hash))
+    })
 }
 
 /// Total throughput when every flow may split across its K best paths
@@ -58,10 +62,7 @@ pub fn ksp_multipath_throughput(
     k: usize,
     eps: f64,
 ) -> Result<(f64, f64), McfError> {
-    // The router computes a wider per-plane candidate set than K so that
-    // per-flow hash rotation has equal-cost alternatives to spread over
-    // (see `mcf::ksp_mode`).
-    let wide = (2 * k).max(8);
+    let wide = subflow_width(k);
     let router = Router::new(net, RouteAlgo::Ksp { k: wide });
     let sol = try_ksp_solution(net, &router, commodities, k, eps, McfOptions::default())?;
     Ok((sol.total_rate(), sol.lambda))
@@ -150,6 +151,37 @@ mod tests {
             ratio > 1.7,
             "2-plane multipath should nearly double throughput, got {ratio}"
         );
+    }
+
+    /// Host 0's plane-0 uplink is down on a 2-plane fat tree: both route
+    /// builders mask the plane (section 3.4) instead of losing the flows
+    /// that hash or rank onto it.
+    #[test]
+    fn a_dead_host_uplink_is_masked_by_ecmp_and_ksp() {
+        use pnet_topology::{failures, HostId, PlaneId};
+        let base = LinkProfile::paper_default();
+        let mut net = assemble_homogeneous(&FatTree::three_tier(4), 2, &base);
+        let up = net.host_uplink(HostId(0), PlaneId(0)).unwrap();
+        failures::fail_cable(&mut net, up);
+        let c = commodity::all_to_all(16);
+
+        let total = ecmp_throughput(&net, &c);
+        assert!(total.is_finite() && total > 0.0, "ECMP total {total}");
+        assert!(ksp_multipath_throughput(&net, &c, 1, 0.1).is_ok());
+
+        let dead = |route: &[LinkId]| route.contains(&up) || route.contains(&up.reverse());
+        let router = Router::new(&net, RouteAlgo::Ecmp { cap: 64 });
+        let ecmp = ecmp_routes(&net, &router, &c, Parallelism::Serial);
+        assert!(ecmp.iter().all(|r| r.as_ref().is_some_and(|r| !dead(r))));
+        let wide = subflow_width(1);
+        let router = Router::new(&net, RouteAlgo::Ksp { k: wide });
+        let PathMode::Explicit(ksp) = mcf::ksp_mode(&net, &router, &c, 1) else {
+            panic!("ksp_mode builds explicit routes");
+        };
+        for i in 0..c.len() {
+            assert!(ksp.routes(i).next().is_some(), "commodity {i} has no route");
+            assert!(ksp.routes(i).all(|r| !dead(r)), "commodity {i}");
+        }
     }
 
     #[test]

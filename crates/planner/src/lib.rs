@@ -54,7 +54,7 @@ pub use memo::{Memo, MemoKey, MemoStats};
 
 use pnet_flowsim::mcf::{self, McfError, McfOptions, PathMode};
 use pnet_flowsim::{throughput, Commodity, McfSolution};
-use pnet_routing::{Fnv, RouteAlgo, Router};
+use pnet_routing::{subflow_width, Fnv, RouteAlgo, Router};
 use pnet_topology::{failures, LinkDelta, LinkId, Network, PlaneId};
 use std::fmt;
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
@@ -63,8 +63,9 @@ use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
 #[derive(Debug, Clone, Copy)]
 pub struct PlannerConfig {
     /// Subflow fan-out K for admission queries (the paper's MPTCP + KSP
-    /// configuration). Generation routers are built `(2K).max(8)` wide so
-    /// `best_k` candidates up to that width share the same tables.
+    /// configuration). Generation routers are built
+    /// [`subflow_width`]`(K)` wide so `best_k` candidates up to that width
+    /// share the same tables.
     pub k: usize,
     /// Garg–Könemann approximation ε, in the open interval (0, 0.5).
     pub eps: f64,
@@ -133,7 +134,7 @@ pub struct Generation {
 
 impl Generation {
     fn build(seq: u64, net: Network, cfg: &PlannerConfig) -> Generation {
-        let wide = (2 * cfg.k).max(8);
+        let wide = subflow_width(cfg.k);
         let router = Router::new(&net, RouteAlgo::Ksp { k: wide });
         let topology_fp = topology_fingerprint(&net);
         Generation {
@@ -469,7 +470,7 @@ impl Planner {
 
     /// Sweep subflow fan-outs on the newest generation and return the K
     /// maximizing λ (smallest K on ties). Candidates beyond the generation
-    /// router's width `(2·cfg.k).max(8)` per plane see no additional
+    /// router's width [`subflow_width`]`(cfg.k)` per plane see no additional
     /// paths.
     pub fn best_k(&self, tm: &[Commodity], candidates: &[usize]) -> Result<BestK, PlanError> {
         self.best_k_at(&self.latest(), tm, candidates)
@@ -539,23 +540,6 @@ impl Planner {
                     failed_links: failed,
                     headroom,
                 }
-            })
-            .collect()
-    }
-
-    /// Batch admission: pin one generation, answer every matrix against
-    /// it, and amortize the GK work — matrices with identical fingerprints
-    /// are solved exactly once and fan out to every query that asked.
-    pub fn admit_batch(&self, tms: &[Vec<Commodity>]) -> Vec<Result<Admission, PlanError>> {
-        let generation = self.latest();
-        let mut answers: std::collections::BTreeMap<u64, Result<Admission, PlanError>> =
-            std::collections::BTreeMap::new();
-        tms.iter()
-            .map(|tm| {
-                let fp = commodity_fingerprint(tm);
-                *answers
-                    .entry(fp)
-                    .or_insert_with(|| self.admit_at(&generation, tm))
             })
             .collect()
     }

@@ -1,9 +1,9 @@
 //! # pnet-routing
 //!
-//! Path computation for P-Nets: per-plane shortest paths (BFS), equal-cost
-//! and K-shortest path enumeration by length tier, hash-based ECMP
-//! selection, and a caching [`Router`] that merges path sets across
-//! dataplanes.
+//! Path computation for P-Nets: equal-cost and K-shortest path enumeration
+//! by length tier, a caching [`Router`] that merges path sets across
+//! dataplanes, and the two rules a flow's routes are chosen by
+//! ([`Router::subflows`], [`Router::hashed_route`]).
 //!
 //! The forwarding model follows the paper exactly: a path lives entirely in
 //! one plane (packets never cross planes mid-flight), hosts choose the
@@ -35,23 +35,22 @@
     )
 )]
 
-pub mod bfs;
+#[cfg(test)]
+mod bfs;
+pub mod choice;
 pub mod ecmp;
 pub mod exec;
 pub mod fnv;
 pub mod path;
 pub mod plane_graph;
 pub mod router;
-pub mod scratch;
-pub mod tier_search;
+mod scratch;
+mod tier_search;
 
+pub use choice::{subflow_width, Flow};
 pub use ecmp::{flow_hash, hash_index, hash_plane, hash_select};
 pub use exec::Parallelism;
 pub use fnv::Fnv;
-pub use path::{
-    host_route, reverse_route, sort_paths, tie_rotated, Path, PathRef, PathSet, PlanePaths, MAX_K,
-};
+pub use path::{host_route, tie_rotated, Path, PathRef, PathSet, PlanePaths, MAX_K};
 pub use plane_graph::PlaneGraph;
 pub use router::{DeltaStats, RouteAlgo, Router};
-pub use scratch::RouteScratch;
-pub use tier_search::ksp;

@@ -154,14 +154,15 @@ impl<'a> From<&'a Path> for PathRef<'a> {
 }
 
 /// The widest K a route table is asked for. A [`PathSet`] counts its paths
-/// and its links in `u16`, and routers are built up to `max(2K, 32)` paths
-/// per plane (the flow solver's KSP mode keeps 2K to merge across planes,
-/// the path selector at least 32): 2 · 256 = 512 paths of up to 127 links
-/// each fit. The command lines reject a wider K.
+/// and its links in `u16`, and routers are built up to
+/// `max(`[`subflow_width`](crate::subflow_width)`(K), 32)` paths per plane
+/// (the flow solver's 2K to merge across planes, the path selector at least
+/// 32): 2 · 256 = 512 paths of up to 127 links each fit. The command lines
+/// reject a wider K.
 pub const MAX_K: usize = 256;
 
-/// The paths of one route-table entry, shortest first ([`sort_paths`]
-/// order), in one allocation and in no plane: each link is stored as its
+/// The paths of one route-table entry, shortest first and then by link ids,
+/// in one allocation and in no plane: each link is stored as its
 /// `u16` offset from the plane's [base](crate::PlaneGraph::base). Planes of
 /// one [shape class](crate::plane_graph::shape_classes) compute equal sets,
 /// so they share one; [`PlanePaths`] reads it in a given plane.
@@ -175,7 +176,7 @@ pub struct PathSet {
 
 impl PathSet {
     /// The set of `paths`, each the links of one path of a plane whose base
-    /// is `base`, in [`sort_paths`] order.
+    /// is `base`, shortest first and then by link ids.
     pub(crate) fn from_links<P: ExactSizeIterator<Item = LinkId>>(
         base: u32,
         paths: impl ExactSizeIterator<Item = P> + Clone,
@@ -250,7 +251,7 @@ impl PartialEq for PlanePaths {
 
 impl From<&[Path]> for PlanePaths {
     /// Flatten `paths`, which share one plane (an empty list gives an empty
-    /// set in plane 0) and are in [`sort_paths`] order. The base is their
+    /// set in plane 0) and are shortest first, then by link ids. The base is their
     /// lowest link id, so the `u16` bound is on the spread of their ids.
     fn from(paths: &[Path]) -> Self {
         let plane = paths.first().map_or(PlaneId(0), |p| p.plane);
@@ -334,19 +335,15 @@ pub fn host_route<'a>(
     Some(route)
 }
 
-/// Reverse a host route (for ACKs): reverse link order and flip each link.
-pub fn reverse_route(route: &[LinkId]) -> Vec<LinkId> {
-    route.iter().rev().map(|l| l.reverse()).collect()
-}
-
 /// Positions of a shortest-first path list in *tie-rotated* order: each
 /// equal-length tier rotated left by `hash` modulo its size, so that
 /// different flows pick *different* (but still shortest-first) path subsets.
 /// Without this, deterministic KSP ordering funnels every flow between the
 /// same racks through the same lexicographically-first paths — the opposite
 /// of what a hashing path manager (ECMP, MPTCP subflow setup) does. This is
-/// the one place the rule lives: the path selector and the flow solver's
-/// KSP mode read path sets through it and never reorder them.
+/// the one place the rule lives: [`Router::subflows`](crate::Router::subflows)
+/// and the selector's per-plane KSP read path sets through it and never
+/// reorder them.
 pub fn tie_rotated(paths: &[Path], hash: u64) -> impl Iterator<Item = usize> + '_ {
     rotated(paths.len(), |i| paths[i].links.len(), hash)
 }
@@ -369,22 +366,10 @@ fn rotated<'a>(
     })
 }
 
-/// Order paths the way every selector in this workspace expects: shortest
-/// first, ties broken by plane then by link ids (deterministic).
-pub fn sort_paths(paths: &mut [Path]) {
-    paths.sort_by(|a, b| {
-        a.links
-            .len()
-            .cmp(&b.links.len())
-            .then(a.plane.cmp(&b.plane))
-            .then_with(|| a.links.cmp(&b.links))
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pnet_topology::{assemble_homogeneous, FatTree, HostId, LinkProfile, PlaneId};
+    use pnet_topology::{assemble_homogeneous, FatTree, HostId, LinkProfile, PlaneId, RackId};
 
     fn net() -> Network {
         assemble_homogeneous(&FatTree::three_tier(4), 2, &LinkProfile::paper_default())
@@ -408,37 +393,37 @@ mod tests {
         assert_eq!(n.link(r[1]).dst, n.host_node(HostId(1)));
     }
 
-    #[test]
-    fn reverse_route_mirrors() {
-        let n = net();
-        let p = Path::intra_rack(PlaneId(1));
-        let r = host_route(&n, HostId(0), HostId(1), &p).unwrap();
-        let rev = reverse_route(&r);
-        assert_eq!(rev.len(), r.len());
-        assert_eq!(n.link(rev[0]).src, n.host_node(HostId(1)));
-        assert_eq!(n.link(*rev.last().unwrap()).dst, n.host_node(HostId(0)));
-    }
-
+    /// A route-table entry is shortest first, then by link ids; the merge
+    /// across planes is shortest first, then by rank in the plane's tier,
+    /// then by plane.
     #[test]
     fn sort_orders_by_len_then_plane() {
-        let mut paths = vec![
-            Path {
-                plane: PlaneId(1),
-                links: vec![LinkId(0), LinkId(2)],
-            },
-            Path {
-                plane: PlaneId(0),
-                links: vec![LinkId(4), LinkId(6)],
-            },
-            Path {
-                plane: PlaneId(1),
-                links: vec![LinkId(8)],
-            },
+        let n = net();
+        let router = crate::Router::new(&n, crate::RouteAlgo::Ksp { k: 6 });
+        let (a, b) = (RackId(0), RackId(7));
+        for plane in [PlaneId(0), PlaneId(1)] {
+            let set = router.paths_in_plane(plane, a, b);
+            let keys: Vec<(usize, Vec<LinkId>)> = set
+                .iter()
+                .map(|p| (p.n_links(), p.links().collect()))
+                .collect();
+            assert!(keys.is_sorted(), "{plane}: {keys:?}");
+        }
+        let merged = router.k_best_across_planes(a, b, 12);
+        let keys: Vec<(usize, u16)> = merged.iter().map(|p| (p.links.len(), p.plane.0)).collect();
+        // Two copies of one plane: four shortest paths each, then two longer.
+        let want = [
+            (4, 0),
+            (4, 1),
+            (4, 0),
+            (4, 1),
+            (4, 0),
+            (4, 1),
+            (4, 0),
+            (4, 1),
         ];
-        sort_paths(&mut paths);
-        assert_eq!(paths[0].links.len(), 1);
-        assert_eq!(paths[1].plane, PlaneId(0));
-        assert_eq!(paths[2].plane, PlaneId(1));
+        assert_eq!(keys[..8], want);
+        assert_eq!(keys[8..], [(6, 0), (6, 1), (6, 0), (6, 1)]);
     }
 
     /// Paths in plane 1 whose ids run from `base` to `base + span`.

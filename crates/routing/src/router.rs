@@ -9,7 +9,7 @@
 //! * [`RouteAlgo::Ksp`] — K shortest paths, the expander default and the
 //!   multipath substrate for MPTCP.
 //!
-//! Both are one search ([`crate::tier_search`]): paths by length tier, the
+//! Both are one search (`tier_search`): paths by length tier, the
 //! first tier for ECMP, as many tiers as K takes for KSP.
 //!
 //! Path computation is a pure function of the plane-graph snapshot, so the
@@ -45,7 +45,7 @@
 use crate::exec::Parallelism;
 use crate::fnv::Fnv;
 use crate::path::{Path, PathSet, PlanePaths};
-use crate::plane_graph::{shape_classes, PlaneGraph, UNREACHABLE};
+use crate::plane_graph::{shape_classes, PlaneGraph};
 use crate::scratch::with_thread_scratch;
 use crate::tier_search;
 use pnet_topology::{LinkDelta, LinkId, Network, PlaneId, RackId};
@@ -473,22 +473,6 @@ impl Router {
             .collect()
     }
 
-    /// The plane offering the shortest path between two racks (the paper's
-    /// "low-latency" interface selects this plane for small RPCs). Ties go
-    /// to the lowest plane id. `None` if no plane connects the racks.
-    pub fn shortest_plane(&self, src: RackId, dst: RackId) -> Option<(PlaneId, usize)> {
-        // Read off the hop tables; no path set is computed or cached.
-        let reach = |pg: &PlaneGraph| {
-            let hops = pg.hops_to(pg.tor(dst))[pg.tor(src)];
-            (hops != UNREACHABLE).then_some((pg.plane, usize::from(hops) + 1))
-        };
-        let planes = self.plane_graphs();
-        planes
-            .iter()
-            .filter_map(reach)
-            .min_by_key(|&(_, hops)| hops)
-    }
-
     /// Repair the locked table for `delta`, the diff of `net` against the
     /// snapshot `st` holds. Only the planes touched by the delta are
     /// re-extracted, and only the cached entries the delta can affect are
@@ -692,8 +676,7 @@ impl Router {
 mod tests {
     use super::*;
     use pnet_topology::{
-        assemble_homogeneous, failures, parallel, ChurnSchedule, FatTree, HostId, Jellyfish,
-        LinkProfile, NetworkClass,
+        assemble_homogeneous, failures, ChurnSchedule, FatTree, HostId, Jellyfish, LinkProfile,
     };
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
@@ -746,34 +729,6 @@ mod tests {
         let r = Router::new(&net, RouteAlgo::Ecmp { cap: 4 });
         // Unchecked, this would be the table position of (plane 0, 1, 0).
         r.paths_in_plane(PlaneId(0), RackId(0), RackId(r.n_racks() as u32));
-    }
-
-    #[test]
-    fn shortest_plane_prefers_shorter_heterogeneous_plane() {
-        let proto = Jellyfish::new(16, 4, 2, 0);
-        let net = parallel::jellyfish_network(
-            NetworkClass::ParallelHeterogeneous,
-            proto,
-            4,
-            77,
-            &LinkProfile::paper_default(),
-        );
-        let r = Router::new(&net, RouteAlgo::Ksp { k: 1 });
-        // For every pair, the chosen plane must not be beaten by any other.
-        for a in 0..4u32 {
-            for b in 4..8u32 {
-                let (plane, hops) = r.shortest_plane(RackId(a), RackId(b)).unwrap();
-                for p in 0..4u16 {
-                    let paths = r.paths_in_plane(PlaneId(p), RackId(a), RackId(b));
-                    if !paths.is_empty() {
-                        assert!(
-                            hops <= paths.get(0).n_links() + 1,
-                            "plane {plane} not minimal for ({a},{b})"
-                        );
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //! when its stamp equals the current epoch, so "clearing" an array is a
 //! single integer increment instead of an `O(n)` fill.
 //!
-//! A scratch is plain mutable state owned by one worker. The bulk entry points
-//! ([`crate::router::Router::precompute_with`], the batched path searches)
+//! A scratch is plain mutable state owned by one worker. The path searches
 //! reach it through [`with_thread_scratch`], which hands out one scratch per
 //! OS thread — the per-index closures of
 //! [`crate::exec::Parallelism::map_indexed`] stay pure in their *outputs*
@@ -22,12 +21,11 @@ use std::cell::RefCell;
 /// Per-worker traversal scratch. All arrays are epoch-stamped; `begin_*`
 /// methods start a fresh logical state in O(1).
 #[derive(Debug, Default)]
-pub struct RouteScratch {
-    // --- BFS state (dist/parent), valid where `stamp[i] == epoch`. --------
+pub(crate) struct RouteScratch {
+    // --- BFS distances, valid where `stamp[i] == epoch`. ------------------
     epoch: u32,
     stamp: Vec<u32>,
     dist: Vec<u32>,
-    parent: Vec<(u32, LinkId)>,
     // --- Switches on the path being grown, iff `path[i] == path_epoch`. ---
     path_epoch: u32,
     path: Vec<u32>,
@@ -43,33 +41,27 @@ pub struct RouteScratch {
 }
 
 impl RouteScratch {
-    /// New empty scratch (arrays grow on first use).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Make sure the arrays cover `n_nodes` switches. Growing resets the
     /// epochs (stamps in the fresh region are zeroed, so epoch 0 must never
     /// be a live generation — counters start at 0 and are bumped *before*
     /// first use).
-    pub fn ensure(&mut self, n_nodes: usize) {
+    pub(crate) fn ensure(&mut self, n_nodes: usize) {
         if self.stamp.len() < n_nodes {
             self.stamp.resize(n_nodes, 0);
             self.dist.resize(n_nodes, 0);
-            self.parent.resize(n_nodes, (0, LinkId(0)));
             self.path.resize(n_nodes, 0);
         }
     }
 
     /// Start a fresh BFS generation: all distances become "unset".
     #[inline]
-    pub fn begin_search(&mut self) {
+    pub(crate) fn begin_search(&mut self) {
         self.epoch = bump(&mut self.epoch, &mut self.stamp);
     }
 
     /// Distance of `u` in the current generation, `u32::MAX` if unset.
     #[inline]
-    pub fn dist(&self, u: usize) -> u32 {
+    pub(crate) fn dist(&self, u: usize) -> u32 {
         if self.stamp[u] == self.epoch {
             self.dist[u]
         } else {
@@ -77,46 +69,32 @@ impl RouteScratch {
         }
     }
 
-    /// Set distance and parent edge of `u` in the current generation.
-    #[inline]
-    pub fn visit(&mut self, u: usize, d: u32, parent: (u32, LinkId)) {
-        self.reach(u, d);
-        self.parent[u] = parent;
-    }
-
-    /// Set the distance of `u` in the current generation, and no parent.
+    /// Set the distance of `u` in the current generation.
     #[inline]
     pub(crate) fn reach(&mut self, u: usize, d: u32) {
         self.stamp[u] = self.epoch;
         self.dist[u] = d;
     }
 
-    /// Parent edge `(predecessor, link)` of `u`; only meaningful for nodes
-    /// given one by [`RouteScratch::visit`], at distance > 0.
-    #[inline]
-    pub fn parent(&self, u: usize) -> (u32, LinkId) {
-        debug_assert_eq!(self.stamp[u], self.epoch, "parent of unvisited node");
-        self.parent[u]
-    }
-
     /// Start a fresh path: no switch is on it.
     #[inline]
-    pub fn begin_path(&mut self) {
+    pub(crate) fn begin_path(&mut self) {
         self.path_epoch = bump(&mut self.path_epoch, &mut self.path);
     }
 
     /// Put switch `u` on the path, or take it off.
     #[inline]
-    pub fn set_on_path(&mut self, u: usize, on: bool) {
+    pub(crate) fn set_on_path(&mut self, u: usize, on: bool) {
         self.path[u] = if on { self.path_epoch } else { 0 };
     }
 
     /// Is switch `u` on the path?
     #[inline]
-    pub fn on_path(&self, u: usize) -> bool {
+    pub(crate) fn on_path(&self, u: usize) -> bool {
         self.path[u] == self.path_epoch
     }
 }
+
 /// Advance an epoch counter, clearing `stamps` on (rare) wrap-around so a
 /// stale stamp can never alias a live generation.
 #[inline]
@@ -131,14 +109,13 @@ fn bump(epoch: &mut u32, stamps: &mut [u32]) -> u32 {
 }
 
 thread_local! {
-    static SCRATCH: RefCell<RouteScratch> = RefCell::new(RouteScratch::new());
+    static SCRATCH: RefCell<RouteScratch> = RefCell::new(RouteScratch::default());
 }
 
-/// Run `f` with this thread's [`RouteScratch`]. Public routing entry points
-/// use this so callers get allocation reuse without threading a scratch
-/// through their own signatures; nested calls must pass the borrowed scratch
-/// down instead of re-entering.
-pub fn with_thread_scratch<R>(f: impl FnOnce(&mut RouteScratch) -> R) -> R {
+/// Run `f` with this thread's [`RouteScratch`], so the path searches get
+/// allocation reuse without threading a scratch through their callers;
+/// nested calls must pass the borrowed scratch down instead of re-entering.
+pub(crate) fn with_thread_scratch<R>(f: impl FnOnce(&mut RouteScratch) -> R) -> R {
     SCRATCH.with(|s| f(&mut s.borrow_mut()))
 }
 
@@ -148,10 +125,10 @@ mod tests {
 
     #[test]
     fn epochs_invalidate_without_clearing() {
-        let mut s = RouteScratch::new();
+        let mut s = RouteScratch::default();
         s.ensure(4);
         s.begin_search();
-        s.visit(2, 7, (0, LinkId(3)));
+        s.reach(2, 7);
         assert_eq!(s.dist(2), 7);
         assert_eq!(s.dist(1), u32::MAX);
         s.begin_search();
@@ -160,7 +137,7 @@ mod tests {
 
     #[test]
     fn path_marks_are_generation_scoped() {
-        let mut s = RouteScratch::new();
+        let mut s = RouteScratch::default();
         s.ensure(4);
         s.begin_path();
         s.set_on_path(1, true);
@@ -175,10 +152,10 @@ mod tests {
 
     #[test]
     fn ensure_grows_preserving_soundness() {
-        let mut s = RouteScratch::new();
+        let mut s = RouteScratch::default();
         s.ensure(2);
         s.begin_search();
-        s.visit(0, 1, (0, LinkId(0)));
+        s.reach(0, 1);
         s.ensure(10);
         // Freshly grown region is unset in the current generation.
         assert_eq!(s.dist(9), u32::MAX);
@@ -187,12 +164,12 @@ mod tests {
 
     #[test]
     fn wraparound_resets_stamps() {
-        let mut s = RouteScratch::new();
+        let mut s = RouteScratch::default();
         s.ensure(2);
         s.epoch = u32::MAX - 1;
         s.stamp.fill(u32::MAX - 1);
         s.begin_search(); // -> MAX
-        s.visit(0, 3, (0, LinkId(0)));
+        s.reach(0, 3);
         s.begin_search(); // wraps -> 1, stamps cleared
         assert_eq!(s.dist(0), u32::MAX);
     }
@@ -202,7 +179,7 @@ mod tests {
         let a = with_thread_scratch(|s| {
             s.ensure(8);
             s.begin_search();
-            s.visit(3, 9, (0, LinkId(1)));
+            s.reach(3, 9);
             s.dist(3)
         });
         assert_eq!(a, 9);

@@ -15,7 +15,7 @@
 //! enumeration of every simple path; `tests/golden_fingerprint.rs` pins it
 //! for full topologies.
 
-use crate::path::{Path, PathSet, PlanePaths};
+use crate::path::PathSet;
 use crate::plane_graph::{PlaneGraph, UNREACHABLE};
 use crate::router::RouteAlgo;
 use crate::scratch::{with_thread_scratch, RouteScratch};
@@ -214,30 +214,11 @@ pub(crate) fn route_sets(
     })
 }
 
-/// The paths of [`route_set`], owned.
-fn route_paths(pg: &PlaneGraph, algo: RouteAlgo, src: RackId, dst: RackId) -> Vec<Path> {
-    let set = with_thread_scratch(|scratch| route_set(pg, algo, src, dst, scratch));
-    let set = PlanePaths::new(pg.plane, pg.base(), std::sync::Arc::new(set));
-    set.iter().map(|p| p.to_path()).collect()
-}
-
-/// K shortest loopless ToR-to-ToR paths within one plane, shortest first.
-/// Returns fewer than `k` paths when the graph does not contain `k` simple
-/// paths. Same-rack queries return the single intra-rack path.
-pub fn ksp(pg: &PlaneGraph, src: RackId, dst: RackId, k: usize) -> Vec<Path> {
-    route_paths(pg, RouteAlgo::Ksp { k }, src, dst)
-}
-
-/// All equal-cost shortest paths between two racks, up to `cap` of them,
-/// in link-id order: the first tier of [`ksp`].
-pub fn all_shortest_paths(pg: &PlaneGraph, src: RackId, dst: RackId, cap: usize) -> Vec<Path> {
-    route_paths(pg, RouteAlgo::Ecmp { cap }, src, dst)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exec::Parallelism;
+    use crate::path::{Path, PathRef, PlanePaths};
     use crate::plane_graph::shape_classes;
     use crate::router::Router;
     use pnet_topology::{
@@ -262,6 +243,13 @@ mod tests {
             1,
             &LinkProfile::paper_default(),
         )
+    }
+
+    /// Plane 0's `src -> dst` entry of a K = `k` route table, owned.
+    fn ksp(net: &Network, src: u32, dst: u32, k: usize) -> Vec<Path> {
+        let router = Router::new(net, RouteAlgo::Ksp { k });
+        let set = router.paths_in_plane(PlaneId(0), RackId(src), RackId(dst));
+        set.iter().map(PathRef::to_path).collect()
     }
 
     /// Steps a serial all-pairs fill of `net` at K = `k` takes, and the
@@ -329,9 +317,7 @@ mod tests {
 
     #[test]
     fn first_path_is_shortest() {
-        let net = ft_net();
-        let pg = PlaneGraph::build(&net, PlaneId(0));
-        let paths = ksp(&pg, RackId(0), RackId(7), 8);
+        let paths = ksp(&ft_net(), 0, 7, 8);
         assert_eq!(paths[0].links.len(), 4);
         for w in paths.windows(2) {
             assert!(w[0].links.len() <= w[1].links.len(), "not sorted by length");
@@ -341,8 +327,7 @@ mod tests {
     #[test]
     fn paths_are_simple_and_distinct() {
         let net = ft_net();
-        let pg = PlaneGraph::build(&net, PlaneId(0));
-        let paths = ksp(&pg, RackId(0), RackId(7), 16);
+        let paths = ksp(&net, 0, 7, 16);
         let set: BTreeSet<_> = paths.iter().map(|p| p.links.clone()).collect();
         assert_eq!(set.len(), paths.len(), "duplicate path");
         for p in &paths {
@@ -354,27 +339,23 @@ mod tests {
     fn matches_ecmp_count_for_equal_cost_prefix() {
         // In a k=4 fat tree there are exactly 4 shortest cross-pod paths;
         // KSP(4) must return exactly those 4 (all length 4).
-        let net = ft_net();
-        let pg = PlaneGraph::build(&net, PlaneId(0));
-        let paths = ksp(&pg, RackId(0), RackId(7), 4);
+        let paths = ksp(&ft_net(), 0, 7, 4);
         assert_eq!(paths.len(), 4);
         assert!(paths.iter().all(|p| p.links.len() == 4));
     }
 
     #[test]
     fn longer_paths_appear_after_shortest_exhausted() {
-        let net = ft_net();
-        let pg = PlaneGraph::build(&net, PlaneId(0));
-        let paths = ksp(&pg, RackId(0), RackId(7), 6);
+        let paths = ksp(&ft_net(), 0, 7, 6);
         assert_eq!(paths.len(), 6);
         assert!(paths[4].links.len() > 4);
     }
 
     #[test]
     fn jellyfish_ksp_is_deterministic() {
-        let pg = PlaneGraph::build(&jellyfish_net(16, 4, 3), PlaneId(0));
-        let a = ksp(&pg, RackId(0), RackId(9), 8);
-        let b = ksp(&pg, RackId(0), RackId(9), 8);
+        let net = jellyfish_net(16, 4, 3);
+        let a = ksp(&net, 0, 9, 8);
+        let b = ksp(&net, 0, 9, 8);
         assert_eq!(a, b);
         assert_eq!(a.len(), 8);
     }
@@ -382,9 +363,8 @@ mod tests {
     #[test]
     fn k_zero_and_same_rack() {
         let net = ft_net();
-        let pg = PlaneGraph::build(&net, PlaneId(0));
-        assert!(ksp(&pg, RackId(0), RackId(7), 0).is_empty());
-        let same = ksp(&pg, RackId(3), RackId(3), 5);
+        assert!(ksp(&net, 0, 7, 0).is_empty());
+        let same = ksp(&net, 3, 3, 5);
         assert_eq!(same.len(), 1);
         assert!(same[0].links.is_empty());
     }
@@ -393,15 +373,16 @@ mod tests {
     fn ksp_prefix_stability() {
         // ksp(k) is a prefix of ksp(k') for k < k' — required for the
         // multipath sweeps of Figures 6c and 8c to be monotone.
-        let pg = PlaneGraph::build(&jellyfish_net(14, 4, 8), PlaneId(0));
-        let small = ksp(&pg, RackId(1), RackId(12), 4);
-        let big = ksp(&pg, RackId(1), RackId(12), 8);
+        let net = jellyfish_net(14, 4, 8);
+        let small = ksp(&net, 1, 12, 4);
+        let big = ksp(&net, 1, 12, 8);
         assert_eq!(&big[..4], &small[..]);
     }
 
     #[test]
     fn batched_destinations_match_per_pair_ksp() {
-        let pg = PlaneGraph::build(&jellyfish_net(12, 4, 31), PlaneId(0));
+        let net = jellyfish_net(12, 4, 31);
+        let pg = PlaneGraph::build(&net, PlaneId(0));
         // Every rack, the source included (its entry is the intra-rack path).
         let dsts: Vec<RackId> = (0..12).map(RackId).collect();
         let all = route_sets(&pg, RouteAlgo::Ksp { k: 6 }, RackId(2), &dsts);
@@ -409,7 +390,7 @@ mod tests {
         for (r, set) in (0..12u32).zip(all) {
             assert_eq!(
                 PlanePaths::new(pg.plane, pg.base(), std::sync::Arc::new(set)),
-                PlanePaths::from(ksp(&pg, RackId(2), RackId(r), 6).as_slice()),
+                PlanePaths::from(ksp(&net, 2, r, 6).as_slice()),
                 "batched KSP diverged for destination rack {r}"
             );
         }

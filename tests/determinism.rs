@@ -150,16 +150,22 @@ fn serial_and_parallel_route_tables_are_identical() {
 #[test]
 fn serial_and_parallel_mcf_solutions_are_bit_identical() {
     use pnet::flowsim::mcf::{self, McfOptions};
+    use pnet::flowsim::throughput;
     use pnet::routing::Parallelism;
     let net = two_plane_spec().build().net;
     let c = commodity::permutation(&tm::random_permutation(32, 11));
-    // Both explicit-path mode constructors fan out over commodities.
+    // Both explicit-route builders fan out over commodities.
     for algo in [RouteAlgo::Ksp { k: 16 }, RouteAlgo::Ecmp { cap: 64 }] {
         let solve = |par: Parallelism| {
             let router = Router::with_parallelism(&net, algo, par);
             let mode = match algo {
                 RouteAlgo::Ksp { .. } => mcf::ksp_mode_with(&net, &router, &c, 8, par),
-                RouteAlgo::Ecmp { .. } => mcf::ecmp_mode_with(&net, &router, &c, par),
+                RouteAlgo::Ecmp { .. } => {
+                    let routes = throughput::ecmp_routes(&net, &router, &c, par);
+                    let one = |r: &Option<_>| r.iter().cloned().collect::<Vec<_>>();
+                    let routes: Vec<_> = routes.iter().map(one).collect();
+                    mcf::PathMode::Explicit(mcf::Candidates::new(&routes))
+                }
             };
             mcf::solve_with_options(
                 &net,
@@ -371,7 +377,7 @@ fn concurrent_deltas_on_different_planes_both_land() {
 /// replaced snapshot survives: the end state equals a rebuild.
 #[test]
 fn lookups_race_a_churn_replay() {
-    use pnet::routing::{sort_paths, PlanePaths};
+    use pnet::routing::PlanePaths;
     use pnet::topology::{ChurnSchedule, PlaneId};
     use rand::{RngExt, SeedableRng};
     finishes("a 12-event churn replay under a reader", || {
@@ -389,7 +395,8 @@ fn lookups_race_a_churn_replay() {
                     let b = RackId((a.0 + rng.random_range(1..12u32)) % 12);
                     let set = router.paths_in_plane(PlaneId(rng.random_range(0..2u16)), a, b);
                     let mut sorted: Vec<_> = set.iter().map(|p| p.to_path()).collect();
-                    sort_paths(&mut sorted);
+                    sorted
+                        .sort_by(|p, q| (p.links.len(), &p.links).cmp(&(q.links.len(), &q.links)));
                     let sorted = PlanePaths::from(sorted.as_slice());
                     assert_eq!(set, sorted, "({a}, {b}) out of canonical order");
                     let best = router.k_best_across_planes(a, b, 6);

@@ -1,6 +1,6 @@
 //! Planner service contract tests: snapshot consistency across publishes,
-//! memo-hit ≡ cold-solve byte identity, batch amortization, and concurrent
-//! queries racing the writer.
+//! memo-hit ≡ cold-solve byte identity, one solve per distinct matrix, and
+//! concurrent queries racing the writer.
 
 use pnet::flowsim::mcf::McfError;
 use pnet::flowsim::{commodity, Commodity};
@@ -106,22 +106,32 @@ fn memo_hit_is_bitwise_identical_to_cold_solve() {
     assert_eq!(planner.memo_stats().hits, 2);
 }
 
-/// Batch admission pins one generation and solves each *distinct* matrix
-/// exactly once; duplicates are answered from the batch-local dedupe.
+/// Repeated admissions on one pinned generation solve each distinct matrix
+/// once: N queries over M distinct matrices are M memo misses and N − M
+/// hits, and every repeat answers with the bits of the first.
 #[test]
-fn admit_batch_amortizes_duplicate_matrices() {
+fn repeated_admissions_solve_each_matrix_once() {
     let planner = Planner::with_config(net(), cfg());
+    let gen0 = planner.latest();
     let a = tm();
     let perm: Vec<usize> = (0..16).map(|i| (i + 8) % 16).collect();
     let b = commodity::permutation(&perm);
-    let batch = vec![a.clone(), b.clone(), a.clone(), b, a];
-    let answers = planner.admit_batch(&batch);
-    assert_eq!(answers.len(), 5);
+    let queries = [&a, &b, &a, &b, &a];
+    let answers: Vec<_> = queries
+        .iter()
+        .map(|tm| planner.admit_at(&gen0, tm).expect("solvable"))
+        .collect();
     let stats = planner.memo_stats();
-    assert_eq!(stats.misses, 2, "two distinct matrices -> two GK solves");
-    let first = answers[0].as_ref().expect("solvable");
-    let third = answers[2].as_ref().expect("solvable");
-    assert_eq!(first.lambda.to_bits(), third.lambda.to_bits());
+    assert_eq!((stats.misses, stats.hits), (2, 3));
+    for (i, answer) in answers.iter().enumerate() {
+        let first = &answers[i % 2];
+        assert_eq!(answer.lambda.to_bits(), first.lambda.to_bits(), "query {i}");
+        assert_eq!(
+            answer.total_rate_bps.to_bits(),
+            first.total_rate_bps.to_bits()
+        );
+        assert_eq!(answer.generation, 0);
+    }
 }
 
 /// Plane headroom is pure link arithmetic: healthy planes report 1.0, a

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 
 use pnet::flowsim::{commodity, mcf, Commodity};
 use pnet::htsim::{run_to_completion, CcAlgo, FlowSpec, SimConfig, Simulator};
-use pnet::routing::{self, bfs, ksp, Parallelism, PlaneGraph, RouteAlgo, Router};
+use pnet::routing::{self, Parallelism, PlaneGraph, RouteAlgo, Router};
 use pnet::topology::{
     assemble_homogeneous, failures, ChurnEvent, ChurnSchedule, FatTree, HostId, Jellyfish, LinkId,
     LinkProfile, Network, NodeKind, PlaneId, RackId, Xpander,
@@ -134,11 +134,18 @@ fn brute_force_paths(pg: &PlaneGraph, src: RackId, dst: RackId) -> Vec<Vec<LinkI
     all
 }
 
-/// `ksp` returns exactly the first `k` entries of the brute-force list, link
-/// for link; returns how many simple paths there are.
-fn assert_ksp_is_canonical(pg: &PlaneGraph, src: RackId, dst: RackId, k: usize) -> usize {
-    let got: Vec<Vec<LinkId>> = ksp(pg, src, dst, k).into_iter().map(|p| p.links).collect();
-    let brute = brute_force_paths(pg, src, dst);
+/// Plane 0's `src -> dst` entry of a K = `k` route table, as link lists.
+fn ksp(net: &Network, src: RackId, dst: RackId, k: usize) -> Vec<Vec<LinkId>> {
+    let router = Router::new(net, RouteAlgo::Ksp { k });
+    let set = router.paths_in_plane(PlaneId(0), src, dst);
+    set.iter().map(|p| p.links().collect()).collect()
+}
+
+/// Plane 0's K = `k` table entry is exactly the first `k` entries of the
+/// brute-force list, link for link; returns how many simple paths there are.
+fn assert_ksp_is_canonical(net: &Network, src: RackId, dst: RackId, k: usize) -> usize {
+    let got = ksp(net, src, dst, k);
+    let brute = brute_force_paths(&PlaneGraph::build(net, PlaneId(0)), src, dst);
     assert_eq!(
         got,
         brute[..k.min(brute.len())],
@@ -147,13 +154,12 @@ fn assert_ksp_is_canonical(pg: &PlaneGraph, src: RackId, dst: RackId, k: usize) 
     brute.len()
 }
 
-fn jellyfish_plane(tors: usize, degree: usize, seed: u64) -> PlaneGraph {
-    let net = assemble_homogeneous(
+fn jellyfish_plane(tors: usize, degree: usize, seed: u64) -> Network {
+    assemble_homogeneous(
         &Jellyfish::new(tors, degree, 1, seed),
         1,
         &LinkProfile::paper_default(),
-    );
-    PlaneGraph::build(&net, PlaneId(0))
+    )
 }
 
 fn fat_tree_k4() -> Network {
@@ -183,10 +189,10 @@ fn ksp_is_canonical_on_fixed_graphs() {
     assert!((1..64).contains(&n_paths), "{n_paths} simple paths");
     // Fat tree: same-pod, adjacent-pod and far-pod destinations; k below, at
     // and above the equal-cost path count, where every tie-break is live.
-    let pg = PlaneGraph::build(&fat_tree_k4(), PlaneId(0));
+    let net = fat_tree_k4();
     for dst in [1u32, 3, 7] {
         for k in [1usize, 4, 9, 16] {
-            assert_ksp_is_canonical(&pg, RackId(0), RackId(dst), k);
+            assert_ksp_is_canonical(&net, RackId(0), RackId(dst), k);
         }
     }
 }
@@ -203,10 +209,9 @@ fn ksp_behind_a_cut_vertex_returns_the_one_path() {
         .find(|(_, n)| n.kind == NodeKind::Agg { pod: 0 })
         .unwrap();
     failures::fail_switch(&mut net, agg);
-    let pg = PlaneGraph::build(&net, PlaneId(0));
-    assert_eq!(assert_ksp_is_canonical(&pg, RackId(0), RackId(1), 32), 1);
+    assert_eq!(assert_ksp_is_canonical(&net, RackId(0), RackId(1), 32), 1);
     // The other pods are still reached, through the cut vertex.
-    assert!(assert_ksp_is_canonical(&pg, RackId(0), RackId(7), 32) >= 32);
+    assert!(assert_ksp_is_canonical(&net, RackId(0), RackId(7), 32) >= 32);
 }
 
 #[test]
@@ -214,9 +219,8 @@ fn ksp_to_an_unreachable_rack_is_empty() {
     let mut net = fat_tree_k4();
     let tor = net.tor_of_rack(RackId(5), PlaneId(0)).unwrap();
     failures::fail_switch(&mut net, tor);
-    let pg = PlaneGraph::build(&net, PlaneId(0));
-    assert!(ksp(&pg, RackId(0), RackId(5), 8).is_empty());
-    assert!(assert_ksp_is_canonical(&pg, RackId(0), RackId(4), 8) >= 8);
+    assert!(ksp(&net, RackId(0), RackId(5), 8).is_empty());
+    assert!(assert_ksp_is_canonical(&net, RackId(0), RackId(4), 8) >= 8);
 }
 
 proptest! {
@@ -248,10 +252,9 @@ proptest! {
             )
         };
         failures::fail_random_fraction(&mut net, fail, seed);
-        let pg = PlaneGraph::build(&net, PlaneId(0));
-        let n_paths = assert_ksp_is_canonical(&pg, RackId(a), RackId(b), k);
+        let n_paths = assert_ksp_is_canonical(&net, RackId(a), RackId(b), k);
         if beyond && n_paths < 400 {
-            assert_ksp_is_canonical(&pg, RackId(a), RackId(b), n_paths + 2);
+            assert_ksp_is_canonical(&net, RackId(a), RackId(b), n_paths + 2);
         }
     }
 }
@@ -265,8 +268,9 @@ proptest! {
     ) {
         prop_assume!(a != b);
         let net = small_jellyfish(seed);
-        let pg = PlaneGraph::build(&net, PlaneId(0));
-        let paths = ksp(&pg, RackId(a), RackId(b), k);
+        let router = Router::new(&net, RouteAlgo::Ksp { k });
+        let set = router.paths_in_plane(PlaneId(0), RackId(a), RackId(b));
+        let paths: Vec<routing::Path> = set.iter().map(|p| p.to_path()).collect();
         prop_assert!(!paths.is_empty());
         prop_assert!(paths.len() <= k);
         for w in paths.windows(2) {
@@ -276,9 +280,10 @@ proptest! {
         for p in &paths {
             prop_assert!(p.validate(&net).is_ok(), "invalid path");
         }
-        // First path length equals BFS distance.
-        let sp = bfs::shortest_path(&pg, RackId(a), RackId(b)).unwrap();
-        prop_assert_eq!(paths[0].links.len(), sp.links.len());
+        // First path length equals the hop table's distance.
+        let pg = PlaneGraph::build(&net, PlaneId(0));
+        let hops = pg.hops_to(pg.tor(RackId(b)))[pg.tor(RackId(a))];
+        prop_assert_eq!(paths[0].links.len(), usize::from(hops));
     }
 
     #[test]
@@ -317,10 +322,10 @@ proptest! {
 
 }
 
-/// A shortest-first path list of one plane in [`routing::sort_paths`] order,
-/// by `shape`: empty, a single path, `k` equally long paths, a mixed list,
-/// and 32 paths that together fill the `u16` offset range. Link ids lie
-/// within `u16::MAX` of a random base, as a plane's do.
+/// A shortest-first path list of one plane in route-table order (length,
+/// then link ids), by `shape`: empty, a single path, `k` equally long paths,
+/// a mixed list, and 32 paths that together fill the `u16` offset range.
+/// Link ids lie within `u16::MAX` of a random base, as a plane's do.
 fn sorted_paths(shape: u8, k: usize, len: usize, plane: u16, seed: u64) -> Vec<routing::Path> {
     let mut x = seed;
     let mut next = || {
@@ -342,7 +347,7 @@ fn sorted_paths(shape: u8, k: usize, len: usize, plane: u16, seed: u64) -> Vec<r
         links: (0..len).map(|_| LinkId(base + next() % 65_536)).collect(),
     };
     let mut paths: Vec<_> = lens.iter().map(&mut path).collect();
-    routing::sort_paths(&mut paths);
+    paths.sort_by(|a, b| (a.links.len(), &a.links).cmp(&(b.links.len(), &b.links)));
     paths
 }
 
