@@ -106,21 +106,6 @@ impl PNetSpec {
     }
 }
 
-/// The KSP route-table width `policy` needs: wide enough for any built-in
-/// policy (floor 32), recursing into the wrapper variants so a nested
-/// `MultipathKsp { k > 32 }` is never truncated.
-fn ksp_width(policy: &PathPolicy) -> usize {
-    match policy {
-        PathPolicy::EcmpHash
-        | PathPolicy::RoundRobin
-        | PathPolicy::ShortestPlane
-        | PathPolicy::PlaneKsp { .. } => 32,
-        PathPolicy::MultipathKsp { k } => (*k).max(32),
-        PathPolicy::SizeThreshold { small, large, .. } => ksp_width(small).max(ksp_width(large)),
-        PathPolicy::Pinned { inner, .. } => ksp_width(inner),
-    }
-}
-
 /// An assembled P-Net.
 pub struct PNet {
     pub spec: PNetSpec,
@@ -133,11 +118,10 @@ impl PNet {
         Router::new(&self.net, algo)
     }
 
-    /// A path selector for `policy`, backed by a KSP router wide enough for
-    /// any of the built-in policies (`k = max(32, policy k)`).
+    /// A path selector for `policy`, over a router that holds only the
+    /// paths the policy reads ([`PathPolicy::route_algo`]).
     pub fn selector(&self, policy: PathPolicy) -> PathSelector {
-        let k = ksp_width(&policy);
-        PathSelector::new(self.router(RouteAlgo::Ksp { k }), policy)
+        PathSelector::new(self.router(policy.route_algo()), policy)
     }
 }
 
@@ -195,6 +179,81 @@ mod tests {
         // High-bandwidth: links at 4 x 100G.
         let (_, link) = pnet.net.links().next().unwrap();
         assert_eq!(link.capacity_bps, 400_000_000_000);
+    }
+
+    /// The selector's table changes no answer: under every policy,
+    /// `PNet::selector` picks the routes a selector over a 32-wide KSP table
+    /// picks, flow for flow. On a k = 12 fat tree an inter-pod pair has 36
+    /// shortest paths per plane, so the ECMP cap cuts; on a heterogeneous
+    /// Jellyfish host 0's plane-0 uplink is dead. A third of the flows leave
+    /// host 0, a seventh stay in their rack, and sizes alternate around
+    /// `paper_default`'s cutoff.
+    #[test]
+    fn the_selector_answers_as_a_32_wide_ksp_table_would() {
+        use pnet_topology::{failures, HostId, PlaneId, RackId};
+        let fat = PNetSpec::new(
+            TopologyKind::FatTree { k: 12 },
+            NetworkClass::ParallelHomogeneous,
+            2,
+            0,
+        )
+        .build();
+        let far = fat.router(RouteAlgo::Ecmp { cap: 64 });
+        assert_eq!(
+            far.paths_in_plane(PlaneId(0), RackId(0), RackId(71)).len(),
+            36
+        );
+        let mut jelly = PNetSpec::new(
+            TopologyKind::Jellyfish {
+                n_tors: 16,
+                degree: 4,
+                hosts_per_tor: 2,
+            },
+            NetworkClass::ParallelHeterogeneous,
+            4,
+            5,
+        )
+        .build();
+        let up = jelly.net.host_uplink(HostId(0), PlaneId(0)).unwrap();
+        failures::fail_cable(&mut jelly.net, up);
+        let policies = [
+            PathPolicy::EcmpHash,
+            PathPolicy::RoundRobin,
+            PathPolicy::ShortestPlane,
+            PathPolicy::PlaneKsp { per_plane: 1 },
+            PathPolicy::PlaneKsp { per_plane: 2 },
+            PathPolicy::MultipathKsp { k: 4 },
+            PathPolicy::MultipathKsp { k: 16 },
+            PathPolicy::paper_default(16),
+            PathPolicy::Pinned {
+                planes: vec![1],
+                inner: Box::new(PathPolicy::PlaneKsp { per_plane: 1 }),
+            },
+        ];
+        for pnet in [&fat, &jelly] {
+            let n = pnet.net.n_hosts() as u32;
+            for policy in &policies {
+                let mut narrow = pnet.selector(policy.clone());
+                let wide = pnet.router(RouteAlgo::Ksp { k: 32 });
+                let mut wide = PathSelector::new(wide, policy.clone());
+                for f in 0..240u32 {
+                    let src = if f % 3 == 0 { 0 } else { f * 37 % n };
+                    let dst = if f % 7 == 0 {
+                        src ^ 1
+                    } else {
+                        (src + 1 + f * 101 % (n - 1)) % n
+                    };
+                    let (src, dst) = (HostId(src), HostId(dst));
+                    let size = if f % 2 == 0 { 1_500 } else { 1 << 30 };
+                    let (id, net) = (u64::from(f), &pnet.net);
+                    assert_eq!(
+                        narrow.select(net, src, dst, id, size),
+                        wide.select(net, src, dst, id, size),
+                        "{policy:?}, flow {f}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,58 +1,43 @@
 //! Path-selection policies: how a P-Net end host picks dataplane(s) and
-//! path(s) for each flow (sections 3.4 and 4 of the paper).
-//!
-//! * [`PathPolicy::EcmpHash`] — hash the flow onto one plane, then onto one
-//!   equal-cost shortest path inside it. The "naive" baseline whose failure
-//!   on sparse traffic motivates the paper (Figure 6b).
-//! * [`PathPolicy::RoundRobin`] — cycle planes per flow ("by default,
-//!   round-robin is used for load balancing").
-//! * [`PathPolicy::ShortestPlane`] — the *low-latency* pseudo interface:
-//!   send on the plane with the fewest hops to this destination — the
-//!   heterogeneous P-Net advantage (section 5.2.1).
-//! * [`PathPolicy::MultipathKsp`] — the *high-throughput* interface: MPTCP
-//!   subflows over the K globally shortest paths across all planes.
-//! * [`PathPolicy::SizeThreshold`] — the paper's empirical rule from
-//!   section 5.1.2: small flows use single-path, large flows multipath
-//!   ("flows smaller than or equal to 100 MB ... should use single-path
-//!   routing; flows larger than or equal to 1 GB ... multipath").
+//! path(s) for each flow (sections 3.4 and 4 of the paper). Each leaf
+//! policy is one rule of `pnet_routing::choice`; the two wrappers dispatch
+//! on flow size (the paper's section 5.1.2 rule: "flows smaller than or
+//! equal to 100 MB ... should use single-path routing; flows larger than or
+//! equal to 1 GB ... multipath") and narrow the planes.
 
 use pnet_htsim::CcAlgo;
-use pnet_routing::{hash_plane, hash_select, Flow, Path, PathRef, Router};
+use pnet_routing::{hash_plane, subflow_width, Flow, RouteAlgo, Router};
 use pnet_topology::{HostId, LinkId, Network, PlaneId};
 
 /// A path-selection policy.
 #[derive(Debug, Clone)]
 pub enum PathPolicy {
-    /// Hash → plane, hash → ECMP path. Single subflow, Reno.
+    /// Hash → plane, hash → ECMP path: the "naive" baseline whose failure on
+    /// sparse traffic motivates the paper (Figure 6b). Single subflow, Reno.
     EcmpHash,
-    /// Planes in round-robin order per flow; shortest path within the
-    /// chosen plane (hash-balanced over equal-cost candidates).
+    /// Planes in round-robin order per flow ("by default, round-robin is
+    /// used for load balancing"); a hash pick among the plane's shortest paths.
     RoundRobin,
-    /// The plane with the fewest switch hops to the destination; shortest
-    /// path within it (hash-balanced over equal-cost candidates).
+    /// The *low-latency* interface: the plane with the fewest switch hops to
+    /// the destination (section 5.2.1); a hash pick among its shortest paths.
     ShortestPlane,
-    /// MPTCP (LIA) over the `k` globally shortest paths across planes.
+    /// The *high-throughput* interface: MPTCP (LIA) over the `k` globally
+    /// shortest paths across planes.
     MultipathKsp { k: usize },
-    /// MPTCP (LIA) with `per_plane` subflows in *every* usable plane (each
-    /// on that plane's shortest paths). Where `MultipathKsp` can put several
-    /// subflows in one plane, sharing its host uplink, this spreads the
-    /// subflow set over all planes — the natural MPTCP path-manager
-    /// behaviour when each plane is a separate interface/IP, and the
-    /// configuration behind the paper's "4-way KSP on a 4-plane P-Net"
-    /// small-flow results.
+    /// MPTCP (LIA) with `per_plane` subflows in *every* usable plane, each on
+    /// that plane's shortest paths: the natural path manager when each plane
+    /// is a separate interface, and the paper's "4-way KSP on a 4-plane
+    /// P-Net" small-flow configuration.
     PlaneKsp { per_plane: usize },
-    /// Dispatch on flow size: below `cutoff_bytes` use `small`, at or above
-    /// use `large`.
+    /// Below `cutoff_bytes` (inclusive) use `small`, above it `large`.
     SizeThreshold {
         cutoff_bytes: u64,
         small: Box<PathPolicy>,
         large: Box<PathPolicy>,
     },
-    /// Restrict `inner` to a subset of planes — the paper's *performance
-    /// isolation* (section 7): "operators can assign different traffic
-    /// classes to different dataplanes... user-facing frontend traffic can
-    /// be assigned to one dataplane, and background data analysis traffic
-    /// can be assigned to another".
+    /// Restrict `inner` to a subset of planes, the paper's *performance
+    /// isolation* (section 7): "user-facing frontend traffic can be assigned
+    /// to one dataplane, and background data analysis traffic ... to another".
     Pinned {
         planes: Vec<u16>,
         inner: Box<PathPolicy>,
@@ -69,6 +54,29 @@ impl PathPolicy {
             large: Box::new(PathPolicy::MultipathKsp { k }),
         }
     }
+
+    /// The narrowest route table that answers every select as a 32-wide KSP
+    /// table would. Rules that read only shortest tiers get ECMP capped at
+    /// 32: an ECMP entry is the first tier cut at its cap, the prefix a
+    /// KSP-32 entry starts with. The subflow rules get KSP as wide as they
+    /// fetch, at least 32.
+    pub fn route_algo(&self) -> RouteAlgo {
+        let shortest = RouteAlgo::Ecmp { cap: 32 };
+        let ksp = |k: usize| RouteAlgo::Ksp { k: k.max(32) };
+        match self {
+            PathPolicy::EcmpHash | PathPolicy::RoundRobin | PathPolicy::ShortestPlane => shortest,
+            PathPolicy::PlaneKsp { per_plane: 1 } => shortest,
+            PathPolicy::PlaneKsp { per_plane } => ksp(*per_plane),
+            PathPolicy::MultipathKsp { k } => ksp(subflow_width(*k)),
+            PathPolicy::SizeThreshold { small, large, .. } => {
+                match (small.route_algo(), large.route_algo()) {
+                    (RouteAlgo::Ecmp { .. }, RouteAlgo::Ecmp { .. }) => shortest,
+                    (a, b) => ksp(a.per_plane_limit().max(b.per_plane_limit())),
+                }
+            }
+            PathPolicy::Pinned { inner, .. } => inner.route_algo(),
+        }
+    }
 }
 
 /// A stateful selector binding a policy to a network's router.
@@ -79,9 +87,9 @@ pub struct PathSelector {
 }
 
 impl PathSelector {
-    /// Create a selector. `router` should be built with an algorithm
-    /// compatible with the policy (KSP with a large enough k covers all
-    /// policies; see [`crate::pnet::PNet::selector`]).
+    /// A selector over `router`, which must hold every path the policy
+    /// reads ([`PathPolicy::route_algo`] or wider; see
+    /// [`crate::pnet::PNet::selector`]).
     pub fn new(router: Router, policy: PathPolicy) -> Self {
         PathSelector {
             router,
@@ -90,14 +98,8 @@ impl PathSelector {
         }
     }
 
-    /// Access the underlying router.
-    pub fn router(&self) -> &Router {
-        &self.router
-    }
-
-    /// Bulk-precompute the router's all-pairs route table in parallel, so
-    /// subsequent [`PathSelector::select`] calls never pay the lazy
-    /// per-pair path search.
+    /// Fill the router's all-pairs route table, so that
+    /// [`PathSelector::select`] never pays a lazy path search.
     pub fn warm(&self) {
         self.router.precompute_all_pairs();
     }
@@ -122,9 +124,8 @@ impl PathSelector {
     }
 }
 
-/// Place `flow` by `policy`. The KSP, ECMP and round-robin rules are the
-/// router's ([`Router::subflows`], [`Router::hashed_route`]), the ones the
-/// flow solver builds its routes by; `Pinned` narrows the flow's planes.
+/// Place `flow` by `policy`: a leaf is one `pnet_routing::choice` rule, a
+/// wrapper picks the leaf by size or narrows the flow's planes.
 fn place(
     router: &Router,
     flow: Flow<'_>,
@@ -141,21 +142,10 @@ fn place(
             *rr += 1;
             single(router.hashed_route(flow, preferred))
         }
-        PathPolicy::ShortestPlane => single(shortest_plane_route(router, flow)),
+        PathPolicy::ShortestPlane => single(router.shortest_plane_route(flow)),
         PathPolicy::MultipathKsp { k } => (router.subflows(flow, *k), CcAlgo::Lia),
         PathPolicy::PlaneKsp { per_plane } => {
-            let (ra, rb) = flow.racks();
-            if ra == rb {
-                // One intra-rack route per usable plane, as `MultipathKsp`.
-                return (router.subflows(flow, *per_plane), CcAlgo::Lia);
-            }
-            let mut routes = Vec::new();
-            for plane in flow.usable_planes() {
-                let set = router.paths_in_plane(plane, ra, rb);
-                let best = set.tie_rotated(flow.hash ^ plane.0 as u64).take(*per_plane);
-                routes.extend(best.filter_map(|i| flow.route(set.get(i))));
-            }
-            (routes, CcAlgo::Lia)
+            (router.plane_subflows(flow, *per_plane), CcAlgo::Lia)
         }
         PathPolicy::SizeThreshold {
             cutoff_bytes,
@@ -178,34 +168,6 @@ fn place(
             place(router, pinned, inner, rr, size_bytes)
         }
     }
-}
-
-/// The lowest-hop route across all usable planes (ties hash-balanced).
-fn shortest_plane_route(router: &Router, flow: Flow<'_>) -> Option<Vec<LinkId>> {
-    let (ra, rb) = flow.racks();
-    if ra == rb {
-        let planes: Vec<PlaneId> = flow.usable_planes().collect();
-        if planes.is_empty() {
-            return None;
-        }
-        return flow.route(&Path::intra_rack(*hash_select(&planes, flow.hash)));
-    }
-    let sets: Vec<_> = flow
-        .usable_planes()
-        .map(|plane| router.paths_in_plane(plane, ra, rb))
-        .collect();
-    // Every plane's shortest tier that is as short as the best plane's,
-    // in plane order.
-    let tiers = sets.iter().map(|set| set.iter().take(set.shortest_tier()));
-    let best_len = tiers.clone().flatten().map(|p| p.n_links()).min();
-    let ties: Vec<PathRef> = tiers
-        .flatten()
-        .filter(|p| Some(p.n_links()) == best_len)
-        .collect();
-    if ties.is_empty() {
-        return None;
-    }
-    flow.route(*hash_select(&ties, flow.hash))
 }
 
 #[cfg(test)]
@@ -301,57 +263,66 @@ mod tests {
 
     /// One rule, same answer: the routes the flow solver builds for
     /// commodity `i` are the ones the selector picks for flow id `i`, in KSP
-    /// and in ECMP mode, on a 4-plane heterogeneous Jellyfish with host 0's
-    /// plane-0 uplink dead. Each side has its own router: the selector's is
-    /// 32 wide, the KSP solver's [`subflow_width`]`(k)` and the ECMP
-    /// solver's an ECMP table capped at 64, so the answers agree because
-    /// every shortest tier holds fewer than 32 paths. The solver fans out
-    /// over the pool (`RAYON_NUM_THREADS`), the selector is serial.
+    /// and in ECMP mode, on 4- and 2-plane heterogeneous Jellyfish with host
+    /// 0's plane-0 uplink dead. Each side has its own router: the selector's
+    /// is [`PathPolicy::route_algo`]'s, the KSP solver's [`subflow_width`]`(k)`
+    /// wide and the ECMP solver's an ECMP table capped at 64, so the ECMP
+    /// answers agree because every shortest tier holds fewer than 32 paths.
+    /// At K = 24 and 32 the selector reads past 32 paths per plane, as wide
+    /// as the solver. The solver fans out over the pool
+    /// (`RAYON_NUM_THREADS`), the selector is serial.
     ///
     /// [`subflow_width`]: pnet_routing::subflow_width
     #[test]
     fn the_flow_solver_and_the_selector_choose_the_same_routes() {
         use pnet_flowsim::{commodity, mcf, throughput};
-        let mut net = parallel::jellyfish_network(
-            NetworkClass::ParallelHeterogeneous,
-            Jellyfish::new(16, 4, 2, 5),
-            4,
-            5,
-            &LinkProfile::paper_default(),
-        );
-        let up = net.host_uplink(HostId(0), PlaneId(0)).unwrap();
-        failures::fail_cable(&mut net, up);
         let c = commodity::all_to_all(12);
-        let wide = Router::new(&net, RouteAlgo::Ksp { k: 32 });
-        for (a, b) in c
-            .iter()
-            .map(|c| (net.rack_of_host(c.src), net.rack_of_host(c.dst)))
-        {
-            for plane in net.planes() {
-                assert!(wide.paths_in_plane(plane, a, b).shortest_tier() < 32);
+        for planes in [4, 2] {
+            let mut net = parallel::jellyfish_network(
+                NetworkClass::ParallelHeterogeneous,
+                Jellyfish::new(16, 4, 2, 5),
+                planes,
+                5,
+                &LinkProfile::paper_default(),
+            );
+            let up = net.host_uplink(HostId(0), PlaneId(0)).unwrap();
+            failures::fail_cable(&mut net, up);
+            let wide = Router::new(&net, RouteAlgo::Ksp { k: 32 });
+            for (a, b) in c
+                .iter()
+                .map(|c| (net.rack_of_host(c.src), net.rack_of_host(c.dst)))
+            {
+                for plane in net.planes() {
+                    assert!(wide.paths_in_plane(plane, a, b).shortest_tier() < 32);
+                }
             }
-        }
-        let same = |policy: PathPolicy, solver: &dyn Fn(usize) -> Vec<Vec<LinkId>>| {
-            let mut s = selector(&net, policy.clone());
-            for (i, c) in c.iter().enumerate() {
-                let (routes, _) = s.select(&net, c.src, c.dst, i as u64, 1 << 20);
-                assert!(!routes.is_empty());
-                assert_eq!(routes, solver(i), "{policy:?}, commodity {i}");
-            }
-        };
-        for k in [4, 8, 16] {
-            let wide = subflow_width(k);
-            let router = Router::new(&net, RouteAlgo::Ksp { k: wide });
-            let mcf::PathMode::Explicit(ksp) = mcf::ksp_mode(&net, &router, &c, k) else {
-                panic!("ksp_mode builds explicit routes");
+            let same = |policy: PathPolicy, solver: &dyn Fn(usize) -> Vec<Vec<LinkId>>| {
+                let router = Router::new(&net, policy.route_algo());
+                let mut s = PathSelector::new(router, policy.clone());
+                for (i, c) in c.iter().enumerate() {
+                    let (routes, _) = s.select(&net, c.src, c.dst, i as u64, 1 << 20);
+                    assert!(!routes.is_empty());
+                    assert_eq!(
+                        routes,
+                        solver(i),
+                        "{planes} planes, {policy:?}, commodity {i}"
+                    );
+                }
             };
-            same(PathPolicy::MultipathKsp { k }, &|i| {
-                ksp.routes(i).map(<[LinkId]>::to_vec).collect()
-            });
+            for k in [4, 8, 16, 24, 32] {
+                let wide = subflow_width(k);
+                let router = Router::new(&net, RouteAlgo::Ksp { k: wide });
+                let mcf::PathMode::Explicit(ksp) = mcf::ksp_mode(&net, &router, &c, k) else {
+                    panic!("ksp_mode builds explicit routes");
+                };
+                same(PathPolicy::MultipathKsp { k }, &|i| {
+                    ksp.routes(i).map(<[LinkId]>::to_vec).collect()
+                });
+            }
+            let router = Router::new(&net, RouteAlgo::Ecmp { cap: 64 });
+            let ecmp = throughput::ecmp_routes(&net, &router, &c, Parallelism::default());
+            same(PathPolicy::EcmpHash, &|i| ecmp[i].iter().cloned().collect());
         }
-        let router = Router::new(&net, RouteAlgo::Ecmp { cap: 64 });
-        let ecmp = throughput::ecmp_routes(&net, &router, &c, Parallelism::default());
-        same(PathPolicy::EcmpHash, &|i| ecmp[i].iter().cloned().collect());
     }
 
     #[test]

@@ -1,18 +1,14 @@
-//! Path choice: the two rules every layer picks a flow's routes by.
+//! Path choice: the rules every layer picks a flow's routes by.
 //!
 //! The flow solver's candidate builders (`pnet_flowsim::mcf::ksp_mode`, the
 //! ECMP routes behind `pnet_flowsim::throughput::ecmp_throughput`) and the
-//! host stack's path selector (`pnet_core::PathSelector`) call
-//! [`Router::subflows`] and [`Router::hashed_route`] and nothing else, so a
-//! flow gets the same routes at the flow level as at the packet level:
-//!
-//! * **Subflows** (MPTCP over KSP): the [`subflow_width`] best paths across
-//!   planes, those in planes the flow cannot use dropped, each equal-length
-//!   tier rotated by the flow hash ([`tie_rotated`]), the first `k` kept. A
-//!   same-rack flow gets one intra-rack route per usable plane.
-//! * **One hashed route** (ECMP, round robin): the first usable plane,
-//!   cyclically, from a preferred one, then a hash pick among that plane's
-//!   shortest tier, or the intra-rack route.
+//! host stack's path selector (`pnet_core::PathSelector`) call these rules
+//! and nothing else, so a flow gets the same routes at the flow level as at
+//! the packet level: [`Router::subflows`] (MPTCP over KSP),
+//! [`Router::plane_subflows`] (MPTCP with one interface per plane),
+//! [`Router::hashed_route`] (ECMP, round robin) and
+//! [`Router::shortest_plane_route`] (the low-latency plane). Only the two
+//! subflow rules read past a plane's shortest tier.
 //!
 //! A plane is *usable* when the caller allows it and both hosts have a live
 //! uplink into it: the paper's failure masking (section 3.4), "end hosts can
@@ -23,6 +19,7 @@ use crate::ecmp::{flow_hash, hash_index};
 use crate::path::{host_route, tie_rotated, Path, PathRef};
 use crate::router::Router;
 use pnet_topology::{HostId, LinkId, Network, PlaneId, RackId};
+use std::cmp::Ordering;
 
 /// Paths a `k`-subflow choice fetches across planes before it rotates and
 /// truncates: `2k`, at least 8, so a flow's hash has equal-length
@@ -126,6 +123,60 @@ impl Router {
         }
         flow.route(set.get(hash_index(tier, flow.hash)))
     }
+
+    /// Up to `per_plane` routes in every usable plane: each plane's path set
+    /// with its equal-length tiers rotated by `hash ^ plane`, the first
+    /// `per_plane` taken, planes in order. A same-rack flow gets
+    /// [`Router::subflows`]' intra-rack routes.
+    pub fn plane_subflows(&self, flow: Flow<'_>, per_plane: usize) -> Vec<Vec<LinkId>> {
+        let (ra, rb) = flow.racks();
+        if ra == rb {
+            return self.subflows(flow, per_plane);
+        }
+        let mut routes = Vec::new();
+        for plane in flow.usable_planes() {
+            let set = self.paths_in_plane(plane, ra, rb);
+            let best = set.tie_rotated(flow.hash ^ u64::from(plane.0));
+            routes.extend(best.take(per_plane).filter_map(|i| flow.route(set.get(i))));
+        }
+        routes
+    }
+
+    /// The lowest-hop route across usable planes: among the shortest tiers
+    /// of the planes whose best path is the shortest overall, taken in plane
+    /// order, the hash pick. A same-rack pair's set is its one intra-rack
+    /// path, so a same-rack flow takes that of a hash-picked usable plane.
+    /// `None` when no usable plane connects the racks.
+    pub fn shortest_plane_route(&self, flow: Flow<'_>) -> Option<Vec<LinkId>> {
+        let (ra, rb) = flow.racks();
+        // Each usable plane's (best length, shortest tier), twice: once to
+        // count the ties, once to walk to the picked one.
+        let tiers = || {
+            flow.usable_planes().filter_map(move |plane| {
+                let set = self.paths_in_plane(plane, ra, rb);
+                let len = set.iter().next()?.n_links();
+                Some((len, set.shortest_tier(), set))
+            })
+        };
+        let (best, n_ties) = tiers().fold((usize::MAX, 0), |(best, n), (len, tier, _)| {
+            match len.cmp(&best) {
+                Ordering::Less => (len, tier),
+                Ordering::Equal => (best, n + tier),
+                Ordering::Greater => (best, n),
+            }
+        });
+        if n_ties == 0 {
+            return None;
+        }
+        let mut pick = hash_index(n_ties, flow.hash);
+        for (_, tier, set) in tiers().filter(|&(len, ..)| len == best) {
+            if pick < tier {
+                return flow.route(set.get(pick));
+            }
+            pick -= tier;
+        }
+        None
+    }
 }
 
 #[cfg(test)]
@@ -140,10 +191,11 @@ mod tests {
         assert_eq!(widths, [8, 8, 8, 10, 32]);
     }
 
-    /// Host 0's plane-0 uplink is down: both rules route around plane 0,
-    /// and a flow pinned to plane 0 gets nothing.
+    /// Host 0's plane-0 uplink is down: every rule routes around plane 0,
+    /// and a flow pinned to plane 0 gets nothing. With both planes usable, a
+    /// same-rack flow's shortest plane is the hash pick.
     #[test]
-    fn a_dead_uplink_masks_its_plane_in_both_rules() {
+    fn a_dead_uplink_masks_its_plane_in_every_rule() {
         let mut net =
             assemble_homogeneous(&FatTree::three_tier(4), 2, &LinkProfile::paper_default());
         let up = net.host_uplink(HostId(0), PlaneId(0)).unwrap();
@@ -152,9 +204,15 @@ mod tests {
         for (dst, id) in [(HostId(1), 0), (HostId(15), 3)] {
             let flow = Flow::new(&net, HostId(0), dst, id);
             let subflows = router.subflows(flow, 1);
-            assert_eq!(subflows.len(), 1);
+            let per_plane = router.plane_subflows(flow, 1);
+            assert_eq!((subflows.len(), per_plane.len()), (1, 1));
             let single = router.hashed_route(flow, PlaneId(0)).unwrap();
-            for route in subflows.iter().chain([&single]) {
+            let shortest = router.shortest_plane_route(flow).unwrap();
+            for route in subflows
+                .iter()
+                .chain(&per_plane)
+                .chain([&single, &shortest])
+            {
                 assert_eq!(net.link(route[0]).plane, PlaneId(1));
             }
             let pinned = Flow {
@@ -162,7 +220,15 @@ mod tests {
                 ..flow
             };
             assert!(router.subflows(pinned, 4).is_empty());
+            assert!(router.plane_subflows(pinned, 4).is_empty());
             assert_eq!(router.hashed_route(pinned, PlaneId(0)), None);
+            assert_eq!(router.shortest_plane_route(pinned), None);
+        }
+        for id in 0..8 {
+            let flow = Flow::new(&net, HostId(2), HostId(3), id);
+            let route = router.shortest_plane_route(flow).unwrap();
+            assert_eq!(route.len(), 2);
+            assert_eq!(net.link(route[0]).plane, PlaneId((flow.hash % 2) as u16));
         }
     }
 }

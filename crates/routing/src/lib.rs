@@ -2,8 +2,7 @@
 //!
 //! Path computation for P-Nets: equal-cost and K-shortest path enumeration
 //! by length tier, a caching [`Router`] that merges path sets across
-//! dataplanes, and the two rules a flow's routes are chosen by
-//! ([`Router::subflows`], [`Router::hashed_route`]).
+//! dataplanes, and the rules a flow's routes are chosen by ([`choice`]).
 //!
 //! The forwarding model follows the paper exactly: a path lives entirely in
 //! one plane (packets never cross planes mid-flight), hosts choose the

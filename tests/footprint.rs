@@ -6,11 +6,13 @@
 //! Every test holds `ONE_AT_A_TIME` throughout: the counters are
 //! process-wide, and a test running beside another would be counted too.
 
+use pnet::core::{PNetSpec, PathPolicy, TopologyKind};
 use pnet::htsim::apps::OpenLoopDriver;
 use pnet::htsim::{run, run_to_completion, CcAlgo, FlowSpec, SimConfig, SimTime, Simulator};
 use pnet::routing::{host_route, Parallelism, Path, RouteAlgo, Router};
 use pnet::topology::{
-    assemble_homogeneous, failures, FatTree, HostId, Jellyfish, LinkProfile, PlaneId,
+    assemble_homogeneous, failures, FatTree, HostId, Jellyfish, LinkProfile, NetworkClass, PlaneId,
+    RackId,
 };
 use pnet::workloads::tm;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -237,4 +239,57 @@ fn in_flight_packets_cost_their_slot_and_fifo_entry() {
     );
     run_to_completion(&mut sim);
     assert_eq!(sim.records.len(), flows.len() + 2);
+}
+
+#[test]
+fn the_rpc_selector_holds_only_the_shortest_tiers() {
+    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    // The benchmark's `packet_rpc` fabric and policy: one subflow per plane
+    // reads only each plane's shortest tier.
+    let topology = TopologyKind::Jellyfish {
+        n_tors: 64,
+        degree: 8,
+        hosts_per_tor: 4,
+    };
+    let pnet = PNetSpec::new(topology, NetworkClass::ParallelHeterogeneous, 4, 1).build();
+    let policy = PathPolicy::PlaneKsp { per_plane: 1 };
+    assert_eq!(policy.route_algo(), RouteAlgo::Ecmp { cap: 32 });
+    let entries = 4 * 64 * 63;
+
+    // The four planes differ, so each entry is its own set: 47 882 paths
+    // in all, 1.03 MB in two blocks per entry. The 32-wide KSP table it
+    // replaced held 516 096 paths in 5.57 MB.
+    let empty = footprint(pnet.selector(policy.clone()));
+    let warmed = pnet.selector(policy.clone());
+    warmed.warm();
+    let table = footprint(warmed);
+    let (bytes, blocks) = (table.0 - empty.0, table.1 - empty.1);
+    assert!(bytes <= 9 * MB / 8, "table holds {bytes} bytes");
+    assert!(
+        blocks <= 2 * entries + 2 * 4,
+        "table holds {blocks} blocks for {entries} entries"
+    );
+
+    // Entry for entry, the selector's table is the shortest tier of a
+    // 32-wide KSP table's, and a tier wider than 32 is cut there.
+    let narrow = pnet.router(policy.route_algo());
+    let wide = pnet.router(RouteAlgo::Ksp { k: 32 });
+    let (mut paths, mut capped) = (0, 0);
+    for plane in pnet.net.planes() {
+        for a in (0..64).map(RackId) {
+            for b in (0..64).map(RackId).filter(|&b| b != a) {
+                let (n, w) = (
+                    narrow.paths_in_plane(plane, a, b),
+                    wide.paths_in_plane(plane, a, b),
+                );
+                let tier = w.shortest_tier();
+                assert_eq!(n.len(), tier, "{plane}: {a} -> {b}");
+                assert!(n.iter().eq(w.iter().take(tier)), "{plane}: {a} -> {b}");
+                paths += tier;
+                capped += usize::from(tier == 32);
+            }
+        }
+    }
+    assert_eq!(paths, 47_882);
+    assert!(capped > 0, "no tier reached the cap");
 }
