@@ -339,7 +339,7 @@ pub fn permutation_mean_fct(
         let (src, dst) = (HostId(a as u32), HostId(b as u32));
         let (routes, mut cc) = factory(src, dst, size);
         if uncoupled && cc == CcAlgo::Lia {
-            cc = CcAlgo::Uncoupled;
+            cc = CcAlgo::Reno;
         }
         sim.start_flow(FlowSpec {
             src,

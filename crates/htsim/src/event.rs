@@ -34,13 +34,10 @@
 //! descending time, a bucket is in descending `(time, seq)` order.
 //!
 //! The invariants the window and the buckets rest on: (1) every
-//! `schedule(at, ..)` has `at >= now >= window_start`, so no insertion
-//! lands before `cur_slot`, nor in the open slot before `cur_bucket`; (2)
-//! the window advances only when the calendar is empty, and only to the
-//! span holding the global minimum; (3) `now`, the time of the last pop,
-//! lies in the current bucket, since buckets open only inside `pop`. So
-//! every event outside `drain` and `late` is later than `now`, and
-//! [`EventQueue::pop_if_at`] decides from those two heads alone.
+//! `schedule(at, ..)` has `at` no earlier than the last pop, itself no
+//! earlier than `window_start`, so no insertion lands before `cur_slot`, nor
+//! in the open slot before `cur_bucket`; (2) the window advances only when
+//! the calendar is empty, and only to the span holding the global minimum.
 //!
 //! **Memory.** A slot's chain is two `u32` chunk indices and a length; its
 //! events live in chunks of [`CHUNK`] events. Staging takes a chunk off the
@@ -239,8 +236,6 @@ pub struct EventQueue {
     min_staged: usize,
     /// Events in the calendar (everything but the ladder).
     in_buckets: usize,
-    /// Time of the last pop (zero before the first).
-    now: SimTime,
     next_seq: u64,
     scheduled: u64,
     dispatched: u64,
@@ -258,8 +253,7 @@ impl Default for EventQueue {
 }
 
 impl EventQueue {
-    /// Empty queue. Slot 0 stands open at bucket 0, so `now` = 0 lies in
-    /// the current bucket from the start.
+    /// Empty queue. Slot 0 stands open at bucket 0.
     pub fn new() -> Self {
         EventQueue {
             chunks: Chunks::default(),
@@ -277,7 +271,6 @@ impl EventQueue {
             ladder: BinaryHeap::new(),
             min_staged: N_SLOTS,
             in_buckets: 0,
-            now: SimTime::ZERO,
             next_seq: 0,
             scheduled: 0,
             dispatched: 0,
@@ -445,20 +438,13 @@ impl EventQueue {
             self.drain.pop()
         }?;
         self.in_buckets -= 1;
-        self.note_popped(&ev);
-        Some(ev)
-    }
-
-    /// Shared post-pop bookkeeping for both pop paths.
-    #[inline]
-    fn note_popped(&mut self, ev: &Event) {
-        self.now = ev.time;
         self.dispatched += 1;
         if matches!(ev.kind, EventKind::Arrival { .. }) {
             self.arrivals_pending -= 1;
         }
         // Every event is scheduled once and dispatched at most once.
         debug_assert_eq!(self.len() as u64 + self.dispatched, self.scheduled);
+        Some(ev)
     }
 
     /// Pop the earliest event.
@@ -489,19 +475,6 @@ impl EventQueue {
                 self.stage(slot_of(ev.time.as_ps()), ev);
             }
         }
-    }
-
-    /// Pop the earliest event only if it is scheduled exactly at `t`, the
-    /// time of the last pop (zero before the first): the batched-dispatch
-    /// fast path for a same-timestamp cascade. The drain tail and the late
-    /// head decide alone (invariant 3 in the module docs).
-    #[inline]
-    pub fn pop_if_at(&mut self, t: SimTime) -> Option<Event> {
-        debug_assert_eq!(t, self.now, "pop_if_at takes the last pop's time");
-        if self.current_head()?.time != t {
-            return None;
-        }
-        self.pop_current()
     }
 
     /// Time of the next event without removing it.
@@ -796,27 +769,6 @@ mod tests {
     }
 
     #[test]
-    fn pop_if_at_only_pops_exact_timestamp() {
-        let mut q = EventQueue::new();
-        app(&mut q, 50, 0);
-        app(&mut q, 50, 1);
-        app(&mut q, 60, 2);
-        let t = SimTime::from_ps(50);
-        assert_eq!(q.pop().unwrap().time, t);
-        // Batch path: second event at the same timestamp pops...
-        let e = q.pop_if_at(t).expect("event at t=50 pending");
-        assert!(matches!(e.kind, EventKind::AppTimer { app: 1, .. }));
-        // ...but the t=60 event does not.
-        assert!(q.pop_if_at(t).is_none());
-        assert_eq!(q.len(), 1);
-        // Late insertion at the batch timestamp is still honoured (slow path).
-        app(&mut q, 50, 3);
-        let e = q.pop_if_at(t).expect("late event at t=50 pending");
-        assert!(matches!(e.kind, EventKind::AppTimer { app: 3, .. }));
-        assert_eq!(q.pop().unwrap().time.as_ps(), 60);
-    }
-
-    #[test]
     fn matches_reference_heap_on_a_dense_mixed_schedule() {
         // Deterministic miniature of the props.rs proptest: interleave
         // schedules (near, far, tied) with pops and compare against a
@@ -840,23 +792,6 @@ mod tests {
         assert_eq!(drain_apps(&mut q), expect);
     }
 
-    /// The calendar's own order and `pop_if_at` on an AppTimer schedule:
-    /// every pop, as `(time, app)`, with `pop_if_at(now)` tried first.
-    fn drain_batched(q: &mut EventQueue) -> Vec<(u64, u32)> {
-        let mut got = Vec::new();
-        while let Some(e) = q.pop() {
-            let now = e.time;
-            got.push(e);
-            got.extend(std::iter::from_fn(|| q.pop_if_at(now)));
-        }
-        got.into_iter()
-            .map(|e| match e.kind {
-                EventKind::AppTimer { app, .. } => (e.time.as_ps(), app),
-                _ => panic!("only app timers are scheduled"),
-            })
-            .collect()
-    }
-
     #[test]
     fn same_timestamp_burst_pops_in_schedule_order() {
         // 4 096 events at one instant, half staged before the slot opens and
@@ -872,7 +807,7 @@ mod tests {
             app(&mut q, t, i);
         }
         assert_eq!(q.late_pushes(), 2048);
-        let rest = drain_batched(&mut q);
+        let rest = drain_apps(&mut q);
         assert_eq!(rest, (1..4096).map(|i| (t, i)).collect::<Vec<_>>());
         assert_eq!(q.slot_opens(), 1);
     }
@@ -949,7 +884,7 @@ mod tests {
         app(&mut q, base + b, 6); // ties the restaged (b, 1) and (b, 4)
         app(&mut q, base + 3 * b + 5, 7);
         let mut got = vec![(first.time.as_ps(), 3)];
-        got.extend(drain_batched(&mut q));
+        got.extend(drain_apps(&mut q));
         let want = [(0, 3), (0, 5), (b, 1), (b, 4), (b, 6), (3 * b + 5, 0)];
         let mut want: Vec<(u64, u32)> = want.iter().map(|&(dt, id)| (base + dt, id)).collect();
         want.extend([(base + 3 * b + 5, 2), (base + 3 * b + 5, 7)]);
@@ -957,10 +892,10 @@ mod tests {
     }
 
     #[test]
-    fn pop_if_at_stops_at_bucket_and_slot_boundaries() {
-        // `pop_if_at(now)` reads only the current bucket: it must refuse the
-        // first event of the next bucket and of the next slot (1 ps later
-        // each), and still take a late tie at `now`.
+    fn bucket_and_slot_boundaries_keep_one_ps_order() {
+        // Neighbours 1 ps apart across a fine-bucket and a slot boundary pop
+        // in time order, and a tie scheduled at the last pop's time (the late
+        // heap) pops before the next bucket opens.
         let b = 1u64 << BUCKET_SHIFT;
         let w = 1u64 << SLOT_SHIFT;
         let s = 3 * w; // slot 3: staged, so it opens by the counting sort
@@ -971,21 +906,18 @@ mod tests {
         app(&mut q, s + w, 3); // first ps of slot 4
         let e = q.pop().expect("pending");
         assert_eq!(e.time.as_ps(), s + 2 * b - 1);
-        assert!(q.pop_if_at(e.time).is_none(), "next bucket is 1 ps later");
-        app(&mut q, s + 2 * b - 1, 4); // a tie at `now`: the late heap
-        let tie = q.pop_if_at(e.time).expect("late tie at now");
-        assert!(matches!(tie.kind, EventKind::AppTimer { app: 4, .. }));
-        assert!(q.pop_if_at(e.time).is_none());
-        assert_eq!(q.pop().expect("pending").time.as_ps(), s + 2 * b);
-        let e = q.pop().expect("pending");
-        assert_eq!(e.time.as_ps(), s + w - 1);
-        assert!(q.pop_if_at(e.time).is_none(), "next slot is 1 ps later");
-        assert_eq!(q.slot_opens(), 1);
-        let e = q.pop().expect("pending");
-        assert_eq!(e.time.as_ps(), s + w);
+        assert_eq!(q.peek_time(), Some(SimTime::from_ps(s + 2 * b)));
+        app(&mut q, s + 2 * b - 1, 4); // a tie at the last pop: the late heap
+        assert_eq!(q.peek_time(), Some(e.time));
+        let got = drain_apps(&mut q);
+        let want = [
+            (s + 2 * b - 1, 4),
+            (s + 2 * b, 1),
+            (s + w - 1, 2),
+            (s + w, 3),
+        ];
+        assert_eq!(got, want);
         assert_eq!((q.slot_opens(), q.late_pushes()), (2, 1));
-        assert!(q.pop_if_at(e.time).is_none());
-        assert!(q.is_empty());
     }
 
     /// The Memory bound (module docs) on the queue's room, from peaks of
@@ -1108,7 +1040,8 @@ mod tests {
         assert_eq!(chunks * CHUNK, BURST as usize);
         let mut id = BURST;
         for light in 0..10_000u64 {
-            let base = (q.now.as_ps() / w + 1 + light % 8) * w;
+            let last_pop = got.last().map_or(0, |&(t, _)| t);
+            let base = (last_pop / w + 1 + light % 8) * w;
             for j in 0..3 {
                 app(&mut q, base + j * 5_000, id);
                 id += 1;

@@ -43,8 +43,7 @@
 //! });
 //! run_to_completion(&mut sim);
 //! // No driver kept the record, so the simulator did.
-//! assert_eq!(sim.records.len(), 1);
-//! assert_eq!(sim.record(id).map(|r| r.size_bytes), Some(150_000));
+//! assert_eq!((sim.records[0].conn, sim.records[0].size_bytes), (id, 150_000));
 //! ```
 
 // Test modules are exempt from the typed determinism lints (DESIGN.md "Static analysis &

@@ -4,7 +4,10 @@
 //! network and a recycled slab of live [`Connection`]s. Packets are
 //! source-routed by the sending host (the P-Net model: path choice happens
 //! at the edge), traverse queue → propagation → queue …, and are delivered
-//! to the peer's transport state at the destination.
+//! to the peer's transport state at the destination. Every sender state
+//! transition lives in [`crate::tcp`]; the engine hands it ACKs, timer
+//! expiries and send opportunities, then schedules, sends and traces what
+//! it answers.
 //!
 //! Application logic lives *outside* the simulator, behind the [`Driver`]
 //! trait: the run loop hands flow completions and app timers to the driver,
@@ -14,7 +17,7 @@
 use crate::event::{EventKind, EventQueue};
 use crate::packet::{ConnId, Packet, PacketArena, PacketId, ACK_BYTES, MTU_BYTES};
 use crate::queue::{Enqueue, Entry, Queue};
-use crate::tcp::{CcAlgo, Connection, Subflow, TcpConfig};
+use crate::tcp::{AckVerdict, CcAlgo, Connection, Rto, Subflow, TcpConfig};
 use crate::telemetry::{EventMask, Telemetry, TelemetryConfig, TraceRecord};
 use crate::time::SimTime;
 use pnet_topology::{HostId, LinkId, Network};
@@ -104,11 +107,10 @@ impl FlowRecord {
 pub trait Driver {
     /// A flow finished (all packets acknowledged). This call is the last
     /// point at which [`Simulator::conn`] is guaranteed to answer for it.
-    /// The record is the driver's to keep; the default hands it back to
-    /// [`Simulator::keep_record`], so that [`Simulator::records`] and
-    /// [`Simulator::record`] see it.
+    /// The record is the driver's to keep; the default appends it to
+    /// [`Simulator::records`].
     fn on_flow_complete(&mut self, sim: &mut Simulator, rec: FlowRecord) {
-        sim.keep_record(rec);
+        sim.records.push(rec);
     }
     /// An application timer (scheduled with [`Simulator::schedule_app`])
     /// fired.
@@ -172,7 +174,7 @@ impl ConservationLedger {
     }
 }
 
-/// "No slot" / "no record" per [`ConnId`]: past the end of either table, so `get` finds nothing.
+/// "No slot" per [`ConnId`]: past the end of the slab, so `get` finds nothing.
 const NONE: u32 = u32::MAX;
 
 /// The engine.
@@ -187,8 +189,6 @@ pub struct Simulator {
     /// Per [`ConnId`] (never reused): its slab slot; `NONE` once retired, so
     /// a stale `RtoTimer` finds nothing, as it does on a finished connection.
     conn_slot: Vec<u32>,
-    /// Per [`ConnId`]: index into `records` once kept, `NONE` before.
-    conn_record: Vec<u32>,
     /// Connections not yet retired (DESIGN.md "Connection lifetime"). Freed
     /// slots are reused LIFO, subflow tables and buffers included; until
     /// then they keep their last tenant (`finish` set, `in_network` zero).
@@ -239,7 +239,6 @@ impl Simulator {
             queues,
             packets: PacketArena::new(),
             conn_slot: Vec::new(),
-            conn_record: Vec::new(),
             slab: Vec::new(),
             free_slots: Vec::new(),
             cfg,
@@ -343,23 +342,6 @@ impl Simulator {
     pub fn conn(&self, id: ConnId) -> Option<&Connection> {
         let slot = *self.conn_slot.get(id.0 as usize)?;
         self.slab.get(slot as usize)
-    }
-
-    /// Completion record of a connection, or `None` while it is transferring
-    /// and when the driver kept its record, and for an id this simulator never
-    /// handed out.
-    pub fn record(&self, id: ConnId) -> Option<&FlowRecord> {
-        let at = *self.conn_record.get(id.0 as usize)?;
-        self.records.get(at as usize)
-    }
-
-    /// Append a completion record to [`Simulator::records`], where
-    /// [`Simulator::record`] finds it: what [`Driver::on_flow_complete`]
-    /// does with a record its driver does not keep.
-    pub fn keep_record(&mut self, rec: FlowRecord) {
-        self.conn_record[rec.conn.0 as usize] = u32::try_from(self.records.len())
-            .expect("invariant: connection count stays within u32");
-        self.records.push(rec);
     }
 
     /// Number of connections ever started.
@@ -473,10 +455,7 @@ impl Simulator {
             if si == subflows.len() {
                 subflows.push(Subflow::new(Vec::new(), Vec::new(), &self.cfg.tcp));
             }
-            let sub = &mut subflows[si];
-            sub.recycle(r, &self.cfg.tcp);
-            sub.cwnd_cap = self.window_cap(r);
-            sub.last_progress = self.now;
+            subflows[si].recycle(r, self.window_cap(r), self.now, &self.cfg.tcp);
         }
         let conn = Connection {
             id,
@@ -500,7 +479,6 @@ impl Simulator {
         }
         self.conn_slot
             .push(u32::try_from(ci).expect("invariant: slots <= connections"));
-        self.conn_record.push(NONE);
         if self.wants(EventMask::FLOW_START) {
             let t = self.now;
             self.emit(TraceRecord::FlowStart {
@@ -707,99 +685,11 @@ impl Simulator {
         if !self.left_network(ci) {
             return; // late ACK after completion
         }
-        let (cum, ts_echo, rtx_echo, ece) =
-            (ack.seq, ack.ts, ack.has(Packet::RTX), ack.has(Packet::CE));
-        let now = self.now;
-        // Single borrow of the connection for the whole handler: ACKs are
-        // ~half of all events, and the repeated `slab[ci].subflows[si]`
-        // double-indexing was measurable. `self.cfg` is a disjoint field, so
-        // the split borrows below are fine.
-        let c = &mut self.slab[ci];
-        let si = usize::from(ack.subflow);
-        let cc = c.cc;
-        let sub = &mut c.subflows[si];
-        if sub.dead {
-            return; // subflow abandoned; its data was re-injected elsewhere
+        match self.slab[ci].on_ack(ack, self.now, &self.cfg.tcp) {
+            AckVerdict::Ignore => {}
+            AckVerdict::Finish => self.finish_conn(ci),
+            AckVerdict::Pump => self.pump(ci),
         }
-
-        // RTT sample (Karn: never from retransmitted segments).
-        if !rtx_echo {
-            let sample = now.saturating_sub(ts_echo).as_ps();
-            sub.rtt_sample(sample, &self.cfg.tcp);
-        }
-
-        let snd_una = sub.snd_una;
-        if cum > snd_una {
-            let newly = cum - snd_una;
-            sub.snd_una = cum;
-            sub.resend_high = sub.resend_high.max(cum);
-            sub.backoff = 0;
-            c.acked += newly;
-
-            let sub = &mut c.subflows[si];
-            sub.last_progress = now;
-            if sub.in_recovery {
-                if cum >= sub.recover {
-                    sub.cwnd = sub.ssthresh.max(1.0);
-                    sub.in_recovery = false;
-                    sub.dupacks = 0;
-                } else {
-                    // NewReno partial ACK: retransmit the next hole, deflate.
-                    sub.rtx_queue.push_back(cum);
-                    sub.cwnd = (sub.cwnd - newly as f64 + 1.0).max(1.0);
-                }
-            } else {
-                sub.dupacks = 0;
-                // DCTCP: fraction-proportional multiplicative decrease, at
-                // most once per observation window; additive increase
-                // continues below as for Reno.
-                if cc == CcAlgo::Dctcp {
-                    let cut = sub.dctcp_on_ack(newly, ece, cum);
-                    if cut {
-                        sub.cwnd = (sub.cwnd * (1.0 - sub.dctcp_alpha / 2.0)).max(1.0);
-                        sub.ssthresh = sub.cwnd; // leave slow start
-                    }
-                }
-                for _ in 0..newly {
-                    let (cwnd, ssthresh) = {
-                        let s = &c.subflows[si];
-                        (s.cwnd, s.ssthresh)
-                    };
-                    let inc = if cwnd < ssthresh {
-                        1.0 // slow start
-                    } else {
-                        c.ca_increase(si, &self.cfg.tcp)
-                    };
-                    c.subflows[si].cwnd += inc;
-                }
-            }
-        } else if cum == snd_una && sub.outstanding() > 0 {
-            // DCTCP: a dupack still acknowledges one received data packet
-            // and carries that packet's CE mark in ECE — it must enter the
-            // marked-fraction accounting or the fraction under loss is
-            // understated.
-            if cc == CcAlgo::Dctcp {
-                sub.dctcp_on_dupack(ece);
-            }
-            sub.dupacks += 1;
-            if sub.dupacks == 3 && !sub.in_recovery {
-                let flight = sub.in_flight() as f64;
-                sub.ssthresh = (flight / 2.0).max(2.0);
-                sub.in_recovery = true;
-                sub.recover = sub.highest_sent;
-                sub.cwnd = sub.ssthresh + 3.0;
-                sub.rtx_queue.push_back(sub.snd_una);
-            } else if sub.in_recovery {
-                sub.cwnd += 1.0; // window inflation per extra dupack
-            }
-        }
-
-        // Completion?
-        if c.acked >= c.size_packets {
-            self.finish_conn(ci);
-            return;
-        }
-        self.pump(ci);
     }
 
     fn finish_conn(&mut self, ci: usize) {
@@ -855,44 +745,9 @@ impl Simulator {
             progress = false;
             for off in 0..n_subs {
                 let si = (self.slab[ci].rr + off) % n_subs;
-                // Point retransmissions (fast retransmit, NewReno partial
-                // acks) go out regardless of window space.
-                loop {
-                    let sub = &mut self.slab[ci].subflows[si];
-                    let Some(seq) = sub.rtx_queue.pop_front() else {
-                        break;
-                    };
-                    if seq < sub.snd_una {
-                        continue; // already cumulatively acked
-                    }
-                    self.transmit(ci, si, seq, true);
+                while let Some((seq, rtx)) = self.slab[ci].next_send(si, self.now) {
+                    self.transmit(ci, si, seq, rtx);
                     progress = true;
-                }
-                // Window-paced (re)transmission: first go-back-N resends of
-                // the post-RTO hole (resend_high .. highest_sent), then
-                // fresh packets if the connection has unassigned data left.
-                loop {
-                    // Re-borrow each iteration: `transmit` needs `&mut self`.
-                    let c = &mut self.slab[ci];
-                    let sub = &mut c.subflows[si];
-                    if !sub.window_open() {
-                        break;
-                    }
-                    if sub.resend_high < sub.highest_sent {
-                        let seq = sub.resend_high;
-                        sub.resend_high += 1;
-                        self.transmit(ci, si, seq, true);
-                        progress = true;
-                    } else if c.assigned < c.size_packets {
-                        let seq = sub.highest_sent;
-                        sub.highest_sent += 1;
-                        sub.resend_high += 1;
-                        c.assigned += 1;
-                        self.transmit(ci, si, seq, false);
-                        progress = true;
-                    } else {
-                        break;
-                    }
                 }
             }
             let c = &mut self.slab[ci];
@@ -907,32 +762,12 @@ impl Simulator {
         }
     }
 
+    /// Put slot `ci`'s packet `seq` on subflow `si`'s first link.
     fn transmit(&mut self, ci: usize, si: usize, seq: u64, rtx: bool) {
         let now = self.now;
         let c = &mut self.slab[ci];
-        let (conn, cc) = (c.id, c.cc);
         c.in_network += 1;
-        let link = {
-            let sub = &mut c.subflows[si];
-            sub.packets_sent += 1;
-            if rtx {
-                sub.retransmits += 1;
-            }
-            if cc == CcAlgo::Dctcp && !rtx && sub.snd_una == 0 && sub.dctcp_acked == 0 {
-                // Seed the first DCTCP observation window to span the whole
-                // initial flight. `pump` sends the entire initial cwnd
-                // before any ACK arrives, and `highest_sent` was already
-                // advanced past `seq`, so the window keeps extending through
-                // the burst; left at 0 the very first ACK would close a
-                // degenerate one-sample window and EWMA-update alpha from it.
-                sub.dctcp_window_end = sub.highest_sent;
-            }
-            if !rtx {
-                // Fresh data marks forward progress for the lazy RTO.
-                sub.last_progress = now;
-            }
-            sub.route[0]
-        };
+        let (conn, link) = (c.id, c.subflows[si].route[0]);
         if rtx && self.wants(EventMask::RETRANSMIT) {
             self.emit(TraceRecord::Retransmit {
                 t: now,
@@ -952,118 +787,59 @@ impl Simulator {
         self.send_packet(id, link);
     }
 
-    // ------------------------------------------------------------------
-    // Timers (lazy re-arm: one outstanding event per subflow)
-    // ------------------------------------------------------------------
-
     fn arm_timer(&mut self, ci: usize, si: usize) {
-        let conn = self.slab[ci].id;
-        let sub = &mut self.slab[ci].subflows[si];
-        sub.timer_token += 1;
-        sub.timer_armed = true;
-        let deadline = self.now + sub.effective_rto(&self.cfg.tcp);
-        self.events.schedule(
-            deadline,
-            EventKind::RtoTimer {
-                conn,
-                subflow: u8::try_from(si).expect("invariant: subflow count stays within u8"),
-                token: sub.timer_token,
-            },
-        );
+        let c = &mut self.slab[ci];
+        let (deadline, token) = c.subflows[si].arm_timer(self.now, &self.cfg.tcp);
+        let subflow = u8::try_from(si).expect("invariant: subflow count stays within u8");
+        let kind = EventKind::RtoTimer {
+            conn: c.id,
+            subflow,
+            token,
+        };
+        self.events.schedule(deadline, kind);
     }
 
     fn on_rto(&mut self, conn: ConnId, subflow: u8, token: u64) {
-        let si = subflow as usize;
         let ci = self.conn_slot[conn.0 as usize] as usize;
-        if self.slab.get(ci).is_none_or(|c| c.finish.is_some()) {
-            return; // stale timer of a finished, possibly retired, connection
-        }
-        {
-            let sub = &self.slab[ci].subflows[si];
-            if !sub.timer_armed || sub.timer_token != token {
-                return; // stale
-            }
-        }
-        // Nothing outstanding: disarm.
-        if self.slab[ci].subflows[si].outstanding() == 0 {
-            self.slab[ci].subflows[si].timer_armed = false;
+        let si = usize::from(subflow);
+        // The timer of a finished, possibly retired, connection is stale.
+        let Some(c) = self.slab.get_mut(ci).filter(|c| c.finish.is_none()) else {
             return;
-        }
-        // Progress since arming: push the deadline out (lazy re-arm keeps a
-        // single pending event instead of one per ACK).
-        let eff = self.slab[ci].subflows[si].effective_rto(&self.cfg.tcp);
-        let deadline = self.slab[ci].subflows[si].last_progress + eff;
-        if self.now < deadline {
-            let tok = self.slab[ci].subflows[si].timer_token;
-            self.events.schedule(
-                deadline,
-                EventKind::RtoTimer {
+        };
+        let (backoff, reclaimed) = match c.on_timeout(si, token, self.now, &self.cfg.tcp) {
+            Rto::Ignore => return,
+            Rto::Rearm(deadline) => {
+                let kind = EventKind::RtoTimer {
                     conn,
                     subflow,
-                    token: tok,
-                },
-            );
-            return;
-        }
-        // Genuine timeout: rewind the pipe estimate so the pump go-back-N
-        // resends the presumed-lost window under slow start.
-        {
-            let sub = &mut self.slab[ci].subflows[si];
-            sub.timeouts += 1;
-            let flight = sub.in_flight() as f64;
-            sub.ssthresh = (flight / 2.0).max(2.0);
-            sub.cwnd = 1.0;
-            sub.in_recovery = false;
-            sub.dupacks = 0;
-            sub.backoff += 1;
-            sub.rtx_queue.clear();
-            sub.resend_high = sub.snd_una;
-            sub.timer_armed = false;
-        }
+                    token,
+                };
+                self.events.schedule(deadline, kind);
+                return;
+            }
+            Rto::Fired { backoff, reclaimed } => (backoff, reclaimed),
+        };
+        let (t, conn, subflow) = (self.now, u64::from(conn.0), u64::from(subflow));
         if self.wants(EventMask::TIMEOUT) {
-            let t = self.now;
-            let backoff = u64::from(self.slab[ci].subflows[si].backoff);
+            let backoff = u64::from(backoff);
             self.emit(TraceRecord::Timeout {
                 t,
-                conn: u64::from(conn.0),
-                subflow: u64::from(subflow),
+                conn,
+                subflow,
                 backoff,
             });
         }
-        // MPTCP path-failure handling: after repeated backoffs, declare the
-        // subflow dead and re-inject its outstanding data onto the
-        // surviving subflows.
-        let has_live_sibling = self.slab[ci]
-            .subflows
-            .iter()
-            .enumerate()
-            .any(|(j, s)| j != si && !s.dead);
-        if self.slab[ci].subflows[si].backoff >= self.cfg.tcp.dead_after_backoff && has_live_sibling
-        {
-            let reclaimed = {
-                let sub = &mut self.slab[ci].subflows[si];
-                sub.dead = true;
-                let lost = sub.highest_sent - sub.snd_una;
-                sub.highest_sent = sub.snd_una;
-                sub.resend_high = sub.snd_una;
-                lost
-            };
-            self.slab[ci].assigned -= reclaimed;
-            if self.wants(EventMask::SUBFLOW_DEAD) {
-                let t = self.now;
-                self.emit(TraceRecord::SubflowDead {
-                    t,
-                    conn: u64::from(conn.0),
-                    subflow: u64::from(subflow),
-                    reclaimed,
-                });
-            }
-            self.pump(ci);
-            return; // no timer for a dead subflow
+        if let Some(reclaimed) = reclaimed.filter(|_| self.wants(EventMask::SUBFLOW_DEAD)) {
+            self.emit(TraceRecord::SubflowDead {
+                t,
+                conn,
+                subflow,
+                reclaimed,
+            });
         }
-        self.slab[ci].subflows[si].last_progress = self.now;
         self.pump(ci);
-        if !self.slab[ci].subflows[si].timer_armed {
+        // A dead subflow gets no timer.
+        if reclaimed.is_none() && !self.slab[ci].subflows[si].timer_armed {
             self.arm_timer(ci, si);
         }
     }
@@ -1190,44 +966,25 @@ impl Simulator {
 /// Driver callbacks may start new flows and schedule new timers.
 pub fn run(sim: &mut Simulator, driver: &mut dyn Driver, until: Option<SimTime>) {
     loop {
-        // Deliver completions before advancing time further.
+        // A completion reaches the driver before the next event: flows it
+        // starts take their event sequence numbers, and so every later
+        // tie-break, from here.
         sim.deliver_completions(driver);
-        // With no horizon (the common case) popping directly saves a full
-        // peek — queue emptiness is what `pop` reports anyway.
-        let ev = if let Some(u) = until {
-            let Some(t) = sim.events.peek_time() else {
-                break;
-            };
-            if t > u {
-                sim.now = u;
-                break;
+        if let Some(u) = until {
+            match sim.events.peek_time() {
+                None => break,
+                Some(t) if t > u => {
+                    sim.now = u;
+                    break;
+                }
+                Some(_) => {}
             }
-            sim.events
-                .pop()
-                .expect("invariant: peek_time returned a pending event")
-        } else {
-            let Some(ev) = sim.events.pop() else {
-                break;
-            };
-            ev
+        }
+        let Some(ev) = sim.events.pop() else {
+            break;
         };
         sim.now = ev.time;
         sim.dispatch(driver, ev.kind);
-        // Batched dispatch: drain the same-timestamp cascade (departure →
-        // arrival → departure at a slower link, ACK fan-out, ...) without
-        // re-touching the queue head machinery. Two exits keep behaviour
-        // identical to one-pop-per-iteration: a completion must reach the
-        // driver *before* the next event (the driver may start flows, and
-        // their event sequence numbers — hence all downstream tie-breaks —
-        // depend on that ordering), and `pop_if_at` refuses any event not at
-        // exactly `sim.now` (all ≤ `until` since `t` was). Time never
-        // advances inside the batch, so `sim.now` stays correct.
-        while sim.pending_complete.is_none() {
-            let Some(ev) = sim.events.pop_if_at(sim.now) else {
-                break;
-            };
-            sim.dispatch(driver, ev.kind);
-        }
     }
     sim.deliver_completions(driver);
     sim.assert_conservation();
@@ -1505,7 +1262,7 @@ mod tests {
                 self.0.on_flow_complete(sim, rec);
                 let kept = self.0.completed.last().map(|r| (r.conn, r.finish));
                 assert_eq!(kept, Some((id, finish)));
-                assert!(sim.record(id).is_none(), "the driver owns the record");
+                assert!(sim.records.is_empty(), "the driver owns the record");
                 self.1 = self.1.max(sim.live_conns());
             }
         }
@@ -1553,8 +1310,8 @@ mod tests {
         let n = net();
         let mut sim = Simulator::new(&n, SimConfig::default());
         let unissued = |sim: &Simulator| ConnId(u32::try_from(sim.n_conns()).unwrap());
+        let recorded = |sim: &Simulator, id| sim.records.iter().any(|r| r.conn == id);
         assert!(sim.conn(unissued(&sim)).is_none());
-        assert!(sim.record(unissued(&sim)).is_none());
         let routes = vec![route_for(&n, HostId(0), HostId(15), 0)];
         sim.start_flow(FlowSpec {
             src: HostId(0),
@@ -1565,10 +1322,10 @@ mod tests {
             owner_tag: 0,
         });
         run_to_completion(&mut sim);
-        assert!(sim.record(ConnId(0)).is_some());
+        assert!(recorded(&sim, ConnId(0)));
         assert!(sim.conn(unissued(&sim)).is_none());
-        assert!(sim.record(unissued(&sim)).is_none());
-        assert!(sim.record(ConnId(u32::MAX)).is_none());
+        assert!(!recorded(&sim, unissued(&sim)));
+        assert!(sim.conn(ConnId(u32::MAX)).is_none());
     }
 
     #[test]

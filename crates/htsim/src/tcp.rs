@@ -1,4 +1,4 @@
-//! TCP and MPTCP sender/receiver state.
+//! TCP and MPTCP sender/receiver state, and every transition of it.
 //!
 //! The transport model is packet-granular, as in htsim: sequence numbers
 //! count MTU-sized packets, ACKs are cumulative per subflow, and congestion
@@ -6,19 +6,31 @@
 //! provided:
 //!
 //! * [`CcAlgo::Reno`] — NewReno-style slow start / AIMD / fast retransmit
-//!   with window inflation (the paper's "TCP");
+//!   with window inflation (the paper's "TCP"; over several routes, uncoupled
+//!   MPTCP);
 //! * [`CcAlgo::Lia`] — the MPTCP Linked-Increases Algorithm of RFC 6356 /
 //!   Wischik et al. \[43\], coupling the additive increase across subflows
 //!   (the paper's "MPTCP");
-//! * [`CcAlgo::Uncoupled`] — each subflow runs an independent Reno increase
-//!   (an ablation: uncoupled MPTCP is unfair but a useful comparison).
+//! * [`CcAlgo::Dctcp`] — ECN-driven, fraction-proportional window cuts.
 //!
 //! A connection with one subflow under `Reno` is plain TCP; a connection
 //! with K subflows under `Lia` is MPTCP over K paths. The retransmission
 //! timer uses the paper's datacenter tuning (10 ms minimum RTO, following
 //! DCTCP \[6\]).
+//!
+//! This module owns the state machine; the engine (`sim.rs`) owns events,
+//! queues, packets and telemetry. Three entry points change sender state,
+//! and each tells the engine what to do next:
+//!
+//! * `Connection::on_ack` — RTT sample, NewReno fast retransmit and partial
+//!   ACKs, slow start, the Reno/LIA increase and the DCTCP cut; the flow
+//!   finishes, or the engine pumps.
+//! * `Connection::on_timeout` — the lazy re-arm, backoff, the go-back-N
+//!   rewind, and a dead subflow's reclaimed data.
+//! * `Connection::next_send` — the pump's next packet on a subflow: point
+//!   retransmits, then go-back-N resends, then fresh data.
 
-use crate::packet::ConnId;
+use crate::packet::{ConnId, Packet};
 use crate::time::SimTime;
 use pnet_topology::{HostId, LinkId};
 use std::cmp::Reverse;
@@ -27,13 +39,11 @@ use std::collections::{BinaryHeap, VecDeque};
 /// Congestion-control algorithm of a connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CcAlgo {
-    /// NewReno single-path behaviour on every subflow (standard TCP when the
-    /// connection has one subflow).
+    /// NewReno single-path behaviour on every subflow: standard TCP with one
+    /// subflow, uncoupled MPTCP with several.
     Reno,
     /// RFC 6356 Linked Increases (MPTCP's coupled congestion control).
     Lia,
-    /// Independent Reno per subflow (ablation).
-    Uncoupled,
     /// DCTCP (Alizadeh et al., SIGCOMM 2010 \[6\]): ECN-based congestion
     /// control with a fraction-proportional window cut. The incast-aware
     /// transport the paper points to for P-Net incast scenarios (section
@@ -137,9 +147,9 @@ pub struct Subflow {
     /// Of those, packets whose ACK carried ECN-Echo.
     pub dctcp_marked: u64,
     /// The observation window ends when `snd_una` passes this sequence.
-    /// Seeded by the simulator at first transmission to cover the whole
-    /// initial flight (left at 0 the very first ACK would close a
-    /// degenerate one-sample window).
+    /// Seeded by `Connection::next_send` to cover the whole initial flight
+    /// (left at 0 the very first ACK would close a degenerate one-sample
+    /// window).
     pub dctcp_window_end: u64,
     /// At most one multiplicative cut per window.
     pub dctcp_cut_this_window: bool,
@@ -209,11 +219,13 @@ impl Subflow {
     }
 
     /// Become a fresh subflow over `route` (its reverse carries the ACKs),
-    /// keeping this subflow's buffers: the retransmit queue, the reorder
-    /// heap and both routes. How a retired connection's slot is reused;
-    /// once the buffers are warm, it allocates nothing.
-    pub fn recycle(&mut self, route: &[LinkId], cfg: &TcpConfig) {
+    /// starting at `now` under window cap `cwnd_cap`, and keeping this
+    /// subflow's buffers: the retransmit queue, the reorder heap and both
+    /// routes. How a retired connection's slot is reused; once the buffers
+    /// are warm, it allocates nothing.
+    pub fn recycle(&mut self, route: &[LinkId], cwnd_cap: f64, now: SimTime, cfg: &TcpConfig) {
         let old = std::mem::replace(self, Subflow::new(Vec::new(), Vec::new(), cfg));
+        (self.cwnd_cap, self.last_progress) = (cwnd_cap, now);
         (self.rtx_queue, self.ooo, self.route, self.rev_route) =
             (old.rtx_queue, old.ooo, old.route, old.rev_route);
         self.rtx_queue.clear();
@@ -261,6 +273,14 @@ impl Subflow {
         )]
         let rto_ps = (self.srtt_ps + 4.0 * self.rttvar_ps) as u64;
         self.rto = SimTime::from_ps(rto_ps).max(cfg.min_rto).min(cfg.max_rto);
+    }
+
+    /// Arm the retransmission timer at `now`: its deadline, and the token
+    /// that tells this arming from stale ones.
+    pub(crate) fn arm_timer(&mut self, now: SimTime, cfg: &TcpConfig) -> (SimTime, u64) {
+        self.timer_token += 1;
+        self.timer_armed = true;
+        (now + self.effective_rto(cfg), self.timer_token)
     }
 
     /// Effective timeout with exponential backoff.
@@ -417,7 +437,7 @@ impl Connection {
     pub fn ca_increase(&self, i: usize, cfg: &TcpConfig) -> f64 {
         let sub = &self.subflows[i];
         match self.cc {
-            CcAlgo::Reno | CcAlgo::Uncoupled | CcAlgo::Dctcp => 1.0 / sub.cwnd.max(1.0),
+            CcAlgo::Reno | CcAlgo::Dctcp => 1.0 / sub.cwnd.max(1.0),
             CcAlgo::Lia => {
                 let total: f64 = self
                     .subflows
@@ -429,6 +449,208 @@ impl Connection {
                 (alpha / total.max(1.0)).min(1.0 / sub.cwnd.max(1.0))
             }
         }
+    }
+}
+
+/// What the engine does after [`Connection::on_ack`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum AckVerdict {
+    /// Nothing: the subflow is dead, its data re-injected elsewhere.
+    Ignore,
+    /// Every packet is acknowledged: the flow completes.
+    Finish,
+    /// Send what the windows now allow.
+    Pump,
+}
+
+/// What the engine does after [`Connection::on_timeout`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Rto {
+    /// Nothing: a stale token, or nothing outstanding (the timer disarms).
+    Ignore,
+    /// Progress since arming: the same timer again at this deadline.
+    Rearm(SimTime),
+    /// A genuine timeout, now at this backoff: trace it and pump. With
+    /// `reclaimed`, the subflow died and handed back that many packets; it
+    /// gets no timer. Else the timer re-arms unless the pump armed it.
+    Fired {
+        backoff: u32,
+        reclaimed: Option<u64>,
+    },
+}
+
+impl Connection {
+    /// Sender side of `ack`, arriving at `now` on its subflow.
+    pub(crate) fn on_ack(&mut self, ack: Packet, now: SimTime, cfg: &TcpConfig) -> AckVerdict {
+        let (cum, ece) = (ack.seq, ack.has(Packet::CE));
+        let (si, cc) = (usize::from(ack.subflow), self.cc);
+        // One borrow of the subflow for the whole handler: ACKs are about
+        // half of all events.
+        let sub = &mut self.subflows[si];
+        if sub.dead {
+            return AckVerdict::Ignore;
+        }
+        // RTT sample (Karn: never from retransmitted segments).
+        if !ack.has(Packet::RTX) {
+            sub.rtt_sample(now.saturating_sub(ack.ts).as_ps(), cfg);
+        }
+        let snd_una = sub.snd_una;
+        if cum > snd_una {
+            let newly = cum - snd_una;
+            sub.snd_una = cum;
+            sub.resend_high = sub.resend_high.max(cum);
+            sub.backoff = 0;
+            sub.last_progress = now;
+            self.acked += newly;
+            if sub.in_recovery {
+                if cum >= sub.recover {
+                    sub.cwnd = sub.ssthresh.max(1.0);
+                    sub.in_recovery = false;
+                    sub.dupacks = 0;
+                } else {
+                    // NewReno partial ACK: retransmit the next hole, deflate.
+                    sub.rtx_queue.push_back(cum);
+                    sub.cwnd = (sub.cwnd - newly as f64 + 1.0).max(1.0);
+                }
+            } else {
+                sub.dupacks = 0;
+                // DCTCP: a fraction-proportional cut, at most once per
+                // observation window; the additive increase follows as Reno's.
+                if cc == CcAlgo::Dctcp && sub.dctcp_on_ack(newly, ece, cum) {
+                    sub.cwnd = (sub.cwnd * (1.0 - sub.dctcp_alpha / 2.0)).max(1.0);
+                    sub.ssthresh = sub.cwnd; // leave slow start
+                }
+                for _ in 0..newly {
+                    let s = &self.subflows[si];
+                    let inc = if s.cwnd < s.ssthresh {
+                        1.0 // slow start
+                    } else {
+                        self.ca_increase(si, cfg)
+                    };
+                    self.subflows[si].cwnd += inc;
+                }
+            }
+        } else if cum == snd_una && sub.outstanding() > 0 {
+            // DCTCP: a dupack still acknowledges one received data packet and
+            // carries its CE mark, which must enter the marked fraction.
+            if cc == CcAlgo::Dctcp {
+                sub.dctcp_on_dupack(ece);
+            }
+            sub.dupacks += 1;
+            if sub.dupacks == 3 && !sub.in_recovery {
+                sub.ssthresh = (sub.in_flight() as f64 / 2.0).max(2.0);
+                sub.in_recovery = true;
+                sub.recover = sub.highest_sent;
+                sub.cwnd = sub.ssthresh + 3.0;
+                sub.rtx_queue.push_back(sub.snd_una);
+            } else if sub.in_recovery {
+                sub.cwnd += 1.0; // window inflation per extra dupack
+            }
+        }
+        if self.acked >= self.size_packets {
+            AckVerdict::Finish
+        } else {
+            AckVerdict::Pump
+        }
+    }
+
+    /// Subflow `si`'s retransmission timer, armed with `token`, fired at
+    /// `now`. One event stands per subflow: progress since arming pushes the
+    /// deadline out instead of re-arming on every ACK.
+    pub(crate) fn on_timeout(
+        &mut self,
+        si: usize,
+        token: u64,
+        now: SimTime,
+        cfg: &TcpConfig,
+    ) -> Rto {
+        let sub = &mut self.subflows[si];
+        if !sub.timer_armed || sub.timer_token != token {
+            return Rto::Ignore;
+        }
+        if sub.outstanding() == 0 {
+            sub.timer_armed = false;
+            return Rto::Ignore;
+        }
+        let deadline = sub.last_progress + sub.effective_rto(cfg);
+        if now < deadline {
+            return Rto::Rearm(deadline);
+        }
+        // Rewind the pipe estimate: the pump go-back-N resends the
+        // presumed-lost window under slow start.
+        sub.timeouts += 1;
+        sub.ssthresh = (sub.in_flight() as f64 / 2.0).max(2.0);
+        sub.cwnd = 1.0;
+        sub.in_recovery = false;
+        sub.dupacks = 0;
+        sub.backoff += 1;
+        sub.rtx_queue.clear();
+        sub.resend_high = sub.snd_una;
+        sub.timer_armed = false;
+        let backoff = sub.backoff;
+        // MPTCP path-failure handling: after repeated backoffs the subflow
+        // dies and its outstanding data goes back to the live ones.
+        let live_sibling = self
+            .subflows
+            .iter()
+            .enumerate()
+            .any(|(j, s)| j != si && !s.dead);
+        let sub = &mut self.subflows[si];
+        if backoff >= cfg.dead_after_backoff && live_sibling {
+            sub.dead = true;
+            let reclaimed = sub.highest_sent - sub.snd_una;
+            sub.highest_sent = sub.snd_una;
+            self.assigned -= reclaimed;
+            return Rto::Fired {
+                backoff,
+                reclaimed: Some(reclaimed),
+            };
+        }
+        sub.last_progress = now;
+        Rto::Fired {
+            backoff,
+            reclaimed: None,
+        }
+    }
+
+    /// The next packet subflow `si` sends at `now`, as `(seq, is_rtx)`, with
+    /// the send accounted. Point retransmissions (fast retransmit, NewReno
+    /// partial ACKs) go out regardless of the window; then, while it is
+    /// open, go-back-N resends of the post-RTO hole (`resend_high ..
+    /// highest_sent`), then fresh data while the connection has some left.
+    pub(crate) fn next_send(&mut self, si: usize, now: SimTime) -> Option<(u64, bool)> {
+        let sub = &mut self.subflows[si];
+        let (seq, rtx) = loop {
+            match sub.rtx_queue.pop_front() {
+                Some(seq) if seq < sub.snd_una => {} // already cumulatively acked
+                Some(seq) => break (seq, true),
+                None if !sub.window_open() => return None,
+                None if sub.resend_high < sub.highest_sent => {
+                    sub.resend_high += 1;
+                    break (sub.resend_high - 1, true);
+                }
+                None if self.assigned < self.size_packets => {
+                    sub.highest_sent += 1;
+                    sub.resend_high += 1;
+                    self.assigned += 1;
+                    break (sub.highest_sent - 1, false);
+                }
+                None => return None,
+            }
+        };
+        sub.packets_sent += 1;
+        if rtx {
+            sub.retransmits += 1;
+            return Some((seq, rtx));
+        }
+        if self.cc == CcAlgo::Dctcp && sub.snd_una == 0 && sub.dctcp_acked == 0 {
+            // Stretch the first DCTCP observation window over the whole
+            // initial flight, which goes out before any ACK: left at 0, the
+            // first ACK would close a one-sample window and move alpha.
+            sub.dctcp_window_end = sub.highest_sent;
+        }
+        sub.last_progress = now; // fresh data is progress for the lazy RTO
+        Some((seq, rtx))
     }
 }
 
@@ -547,7 +769,7 @@ mod tests {
         }
         let lia = c.ca_increase(0, &cfg);
         assert!((lia - 1.0 / 40.0).abs() < 1e-12, "LIA increase {lia}");
-        let mut unc = conn_with(CcAlgo::Uncoupled, 2, &cfg);
+        let mut unc = conn_with(CcAlgo::Reno, 2, &cfg);
         for s in &mut unc.subflows {
             s.cwnd = 10.0;
         }
@@ -657,6 +879,208 @@ mod tests {
         s.dctcp_on_ack(1, false, 20);
         let expect = (1.0 - 1.0 / 16.0) * 1.0 + (1.0 / 16.0) * 0.6;
         assert!((s.dctcp_alpha - expect).abs() < 1e-12, "{}", s.dctcp_alpha);
+    }
+
+    /// A cumulative ACK of everything below `cum` on subflow `si`.
+    fn ack(si: u8, cum: u64, flags: u8) -> Packet {
+        Packet {
+            slot: 0,
+            hop: 0,
+            subflow: si,
+            flags: Packet::ACK | flags,
+            seq: cum,
+            ts: SimTime::ZERO,
+        }
+    }
+
+    /// Everything subflow `si` sends at `now`, as `(seq, is_rtx)`.
+    fn sends(c: &mut Connection, si: usize, now: SimTime) -> Vec<(u64, bool)> {
+        std::iter::from_fn(|| c.next_send(si, now)).collect()
+    }
+
+    /// A one-subflow Reno connection with `n` fresh packets in flight.
+    fn in_flight(n: u64, cfg: &TcpConfig) -> Connection {
+        let mut c = conn_with(CcAlgo::Reno, 1, cfg);
+        c.subflows[0].cwnd = n as f64;
+        let fresh: Vec<(u64, bool)> = (0..n).map(|seq| (seq, false)).collect();
+        assert_eq!(sends(&mut c, 0, SimTime::ZERO), fresh);
+        c
+    }
+
+    #[test]
+    fn three_dupacks_halve_the_flight_and_retransmit_the_hole() {
+        let cfg = TcpConfig::default();
+        let t = SimTime::from_us(30);
+        let mut c = in_flight(20, &cfg);
+        for _ in 0..2 {
+            assert_eq!(c.on_ack(ack(0, 0, 0), t, &cfg), AckVerdict::Pump);
+        }
+        assert_eq!(
+            (c.subflows[0].cwnd, c.subflows[0].in_recovery),
+            (20.0, false)
+        );
+        c.on_ack(ack(0, 0, 0), t, &cfg);
+        let s = &c.subflows[0];
+        assert_eq!((s.ssthresh, s.cwnd, s.recover), (10.0, 13.0, 20));
+        assert!(s.in_recovery);
+        // The hole goes out though 20 in flight exceed the window of 13.
+        assert_eq!(sends(&mut c, 0, t), [(0, true)]);
+        c.on_ack(ack(0, 0, 0), t, &cfg);
+        assert_eq!(c.subflows[0].cwnd, 14.0, "each further dupack inflates");
+        // A flight of three halves to the floor of two.
+        let mut c = in_flight(3, &cfg);
+        for _ in 0..3 {
+            c.on_ack(ack(0, 0, 0), t, &cfg);
+        }
+        assert_eq!((c.subflows[0].ssthresh, c.subflows[0].cwnd), (2.0, 5.0));
+    }
+
+    #[test]
+    fn a_partial_ack_deflates_and_queues_the_next_hole() {
+        let cfg = TcpConfig::default();
+        let t = SimTime::from_us(30);
+        let mut c = in_flight(20, &cfg);
+        for _ in 0..3 {
+            c.on_ack(ack(0, 0, 0), t, &cfg);
+        }
+        assert_eq!(sends(&mut c, 0, t), [(0, true)]);
+        // 5 of the 20 arrive: cwnd 13 deflates by 5, plus one.
+        c.on_ack(ack(0, 5, Packet::RTX), t, &cfg);
+        let s = &c.subflows[0];
+        assert_eq!((s.cwnd, s.snd_una, s.in_recovery), (9.0, 5, true));
+        assert_eq!(sends(&mut c, 0, t), [(5, true)]);
+        // Reaching `recover` ends recovery at ssthresh.
+        c.on_ack(ack(0, 20, Packet::RTX), t, &cfg);
+        let s = &c.subflows[0];
+        assert_eq!((s.cwnd, s.in_recovery, s.dupacks), (10.0, false, 0));
+    }
+
+    #[test]
+    fn an_rto_collapses_the_window_and_rewinds_the_pipe() {
+        let cfg = TcpConfig::default();
+        let mut c = in_flight(10, &cfg);
+        c.on_ack(ack(0, 2, 0), SimTime::from_us(30), &cfg);
+        let (deadline, token) = c.subflows[0].arm_timer(SimTime::from_us(30), &cfg);
+        assert_eq!(deadline, SimTime::from_us(30) + cfg.min_rto);
+        // Progress at 30 us moved the deadline past the one armed at 0.
+        let early = SimTime::from_ms(10);
+        assert_eq!(c.on_timeout(0, token, early, &cfg), Rto::Rearm(deadline));
+        assert_eq!(c.on_timeout(0, token + 1, deadline, &cfg), Rto::Ignore);
+        let fired = Rto::Fired {
+            backoff: 1,
+            reclaimed: None,
+        };
+        assert_eq!(c.on_timeout(0, token, deadline, &cfg), fired);
+        let s = &c.subflows[0];
+        assert_eq!((s.cwnd, s.ssthresh, s.backoff), (1.0, 4.0, 1));
+        assert_eq!(
+            (s.resend_high, s.highest_sent, s.last_progress),
+            (2, 10, deadline)
+        );
+        assert!(!s.timer_armed && !s.in_recovery);
+        // Go-back-N from `snd_una`, one packet under the collapsed window.
+        assert_eq!(sends(&mut c, 0, deadline), [(2, true)]);
+        assert_eq!(c.subflows[0].effective_rto(&cfg), cfg.min_rto + cfg.min_rto);
+        // New data acknowledged ends the backoff.
+        c.on_ack(ack(0, 3, Packet::RTX), deadline, &cfg);
+        assert_eq!(c.subflows[0].backoff, 0);
+    }
+
+    #[test]
+    fn a_subflow_dies_only_beside_a_live_sibling_and_hands_back_its_data() {
+        let cfg = TcpConfig::default();
+        let time_out = |c: &mut Connection, until: u32| {
+            let mut last = Rto::Ignore;
+            for _ in 0..until {
+                let now = SimTime::from_secs(1 + c.subflows[0].timeouts);
+                let (_, token) = c.subflows[0].arm_timer(now, &cfg);
+                last = c.on_timeout(0, token, now + cfg.max_rto, &cfg);
+            }
+            last
+        };
+        let mut c = conn_with(CcAlgo::Lia, 2, &cfg);
+        assert_eq!(sends(&mut c, 0, SimTime::ZERO).len(), 10);
+        assert_eq!(sends(&mut c, 1, SimTime::ZERO).len(), 10);
+        c.on_ack(ack(0, 4, 0), SimTime::from_us(30), &cfg);
+        assert_eq!(c.assigned, 20);
+        let backoffs = cfg.dead_after_backoff;
+        let sick = time_out(&mut c, backoffs - 1);
+        assert!(matches!(
+            sick,
+            Rto::Fired {
+                reclaimed: None,
+                ..
+            }
+        ));
+        assert!(!c.subflows[0].dead);
+        let died = Rto::Fired {
+            backoff: backoffs,
+            reclaimed: Some(6),
+        };
+        assert_eq!(time_out(&mut c, 1), died);
+        let s = &c.subflows[0];
+        assert!(s.dead);
+        assert_eq!((s.snd_una, s.highest_sent, s.resend_high), (4, 4, 4));
+        assert_eq!(c.assigned, 14, "the 6 unacknowledged packets go back");
+        assert_eq!(c.next_send(0, SimTime::from_secs(9)), None);
+        let late = c.on_ack(ack(0, 10, 0), SimTime::from_secs(9), &cfg);
+        assert_eq!(late, AckVerdict::Ignore);
+        // Alone, or beside a dead sibling, a subflow backs off forever.
+        for dead_sibling in [false, true] {
+            let mut c = conn_with(CcAlgo::Lia, 1 + usize::from(dead_sibling), &cfg);
+            if dead_sibling {
+                c.subflows[1].dead = true;
+            }
+            assert_eq!(sends(&mut c, 0, SimTime::ZERO).len(), 10);
+            let fired = time_out(&mut c, backoffs + 2);
+            assert!(matches!(
+                fired,
+                Rto::Fired {
+                    reclaimed: None,
+                    ..
+                }
+            ));
+            assert!(!c.subflows[0].dead);
+            assert_eq!(c.assigned, 10);
+        }
+    }
+
+    #[test]
+    fn dctcp_cuts_by_half_alpha_once_per_window() {
+        let cfg = TcpConfig::default();
+        let t = SimTime::from_us(30);
+        let mut c = conn_with(CcAlgo::Dctcp, 1, &cfg);
+        c.subflows[0].cwnd = 20.0;
+        assert_eq!(sends(&mut c, 0, SimTime::ZERO).len(), 20);
+        assert_eq!(c.subflows[0].dctcp_window_end, 20, "spans the first flight");
+        // The first mark cuts by alpha / 2 (alpha starts at 1), leaves slow
+        // start, and the ACK's own increase follows.
+        c.on_ack(ack(0, 1, Packet::CE), t, &cfg);
+        let cut = 20.0 * (1.0 - 1.0 / 2.0);
+        assert_eq!(c.subflows[0].ssthresh, cut);
+        assert_eq!(c.subflows[0].cwnd, cut + 1.0 / cut);
+        // Further marks in the window only increase.
+        let cwnd = c.subflows[0].cwnd;
+        c.on_ack(ack(0, 2, Packet::CE), t, &cfg);
+        assert_eq!(c.subflows[0].cwnd, cwnd + 1.0 / cwnd);
+        // Closing the window folds its marked fraction into alpha...
+        c.on_ack(ack(0, 20, 0), t, &cfg);
+        let alpha = c.subflows[0].dctcp_alpha;
+        assert_eq!(alpha, (1.0 - 1.0 / 16.0) + 1.0 / 16.0 * (2.0 / 20.0));
+        // ...the next ACK opens a window over what is now in flight...
+        assert!(!sends(&mut c, 0, t).is_empty());
+        c.on_ack(ack(0, 21, 0), t, &cfg);
+        assert_eq!(c.subflows[0].dctcp_alpha, (1.0 - 1.0 / 16.0) * alpha);
+        let alpha = c.subflows[0].dctcp_alpha;
+        assert!(c.subflows[0].dctcp_window_end > 23);
+        // ...whose first mark cuts by the new alpha, and only the first.
+        let cwnd = c.subflows[0].cwnd;
+        c.on_ack(ack(0, 22, Packet::CE), t, &cfg);
+        let cut = cwnd * (1.0 - alpha / 2.0);
+        assert_eq!(c.subflows[0].cwnd, cut + 1.0 / cut);
+        c.on_ack(ack(0, 23, Packet::CE), t, &cfg);
+        let cwnd = cut + 1.0 / cut;
+        assert_eq!(c.subflows[0].cwnd, cwnd + 1.0 / cwnd);
     }
 
     #[test]

@@ -528,8 +528,8 @@ impl Telemetry {
     ///
     /// A `Some(0)` sampler interval is normalized to `None` (samplers off):
     /// a zero-delta sampler would re-arm itself at its own timestamp and the
-    /// event loop's batched same-time dispatch would pop it forever — an
-    /// infinite loop that never advances the clock. Every arm site
+    /// run loop would pop it forever — an infinite loop that never advances
+    /// the clock. Every arm site
     /// (`Simulator::new`, `start_flow`, the tick itself) reads the interval
     /// from this config, so normalizing here covers them all.
     pub fn new(net: &Network, mut cfg: TelemetryConfig) -> Telemetry {

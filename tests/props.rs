@@ -825,7 +825,7 @@ proptest! {
                         peak_pending = peak_pending.max(model.len());
                     }
                 }
-                9..=11 => {
+                _ => {
                     prop_assert_eq!(
                         q.peek_time(),
                         model.peek().map(|Reverse((t, _))| SimTime::from_ps(*t))
@@ -833,19 +833,6 @@ proptest! {
                     let want = model.pop().map(|Reverse(e)| e);
                     if let Some(t) = check_pop(q.pop(), want)? {
                         now = t;
-                        unstage(&mut slots, t);
-                    }
-                }
-                // The batched-dispatch fast path: pop only events at exactly now.
-                _ => {
-                    let head_is_now =
-                        model.peek().is_some_and(|Reverse((t, _))| *t == now);
-                    let want = if head_is_now {
-                        model.pop().map(|Reverse(e)| e)
-                    } else {
-                        None
-                    };
-                    if let Some(t) = check_pop(q.pop_if_at(SimTime::from_ps(now)), want)? {
                         unstage(&mut slots, t);
                     }
                 }

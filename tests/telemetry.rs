@@ -198,8 +198,8 @@ fn ecn_marks_are_traced_under_dctcp_incast() {
 }
 
 /// Regression: a zero sampler interval used to schedule a self-rearming
-/// `TelemetrySample` at its own timestamp — an infinite same-time loop under
-/// batched dispatch, so `run_to_completion` never returned. The config layer
+/// `TelemetrySample` at its own timestamp — an infinite same-time loop, so
+/// `run_to_completion` never returned. The config layer
 /// now normalizes `Some(0)` to "samplers off"; this test hangs pre-fix.
 #[test]
 fn zero_sample_interval_disables_samplers_instead_of_livelocking() {
@@ -536,7 +536,7 @@ fn subflow_samples_follow_connection_ids_not_recycled_slots() {
             if rec.owner_tag + 6 < self.1 {
                 self.start(sim, rec.owner_tag + 6);
             }
-            sim.keep_record(rec);
+            sim.records.push(rec);
         }
     }
     let n = net(2);
