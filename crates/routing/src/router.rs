@@ -12,7 +12,7 @@
 //! Both are one search (`tier_search`): paths by length tier, the
 //! first tier for ECMP, as many tiers as K takes for KSP.
 //!
-//! Path computation is a pure function of the plane-graph snapshot, so the
+//! Path computation is a pure function of the plane graphs, so the
 //! route table is filled either lazily, one entry per missed lookup, or in
 //! bulk by [`Router::precompute_with`], which fans per-(shape class, src)
 //! batches across threads. A table entry stores its links as
@@ -29,18 +29,15 @@
 //! ## Link churn and incremental repair
 //!
 //! Under link churn the router does not start over: [`Router::refresh`]
-//! diffs the network against the current snapshot and repairs exactly the
-//! cached entries that link delta can affect (falling back to a full rebuild
-//! only when the change is not expressible as a link delta).
+//! diffs the network against its plane graphs and repairs exactly the
+//! cached entries that link delta can affect.
 //!
-//! The plane-graph snapshot and the dense `(plane, src, dst)` table sit
-//! behind one `RwLock`; every method takes `&self`. A hit
-//! indexes under the read lock. A fill clones the snapshot `Arc` under the
-//! read lock, computes outside it, and commits under the write lock only if
-//! the router still holds that very snapshot (`Arc::ptr_eq`), else starts
-//! over. `refresh` holds the write lock from the diff to the last repaired
-//! commit: refreshes serialize against each other, and no reader ever sees
-//! a half-repaired table.
+//! The plane graphs and the dense `(plane, src, dst)` table sit behind one
+//! `RwLock`; every method takes `&self`. A hit indexes under the read lock.
+//! Everything that writes — a missed lookup's fill, a bulk fill, a refresh
+//! from the diff to the last repaired commit — holds the write lock, so
+//! writers apply one after the other and no reader ever sees a table that
+//! disagrees with the plane graphs.
 
 use crate::exec::Parallelism;
 use crate::fnv::Fnv;
@@ -117,8 +114,6 @@ fn cable_of(link: LinkId) -> LinkId {
 /// Outcome of one [`Router::refresh`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeltaStats {
-    /// Router epoch after the operation (bumped once per applied change).
-    pub epoch: u64,
     /// Plane graphs rebuilt (only the planes touched by the delta).
     pub planes_rebuilt: usize,
     /// Table slots read to find the affected entries: `racks²` per plane
@@ -129,15 +124,15 @@ pub struct DeltaStats {
     /// Cached entries left untouched (their `Arc`s are byte-identical and
     /// pointer-identical to before the delta).
     pub entries_reused: usize,
-    /// True when the change was not expressible as a link delta and the
-    /// whole table was dropped instead (see [`Router::refresh`]).
+    /// Always `false`: a refresh only ever repairs. Kept because the
+    /// standalone benchmark reads it.
     pub full_rebuild: bool,
 }
 
 /// Everything a lookup, a fill or a repair touches, under one lock: the
-/// plane-graph snapshot and the dense route table computed from it.
+/// plane graphs and the dense route table computed from them.
 struct State {
-    planes: Arc<Vec<PlaneGraph>>,
+    planes: Vec<PlaneGraph>,
     /// [`shape_classes`] of `planes`.
     classes: Vec<usize>,
     /// Racks per plane; the table holds `planes · racks²` slots.
@@ -147,23 +142,20 @@ struct State {
     slots: Vec<Option<Arc<PathSet>>>,
     /// Slots holding a path set.
     entries: usize,
-    /// 0 at construction, +1 per refresh that found a change.
-    epoch: u64,
 }
 
 impl State {
     /// An empty table over a fresh extraction of every plane of `net`.
-    fn build(net: &Network, epoch: u64) -> State {
+    fn build(net: &Network) -> State {
         let planes = PlaneGraph::build_all(net);
         let racks = planes.first().map_or(0, |pg| pg.n_racks());
         let n_slots = planes.len() * racks * racks;
         State {
             classes: shape_classes(&planes),
-            planes: Arc::new(planes),
+            planes,
             racks,
             slots: vec![None; n_slots],
             entries: 0,
-            epoch,
         }
     }
 
@@ -213,7 +205,7 @@ impl Router {
     pub fn new(net: &Network, algo: RouteAlgo) -> Self {
         Router {
             algo,
-            state: RwLock::new(State::build(net, 0)),
+            state: RwLock::new(State::build(net)),
         }
     }
 
@@ -249,18 +241,6 @@ impl Router {
     /// Racks served by the network.
     pub fn n_racks(&self) -> usize {
         self.read().racks
-    }
-
-    /// The current plane-graph snapshot (e.g. for custom analyses). The
-    /// returned `Arc` stays internally consistent even if a refresh swaps the
-    /// router to a newer snapshot concurrently.
-    pub fn plane_graphs(&self) -> Arc<Vec<PlaneGraph>> {
-        Arc::clone(&self.read().planes)
-    }
-
-    /// The current epoch: 0 at construction, +1 per refresh that found a change.
-    pub fn epoch(&self) -> u64 {
-        self.read().epoch
     }
 
     /// Route-table entries currently materialized.
@@ -300,34 +280,32 @@ impl Router {
         with_thread_scratch(|scratch| tier_search::route_set(pg, algo, src, dst, scratch))
     }
 
-    /// The path set of every slot in `slots`, in no particular order. `slots`
-    /// must be ascending: that puts the slots of one (plane, src) next to
-    /// each other. The runs of one (shape class, src) — `classes` being
-    /// [`shape_classes`] of `planes` — are one batched computation, on the
-    /// lowest plane among them, for the union of their destinations, and
-    /// every plane of the group gets the same `Arc` per destination. Groups
-    /// fan out across threads.
+    /// The path set of every slot in `slots`, computed on `st`'s plane
+    /// graphs, in no particular order. `slots` must be ascending: that puts
+    /// the slots of one (plane, src) next to each other. The runs of one
+    /// (shape class, src) are one batched computation, on the lowest plane
+    /// among them, for the union of their destinations, and every plane of
+    /// the group gets the same `Arc` per destination. Groups fan out across
+    /// threads.
     ///
     /// The result equals per-key `compute` on each plane's own graph: the
     /// searches read neighbours, hop counts and link ids, and planes
     /// of one class differ only in the base their link ids count from, which
     /// a set does not store.
-    fn fill(
-        &self,
-        planes: &[PlaneGraph],
-        classes: &[usize],
-        racks: usize,
-        slots: &[usize],
-        par: Parallelism,
-    ) -> Vec<(usize, Arc<PathSet>)> {
-        let keys: Vec<_> = slots.iter().map(|&slot| key_of(racks, slot)).collect();
+    ///
+    /// Callers hold the write lock across the fan-out. That cannot deadlock:
+    /// the pool's jobs read only `st`'s plane graphs, never the lock, and a
+    /// fan-out issued while the pool is busy runs inline on the caller
+    /// (`vendor/rayon`).
+    fn fill(&self, st: &State, slots: &[usize], par: Parallelism) -> Vec<(usize, Arc<PathSet>)> {
+        let keys: Vec<_> = slots.iter().map(|&slot| key_of(st.racks, slot)).collect();
         let dsts: Vec<RackId> = keys.iter().map(|key| key.2).collect();
         let mut runs: Vec<Run> = Vec::new();
         for run in keys.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
             let (plane, src, _) = run[0];
             let at = runs.last().map_or(0, |prev| prev.at.end);
             runs.push(Run {
-                class: classes[plane.index()],
+                class: st.classes[plane.index()],
                 src,
                 plane,
                 at: at..at + run.len(),
@@ -340,7 +318,7 @@ impl Router {
             .collect();
         let computed = par.map_indexed(groups.len(), |i| {
             let lead = &groups[i][0];
-            let pg = &planes[lead.plane.index()];
+            let pg = &st.planes[lead.plane.index()];
             let wanted = groups[i].iter().flat_map(|run| &dsts[run.at.clone()]);
             let mut batch: Vec<RackId> = wanted.copied().collect();
             batch.sort_unstable();
@@ -360,29 +338,23 @@ impl Router {
     /// miss takes the set another plane of the shape class already holds,
     /// and computes only when none does.
     pub fn paths_in_plane(&self, plane: PlaneId, src: RackId, dst: RackId) -> PlanePaths {
-        loop {
-            let (planes, twin) = {
-                let st = self.read();
-                let slot = slot_of(st.racks, plane, src, dst);
-                if let Some(hit) = st.view(slot) {
-                    return hit;
-                }
-                (Arc::clone(&st.planes), st.class_twin(slot))
-            };
-            let set = twin.unwrap_or_else(|| {
-                Arc::new(Self::compute(&planes[plane.index()], self.algo, src, dst))
-            });
-            let mut st = self.write();
-            if !Arc::ptr_eq(&st.planes, &planes) {
-                continue; // a delta landed mid-compute; redo on the new snapshot
+        {
+            let st = self.read();
+            if let Some(hit) = st.view(slot_of(st.racks, plane, src, dst)) {
+                return hit;
             }
-            let slot = slot_of(st.racks, plane, src, dst);
-            // First writer wins so repeat lookups keep returning the same Arc.
-            if st.slots[slot].is_none() {
-                st.commit(slot, set);
-            }
-            return st.view(slot).expect("invariant: the slot was just filled");
         }
+        let mut st = self.write();
+        let slot = slot_of(st.racks, plane, src, dst);
+        // Another writer may have filled the slot between the two locks. The
+        // first one wins, so repeat lookups keep returning the same `Arc`.
+        if st.slots[slot].is_none() {
+            let pg = &st.planes[plane.index()];
+            let set = (st.class_twin(slot))
+                .unwrap_or_else(|| Arc::new(Self::compute(pg, self.algo, src, dst)));
+            st.commit(slot, set);
+        }
+        st.view(slot).expect("invariant: the slot was just filled")
     }
 
     /// Bulk-fill the route table for every (plane, src, dst) combination of
@@ -390,36 +362,22 @@ impl Router {
     /// threads. The resulting table is identical to serially
     /// computing each entry.
     pub fn precompute_with(&self, pairs: &[(RackId, RackId)], par: Parallelism) {
-        loop {
-            // Skip slots that are already materialized: precompute after
-            // lazy use must not replace Arcs callers may have compared by
-            // pointer.
-            let (planes, classes, racks, mut todo) = {
-                let st = self.read();
-                let mut todo: Vec<usize> = Vec::new();
-                for &(src, dst) in pairs {
-                    for p in 0..st.planes.len() {
-                        let slot = slot_of(st.racks, PlaneId(p as u16), src, dst);
-                        if st.slots[slot].is_none() {
-                            todo.push(slot);
-                        }
-                    }
-                }
-                (Arc::clone(&st.planes), st.classes.clone(), st.racks, todo)
-            };
-            todo.sort_unstable();
-            todo.dedup();
-            let computed = self.fill(&planes, &classes, racks, &todo, par);
-            let mut st = self.write();
-            if !Arc::ptr_eq(&st.planes, &planes) {
-                continue; // results are stale against the new snapshot
-            }
-            for (slot, set) in computed {
+        let mut st = self.write();
+        // Skip slots that are already materialized: precompute after lazy
+        // use must not replace Arcs callers may have compared by pointer.
+        let mut todo: Vec<usize> = Vec::new();
+        for &(src, dst) in pairs {
+            for p in 0..st.planes.len() {
+                let slot = slot_of(st.racks, PlaneId(p as u16), src, dst);
                 if st.slots[slot].is_none() {
-                    st.commit(slot, set);
+                    todo.push(slot);
                 }
             }
-            return;
+        }
+        todo.sort_unstable();
+        todo.dedup();
+        for (slot, set) in self.fill(&st, &todo, par) {
+            st.commit(slot, set);
         }
     }
 
@@ -474,7 +432,7 @@ impl Router {
     }
 
     /// Repair the locked table for `delta`, the diff of `net` against the
-    /// snapshot `st` holds. Only the planes touched by the delta are
+    /// plane graphs `st` holds. Only the planes touched by the delta are
     /// re-extracted, and only the cached entries the delta can affect are
     /// recomputed:
     ///
@@ -495,22 +453,18 @@ impl Router {
     /// recomputed one equal to another plane's takes that plane's `Arc`.
     /// Recomputation reuses the batched path search, so the repaired
     /// table equals a from-scratch rebuild of the new topology (see
-    /// `tests/props.rs`). Bumps the epoch once.
+    /// `tests/props.rs`).
     fn repair(&self, st: &mut State, net: &Network, delta: &LinkDelta) -> DeltaStats {
         let down: BTreeSet<LinkId> = delta.down.iter().map(|&l| cable_of(l)).collect();
         let up: BTreeSet<LinkId> = delta.up.iter().map(|&l| cable_of(l)).collect();
 
-        // Swap in a snapshot with the touched planes re-extracted. Fills that
-        // computed against the old one no longer pass their `ptr_eq` check.
+        // Re-extract the touched planes in place.
         let touched: BTreeSet<PlaneId> =
             down.iter().chain(&up).map(|&c| net.link(c).plane).collect();
-        let mut rebuilt: Vec<PlaneGraph> = (*st.planes).clone();
         for &p in &touched {
-            rebuilt[p.index()] = PlaneGraph::build(net, p);
+            st.planes[p.index()] = PlaneGraph::build(net, p);
         }
-        st.classes = shape_classes(&rebuilt);
-        st.planes = Arc::new(rebuilt);
-        st.epoch += 1;
+        st.classes = shape_classes(&st.planes);
 
         // Affected slots, plane by plane: the sets through a down cable, and
         // those the BFS lower bound says an up cable can improve.
@@ -568,14 +522,11 @@ impl Router {
         }
         affected.sort_unstable();
 
-        // Recompute the affected slots against the new snapshot and overwrite.
-        let par = Parallelism::default();
-        let computed = self.fill(&st.planes, &st.classes, st.racks, &affected, par);
-        for (slot, set) in computed {
+        // Recompute the affected slots on the new plane graphs and overwrite.
+        for (slot, set) in self.fill(st, &affected, Parallelism::default()) {
             st.commit(slot, set);
         }
         DeltaStats {
-            epoch: st.epoch,
             planes_rebuilt: touched.len(),
             slots_scanned,
             entries_repaired: affected.len(),
@@ -586,73 +537,48 @@ impl Router {
 
     /// Bring the router up to date with `net` after link state changed.
     ///
-    /// When the change is expressible as a link delta against the current
-    /// snapshot — same planes, same switch rosters, only link up/down
-    /// membership differs — only the entries that delta can affect are
-    /// recomputed and every other cached `Arc` stays intact (the rules are
-    /// on `repair`). The delta is computed from `net` itself, so the repaired
-    /// table always equals a rebuild. Otherwise (plane count or switch
-    /// roster changed, i.e. the router was handed a structurally different
-    /// network) it drops the whole table and re-extracts every plane graph.
-    /// The returned [`DeltaStats`] says which route was taken
-    /// (`full_rebuild`). Holds the write lock from the diff to the last
+    /// `net` must be the network the router was built on, up to link state:
+    /// the same planes with the same switches. Only the entries the link
+    /// delta can affect are recomputed and every other cached `Arc` stays
+    /// intact (the rules are on `repair`); an empty delta returns at once.
+    /// The delta is computed from `net` itself, so the repaired table always
+    /// equals a rebuild. Holds the write lock from the diff to the last
     /// commit, so concurrent refreshes apply one after the other.
     pub fn refresh(&self, net: &Network) -> DeltaStats {
         let mut st = self.write();
-        match Self::diff_links(&st.planes, net) {
-            Some(delta) if delta.is_empty() => DeltaStats {
-                epoch: st.epoch,
+        let delta = Self::diff_links(&st.planes, net);
+        if delta.is_empty() {
+            return DeltaStats {
                 planes_rebuilt: 0,
                 slots_scanned: 0,
                 entries_repaired: 0,
                 entries_reused: st.entries,
                 full_rebuild: false,
-            },
-            Some(delta) => self.repair(&mut st, net, &delta),
-            None => {
-                // Nothing cached survives a structural change, and the table
-                // takes the new network's dimensions.
-                *st = State::build(net, st.epoch + 1);
-                DeltaStats {
-                    epoch: st.epoch,
-                    planes_rebuilt: st.planes.len(),
-                    slots_scanned: 0,
-                    entries_repaired: 0,
-                    entries_reused: 0,
-                    full_rebuild: true,
-                }
-            }
+            };
         }
+        self.repair(&mut st, net, &delta)
     }
 
-    /// Diff `net`'s fabric-link membership against the snapshot `planes`.
-    /// `Some(delta)` when the network has the same plane count and switch
-    /// rosters and only link up/down state differs; `None` when the change
-    /// is structural and needs a full rebuild.
-    fn diff_links(planes: &[PlaneGraph], net: &Network) -> Option<LinkDelta> {
-        let net_planes: Vec<PlaneId> = net.planes().collect();
-        if planes.len() != net_planes.len() {
-            return None;
-        }
-        for (pg, &p) in planes.iter().zip(&net_planes) {
-            if pg.plane != p {
-                return None;
-            }
-            // Switch roster must match: every in-plane switch of `net` is in
-            // the graph, and the graph has no extras.
-            let mut n_switches = 0usize;
-            for (id, node) in net.nodes() {
-                if node.kind.is_switch() && node.plane == Some(p) {
-                    n_switches += 1;
-                    pg.dense(id)?;
-                }
-            }
-            if n_switches != pg.n_switches() {
-                return None;
-            }
-        }
-        // Membership diff at cable granularity. `dense` is `Some` exactly
-        // for the plane's own switches, so host attachments drop out.
+    /// Diff `net`'s fabric-link membership against `planes`, at cable
+    /// granularity. Panics unless `net` has the same planes and switch
+    /// rosters: a link delta is all `refresh` can apply.
+    fn diff_links(planes: &[PlaneGraph], net: &Network) -> LinkDelta {
+        // Every in-plane switch of `net` is in the graph, and the graph has
+        // no extras.
+        let same_roster = |pg: &PlaneGraph| {
+            let own = net
+                .nodes()
+                .filter(|(_, node)| node.kind.is_switch() && node.plane == Some(pg.plane));
+            own.map(|(id, _)| pg.dense(id))
+                .try_fold(0, |n, d| d.map(|_| n + 1))
+                == Some(pg.n_switches())
+        };
+        assert!(
+            planes.iter().map(|pg| pg.plane).eq(net.planes()) && planes.iter().all(same_roster),
+            "invariant: refresh is handed the network the router was built on, up to link state"
+        );
+        // `dense` is `Some` exactly for the plane's own switches, so host
+        // attachments drop out.
         let old: BTreeSet<LinkId> = planes
             .iter()
             .flat_map(|pg| pg.link_ids().map(cable_of))
@@ -665,10 +591,10 @@ impl Router {
             })
             .map(|(id, _)| cable_of(id))
             .collect();
-        Some(LinkDelta {
+        LinkDelta {
             down: old.difference(&new).copied().collect(),
             up: new.difference(&old).copied().collect(),
-        })
+        }
     }
 }
 
@@ -741,11 +667,8 @@ mod tests {
         let cables = failures::fabric_cables(&net, None);
         failures::fail_cable(&mut net, cables[0]);
         let stats = r.refresh(&net);
-        assert!(
-            !stats.full_rebuild,
-            "pure link delta must not drop the table"
-        );
-        assert_eq!(stats.epoch, 1);
+        assert_eq!(stats.planes_rebuilt, 1);
+        assert_eq!(stats.entries_repaired + stats.entries_reused, 1);
         let after = r.paths_in_plane(PlaneId(0), RackId(0), RackId(7)).len();
         assert!(after <= 4);
     }
@@ -787,7 +710,7 @@ mod tests {
         failures::restore_cable(&mut net, cables[3]);
         let stats = r.refresh(&net);
         assert!(stats.entries_repaired > 0);
-        assert_eq!(stats.epoch, 2);
+        assert_eq!(stats.entries_reused + stats.entries_repaired, total);
         assert_matches_rebuild(&net, &r);
     }
 
@@ -870,29 +793,21 @@ mod tests {
         assert!(!sched.events.is_empty());
         for &ev in &sched.events {
             ev.apply(&mut net);
-            let stats = r.refresh(&net);
-            assert!(!stats.full_rebuild);
+            // Every event is a switch-to-switch cable: one plane to repair.
+            assert_eq!(r.refresh(&net).planes_rebuilt, 1);
         }
-        assert_eq!(r.epoch(), sched.events.len() as u64);
         assert_matches_rebuild(&net, &r);
     }
 
+    /// A structurally different network (3 planes) is no link delta.
     #[test]
-    fn refresh_falls_back_on_structural_change() {
+    #[should_panic(expected = "invariant")]
+    fn refresh_refuses_a_structural_change() {
         let net = assemble_homogeneous(&FatTree::three_tier(4), 2, &LinkProfile::paper_default());
         let r = Router::new(&net, RouteAlgo::Ksp { k: 2 });
         r.precompute_all_pairs();
-        // A structurally different network (3 planes): full rebuild.
         let other = assemble_homogeneous(&FatTree::three_tier(4), 3, &LinkProfile::paper_default());
-        let stats = r.refresh(&other);
-        assert!(stats.full_rebuild);
-        assert_eq!(r.cached_entries(), 0);
-        assert_eq!(r.n_planes(), 3);
-        // The table took the new network's dimensions: filling it lands on
-        // the same bytes as a router born on the 3-plane network.
-        r.precompute_all_pairs();
-        assert_eq!(r.cached_entries(), 3 * 8 * 7);
-        assert_matches_rebuild(&other, &r);
+        r.refresh(&other);
     }
 
     #[test]
@@ -979,7 +894,7 @@ mod tests {
                         failures::restore_cable(&mut net, cable);
                     }
                 }
-                assert!(!r.refresh(&net).full_rebuild);
+                r.refresh(&net);
                 assert_exact_and_shared(&r, &format!("step {step}"));
             }
             for cable in failures::fabric_cables(&net, None) {
@@ -1134,6 +1049,62 @@ mod tests {
             Arc::ptr_eq(&before.set, &after.set),
             "precompute replaced a live Arc"
         );
+    }
+
+    /// A bulk fill races lazy lookups from a second OS thread on a fresh
+    /// 2-plane router. The first writer of a slot wins, so every set a lookup
+    /// got is the very `Arc` the table holds afterwards, and the table equals
+    /// a serial rebuild. The race runs on a thread the test gives up on after
+    /// two minutes: a deadlock fails the test instead of wedging the suite.
+    #[test]
+    fn bulk_fill_races_lazy_lookups() {
+        let net = assemble_homogeneous(
+            &Jellyfish::new(12, 3, 1, 4),
+            2,
+            &LinkProfile::paper_default(),
+        );
+        let serial = Router::new(&net, RouteAlgo::Ksp { k: 4 });
+        serial.precompute_all_pairs_with(Parallelism::Serial);
+        let want = serial.table_fingerprint();
+        let race = move || {
+            for round in 0..50u64 {
+                let r = Router::new(&net, RouteAlgo::Ksp { k: 4 });
+                let start = std::sync::Barrier::new(2);
+                let got = std::thread::scope(|s| {
+                    let reader = s.spawn(|| {
+                        let mut rng = StdRng::seed_from_u64(round);
+                        start.wait();
+                        let mut got = Vec::new();
+                        for _ in 0..200 {
+                            let p = PlaneId(rng.random_range(0..2u16));
+                            let a = RackId(rng.random_range(0..12u32));
+                            let b = RackId((a.0 + rng.random_range(1..12u32)) % 12);
+                            got.push(((p, a, b), r.paths_in_plane(p, a, b)));
+                        }
+                        got
+                    });
+                    start.wait();
+                    r.precompute_all_pairs();
+                    reader.join().expect("the reader panicked")
+                });
+                assert_eq!(r.table_fingerprint(), want, "round {round}");
+                let st = r.read();
+                for ((p, a, b), set) in got {
+                    let held = st.slots[slot_of(st.racks, p, a, b)].as_ref();
+                    assert!(
+                        held.is_some_and(|held| Arc::ptr_eq(held, &set.set)),
+                        "round {round}: {p} {a}->{b} was replaced"
+                    );
+                }
+            }
+        };
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            race();
+            tx.send(())
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(120))
+            .expect("the race did not finish");
     }
 
     #[test]

@@ -72,25 +72,6 @@ impl LinkDelta {
         }
     }
 
-    /// Net delta of an event sequence: the *last* transition per cable wins
-    /// (a cable that goes down and comes back within the sequence nets out
-    /// to its final state). Cables are deduplicated and sorted.
-    pub fn from_events(events: &[ChurnEvent]) -> LinkDelta {
-        let mut last: std::collections::BTreeMap<u32, ChurnEvent> =
-            std::collections::BTreeMap::new();
-        for &ev in events {
-            last.insert(ev.cable().0, ev);
-        }
-        let mut delta = LinkDelta::default();
-        for (_, ev) in last {
-            match ev {
-                ChurnEvent::Down(_) => delta.down.push(ev.cable()),
-                ChurnEvent::Up(_) => delta.up.push(ev.cable()),
-            }
-        }
-        delta
-    }
-
     /// True when the delta changes nothing.
     pub fn is_empty(&self) -> bool {
         self.down.is_empty() && self.up.is_empty()
@@ -233,9 +214,6 @@ mod tests {
         let mut n = net();
         let sched = ChurnSchedule::burst_then_restore(&n, 0.1, 7);
         assert!(!sched.events.is_empty());
-        let delta = LinkDelta::from_events(&sched.events);
-        assert!(delta.down.is_empty(), "every failed cable is restored");
-        assert!(!delta.up.is_empty());
         sched.apply_all(&mut n);
         assert_eq!(failures::failed_fraction(&n), 0.0);
     }
@@ -257,15 +235,6 @@ mod tests {
         }
         let frac = failures::failed_fraction(&n);
         assert!(frac <= max_down as f64 / total as f64 + 1e-12);
-    }
-
-    #[test]
-    fn delta_last_transition_wins() {
-        let c = LinkId(4);
-        let events = [ChurnEvent::Down(c), ChurnEvent::Up(c), ChurnEvent::Down(c)];
-        let d = LinkDelta::from_events(&events);
-        assert_eq!(d.down, vec![c]);
-        assert!(d.up.is_empty());
     }
 
     #[test]

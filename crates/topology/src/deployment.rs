@@ -144,23 +144,10 @@ pub fn deployment(
     }
 }
 
-/// Rewiring cost of swapping one Jellyfish plane instantiation for another:
-/// the number of patch-panel operations (edges removed + added). With patch
-/// panels this is the *entire* cost of re-instantiating a heterogeneous
-/// plane — no floor cabling changes (section 6.2, "hiding heterogeneity").
-pub fn rewiring_ops(old_edges: &[(usize, usize)], new_edges: &[(usize, usize)]) -> usize {
-    use std::collections::BTreeSet;
-    let norm = |e: &(usize, usize)| if e.0 < e.1 { (e.0, e.1) } else { (e.1, e.0) };
-    let old: BTreeSet<_> = old_edges.iter().map(norm).collect();
-    let new: BTreeSet<_> = new_edges.iter().map(norm).collect();
-    old.difference(&new).count() + new.difference(&old).count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::components::{parallel_pnet, serial_chassis, serial_scale_out, ChipSpec};
-    use crate::jellyfish::Jellyfish;
 
     #[test]
     fn ocs_saves_chips_and_transceivers() {
@@ -209,25 +196,5 @@ mod tests {
         assert_eq!(panel.transceivers, fibers.transceivers);
         assert_eq!(panel.power_kw, fibers.power_kw);
         assert!(panel.panel_ports > 0);
-    }
-
-    #[test]
-    fn rewiring_counts_symmetric_difference() {
-        let a = vec![(0, 1), (1, 2), (2, 3)];
-        let b = vec![(1, 0), (2, 1), (3, 0)];
-        // (2,3) removed, (0,3) added.
-        assert_eq!(rewiring_ops(&a, &b), 2);
-        assert_eq!(rewiring_ops(&a, &a), 0);
-    }
-
-    #[test]
-    fn swapping_jellyfish_planes_is_bounded_panel_work() {
-        // Re-instantiating a plane touches at most 2x its edge count of
-        // panel ports — independent of datacenter floor wiring.
-        let a = Jellyfish::new(32, 6, 1, 1).generate_edges();
-        let b = Jellyfish::new(32, 6, 1, 2).generate_edges();
-        let ops = rewiring_ops(&a, &b);
-        assert!(ops > 0);
-        assert!(ops <= a.len() + b.len());
     }
 }

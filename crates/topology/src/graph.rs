@@ -318,16 +318,6 @@ impl Network {
         self.out_links_in_plane(node, plane).next()
     }
 
-    /// Hosts grouped by rack, in rack order.
-    pub fn hosts_by_rack(&self) -> Vec<Vec<HostId>> {
-        let mut racks = vec![Vec::new(); self.n_racks()];
-        for (i, _) in self.hosts.iter().enumerate() {
-            let h = HostId(i as u32);
-            racks[self.rack_of_host(h).index()].push(h);
-        }
-        racks
-    }
-
     /// The ToR switch of `rack` in `plane`, if present.
     pub fn tor_of_rack(&self, rack: RackId, plane: PlaneId) -> Option<NodeId> {
         // Linear scan is fine: used in construction and tests, not hot paths.
@@ -489,15 +479,6 @@ mod tests {
         let l = net.host_uplink(HostId(0), PlaneId(0)).unwrap();
         assert_eq!(net.link(l).src, net.host_node(HostId(0)));
         assert!(net.node(net.link(l).dst).kind.is_switch());
-    }
-
-    #[test]
-    fn hosts_by_rack_partitions() {
-        let net = tiny();
-        let racks = net.hosts_by_rack();
-        assert_eq!(racks.len(), 2);
-        assert_eq!(racks[0], vec![HostId(0)]);
-        assert_eq!(racks[1], vec![HostId(1)]);
     }
 
     #[test]
