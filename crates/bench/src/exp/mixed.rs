@@ -19,7 +19,6 @@ use crate::args::parse_size;
 use crate::{banner, setups, Args, Error, Experiment, Table, CSV, SEED};
 use pnet_core::{PathPolicy, PathSelector};
 use pnet_htsim::{metrics, SimConfig, Simulator};
-use pnet_routing::{RouteAlgo, Router};
 use pnet_topology::{assemble_homogeneous, PlaneBuilder};
 use pnet_topology::{parallel, FatTree, Jellyfish, LinkProfile, Network, NetworkClass};
 use rand::rngs::StdRng;
@@ -40,10 +39,9 @@ pub const EXPERIMENT: Experiment = Experiment {
     run,
 };
 
-/// An 8-way-KSP selector under `policy`, as the flow factory of `net`.
+/// A selector under `policy`, as the flow factory of `net`.
 fn factory(net: &Network, policy: PathPolicy) -> pnet_htsim::apps::FlowFactory<'_> {
-    let selector = PathSelector::new(Router::new(net, RouteAlgo::Ksp { k: 8 }), policy);
-    setups::make_factory(net, selector)
+    setups::make_factory(net, PathSelector::new(net, policy))
 }
 
 /// Median and p99 completion time (us) of 1500 B RPCs, shortest-plane routing.

@@ -1,8 +1,7 @@
 //! The top-level P-Net object: a declarative spec, the assembled network,
-//! and factories for routers, selectors, and simulator flow factories.
+//! and its path selectors.
 
 use crate::policy::{PathPolicy, PathSelector};
-use pnet_routing::{RouteAlgo, Router};
 use pnet_topology::{parallel, FatTree, Jellyfish, LinkProfile, Network, NetworkClass, Xpander};
 
 /// Which topology family the planes use.
@@ -113,15 +112,10 @@ pub struct PNet {
 }
 
 impl PNet {
-    /// A router over the current link state (lazy route table).
-    pub fn router(&self, algo: RouteAlgo) -> Router {
-        Router::new(&self.net, algo)
-    }
-
-    /// A path selector for `policy`, over a router that holds only the
-    /// paths the policy reads ([`PathPolicy::route_algo`]).
+    /// A path selector for `policy` over the current link state
+    /// ([`PathSelector::new`]).
     pub fn selector(&self, policy: PathPolicy) -> PathSelector {
-        PathSelector::new(self.router(policy.route_algo()), policy)
+        PathSelector::new(&self.net, policy)
     }
 }
 
@@ -182,14 +176,16 @@ mod tests {
     }
 
     /// The selector's table changes no answer: under every policy,
-    /// `PNet::selector` picks the routes a selector over a 32-wide KSP table
-    /// picks, flow for flow. On a k = 12 fat tree an inter-pod pair has 36
-    /// shortest paths per plane, so the ECMP cap cuts; on a heterogeneous
-    /// Jellyfish host 0's plane-0 uplink is dead. A third of the flows leave
+    /// [`PathSelector::new`] picks the routes that `place` picks over a
+    /// 32-wide KSP table, flow for flow. On a k = 12 fat tree an inter-pod
+    /// pair has 36 shortest paths per plane, so the ECMP cap cuts; on a
+    /// heterogeneous Jellyfish host 0's plane-0 uplink is dead. A third of the flows leave
     /// host 0, a seventh stay in their rack, and sizes alternate around
     /// `paper_default`'s cutoff.
     #[test]
     fn the_selector_answers_as_a_32_wide_ksp_table_would() {
+        use crate::policy::place;
+        use pnet_routing::{Flow, RouteAlgo, Router};
         use pnet_topology::{failures, HostId, PlaneId, RackId};
         let fat = PNetSpec::new(
             TopologyKind::FatTree { k: 12 },
@@ -198,7 +194,7 @@ mod tests {
             0,
         )
         .build();
-        let far = fat.router(RouteAlgo::Ecmp { cap: 64 });
+        let far = Router::new(&fat.net, RouteAlgo::Ecmp { cap: 64 });
         assert_eq!(
             far.paths_in_plane(PlaneId(0), RackId(0), RackId(71)).len(),
             36
@@ -232,10 +228,10 @@ mod tests {
         ];
         for pnet in [&fat, &jelly] {
             let n = pnet.net.n_hosts() as u32;
+            let wide = Router::new(&pnet.net, RouteAlgo::Ksp { k: 32 });
             for policy in &policies {
-                let mut narrow = pnet.selector(policy.clone());
-                let wide = pnet.router(RouteAlgo::Ksp { k: 32 });
-                let mut wide = PathSelector::new(wide, policy.clone());
+                let mut narrow = PathSelector::new(&pnet.net, policy.clone());
+                let mut rr = 0;
                 for f in 0..240u32 {
                     let src = if f % 3 == 0 { 0 } else { f * 37 % n };
                     let dst = if f % 7 == 0 {
@@ -246,9 +242,10 @@ mod tests {
                     let (src, dst) = (HostId(src), HostId(dst));
                     let size = if f % 2 == 0 { 1_500 } else { 1 << 30 };
                     let (id, net) = (u64::from(f), &pnet.net);
+                    let flow = Flow::new(net, src, dst, id);
                     assert_eq!(
                         narrow.select(net, src, dst, id, size),
-                        wide.select(net, src, dst, id, size),
+                        place(&wide, flow, policy, &mut rr, size),
                         "{policy:?}, flow {f}"
                     );
                 }

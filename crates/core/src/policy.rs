@@ -79,7 +79,7 @@ impl PathPolicy {
     }
 }
 
-/// A stateful selector binding a policy to a network's router.
+/// A stateful selector binding a policy to a router over its network.
 pub struct PathSelector {
     router: Router,
     policy: PathPolicy,
@@ -87,12 +87,12 @@ pub struct PathSelector {
 }
 
 impl PathSelector {
-    /// A selector over `router`, which must hold every path the policy
-    /// reads ([`PathPolicy::route_algo`] or wider; see
-    /// [`crate::pnet::PNet::selector`]).
-    pub fn new(router: Router, policy: PathPolicy) -> Self {
+    /// A selector for `policy` over `net`'s current link state, with a
+    /// router that holds the paths the policy reads
+    /// ([`PathPolicy::route_algo`]) and no others.
+    pub fn new(net: &Network, policy: PathPolicy) -> Self {
         PathSelector {
-            router,
+            router: Router::new(net, policy.route_algo()),
             policy,
             rr: 0,
         }
@@ -126,7 +126,7 @@ impl PathSelector {
 
 /// Place `flow` by `policy`: a leaf is one `pnet_routing::choice` rule, a
 /// wrapper picks the leaf by size or narrows the flow's planes.
-fn place(
+pub(crate) fn place(
     router: &Router,
     flow: Flow<'_>,
     policy: &PathPolicy,
@@ -182,14 +182,10 @@ mod tests {
         assemble_homogeneous(&FatTree::three_tier(4), 4, &LinkProfile::paper_default())
     }
 
-    fn selector(net: &Network, policy: PathPolicy) -> PathSelector {
-        PathSelector::new(Router::new(net, RouteAlgo::Ksp { k: 32 }), policy)
-    }
-
     #[test]
     fn ecmp_hash_is_per_flow_stable() {
         let net = par4();
-        let mut s = selector(&net, PathPolicy::EcmpHash);
+        let mut s = PathSelector::new(&net, PathPolicy::EcmpHash);
         let (a, cc) = s.select(&net, HostId(0), HostId(15), 7, 1000);
         let (b, _) = s.select(&net, HostId(0), HostId(15), 7, 1000);
         assert_eq!(a, b, "same flow id must map to the same path");
@@ -200,7 +196,7 @@ mod tests {
     #[test]
     fn ecmp_hash_spreads_flows_over_planes() {
         let net = par4();
-        let mut s = selector(&net, PathPolicy::EcmpHash);
+        let mut s = PathSelector::new(&net, PathPolicy::EcmpHash);
         let mut planes_seen = std::collections::HashSet::new();
         for f in 0..64 {
             let (routes, _) = s.select(&net, HostId(0), HostId(15), f, 1000);
@@ -213,7 +209,7 @@ mod tests {
     #[test]
     fn round_robin_cycles_planes() {
         let net = par4();
-        let mut s = selector(&net, PathPolicy::RoundRobin);
+        let mut s = PathSelector::new(&net, PathPolicy::RoundRobin);
         let planes: Vec<u16> = (0..8)
             .map(|f| {
                 let (routes, _) = s.select(&net, HostId(0), HostId(15), f, 1000);
@@ -226,7 +222,7 @@ mod tests {
     #[test]
     fn multipath_uses_all_planes() {
         let net = par4();
-        let mut s = selector(&net, PathPolicy::MultipathKsp { k: 16 });
+        let mut s = PathSelector::new(&net, PathPolicy::MultipathKsp { k: 16 });
         let (routes, cc) = s.select(&net, HostId(0), HostId(15), 0, 1 << 31);
         assert_eq!(routes.len(), 16);
         assert_eq!(cc, CcAlgo::Lia);
@@ -247,7 +243,7 @@ mod tests {
             3,
             &LinkProfile::paper_default(),
         );
-        let mut s = selector(&net, PathPolicy::ShortestPlane);
+        let mut s = PathSelector::new(&net, PathPolicy::ShortestPlane);
         let check = Router::new(&net, RouteAlgo::Ksp { k: 1 });
         for (a, b) in [(0u32, 20u32), (3, 17), (5, 30), (9, 12)] {
             let (routes, _) = s.select(&net, HostId(a), HostId(b), 0, 1000);
@@ -262,21 +258,24 @@ mod tests {
     }
 
     /// One rule, same answer: the routes the flow solver builds for
-    /// commodity `i` are the ones the selector picks for flow id `i`, in KSP
-    /// and in ECMP mode, on 4- and 2-plane heterogeneous Jellyfish with host
-    /// 0's plane-0 uplink dead. Each side has its own router: the selector's
-    /// is [`PathPolicy::route_algo`]'s, the KSP solver's [`subflow_width`]`(k)`
-    /// wide and the ECMP solver's an ECMP table capped at 64, so the ECMP
-    /// answers agree because every shortest tier holds fewer than 32 paths.
-    /// At K = 24 and 32 the selector reads past 32 paths per plane, as wide
-    /// as the solver. The solver fans out over the pool
-    /// (`RAYON_NUM_THREADS`), the selector is serial.
-    ///
-    /// [`subflow_width`]: pnet_routing::subflow_width
+    /// commodity `i` are the ones the selector picks for flow id `i`, under
+    /// each of the five leaf rules, on 4- and 2-plane heterogeneous Jellyfish
+    /// with host 0's plane-0 uplink dead. The solver side is
+    /// `mcf::commodity_routes` with the rule's flow-level twin, over the
+    /// solver's own tables: `subflow_width(k)`-wide KSP for `MultipathKsp`
+    /// (as `mcf::ksp_mode`), KSP-32 for `PlaneKsp { per_plane: 2 }`, and for
+    /// the shortest-tier rules ECMP capped at 64 (as
+    /// `throughput::ecmp_throughput`), whose answers agree with the
+    /// selector's ECMP-32 table because every shortest tier here holds fewer
+    /// than 32 paths. Commodity `i` is the selector's `i`-th select, so
+    /// `RoundRobin`'s counter reads `i`. At K = 24 and 32 the selector reads
+    /// past 32 paths per plane, as wide as the solver. The solver fans out
+    /// over the pool (`RAYON_NUM_THREADS`), the selector is serial.
     #[test]
     fn the_flow_solver_and_the_selector_choose_the_same_routes() {
-        use pnet_flowsim::{commodity, mcf, throughput};
+        use pnet_flowsim::{commodity, mcf::commodity_routes};
         let c = commodity::all_to_all(12);
+        let par = Parallelism::default();
         for planes in [4, 2] {
             let mut net = parallel::jellyfish_network(
                 NetworkClass::ParallelHeterogeneous,
@@ -296,39 +295,51 @@ mod tests {
                     assert!(wide.paths_in_plane(plane, a, b).shortest_tier() < 32);
                 }
             }
-            let same = |policy: PathPolicy, solver: &dyn Fn(usize) -> Vec<Vec<LinkId>>| {
-                let router = Router::new(&net, policy.route_algo());
-                let mut s = PathSelector::new(router, policy.clone());
+            let same = |policy: PathPolicy, solver: Vec<Vec<Vec<LinkId>>>| {
+                let mut s = PathSelector::new(&net, policy.clone());
                 for (i, c) in c.iter().enumerate() {
                     let (routes, _) = s.select(&net, c.src, c.dst, i as u64, 1 << 20);
                     assert!(!routes.is_empty());
                     assert_eq!(
-                        routes,
-                        solver(i),
+                        routes, solver[i],
                         "{planes} planes, {policy:?}, commodity {i}"
                     );
                 }
             };
+            type Rule<'r> = dyn Fn(usize, Flow<'_>) -> Vec<Vec<LinkId>> + Sync + 'r;
+            let twin =
+                |router: &Router, rule: &Rule<'_>| commodity_routes(&net, router, &c, par, rule);
             for k in [4, 8, 16, 24, 32] {
-                let wide = subflow_width(k);
-                let router = Router::new(&net, RouteAlgo::Ksp { k: wide });
-                let mcf::PathMode::Explicit(ksp) = mcf::ksp_mode(&net, &router, &c, k) else {
-                    panic!("ksp_mode builds explicit routes");
-                };
-                same(PathPolicy::MultipathKsp { k }, &|i| {
-                    ksp.routes(i).map(<[LinkId]>::to_vec).collect()
-                });
+                let width = subflow_width(k);
+                let ksp = Router::new(&net, RouteAlgo::Ksp { k: width });
+                let subflows = twin(&ksp, &|_, flow| ksp.subflows(flow, k));
+                same(PathPolicy::MultipathKsp { k }, subflows);
             }
-            let router = Router::new(&net, RouteAlgo::Ecmp { cap: 64 });
-            let ecmp = throughput::ecmp_routes(&net, &router, &c, Parallelism::default());
-            same(PathPolicy::EcmpHash, &|i| ecmp[i].iter().cloned().collect());
+            let plane_subflows = twin(&wide, &|_, flow| wide.plane_subflows(flow, 2));
+            same(PathPolicy::PlaneKsp { per_plane: 2 }, plane_subflows);
+
+            let ecmp = Router::new(&net, RouteAlgo::Ecmp { cap: 64 });
+            let n = net.n_planes();
+            let one = |route: Option<Vec<LinkId>>| route.into_iter().collect();
+            let hashed = twin(&ecmp, &|_, flow| {
+                one(ecmp.hashed_route(flow, hash_plane(n, flow.hash)))
+            });
+            same(PathPolicy::EcmpHash, hashed);
+            let round_robin = twin(&ecmp, &|i, flow| {
+                one(ecmp.hashed_route(flow, PlaneId((i % usize::from(n)) as u16)))
+            });
+            same(PathPolicy::RoundRobin, round_robin);
+            let shortest = twin(&ecmp, &|_, flow| one(ecmp.shortest_plane_route(flow)));
+            same(PathPolicy::ShortestPlane, shortest);
+            let per_plane = twin(&ecmp, &|_, flow| ecmp.plane_subflows(flow, 1));
+            same(PathPolicy::PlaneKsp { per_plane: 1 }, per_plane);
         }
     }
 
     #[test]
     fn size_threshold_dispatches() {
         let net = par4();
-        let mut s = selector(&net, PathPolicy::paper_default(16));
+        let mut s = PathSelector::new(&net, PathPolicy::paper_default(16));
         let (small, cc_small) = s.select(&net, HostId(0), HostId(15), 0, 1_000_000);
         let (large, cc_large) = s.select(&net, HostId(0), HostId(15), 0, 2_000_000_000);
         assert_eq!(small.len(), 1);
@@ -346,7 +357,7 @@ mod tests {
             PathPolicy::ShortestPlane,
             PathPolicy::MultipathKsp { k: 8 },
         ] {
-            let mut s = selector(&net, policy);
+            let mut s = PathSelector::new(&net, policy);
             let (routes, _) = s.select(&net, HostId(0), HostId(1), 0, 1000);
             for r in &routes {
                 assert_eq!(r.len(), 2, "intra-rack route is up+down");
@@ -358,14 +369,14 @@ mod tests {
     fn pinned_policy_confines_traffic() {
         let net = par4();
         // Frontend pinned to plane 0; background pinned to planes 1-3.
-        let mut frontend = selector(
+        let mut frontend = PathSelector::new(
             &net,
             PathPolicy::Pinned {
                 planes: vec![0],
                 inner: Box::new(PathPolicy::EcmpHash),
             },
         );
-        let mut background = selector(
+        let mut background = PathSelector::new(
             &net,
             PathPolicy::Pinned {
                 planes: vec![1, 2, 3],
@@ -389,7 +400,7 @@ mod tests {
     #[test]
     fn pinned_mask_does_not_leak_across_selects() {
         let net = par4();
-        let mut s = selector(
+        let mut s = PathSelector::new(
             &net,
             PathPolicy::SizeThreshold {
                 cutoff_bytes: 1000,
@@ -414,7 +425,7 @@ mod tests {
         // Fail host 0's uplink into plane 0.
         let up = net.host_uplink(HostId(0), PlaneId(0)).unwrap();
         pnet_topology::failures::fail_cable(&mut net, up);
-        let mut s = selector(&net, PathPolicy::EcmpHash);
+        let mut s = PathSelector::new(&net, PathPolicy::EcmpHash);
         for f in 0..32 {
             let (routes, _) = s.select(&net, HostId(0), HostId(15), f, 1000);
             assert_ne!(
@@ -435,7 +446,7 @@ mod tests {
             planes: vec![2],
             inner: Box::new(inner),
         };
-        selector(&net, pinned).select(&net, HostId(0), dst, 0, 1000);
+        PathSelector::new(&net, pinned).select(&net, HostId(0), dst, 0, 1000);
     }
 
     #[test]

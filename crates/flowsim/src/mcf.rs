@@ -1631,37 +1631,39 @@ impl AnyPathOracle {
     }
 }
 
-/// Helper bundling router + commodity list into explicit K-path mode across
-/// all planes (the MPTCP + KSP configuration): commodity `i` gets
-/// [`Router::subflows`] of flow `i`. Candidate-set construction fans out
-/// across commodities.
+/// Explicit K-path mode across all planes (the MPTCP + KSP configuration):
+/// commodity `i` gets [`Router::subflows`] of flow `i` ([`commodity_routes`]).
 pub fn ksp_mode(net: &Network, router: &Router, commodities: &[Commodity], k: usize) -> PathMode {
-    ksp_mode_with(net, router, commodities, k, Parallelism::default())
-}
-
-/// [`ksp_mode`] with an explicit execution strategy. Each commodity's
-/// candidate set is a pure function of the frozen router tables and the
-/// commodity index, so parallel construction is element-identical to serial.
-pub fn ksp_mode_with(
-    net: &Network,
-    router: &Router,
-    commodities: &[Commodity],
-    k: usize,
-    par: Parallelism,
-) -> PathMode {
-    // Warm the route table in bulk first: precompute fans the per-pair
-    // path searches across threads without lock contention.
-    router.precompute_with(&inter_rack_pairs(net, commodities), par);
-    let paths = par.map_indexed(commodities.len(), |i| {
-        let c = &commodities[i];
-        router.subflows(Flow::new(net, c.src, c.dst, i as u64), k)
+    let par = Parallelism::default();
+    let paths = commodity_routes(net, router, commodities, par, |_, flow| {
+        router.subflows(flow, k)
     });
     PathMode::Explicit(Candidates::new(&paths))
 }
 
+/// Every commodity's routes by one path-choice rule (`pnet_routing::choice`):
+/// `rule(i, flow)` for commodity `i` as flow id `i`, so a commodity gets the
+/// routes the host selector picks for that flow. The router's table is
+/// filled for the commodities' inter-rack pairs in bulk first; the rule then
+/// fans out over commodities under `par`, a pure function of the frozen
+/// table and the index, so any thread count returns the same vector.
+pub fn commodity_routes<R: Send>(
+    net: &Network,
+    router: &Router,
+    commodities: &[Commodity],
+    par: Parallelism,
+    rule: impl Fn(usize, Flow<'_>) -> R + Sync,
+) -> Vec<R> {
+    router.precompute_with(&inter_rack_pairs(net, commodities), par);
+    par.map_indexed(commodities.len(), |i| {
+        let c = &commodities[i];
+        rule(i, Flow::new(net, c.src, c.dst, i as u64))
+    })
+}
+
 /// Distinct inter-rack (src, dst) rack pairs of a commodity list, in first-
-/// appearance order: the precompute work-list of a route builder.
-pub(crate) fn inter_rack_pairs(net: &Network, commodities: &[Commodity]) -> Vec<(RackId, RackId)> {
+/// appearance order: [`commodity_routes`]' precompute work-list.
+fn inter_rack_pairs(net: &Network, commodities: &[Commodity]) -> Vec<(RackId, RackId)> {
     let mut seen = std::collections::BTreeSet::new();
     let mut pairs = Vec::new();
     for c in commodities {

@@ -21,36 +21,22 @@
 use crate::commodity::Commodity;
 use crate::maxmin;
 use crate::mcf::{self, McfError, McfOptions, McfSolution, PathMode};
-use pnet_routing::{hash_plane, subflow_width, Flow, Parallelism, RouteAlgo, Router};
-use pnet_topology::{LinkId, Network};
+use pnet_routing::{hash_plane, subflow_width, Parallelism, RouteAlgo, Router};
+use pnet_topology::Network;
 
-/// Total throughput of hash-based single-path ECMP under max-min fairness.
-/// A commodity that no plane connects ships nothing.
+/// Total throughput of hash-based single-path ECMP under max-min fairness:
+/// commodity `i` takes [`Router::hashed_route`] of flow `i` from its
+/// [`hash_plane`]. A commodity that no plane connects ships nothing.
 pub fn ecmp_throughput(net: &Network, commodities: &[Commodity]) -> f64 {
     let router = Router::new(net, RouteAlgo::Ecmp { cap: 64 });
-    let routes = ecmp_routes(net, &router, commodities, Parallelism::default());
+    let par = Parallelism::default();
+    let routes = mcf::commodity_routes(net, &router, commodities, par, |_, flow| {
+        router.hashed_route(flow, hash_plane(net.n_planes(), flow.hash))
+    });
     let flows: Vec<Vec<usize>> = (routes.iter().flatten())
         .map(|route| route.iter().map(|l| l.index()).collect())
         .collect();
     maxmin::total_rate(&maxmin::maxmin_rates(&mcf::link_capacities(net), &flows))
-}
-
-/// The single ECMP route of each commodity: [`Router::hashed_route`] of flow
-/// `i` from its [`hash_plane`], `None` when no usable plane connects the
-/// hosts. Route construction fans out across commodities under `par`, with
-/// the same result at any thread count.
-pub fn ecmp_routes(
-    net: &Network,
-    router: &Router,
-    commodities: &[Commodity],
-    par: Parallelism,
-) -> Vec<Option<Vec<LinkId>>> {
-    router.precompute_with(&mcf::inter_rack_pairs(net, commodities), par);
-    par.map_indexed(commodities.len(), |i| {
-        let c = &commodities[i];
-        let flow = Flow::new(net, c.src, c.dst, i as u64);
-        router.hashed_route(flow, hash_plane(net.n_planes(), flow.hash))
-    })
 }
 
 /// Total throughput when every flow may split across its K best paths
@@ -104,7 +90,7 @@ pub fn ideal_core_throughput(
 mod tests {
     use super::*;
     use crate::commodity;
-    use pnet_topology::{assemble_homogeneous, FatTree, LinkProfile};
+    use pnet_topology::{assemble_homogeneous, FatTree, LinkId, LinkProfile};
     use rand::rngs::StdRng;
     use rand::seq::SliceRandom;
     use rand::SeedableRng;
@@ -171,7 +157,10 @@ mod tests {
 
         let dead = |route: &[LinkId]| route.contains(&up) || route.contains(&up.reverse());
         let router = Router::new(&net, RouteAlgo::Ecmp { cap: 64 });
-        let ecmp = ecmp_routes(&net, &router, &c, Parallelism::Serial);
+        let n_planes = net.n_planes();
+        let ecmp = mcf::commodity_routes(&net, &router, &c, Parallelism::Serial, |_, flow| {
+            router.hashed_route(flow, hash_plane(n_planes, flow.hash))
+        });
         assert!(ecmp.iter().all(|r| r.as_ref().is_some_and(|r| !dead(r))));
         let wide = subflow_width(1);
         let router = Router::new(&net, RouteAlgo::Ksp { k: wide });

@@ -5,8 +5,8 @@
 //! end-host-routing model — the host picks the plane and path; switches
 //! merely forward along it — and keeps switch state out of the simulator
 //! entirely. A packet names its connection's slab slot and its subflow; the
-//! route lives once on that subflow (`route` for data, `rev_route` for
-//! ACKs), and the packet carries only its hop index into it.
+//! route lives once on that subflow (data walks it forwards, ACKs backwards
+//! over the reversed links), and the packet carries only its hop count.
 //!
 //! Packets live in a slab arena ([`PacketArena`]) owned by the simulator.
 //! Events and link FIFOs carry a 4-byte [`PacketId`] instead of moving the
@@ -53,8 +53,8 @@ pub struct Packet {
     /// (`in_network`), so the slot cannot be reused under them. While the
     /// arena slot is free, the next free arena slot instead.
     pub slot: u32,
-    /// Index of the next link to traverse in the subflow's route (`route`
-    /// for data, `rev_route` for an ACK).
+    /// Links traversed so far: the next link is the subflow's
+    /// `route[hop]` for data, `route[len − 1 − hop]` reversed for an ACK.
     pub hop: u16,
     /// Subflow within the connection.
     pub subflow: u8,
@@ -83,11 +83,18 @@ impl Packet {
         self.flags & flag != 0
     }
 
-    /// The next link on `route` (the subflow's route in this packet's
-    /// direction), or `None` if the packet has arrived.
+    /// The next link along the subflow's forward `route`: data walks it
+    /// forwards, an ACK backwards over the reversed links. `None` if the
+    /// packet has arrived.
     #[inline]
     pub fn next_link(&self, route: &[LinkId]) -> Option<LinkId> {
-        route.get(usize::from(self.hop)).copied()
+        let hop = usize::from(self.hop);
+        if self.has(Packet::ACK) {
+            let back = route.len().checked_sub(hop + 1)?;
+            Some(route[back].reverse())
+        } else {
+            route.get(hop).copied()
+        }
     }
 }
 
@@ -212,6 +219,13 @@ mod tests {
         assert_eq!(p.next_link(&route), Some(LinkId(5)));
         p.hop = 3;
         assert_eq!(p.next_link(&route), None);
+        // An ACK walks the same route back, each link reversed.
+        p.flags = Packet::ACK;
+        let back: Vec<_> = (0..4)
+            .map(|hop| Packet { hop, ..p }.next_link(&route))
+            .collect();
+        let rev = |l: LinkId| Some(l.reverse());
+        assert_eq!(back, [rev(LinkId(5)), rev(LinkId(2)), rev(LinkId(0)), None]);
     }
 
     #[test]

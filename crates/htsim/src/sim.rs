@@ -453,7 +453,7 @@ impl Simulator {
                 "a packet's hop index is u16"
             );
             if si == subflows.len() {
-                subflows.push(Subflow::new(Vec::new(), Vec::new(), &self.cfg.tcp));
+                subflows.push(Subflow::new(Vec::new(), &self.cfg.tcp));
             }
             subflows[si].recycle(r, self.window_cap(r), self.now, &self.cfg.tcp);
         }
@@ -644,12 +644,7 @@ impl Simulator {
         // The packet pins its connection's slot, so the route is there.
         let p = self.packets[id];
         let sub = &self.slab[p.slot as usize].subflows[usize::from(p.subflow)];
-        let route = if p.has(Packet::ACK) {
-            &sub.rev_route
-        } else {
-            &sub.route
-        };
-        if let Some(link) = p.next_link(route) {
+        if let Some(link) = p.next_link(&sub.route) {
             self.send_packet(id, link);
             return;
         }
@@ -669,7 +664,7 @@ impl Simulator {
         // ACK inherits the data packet's `in_network` count and pins on.
         let sub = &mut self.slab[data.slot as usize].subflows[usize::from(data.subflow)];
         let cum = sub.receive_data(data.seq);
-        let link = sub.rev_route[0];
+        let link = sub.route[sub.route.len() - 1].reverse();
         let id = self.packets.alloc(Packet {
             seq: cum,
             hop: 0,

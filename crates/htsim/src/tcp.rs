@@ -171,20 +171,18 @@ pub struct Subflow {
     pub timeouts: u64,
     pub packets_sent: u64,
 
-    // --- routes (read once per hop by the subflow's packets, which carry
+    // --- route (read once per hop by the subflow's packets, which carry
     //     only their hop index; never read on the ACK fast path) ---
-    /// Forward route (data direction).
+    /// Forward route (data direction); ACKs walk it backwards, each link
+    /// reversed.
     pub route: Vec<LinkId>,
-    /// Reverse route (ACK direction).
-    pub rev_route: Vec<LinkId>,
 }
 
 impl Subflow {
-    /// Fresh subflow over a route pair.
-    pub fn new(route: Vec<LinkId>, rev_route: Vec<LinkId>, cfg: &TcpConfig) -> Self {
+    /// Fresh subflow over `route`.
+    pub fn new(route: Vec<LinkId>, cfg: &TcpConfig) -> Self {
         Subflow {
             route,
-            rev_route,
             cwnd: cfg.initial_cwnd,
             ssthresh: f64::INFINITY,
             cwnd_cap: f64::INFINITY,
@@ -220,21 +218,17 @@ impl Subflow {
 
     /// Become a fresh subflow over `route` (its reverse carries the ACKs),
     /// starting at `now` under window cap `cwnd_cap`, and keeping this
-    /// subflow's buffers: the retransmit queue, the reorder heap and both
-    /// routes. How a retired connection's slot is reused; once the buffers
+    /// subflow's buffers: the retransmit queue, the reorder heap and the
+    /// route. How a retired connection's slot is reused; once the buffers
     /// are warm, it allocates nothing.
     pub fn recycle(&mut self, route: &[LinkId], cwnd_cap: f64, now: SimTime, cfg: &TcpConfig) {
-        let old = std::mem::replace(self, Subflow::new(Vec::new(), Vec::new(), cfg));
+        let old = std::mem::replace(self, Subflow::new(Vec::new(), cfg));
         (self.cwnd_cap, self.last_progress) = (cwnd_cap, now);
-        (self.rtx_queue, self.ooo, self.route, self.rev_route) =
-            (old.rtx_queue, old.ooo, old.route, old.rev_route);
+        (self.rtx_queue, self.ooo, self.route) = (old.rtx_queue, old.ooo, old.route);
         self.rtx_queue.clear();
         self.ooo.clear();
         self.route.clear();
         self.route.extend_from_slice(route);
-        self.rev_route.clear();
-        self.rev_route
-            .extend(route.iter().rev().map(|l| l.reverse()));
     }
 
     /// Packets believed in flight (the pipe estimate; rewound by RTOs).
@@ -659,7 +653,7 @@ mod tests {
     use super::*;
 
     fn sub(cfg: &TcpConfig) -> Subflow {
-        Subflow::new(vec![LinkId(0)], vec![LinkId(1)], cfg)
+        Subflow::new(vec![LinkId(0)], cfg)
     }
 
     fn conn_with(cc: CcAlgo, n_subs: usize, cfg: &TcpConfig) -> Connection {

@@ -383,7 +383,7 @@ impl Planner {
     /// The memoized free-routing (ideal) solution for `tm` on an explicit
     /// `(fingerprint, network)` pair — shared by the baseline and degraded
     /// sides of [`Planner::ideal_throughput_after_at`].
-    pub fn solve_ideal(
+    fn solve_ideal(
         &self,
         topology_fp: u64,
         net: &Network,

@@ -1,10 +1,9 @@
 //! Path choice: the rules every layer picks a flow's routes by.
 //!
-//! The flow solver's candidate builders (`pnet_flowsim::mcf::ksp_mode`, the
-//! ECMP routes behind `pnet_flowsim::throughput::ecmp_throughput`) and the
-//! host stack's path selector (`pnet_core::PathSelector`) call these rules
-//! and nothing else, so a flow gets the same routes at the flow level as at
-//! the packet level: [`Router::subflows`] (MPTCP over KSP),
+//! The flow solver's route builder (`pnet_flowsim::mcf::commodity_routes`)
+//! and the host stack's path selector (`pnet_core::PathSelector`) call these
+//! rules and nothing else, so a flow gets the same routes at the flow level
+//! as at the packet level: [`Router::subflows`] (MPTCP over KSP),
 //! [`Router::plane_subflows`] (MPTCP with one interface per plane),
 //! [`Router::hashed_route`] (ECMP, round robin) and
 //! [`Router::shortest_plane_route`] (the low-latency plane). Only the two

@@ -19,14 +19,10 @@ pub fn flow_hash(src: HostId, dst: HostId, flow: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Pick one item by hash. Panics on an empty slice.
-pub fn hash_select<T>(items: &[T], hash: u64) -> &T {
-    &items[hash_index(items.len(), hash)]
-}
-
-/// The position [`hash_select`] picks among `n` items. Panics when `n` is 0.
+/// The position a flow with `hash` picks among `n` items. Panics when `n`
+/// is 0.
 pub fn hash_index(n: usize, hash: u64) -> usize {
-    assert!(n > 0, "hash_select on empty path set");
+    assert!(n > 0, "hash pick in an empty path set");
     (hash % n as u64) as usize
 }
 
@@ -58,11 +54,9 @@ mod tests {
 
     #[test]
     fn selection_in_range() {
-        let items = vec![10, 20, 30];
         for f in 0..100 {
             let h = flow_hash(HostId(0), HostId(1), f);
-            let v = *hash_select(&items, h);
-            assert!(items.contains(&v));
+            assert!(hash_index(3, h) < 3);
         }
     }
 
@@ -96,6 +90,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty")]
     fn empty_selection_panics() {
-        hash_select::<u32>(&[], 7);
+        hash_index(0, 7);
     }
 }

@@ -47,7 +47,7 @@ mod scratch;
 mod tier_search;
 
 pub use choice::{subflow_width, Flow};
-pub use ecmp::{flow_hash, hash_index, hash_plane, hash_select};
+pub use ecmp::{flow_hash, hash_index, hash_plane};
 pub use exec::Parallelism;
 pub use fnv::Fnv;
 pub use path::{host_route, tie_rotated, Path, PathRef, PathSet, PlanePaths, MAX_K};

@@ -150,23 +150,21 @@ fn serial_and_parallel_route_tables_are_identical() {
 #[test]
 fn serial_and_parallel_mcf_solutions_are_bit_identical() {
     use pnet::flowsim::mcf::{self, McfOptions};
-    use pnet::flowsim::throughput;
-    use pnet::routing::Parallelism;
+    use pnet::routing::{hash_plane, Parallelism};
     let net = two_plane_spec().build().net;
     let c = commodity::permutation(&tm::random_permutation(32, 11));
-    // Both explicit-route builders fan out over commodities.
+    // The route builder fans the KSP and the ECMP rule out over commodities.
     for algo in [RouteAlgo::Ksp { k: 16 }, RouteAlgo::Ecmp { cap: 64 }] {
         let solve = |par: Parallelism| {
             let router = Router::with_parallelism(&net, algo, par);
-            let mode = match algo {
-                RouteAlgo::Ksp { .. } => mcf::ksp_mode_with(&net, &router, &c, 8, par),
+            let routes = mcf::commodity_routes(&net, &router, &c, par, |_, flow| match algo {
+                RouteAlgo::Ksp { .. } => router.subflows(flow, 8),
                 RouteAlgo::Ecmp { .. } => {
-                    let routes = throughput::ecmp_routes(&net, &router, &c, par);
-                    let one = |r: &Option<_>| r.iter().cloned().collect::<Vec<_>>();
-                    let routes: Vec<_> = routes.iter().map(one).collect();
-                    mcf::PathMode::Explicit(mcf::Candidates::new(&routes))
+                    let plane = hash_plane(net.n_planes(), flow.hash);
+                    router.hashed_route(flow, plane).into_iter().collect()
                 }
-            };
+            });
+            let mode = mcf::PathMode::Explicit(mcf::Candidates::new(&routes));
             mcf::solve_with_options(
                 &net,
                 &c,

@@ -118,10 +118,7 @@ fn selector_masks_failed_plane_for_every_policy() {
     // selector reads it per flow, as the paper's host would.
     let uplink = net.host_uplink(HostId(0), PlaneId(2)).unwrap();
     failures::fail_cable(&mut net, uplink);
-    let selector = |policy| {
-        let router = pnet::routing::Router::new(&net, pnet::routing::RouteAlgo::Ksp { k: 8 });
-        pnet::core::PathSelector::new(router, policy)
-    };
+    let selector = |policy| pnet::core::PathSelector::new(&net, policy);
     let pinned = PathPolicy::Pinned {
         planes: vec![2, 3],
         inner: Box::new(PathPolicy::EcmpHash),

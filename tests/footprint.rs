@@ -272,8 +272,8 @@ fn the_rpc_selector_holds_only_the_shortest_tiers() {
 
     // Entry for entry, the selector's table is the shortest tier of a
     // 32-wide KSP table's, and a tier wider than 32 is cut there.
-    let narrow = pnet.router(policy.route_algo());
-    let wide = pnet.router(RouteAlgo::Ksp { k: 32 });
+    let narrow = Router::new(&pnet.net, policy.route_algo());
+    let wide = Router::new(&pnet.net, RouteAlgo::Ksp { k: 32 });
     let (mut paths, mut capped) = (0, 0);
     for plane in pnet.net.planes() {
         for a in (0..64).map(RackId) {

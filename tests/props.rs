@@ -361,7 +361,7 @@ proptest! {
         shape in 0u8..5, k in 1usize..=32, len in 1usize..12, plane in 0u16..8,
         seed: u64, hash: u64,
     ) {
-        use routing::{hash_index, hash_select, PathRef, PlanePaths};
+        use routing::{PathRef, PlanePaths};
         let nested = sorted_paths(shape, k, len, plane, seed);
         let set = PlanePaths::from(nested.as_slice());
         prop_assert_eq!(set.len(), nested.len());
@@ -374,15 +374,9 @@ proptest! {
 
         let rotated: Vec<usize> = set.tie_rotated(hash).collect();
         prop_assert_eq!(rotated, routing::tie_rotated(&nested, hash).collect::<Vec<_>>());
-        // The slice forms of `shortest_tier` and of the hash pick inside it.
+        // The slice form of `shortest_tier`.
         let tier = nested.iter().take_while(|p| p.links.len() == nested[0].links.len()).count();
         prop_assert_eq!(set.shortest_tier(), tier);
-        if tier > 0 {
-            let pick = hash_select(&nested[..tier], hash);
-            prop_assert_eq!(set.get(hash_index(tier, hash)), pick.into());
-            let pick = hash_select(&nested, hash);
-            prop_assert_eq!(set.get(hash_index(set.len(), hash)), pick.into());
-        }
     }
 }
 

@@ -153,11 +153,7 @@ fn rto_backoff_survives_a_blackout() {
 fn backoff_grows_rto_exponentially() {
     use pnet::htsim::TcpConfig;
     let cfg = TcpConfig::default();
-    let mut sub = pnet::htsim::tcp::Subflow::new(
-        vec![pnet::topology::LinkId(0)],
-        vec![pnet::topology::LinkId(1)],
-        &cfg,
-    );
+    let mut sub = pnet::htsim::tcp::Subflow::new(vec![pnet::topology::LinkId(0)], &cfg);
     let base = sub.effective_rto(&cfg);
     sub.backoff = 1;
     let once = sub.effective_rto(&cfg);
