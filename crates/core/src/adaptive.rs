@@ -71,15 +71,6 @@ impl AdaptiveBalancer {
             })
             .expect("invariant: usable is checked non-empty above")
     }
-
-    /// Decay all scores toward 1.0 (call periodically so stale congestion
-    /// verdicts expire even without exploration traffic).
-    pub fn decay(&mut self, factor: f64) {
-        assert!((0.0..=1.0).contains(&factor));
-        for s in &mut self.scores {
-            *s = 1.0 + (*s - 1.0) * factor;
-        }
-    }
 }
 
 /// Ideal FCT (microseconds) of `bytes` at `bottleneck_bps` — the slowdown
@@ -106,22 +97,6 @@ mod tests {
         assert_ne!(b.choose(&all), PlaneId(0));
         // Among the untouched planes, lowest id wins ties.
         assert_eq!(b.choose(&all), PlaneId(1));
-    }
-
-    #[test]
-    fn recovers_via_decay() {
-        let mut b = AdaptiveBalancer::new(2, 0.5, 0);
-        for _ in 0..10 {
-            b.report(PlaneId(0), 10.0);
-        }
-        assert_eq!(b.choose(&planes(2)), PlaneId(1));
-        for _ in 0..50 {
-            b.decay(0.8);
-        }
-        // Scores converged back toward 1.0: plane 0 usable again (ties to
-        // lowest id when equal within float noise is not guaranteed, so
-        // check the score itself).
-        assert!(b.score(PlaneId(0)) < 1.1);
     }
 
     #[test]

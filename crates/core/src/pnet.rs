@@ -178,7 +178,7 @@ mod tests {
     /// The selector's table changes no answer: under every policy,
     /// [`PathSelector::new`] picks the routes that `place` picks over a
     /// 32-wide KSP table, flow for flow. On a k = 12 fat tree an inter-pod
-    /// pair has 36 shortest paths per plane, so the ECMP cap cuts; on a
+    /// pair has 36 shortest paths per plane, so the ECMP width cuts; on a
     /// heterogeneous Jellyfish host 0's plane-0 uplink is dead. A third of the flows leave
     /// host 0, a seventh stay in their rack, and sizes alternate around
     /// `paper_default`'s cutoff.
@@ -194,11 +194,9 @@ mod tests {
             0,
         )
         .build();
-        let far = Router::new(&fat.net, RouteAlgo::Ecmp { cap: 64 });
-        assert_eq!(
-            far.paths_in_plane(PlaneId(0), RackId(0), RackId(71)).len(),
-            36
-        );
+        let far = Router::new(&fat.net, RouteAlgo::Ksp { k: 40 });
+        let tier = far.paths_in_plane(PlaneId(0), RackId(0), RackId(71));
+        assert_eq!(tier.shortest_tier(), 36);
         let mut jelly = PNetSpec::new(
             TopologyKind::Jellyfish {
                 n_tors: 16,

@@ -56,21 +56,22 @@ impl PathPolicy {
     }
 
     /// The narrowest route table that answers every select as a 32-wide KSP
-    /// table would. Rules that read only shortest tiers get ECMP capped at
-    /// 32: an ECMP entry is the first tier cut at its cap, the prefix a
-    /// KSP-32 entry starts with. The subflow rules get KSP as wide as they
-    /// fetch, at least 32.
+    /// table would. Rules that read only shortest tiers get
+    /// [`RouteAlgo::Ecmp`]: its entry is the first tier cut at 32 paths, the
+    /// prefix a KSP-32 entry starts with. The subflow rules get KSP as wide
+    /// as they fetch, at least 32.
     pub fn route_algo(&self) -> RouteAlgo {
-        let shortest = RouteAlgo::Ecmp { cap: 32 };
         let ksp = |k: usize| RouteAlgo::Ksp { k: k.max(32) };
         match self {
-            PathPolicy::EcmpHash | PathPolicy::RoundRobin | PathPolicy::ShortestPlane => shortest,
-            PathPolicy::PlaneKsp { per_plane: 1 } => shortest,
+            PathPolicy::EcmpHash | PathPolicy::RoundRobin | PathPolicy::ShortestPlane => {
+                RouteAlgo::Ecmp
+            }
+            PathPolicy::PlaneKsp { per_plane: 1 } => RouteAlgo::Ecmp,
             PathPolicy::PlaneKsp { per_plane } => ksp(*per_plane),
             PathPolicy::MultipathKsp { k } => ksp(subflow_width(*k)),
             PathPolicy::SizeThreshold { small, large, .. } => {
                 match (small.route_algo(), large.route_algo()) {
-                    (RouteAlgo::Ecmp { .. }, RouteAlgo::Ecmp { .. }) => shortest,
+                    (RouteAlgo::Ecmp, RouteAlgo::Ecmp) => RouteAlgo::Ecmp,
                     (a, b) => ksp(a.per_plane_limit().max(b.per_plane_limit())),
                 }
             }
@@ -259,66 +260,69 @@ mod tests {
 
     /// One rule, same answer: the routes the flow solver builds for
     /// commodity `i` are the ones the selector picks for flow id `i`, under
-    /// each of the five leaf rules, on 4- and 2-plane heterogeneous Jellyfish
-    /// with host 0's plane-0 uplink dead. The solver side is
-    /// `mcf::commodity_routes` with the rule's flow-level twin, over the
-    /// solver's own tables: `subflow_width(k)`-wide KSP for `MultipathKsp`
-    /// (as `mcf::ksp_mode`), KSP-32 for `PlaneKsp { per_plane: 2 }`, and for
-    /// the shortest-tier rules ECMP capped at 64 (as
-    /// `throughput::ecmp_throughput`), whose answers agree with the
-    /// selector's ECMP-32 table because every shortest tier here holds fewer
-    /// than 32 paths. Commodity `i` is the selector's `i`-th select, so
-    /// `RoundRobin`'s counter reads `i`. At K = 24 and 32 the selector reads
-    /// past 32 paths per plane, as wide as the solver. The solver fans out
-    /// over the pool (`RAYON_NUM_THREADS`), the selector is serial.
+    /// each of the five leaf rules, with host 0's plane-0 uplink dead, on 4-
+    /// and 2-plane heterogeneous Jellyfish and on a 2-plane k = 12 fat tree,
+    /// whose 36-path inter-pod tiers the shared ECMP width cuts to 32. The
+    /// solver side is `mcf::commodity_routes` with the rule's flow-level
+    /// twin, over the solver's own tables: `subflow_width(k)`-wide KSP for
+    /// `MultipathKsp` (as `mcf::ksp_mode`), KSP-32 for `PlaneKsp {
+    /// per_plane: 2 }`, and [`RouteAlgo::Ecmp`] for the shortest-tier rules
+    /// (as `throughput::ecmp_throughput`). Commodity `i` is the selector's
+    /// `i`-th select, so `RoundRobin`'s counter reads `i`. At K = 24 and 32
+    /// the selector reads past 32 paths per plane, as wide as the solver.
+    /// The solver fans out over the pool (`RAYON_NUM_THREADS`), the selector
+    /// is serial.
     #[test]
     fn the_flow_solver_and_the_selector_choose_the_same_routes() {
-        use pnet_flowsim::{commodity, mcf::commodity_routes};
+        use pnet_flowsim::{commodity, commodity::Commodity, mcf::commodity_routes};
         let c = commodity::all_to_all(12);
         let par = Parallelism::default();
-        for planes in [4, 2] {
-            let mut net = parallel::jellyfish_network(
-                NetworkClass::ParallelHeterogeneous,
-                Jellyfish::new(16, 4, 2, 5),
-                planes,
-                5,
-                &LinkProfile::paper_default(),
-            );
+        let jellyfish = |planes| {
+            let class = NetworkClass::ParallelHeterogeneous;
+            let profile = LinkProfile::paper_default();
+            parallel::jellyfish_network(class, Jellyfish::new(16, 4, 2, 5), planes, 5, &profile)
+        };
+        let fat = assemble_homogeneous(&FatTree::three_tier(12), 2, &LinkProfile::paper_default());
+        // One host per pod of the fat tree: every pair crosses pods.
+        let host = |h: HostId| HostId(h.0 * 37);
+        let spread: Vec<Commodity> = c
+            .iter()
+            .map(|c| Commodity::unit(host(c.src), host(c.dst)))
+            .collect();
+        let cut = Router::new(&fat, RouteAlgo::Ecmp);
+        for c in &spread {
+            let (a, b) = (fat.rack_of_host(c.src), fat.rack_of_host(c.dst));
+            assert_eq!(cut.paths_in_plane(PlaneId(1), a, b).len(), 32);
+        }
+        for (name, mut net, c) in [
+            ("4-plane Jellyfish", jellyfish(4), &c),
+            ("2-plane Jellyfish", jellyfish(2), &c),
+            ("k = 12 fat tree", fat, &spread),
+        ] {
             let up = net.host_uplink(HostId(0), PlaneId(0)).unwrap();
             failures::fail_cable(&mut net, up);
-            let wide = Router::new(&net, RouteAlgo::Ksp { k: 32 });
-            for (a, b) in c
-                .iter()
-                .map(|c| (net.rack_of_host(c.src), net.rack_of_host(c.dst)))
-            {
-                for plane in net.planes() {
-                    assert!(wide.paths_in_plane(plane, a, b).shortest_tier() < 32);
-                }
-            }
             let same = |policy: PathPolicy, solver: Vec<Vec<Vec<LinkId>>>| {
                 let mut s = PathSelector::new(&net, policy.clone());
                 for (i, c) in c.iter().enumerate() {
                     let (routes, _) = s.select(&net, c.src, c.dst, i as u64, 1 << 20);
                     assert!(!routes.is_empty());
-                    assert_eq!(
-                        routes, solver[i],
-                        "{planes} planes, {policy:?}, commodity {i}"
-                    );
+                    assert_eq!(routes, solver[i], "{name}, {policy:?}, commodity {i}");
                 }
             };
             type Rule<'r> = dyn Fn(usize, Flow<'_>) -> Vec<Vec<LinkId>> + Sync + 'r;
             let twin =
-                |router: &Router, rule: &Rule<'_>| commodity_routes(&net, router, &c, par, rule);
+                |router: &Router, rule: &Rule<'_>| commodity_routes(&net, router, c, par, rule);
             for k in [4, 8, 16, 24, 32] {
                 let width = subflow_width(k);
                 let ksp = Router::new(&net, RouteAlgo::Ksp { k: width });
                 let subflows = twin(&ksp, &|_, flow| ksp.subflows(flow, k));
                 same(PathPolicy::MultipathKsp { k }, subflows);
             }
+            let wide = Router::new(&net, RouteAlgo::Ksp { k: 32 });
             let plane_subflows = twin(&wide, &|_, flow| wide.plane_subflows(flow, 2));
             same(PathPolicy::PlaneKsp { per_plane: 2 }, plane_subflows);
 
-            let ecmp = Router::new(&net, RouteAlgo::Ecmp { cap: 64 });
+            let ecmp = Router::new(&net, RouteAlgo::Ecmp);
             let n = net.n_planes();
             let one = |route: Option<Vec<LinkId>>| route.into_iter().collect();
             let hashed = twin(&ecmp, &|_, flow| {

@@ -1873,7 +1873,7 @@ mod tests {
         // k=4 fat tree is non-blocking: a permutation routed over ALL
         // equal-cost paths (splittable) achieves the full 100G per host.
         let net = assemble_homogeneous(&FatTree::three_tier(4), 1, &LinkProfile::paper_default());
-        let router = Router::new(&net, RouteAlgo::Ecmp { cap: 16 });
+        let router = Router::new(&net, RouteAlgo::Ecmp);
         // Cross-pod cyclic shift permutation: host i -> (i + 8) mod 16.
         let perm: Vec<usize> = (0..16).map(|i| (i + 8) % 16).collect();
         let c = commodity::permutation(&perm);

@@ -28,7 +28,7 @@ use pnet_topology::Network;
 /// commodity `i` takes [`Router::hashed_route`] of flow `i` from its
 /// [`hash_plane`]. A commodity that no plane connects ships nothing.
 pub fn ecmp_throughput(net: &Network, commodities: &[Commodity]) -> f64 {
-    let router = Router::new(net, RouteAlgo::Ecmp { cap: 64 });
+    let router = Router::new(net, RouteAlgo::Ecmp);
     let par = Parallelism::default();
     let routes = mcf::commodity_routes(net, &router, commodities, par, |_, flow| {
         router.hashed_route(flow, hash_plane(net.n_planes(), flow.hash))
@@ -156,7 +156,7 @@ mod tests {
         assert!(ksp_multipath_throughput(&net, &c, 1, 0.1).is_ok());
 
         let dead = |route: &[LinkId]| route.contains(&up) || route.contains(&up.reverse());
-        let router = Router::new(&net, RouteAlgo::Ecmp { cap: 64 });
+        let router = Router::new(&net, RouteAlgo::Ecmp);
         let n_planes = net.n_planes();
         let ecmp = mcf::commodity_routes(&net, &router, &c, Parallelism::Serial, |_, flow| {
             router.hashed_route(flow, hash_plane(n_planes, flow.hash))

@@ -38,9 +38,9 @@ mod tests {
         set.get(0).to_path()
     }
 
-    /// Plane 0's equal-cost paths `src -> dst`, up to `cap`.
-    fn ecmp(net: &Network, src: u32, dst: u32, cap: usize) -> Vec<crate::Path> {
-        let router = Router::new(net, RouteAlgo::Ecmp { cap });
+    /// Plane 0's equal-cost paths `src -> dst`, up to 32.
+    fn ecmp(net: &Network, src: u32, dst: u32) -> Vec<crate::Path> {
+        let router = Router::new(net, RouteAlgo::Ecmp);
         let set = router.paths_in_plane(PlaneId(0), RackId(src), RackId(dst));
         set.iter().map(PathRef::to_path).collect()
     }
@@ -68,24 +68,28 @@ mod tests {
     fn ecmp_path_count_in_fat_tree() {
         let net = ft_net();
         // k=4 fat tree: (k/2)^2 = 4 shortest cross-pod paths.
-        let paths = ecmp(&net, 0, 7, 64);
+        let paths = ecmp(&net, 0, 7);
         assert_eq!(paths.len(), 4);
         for p in &paths {
             assert_eq!(p.links.len(), 4);
             p.validate(&net).unwrap();
         }
         // Same-pod: k/2 = 2 paths.
-        assert_eq!(ecmp(&net, 0, 1, 64).len(), 2);
+        assert_eq!(ecmp(&net, 0, 1).len(), 2);
     }
 
+    /// A k = 12 fat tree has 36 shortest paths between pods; ECMP keeps 32.
     #[test]
     fn enumeration_respects_cap() {
-        assert_eq!(ecmp(&ft_net(), 0, 7, 3).len(), 3);
+        let fat = FatTree::three_tier(12);
+        let net = assemble_homogeneous(&fat, 1, &LinkProfile::paper_default());
+        assert_eq!(ecmp(&net, 0, 71).len(), 32);
+        assert_eq!(RouteAlgo::Ecmp.per_plane_limit(), 32);
     }
 
     #[test]
     fn paths_are_distinct() {
-        let paths = ecmp(&ft_net(), 0, 7, 64);
+        let paths = ecmp(&ft_net(), 0, 7);
         let set: std::collections::HashSet<_> = paths.iter().map(|p| p.links.clone()).collect();
         assert_eq!(set.len(), paths.len());
     }
@@ -95,12 +99,12 @@ mod tests {
     #[test]
     fn batched_ecmp_matches_per_pair() {
         let net = ft_net();
-        let router = Router::new(&net, RouteAlgo::Ecmp { cap: 64 });
+        let router = Router::new(&net, RouteAlgo::Ecmp);
         router.precompute_all_pairs();
         let ksp = Router::new(&net, RouteAlgo::Ksp { k: 8 });
         for dst in 1..8 {
             let batched = router.paths_in_plane(PlaneId(0), RackId(0), RackId(dst));
-            let single = ecmp(&net, 0, dst, 64);
+            let single = ecmp(&net, 0, dst);
             assert!(
                 batched.iter().eq(single.iter().map(PathRef::from)),
                 "batched ECMP diverged for destination {dst}"

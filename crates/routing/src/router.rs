@@ -4,8 +4,8 @@
 //! per (plane, src rack, dst rack). Two algorithms are supported, matching
 //! the paper's two routing regimes:
 //!
-//! * [`RouteAlgo::Ecmp`] — all equal-cost shortest paths (capped), the
-//!   fat-tree default;
+//! * [`RouteAlgo::Ecmp`] — the equal-cost shortest paths, up to one
+//!   width shared by every layer, the fat-tree default;
 //! * [`RouteAlgo::Ksp`] — K shortest paths, the expander default and the
 //!   multipath substrate for MPTCP.
 //!
@@ -50,11 +50,16 @@ use std::collections::BTreeSet;
 use std::ops::Range;
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
+/// Paths of a shortest tier an ECMP entry keeps: the one width the flow
+/// solver and the host stack both hash over. A KSP-32 entry starts with
+/// the same paths.
+const SHORTEST_TIER_WIDTH: usize = 32;
+
 /// Which path computation the router serves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouteAlgo {
-    /// All equal-cost shortest paths, up to `cap` per plane.
-    Ecmp { cap: usize },
+    /// The equal-cost shortest paths per plane, up to 32.
+    Ecmp,
     /// K shortest simple paths, `k` per plane.
     Ksp { k: usize },
 }
@@ -63,7 +68,7 @@ impl RouteAlgo {
     /// Paths this algorithm yields per plane at most.
     pub fn per_plane_limit(self) -> usize {
         match self {
-            RouteAlgo::Ecmp { cap } => cap,
+            RouteAlgo::Ecmp => SHORTEST_TIER_WIDTH,
             RouteAlgo::Ksp { k } => k,
         }
     }
@@ -503,7 +508,7 @@ impl Router {
                     // ECMP's (all equal) first. A set below its limit takes any.
                     let kept = match self.algo {
                         RouteAlgo::Ksp { .. } => set.len().saturating_sub(1),
-                        RouteAlgo::Ecmp { .. } => 0,
+                        RouteAlgo::Ecmp => 0,
                     };
                     let full = !set.is_empty() && set.len() >= limit;
                     let bar = full.then(|| set.rel(kept).len());
@@ -603,6 +608,7 @@ mod tests {
     use super::*;
     use pnet_topology::{
         assemble_homogeneous, failures, ChurnSchedule, FatTree, HostId, Jellyfish, LinkProfile,
+        NodeKind,
     };
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
@@ -610,7 +616,7 @@ mod tests {
     #[test]
     fn ecmp_router_caches() {
         let net = assemble_homogeneous(&FatTree::three_tier(4), 2, &LinkProfile::paper_default());
-        let r = Router::new(&net, RouteAlgo::Ecmp { cap: 16 });
+        let r = Router::new(&net, RouteAlgo::Ecmp);
         let a = r.paths_in_plane(PlaneId(0), RackId(0), RackId(7));
         let b = r.paths_in_plane(PlaneId(0), RackId(0), RackId(7));
         assert!(Arc::ptr_eq(&a.set, &b.set));
@@ -652,7 +658,7 @@ mod tests {
     #[should_panic(expected = "outside a 8-rack fabric")]
     fn out_of_range_rack_panics_instead_of_aliasing() {
         let net = assemble_homogeneous(&FatTree::three_tier(4), 1, &LinkProfile::paper_default());
-        let r = Router::new(&net, RouteAlgo::Ecmp { cap: 4 });
+        let r = Router::new(&net, RouteAlgo::Ecmp);
         // Unchecked, this would be the table position of (plane 0, 1, 0).
         r.paths_in_plane(PlaneId(0), RackId(0), RackId(r.n_racks() as u32));
     }
@@ -661,7 +667,7 @@ mod tests {
     fn refresh_picks_up_failures() {
         let mut net =
             assemble_homogeneous(&FatTree::three_tier(4), 1, &LinkProfile::paper_default());
-        let r = Router::new(&net, RouteAlgo::Ecmp { cap: 16 });
+        let r = Router::new(&net, RouteAlgo::Ecmp);
         assert_eq!(r.paths_in_plane(PlaneId(0), RackId(0), RackId(7)).len(), 4);
         // Fail one agg-core cable on a path and refresh.
         let cables = failures::fabric_cables(&net, None);
@@ -814,7 +820,7 @@ mod tests {
     fn ecmp_delta_matches_rebuild() {
         let mut net =
             assemble_homogeneous(&FatTree::three_tier(4), 2, &LinkProfile::paper_default());
-        let r = Router::new(&net, RouteAlgo::Ecmp { cap: 16 });
+        let r = Router::new(&net, RouteAlgo::Ecmp);
         r.precompute_all_pairs();
         let cables = failures::fabric_cables(&net, None);
         failures::fail_cable(&mut net, cables[1]);
@@ -823,6 +829,35 @@ mod tests {
         assert_matches_rebuild(&net, &r);
         failures::restore_cable(&mut net, cables[7]);
         r.refresh(&net);
+        assert_matches_rebuild(&net, &r);
+    }
+
+    /// A k = 12 fat tree's 36-path inter-pod tiers fill the 32-path ECMP
+    /// width, and stay full with one agg-core cable down (35 paths). So the
+    /// cable's return repairs exactly the full entries it ties into: a path
+    /// through it has the tier's length, and may sort into the first 32.
+    #[test]
+    fn ecmp_delta_on_full_tiers_matches_rebuild() {
+        let fat = FatTree::three_tier(12);
+        let mut net = assemble_homogeneous(&fat, 1, &LinkProfile::paper_default());
+        let r = Router::new(&net, RouteAlgo::Ecmp);
+        r.precompute_all_pairs();
+        let kind = |c: LinkId| &net.node(net.link(c).src).kind;
+        let agg_core = |&c: &LinkId| {
+            let ends = (kind(c), kind(c.reverse()));
+            matches!(
+                ends,
+                (NodeKind::Agg { .. }, NodeKind::Core) | (NodeKind::Core, NodeKind::Agg { .. })
+            )
+        };
+        let cables = failures::fabric_cables(&net, None);
+        let cable = cables.into_iter().find(agg_core).unwrap();
+        failures::fail_cable(&mut net, cable);
+        r.refresh(&net);
+        assert_matches_rebuild(&net, &r);
+        failures::restore_cable(&mut net, cable);
+        let stats = r.refresh(&net);
+        assert!(stats.entries_repaired > 0 && stats.entries_reused > 0);
         assert_matches_rebuild(&net, &r);
     }
 
@@ -866,7 +901,7 @@ mod tests {
             let degree = if tors.is_multiple_of(2) { 3 } else { 4 };
             let fabric = Jellyfish::new(tors, degree, 1, seed);
             let mut net = assemble_homogeneous(&fabric, planes, &LinkProfile::paper_default());
-            let algo = if ecmp { RouteAlgo::Ecmp { cap: 16 } } else { RouteAlgo::Ksp { k: 6 } };
+            let algo = if ecmp { RouteAlgo::Ecmp } else { RouteAlgo::Ksp { k: 6 } };
             let r = Router::new(&net, algo);
             // Lazy entries first, on different planes: the bulk fill must keep
             // their `Arc`s, and plane 0's miss takes the set plane 1 holds.
@@ -967,7 +1002,7 @@ mod tests {
         });
         assert!(same_rows, "the control must differ in numbering only");
         assert_eq!(shape_classes(&pgs), [0, 1]);
-        for algo in [RouteAlgo::Ksp { k: 6 }, RouteAlgo::Ecmp { cap: 16 }] {
+        for algo in [RouteAlgo::Ksp { k: 6 }, RouteAlgo::Ecmp] {
             let r = Router::new(&net, algo);
             // A miss in plane 0 must not take plane 1's set.
             r.paths_in_plane(PlaneId(1), RackId(0), RackId(5));
@@ -1041,7 +1076,7 @@ mod tests {
     #[test]
     fn precompute_keeps_existing_arcs() {
         let net = assemble_homogeneous(&FatTree::three_tier(4), 1, &LinkProfile::paper_default());
-        let r = Router::new(&net, RouteAlgo::Ecmp { cap: 8 });
+        let r = Router::new(&net, RouteAlgo::Ecmp);
         let before = r.paths_in_plane(PlaneId(0), RackId(0), RackId(7));
         r.precompute_all_pairs();
         let after = r.paths_in_plane(PlaneId(0), RackId(0), RackId(7));

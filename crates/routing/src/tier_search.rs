@@ -9,7 +9,7 @@
 //! length from the shortest up it walks the plane depth-first and emits the
 //! simple paths of exactly that length, fewest links first and, within a
 //! length, in link-id order. A KSP entry takes tiers until it holds K paths;
-//! an ECMP entry is the first tier, truncated at its cap. Emitted sequences
+//! an ECMP entry is the first tier, truncated at 32 paths. Emitted sequences
 //! are canonical — the K smallest simple paths in (length, link ids) order:
 //! `tests/props.rs` checks that link for link against a brute-force
 //! enumeration of every simple path; `tests/golden_fingerprint.rs` pins it

@@ -7,39 +7,37 @@
 use pnet::core::adaptive::{ideal_fct_us, AdaptiveBalancer};
 use pnet::core::{PNetSpec, PathPolicy, TopologyKind};
 use pnet::htsim::{run, Driver, FlowRecord, FlowSpec, NullDriver, SimConfig, SimTime, Simulator};
-use pnet::routing::{host_route, RouteAlgo, Router};
+use pnet::routing::{Flow, RouteAlgo, Router};
 use pnet::topology::{HostId, NetworkClass, PlaneId};
 
 const FLOW_BYTES: u64 = 150_000;
+const SRC: HostId = HostId(0);
+const DST: HostId = HostId(30);
 
 struct Learner<'a> {
     net: &'a pnet::topology::Network,
     router: Router,
     balancer: AdaptiveBalancer,
-    launched: u64,
+    /// The plane of every launched flow, by tag.
+    plane_of: Vec<PlaneId>,
     per_plane: Vec<u32>,
     fcts: Vec<f64>,
-    plane_of: std::collections::HashMap<u64, PlaneId>,
 }
 
 impl Learner<'_> {
+    /// Flow `tag` goes where the balancer points: a hash pick among the
+    /// chosen plane's shortest paths (`Router::hashed_route`).
     fn launch(&mut self, sim: &mut Simulator) {
-        let tag = self.launched;
-        self.launched += 1;
-        let usable: Vec<PlaneId> = self.net.planes().collect();
+        let tag = self.plane_of.len() as u64;
+        let flow = Flow::new(self.net, SRC, DST, tag);
+        let usable: Vec<PlaneId> = flow.usable_planes().collect();
         let plane = self.balancer.choose(&usable);
         self.per_plane[plane.index()] += 1;
-        let (src, dst) = (HostId(0), HostId(30));
-        let path = self.router.paths_in_plane(
-            plane,
-            self.net.rack_of_host(src),
-            self.net.rack_of_host(dst),
-        );
-        let route = host_route(self.net, src, dst, path.get(0)).unwrap();
-        self.plane_of.insert(tag, plane);
+        let route = self.router.hashed_route(flow, plane).unwrap();
+        self.plane_of.push(plane);
         sim.start_flow(FlowSpec {
-            src,
-            dst,
+            src: SRC,
+            dst: DST,
             size_bytes: FLOW_BYTES,
             routes: vec![route],
             cc: pnet::htsim::CcAlgo::Reno,
@@ -50,7 +48,7 @@ impl Learner<'_> {
 
 impl Driver for Learner<'_> {
     fn on_app_timer(&mut self, sim: &mut Simulator, _app: u32, _tag: u64) {
-        if self.launched < 80 {
+        if self.plane_of.len() < 80 {
             self.launch(sim);
             let next = sim.now + SimTime::from_us(50);
             sim.schedule_app(next, 0, 0);
@@ -60,7 +58,7 @@ impl Driver for Learner<'_> {
         if rec.owner_tag == u64::MAX {
             return;
         }
-        let plane = self.plane_of[&rec.owner_tag];
+        let plane = self.plane_of[rec.owner_tag as usize];
         let fct = rec.fct().as_us_f64();
         self.fcts.push(fct);
         self.balancer
@@ -104,12 +102,11 @@ fn main() {
 
     let mut learner = Learner {
         net: &pnet.net,
-        router: Router::new(&pnet.net, RouteAlgo::Ksp { k: 2 }),
+        router: Router::new(&pnet.net, RouteAlgo::Ecmp),
         balancer: AdaptiveBalancer::new(4, 0.4, 16),
-        launched: 0,
+        plane_of: Vec::new(),
         per_plane: vec![0; 4],
         fcts: Vec::new(),
-        plane_of: Default::default(),
     };
     sim.schedule_app(SimTime::from_us(10), 0, 0);
     run(&mut sim, &mut learner, Some(SimTime::from_ms(30)));

@@ -1,15 +1,19 @@
 //! End-to-end test of DARD-style adaptive plane selection: small flows that
 //! learn from completion feedback steer around a congested plane, beating
-//! oblivious hash placement.
+//! oblivious hash placement. Both route by `Router::hashed_route` from the
+//! plane they choose, as the flow solver's route builder does given it.
 
 use pnet::core::adaptive::{ideal_fct_us, AdaptiveBalancer};
 use pnet::core::{PNetSpec, PathPolicy, TopologyKind};
+use pnet::flowsim::{commodity::Commodity, mcf::commodity_routes};
 use pnet::htsim::{run, Driver, FlowRecord, FlowSpec, SimConfig, SimTime, Simulator};
-use pnet::routing::{host_route, Path, RouteAlgo, Router};
-use pnet::topology::{HostId, NetworkClass, PlaneId};
+use pnet::routing::{hash_plane, Flow, Parallelism, RouteAlgo, Router};
+use pnet::topology::{HostId, LinkId, NetworkClass, PlaneId};
 
 const SMALL_BYTES: u64 = 150_000;
 const N_SMALL: u64 = 60;
+const SRC: HostId = HostId(0);
+const DST: HostId = HostId(15);
 
 /// Placement strategies under test.
 enum Placement {
@@ -21,52 +25,36 @@ struct SmallFlowDriver<'a> {
     net: &'a pnet::topology::Network,
     router: Router,
     placement: Placement,
-    launched: u64,
+    /// (plane chosen, route) per launched small flow, by tag.
+    launched: Vec<(PlaneId, Vec<LinkId>)>,
     /// (plane used, fct us) per completed small flow.
-    pub completed: Vec<(PlaneId, f64)>,
-    /// tag -> plane of in-flight small flows.
-    plane_of: std::collections::HashMap<u64, PlaneId>,
-    src: HostId,
-    dst: HostId,
+    completed: Vec<(PlaneId, f64)>,
 }
 
 impl SmallFlowDriver<'_> {
     fn launch(&mut self, sim: &mut Simulator) {
-        let tag = self.launched;
-        self.launched += 1;
-        let usable: Vec<PlaneId> = self.net.planes().collect();
+        let tag = self.launched.len() as u64;
+        let flow = Flow::new(self.net, SRC, DST, tag);
         let plane = match &mut self.placement {
-            Placement::Hash => {
-                let h = pnet::routing::flow_hash(self.src, self.dst, tag);
-                pnet::routing::hash_plane(self.net.n_planes(), h)
-            }
-            Placement::Adaptive(b) => b.choose(&usable),
+            Placement::Hash => hash_plane(self.net.n_planes(), flow.hash),
+            Placement::Adaptive(b) => b.choose(&flow.usable_planes().collect::<Vec<_>>()),
         };
-        let (ra, rb) = (
-            self.net.rack_of_host(self.src),
-            self.net.rack_of_host(self.dst),
-        );
-        let path = if ra == rb {
-            Path::intra_rack(plane)
-        } else {
-            self.router.paths_in_plane(plane, ra, rb).get(0).to_path()
-        };
-        let route = host_route(self.net, self.src, self.dst, &path).unwrap();
-        self.plane_of.insert(tag, plane);
+        let route = self.router.hashed_route(flow, plane).unwrap();
         sim.start_flow(FlowSpec {
-            src: self.src,
-            dst: self.dst,
+            src: SRC,
+            dst: DST,
             size_bytes: SMALL_BYTES,
-            routes: vec![route],
+            routes: vec![route.clone()],
             cc: pnet::htsim::CcAlgo::Reno,
             owner_tag: tag,
         });
+        self.launched.push((plane, route));
     }
 }
 
 impl Driver for SmallFlowDriver<'_> {
     fn on_app_timer(&mut self, sim: &mut Simulator, _app: u32, _tag: u64) {
-        if self.launched < N_SMALL {
+        if (self.launched.len() as u64) < N_SMALL {
             self.launch(sim);
             let next = sim.now + SimTime::from_us(60);
             sim.schedule_app(next, 0, 0);
@@ -77,7 +65,7 @@ impl Driver for SmallFlowDriver<'_> {
         if rec.owner_tag == u64::MAX {
             return; // background bulk
         }
-        let plane = self.plane_of[&rec.owner_tag];
+        let plane = self.launched[rec.owner_tag as usize].0;
         let fct = rec.fct().as_us_f64();
         self.completed.push((plane, fct));
         if let Placement::Adaptive(b) = &mut self.placement {
@@ -123,16 +111,24 @@ fn run_scenario(placement: Placement) -> Vec<(PlaneId, f64)> {
 
     let mut driver = SmallFlowDriver {
         net: &pnet.net,
-        router: Router::new(&pnet.net, RouteAlgo::Ksp { k: 2 }),
+        router: Router::new(&pnet.net, RouteAlgo::Ecmp),
         placement,
-        launched: 0,
+        launched: Vec::new(),
         completed: Vec::new(),
-        plane_of: Default::default(),
-        src: HostId(0),
-        dst: HostId(15),
     };
     sim.schedule_app(SimTime::from_us(10), 0, 0);
     run(&mut sim, &mut driver, Some(SimTime::from_ms(50)));
+
+    // The flow-level twin: commodity `i` is flow `i`, routed from the plane
+    // the placement chose for it.
+    let (router, launched) = (&driver.router, &driver.launched);
+    let c = vec![Commodity::unit(SRC, DST); launched.len()];
+    let twin = commodity_routes(&pnet.net, router, &c, Parallelism::default(), |i, flow| {
+        router.hashed_route(flow, launched[i].0)
+    });
+    for (i, (solver, (_, packet))) in twin.iter().zip(launched).enumerate() {
+        assert_eq!(solver.as_ref(), Some(packet), "flow {i}");
+    }
     driver.completed
 }
 

@@ -154,12 +154,12 @@ fn serial_and_parallel_mcf_solutions_are_bit_identical() {
     let net = two_plane_spec().build().net;
     let c = commodity::permutation(&tm::random_permutation(32, 11));
     // The route builder fans the KSP and the ECMP rule out over commodities.
-    for algo in [RouteAlgo::Ksp { k: 16 }, RouteAlgo::Ecmp { cap: 64 }] {
+    for algo in [RouteAlgo::Ksp { k: 16 }, RouteAlgo::Ecmp] {
         let solve = |par: Parallelism| {
             let router = Router::with_parallelism(&net, algo, par);
             let routes = mcf::commodity_routes(&net, &router, &c, par, |_, flow| match algo {
                 RouteAlgo::Ksp { .. } => router.subflows(flow, 8),
-                RouteAlgo::Ecmp { .. } => {
+                RouteAlgo::Ecmp => {
                     let plane = hash_plane(net.n_planes(), flow.hash);
                     router.hashed_route(flow, plane).into_iter().collect()
                 }

@@ -253,7 +253,7 @@ fn the_rpc_selector_holds_only_the_shortest_tiers() {
     };
     let pnet = PNetSpec::new(topology, NetworkClass::ParallelHeterogeneous, 4, 1).build();
     let policy = PathPolicy::PlaneKsp { per_plane: 1 };
-    assert_eq!(policy.route_algo(), RouteAlgo::Ecmp { cap: 32 });
+    assert_eq!(policy.route_algo(), RouteAlgo::Ecmp);
     let entries = 4 * 64 * 63;
 
     // The four planes differ, so each entry is its own set: 47 882 paths

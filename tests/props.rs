@@ -522,7 +522,7 @@ proptest! {
                 }
             }
         }
-        let algo = if ecmp { RouteAlgo::Ecmp { cap: 8 } } else { RouteAlgo::Ksp { k: 6 } };
+        let algo = if ecmp { RouteAlgo::Ecmp } else { RouteAlgo::Ksp { k: 6 } };
         let bulk = Router::new(&net, algo);
         bulk.precompute_all_pairs();
         let lazy = Router::new(&net, algo);
